@@ -6,9 +6,10 @@ Record/compare a baseline with ``benchmarks/record.py`` (see README);
 CI runs a single-round smoke via ``SIMSPEED_ROUNDS=1`` and fails on a
 >30% regression of the loaded benches vs. BENCH_simspeed.json.
 
-Each loaded fabric is benched twice — default kernel and the SoA kernel
+The AXI fabric is benched twice — default kernel and the SoA kernel
 (``kernel="soa"``, DESIGN.md §11) — so the speedup trajectory is in the
-recorded baseline, not just in prose.  ``SIMSPEED_PROFILE=1`` wraps each
+recorded baseline, not just in prose; the packet mesh has one production
+stepper and one bench.  ``SIMSPEED_PROFILE=1`` wraps each
 bench round in cProfile and prints the top-25 cumulative entries, so
 hot-path work starts from data instead of guesses.
 """
@@ -59,14 +60,11 @@ def _patronoc_setup(kernel=None):
     return setup
 
 
-def _baseline_setup(kernel=None):
-    def setup():
-        mesh = PacketMesh(PacketMeshConfig(n_vcs=4, buf_depth=32),
-                          injection_rate=0.3, seed=0, kernel=kernel)
-        mesh.run(500)
-        return (mesh,), {}
-
-    return setup
+def _baseline_setup():
+    mesh = PacketMesh(PacketMeshConfig(n_vcs=4, buf_depth=32),
+                      injection_rate=0.3, seed=0)
+    mesh.run(500)
+    return (mesh,), {}
 
 
 def test_patronoc_cycles_per_second(benchmark):
@@ -78,11 +76,7 @@ def test_patronoc_soa_cycles_per_second(benchmark):
 
 
 def test_baseline_cycles_per_second(benchmark):
-    _bench(benchmark, _baseline_setup(), lambda mesh: mesh.run(CYCLES))
-
-
-def test_baseline_soa_cycles_per_second(benchmark):
-    _bench(benchmark, _baseline_setup("soa"), lambda mesh: mesh.run(CYCLES))
+    _bench(benchmark, _baseline_setup, lambda mesh: mesh.run(CYCLES))
 
 
 def test_idle_network_overhead(benchmark):

@@ -19,9 +19,9 @@ from collections import deque
 import numpy as np
 
 from repro.baseline.flit import Flit, Packet, make_flits
-from repro.baseline.router import N_PORTS, P_E, P_LOCAL, P_N, P_S, P_W, Router
+from repro.baseline.router import P_E, P_LOCAL, P_N, P_S, P_W, Router
 from repro.faults.runtime import FaultStats, FaultTimeline, fault_rngs
-from repro.noc.topology import OPPOSITE, Mesh2D
+from repro.noc.topology import Mesh2D
 from repro.sim.kernel import Component, Simulator
 from repro.sim.rng import spawn_rngs
 from repro.sim.stats import GIB, LatencyStats
@@ -54,7 +54,17 @@ class PacketMeshConfig:
 
 
 class PacketMesh(Component):
-    """A runnable baseline mesh with built-in uniform random injection."""
+    """A runnable baseline mesh with built-in uniform random injection.
+
+    There are exactly two steppers.  ``always_step=True`` (or
+    ``kernel="always"``) is the reference oracle: every cycle stepped,
+    one :meth:`Router.step <repro.baseline.router.Router.step>` per
+    router.  Everything else — the default, and the ``kernel`` spellings
+    ``"activity"`` and ``"soa"`` kept for callers that name one — runs
+    the production stepper: the activity simulator's quiet-cycle skipping
+    over the two-pass request-mask allocator of
+    :mod:`repro.soa.baseline`, bit-identical to the oracle.
+    """
 
     def __init__(self, cfg: PacketMeshConfig, injection_rate: float = 0.0,
                  seed: int | None = None, always_step: bool = False,
@@ -107,7 +117,13 @@ class PacketMesh(Component):
         self.latency = LatencyStats("baseline")
         #: Flits currently buffered inside routers (activity contract).
         self._flits_in_network = 0
-        self._last_stepped = -1
+        #: Earliest cycle packet generation has work: the min of
+        #: ``_next_arrival`` over nodes whose source queue has room.
+        self._gen_due = min(self._next_arrival)
+        #: The route table: per node ``(xy_egress, hops)``, each a list
+        #: by destination; rows are built on first use (:meth:`_row`).
+        self._rows: list[tuple[list[int], list[int]] | None] = \
+            [None] * cfg.n_nodes
         # -- fault injection (DESIGN.md §10) ---------------------------
         self._faults = faults if faults is not None and faults.active() else None
         self._fault_stats: FaultStats | None = None
@@ -147,15 +163,13 @@ class PacketMesh(Component):
                 self._corrupt_rng = rngs[1]
         self.sim.add(self)
         self._source_cap = 64  # packets queued per node before pausing
-        if kernel == "soa":
+        #: The production stepper; None under ``always_step=True``, where
+        #: the per-object ``Router.step`` loop is the reference oracle.
+        self._stepper = None
+        if not always_step:
             from repro.soa.baseline import SoaMeshKernel
 
-            self._soa = SoaMeshKernel(self)
-            #: bit for (P_LOCAL, vc) injection slots (mask maintenance).
-            self._soa_local_bit = 1 << (P_LOCAL * cfg.n_vcs)
-        else:
-            self._soa = None
-        self._route_fn = self._route
+            self._stepper = SoaMeshKernel(self)
         #: Escape-VC adaptive mode (recovery="reroute"): heads get both
         #: productive egresses and the routers keep VC 0 strictly XY
         #: (Router._adaptive_candidate; deadlock-free, DESIGN.md §10).
@@ -165,15 +179,27 @@ class PacketMesh(Component):
                              else None)
 
     # ------------------------------------------------------------------
+    def _row(self, node: int) -> tuple[list[int], list[int]]:
+        """``node``'s row of the route table, by destination: Noxim's
+        default XY egress (resolve X first, then Y; P_LOCAL at ``node``
+        itself) and the hop distance."""
+        row = self._rows[node]
+        if row is None:
+            cols = self.cfg.cols
+            cx, cy = node % cols, node // cols
+            ports: list[int] = []
+            hops: list[int] = []
+            for dy in range(self.cfg.rows):
+                ports += [P_W] * cx
+                ports.append(P_N if dy < cy else P_S if dy > cy else P_LOCAL)
+                ports += [P_E] * (cols - 1 - cx)
+                hops += [abs(dx - cx) + abs(dy - cy) for dx in range(cols)]
+            row = self._rows[node] = (ports, hops)
+        return row
+
     def _route(self, node: int, dst: int) -> int:
-        """Noxim's default XY routing: resolve X first, then Y."""
-        cx, cy = self.topology.coords(node)
-        dx, dy = self.topology.coords(dst)
-        if cx != dx:
-            return P_E if dx > cx else P_W
-        if cy != dy:
-            return P_S if dy > cy else P_N
-        return P_LOCAL
+        """Strict-XY egress at ``node`` toward ``dst``."""
+        return self._row(node)[0][dst]
 
     def _productive_ports(self, node: int, dst: int) -> tuple[int, int]:
         """Both minimal egresses toward ``dst``: ``(xy_port, other)``.
@@ -184,23 +210,24 @@ class PacketMesh(Component):
         destination, which is what keeps the escape layer's dependency
         graph acyclic (a resolved dimension stays resolved).
         """
-        cx, cy = self.topology.coords(node)
-        dx, dy = self.topology.coords(dst)
-        if cx != dx:
-            xy = P_E if dx > cx else P_W
-            other = (P_S if dy > cy else P_N) if cy != dy else -1
-            return xy, other
-        return (P_S if dy > cy else P_N), -1
+        row = self._row(node)[0]
+        xy = row[dst]
+        if xy != P_E and xy != P_W:
+            return xy, -1
+        # The Y leg: the route to the node of dst's row in our column.
+        cols = self.cfg.cols
+        other = row[dst - dst % cols + node % cols]
+        return xy, (-1 if other == P_LOCAL else other)
 
     def inject(self, node: int, vc: int, flit: Flit, now: int) -> None:
         """Deliver a flit into ``node``'s local input port (NIC-driven
         mode).  Keeps the in-network flit count exact and wakes the mesh
         if the activity kernel had put it to sleep."""
-        if flit.is_head and self._corrupt_rate:
+        if flit.seq == 0 and self._corrupt_rate:
             self._maybe_corrupt(flit.packet)
         self.routers[node].accept(P_LOCAL, vc, flit, now)
-        if self._soa is not None:
-            self._soa.masks[node] |= 1 << (P_LOCAL * self.cfg.n_vcs + vc)
+        if self._stepper is not None:
+            self._stepper.masks[node] |= 1 << (P_LOCAL * self.cfg.n_vcs + vc)
         self._flits_in_network += 1
         self.wake(now + 1)  # flit is visible to allocation next cycle
 
@@ -209,7 +236,7 @@ class PacketMesh(Component):
         side): a packet of L flits crossing H hops has L*H chances at
         ``corrupt_rate`` each.  Draws happen in packet-creation order,
         identical in both kernel modes."""
-        hops = self.topology.hop_distance(packet.src, packet.dst) + 1
+        hops = self._row(packet.src)[1][packet.dst] + 1
         p = 1.0 - (1.0 - self._corrupt_rate) ** (packet.length * hops)
         if self._corrupt_rng.random() < p:
             packet.corrupt = True
@@ -221,7 +248,7 @@ class PacketMesh(Component):
         packet = flit.packet
         if now >= self.warmup and not packet.corrupt:
             self.flits_received_measured += 1
-        if flit.is_tail:
+        if flit.seq == packet.length - 1:
             self.packets_received += 1
             self.latency.add(now - packet.created)
             nbytes = self._payloads.pop(packet.pid, 0)
@@ -260,7 +287,7 @@ class PacketMesh(Component):
         """Router drop callback (dead-link losses): keep the in-network
         count exact; on the head, account the packet and retransmit."""
         self._flits_in_network -= 1
-        if flit.is_head:
+        if flit.seq == 0:
             packet = flit.packet
             self.packets_dropped += 1
             nbytes = self._payloads.pop(packet.pid, 0)
@@ -272,14 +299,13 @@ class PacketMesh(Component):
         simulated flit-by-flit — a dead hop loses them outright, a
         degraded hop only slows them (still well inside any sensible
         ``txn_timeout``), mirroring how requests fare on each."""
-        topo = self.topology
         node = src
         while node != dst:
             port = self._route(node, dst)
             dead = self._dead_ports.get(node)
             if dead and port in dead:
                 return False
-            node = topo.neighbor(node, port)
+            node = self.routers[node].neighbors[port].node
         return True
 
     def _recover_or_drop(self, packet: Packet, nbytes: int) -> None:
@@ -434,32 +460,25 @@ class PacketMesh(Component):
                     wake = due
         return wake
 
-    def step(self, now: int) -> None:
+    def _start_packet(self, node: int) -> None:
+        """Move ``node``'s next queued packet into its injection queue.
+        The freed source-queue slot re-arms generation if the cap had
+        been holding an already-due arrival back."""
+        self._inject_q[node].extend(make_flits(self._source_q[node].popleft()))
+        if self._next_arrival[node] < self._gen_due:
+            self._gen_due = self._next_arrival[node]
+
+    def _generate(self, now: int) -> None:
+        """Create the packets due by ``now`` (Poisson per node, uniform
+        destinations), in node order, while the source queues have room."""
         cfg = self.cfg
         n_nodes = cfg.n_nodes
-        # Account skipped quiet cycles in the routers' allocation state so
-        # post-gap arbitration matches always-step mode exactly.
-        gap = now - self._last_stepped - 1
-        if gap > 0:
-            if self._soa is not None:
-                self._soa.advance_idle(gap)
-            else:
-                for router in self.routers:
-                    router.advance_idle(gap)
-        self._last_stepped = now
-        # 0. Apply due fault events (next_event folds the timeline in, so
-        # the mesh is stepped at every event cycle in both kernel modes).
-        tl = self._timeline
-        if tl is not None:
-            nxt = tl.peek()
-            if nxt is not None and nxt <= now:
-                self._apply_fault_events(tl.pop_due(now))
-        # 1. Generate new packets (Poisson per node, uniform destinations).
-        if self.injection_rate > 0:
-            for node in range(n_nodes):
-                while (self._next_arrival[node] <= now
-                       and len(self._source_q[node]) < self._source_cap):
-                    rng = self._rngs[node]
+        due = float("inf")
+        for node, arrival in enumerate(self._next_arrival):
+            if arrival <= now:
+                rng = self._rngs[node]
+                queue = self._source_q[node]
+                while arrival <= now and len(queue) < self._source_cap:
                     dst = int(rng.integers(n_nodes - 1))
                     if dst >= node:
                         dst += 1
@@ -467,34 +486,49 @@ class PacketMesh(Component):
                     self._pid += 1
                     if self._corrupt_rate:
                         self._maybe_corrupt(packet)
-                    self._source_q[node].append(packet)
+                    queue.append(packet)
                     self.flits_offered += cfg.packet_flits
-                    self._next_arrival[node] += rng.exponential(
+                    arrival += rng.exponential(
                         cfg.packet_flits / self.injection_rate)
-        # 2. Feed injection: one flit per node per cycle into the local port.
-        soa = self._soa
-        for node in range(n_nodes):
-            inject = self._inject_q[node]
-            if not inject and self._source_q[node]:
-                inject.extend(make_flits(self._source_q[node].popleft()))
-            if inject:
-                router = self.routers[node]
-                # VC 0 is the injection VC (Noxim default for sources).
-                if router.buffer_space(P_LOCAL, 0) > 0:
-                    router.accept(P_LOCAL, 0, inject.popleft(), now)
-                    if soa is not None:
-                        soa.masks[node] |= self._soa_local_bit
-                    self._flits_in_network += 1
-        # 3. Step every router.
-        route = self._route_fn
+                self._next_arrival[node] = arrival
+                if arrival <= now:
+                    continue  # held back by the cap: _start_packet re-arms
+            if arrival < due:
+                due = arrival
+        self._gen_due = due
+
+    def step(self, now: int) -> None:
+        # 0. Apply due fault events (next_event folds the timeline in, so
+        # the mesh is stepped at every event cycle in both kernel modes).
+        tl = self._timeline
+        if tl is not None:
+            nxt = tl.peek()
+            if nxt is not None and nxt <= now:
+                self._apply_fault_events(tl.pop_due(now))
+        # 1. Generate new packets.
+        if self._gen_due <= now:
+            self._generate(now)
         eject = self._eject
         drop = self._drop if self._faults is not None else None
         adaptive = self._adaptive_fn
-        if soa is not None:
-            soa.step_routers(now, route, eject, drop, adaptive)
-        else:
-            for router in self.routers:
-                router.step(now, route, eject, drop, adaptive)
+        if self._stepper is not None:
+            # 2+3. Production: fused injection and two-pass allocation.
+            self._stepper.step(now, eject, drop, adaptive)
+            return
+        # Reference oracle (always_step=True), one object at a time.
+        # 2. Feed injection: one flit per node per cycle into the local port.
+        for node, router in enumerate(self.routers):
+            inject = self._inject_q[node]
+            if not inject and self._source_q[node]:
+                self._start_packet(node)
+            # VC 0 is the injection VC (Noxim default for sources).
+            if inject and router.buffer_space(P_LOCAL, 0) > 0:
+                router.accept(P_LOCAL, 0, inject.popleft(), now)
+                self._flits_in_network += 1
+        # 3. Step every router.
+        route = self._route
+        for router in self.routers:
+            router.step(now, route, eject, drop, adaptive)
 
     # ------------------------------------------------------------------
     # Noxim-convention metrics

@@ -255,20 +255,6 @@ class Router:
                     state.dropping = False
                     self._dropping -= 1
 
-    def advance_idle(self, cycles: int) -> None:
-        """Advance allocation state across ``cycles`` idle (skipped) cycles.
-
-        On a cycle with no flits anywhere, :meth:`step` grants nothing and
-        each output port's switch-allocation pointer rotates by one.  The
-        activity kernel skips such cycles entirely; this applies the same
-        rotation in bulk so arbitration after a quiet gap is identical to
-        having stepped through it.
-        """
-        total = N_PORTS * self.n_vcs
-        ptrs = self._sa_ptr
-        for port in range(N_PORTS):
-            ptrs[port] = (ptrs[port] + cycles) % total
-
     def _adaptive_candidate(self, adaptive_fn, dst: int, now: int,
                             arrived: int) -> tuple[int, int]:
         """Escape-VC adaptive candidacy: ``(out_port, min_vc)``.

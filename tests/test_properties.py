@@ -64,3 +64,130 @@ def test_any_id_mot_configuration_completes(seed, id_width, mot):
         total += nbytes
     net.drain(max_cycles=1_000_000)
     assert sum(m.bytes_written for m in net.memories) == total
+
+
+# ----------------------------------------------------------------------
+# Packet mesh: the production stepper against the always-step oracle
+# ----------------------------------------------------------------------
+@st.composite
+def mesh_cases(draw):
+    """A mesh shape, a load, and an optional dead link / degraded link /
+    stuck VC, each over its own window of the first few hundred cycles."""
+    from repro.noc.topology import Mesh2D
+
+    rows, cols = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    n_vcs = draw(st.integers(1, 4))
+    links = [(src, dst)
+             for src, _out, dst, _in in Mesh2D(rows, cols).directed_links()]
+
+    def window():
+        return dict(start=draw(st.integers(0, 300)),
+                    duration=draw(st.none() | st.integers(1, 300)))
+
+    def link(**extra):
+        src, dst = draw(st.sampled_from(links))
+        return dict(src=src, dst=dst, **window(), **extra)
+
+    faults = dict(links=[], stuck_vcs=[],
+                  recovery=draw(st.sampled_from(["none", "reroute"])))
+    if draw(st.booleans()):
+        faults["links"].append(link())
+    if draw(st.booleans()):
+        faults["links"].append(link(
+            width_factor=draw(st.sampled_from([0.25, 0.5, 0.75]))))
+    if draw(st.booleans()):
+        faults["stuck_vcs"].append(dict(
+            node=draw(st.integers(0, rows * cols - 1)),
+            port=draw(st.integers(0, 4)),
+            vc=draw(st.integers(0, n_vcs - 1)), **window()))
+    return dict(
+        cfg=dict(rows=rows, cols=cols, n_vcs=n_vcs,
+                 buf_depth=draw(st.integers(1, 8))),
+        rate=draw(st.sampled_from([0.05, 0.2, 0.5, 1.0])),
+        seed=draw(st.integers(0, 2 ** 31 - 1)),
+        cycles=draw(st.integers(150, 450)),
+        faults=faults)
+
+
+def _mesh_pair(case, rate):
+    """(production, reference) meshes of one case, warm-up set."""
+    from repro.baseline.network import PacketMesh, PacketMeshConfig
+    from repro.faults import FaultSpec
+
+    pair = []
+    for always_step in (False, True):
+        mesh = PacketMesh(PacketMeshConfig(**case["cfg"]),
+                          injection_rate=rate, seed=case["seed"],
+                          always_step=always_step,
+                          faults=FaultSpec(**case["faults"]),
+                          fault_seed=case["seed"])
+        mesh.set_warmup(100)
+        pair.append(mesh)
+    return pair
+
+
+def _mesh_observables(mesh):
+    now = mesh.sim.now
+    if mesh._stepper is None:
+        pointers = [list(r._sa_ptr) for r in mesh.routers]
+    else:
+        pointers = [mesh._stepper.sa_pointers(node, now)
+                    for node in range(mesh.cfg.n_nodes)]
+    return {
+        "flits_received": mesh.flits_received,
+        "flits_received_measured": mesh.flits_received_measured,
+        "packets_received": mesh.packets_received,
+        "bytes_received": mesh.bytes_received,
+        "in_flight": mesh.in_flight(),
+        "latency": mesh.latency.summary(),
+        "faults": mesh.fault_report(),
+        "sa_ptr": pointers,
+        "routers": [(r.flits_routed, r.flits_dropped, r.reroutes)
+                    for r in mesh.routers],
+    }
+
+
+def _assert_same(production, reference):
+    got, want = _mesh_observables(production), _mesh_observables(reference)
+    for key in want:
+        assert got[key] == want[key], key
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=mesh_cases())
+def test_mesh_production_stepper_matches_reference(case):
+    """Any mesh shape, VC count, buffer depth, load and fault mix: the
+    two-pass request-mask stepper grants the reference's flit sequence —
+    same deliveries, latencies, fault report, per-router counters and
+    switch-allocation pointers."""
+    production, reference = _mesh_pair(case, case["rate"])
+    production.run(case["cycles"])
+    reference.run(case["cycles"])
+    _assert_same(production, reference)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=mesh_cases(),
+       transfers=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15),
+                                    st.integers(1, 400)),
+                          min_size=1, max_size=12))
+def test_mesh_production_stepper_matches_reference_through_nics(
+        case, transfers):
+    """The same, driven through PacketNic: ``PacketMesh.inject`` must
+    keep the stepper's occupancy masks exact."""
+    from repro.baseline.nic import PacketNic
+
+    n = case["cfg"]["rows"] * case["cfg"]["cols"]
+    pair = _mesh_pair(case, 0.0)
+    for mesh in pair:
+        nics = [PacketNic(mesh, node) for node in range(n)]
+        mesh.sim.extend(nics)
+        for src, dst, nbytes in transfers:
+            src, dst = src % n, dst % n
+            if src != dst:
+                nics[src].submit(Transfer(src=src, addr=0, nbytes=nbytes,
+                                          is_read=False), dst)
+        mesh.run(case["cycles"])
+    _assert_same(*pair)

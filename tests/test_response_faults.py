@@ -24,6 +24,8 @@ from repro.noc.topology import Mesh2D
 from repro.traffic.uniform import uniform_random
 
 KERNELS = ["activity", "always", "soa"]
+#: The packet mesh has two steppers: production (default) and oracle.
+MESH_KERNELS = ["activity", "always"]
 
 
 # ----------------------------------------------------------------------
@@ -172,6 +174,27 @@ class TestAxiOrphans:
 # ----------------------------------------------------------------------
 # AXI mesh: byzantine corruption is detected, never fatal
 # ----------------------------------------------------------------------
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="open defect: dma._complete sees a response for "
+                          "an id it no longer tracks (reroute + txn_timeout)")
+@pytest.mark.parametrize("seed", [2096491879, 643744727])
+def test_reroute_with_txn_timeout_keeps_every_response_id_known(seed):
+    """Reproducer for ``tileN.dma: response for unknown id K``: the slim
+    fabric at full load, links 5<->6 dead over [2500, 5500), up*/down*
+    rerouting and a 900-cycle transaction watchdog.  Fixing it changes
+    zombie-id lifetimes (and so every faulted digest); the strict xfail
+    makes the fixing PR flip this test."""
+    from repro.scenarios import (MeasureSpec, Scenario, TopologySpec,
+                                 TrafficSpec, run_scenario)
+
+    dead = [LinkFault(src, dst, start=2500, duration=3000)
+            for src, dst in ((5, 6), (6, 5))]
+    run_scenario(Scenario(
+        topology=TopologySpec.slim(), traffic=TrafficSpec.uniform(1.0, 1000),
+        measure=MeasureSpec.quick(), seed=seed,
+        faults=FaultSpec(links=dead, txn_timeout=900, recovery="reroute")))
+
+
 class TestByzantine:
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_high_rate_never_crashes(self, kernel):
@@ -216,7 +239,7 @@ def _nic_mesh(spec, *, kernel="activity", cycles=30_000):
 
 
 class TestBaselineReplyWatchdog:
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("kernel", MESH_KERNELS)
     def test_dead_reply_path_recovers(self, kernel):
         """node0 -> node3 payload whose replies cross a link that is
         dead for a long window: every attempt inside the window orphans
@@ -242,9 +265,7 @@ class TestBaselineReplyWatchdog:
             return (mesh.bytes_received, mesh.packets_received,
                     mesh.fault_report())
 
-        always = observe("always")
-        assert observe("activity") == always
-        assert observe("soa") == always
+        assert observe("activity") == observe("always")
 
     def test_no_recovery_orphans_are_dropped(self):
         """recovery='none': the watchdog still terminates every orphan

@@ -5,7 +5,9 @@ execution.
 
 The fault-free bit-identity matrix (3 seeds × 2 configs × both
 candidate kernels) lives in test_golden_equivalence.py; this module
-covers everything the SoA backend adds on top.
+covers everything the SoA backend adds on top.  On the packet mesh
+``kernel="soa"`` is one more spelling of the production stepper; the
+property test in test_properties.py is its exhaustive check.
 """
 
 import pytest
@@ -151,6 +153,16 @@ class TestKernelSelection:
         net = NocNetwork(NocConfig.slim(), kernel="always")
         assert net.kernel == "always"
         assert net._soa is None
+
+    def test_mesh_has_two_steppers(self):
+        """Every accepted spelling but the oracle's selects the one
+        production stepper (DESIGN.md §11)."""
+        for kernel in (None, "activity", "soa"):
+            mesh = PacketMesh(PacketMeshConfig(), kernel=kernel)
+            assert mesh._stepper is not None and mesh.sim.activity
+        for kwargs in (dict(kernel="always"), dict(always_step=True)):
+            mesh = PacketMesh(PacketMeshConfig(), **kwargs)
+            assert mesh._stepper is None and not mesh.sim.activity
 
 
 # ----------------------------------------------------------------------
