@@ -6,12 +6,10 @@ Record/compare a baseline with ``benchmarks/record.py`` (see README);
 CI runs a single-round smoke via ``SIMSPEED_ROUNDS=1`` and fails on a
 >30% regression of the loaded benches vs. BENCH_simspeed.json.
 
-The AXI fabric is benched twice — default kernel and the SoA kernel
-(``kernel="soa"``, DESIGN.md §11) — so the speedup trajectory is in the
-recorded baseline, not just in prose; the packet mesh has one production
-stepper and one bench.  ``SIMSPEED_PROFILE=1`` wraps each
-bench round in cProfile and prints the top-25 cumulative entries, so
-hot-path work starts from data instead of guesses.
+Each fabric has one production path and one bench.
+``SIMSPEED_PROFILE=1`` wraps each bench round in cProfile and prints the
+top-25 cumulative entries, so hot-path work starts from data instead of
+guesses.
 """
 
 import cProfile
@@ -49,15 +47,11 @@ def _bench(benchmark, setup, run):
             .sort_stats("cumulative").print_stats(25)
 
 
-def _patronoc_setup(kernel=None):
-    def setup():
-        net = NocNetwork(NocConfig.slim(), kernel=kernel)
-        uniform_random(net, load=0.5, max_burst_bytes=1000,
-                       seed=0).install()
-        net.run(500)  # fill the pipeline so we measure steady state
-        return (net,), {}
-
-    return setup
+def _patronoc_setup():
+    net = NocNetwork(NocConfig.slim())
+    uniform_random(net, load=0.5, max_burst_bytes=1000, seed=0).install()
+    net.run(500)  # fill the pipeline so we measure steady state
+    return (net,), {}
 
 
 def _baseline_setup():
@@ -68,11 +62,7 @@ def _baseline_setup():
 
 
 def test_patronoc_cycles_per_second(benchmark):
-    _bench(benchmark, _patronoc_setup(), lambda net: net.run(CYCLES))
-
-
-def test_patronoc_soa_cycles_per_second(benchmark):
-    _bench(benchmark, _patronoc_setup("soa"), lambda net: net.run(CYCLES))
+    _bench(benchmark, _patronoc_setup, lambda net: net.run(CYCLES))
 
 
 def test_baseline_cycles_per_second(benchmark):

@@ -56,32 +56,19 @@ class PacketMeshConfig:
 class PacketMesh(Component):
     """A runnable baseline mesh with built-in uniform random injection.
 
-    There are exactly two steppers.  ``always_step=True`` (or
-    ``kernel="always"``) is the reference oracle: every cycle stepped,
-    one :meth:`Router.step <repro.baseline.router.Router.step>` per
-    router.  Everything else — the default, and the ``kernel`` spellings
-    ``"activity"`` and ``"soa"`` kept for callers that name one — runs
+    There are exactly two steppers.  ``always_step=True`` is the
+    reference oracle: every cycle stepped, one :meth:`Router.step
+    <repro.baseline.router.Router.step>` per router.  The default runs
     the production stepper: the activity simulator's quiet-cycle skipping
     over the two-pass request-mask allocator of
-    :mod:`repro.soa.baseline`, bit-identical to the oracle.
+    :mod:`repro.baseline.stepper`, bit-identical to the oracle.
     """
 
     def __init__(self, cfg: PacketMeshConfig, injection_rate: float = 0.0,
                  seed: int | None = None, always_step: bool = False,
-                 faults=None, fault_seed: int | None = None,
-                 kernel: str | None = None):
+                 faults=None, fault_seed: int | None = None):
         if injection_rate < 0:
             raise ValueError("injection rate must be >= 0")
-        if kernel is None:
-            kernel = "always" if always_step else "activity"
-        elif kernel not in ("activity", "always", "soa"):
-            raise ValueError(
-                f"kernel must be 'activity', 'always', or 'soa', got {kernel!r}")
-        elif always_step and kernel != "always":
-            raise ValueError(
-                f"always_step=True conflicts with kernel={kernel!r}")
-        self.kernel = kernel
-        always_step = kernel == "always"
         self.cfg = cfg
         self.topology = Mesh2D(cfg.rows, cfg.cols)
         self.sim = Simulator(cfg.freq_hz, activity=not always_step)
@@ -167,7 +154,7 @@ class PacketMesh(Component):
         #: the per-object ``Router.step`` loop is the reference oracle.
         self._stepper = None
         if not always_step:
-            from repro.soa.baseline import SoaMeshKernel
+            from repro.baseline.stepper import SoaMeshKernel
 
             self._stepper = SoaMeshKernel(self)
         #: Escape-VC adaptive mode (recovery="reroute"): heads get both

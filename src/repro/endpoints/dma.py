@@ -135,7 +135,7 @@ class DmaEngine(Component):
         self._rd_out: dict[int, list] = {}
         #: Transfers awaiting split + _BurstRetry records awaiting
         #: reissue, in FIFO order (one queue so every existing activity
-        #: gate — here and in the soa fabric — covers retries for free).
+        #: gate covers retries for free).
         self._pending: deque = deque()
         self._w_emit: deque[_WEmitter] = deque()
         self._cur: Transfer | None = None
@@ -171,11 +171,6 @@ class DmaEngine(Component):
         #: must not land on a recycled id.
         self._wr_zombie: dict[int, int] = {}
         self._rd_zombie: dict[int, int] = {}
-        #: True once any lifetime guard is live (watchdog, byzantine,
-        #: tolerant responses).  The AoS kernels get the same effect by
-        #: shadowing ``_sink`` with ``_sink_armed``; the SoA fabric
-        #: branches on this flag instead of re-deriving it per beat.
-        self._armed = False
 
     # ------------------------------------------------------------------
     def submit(self, transfer: Transfer) -> None:
@@ -235,7 +230,7 @@ class DmaEngine(Component):
             # Earliest watchdog deadline: deadlines are monotone in each
             # table's insertion order, so the heads suffice.  Zombie-id
             # grace expiries count too — recycling a reserved id must
-            # happen on the same cycle in every kernel.
+            # happen on the same cycle under either scheduler.
             for table in (self._wr_out, self._rd_out):
                 if table:
                     deadline = next(iter(table.values()))[5]
@@ -276,8 +271,8 @@ class DmaEngine(Component):
                     consumer.wake(now + w.latency)
                 if emitter.issued >= emitter.beats:
                     w_emit.popleft()
-        # Abort orphaned transactions before considering new issues, so
-        # a freed slot/retry is usable the same cycle in every kernel.
+        # Abort orphaned transactions before considering new issues, so a
+        # freed slot/retry is usable the same cycle under either scheduler.
         if self._txn_timeout is not None:
             self._check_timeouts(now)
         # Issue at most one burst per cycle (skip the call when there is

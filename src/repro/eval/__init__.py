@@ -9,29 +9,15 @@ from repro.eval.report import (
     save_csv,
     save_json,
 )
-from repro.eval.runner import (
-    MeasuredPoint,
-    run_baseline_point,
-    run_dnn_workload,
-    run_synthetic_point,
-    run_uniform_point,
-    windows,
-)
 
 __all__ = [
     "EXPERIMENTS",
     "ExperimentResult",
     "LinkHeatmap",
-    "MeasuredPoint",
     "Section",
     "render_text",
     "run_all",
-    "run_baseline_point",
-    "run_dnn_workload",
     "run_experiment",
-    "run_synthetic_point",
-    "run_uniform_point",
     "save_csv",
     "save_json",
-    "windows",
 ]

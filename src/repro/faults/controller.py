@@ -124,7 +124,8 @@ class FaultController(Component):
         dead mesh link: its master egress has transactions in flight.
         Fail-fast admission control stops the count from growing while
         the egress is dead, so this goes — and stays — False once the
-        orphans drain, letting every kernel's drain terminate."""
+        orphans drain, letting the drain terminate under either
+        scheduler."""
         for node, port in self._resp_dead:
             xp = self._xps[node]
             if xp._wr_inflight[port] or xp._rd_inflight[port]:

@@ -98,16 +98,10 @@ class NocNetwork:
         ``routing="computed"`` (per-hop address tables cannot express
         overlapping interleaved windows).
     always_step:
-        Force the reference always-step kernel instead of the
-        activity-driven one (DESIGN.md §2).  Results are identical; the
-        golden-equivalence tests rely on this switch.
-    kernel:
-        Execution backend: ``"activity"`` (default; per-object
-        activity-driven stepping), ``"always"`` (the always-step golden
-        reference, same as ``always_step=True``), or ``"soa"`` (the
-        fused structure-of-arrays machine, DESIGN.md §11 — one component
-        steps the whole fabric over packed-int channel queues).  All
-        three are bit-identical; ``"soa"`` is the fast path.
+        Step every component every cycle (the reference oracle) instead
+        of scheduling the same ``step()`` bodies by activity
+        (DESIGN.md §2).  Results are identical; the golden-equivalence
+        tests rely on this switch.
     faults / fault_seed:
         Optional :class:`~repro.faults.FaultSpec` and the seed its
         deterministic fault events derive from (DESIGN.md §10).  An
@@ -119,20 +113,9 @@ class NocNetwork:
     def __init__(self, cfg: NocConfig, tiles: list[TileSpec] | None = None,
                  topology: Mesh2D | None = None, routing: str = "computed",
                  scoreboard=None, memory_map=None, always_step: bool = False,
-                 faults=None, fault_seed: int | None = None,
-                 kernel: str | None = None):
+                 faults=None, fault_seed: int | None = None):
         if routing not in ("computed", "table"):
             raise ValueError(f"routing must be 'computed' or 'table', got {routing!r}")
-        if kernel is None:
-            kernel = "always" if always_step else "activity"
-        elif kernel not in ("activity", "always", "soa"):
-            raise ValueError(
-                f"kernel must be 'activity', 'always', or 'soa', got {kernel!r}")
-        elif always_step and kernel != "always":
-            raise ValueError(
-                f"always_step=True conflicts with kernel={kernel!r}")
-        self.kernel = kernel
-        always_step = kernel == "always"
         if memory_map is not None and routing != "computed":
             raise ValueError(
                 "a custom memory map requires routing='computed'")
@@ -321,7 +304,6 @@ class NocNetwork:
                     # Static dispatch: shadow the class-level fast sink
                     # with the guarded one so the fault-free hot path
                     # pays nothing per beat (DESIGN.md §10).
-                    dma._armed = True
                     dma._sink = dma._sink_armed
             reroute = faults.recovery == "reroute"
             self._fault_controller = FaultController(
@@ -339,20 +321,13 @@ class NocNetwork:
         # is stalled before any consumer could pop it at t (both modes).
         if self._fault_controller is not None:
             self.sim.add(self._fault_controller)
-        if kernel == "soa":
-            from repro.soa.fabric import SoaNocFabric
-
-            self._soa = SoaNocFabric(self)
-            self.sim.add(self._soa)
-        else:
-            self._soa = None
-            for xp in self.xps:
-                self.sim.add(xp)
-            for built in self.tiles:
-                if built.dma is not None:
-                    self.sim.add(built.dma)
-                if built.memory is not None:
-                    self.sim.add(built.memory)
+        for xp in self.xps:
+            self.sim.add(xp)
+        for built in self.tiles:
+            if built.dma is not None:
+                self.sim.add(built.dma)
+            if built.memory is not None:
+                self.sim.add(built.memory)
 
     # ------------------------------------------------------------------
     # addressing helpers
@@ -451,7 +426,7 @@ class NocNetwork:
                 and all(xp.idle() for xp in self.xps)
                 and all(link.idle() for link in self.links))
 
-    def drain(self, max_cycles: int = 1_000_000, check_every: int = 32) -> int:
+    def drain(self, max_cycles: int = 1_000_000) -> int:
         """Run until everything in flight has completed.
 
         Terminates on the exact cycle everything settles — no checkpoint
@@ -462,14 +437,12 @@ class NocNetwork:
         unfinished core script or a sleeping memory-response queue keeps
         the drain running; a live open-loop traffic source does not (it
         is ``drain_transparent``), matching the seed's behaviour of
-        draining between injections.  (``check_every`` is retained for
-        backward API compatibility and ignored.)
+        draining between injections.
 
         Raises RuntimeError if the network fails to drain within
         ``max_cycles`` — which would indicate a deadlock and must never
         happen (YX routing is deadlock-free; tests rely on this).
         """
-        del check_every  # superseded by exact event-driven termination
         sim = self.sim
         sim.run(max_cycles, until_idle=lambda: sim.all_quiet() and self.idle())
         if not self.idle():

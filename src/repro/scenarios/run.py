@@ -75,16 +75,6 @@ _DNN_WINDOWS = {
 _TRAIN_LIMIT = {False: 4_000_000, True: 2_500_000}
 
 
-def _kernel() -> str | None:
-    """Step-kernel override for scenario-driven runs.
-
-    ``REPRO_KERNEL=soa|activity|always`` switches every network a
-    scenario builds onto that kernel — results are bit-identical for any
-    value (tests assert this), so it is a pure speed/verification knob.
-    """
-    return os.environ.get("REPRO_KERNEL") or None
-
-
 def run_scenario(scenario: Scenario) -> Result:
     """Build, drive, and measure one scenario point.
 
@@ -142,8 +132,7 @@ def _run_uniform(sc: Scenario) -> Result:
 
     cfg = sc.topology.noc_config()
     tr = sc.traffic
-    net = NocNetwork(cfg, faults=sc.faults, fault_seed=sc.seed,
-                     kernel=_kernel())
+    net = NocNetwork(cfg, faults=sc.faults, fault_seed=sc.seed)
     uniform_random(net, load=tr.load, max_burst_bytes=tr.max_burst_bytes,
                    read_fraction=tr.read_fraction,
                    min_burst_bytes=tr.min_burst_bytes,
@@ -164,8 +153,7 @@ def _run_synthetic(sc: Scenario) -> Result:
     tr = sc.traffic
     pattern = PATTERNS[tr.pattern]
     net, _slaves = build_synthetic_network(cfg, pattern, faults=sc.faults,
-                                           fault_seed=sc.seed,
-                                           kernel=_kernel())
+                                           fault_seed=sc.seed)
     synthetic_traffic(net, pattern, load=tr.load,
                       max_burst_bytes=tr.max_burst_bytes,
                       read_fraction=tr.read_fraction,
@@ -190,8 +178,7 @@ def _run_dnn(sc: Scenario) -> Result:
         workload = WORKLOADS[key](cfg, shrink=0.95, input_hw=112)
     else:
         workload = WORKLOADS[key](cfg)
-    net = workload.build_network(cfg, faults=sc.faults, fault_seed=sc.seed,
-                                 kernel=_kernel())
+    net = workload.build_network(cfg, faults=sc.faults, fault_seed=sc.seed)
     scripts = workload.install(net)
     slim = cfg.data_width <= 64
     if key == "train":
@@ -294,8 +281,7 @@ def _run_baseline(sc: Scenario) -> Result:
 
     cfg = sc.topology.mesh_config()
     mesh = PacketMesh(cfg, injection_rate=sc.traffic.load, seed=sc.seed,
-                      faults=sc.faults, fault_seed=sc.seed,
-                      kernel=_kernel())
+                      faults=sc.faults, fault_seed=sc.seed)
     warmup, window = sc.measure.resolve()
     mesh.set_warmup(warmup)
     mesh.run(warmup + window, until=_watchdog(sc.measure))

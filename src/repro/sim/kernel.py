@@ -163,10 +163,12 @@ class Simulator:
 
     def all_quiet(self) -> bool:
         """True when no component can ever act again without external
-        input: nothing is active and no wake is scheduled (activity
-        mode), or every component is quiet with no pending ``next_event``
-        (always-step mode — the equivalent formulation, so both modes
-        observe the same truth value at the same cycle).
+        input: every component is quiet with no pending ``next_event``.
+        Always-step mode asks all of them; activity mode asks the active
+        set (a component still in it may already be quiet — freshly
+        added, or not yet stepped since its last input left) and reads
+        the wake heap for the rest, so both modes observe the same truth
+        value at the same cycle.
 
         This is the exact termination condition
         :meth:`repro.noc.network.NocNetwork.drain` uses: unlike a
@@ -177,22 +179,19 @@ class Simulator:
         traffic sources) are exempt: their endless arrival clocks must
         not hold a drain open forever.
         """
+        last = self.now - 1
+        for component in (self._active if self.activity
+                          else self._components):
+            if component.drain_transparent:
+                continue
+            if not component.quiet() or component.next_event(last) is not None:
+                return False
         if self.activity:
-            for component in self._active:
-                if not component.drain_transparent:
-                    return False
             for cycle, _, component in self._heap:
                 if component.drain_transparent:
                     continue
                 if component._in_active_set or component._wake_cycle != cycle:
                     continue  # superseded wake entry
-                return False
-            return True
-        last = self.now - 1
-        for component in self._components:
-            if component.drain_transparent:
-                continue
-            if not component.quiet() or component.next_event(last) is not None:
                 return False
         return True
 
@@ -274,6 +273,12 @@ class Simulator:
         if not self.activity:
             return self._run_always_step(end, until, progress_every,
                                          progress, until_idle)
+        # Settled at entry consumes zero cycles, like the always-step
+        # loop's top-of-iteration check.  The checks below come after a
+        # stepped cycle, too late when a drain-transparent component (an
+        # armed fault controller) keeps the active set non-empty.
+        if until_idle is not None and until_idle():
+            return self.now
         heap = self._heap
         walk_gaps = until is not None or (progress_every > 0
                                           and progress is not None)

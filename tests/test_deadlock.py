@@ -76,6 +76,27 @@ def test_deep_mot_under_load():
     assert_forward_progress(net, total_cycles=6000, check=2000)
 
 
+@pytest.mark.xfail(strict=True, raises=RuntimeError,
+                   reason="open defect: R beats of read bursts in flight "
+                          "across an up*/down* table swap wait on each "
+                          "other around the mesh's outer ring")
+def test_reroute_table_swap_with_reads_in_flight_drains():
+    """Reproducer found by the scheduler property in test_properties.py
+    (which therefore compares "did not drain" as an outcome): a slim 4x3
+    mesh of reads only, one link degraded over [107, 318) under
+    ``recovery="reroute"``.  Under either scheduler every R link of the
+    ring 0-1-2-5-8-7-6-3 ends up full and nothing moves again."""
+    spec = FaultSpec(links=[LinkFault(7, 4, start=107, duration=211,
+                                      width_factor=0.25)],
+                     recovery="reroute")
+    net = NocNetwork(NocConfig.slim(4, 3), faults=spec, fault_seed=7772347)
+    traffic = uniform_random(net, load=0.5, max_burst_bytes=100,
+                             read_fraction=1.0, seed=7772347).install()
+    net.run(302)
+    traffic.quiesce()
+    net.drain(max_cycles=20_000)
+
+
 # ----------------------------------------------------------------------
 # Escape-VC adaptive routing on the packet baseline (DESIGN.md §10).
 #

@@ -4,14 +4,17 @@ import pytest
 
 from repro.eval.experiments import EXPERIMENTS, run_all, run_experiment
 from repro.eval.report import ExperimentResult, render_text, save_csv
-from repro.eval.runner import (
-    run_baseline_point,
-    run_synthetic_point,
-    run_uniform_point,
-    windows,
+from repro.scenarios import (
+    MeasureSpec,
+    Scenario,
+    TopologySpec,
+    TrafficSpec,
+    run_scenario,
 )
-from repro.noc.config import NocConfig
 from repro.traffic.synthetic import MAX_ONE_HOP
+
+#: Short windows: these check result plumbing, not paper numbers.
+SHORT = MeasureSpec(1000, 3000)
 
 
 class TestRegistry:
@@ -58,24 +61,27 @@ class TestModelExperiments:
 
 class TestRunners:
     def test_windows(self):
-        assert windows(False)[1] > windows(True)[1]
+        assert MeasureSpec.full().resolve()[1] \
+            > MeasureSpec.quick().resolve()[1]
 
     def test_uniform_point(self):
-        point = run_uniform_point(NocConfig.slim(), 0.5, 1000,
-                                  warmup=1000, window=3000)
+        point = run_scenario(Scenario(
+            traffic=TrafficSpec.uniform(0.5, 1000), measure=SHORT))
         assert point.throughput_gib_s > 0
 
     def test_synthetic_point_has_utilization(self):
-        point = run_synthetic_point(NocConfig.slim(), MAX_ONE_HOP, 1000,
-                                    warmup=1000, window=3000)
+        point = run_scenario(Scenario(
+            traffic=TrafficSpec.synthetic(MAX_ONE_HOP.key, 1000),
+            measure=SHORT))
         assert point.utilization_pct is not None
         assert point.utilization_pct > 0
 
     def test_baseline_point(self):
-        point = run_baseline_point(0.1, n_vcs=1, buf_depth=4,
-                                   warmup=1000, window=3000)
+        point = run_scenario(Scenario(
+            topology=TopologySpec.baseline(1, 4),
+            traffic=TrafficSpec.uniform(0.1, 1), measure=SHORT))
         assert 0 < point.throughput_gib_s < 2.0
-        assert point.extra["aggregate_gib_s"] == pytest.approx(
+        assert point.counters["aggregate_gib_s"] == pytest.approx(
             16 * point.throughput_gib_s, rel=1e-6)
 
 
