@@ -39,15 +39,22 @@ class AxiLink:
         return (self.aw, self.w, self.ar, self.b, self.r)
 
     def watch_requests(self, component) -> None:
-        """Register the slave-side component woken by AW/W/AR pushes."""
+        """Register the slave-side component: woken by AW/W/AR pushes,
+        and by pops that make room in a full B/R channel it fills."""
         self.aw.consumer = component
         self.w.consumer = component
         self.ar.consumer = component
+        self.b.producer = component
+        self.r.producer = component
 
     def watch_responses(self, component) -> None:
-        """Register the master-side component woken by B/R pushes."""
+        """Register the master-side component: woken by B/R pushes, and
+        by pops that make room in a full AW/W/AR channel it fills."""
         self.b.consumer = component
         self.r.consumer = component
+        self.aw.producer = component
+        self.w.producer = component
+        self.ar.producer = component
 
     def idle(self) -> bool:
         """True when no beat occupies any channel of this link."""

@@ -37,7 +37,8 @@ from repro.axi.beats import AddrBeat, BBeat, RBeat
 from repro.axi.id_pool import IdRemapper
 from repro.axi.link import AxiLink
 from repro.axi.types import Resp
-from repro.sim.kernel import Component
+from repro.sim.fifo import full_fifos
+from repro.sim.kernel import BLOCKED, Component
 from repro.sim.stats import CounterSet
 
 #: Egress sentinel for "no route: terminate with DECERR".
@@ -130,6 +131,14 @@ class AxiCrossbar(Component):
         self._w_route: list[deque] = [deque() for _ in range(n_in)]  # [out, oid]
         self._err_b: list[deque] = [deque() for _ in range(n_in)]  # (oid, resp)
         self._err_r: list[deque] = [deque() for _ in range(n_in)]  # [oid, beats_left, resp]
+        #: Decode-once memo: the AW/AR head beat of each ingress and the
+        #: egress the route function gave it, so a head that waits is
+        #: routed once, not once per cycle.  Dropped when the head is
+        #: popped and by :meth:`routes_changed`.
+        self._aw_head: list[AddrBeat | None] = [None] * n_in
+        self._aw_egress = [ERROR_PORT] * n_in
+        self._ar_head: list[AddrBeat | None] = [None] * n_in
+        self._ar_egress = [ERROR_PORT] * n_in
 
         #: Egresses currently killed by fault injection (DESIGN.md §10):
         #: requests decoding to one are terminated with SLVERR through
@@ -139,7 +148,6 @@ class AxiCrossbar(Component):
 
         # Hot-path caches, rebuilt lazily after wiring changes.
         self._in_ports: list[int] | None = None
-        self._out_ports: list[int] | None = None
         self._err_pending = 0
         # Incrementally maintained busy counter: with the _w_busy list it
         # makes the per-step dead-path guards and idle() O(1).
@@ -181,7 +189,7 @@ class AxiCrossbar(Component):
         link.watch_responses(self)
         link.b.track_occupancy(self._occ_b)
         link.r.track_occupancy(self._occ_r)
-        self._out_ports = None
+        self._in_ports = None
         return link
 
     def set_fault_blocked(self, ports: frozenset[int] | None) -> None:
@@ -191,21 +199,32 @@ class AxiCrossbar(Component):
         normally; only *new* AW/AR admissions are SLVERR-terminated.
         """
         self._fault_blocked = ports if ports else None
+        self.wake()  # a head held by a full egress may now be terminated
+
+    def routes_changed(self) -> None:
+        """The route function's answers may have changed (a fault-table
+        swap, DESIGN.md §10): forget the decoded heads and re-arbitrate."""
+        self._aw_head = [None] * self.n_in
+        self._ar_head = [None] * self.n_in
+        self.wake()
 
     def _refresh_port_lists(self) -> None:
         self._in_ports = [i for i, l in enumerate(self.in_links) if l is not None]
-        self._out_ports = [j for j, l in enumerate(self.out_links) if l is not None]
+        out_ports = [j for j, l in enumerate(self.out_links) if l is not None]
         # Prebuilt hot-scan tuples.  A FIFO's deque, capacity, and
         # latency are stable for its lifetime, so carrying them directly
         # saves attribute loads in the per-beat loops:
-        #   scans: (egress, src fifo, src deque, remapper, remap table)
+        #   scans: (egress, src fifo, src deque, remapper, remap table,
+        #           src capacity - 1: the length a pop leaves a full FIFO at)
         #   dsts:  (dst fifo, dst deque, capacity, latency) | None
         self._b_scan = [(j, self.out_links[j].b, self.out_links[j].b._q,
-                         self._wr_remap[j], self._wr_remap[j]._table)
-                        for j in self._out_ports]
+                         self._wr_remap[j], self._wr_remap[j]._table,
+                         self.out_links[j].b.capacity - 1)
+                        for j in out_ports]
         self._r_scan = [(j, self.out_links[j].r, self.out_links[j].r._q,
-                         self._rd_remap[j], self._rd_remap[j]._table)
-                        for j in self._out_ports]
+                         self._rd_remap[j], self._rd_remap[j]._table,
+                         self.out_links[j].r.capacity - 1)
+                        for j in out_ports]
 
         def _dst(fifo):
             return ((fifo, fifo._q, fifo.capacity, fifo.latency)
@@ -215,8 +234,10 @@ class AxiCrossbar(Component):
                        for l in self.in_links]
         self._r_dst = [_dst(l.r if l is not None else None)
                        for l in self.in_links]
-        # W-channel endpoints by port index.
-        self._w_src = [l.w if l is not None else None for l in self.in_links]
+        # W-channel endpoints by port index: (src fifo, src deque,
+        # capacity - 1) | None, and dsts as above.
+        self._w_src = [(l.w, l.w._q, l.w.capacity - 1) if l is not None
+                       else None for l in self.in_links]
         self._w_dst = [_dst(l.w if l is not None else None)
                        for l in self.out_links]
 
@@ -242,6 +263,14 @@ class AxiCrossbar(Component):
                     or self._occ_b[0] or self._occ_r[0]
                     or self._err_pending)
 
+    def blocked_on(self) -> str:
+        """The full FIFOs this crossbar produces into."""
+        fifos = [f for l in self.in_links if l is not None
+                 for f in (l.b, l.r)]
+        fifos += [f for l in self.out_links if l is not None
+                  for f in (l.aw, l.w, l.ar)]
+        return full_fifos(fifos)
+
     # ------------------------------------------------------------------
     # per-cycle behaviour
     # ------------------------------------------------------------------
@@ -263,9 +292,10 @@ class AxiCrossbar(Component):
     # kernel skipped quiet cycles.  Used-ingress tracking is a bitmask
     # (one grant per ingress per channel per cycle).
     def step(self, now: int) -> bool:
-        if self._in_ports is None or self._out_ports is None:
+        if self._in_ports is None:  # wiring changed
             self._refresh_port_lists()
         # -- forward B responses (egress -> ingress, round-robin) -------
+        poll = False  # a head not yet visible: nothing will wake us for it
         b_used = 0
         remaining = self._occ_b[0]  # non-empty B sources left to visit
         if remaining:
@@ -279,7 +309,7 @@ class AxiCrossbar(Component):
                 idx = now % n
             for _ in range(n):
                 pos = idx
-                j, src, q, remap, table = scan[idx]
+                j, src, q, remap, table, was_full = scan[idx]
                 idx += 1
                 if idx == n:
                     idx = 0
@@ -288,7 +318,9 @@ class AxiCrossbar(Component):
                 remaining -= 1
                 self._b_hot = pos
                 head = q[0]
-                if head[0] <= now:
+                if head[0] > now:
+                    poll = True
+                else:
                     beat = head[1]
                     entry = table[beat.id]
                     i = entry[0]
@@ -302,6 +334,13 @@ class AxiCrossbar(Component):
                                 occ = src.occ
                                 if occ is not None:
                                     occ[0] -= 1
+                                if not was_full:  # a capacity-1 FIFO
+                                    src.freed()
+                            elif len(q) == was_full:
+                                producer = src.producer  # inlined freed()
+                                if (producer is not None
+                                        and not producer._in_active_set):
+                                    producer.wake()
                             remap.release(beat.id)
                             self._wr_inflight[j] -= 1
                             _retire_dest(self._wr_dest[i], oid, j)
@@ -336,7 +375,7 @@ class AxiCrossbar(Component):
                 idx = now % n
             for _ in range(n):
                 pos = idx
-                j, src, q, remap, table = scan[idx]
+                j, src, q, remap, table, was_full = scan[idx]
                 idx += 1
                 if idx == n:
                     idx = 0
@@ -345,7 +384,9 @@ class AxiCrossbar(Component):
                 remaining -= 1
                 self._r_hot = pos
                 head = q[0]
-                if head[0] <= now:
+                if head[0] > now:
+                    poll = True
+                else:
                     beat = head[1]
                     entry = table[beat.id]
                     i = entry[0]
@@ -359,6 +400,13 @@ class AxiCrossbar(Component):
                                 occ = src.occ
                                 if occ is not None:
                                     occ[0] -= 1
+                                if not was_full:  # a capacity-1 FIFO
+                                    src.freed()
+                            elif len(q) == was_full:
+                                producer = src.producer  # inlined freed()
+                                if (producer is not None
+                                        and not producer._in_active_set):
+                                    producer.wake()
                             if beat.last:
                                 remap.release(beat.id)
                                 self._rd_inflight[j] -= 1
@@ -384,8 +432,8 @@ class AxiCrossbar(Component):
         if self._err_pending:
             self._error_responses(now, b_used, r_used)
         # -- move W data (granted bursts only, see _w_busy invariant) ---
+        w_used = 0
         if self._occ_w[0] and (self._w_busy or self._err_w):
-            w_used = 0
             w_src = self._w_src
             w_busy = self._w_busy
             # Visit order over busy egresses is immaterial: an ingress's
@@ -400,11 +448,12 @@ class AxiCrossbar(Component):
                 route_q = self._w_route[i]
                 if not route_q or route_q[0][0] != j:
                     continue  # this ingress owes an older burst elsewhere
-                src = w_src[i]
-                q = src._q
+                src, q, was_full = w_src[i]
                 if q:
                     head = q[0]
-                    if head[0] <= now:
+                    if head[0] > now:
+                        poll = True
+                    else:
                         beat = head[1]
                         dst, dq, cap, lat = self._w_dst[j]
                         if len(dq) < cap:
@@ -414,6 +463,13 @@ class AxiCrossbar(Component):
                                 occ = src.occ
                                 if occ is not None:
                                     occ[0] -= 1
+                                if not was_full:  # a capacity-1 FIFO
+                                    src.freed()
+                            elif len(q) == was_full:
+                                producer = src.producer  # inlined freed()
+                                if (producer is not None
+                                        and not producer._in_active_set):
+                                    producer.wake()
                             if not dq:
                                 occ = dst.occ
                                 if occ is not None:
@@ -438,14 +494,22 @@ class AxiCrossbar(Component):
                                     del w_busy[bidx]
             if self._err_w:
                 self._sink_error_w(now, w_used)
-        if self._occ_aw[0]:
-            self._arbitrate_aw(now)
-        if self._occ_ar[0]:
-            self._arbitrate_ar(now)
-        # Report post-step quietness inline (see Component.step).
-        return not (self._occ_aw[0] or self._occ_w[0] or self._occ_ar[0]
-                    or self._occ_b[0] or self._occ_r[0]
-                    or self._err_pending)
+        if self._occ_aw[0] and self._arbitrate_aw(now):
+            poll = True
+        if self._occ_ar[0] and self._arbitrate_ar(now):
+            poll = True
+        # Report post-step state inline (see Component.step): quiet with
+        # nothing on any channel; BLOCKED when beats remain but this step
+        # moved none, every head it could serve is visible, and what
+        # holds each is a full FIFO we produce into (its pop wakes us) or
+        # our own W lock (released only by a W move of ours).  Error
+        # paths and counted stalls keep polling.
+        if b_used or r_used or w_used or poll or self._err_pending:
+            return False  # (a step that emptied us retires on the next)
+        if not (self._occ_aw[0] or self._occ_w[0] or self._occ_ar[0]
+                or self._occ_b[0] or self._occ_r[0]):
+            return True
+        return False if self._err_w else BLOCKED
 
     def _error_responses(self, now: int, b_used: int, r_used: int) -> None:
         for i in self._in_ports:
@@ -507,8 +571,17 @@ class AxiCrossbar(Component):
                 f"{self.name}: route used disallowed turn {i}->{j} for {beat!r}")
         return j
 
-    def _arbitrate_aw(self, now: int) -> None:
+    def _arbitrate_aw(self, now: int) -> bool:
+        """Grant at most one AW per egress.  Returns True when the
+        crossbar must step again next cycle whatever its neighbours do —
+        it granted or terminated a request, a head is not yet visible,
+        an error path is pending, or a per-cycle stall counter ran —
+        and False when every head is held by a full egress FIFO or by
+        its ingress's own W lock."""
+        busy = False
         requests: dict[int, list[int]] = {}
+        heads = self._aw_head
+        egress = self._aw_egress
         for i in self._in_ports:
             # W-coupled AW forwarding: at most one granted write burst per
             # ingress until its W data has fully moved through this XP.
@@ -520,22 +593,31 @@ class AxiCrossbar(Component):
                 continue
             in_link = self.in_links[i]
             q = in_link.aw._q
-            if not q or q[0][0] > now:
+            if not q:
+                continue
+            if q[0][0] > now:
+                busy = True
                 continue
             beat = q[0][1]
-            j = self._decode(beat, i)
+            if heads[i] is beat:
+                j = egress[i]
+            else:
+                j = egress[i] = self._decode(beat, i)
+                heads[i] = beat
             resp = Resp.DECERR
             blocked = self._fault_blocked
             if blocked is not None and j in blocked:
                 j = ERROR_PORT  # dead egress: fail fast with SLVERR
                 resp = Resp.SLVERR
             if j == ERROR_PORT:
+                busy = True  # the error path polls
                 dest = self._wr_dest[i].get(beat.id)
                 if dest is not None and dest[0] != ERROR_PORT:
                     continue  # same-ID ordering across destinations
                 if len(self._err_b[i]) + len(self._w_route[i]) >= self.err_depth:
                     continue
                 in_link.aw.pop(now)
+                heads[i] = None
                 _bump_dest(self._wr_dest[i], beat.id, ERROR_PORT)
                 self._w_route[i].append([ERROR_PORT, beat.id, resp])
                 self._err_w += 1
@@ -545,12 +627,14 @@ class AxiCrossbar(Component):
             dest = self._wr_dest[i].get(beat.id)
             if dest is not None and dest[0] != j:
                 self.counters.bump("aw_same_id_stall")
+                busy = True
                 continue
             requests.setdefault(j, []).append(i)
         for j, candidates in requests.items():
             out_link = self.out_links[j]
             if not out_link.aw.can_push():
-                continue
+                continue  # back-pressure: the pop that frees it wakes us
+            busy = True
             if len(self._w_order[j]) >= self.w_order_depth:
                 self.counters.bump("aw_order_full")
                 continue
@@ -566,6 +650,7 @@ class AxiCrossbar(Component):
                 self.counters.bump("aw_id_stall")
                 continue
             in_link.aw.pop(now)
+            heads[i] = None
             out_link.aw.push(beat.with_id(rid), now)
             self._wr_inflight[j] += 1
             _bump_dest(self._wr_dest[i], beat.id, j)
@@ -575,28 +660,43 @@ class AxiCrossbar(Component):
                 self._w_busy.append(j)
             order.append([i, beat.beats])
             self._aw_ptr[j] = i + 1 if i + 1 < self.n_in else 0
+        return busy
 
-    def _arbitrate_ar(self, now: int) -> None:
+    def _arbitrate_ar(self, now: int) -> bool:
+        """The AR twin of :meth:`_arbitrate_aw` (same return contract;
+        reads have no W coupling)."""
+        busy = False
         requests: dict[int, list[int]] = {}
+        heads = self._ar_head
+        egress = self._ar_egress
         for i in self._in_ports:
             in_link = self.in_links[i]
             q = in_link.ar._q
-            if not q or q[0][0] > now:
+            if not q:
+                continue
+            if q[0][0] > now:
+                busy = True
                 continue
             beat = q[0][1]
-            j = self._decode(beat, i)
+            if heads[i] is beat:
+                j = egress[i]
+            else:
+                j = egress[i] = self._decode(beat, i)
+                heads[i] = beat
             resp = Resp.DECERR
             blocked = self._fault_blocked
             if blocked is not None and j in blocked:
                 j = ERROR_PORT  # dead egress: fail fast with SLVERR
                 resp = Resp.SLVERR
             if j == ERROR_PORT:
+                busy = True  # the error path polls
                 dest = self._rd_dest[i].get(beat.id)
                 if dest is not None and dest[0] != ERROR_PORT:
                     continue
                 if len(self._err_r[i]) >= self.err_depth:
                     continue
                 in_link.ar.pop(now)
+                heads[i] = None
                 _bump_dest(self._rd_dest[i], beat.id, ERROR_PORT)
                 self._err_r[i].append([beat.id, beat.beats, resp])
                 self._err_pending += 1
@@ -606,12 +706,14 @@ class AxiCrossbar(Component):
             dest = self._rd_dest[i].get(beat.id)
             if dest is not None and dest[0] != j:
                 self.counters.bump("ar_same_id_stall")
+                busy = True
                 continue
             requests.setdefault(j, []).append(i)
         for j, candidates in requests.items():
             out_link = self.out_links[j]
             if not out_link.ar.can_push():
-                continue
+                continue  # back-pressure: the pop that frees it wakes us
+            busy = True
             if (self.max_outstanding is not None
                     and self._rd_inflight[j] >= self.max_outstanding):
                 self.counters.bump("ar_mot_stall")
@@ -624,11 +726,12 @@ class AxiCrossbar(Component):
                 self.counters.bump("ar_id_stall")
                 continue
             in_link.ar.pop(now)
+            heads[i] = None
             out_link.ar.push(beat.with_id(rid), now)
             self._rd_inflight[j] += 1
             _bump_dest(self._rd_dest[i], beat.id, j)
             self._ar_ptr[j] = i + 1 if i + 1 < self.n_in else 0
-
+        return busy
 
     def _pick(self, candidates: list[int], ptr: int) -> int:
         """Arbitrate among requesting ingresses: QoS priority first (if

@@ -34,7 +34,8 @@ from repro.axi.link import AxiLink
 from repro.axi.memory_map import MemoryMap
 from repro.axi.transaction import Burst, Transfer, split_transfer
 from repro.axi.types import Resp
-from repro.sim.kernel import Component
+from repro.sim.fifo import full_fifos
+from repro.sim.kernel import BLOCKED, Component
 from repro.sim.stats import CounterSet, LatencyStats, ThroughputMeter
 
 
@@ -171,6 +172,16 @@ class DmaEngine(Component):
         #: must not land on a recycled id.
         self._wr_zombie: dict[int, int] = {}
         self._rd_zombie: dict[int, int] = {}
+        #: Components blocked on this engine's queue state (a core
+        #: script in a blocking transfer, ``drain`` or ``throttle``):
+        #: woken whenever a burst issues, completes, times out or ends
+        #: its W stream — every event that can shrink :meth:`backlog`
+        #: or turn :meth:`idle` True.
+        self.watchers: list[Component] = []
+
+    def _wake_watchers(self) -> None:
+        for watcher in self.watchers:
+            watcher.wake()
 
     # ------------------------------------------------------------------
     def submit(self, transfer: Transfer) -> None:
@@ -211,9 +222,13 @@ class DmaEngine(Component):
 
         An engine that is only waiting — for responses (B/R pushes wake
         it) or for the descriptor-overhead gap to elapse (``next_event``
-        wakes it) — sleeps.  An engine with an issuable burst must poll:
-        its stall can clear when a downstream FIFO pop frees space,
-        which produces no wake.
+        wakes it) — is quiet.  One with W beats to stream or a burst to
+        issue is not, whether or not it can move this cycle: ``quiet``
+        is a function of the engine's own state.  Such an engine still
+        sleeps when only a full W/AW/AR FIFO holds it — ``step`` returns
+        BLOCKED and the pop that makes room wakes it (DESIGN.md §2) —
+        and polls through an ID/MOT stall, which bumps a per-cycle
+        counter.
         """
         if self._occ_resp[0] or self._w_emit:
             return False
@@ -222,10 +237,16 @@ class DmaEngine(Component):
             return self._idle_until > self._last_now + 1
         return True
 
+    def blocked_on(self) -> str:
+        """The full request FIFOs of this engine's link."""
+        link = self.link
+        return full_fifos((link.aw, link.w, link.ar))
+
     def next_event(self, now: int) -> int | None:
         wake = None
-        if self._pending or self._cur is not None:
-            wake = self._idle_until
+        if ((self._pending or self._cur is not None)
+                and self._idle_until > now):
+            wake = self._idle_until  # an elapsed gap is not an event
         if self._txn_timeout is not None:
             # Earliest watchdog deadline: deadlines are monotone in each
             # table's insertion order, so the heads suffice.  Zombie-id
@@ -246,7 +267,7 @@ class DmaEngine(Component):
     # ------------------------------------------------------------------
     # The inline ``_q`` probes mirror the crossbar hot path (identical
     # semantics to peek/pop; pinned by the FIFO unit tests).
-    def step(self, now: int) -> bool:
+    def step(self, now: int) -> bool | int:
         self._last_now = now
         link = self.link
         # Sink responses first (mandatory progress for deadlock freedom).
@@ -254,6 +275,7 @@ class DmaEngine(Component):
             self._sink(now, link)
         # Stream W data in AW order, one beat per cycle (inlined push:
         # the write-stream hot loop, identical to TimedFifo.push).
+        held = False  # W stream or burst issue held by a full FIFO
         w_emit = self._w_emit
         if w_emit:
             w = link.w
@@ -271,21 +293,30 @@ class DmaEngine(Component):
                     consumer.wake(now + w.latency)
                 if emitter.issued >= emitter.beats:
                     w_emit.popleft()
+                    if self.watchers:
+                        self._wake_watchers()
+            else:
+                held = True
         # Abort orphaned transactions before considering new issues, so a
         # freed slot/retry is usable the same cycle under either scheduler.
         if self._txn_timeout is not None:
             self._check_timeouts(now)
         # Issue at most one burst per cycle (skip the call when there is
         # neither a transfer being split nor one queued).
-        if (now >= self._idle_until
-                and (self._cur is not None or self._pending)):
-            self._issue(now)
-        # Report post-step quietness inline (mirrors quiet()).
-        if self._occ_resp[0] or self._w_emit:
+        issue_held = (now >= self._idle_until
+                      and (self._cur is not None or self._pending)
+                      and self._issue(now))
+        # Report post-step state inline: False to poll, True when quiet()
+        # would be, BLOCKED when all that is left is held by a full FIFO
+        # we produce into — its pop wakes us.
+        if self._occ_resp[0] or (w_emit and not held):
             return False
-        if self._pending or self._cur is not None:
-            return self._idle_until > now + 1
-        return True
+        if issue_held:
+            return BLOCKED
+        if ((self._pending or self._cur is not None)
+                and self._idle_until <= now + 1):
+            return False
+        return BLOCKED if held else True
 
     def _sink(self, now: int, link: AxiLink) -> None:
         """Consume at most one B and one R beat (inlined pop hot path).
@@ -307,6 +338,12 @@ class DmaEngine(Component):
                 occ = rf.occ
                 if occ is not None:
                     occ[0] -= 1
+                if rf.capacity == 1:
+                    rf.freed()
+            elif len(q) == rf.capacity - 1:  # was full (inlined freed())
+                producer = rf.producer
+                if producer is not None and not producer._in_active_set:
+                    producer.wake()
             if not beat.resp:  # error beats carry no creditable payload
                 meter = self.read_meter  # inlined ThroughputMeter.add
                 meter.bytes_total += beat.nbytes
@@ -429,6 +466,8 @@ class DmaEngine(Component):
                 if entry[5] > now:
                     break
                 del table[tid]
+                if self.watchers:
+                    self._wake_watchers()
                 # Hold the id through a grace window: beats of the
                 # orphan may still be in flight (a slow rather than
                 # lost response) and must not land on a recycled id.
@@ -451,14 +490,17 @@ class DmaEngine(Component):
                         transfer.on_complete(now)
 
     # ------------------------------------------------------------------
-    def _issue(self, now: int) -> None:
+    def _issue(self, now: int) -> bool:
+        """Issue at most one burst.  Returns True when a burst is ready
+        and only a full AW/AR FIFO holds it (the pop that makes room
+        wakes the engine); False when it issued, advanced the split, or
+        stalled on IDs/MOT — a counted stall, which polls."""
         if self._cur is None:
             if not self._pending:
-                return
+                return False
             head = self._pending[0]
             if type(head) is _BurstRetry:
-                self._issue_retry(head, now)
-                return
+                return self._issue_retry(head, now)
             transfer = self._pending.popleft()
             transfer._start_cycle = now
             self._cur = transfer
@@ -466,10 +508,10 @@ class DmaEngine(Component):
                 transfer.addr, transfer.nbytes, self.beat_bytes,
                 self.max_burst_beats)
             self._next_burst = next(self._burst_iter)
-            return
+            return False
         burst = self._next_burst
         if burst is None:
-            return
+            return False
         transfer = self._cur
         link = self.link
         to = self._txn_timeout
@@ -477,9 +519,9 @@ class DmaEngine(Component):
         if transfer.is_read:
             if not self._rd_free or len(self._rd_out) >= self.max_outstanding:
                 self.counters.bump("dma_rd_mot_stall")
-                return
+                return False
             if not link.ar.can_push():
-                return
+                return True
             tid = self._rd_free.pop()
             dest = self.memory_map.resolve(burst.addr)
             link.ar.push(AddrBeat(tid, burst.addr, burst.beats, burst.nbytes,
@@ -488,9 +530,9 @@ class DmaEngine(Component):
         else:
             if not self._wr_free or len(self._wr_out) >= self.max_outstanding:
                 self.counters.bump("dma_wr_mot_stall")
-                return
+                return False
             if not link.aw.can_push():
-                return
+                return True
             tid = self._wr_free.pop()
             dest = self.memory_map.resolve(burst.addr)
             link.aw.push(AddrBeat(tid, burst.addr, burst.beats, burst.nbytes,
@@ -507,11 +549,15 @@ class DmaEngine(Component):
             transfer._split_done = True
             self._cur = None
             self._burst_iter = None
+            if self.watchers:
+                self._wake_watchers()  # backlog() stops counting the split
+        return False
 
-    def _issue_retry(self, retry: _BurstRetry, now: int) -> None:
+    def _issue_retry(self, retry: _BurstRetry, now: int) -> bool:
         """Reissue one failed burst (head of the pending queue).  Pops
         the record only once the burst actually goes out; until then the
-        engine polls exactly as for a stalled fresh issue."""
+        engine waits exactly as for a stalled fresh issue (same return
+        contract as :meth:`_issue`)."""
         burst = retry.burst
         transfer = retry.transfer
         link = self.link
@@ -524,9 +570,9 @@ class DmaEngine(Component):
         if transfer.is_read:
             if not self._rd_free or len(self._rd_out) >= self.max_outstanding:
                 self.counters.bump("dma_rd_mot_stall")
-                return
+                return False
             if not link.ar.can_push():
-                return
+                return True
             tid = self._rd_free.pop()
             link.ar.push(AddrBeat(tid, *beat_args), now)
             self._rd_out[tid] = [transfer, retry.first_issue, burst.beats,
@@ -534,9 +580,9 @@ class DmaEngine(Component):
         else:
             if not self._wr_free or len(self._wr_out) >= self.max_outstanding:
                 self.counters.bump("dma_wr_mot_stall")
-                return
+                return False
             if not link.aw.can_push():
-                return
+                return True
             tid = self._wr_free.pop()
             link.aw.push(AddrBeat(tid, *beat_args), now)
             self._wr_out[tid] = [transfer, retry.first_issue, 0, burst,
@@ -546,6 +592,7 @@ class DmaEngine(Component):
             self._seq += 1
         self._pending.popleft()
         self._idle_until = now + self.issue_overhead
+        return False
 
     def _complete(self, table: dict, free: list, tid: int,
                   resp: Resp, now: int) -> None:
@@ -553,6 +600,8 @@ class DmaEngine(Component):
         if entry is None:
             raise AssertionError(f"{self.name}: response for unknown id {tid}")
         free.append(tid)
+        if self.watchers:
+            self._wake_watchers()
         transfer = entry[0]
         if resp != Resp.OKAY:
             self.errors += 1

@@ -173,6 +173,12 @@ class MemorySlave(Component):
                     occ = wf.occ
                     if occ is not None:
                         occ[0] -= 1
+                    if wf.capacity == 1:
+                        wf.freed()
+                elif len(q) == wf.capacity - 1:  # was full (inlined freed())
+                    producer = wf.producer
+                    if producer is not None and not producer._in_active_set:
+                        producer.wake()
                 head = self._w_expect[0]
                 head[1] -= 1
                 head[2] -= w.nbytes

@@ -135,21 +135,30 @@ class FaultController(Component):
     def _drop_responses(self, now: int) -> None:
         """Drop every visible B/R head on dead mesh links.  Runs before
         any crosspoint steps (the controller registers first), so a
-        consumer never sees a beat the fault already claimed."""
+        consumer never sees a beat the fault already claimed.  The pops
+        wake a crosspoint asleep behind the full channel (the FIFO's
+        ``producer``), this same cycle."""
         for link in self._resp_dead.values():
+            dropped = False
             b = link.b
             beat = b.peek(now)
             while beat is not None:
                 b.pop(now)
+                dropped = True
                 self._kill_write(link, beat.id)
                 beat = b.peek(now)
             r = link.r
             beat = r.peek(now)
             while beat is not None:
                 r.pop(now)
+                dropped = True
                 if beat.last:
                     self._kill_read(link, beat.id, now)
                 beat = r.peek(now)
+            # The beats' consumer may be asleep BLOCKED on exactly the
+            # heads that just vanished: let it re-report its state.
+            if dropped and b.consumer is not None:
+                b.consumer.wake()
 
     def _kill_write(self, link, rid: int) -> None:
         """Release the remap chain of a write burst whose (single) B beat
@@ -260,16 +269,20 @@ class FaultController(Component):
         if not dead and not degraded:
             for router in self._routers.values():
                 router.fault_table = None
-            return
-        cache = self._route_cache
-        if cache is None:
-            cache = self._route_cache = RouteCache(self._topology,
-                                                   self._dest_nodes)
-        tables = cache.tables(dead, degraded)
-        self.stats.retables = cache.retables
-        self.stats.dijkstra_sources = cache.dijkstra_sources
-        for node, router in self._routers.items():
-            router.fault_table = tables[node]
+        else:
+            cache = self._route_cache
+            if cache is None:
+                cache = self._route_cache = RouteCache(self._topology,
+                                                       self._dest_nodes)
+            tables = cache.tables(dead, degraded)
+            self.stats.retables = cache.retables
+            self.stats.dijkstra_sources = cache.dijkstra_sources
+            for node, router in self._routers.items():
+                router.fault_table = tables[node]
+        # Heads decoded under the old tables re-route (and crosspoints
+        # asleep behind a full egress wake to do it).
+        for xp in self._xps:
+            xp.routes_changed()
 
     def _refresh(self, key: tuple[int, int]) -> None:
         node, port = key

@@ -441,12 +441,19 @@ class NocNetwork:
 
         Raises RuntimeError if the network fails to drain within
         ``max_cycles`` — which would indicate a deadlock and must never
-        happen (YX routing is deadlock-free; tests rely on this).
+        happen (YX routing is deadlock-free; tests rely on this).  Under
+        the production scheduler a deadlock is O(1) to see: once the
+        active set and the wake heap are empty, the blocked sleepers can
+        never be woken, so the run jumps to its bound without polling
+        and the error names them and the full FIFO each waits behind.
         """
         sim = self.sim
         sim.run(max_cycles, until_idle=lambda: sim.all_quiet() and self.idle())
         if not self.idle():
+            blocked = "; ".join(f"{c.name} ({c.blocked_on()})"
+                                for c in sim.blocked())
             raise RuntimeError(
                 f"network failed to drain within {max_cycles} cycles "
-                f"(possible deadlock)")
+                f"(possible deadlock)"
+                + (f" — blocked: {blocked}" if blocked else ""))
         return self.sim.now

@@ -15,7 +15,9 @@ first.
 FIFOs are also the *wake-up spine* of the activity-driven kernel
 (DESIGN.md §2): a FIFO with a registered ``consumer`` wakes that
 component at the cycle a pushed item becomes visible, so idle consumers
-can safely leave the simulator's active set.
+can safely leave the simulator's active set; one with a registered
+``producer`` wakes it when a pop takes the FIFO from full to not-full,
+so a producer held only by back-pressure can leave it too.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ class TimedFifo:
     """
 
     __slots__ = ("capacity", "latency", "name", "_q", "pushed", "popped",
-                 "consumer", "occ")
+                 "consumer", "producer", "occ")
 
     def __init__(self, capacity: int = 2, latency: int = 1, name: str = ""):
         if capacity < 1:
@@ -57,6 +59,9 @@ class TimedFifo:
         #: The component woken when a pushed item becomes visible
         #: (claimed by whoever consumes from this FIFO; may be None).
         self.consumer = None
+        #: The component woken when a pop makes room in a full FIFO
+        #: (claimed by whoever pushes into this FIFO; may be None).
+        self.producer = None
         #: Optional shared occupancy cell (a one-element list counting
         #: how many FIFOs of a group are non-empty); lets a consumer of
         #: many FIFOs skip whole scan phases in O(1).  Maintained on
@@ -128,13 +133,27 @@ class TimedFifo:
                 f"pop from FIFO {self.name!r} before head is visible "
                 f"(ready at {ready_at}, now {now})"
             )
-        self._q.popleft()
+        q = self._q
+        q.popleft()
         self.popped += 1
-        if not self._q:
+        if not q:
             occ = self.occ
             if occ is not None:
                 occ[0] -= 1
+            if self.capacity == 1:
+                self.freed()
+        elif len(q) == self.capacity - 1:
+            self.freed()
         return item
+
+    def freed(self) -> None:
+        """A pop just took this FIFO from full to not-full: wake a
+        producer asleep behind it (this cycle if it steps after the
+        popper, else the next — see ``Simulator.wake_at``).  The inlined
+        pops in the crossbar and endpoint hot loops repeat this test."""
+        producer = self.producer
+        if producer is not None and not producer._in_active_set:
+            producer.wake()
 
     def stall_head(self, now: int) -> None:
         """Push a currently-visible head one cycle into the future — the
@@ -150,3 +169,9 @@ class TimedFifo:
             self.occ[0] -= 1
         while self._q:
             yield self._q.popleft()[1]
+
+
+def full_fifos(fifos) -> str:
+    """``"full: a, b"`` — the names of the FIFOs among ``fifos`` that
+    cannot take a push (what a blocked producer waits behind)."""
+    return "full: " + ", ".join(f.name for f in fifos if not f.can_push())

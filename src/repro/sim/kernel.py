@@ -9,13 +9,15 @@ semantics (DESIGN.md §2):
   semantics; the golden-equivalence tests pin the activity mode to it.
 * **activity-driven** (``activity=True``, the default) — only components
   in the *active set* are stepped.  A component leaves the active set
-  when it reports :meth:`Component.quiet` after a step; it re-enters
-  when something wakes it: a :class:`~repro.sim.fifo.TimedFifo` push
-  towards it, an external :meth:`Component.wake` (e.g. a DMA
-  ``submit``), or a self-scheduled :meth:`Component.next_event`.  When
-  the active set is empty the kernel jumps ``now`` straight to the
-  earliest scheduled wake, making idle stretches O(1) instead of
-  O(components × cycles).
+  when its step reports it *quiet* (nothing to do) or :data:`BLOCKED`
+  (work held by something only another component can release); it
+  re-enters when something wakes it: a
+  :class:`~repro.sim.fifo.TimedFifo` push towards it, a pop that makes
+  room in a full FIFO it produces into, a :meth:`Component.wake` (a DMA
+  ``submit``, a completion callback, an event signal), or a
+  self-scheduled :meth:`Component.next_event`.  When the active set is
+  empty the kernel jumps ``now`` straight to the earliest scheduled
+  wake, making idle stretches O(1) instead of O(components × cycles).
 
 All inter-component communication happens through
 :class:`~repro.sim.fifo.TimedFifo` register stages, which make the step
@@ -30,7 +32,16 @@ The contract every activity-aware component must honour:
    ``next_event`` is reached.  (``quiet`` is about *steppability* — a
    component may be quiet while transactions it initiated are still in
    flight elsewhere; domain-level idleness keeps its usual ``idle()``
-   spelling on the components that have one.)
+   spelling on the components that have one.)  ``quiet()`` is a pure
+   function of the component's state, the same under both schedulers.
+   A step that returns :data:`BLOCKED` makes the same promise for a
+   component that is *not* quiet: it holds work, this step moved none
+   of it, and every cause is one whose release raises a wake — a full
+   FIFO it produces into (pop-side wake), a transfer or event it waits
+   for (completion wake).  A blocked sleeper keeps
+   :meth:`Simulator.all_quiet` False until it steps again: whoever
+   takes its work away from outside must wake it, so that it can report
+   the new state itself.
 2. ``next_event(now)`` returns the earliest future cycle at which a
    quiet component must be stepped again for time-driven internal state
    (e.g. a Poisson arrival clock or a memory's access-latency queue);
@@ -44,6 +55,11 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from typing import Callable, Iterable
+
+#: ``step()`` return value: "I hold work, this step moved none of it, and
+#: only a wake can change that".  Truthy, so the component retires like a
+#: quiet one, but the kernel counts it as a blocked sleeper.
+BLOCKED = 2
 
 
 class Component:
@@ -70,13 +86,15 @@ class Component:
     _wake_cycle: int | None = None
     #: Registration index; preserves step order among active components.
     _order: int = -1
+    #: True while retired on a :data:`BLOCKED` step (kernel bookkeeping).
+    _asleep_blocked: bool = False
 
-    def step(self, now: int) -> bool | None:
+    def step(self, now: int) -> bool | int | None:
         """Advance this component by one cycle.
 
         May return the value :meth:`quiet` would return after this step
-        (hot components do, saving the kernel a second dispatch); a
-        ``None`` return means "ask :meth:`quiet`".
+        (hot components do, saving the kernel a second dispatch), or
+        :data:`BLOCKED`; a ``None`` return means "ask :meth:`quiet`".
         """
         raise NotImplementedError
 
@@ -91,15 +109,23 @@ class Component:
     def finalize(self, now: int) -> None:
         """Hook called once after the last simulated cycle (optional)."""
 
+    def blocked_on(self) -> str:
+        """What a :data:`BLOCKED` component waits for (deadlock reports)."""
+        return ""
+
     def wake(self, cycle: int | None = None) -> None:
         """Ensure this component is stepped at ``cycle`` (default: now).
 
-        Call this whenever state is injected from outside the component's
-        watched FIFOs — e.g. queueing a transfer on a DMA engine.  A
-        wake issued *during* cycle ``t`` for cycle ``t`` takes effect at
-        ``t + 1``, matching the always-step semantics of a producer
-        registered after its consumer.  No-op when the component is
-        already active or not registered with a simulator.
+        Call this whenever state the component depends on changes outside
+        its watched FIFOs — queueing a transfer on a DMA engine, popping
+        a full FIFO it produces into, completing a transfer it waits for.
+        A wake raised *during* cycle ``t`` for cycle ``t`` is order-aware
+        (:meth:`Simulator.wake_at`): it lands in ``t`` when this component
+        is registered after the one being stepped — always-step would
+        step it later in ``t`` and it would see the change — and in
+        ``t + 1`` when registered before (it has already stepped).  No-op
+        when the component is already active or not registered with a
+        simulator.
         """
         sim = self._sim
         if sim is None or self._in_active_set:
@@ -133,6 +159,14 @@ class Simulator:
         self._active: list[Component] = []
         #: Min-heap of (cycle, registration order, component) future wakes.
         self._heap: list[tuple[int, int, Component]] = []
+        #: The component being stepped (None outside the activity loop):
+        #: what makes a same-cycle wake order-aware.
+        self._stepping: Component | None = None
+        #: Components asleep on a BLOCKED step.
+        self._n_blocked = 0
+        #: ``step()`` calls made / cycles jumped over in quiet gaps.
+        self.steps = 0
+        self.cycles_skipped = 0
 
     def add(self, component: Component) -> Component:
         """Register ``component`` and return it (for chaining).
@@ -166,9 +200,10 @@ class Simulator:
         input: every component is quiet with no pending ``next_event``.
         Always-step mode asks all of them; activity mode asks the active
         set (a component still in it may already be quiet — freshly
-        added, or not yet stepped since its last input left) and reads
-        the wake heap for the rest, so both modes observe the same truth
-        value at the same cycle.
+        added, or not yet stepped since its last input left), counts the
+        blocked sleepers (retired, but by construction not quiet) and
+        reads the wake heap for the rest, so both modes observe the same
+        truth value at the same cycle.
 
         This is the exact termination condition
         :meth:`repro.noc.network.NocNetwork.drain` uses: unlike a
@@ -187,6 +222,8 @@ class Simulator:
             if not component.quiet() or component.next_event(last) is not None:
                 return False
         if self.activity:
+            if self._n_blocked:
+                return False
             for cycle, _, component in self._heap:
                 if component.drain_transparent:
                     continue
@@ -195,6 +232,12 @@ class Simulator:
                 return False
         return True
 
+    def blocked(self) -> list[Component]:
+        """The components asleep on a :data:`BLOCKED` step, in
+        registration order.  With the active set and the wake heap empty
+        nothing can ever wake them: that state *is* a deadlock."""
+        return [c for c in self._components if c._asleep_blocked]
+
     def wake_at(self, component: Component, cycle: int) -> None:
         """Schedule ``component`` to be active at ``cycle``.
 
@@ -202,35 +245,56 @@ class Simulator:
         pending is a no-op; earlier wakes supersede (the superseded heap
         entry is dropped lazily on pop).  Wakes for already-active
         components are no-ops.
+
+        A wake for the current cycle raised while a component is being
+        stepped is order-aware: a target registered after the stepping
+        component joins this cycle's active list behind the cursor (the
+        always-step loop would reach it later this cycle); one registered
+        before has already had its turn and wakes next cycle.
         """
         if component._in_active_set:
             return
+        cursor = self._stepping
+        if cursor is not None and cycle <= self.now:
+            if component._order > cursor._order:
+                self._activate(component)
+                return
+            cycle = self.now + 1
         pending = component._wake_cycle
         if pending is not None and pending <= cycle:
             return
         component._wake_cycle = cycle
         heappush(self._heap, (cycle, component._order, component))
 
+    def _activate(self, component: Component) -> None:
+        """Insert a sleeping component into the active list, keeping it
+        sorted by registration order.  Called mid-cycle only for a
+        component registered after the cursor, so the insert lands
+        strictly behind the list position being iterated."""
+        component._wake_cycle = None
+        component._in_active_set = True
+        if component._asleep_blocked:
+            component._asleep_blocked = False
+            self._n_blocked -= 1
+        active = self._active
+        order = component._order
+        lo, hi = 0, len(active)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if active[mid]._order < order:
+                lo = mid + 1
+            else:
+                hi = mid
+        active.insert(lo, component)
+
     def _admit(self, now: int) -> None:
         """Move every wake due at or before ``now`` into the active set."""
         heap = self._heap
-        active = self._active
         while heap and heap[0][0] <= now:
             cycle, _, component = heappop(heap)
             if component._in_active_set or component._wake_cycle != cycle:
                 continue  # superseded by an earlier wake or already awake
-            component._wake_cycle = None
-            component._in_active_set = True
-            # Keep registration order (admissions are few per cycle).
-            order = component._order
-            lo, hi = 0, len(active)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if active[mid]._order < order:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            active.insert(lo, component)
+            self._activate(component)
 
     def run(
         self,
@@ -298,6 +362,7 @@ class Simulator:
                 if target <= now:  # defensive; wakes are always future
                     target = now + 1
                 if not walk_gaps:
+                    self.cycles_skipped += target - now
                     self.now = target
                     continue
                 stopped = False
@@ -309,32 +374,44 @@ class Simulator:
                     if (progress_every and progress
                             and now % progress_every == 0):
                         progress(now)
+                self.cycles_skipped += now - self.now
                 self.now = now
                 if stopped:
                     break
                 continue
             # Step and retire in one pass.  Retiring right after a
-            # component's own step is safe: a later component pushing
-            # towards it goes through the FIFO wake path (the component
-            # is already flagged inactive, so the push schedules a wake
-            # at the beat's visibility cycle — exactly when always-step
-            # mode would first act on it).
+            # component's own step is safe: whatever a later component
+            # does for it this cycle — a push towards it, a pop that
+            # frees a FIFO it fills, a completion — finds it flagged
+            # inactive and raises a wake, which lands exactly when
+            # always-step mode would first act on the change.  Same-cycle
+            # wakes insert into ``active`` behind the cursor, so the loop
+            # reaches them in registration order.
             dirty = False
-            for component in active:
-                retire = component.step(now)
-                if retire is None:
-                    retire = component.quiet()
-                if retire:
-                    component._in_active_set = False
-                    dirty = True
-                    wake = component.next_event(now)
-                    if wake is not None:
-                        if wake <= now:
-                            wake = now + 1
-                        self.wake_at(component, wake)
+            try:
+                for component in active:
+                    self._stepping = component
+                    retire = component.step(now)
+                    if retire is None:
+                        retire = component.quiet()
+                    if retire:
+                        component._in_active_set = False
+                        dirty = True
+                        if retire == BLOCKED:
+                            component._asleep_blocked = True
+                            self._n_blocked += 1
+                        wake = component.next_event(now)
+                        if wake is not None:
+                            if wake <= now:
+                                wake = now + 1
+                            self.wake_at(component, wake)
+            finally:
+                # Also on a raising step(): the kernel stays usable.
+                self._stepping = None
+                self.steps += len(active)
+                if dirty:
+                    self._active = [c for c in active if c._in_active_set]
             self.now = now = now + 1
-            if dirty:
-                self._active = [c for c in active if c._in_active_set]
             if until is not None and until(now):
                 break
             if until_idle is not None and until_idle():
@@ -361,6 +438,7 @@ class Simulator:
             now = self.now
             for component in components:
                 component.step(now)
+            self.steps += len(components)
             self.now = now + 1
             if until is not None and until(self.now):
                 break

@@ -32,22 +32,29 @@ from __future__ import annotations
 from repro.axi.transaction import Transfer
 from repro.endpoints.dma import DmaEngine
 from repro.noc.network import NocNetwork
-from repro.sim.kernel import Component
+from repro.sim.kernel import BLOCKED, Component
 
 
 class Event:
     """A monotonically counting synchronisation event."""
 
-    __slots__ = ("name", "count", "last_cycle")
+    __slots__ = ("name", "count", "last_cycle", "waiters")
 
     def __init__(self, name: str):
         self.name = name
         self.count = 0
         self.last_cycle = -1
+        #: Scripts asleep in an ``await``/``await_next`` on this event.
+        self.waiters: list[Component] = []
 
     def signal(self, now: int) -> None:
         self.count += 1
         self.last_cycle = now
+        waiters = self.waiters
+        if waiters:
+            self.waiters = []
+            for waiter in waiters:
+                waiter.wake()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Event({self.name}, count={self.count})"
@@ -64,6 +71,7 @@ class CoreScript(Component):
         self.net = net
         self.core = core
         self.dma: DmaEngine = dma
+        dma.watchers.append(self)  # burst issue/completion wakes us
         self.ops = ops
         self.loop = loop
         self.name = name or f"script{core}"
@@ -99,41 +107,60 @@ class CoreScript(Component):
         self.bytes_requested += nbytes
 
     def quiet(self) -> bool:
-        """Finished scripts sleep forever; a core mid-``compute`` sleeps
-        until the op elapses (nothing external can shorten it).  Cores
-        blocked on transfers or events keep polling: their unblocking is
-        signalled by completion callbacks inside other components' steps,
-        which the wake heap cannot observe same-cycle."""
+        """Finished scripts are quiet forever; a core mid-``compute`` is
+        quiet until the op elapses (nothing external can shorten it).  A
+        core blocked on a transfer, an event, ``drain`` or ``throttle``
+        is not quiet, yet it sleeps: ``step`` returns BLOCKED, and what
+        it waits for wakes it the cycle always-step would see it move —
+        its DMA engine on every burst issue and completion (it is one
+        of the engine's ``watchers``), an event on ``signal``."""
         return self.done or (not self._waiting_transfer
                              and self._busy_until > self._last_now + 1)
 
-    def next_event(self, now: int) -> int | None:
-        return None if self.done else self._busy_until
+    def blocked_on(self) -> str:
+        if self._waiting_transfer:
+            return "a blocking transfer"
+        op = self.ops[self._pc]
+        return f"{op[0]} {op[1]!r}" if len(op) > 1 else op[0]
 
-    def step(self, now: int) -> None:
+    def next_event(self, now: int) -> int | None:
+        if self.done or self._busy_until <= now:
+            return None  # blocked, not computing: only a wake revives us
+        return self._busy_until
+
+    def _await(self, event: Event) -> int:
+        if self not in event.waiters:
+            event.waiters.append(self)
+        return BLOCKED
+
+    def step(self, now: int) -> bool | int:
         self._last_now = now
-        if self.done or self._waiting_transfer or now < self._busy_until:
-            return
+        if self.done:
+            return True
+        if self._waiting_transfer:
+            return BLOCKED
+        if now < self._busy_until:
+            return self._busy_until > now + 1
         while True:
             if self._pc >= len(self.ops):
                 self.iterations += 1
                 if not self.loop:
                     self.done = True
-                    return
+                    return True
                 self._pc = 0
-                return  # at most one loop iteration per cycle
+                return False  # at most one loop iteration per cycle
             op = self.ops[self._pc]
             kind = op[0]
             if kind == "compute":
                 self._pc += 1
                 if op[1] > 0:
                     self._busy_until = now + op[1]
-                    return
+                    return op[1] > 1
             elif kind == "read" or kind == "write":
                 self._pc += 1
                 self._submit(op[1], op[2], op[3], kind == "read", now,
                              None, blocking=True)
-                return
+                return BLOCKED
             elif kind == "read_async" or kind == "write_async":
                 self._pc += 1
                 self._submit(op[1], op[2], op[3], kind == "read_async", now,
@@ -146,24 +173,24 @@ class CoreScript(Component):
                 if op[1].count >= op[2]:
                     self._pc += 1
                 else:
-                    return
+                    return self._await(op[1])
             elif kind == "await_next":
                 consumed = self._consumed.get(self._pc, 0)
                 if op[1].count >= consumed + op[2]:
                     self._consumed[self._pc] = consumed + op[2]
                     self._pc += 1
                 else:
-                    return
+                    return self._await(op[1])
             elif kind == "drain":
                 if self.dma.idle():
                     self._pc += 1
                 else:
-                    return
+                    return BLOCKED
             elif kind == "throttle":
                 if self.dma.backlog() <= op[1]:
                     self._pc += 1
                 else:
-                    return
+                    return BLOCKED
             else:
                 raise ValueError(f"{self.name}: unknown op {kind!r}")
 

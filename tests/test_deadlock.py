@@ -97,6 +97,36 @@ def test_reroute_table_swap_with_reads_in_flight_drains():
     net.drain(max_cycles=20_000)
 
 
+def test_deadlock_is_seen_without_polling_and_names_the_blocked():
+    """A slave that never answers wedges the write path behind it.  The
+    production scheduler ends with the active set and the wake heap
+    empty and four blocked sleepers — a deadlock by construction — so
+    the drain jumps to its bound instead of polling there, and the error
+    names who waits behind which full FIFO.  Always-step polls the whole
+    way and reports the same cycle."""
+    from repro.axi.transaction import Transfer
+
+    stops = {}
+    for always_step in (False, True):
+        net = NocNetwork(NocConfig(rows=2, cols=2), always_step=always_step)
+        net.memories[3].step = lambda now: True  # never accepts a request
+        net.dmas[0].submit(Transfer(src=0, addr=net.addr_of(3, 0),
+                                    nbytes=4096, is_read=False))
+        with pytest.raises(RuntimeError, match="possible deadlock") as err:
+            net.drain(max_cycles=30_000)
+        stops[always_step] = net.sim.now
+        if not always_step:
+            assert net.sim.steps < 500
+            assert net.sim.cycles_skipped > 29_900
+            assert [c.name for c in net.sim.blocked()] == [
+                "xp0", "xp2", "xp3", "tile0.dma"]
+            message = str(err.value)
+            assert "xp3 (full: xp3->tile3.mem.w)" in message
+            assert ("tile0.dma (full: tile0.dma->xp0.aw, "
+                    "tile0.dma->xp0.w)") in message
+    assert stops[False] == stops[True] == 30_000
+
+
 # ----------------------------------------------------------------------
 # Escape-VC adaptive routing on the packet baseline (DESIGN.md §10).
 #

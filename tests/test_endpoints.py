@@ -57,6 +57,44 @@ class TestDmaEngine:
         net.drain(max_cycles=30_000)
         assert completions == [0, 1, 2, 3]
 
+    def test_next_event_names_only_future_cycles(self):
+        """With work queued, an elapsed descriptor gap is not an event:
+        the kernel clamps a past wake to ``now + 1``, which would re-wake
+        an engine blocked behind a full FIFO every cycle."""
+        net = tiny_net()
+        dma = net.dmas[0]
+        dma.submit(Transfer(src=0, addr=net.addr_of(3, 0), nbytes=4096,
+                            is_read=False))  # four bursts
+        net.run(3)  # split started, first burst out
+        gap_end = dma._idle_until
+        assert dma._cur is not None and gap_end > net.sim.now
+        assert dma.next_event(net.sim.now) == gap_end
+        assert dma.next_event(gap_end - 1) == gap_end
+        assert dma.next_event(gap_end) is None
+        assert dma.next_event(gap_end + 100) is None
+
+    def test_engine_behind_a_full_fifo_sleeps_until_a_pop(self):
+        """Back-pressure is not polled: with the W channel full the
+        engine leaves the active set, and the crosspoint's next pop
+        brings it back."""
+        net = tiny_net()
+        dma, xp = net.dmas[0], net.xps[0]
+        real_step, xp.step = xp.step, lambda now: True  # crosspoint stalls
+        dma.submit(Transfer(src=0, addr=net.addr_of(3, 0), nbytes=1024,
+                            is_read=False))
+        net.run(50)
+        assert not dma.link.w.can_push()
+        assert net.sim.blocked() == [dma] and net.sim.active_count == 0
+        assert dma.blocked_on() == "full: tile0.dma->xp0.w"
+        before = net.sim.steps
+        net.run(1000)
+        assert net.sim.steps == before  # nobody polled
+        del xp.step
+        assert xp.step == real_step
+        xp.wake()
+        net.drain(max_cycles=20_000)
+        assert net.memories[3].bytes_written == 1024
+
     def test_queue_depth_visible(self):
         net = tiny_net()
         for _ in range(5):

@@ -411,6 +411,34 @@ class TestAxiReroute:
         assert net.memories[5].bytes_written == 512
         assert net.dmas[0].errors == 0
 
+    def test_reroute_decisions_counts_decisions_not_waiting(self):
+        """One count per rerouted head per hop: a fixed transfer list
+        run to drain around a link dead from cycle 0 takes the same
+        decisions however long its heads wait behind a slow memory, and
+        under either scheduler (a head is decoded once, DESIGN.md §10).
+        The count used to be per cycle a rerouted head waited."""
+        from dataclasses import replace
+
+        counts = {}
+        for always_step in (False, True):
+            for memory_latency in (5, 60):
+                cfg = replace(NocConfig.slim(), memory_latency=memory_latency)
+                net = NocNetwork(cfg, faults=self._dead((4, 5), (5, 4)),
+                                 fault_seed=1, always_step=always_step)
+                for src in (0, 4, 8, 12, 1, 13):
+                    for is_read in (False, True):
+                        net.dmas[src].submit(Transfer(
+                            src=src, nbytes=3000, is_read=is_read,
+                            addr=net.addr_of(7 if src == 1 else 5, 0)))
+                net.drain(max_cycles=200_000)
+                assert net.response_errors() == 0
+                counts[always_step, memory_latency] = (
+                    net.fault_report()["reroute_decisions"])
+        assert len(set(counts.values())) == 1, counts
+        # Three bursts each way from the four column-0 nodes deviate from
+        # YX, at one hop or more; 1->7 and 13->5 keep their YX paths.
+        assert counts[False, 5] >= 4 * 2 * 3
+
     def test_scenario_reroute_beats_fail_fast(self):
         """Under uniform traffic with a dead cut, rerouting eliminates
         the SLVERR storm entirely (detour paths can cost some open-loop

@@ -132,3 +132,66 @@ def test_fifo_never_exceeds_capacity(capacity, latency):
         assert len(fifo) <= capacity
         if now % 3 == 0 and fifo.peek(now) is not None:
             fifo.pop(now)
+
+
+class TestProducerWake:
+    """The pop half of the wake spine (DESIGN.md §2): a pop that takes a
+    FIFO from full to not-full wakes the sleeping producer."""
+
+    @staticmethod
+    def _producer(capacity):
+        from repro.sim.kernel import BLOCKED, Component, Simulator
+
+        class Producer(Component):
+            def __init__(self):
+                self.fifo = TimedFifo(capacity=capacity, latency=1)
+                self.fifo.producer = self
+                self.ticks = []
+
+            def step(self, now):
+                self.ticks.append(now)
+                if not self.fifo.can_push():
+                    return BLOCKED
+                self.fifo.push(now, now)
+                return False
+
+        sim = Simulator()
+        return sim, sim.add(Producer())
+
+    @pytest.mark.parametrize("capacity", [1, 2, 3])
+    def test_pop_from_full_fifo_wakes_the_sleeping_producer(self, capacity):
+        sim, producer = self._producer(capacity)
+        sim.run(10)  # fills the FIFO, then one blocked step, then sleep
+        assert producer.ticks == list(range(capacity + 1))
+        assert sim.blocked() == [producer]
+        producer.fifo.pop(sim.now)  # outside run(): wake lands at now
+        sim.run(5)
+        assert producer.ticks[capacity + 1:] == [10, 11]
+        assert len(producer.fifo) == capacity
+
+    def test_pop_from_non_full_fifo_wakes_nobody(self):
+        from repro.sim.kernel import Component, Simulator
+
+        class Idle(Component):
+            ticks = 0
+
+            def step(self, now):
+                self.ticks += 1
+                return True
+
+        sim = Simulator()
+        idle = sim.add(Idle())
+        fifo = TimedFifo(capacity=3, latency=1)
+        fifo.producer = idle
+        fifo.push("a", 0)
+        fifo.push("b", 0)
+        sim.run(5)
+        fifo.pop(sim.now)  # 2 of 3 -> 1 of 3: the producer was never held
+        sim.run(5)
+        assert idle.ticks == 1
+
+    def test_awake_producer_is_not_rewoken(self):
+        sim, producer = self._producer(2)
+        sim.run(2)  # two pushes, still in the active set
+        producer.fifo.pop(sim.now)
+        assert not sim._heap  # nothing scheduled for an active component

@@ -71,17 +71,26 @@ def test_any_id_mot_configuration_completes(seed, id_width, mot):
 # ----------------------------------------------------------------------
 @st.composite
 def axi_cases(draw):
-    """A mesh shape and bus width, uniform traffic, and an optional dead
-    link / degraded link / corruption stream with a recovery policy.
+    """A mesh shape and bus width, uniform or many-to-one traffic, and
+    an optional dead link / degraded link / corruption stream with a
+    recovery policy.  The many-to-one arm (every master addresses one
+    tile's memory) is what draws sustained back-pressure: full FIFOs,
+    W locks and blocked crosspoints and engines, the states the
+    production scheduler sleeps through.
 
     ``reroute`` never gets the transaction watchdog: that pair trips an
     open defect in ``dma._complete`` (strict xfail
     ``test_reroute_with_txn_timeout_keeps_every_response_id_known`` in
-    test_response_faults.py) under either scheduler.
+    test_response_faults.py) under either scheduler.  Nor does the
+    many-to-one arm: a hot spot can delay a live response past the
+    zombie-id grace window (strict xfail
+    ``test_hot_spot_response_outliving_the_zombie_grace_is_absorbed``,
+    same file), again under either scheduler.
     """
     from repro.noc.topology import Mesh2D
 
     rows, cols = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    hot_spot = draw(st.none() | st.integers(0, rows * cols - 1))
     links = [(src, dst)
              for src, _out, dst, _in in Mesh2D(rows, cols).directed_links()]
 
@@ -99,11 +108,12 @@ def axi_cases(draw):
     if draw(st.booleans()):
         faults["links"].append(link(
             width_factor=draw(st.sampled_from([0.25, 0.5, 0.75]))))
-    if faults["recovery"] != "reroute" and draw(st.booleans()):
+    if (faults["recovery"] != "reroute" and hot_spot is None
+            and draw(st.booleans())):
         faults.update(response_faults=True,
                       txn_timeout=draw(st.integers(300, 900)))
     return dict(
-        rows=rows, cols=cols, wide=draw(st.booleans()),
+        rows=rows, cols=cols, wide=draw(st.booleans()), hot_spot=hot_spot,
         traffic=dict(
             load=draw(st.sampled_from([0.1, 0.5, 1.0])),
             max_burst_bytes=draw(st.sampled_from([4, 100, 1000, 64000])),
@@ -115,6 +125,7 @@ def axi_cases(draw):
 
 def _axi_observables(case, always_step):
     from repro.faults import FaultSpec
+    from repro.traffic.base import RandomTraffic
     from repro.traffic.uniform import uniform_random
 
     cfg = (NocConfig.wide if case["wide"] else NocConfig.slim)(
@@ -122,8 +133,14 @@ def _axi_observables(case, always_step):
     net = NocNetwork(cfg, always_step=always_step,
                      faults=FaultSpec(**case["faults"]),
                      fault_seed=case["seed"])
-    traffic = uniform_random(net, seed=case["seed"],
-                             **case["traffic"]).install()
+    hot = case["hot_spot"]
+    if hot is None:
+        traffic = uniform_random(net, seed=case["seed"], **case["traffic"])
+    else:
+        traffic = RandomTraffic(
+            net, {m: [hot] for m in net.dma_endpoints() if m != hot},
+            seed=case["seed"], **case["traffic"])
+    traffic.install()
     net.set_warmup(100)
     net.run(case["cycles"])
     traffic.quiesce()
@@ -157,6 +174,93 @@ def test_axi_activity_scheduler_matches_always_step(case):
     latencies, protocol counters and the fault report."""
     got = _axi_observables(case, always_step=False)
     want = _axi_observables(case, always_step=True)
+    for key in want:
+        assert got[key] == want[key], key
+
+
+# ----------------------------------------------------------------------
+# Core scripts: blocked scripts sleep; the oracle polls them
+# ----------------------------------------------------------------------
+@st.composite
+def script_cases(draw):
+    """2-4 cores on a 2x2 mesh, each running a random program over every
+    script op; events are shared between the cores."""
+    n_cores = draw(st.integers(2, 4))
+    n_events = draw(st.integers(1, 3))
+    event = st.integers(0, n_events - 1)
+    target = st.tuples(st.integers(0, 3), st.integers(0, 4000),
+                       st.integers(1, 6000))  # dest tile, offset, bytes
+    op = st.one_of(
+        st.tuples(st.just("compute"), st.integers(0, 120)),
+        st.tuples(st.sampled_from(["read", "write"]), target),
+        st.tuples(st.sampled_from(["read_async", "write_async"]), target,
+                  st.none() | event),
+        st.tuples(st.just("signal"), event),
+        st.tuples(st.just("await"), event, st.integers(1, 4)),
+        st.tuples(st.just("await_next"), event, st.integers(1, 2)),
+        st.tuples(st.just("drain")),
+        st.tuples(st.just("throttle"), st.integers(0, 3)),
+    )
+    return dict(
+        programs=[draw(st.lists(op, min_size=1, max_size=8))
+                  for _ in range(n_cores)],
+        n_events=n_events, loop=draw(st.booleans()),
+        wide=draw(st.booleans()), cycles=draw(st.integers(300, 2500)))
+
+
+def _script_observables(case, always_step):
+    from repro.traffic.dnn.script import CoreScript, Event
+
+    cfg = (NocConfig.wide if case["wide"] else NocConfig.slim)(2, 2)
+    net = NocNetwork(cfg, always_step=always_step)
+    events = [Event(f"e{k}") for k in range(case["n_events"])]
+
+    def build(op):
+        kind = op[0]
+        if kind in ("read", "write"):
+            return (kind, *op[1])
+        if kind in ("read_async", "write_async"):
+            return (kind, *op[1], None if op[2] is None else events[op[2]])
+        if kind in ("signal", "await", "await_next"):
+            return (kind, events[op[1]], *op[2:])
+        return op
+
+    scripts = [CoreScript(net, core, [build(op) for op in program],
+                          loop=case["loop"])
+               for core, program in enumerate(case["programs"])]
+    net.sim.extend(scripts)
+    # Finish cycle: every script done (one-shot) or two iterations in
+    # (loop); a program that waits for a signal nobody sends never gets
+    # there, and then both schedulers must stop at the bound.
+    net.run(case["cycles"], until=lambda now: all(
+        s.done or s.iterations >= 2 for s in scripts))
+    finish = net.sim.now
+    net.run(50)  # what is in flight at the finish keeps moving
+    return {
+        "finish_cycle": finish,
+        "scripts": [(s.done, s.iterations, s._pc, s.bytes_requested)
+                    for s in scripts],
+        "events": [(e.count, e.last_cycle) for e in events],
+        "written": [m.bytes_written for m in net.memories],
+        "read": [d.bytes_read for d in net.dmas],
+        "transfers_completed": net.transfers_completed(),
+        "latency": [d.latency_stats.summary() for d in net.dmas],
+        "counters": net.counters.as_dict(),
+        "all_quiet": net.sim.all_quiet(),
+    }
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=script_cases())
+def test_core_scripts_activity_matches_always_step(case):
+    """Any program over compute / blocking and async transfers with
+    events / signal / await / await_next / drain / throttle, looping or
+    one-shot: a script that sleeps while blocked finishes on the same
+    cycle, after the same iterations, bytes and event counts, as one
+    polled every cycle."""
+    got = _script_observables(case, always_step=False)
+    want = _script_observables(case, always_step=True)
     for key in want:
         assert got[key] == want[key], key
 

@@ -195,6 +195,34 @@ def test_reroute_with_txn_timeout_keeps_every_response_id_known(seed):
         faults=FaultSpec(links=dead, txn_timeout=900, recovery="reroute")))
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="open defect: a live B response delayed past the "
+                          "zombie-id grace window lands on an id the DMA "
+                          "no longer tracks")
+@pytest.mark.parametrize("always_step", [False, True])
+def test_hot_spot_response_outliving_the_zombie_grace_is_absorbed(
+        always_step):
+    """Reproducer found by the many-to-one arm of the scheduler property
+    in test_properties.py (which therefore keeps the watchdog off that
+    arm): eleven masters of a slim 3x4 write to tile 0 at full load with
+    link 0->1 dead from cycle 0, ``response_faults`` and a 300-cycle
+    watchdog.  A burst aborted around cycle 360 is answered at cycle
+    4753, after its id's 4096-cycle quarantine: ``tile6.dma: response
+    for unknown id 2``, on the same cycle under either scheduler."""
+    from repro.traffic.base import RandomTraffic
+
+    spec = FaultSpec(links=[LinkFault(0, 1, start=0)], recovery="none",
+                     response_faults=True, txn_timeout=300)
+    net = NocNetwork(NocConfig.slim(3, 4), always_step=always_step,
+                     faults=spec, fault_seed=253)
+    traffic = RandomTraffic(
+        net, {m: [0] for m in net.dma_endpoints() if m != 0}, load=1.0,
+        max_burst_bytes=1000, read_fraction=0.0, seed=253).install()
+    net.run(365)
+    traffic.quiesce()
+    net.drain(max_cycles=200_000)
+
+
 class TestByzantine:
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_high_rate_never_crashes(self, kernel):
