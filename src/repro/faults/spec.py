@@ -14,7 +14,7 @@ in both kernel modes.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 #: Endpoint recovery policies, all applicable to both backends.
 #: "retransmit" retries lost/corrupted traffic at the DMA/NIC endpoints
@@ -22,6 +22,11 @@ from dataclasses import asdict, dataclass
 #: routes around dead links — escape-VC adaptive routing on the packet
 #: baseline, up*/down* fault tables on the AXI mesh (DESIGN.md §10).
 RECOVERY_POLICIES = ("none", "retransmit", "reroute")
+
+
+def flat_dict(spec) -> dict:
+    """A fresh dict, in field order, of an all-scalar dataclass."""
+    return {name: getattr(spec, name) for name in spec.__dataclass_fields__}
 
 
 @dataclass(frozen=True)
@@ -217,7 +222,10 @@ class FaultSpec:
 
     # -- serialization -------------------------------------------------
     def to_dict(self) -> dict:
-        return asdict(self)
+        data = flat_dict(self)
+        for name in ("links", "ports", "stuck_vcs"):
+            data[name] = tuple(flat_dict(fault) for fault in data[name])
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultSpec":

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 #: Flat CSV column order (counters/faults are JSON-encoded into one
@@ -28,6 +28,15 @@ CSV_COLUMNS = [
 
 #: Flat columns pulled out of the ``faults`` report dict.
 _FAULT_COLUMNS = ("orphaned", "timeout_recovered")
+
+
+def _copy_containers(value):
+    """``value`` with every dict/list/tuple in it copied, scalars as is."""
+    if isinstance(value, dict):
+        return {k: _copy_containers(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_copy_containers(v) for v in value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -61,7 +70,8 @@ class Result:
     provenance: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {name: _copy_containers(getattr(self, name))
+                for name in self.__dataclass_fields__}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Result":

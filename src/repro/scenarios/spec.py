@@ -26,7 +26,7 @@ import json
 from dataclasses import asdict, dataclass, replace
 
 from repro.baseline.network import PacketMeshConfig
-from repro.faults.spec import FaultSpec
+from repro.faults.spec import FaultSpec, flat_dict
 from repro.noc.config import NocConfig
 
 #: Default measurement windows (cycles).  "quick" shrinks these for
@@ -166,7 +166,7 @@ class TopologySpec:
         raise TypeError(f"cannot coerce {value!r} to TopologySpec")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return flat_dict(self)
 
 
 @dataclass(frozen=True)
@@ -257,7 +257,7 @@ class TrafficSpec:
         raise TypeError(f"cannot coerce {value!r} to TrafficSpec")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return flat_dict(self)
 
 
 @dataclass(frozen=True)
@@ -343,7 +343,7 @@ class MeasureSpec:
         raise TypeError(f"cannot coerce {value!r} to MeasureSpec")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return flat_dict(self)
 
 
 @dataclass(frozen=True)

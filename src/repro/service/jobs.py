@@ -136,9 +136,11 @@ class JobManager:
             job = self._by_id.get(job_id)
             if job is None or job.results is None:
                 return None
-            return [{"scenario": sc.to_dict(),
-                     "result": r.to_dict() if r is not None else None}
-                    for sc, r in zip(job.points, job.results)]
+            points, results = job.points, job.results
+        # Finished results never change: build the payload unlocked.
+        return [{"scenario": sc.to_dict(),
+                 "result": r.to_dict() if r is not None else None}
+                for sc, r in zip(points, results)]
 
     def shutdown(self) -> None:
         """Stop the worker after the current job (daemon thread: safe

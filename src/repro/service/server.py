@@ -35,6 +35,10 @@ from urllib.parse import parse_qs, urlparse
 from repro.scenarios.sweep import points_from_data
 from repro.service.jobs import JobManager
 
+#: Largest submission body ``POST /jobs`` reads (a 256-point grid is
+#: ~100 KB); a longer ``Content-Length`` is refused with 413, unread.
+MAX_BODY_BYTES = 32 << 20
+
 
 class ScenarioServer(ThreadingHTTPServer):
     """HTTP server owning the JobManager handlers talk to."""
@@ -64,7 +68,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _json(self, code: int, payload) -> None:
-        self._send(code, (json.dumps(payload, indent=2) + "\n").encode(),
+        # Compact: ``indent=`` would mean the pure-Python encoder.
+        self._send(code, (json.dumps(payload) + "\n").encode(),
                    "application/json")
 
     def _ndjson(self, lines: list[dict]) -> None:
@@ -121,9 +126,18 @@ class ServiceHandler(BaseHTTPRequestHandler):
         if [p for p in url.path.split("/") if p] != ["jobs"]:
             return self._error(404, f"no such endpoint: POST {url.path}")
         query = parse_qs(url.query)
+        declared = self.headers.get("Content-Length", "0").strip()
+        refusal = None
+        if not (declared.isascii() and declared.isdigit()):
+            refusal = 400, "Content-Length must be a non-negative integer"
+        # The digit count first: int() itself refuses a 4300-digit string.
+        elif len(declared) > 12 or int(declared) > MAX_BODY_BYTES:
+            refusal = 413, f"body exceeds the {MAX_BODY_BYTES}-byte limit"
+        if refusal:  # the body stays unread, so the connection must close
+            self.close_connection = True
+            return self._error(*refusal)
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            data = json.loads(self.rfile.read(length) or b"null")
+            data = json.loads(self.rfile.read(int(declared)) or b"null")
             points = points_from_data(data)
             jobs = int(query["jobs"][0]) if "jobs" in query else None
             cache = query["cache"][0] if "cache" in query else None

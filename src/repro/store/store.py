@@ -72,6 +72,12 @@ def _safe_dirname(fingerprint: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "-", fingerprint)
 
 
+def _relpath(fingerprint: str, digest: str, seed: int) -> str:
+    """The on-disk layout, as a string: the hit path builds no ``Path``."""
+    return os.path.join(_safe_dirname(fingerprint), digest[:2],
+                        f"{digest[2:]}-s{seed}.json")
+
+
 @dataclass(frozen=True)
 class StoreKey:
     """The full cache key of one scenario point."""
@@ -82,9 +88,7 @@ class StoreKey:
 
     @property
     def relpath(self) -> Path:
-        return (Path(_safe_dirname(self.code_fingerprint))
-                / self.spec_hash[:2]
-                / f"{self.spec_hash[2:]}-s{self.seed}.json")
+        return Path(_relpath(self.code_fingerprint, self.spec_hash, self.seed))
 
 
 class ResultStore:
@@ -128,12 +132,14 @@ class ResultStore:
         JSON, wrong schema, key mismatch — is a miss; the store never
         turns a bad cache entry into a crash.
         """
-        key = self.key_for(scenario)
+        digest, seed = spec_hash(scenario), scenario.seed
         try:
-            data = json.loads((self.root / key.relpath).read_text())
+            with open(os.path.join(self.root, _relpath(
+                    code_fingerprint(), digest, seed)), "rb") as f:
+                data = json.loads(f.read())
             if (data.get("format") != STORE_FORMAT
-                    or data.get("spec_hash") != key.spec_hash
-                    or data.get("seed") != key.seed):
+                    or data.get("spec_hash") != digest
+                    or data.get("seed") != seed):
                 return None
             result = data["result"]
             return Result.from_dict(result) if result is not None else None

@@ -390,3 +390,139 @@ def test_mesh_production_stepper_matches_reference_through_nics(
                                           is_read=False), dst)
         mesh.run(case["cycles"])
     _assert_same(*pair)
+
+
+# ----------------------------------------------------------------------
+# Specs and results: to_dict() without dataclasses.asdict
+# ----------------------------------------------------------------------
+@st.composite
+def scenario_cases(draw):
+    """The :class:`Scenario` an ``axi_cases`` / ``mesh_cases`` draw
+    describes, plus dead ports, so a drawn ``FaultSpec`` can carry all
+    three fault tuples at once (stuck VCs come with the mesh arm)."""
+    from repro.faults import FaultSpec
+    from repro.scenarios import (MeasureSpec, Scenario, TopologySpec,
+                                 TrafficSpec)
+
+    case = draw(axi_cases() | mesh_cases())
+    if "cfg" in case:
+        topology = TopologySpec.baseline(**case["cfg"])
+        traffic = TrafficSpec.uniform(case["rate"], 1)
+    else:
+        preset = TopologySpec.wide if case["wide"] else TopologySpec.slim
+        topology = preset(case["rows"], case["cols"])
+        traffic = TrafficSpec.uniform(**case["traffic"])
+    ports = draw(st.lists(st.fixed_dictionaries(dict(
+        node=st.integers(0, topology.rows * topology.cols - 1),
+        port=st.integers(0, 4), start=st.integers(0, 300),
+        duration=st.none() | st.integers(1, 300))), max_size=2))
+    return Scenario(
+        topology=topology, traffic=traffic,
+        measure=MeasureSpec(warmup=draw(st.none() | st.integers(0, 500)),
+                            window=case["cycles"],
+                            max_wall_s=draw(st.none() | st.just(30.0))),
+        faults=draw(st.none()
+                    | st.just(FaultSpec(**case["faults"], ports=ports))),
+        seed=case["seed"], name=draw(st.sampled_from(["", "drawn"])))
+
+
+#: What a report dict can hold: scalars, and dicts/lists of them.
+_report_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 10 ** 9)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8)
+_report_dicts = st.dictionaries(st.text(max_size=8), _report_values,
+                                max_size=4)
+
+
+@st.composite
+def result_cases(draw):
+    from repro.scenarios import Result
+
+    percentile = st.none() | st.floats(0, 1e6)
+    return Result(
+        name=draw(st.text(max_size=8)), backend="patronoc", label="drawn",
+        load=draw(st.floats(0.01, 1.0)), seed=draw(st.integers(0, 2 ** 31)),
+        throughput_gib_s=draw(st.floats(0, 1e3)),
+        utilization_pct=draw(st.none() | st.floats(0, 100)),
+        latency_p50=draw(percentile), latency_p90=draw(percentile),
+        latency_p99=draw(percentile), cycles=draw(st.integers(0, 10 ** 6)),
+        counters=draw(_report_dicts),
+        link_utilization=draw(st.dictionaries(
+            st.text(max_size=8), st.floats(0, 1), max_size=6)),
+        faults=draw(_report_dicts), provenance=draw(_report_dicts))
+
+
+def _scramble_containers(value):
+    """Mutate every dict and list reachable from ``value``, in place."""
+    if isinstance(value, dict):
+        for child in list(value.values()):
+            _scramble_containers(child)
+        value.clear()
+        value["scrambled"] = True
+    elif isinstance(value, (list, tuple)):
+        for child in value:
+            _scramble_containers(child)
+        if isinstance(value, list):
+            value.append("scrambled")
+
+
+def _assert_to_dict_contract(obj, rebuild):
+    import copy
+    import dataclasses
+    import json
+
+    before = copy.deepcopy(obj)
+    data = obj.to_dict()
+    assert (json.dumps(data, sort_keys=True)
+            == json.dumps(dataclasses.asdict(obj), sort_keys=True))
+    assert rebuild(data) == obj
+    assert rebuild(json.loads(json.dumps(data))) == obj
+    _scramble_containers(data)
+    assert obj == before
+    assert obj.to_dict() == dataclasses.asdict(before)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sc=scenario_cases())
+def test_spec_to_dict_keeps_the_asdict_contract(sc):
+    """JSON-identical to ``dataclasses.asdict``, round-trips through
+    ``from_dict`` (also after a trip through JSON), and shares no
+    mutable container with the spec it came from."""
+    from repro.scenarios import (MeasureSpec, Scenario, TopologySpec,
+                                 TrafficSpec)
+
+    _assert_to_dict_contract(sc, Scenario.from_dict)
+    _assert_to_dict_contract(sc.topology, TopologySpec.coerce)
+    _assert_to_dict_contract(sc.traffic, TrafficSpec.coerce)
+    _assert_to_dict_contract(sc.measure, MeasureSpec.coerce)
+    if sc.faults is not None:
+        _assert_to_dict_contract(sc.faults, type(sc.faults).from_dict)
+
+
+@settings(max_examples=150, deadline=None)
+@given(result=result_cases())
+def test_result_to_dict_keeps_the_asdict_contract(result):
+    _assert_to_dict_contract(result, type(result).from_dict)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sc=scenario_cases())
+def test_spec_hash_does_not_depend_on_how_the_scenario_was_built(sc):
+    """Constructor, ``from_dict`` and ``dataclasses.replace`` back to the
+    same fields give one hash (there is no memo to go stale), and the
+    seed stays out of it."""
+    from dataclasses import replace
+
+    from repro.scenarios import Scenario
+    from repro.store import spec_hash
+
+    there_and_back = replace(
+        replace(sc, name=sc.name + "x", topology=replace(
+            sc.topology, buf_depth=sc.topology.buf_depth + 1)),
+        name=sc.name, topology=replace(sc.topology))
+    assert (spec_hash(sc) == spec_hash(Scenario.from_dict(sc.to_dict()))
+            == spec_hash(there_and_back)
+            == spec_hash(replace(sc, seed=sc.seed + 1)))

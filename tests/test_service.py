@@ -3,16 +3,20 @@ async sweep execution and the HTTP front end — submission, status
 polling, NDJSON progress streaming, result serving, and store-backed
 resubmission hits."""
 
+import dataclasses
+import http.client
 import json
 import threading
 import time
 import urllib.error
 import urllib.request
+from urllib.parse import urlparse
 
 import pytest
 
-from repro.scenarios import MeasureSpec, Scenario, TrafficSpec
+from repro.scenarios import MeasureSpec, Result, Scenario, TrafficSpec
 from repro.service import JobManager, make_server
+from repro.service.server import MAX_BODY_BYTES
 
 #: Small windows: these tests assert plumbing, not paper numbers.
 SWEEP_SPEC = {
@@ -79,6 +83,43 @@ class TestJobManager:
         later, finished = manager.events_since(job.id, len(events))
         assert later == [] and finished
         assert manager.events_since("nope", 0) is None
+
+    def test_serving_results_does_not_hold_the_manager_lock(
+            self, manager, monkeypatch):
+        """While one thread builds a /results payload (a deliberately
+        slow ``Result.to_dict``), status reads and submissions from
+        another thread return at once."""
+        job = manager.submit([self.point(0.1)])
+        wait_finished(lambda: manager.snapshot(job.id))
+        inside, release = threading.Event(), threading.Event()
+        real_to_dict = Result.to_dict
+
+        def slow_to_dict(result):
+            inside.set()
+            assert release.wait(timeout=30)
+            return real_to_dict(result)
+
+        monkeypatch.setattr(Result, "to_dict", slow_to_dict)
+        payloads = []
+        reader = threading.Thread(
+            target=lambda: payloads.append(manager.results_payload(job.id)))
+        reader.start()
+        try:
+            assert inside.wait(timeout=30)
+            t0 = time.monotonic()
+            snap = manager.snapshot(job.id)
+            queued = manager.submit([self.point(0.1)], cache="ro")
+            events = manager.events_since(job.id, 0)
+            listing = manager.snapshots()
+            elapsed = time.monotonic() - t0
+        finally:
+            release.set()
+            reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert elapsed < 0.05
+        assert snap["status"] == "done" and events[1] is True
+        assert {j["job"] for j in listing} == {job.id, queued.id}
+        assert payloads[0][0]["result"] == real_to_dict(job.results[0])
 
     def test_empty_submission_rejected(self, manager):
         with pytest.raises(ValueError):
@@ -198,6 +239,74 @@ class TestHttpService:
             urllib.request.urlopen(req)
         assert err.value.code == code
         assert "error" in json.load(err.value)
+
+    @pytest.mark.parametrize("declared, code", [
+        ("twelve", 400),
+        ("-1", 400),
+        (str(MAX_BODY_BYTES + 1), 413),
+        ("9" * 5000, 413),
+        (None, 400),
+    ], ids=["non-integer", "negative", "oversized", "absurd", "missing"])
+    def test_content_length_is_checked_before_the_body_is_read(
+            self, service, declared, code):
+        """A bad or oversized Content-Length is answered at once, with
+        no body sent at all: a handler that trusted the header would
+        block in ``rfile.read`` until this client gave up."""
+        url = urlparse(service)
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+        try:
+            conn.putrequest("POST", "/jobs")
+            if declared is not None:
+                conn.putheader("Content-Length", declared)
+            conn.endheaders()
+            response = conn.getresponse()
+            assert response.status == code
+            assert "error" in json.load(response)
+        finally:
+            conn.close()
+        assert self.get(f"{service}/jobs") == {"jobs": []}
+
+    def test_bodies_are_compact_json_of_the_documented_shape(self, service):
+        """Every JSON endpoint: one compact line that parses to the same
+        object the indented form did (clients parse; nobody reads it)."""
+        def fetch(route):
+            try:
+                with urllib.request.urlopen(service + route) as resp:
+                    status, body = resp.status, resp.read()
+            except urllib.error.HTTPError as err:
+                status, body = err.code, err.read()
+            text = body.decode()
+            assert text.endswith("\n") and "\n" not in text[:-1]
+            data = json.loads(text)
+            assert text == json.dumps(data) + "\n"
+            return status, data
+
+        store_root = fetch("/healthz")[1]["store"]
+        assert fetch("/healthz") == (200, {
+            "ok": True, "cache": "rw", "jobs": 1, "store": store_root})
+        one = Scenario(traffic=TrafficSpec.uniform(0.5, 1000),
+                       measure=MeasureSpec(300, 900), seed=3)
+        job = self.submit(service, payload=one.to_dict())
+        assert job == {"job": "j1", "points": 1, "status": "queued"}
+        snap = wait_finished(lambda: self.get(f"{service}/jobs/j1"))
+        assert fetch("/jobs/j1") == (200, snap) == (200, {
+            "job": "j1", "status": "done", "total": 1, "done": 1, "hits": 0,
+            "misses": 1, "errors": 0, "jobs": 1, "cache": "rw",
+            "error": None})
+        assert fetch("/jobs") == (200, {"jobs": [snap]})
+        status, results = fetch("/jobs/j1/results")
+        assert status == 200 and len(results) == 1
+        assert results[0]["scenario"] == dataclasses.asdict(one)
+        served = Result.from_dict(results[0]["result"])
+        assert results[0]["result"] == dataclasses.asdict(served)
+        assert served.provenance["seed"] == 3
+        status, stats = fetch("/store/stats")
+        assert status == 200 and stats["entries"] == 1
+        assert sorted(stats) == ["bytes", "code_fingerprint", "entries",
+                                 "fingerprints", "root"]
+        assert fetch("/jobs/nope") == (404, {"error": "unknown job 'nope'"})
+        assert fetch("/frobnicate") == (
+            404, {"error": "no such endpoint: GET /frobnicate"})
 
     def test_unknown_routes_and_jobs_404(self, service):
         for url in ("/jobs/nope", "/jobs/nope/progress", "/jobs/nope/results",

@@ -5,16 +5,21 @@ accounting, byte-identical cached artifacts)."""
 
 import importlib
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
 # The package re-exports the sweep() *function* under the submodule's
 # name, so attribute import would grab the function; go via importlib.
 sweep_mod = importlib.import_module("repro.scenarios.sweep")
+from repro.faults import FaultSpec, LinkFault, PortFault, StuckVcFault
 from repro.scenarios import (
     MeasureSpec,
+    Result,
     Scenario,
     SweepStats,
+    TopologySpec,
     TrafficSpec,
     run_scenario,
     run_sweep,
@@ -61,6 +66,24 @@ class TestKeys:
         # name feeds Result.name, so it must be part of the key.
         assert spec_hash(fast_point()) != spec_hash(fast_point(name="x"))
 
+    def test_spec_hash_is_the_one_pr15_computed(self):
+        """Literals recorded at the parent commit (3124678): a changed
+        canonical JSON would orphan every store entry ever written."""
+        replay = Scenario(  # the benchmark's 256 store_replay points
+            topology=TopologySpec.baseline(1, 4, rows=2, cols=2),
+            traffic=TrafficSpec.uniform(0.6, 1),
+            measure=MeasureSpec(warmup=25, window=100), seed=7)
+        assert spec_hash(replay) == ("0b5f767ec8b968418480b8aca279ce0e"
+                                     "408619a5f50c6354889e29ed92469934")
+        every_fault_kind = FaultSpec(
+            links=(LinkFault(0, 1, start=10, duration=50,
+                             width_factor=0.5),),
+            ports=(PortFault(1, 2),),
+            stuck_vcs=(StuckVcFault(2, 1, vc=0, start=5),),
+            corrupt_rate=1e-4, recovery="retransmit", txn_timeout=900)
+        assert spec_hash(replay.with_(faults=every_fault_kind)) == (
+            "aa7a705f947b295c46b541c570e4ef33415cc38e9f35a283a881d48c4b675c0c")
+
     def test_key_separates_seeds_and_code_versions(self, store, monkeypatch):
         a = store.path_for(fast_point(seed=1))
         b = store.path_for(fast_point(seed=2))
@@ -106,6 +129,36 @@ class TestGetPut:
         sc = fast_point()
         store.put(sc, run_scenario(sc))
         assert not list(store.root.rglob(".tmp-*"))
+
+
+class TestEntryFormatCompatibility:
+    """Entries written by earlier commits keep hitting."""
+
+    #: Copied verbatim from a ``put`` at the parent commit (3124678):
+    #: a faulted per-link point, so every nested container is present.
+    GOLDEN = Path(__file__).parent / "golden" / "store_entry_pr15.json"
+
+    def test_parent_commit_entry_hits_and_verifies(self, store, monkeypatch):
+        data = json.loads(self.GOLDEN.read_text())
+        monkeypatch.setenv("REPRO_CODE_FINGERPRINT", data["code_fingerprint"])
+        sc = Scenario.from_dict(data["scenario"])
+        path = store.path_for(sc)
+        path.parent.mkdir(parents=True)
+        shutil.copyfile(self.GOLDEN, path)
+        assert store.get(sc) == Result.from_dict(data["result"])
+        assert store.verify() == {"checked": 1, "ok": 1, "corrupt": [],
+                                  "mismatched": []}
+
+    def test_put_rewrites_the_parent_commit_entry_byte_for_byte(
+            self, store, monkeypatch):
+        data = json.loads(self.GOLDEN.read_text())
+        monkeypatch.setenv("REPRO_CODE_FINGERPRINT", data["code_fingerprint"])
+        path = store.put(Scenario.from_dict(data["scenario"]),
+                         Result.from_dict(data["result"]))
+        assert path == store.root / ("git-3124678d79adb1f4/16/847323bf07de2264"
+                                     "70b2f152851a25a9851944b31e687b4b4006cb50"
+                                     "57dc0c-s3.json")
+        assert path.read_bytes() == self.GOLDEN.read_bytes()
 
 
 class TestCorruptionTolerance:
