@@ -129,6 +129,9 @@ class AxiCrossbar(Component):
         self._wr_dest: list[dict[int, list]] = [dict() for _ in range(n_in)]
         self._rd_dest: list[dict[int, list]] = [dict() for _ in range(n_in)]
         self._w_route: list[deque] = [deque() for _ in range(n_in)]  # [out, oid]
+        #: Bitmask of the ingresses whose _w_route is non-empty: their AW
+        #: heads wait for the W data of the burst already granted.
+        self._w_locked = 0
         self._err_b: list[deque] = [deque() for _ in range(n_in)]  # (oid, resp)
         self._err_r: list[deque] = [deque() for _ in range(n_in)]  # [oid, beats_left, resp]
         #: Decode-once memo: the AW/AR head beat of each ingress and the
@@ -139,6 +142,10 @@ class AxiCrossbar(Component):
         self._aw_egress = [ERROR_PORT] * n_in
         self._ar_head: list[AddrBeat | None] = [None] * n_in
         self._ar_egress = [ERROR_PORT] * n_in
+        #: Per-egress mask of the ingresses requesting it — scratch of
+        #: one arbitration call, all zero between calls.
+        self._aw_req = [0] * n_out
+        self._ar_req = [0] * n_out
 
         #: Egresses currently killed by fault injection (DESIGN.md §10):
         #: requests decoding to one are terminated with SLVERR through
@@ -153,8 +160,11 @@ class AxiCrossbar(Component):
         # makes the per-step dead-path guards and idle() O(1).
         self._err_w = 0      # error-bound write bursts awaiting W data sink
         # Shared occupancy cells, one per channel class this XP consumes
-        # (DESIGN.md §2): each counts how many of the attached FIFOs are
-        # non-empty, so step() skips whole phases and idle() is O(1).
+        # (DESIGN.md §2): non-zero while any attached FIFO is non-empty,
+        # so step() skips whole phases and quiet() is O(1).  W, B and R
+        # count their non-empty FIFOs; AW and AR are bitmasks, bit i set
+        # while ingress i's FIFO is non-empty, which is where address
+        # arbitration starts.
         self._occ_aw = [0]
         self._occ_w = [0]
         self._occ_ar = [0]
@@ -175,9 +185,9 @@ class AxiCrossbar(Component):
             raise ValueError(f"{self.name}: in port {port} already connected")
         self.in_links[port] = link
         link.watch_requests(self)
-        link.aw.track_occupancy(self._occ_aw)
+        link.aw.track_occupancy(self._occ_aw, 1 << port)
         link.w.track_occupancy(self._occ_w)
-        link.ar.track_occupancy(self._occ_ar)
+        link.ar.track_occupancy(self._occ_ar, 1 << port)
         self._in_ports = None
         return link
 
@@ -240,6 +250,11 @@ class AxiCrossbar(Component):
                        else None for l in self.in_links]
         self._w_dst = [_dst(l.w if l is not None else None)
                        for l in self.out_links]
+        # Address-channel source deques by ingress index.
+        self._aw_q = [l.aw._q if l is not None else None
+                      for l in self.in_links]
+        self._ar_q = [l.ar._q if l is not None else None
+                      for l in self.in_links]
 
     def idle(self) -> bool:
         """True when no transaction state is held inside this crossbar."""
@@ -447,7 +462,12 @@ class AxiCrossbar(Component):
                 i = entry[0]
                 route_q = self._w_route[i]
                 if not route_q or route_q[0][0] != j:
-                    continue  # this ingress owes an older burst elsewhere
+                    # W-coupled AW forwarding grants an ingress one
+                    # burst at a time, so the burst this egress's W mux
+                    # is locked to is the only one the ingress owes.
+                    raise AssertionError(
+                        f"{self.name}: egress {j} expects W data from "
+                        f"ingress {i}, which owes {list(route_q)}")
                 src, q, was_full = w_src[i]
                 if q:
                     head = q[0]
@@ -490,13 +510,20 @@ class AxiCrossbar(Component):
                                         f"({entry[1]} beats unaccounted)")
                                 order.popleft()
                                 route_q.popleft()
+                                self._w_locked &= ~(1 << i)
                                 if not order:
                                     del w_busy[bidx]
             if self._err_w:
                 self._sink_error_w(now, w_used)
-        if self._occ_aw[0] and self._arbitrate_aw(now):
+        # -- arbitrate AW/AR: only among the ingresses that can request --
+        # An AW head behind its own ingress's W lock (W-coupled
+        # forwarding, see _arbitrate_aw) is not a request; the W move
+        # that releases the lock is ours and ran above.
+        mask = self._occ_aw[0] & ~self._w_locked
+        if mask and self._arbitrate_aw(now, mask):
             poll = True
-        if self._occ_ar[0] and self._arbitrate_ar(now):
+        mask = self._occ_ar[0]
+        if mask and self._arbitrate_ar(now, mask):
             poll = True
         # Report post-step state inline (see Component.step): quiet with
         # nothing on any channel; BLOCKED when beats remain but this step
@@ -552,6 +579,7 @@ class AxiCrossbar(Component):
             in_link.w.pop(now)
             if beat.last:
                 entry = route_q.popleft()
+                self._w_locked &= ~(1 << i)
                 self._err_w -= 1
                 self._err_b[i].append((entry[1], entry[2]))
                 self._err_pending += 1
@@ -571,167 +599,211 @@ class AxiCrossbar(Component):
                 f"{self.name}: route used disallowed turn {i}->{j} for {beat!r}")
         return j
 
-    def _arbitrate_aw(self, now: int) -> bool:
-        """Grant at most one AW per egress.  Returns True when the
-        crossbar must step again next cycle whatever its neighbours do —
-        it granted or terminated a request, a head is not yet visible,
-        an error path is pending, or a per-cycle stall counter ran —
-        and False when every head is held by a full egress FIFO or by
-        its ingress's own W lock."""
+    def _arbitrate_aw(self, now: int, mask: int) -> bool:
+        """Grant at most one AW per egress among the ingresses in
+        ``mask``: those with a non-empty AW FIFO and no W lock.
+
+        W-coupled AW forwarding: at most one granted write burst per
+        ingress until its W data has fully moved through this XP.  This
+        is the wormhole-style atomicity that makes YX routing
+        deadlock-free on the write path; without it, AWs racing ahead of
+        their W data create cyclic wait-for dependencies around mesh
+        rings (see tests/test_deadlock.py).
+
+        Two passes (DESIGN.md §5).  Pass 1 visits the ingresses in
+        ascending order and files each visible head once, as a bit in
+        the request mask of the egress its decode-once memo names; the
+        same-ID rule and the error termination are decided here, per
+        ingress.  Pass 2 visits the requested egresses and grants one
+        ingress each, round-robin from the egress's pointer; everything
+        that depends on the egress — FIFO space, the W order queue, MOT,
+        the ID pool — is checked there, at visit time.
+
+        Returns True when the crossbar must step again next cycle
+        whatever its neighbours do — it granted or terminated a request,
+        a head is not yet visible, an error path is pending, or a
+        per-cycle stall counter ran — and False when every head is held
+        by a full egress FIFO."""
         busy = False
-        requests: dict[int, list[int]] = {}
         heads = self._aw_head
         egress = self._aw_egress
-        for i in self._in_ports:
-            # W-coupled AW forwarding: at most one granted write burst per
-            # ingress until its W data has fully moved through this XP.
-            # This is the wormhole-style atomicity that makes YX routing
-            # deadlock-free on the write path; without it, AWs racing
-            # ahead of their W data create cyclic wait-for dependencies
-            # around mesh rings (see tests/test_deadlock.py).
-            if self._w_route[i]:
-                continue
-            in_link = self.in_links[i]
-            q = in_link.aw._q
-            if not q:
-                continue
-            if q[0][0] > now:
+        req = self._aw_req
+        src = self._aw_q
+        blocked = self._fault_blocked
+        wanted = 0  # egresses with a request filed
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            i = bit.bit_length() - 1
+            head = src[i][0]
+            if head[0] > now:
                 busy = True
                 continue
-            beat = q[0][1]
+            beat = head[1]
             if heads[i] is beat:
                 j = egress[i]
             else:
                 j = egress[i] = self._decode(beat, i)
                 heads[i] = beat
-            resp = Resp.DECERR
-            blocked = self._fault_blocked
-            if blocked is not None and j in blocked:
-                j = ERROR_PORT  # dead egress: fail fast with SLVERR
-                resp = Resp.SLVERR
-            if j == ERROR_PORT:
+            if j == ERROR_PORT or (blocked is not None and j in blocked):
                 busy = True  # the error path polls
-                dest = self._wr_dest[i].get(beat.id)
-                if dest is not None and dest[0] != ERROR_PORT:
-                    continue  # same-ID ordering across destinations
-                if len(self._err_b[i]) + len(self._w_route[i]) >= self.err_depth:
-                    continue
-                in_link.aw.pop(now)
-                heads[i] = None
-                _bump_dest(self._wr_dest[i], beat.id, ERROR_PORT)
-                self._w_route[i].append([ERROR_PORT, beat.id, resp])
-                self._err_w += 1
-                self.counters.bump("aw_unmapped" if resp is Resp.DECERR
-                                   else "aw_fault_blocked")
+                self._terminate_aw(now, i, beat, j)
                 continue
             dest = self._wr_dest[i].get(beat.id)
             if dest is not None and dest[0] != j:
                 self.counters.bump("aw_same_id_stall")
                 busy = True
                 continue
-            requests.setdefault(j, []).append(i)
-        for j, candidates in requests.items():
-            out_link = self.out_links[j]
-            if not out_link.aw.can_push():
+            req[j] |= bit
+            wanted |= 1 << j
+        while wanted:
+            bit = wanted & -wanted
+            wanted ^= bit
+            j = bit.bit_length() - 1
+            mask = req[j]
+            req[j] = 0
+            out = self.out_links[j].aw
+            if len(out._q) >= out.capacity:
                 continue  # back-pressure: the pop that frees it wakes us
             busy = True
-            if len(self._w_order[j]) >= self.w_order_depth:
+            order = self._w_order[j]
+            if len(order) >= self.w_order_depth:
                 self.counters.bump("aw_order_full")
                 continue
             if (self.max_outstanding is not None
                     and self._wr_inflight[j] >= self.max_outstanding):
                 self.counters.bump("aw_mot_stall")
                 continue
-            i = self._pick(candidates, self._aw_ptr[j])
-            in_link = self.in_links[i]
-            beat = in_link.aw.peek(now)
+            i = self._pick_mask(mask, self._aw_ptr[j])
+            beat = heads[i]
             rid = self._wr_remap[j].acquire(i, beat.id)
             if rid is None:
                 self.counters.bump("aw_id_stall")
                 continue
-            in_link.aw.pop(now)
+            self.in_links[i].aw.pop(now)
             heads[i] = None
-            out_link.aw.push(beat.with_id(rid), now)
+            out.push(beat.with_id(rid), now)
             self._wr_inflight[j] += 1
             _bump_dest(self._wr_dest[i], beat.id, j)
             self._w_route[i].append([j, None])
-            order = self._w_order[j]
+            self._w_locked |= 1 << i
             if not order:
                 self._w_busy.append(j)
             order.append([i, beat.beats])
             self._aw_ptr[j] = i + 1 if i + 1 < self.n_in else 0
         return busy
 
-    def _arbitrate_ar(self, now: int) -> bool:
-        """The AR twin of :meth:`_arbitrate_aw` (same return contract;
-        reads have no W coupling)."""
+    def _terminate_aw(self, now: int, i: int, beat: AddrBeat, j: int) -> None:
+        """Consume ingress ``i``'s AW head into the error path, same-ID
+        order and error-queue space permitting: it decoded to no egress
+        (``j`` is ERROR_PORT: DECERR) or to a fault-killed one (fail
+        fast with SLVERR)."""
+        dest = self._wr_dest[i].get(beat.id)
+        if dest is not None and dest[0] != ERROR_PORT:
+            return  # same-ID ordering across destinations
+        if len(self._err_b[i]) >= self.err_depth:  # (_w_route[i] is empty)
+            return
+        resp = Resp.DECERR if j == ERROR_PORT else Resp.SLVERR
+        self.in_links[i].aw.pop(now)
+        self._aw_head[i] = None
+        _bump_dest(self._wr_dest[i], beat.id, ERROR_PORT)
+        self._w_route[i].append([ERROR_PORT, beat.id, resp])
+        self._w_locked |= 1 << i
+        self._err_w += 1
+        self.counters.bump("aw_unmapped" if resp is Resp.DECERR
+                           else "aw_fault_blocked")
+
+    def _arbitrate_ar(self, now: int, mask: int) -> bool:
+        """The AR twin of :meth:`_arbitrate_aw` (same passes and return
+        contract; reads have no W coupling, so ``mask`` is every ingress
+        with a non-empty AR FIFO)."""
         busy = False
-        requests: dict[int, list[int]] = {}
         heads = self._ar_head
         egress = self._ar_egress
-        for i in self._in_ports:
-            in_link = self.in_links[i]
-            q = in_link.ar._q
-            if not q:
-                continue
-            if q[0][0] > now:
+        req = self._ar_req
+        src = self._ar_q
+        blocked = self._fault_blocked
+        wanted = 0  # egresses with a request filed
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            i = bit.bit_length() - 1
+            head = src[i][0]
+            if head[0] > now:
                 busy = True
                 continue
-            beat = q[0][1]
+            beat = head[1]
             if heads[i] is beat:
                 j = egress[i]
             else:
                 j = egress[i] = self._decode(beat, i)
                 heads[i] = beat
-            resp = Resp.DECERR
-            blocked = self._fault_blocked
-            if blocked is not None and j in blocked:
-                j = ERROR_PORT  # dead egress: fail fast with SLVERR
-                resp = Resp.SLVERR
-            if j == ERROR_PORT:
+            if j == ERROR_PORT or (blocked is not None and j in blocked):
                 busy = True  # the error path polls
-                dest = self._rd_dest[i].get(beat.id)
-                if dest is not None and dest[0] != ERROR_PORT:
-                    continue
-                if len(self._err_r[i]) >= self.err_depth:
-                    continue
-                in_link.ar.pop(now)
-                heads[i] = None
-                _bump_dest(self._rd_dest[i], beat.id, ERROR_PORT)
-                self._err_r[i].append([beat.id, beat.beats, resp])
-                self._err_pending += 1
-                self.counters.bump("ar_unmapped" if resp is Resp.DECERR
-                                   else "ar_fault_blocked")
+                self._terminate_ar(now, i, beat, j)
                 continue
             dest = self._rd_dest[i].get(beat.id)
             if dest is not None and dest[0] != j:
                 self.counters.bump("ar_same_id_stall")
                 busy = True
                 continue
-            requests.setdefault(j, []).append(i)
-        for j, candidates in requests.items():
-            out_link = self.out_links[j]
-            if not out_link.ar.can_push():
+            req[j] |= bit
+            wanted |= 1 << j
+        while wanted:
+            bit = wanted & -wanted
+            wanted ^= bit
+            j = bit.bit_length() - 1
+            mask = req[j]
+            req[j] = 0
+            out = self.out_links[j].ar
+            if len(out._q) >= out.capacity:
                 continue  # back-pressure: the pop that frees it wakes us
             busy = True
             if (self.max_outstanding is not None
                     and self._rd_inflight[j] >= self.max_outstanding):
                 self.counters.bump("ar_mot_stall")
                 continue
-            i = self._pick(candidates, self._ar_ptr[j])
-            in_link = self.in_links[i]
-            beat = in_link.ar.peek(now)
+            i = self._pick_mask(mask, self._ar_ptr[j])
+            beat = heads[i]
             rid = self._rd_remap[j].acquire(i, beat.id)
             if rid is None:
                 self.counters.bump("ar_id_stall")
                 continue
-            in_link.ar.pop(now)
+            self.in_links[i].ar.pop(now)
             heads[i] = None
-            out_link.ar.push(beat.with_id(rid), now)
+            out.push(beat.with_id(rid), now)
             self._rd_inflight[j] += 1
             _bump_dest(self._rd_dest[i], beat.id, j)
             self._ar_ptr[j] = i + 1 if i + 1 < self.n_in else 0
         return busy
+
+    def _terminate_ar(self, now: int, i: int, beat: AddrBeat, j: int) -> None:
+        """The AR twin of :meth:`_terminate_aw`."""
+        dest = self._rd_dest[i].get(beat.id)
+        if dest is not None and dest[0] != ERROR_PORT:
+            return  # same-ID ordering across destinations
+        if len(self._err_r[i]) >= self.err_depth:
+            return
+        resp = Resp.DECERR if j == ERROR_PORT else Resp.SLVERR
+        self.in_links[i].ar.pop(now)
+        self._ar_head[i] = None
+        _bump_dest(self._rd_dest[i], beat.id, ERROR_PORT)
+        self._err_r[i].append([beat.id, beat.beats, resp])
+        self._err_pending += 1
+        self.counters.bump("ar_unmapped" if resp is Resp.DECERR
+                           else "ar_fault_blocked")
+
+    def _pick_mask(self, mask: int, ptr: int) -> int:
+        """Arbitrate among the requesting ingresses in ``mask``: the
+        lowest at or after ``ptr``, wrapping — :func:`_round_robin_pick`
+        on the mask's bits, without the list.  With QoS priorities and
+        more than one requester, :meth:`_pick` decides."""
+        if self.priorities is not None and mask & (mask - 1):
+            return self._pick(
+                [i for i in range(self.n_in) if mask >> i & 1], ptr)
+        high = mask >> ptr << ptr
+        pick = high or mask
+        return (pick & -pick).bit_length() - 1
 
     def _pick(self, candidates: list[int], ptr: int) -> int:
         """Arbitrate among requesting ingresses: QoS priority first (if

@@ -178,6 +178,14 @@ class DmaEngine(Component):
         #: its W stream — every event that can shrink :meth:`backlog`
         #: or turn :meth:`idle` True.
         self.watchers: list[Component] = []
+        #: Open-loop sources asleep at their backlog cap on this
+        #: engine's queue (``RandomTraffic``): woken when a pop shortens
+        #: ``_pending``, the only event they wait for.  Kept apart from
+        #: ``watchers``, which fire on every burst issue and completion.
+        self.feeders: list[Component] = []
+        #: The full AW/AR FIFO that held the last issue attempt, or None
+        #: (the issue gate, see :meth:`step`).
+        self._held_by = None
 
     def _wake_watchers(self) -> None:
         for watcher in self.watchers:
@@ -302,10 +310,18 @@ class DmaEngine(Component):
         if self._txn_timeout is not None:
             self._check_timeouts(now)
         # Issue at most one burst per cycle (skip the call when there is
-        # neither a transfer being split nor one queued).
-        issue_held = (now >= self._idle_until
-                      and (self._cur is not None or self._pending)
-                      and self._issue(now))
+        # neither a transfer being split nor one queued).  The issue
+        # gate: an attempt held by a full AW/AR FIFO has already passed
+        # the ID/MOT test, and while nothing issues free ids and MOT room
+        # only grow — so until that FIFO has room the attempt would find
+        # the same thing, and is not made.
+        issue_held = False
+        if (now >= self._idle_until
+                and (self._cur is not None or self._pending)):
+            fifo = self._held_by
+            issue_held = ((fifo is not None
+                           and len(fifo._q) >= fifo.capacity)
+                          or self._issue(now))
         # Report post-step state inline: False to poll, True when quiet()
         # would be, BLOCKED when all that is left is held by a full FIFO
         # we produce into — its pop wakes us.
@@ -493,8 +509,10 @@ class DmaEngine(Component):
     def _issue(self, now: int) -> bool:
         """Issue at most one burst.  Returns True when a burst is ready
         and only a full AW/AR FIFO holds it (the pop that makes room
-        wakes the engine); False when it issued, advanced the split, or
-        stalled on IDs/MOT — a counted stall, which polls."""
+        wakes the engine; ``_held_by`` names the FIFO); False when it
+        issued, advanced the split, or stalled on IDs/MOT — a counted
+        stall, which polls."""
+        self._held_by = None
         if self._cur is None:
             if not self._pending:
                 return False
@@ -502,6 +520,8 @@ class DmaEngine(Component):
             if type(head) is _BurstRetry:
                 return self._issue_retry(head, now)
             transfer = self._pending.popleft()
+            for feeder in self.feeders:
+                feeder.wake()
             transfer._start_cycle = now
             self._cur = transfer
             self._burst_iter = split_transfer(
@@ -521,6 +541,7 @@ class DmaEngine(Component):
                 self.counters.bump("dma_rd_mot_stall")
                 return False
             if not link.ar.can_push():
+                self._held_by = link.ar
                 return True
             tid = self._rd_free.pop()
             dest = self.memory_map.resolve(burst.addr)
@@ -532,6 +553,7 @@ class DmaEngine(Component):
                 self.counters.bump("dma_wr_mot_stall")
                 return False
             if not link.aw.can_push():
+                self._held_by = link.aw
                 return True
             tid = self._wr_free.pop()
             dest = self.memory_map.resolve(burst.addr)
@@ -572,6 +594,7 @@ class DmaEngine(Component):
                 self.counters.bump("dma_rd_mot_stall")
                 return False
             if not link.ar.can_push():
+                self._held_by = link.ar
                 return True
             tid = self._rd_free.pop()
             link.ar.push(AddrBeat(tid, *beat_args), now)
@@ -582,6 +605,7 @@ class DmaEngine(Component):
                 self.counters.bump("dma_wr_mot_stall")
                 return False
             if not link.aw.can_push():
+                self._held_by = link.aw
                 return True
             tid = self._wr_free.pop()
             link.aw.push(AddrBeat(tid, *beat_args), now)
@@ -591,6 +615,8 @@ class DmaEngine(Component):
                 _WEmitter(burst, self.beat_bytes, (self.tile, self._seq)))
             self._seq += 1
         self._pending.popleft()
+        for feeder in self.feeders:
+            feeder.wake()
         self._idle_until = now + self.issue_overhead
         return False
 

@@ -43,7 +43,7 @@ class TimedFifo:
     """
 
     __slots__ = ("capacity", "latency", "name", "_q", "pushed", "popped",
-                 "consumer", "producer", "occ")
+                 "consumer", "producer", "occ", "occ_bit")
 
     def __init__(self, capacity: int = 2, latency: int = 1, name: str = ""):
         if capacity < 1:
@@ -62,17 +62,28 @@ class TimedFifo:
         #: The component woken when a pop makes room in a full FIFO
         #: (claimed by whoever pushes into this FIFO; may be None).
         self.producer = None
-        #: Optional shared occupancy cell (a one-element list counting
-        #: how many FIFOs of a group are non-empty); lets a consumer of
-        #: many FIFOs skip whole scan phases in O(1).  Maintained on
-        #: empty <-> non-empty transitions only.
+        #: Optional shared occupancy cell (a one-element list summing
+        #: ``occ_bit`` over the non-empty FIFOs of a group); lets a
+        #: consumer of many FIFOs skip whole scan phases in O(1).
+        #: Maintained on empty <-> non-empty transitions only.
         self.occ: list[int] | None = None
+        #: What this FIFO adds to its cell while non-empty: 1 makes the
+        #: cell a count; a bit of its own makes it a mask that also says
+        #: *which* FIFOs are non-empty.  The hand-inlined pushes and pops
+        #: in the crossbar and endpoint hot loops add and subtract a
+        #: literal 1, so only a FIFO reached through push/pop/drain alone
+        #: (AW, AR) may carry another bit.
+        self.occ_bit = 1
 
-    def track_occupancy(self, cell: list[int]) -> None:
-        """Attach a shared occupancy cell (counts this FIFO if non-empty)."""
+    def track_occupancy(self, cell: list[int], bit: int = 1) -> None:
+        """Attach a shared occupancy cell, holding ``bit`` while this
+        FIFO is non-empty: the default 1 counts the group's non-empty
+        FIFOs, distinct powers of two name them.  Either way the cell is
+        zero exactly when the whole group is empty."""
         self.occ = cell
+        self.occ_bit = bit
         if self._q:
-            cell[0] += 1
+            cell[0] += bit
 
     def __len__(self) -> int:
         return len(self._q)
@@ -102,7 +113,7 @@ class TimedFifo:
         if not q:
             occ = self.occ
             if occ is not None:
-                occ[0] += 1
+                occ[0] += self.occ_bit
         q.append((now + self.latency, item))
         self.pushed += 1
         consumer = self.consumer
@@ -139,7 +150,7 @@ class TimedFifo:
         if not q:
             occ = self.occ
             if occ is not None:
-                occ[0] -= 1
+                occ[0] -= self.occ_bit
             if self.capacity == 1:
                 self.freed()
         elif len(q) == self.capacity - 1:
@@ -166,7 +177,7 @@ class TimedFifo:
     def drain(self) -> Iterator[Any]:
         """Yield and remove all items regardless of visibility (teardown)."""
         if self._q and self.occ is not None:
-            self.occ[0] -= 1
+            self.occ[0] -= self.occ_bit
         while self._q:
             yield self._q.popleft()[1]
 

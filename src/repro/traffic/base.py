@@ -11,7 +11,9 @@ transaction splitter then enforces AXI compliance.
 Sources are open-loop with a bounded backlog: while a DMA's queue is at
 the cap the arrival clock pauses, so saturation measurements see an
 always-backlogged source without unbounded memory growth (standard NoC
-load-sweep methodology).
+load-sweep methodology).  A paused clock does not poll: the source is a
+``feeder`` of every DMA it drives, and the pop that shortens a DMA's
+queue wakes it (DESIGN.md §2).
 """
 
 from __future__ import annotations
@@ -90,8 +92,12 @@ class RandomTraffic(Component):
 
     # ------------------------------------------------------------------
     def install(self) -> "RandomTraffic":
-        """Register with the network's simulator; returns self."""
+        """Register with the network's simulator and, as a feeder, with
+        every DMA driven (here, not in ``__init__``: the object that is
+        installed is the one to wake); returns self."""
         self.net.sim.add(self)
+        for dma in self._hot_dmas:
+            dma.feeders.append(self)
         return self
 
     def _draw_gap(self, master: int) -> float:
@@ -111,7 +117,6 @@ class RandomTraffic(Component):
                         is_read=is_read, dest=dest, created=now)
 
     def step(self, now: int) -> bool:
-        quiet = True
         arrival = self._arrival
         cap = self.queue_cap
         masters = self._masters
@@ -125,29 +130,27 @@ class RandomTraffic(Component):
                     self.offered_transfers += 1
                     self.offered_bytes += transfer.nbytes
                     arrival[k] += self._draw_gap(master)
-            if len(dma._pending) >= cap:
-                quiet = False
-        return quiet
+        return True
 
     def quiet(self) -> bool:
-        """Quiet iff no master's arrival clock is paused at the backlog
-        cap (a paused clock must poll for DMA queue space each cycle;
-        an unpaused one only acts at its next arrival time)."""
-        cap = self.queue_cap
-        for dma in self._hot_dmas:
-            if len(dma._pending) >= cap:
-                return False
+        """Always: a step leaves every clock either in the future
+        (``next_event`` names the earliest) or paused at the backlog
+        cap, and a paused clock can only resume after the DMA pops its
+        queue, which wakes its feeders."""
         return True
 
     def next_event(self, now: int) -> int | None:
-        """First integer cycle at or after the earliest pending arrival."""
-        if not self._arrival:
-            return None
-        wake = math.ceil(min(self._arrival))
-        return wake if wake > now else now + 1
+        """First integer cycle at or after the earliest arrival still in
+        the future; a clock in the past is paused at the cap and waits
+        for a wake, not for a cycle."""
+        wake = min((a for a in self._arrival if a > now), default=None)
+        return None if wake is None else math.ceil(wake)
 
     def quiesce(self) -> None:
         """Stop injecting (lets the network drain for latency studies)."""
+        for dma in self._hot_dmas:
+            if self in dma.feeders:  # installed
+                dma.feeders.remove(self)
         self._masters = []
         self._hot_dmas = []
         self._arrival = []

@@ -127,3 +127,44 @@ class TestSyntheticPatterns:
         core_writes = sum(m.bytes_written for i, m in enumerate(net.memories)
                           if m is not None and i not in slaves)
         assert core_writes == 0
+
+
+class TestSleepsAtTheBacklogCap:
+    """At saturation every DMA queue sits at ``queue_cap`` and the source
+    sleeps until a queue pops (DESIGN.md §2): the wake has to reach the
+    object that was *installed* — the façade class builds a throw-away
+    source first — and every source on the network, not the last one."""
+
+    @staticmethod
+    def run(build, always_step):
+        net = NocNetwork(NocConfig.slim(), always_step=always_step)
+        sources = build(net)
+        net.run(3000)
+        return (net.total_bytes(), net.transfers_completed(),
+                [s.offered_transfers for s in sources])
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda net: [UniformRandomTraffic(
+            net, 1.0, 4, read_fraction=0.0, seed=5).install()], id="facade"),
+        pytest.param(lambda net: [uniform_random(
+            net, 1.0, 4, read_fraction=0.0, seed=5).install()],
+            id="uniform_random"),
+        pytest.param(lambda net: [
+            uniform_random(net, 1.0, 4, read_fraction=0.0, seed=5).install(),
+            uniform_random(net, 1.0, 40, read_fraction=1.0, seed=6).install()],
+            id="two_sources"),
+    ])
+    def test_saturated_source_matches_always_step(self, build):
+        production = self.run(build, always_step=False)
+        assert production == self.run(build, always_step=True)
+        # Well past the 16 x 64 transfers that fill the queues once: a
+        # source that slept through its wake would have stopped there.
+        assert production[1] > 2000
+
+    def test_quiesce_deregisters_the_source(self):
+        net = NocNetwork(NocConfig(rows=2, cols=2))
+        traffic = uniform_random(net, 1.0, 4, seed=1).install()
+        assert all(d.feeders == [traffic] for d in net.dmas)
+        traffic.quiesce()
+        assert all(d.feeders == [] for d in net.dmas)
+        net.drain()
