@@ -29,72 +29,40 @@ or imperatively::
     print(f"{net.aggregate_throughput_gib_s():.2f} GiB/s")
 """
 
-from repro.axi import MemoryMap, Region, Transfer
-from repro.noc import (
-    Mesh2D,
-    NocConfig,
-    NocNetwork,
-    TileSpec,
-    Torus2D,
-    bisection_gbit_s,
-    bisection_gib_s,
-    ring,
-    utilization,
-)
-from repro.scenarios import (
-    FaultSpec,
-    LinkFault,
-    MeasureSpec,
-    PortFault,
-    ProgressEvent,
-    Result,
-    Scenario,
-    SimulationTimeout,
-    Sweep,
-    SweepResults,
-    SweepStats,
-    TopologySpec,
-    TrafficSpec,
-    run_scenario,
-    run_sweep,
-    sweep,
-)
-from repro.sim import Simulator
-from repro.store import ResultStore, code_fingerprint
+from importlib import import_module
+
+#: The public names, by the subpackage that defines them.  Resolved on
+#: first use (PEP 562), so ``import repro`` — which every ``python -m
+#: repro`` command pays, ``list`` and ``cache`` included — imports no
+#: simulator and no numpy.
+_EXPORTS = {
+    "repro.axi": ("MemoryMap", "Region", "Transfer"),
+    "repro.noc": ("Mesh2D", "NocConfig", "NocNetwork", "TileSpec", "Torus2D",
+                  "bisection_gbit_s", "bisection_gib_s", "ring",
+                  "utilization"),
+    "repro.scenarios": ("FaultSpec", "LinkFault", "MeasureSpec", "PortFault",
+                        "ProgressEvent", "Result", "Scenario",
+                        "SimulationTimeout", "Sweep", "SweepResults",
+                        "SweepStats", "TopologySpec", "TrafficSpec",
+                        "run_scenario", "run_sweep", "sweep"),
+    "repro.sim": ("Simulator",),
+    "repro.store": ("ResultStore", "code_fingerprint"),
+}
+_LAZY = {name: module for module, names in _EXPORTS.items()
+         for name in names}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(_LAZY[name]), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "FaultSpec",
-    "LinkFault",
-    "MeasureSpec",
-    "Mesh2D",
-    "MemoryMap",
-    "NocConfig",
-    "NocNetwork",
-    "Region",
-    "PortFault",
-    "ProgressEvent",
-    "Result",
-    "ResultStore",
-    "Scenario",
-    "SimulationTimeout",
-    "Simulator",
-    "Sweep",
-    "SweepResults",
-    "SweepStats",
-    "TileSpec",
-    "TopologySpec",
-    "Torus2D",
-    "TrafficSpec",
-    "Transfer",
-    "bisection_gbit_s",
-    "bisection_gib_s",
-    "code_fingerprint",
-    "ring",
-    "run_scenario",
-    "run_sweep",
-    "sweep",
-    "utilization",
-    "__version__",
-]
+__all__ = sorted([*_LAZY, "__version__"])

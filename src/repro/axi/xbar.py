@@ -146,6 +146,13 @@ class AxiCrossbar(Component):
         #: one arbitration call, all zero between calls.
         self._aw_req = [0] * n_out
         self._ar_req = [0] * n_out
+        #: The last AR arbitration, if it was futile — every non-empty
+        #: ingress filed, every requested egress FIFO-full or MOT-full:
+        #: (ingress mask, [(ingress deque, its head entry)], [(egress,
+        #: egress deque, capacity)]).  While it still describes the
+        #: crossbar, step() replays the call's outcome instead of making
+        #: it (DESIGN.md §5); None otherwise.
+        self._ar_memo: tuple | None = None
 
         #: Egresses currently killed by fault injection (DESIGN.md §10):
         #: requests decoding to one are terminated with SLVERR through
@@ -209,6 +216,7 @@ class AxiCrossbar(Component):
         normally; only *new* AW/AR admissions are SLVERR-terminated.
         """
         self._fault_blocked = ports if ports else None
+        self._ar_memo = None
         self.wake()  # a head held by a full egress may now be terminated
 
     def routes_changed(self) -> None:
@@ -216,6 +224,7 @@ class AxiCrossbar(Component):
         swap, DESIGN.md §10): forget the decoded heads and re-arbitrate."""
         self._aw_head = [None] * self.n_in
         self._ar_head = [None] * self.n_in
+        self._ar_memo = None
         self.wake()
 
     def _refresh_port_lists(self) -> None:
@@ -523,8 +532,34 @@ class AxiCrossbar(Component):
         if mask and self._arbitrate_aw(now, mask):
             poll = True
         mask = self._occ_ar[0]
-        if mask and self._arbitrate_ar(now, mask):
-            poll = True
+        if mask:
+            # A futile AR arbitration is replayed, not repeated, while
+            # its memo still describes us: the same visible heads (a
+            # degraded link's stall_heads re-times one: a new entry) and
+            # every requested egress still closed.  What the call would
+            # do is bump ar_mot_stall once per egress with FIFO room but
+            # no MOT room, and ask for another step iff it bumped.
+            stalls = -1
+            memo = self._ar_memo
+            if memo is not None and memo[0] == mask:
+                for q, head in memo[1]:
+                    if q[0] is not head:
+                        break
+                else:
+                    stalls = 0
+                    mot = self.max_outstanding
+                    for j, q, cap in memo[2]:
+                        if len(q) < cap:
+                            if mot is None or self._rd_inflight[j] < mot:
+                                stalls = -1  # an egress has opened
+                                break
+                            stalls += 1
+            if stalls < 0:
+                if self._arbitrate_ar(now, mask):
+                    poll = True
+            elif stalls:
+                self.counters.bump("ar_mot_stall", stalls)
+                poll = True
         # Report post-step state inline (see Component.step): quiet with
         # nothing on any channel; BLOCKED when beats remain but this step
         # moved none, every head it could serve is visible, and what
@@ -716,7 +751,15 @@ class AxiCrossbar(Component):
     def _arbitrate_ar(self, now: int, mask: int) -> bool:
         """The AR twin of :meth:`_arbitrate_aw` (same passes and return
         contract; reads have no W coupling, so ``mask`` is every ingress
-        with a non-empty AR FIFO)."""
+        with a non-empty AR FIFO).
+
+        Many-to-one reads make most calls futile: pass 1 files every
+        ingress and pass 2 finds every requested egress FIFO-full or
+        MOT-full.  Such a call leaves ``_ar_memo`` behind, and
+        :meth:`step` replays its outcome without calling again until an
+        ingress, a head or an egress has changed.  AW needs no twin: the
+        ``_w_locked`` mask already keeps its futile calls away."""
+        occupied = mask
         busy = False
         heads = self._ar_head
         egress = self._ar_egress
@@ -749,6 +792,7 @@ class AxiCrossbar(Component):
                 continue
             req[j] |= bit
             wanted |= 1 << j
+        futile = not busy  # every non-empty ingress filed a request
         while wanted:
             bit = wanted & -wanted
             wanted ^= bit
@@ -763,6 +807,7 @@ class AxiCrossbar(Component):
                     and self._rd_inflight[j] >= self.max_outstanding):
                 self.counters.bump("ar_mot_stall")
                 continue
+            futile = False
             i = self._pick_mask(mask, self._ar_ptr[j])
             beat = heads[i]
             rid = self._rd_remap[j].acquire(i, beat.id)
@@ -775,7 +820,21 @@ class AxiCrossbar(Component):
             self._rd_inflight[j] += 1
             _bump_dest(self._rd_dest[i], beat.id, j)
             self._ar_ptr[j] = i + 1 if i + 1 < self.n_in else 0
+        self._ar_memo = self._remember_ar(occupied) if futile else None
         return busy
+
+    def _remember_ar(self, mask: int) -> tuple:
+        """The memo of a futile AR arbitration over the ingresses in
+        ``mask`` (see ``_ar_memo``).  It need not hold what cannot change
+        under it: a filed head leaves only by a grant, the same-ID rule
+        can only start to bind at one, and :meth:`routes_changed` /
+        :meth:`set_fault_blocked` drop the memo."""
+        ingresses = [i for i in range(self.n_in) if mask >> i & 1]
+        src = self._ar_q
+        outs = [(j, self.out_links[j].ar)
+                for j in {self._ar_egress[i] for i in ingresses}]
+        return (mask, [(src[i], src[i][0]) for i in ingresses],
+                [(j, out._q, out.capacity) for j, out in outs])
 
     def _terminate_ar(self, now: int, i: int, beat: AddrBeat, j: int) -> None:
         """The AR twin of :meth:`_terminate_aw`."""

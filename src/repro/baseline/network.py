@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from collections import deque
 
-import numpy as np
-
 from repro.baseline.flit import Flit, Packet, make_flits
 from repro.baseline.router import P_E, P_LOCAL, P_N, P_S, P_W, Router
 from repro.faults.runtime import FaultStats, FaultTimeline, fault_rngs

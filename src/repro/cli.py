@@ -21,7 +21,6 @@ import time
 
 from repro.eval.experiments import EXPERIMENTS, run_experiment
 from repro.eval.report import render_text, save_csv, save_json
-from repro.scenarios import MeasureSpec
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,6 +159,8 @@ def _profiled(fn, *args, **kwargs):
 
 def _run(args) -> int:
     import os
+
+    from repro.scenarios import MeasureSpec
 
     if args.cache != "off":
         # run_scenario's env opt-in (see its docstring): every point

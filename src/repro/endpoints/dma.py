@@ -186,6 +186,12 @@ class DmaEngine(Component):
         #: The full AW/AR FIFO that held the last issue attempt, or None
         #: (the issue gate, see :meth:`step`).
         self._held_by = None
+        #: An open MOT/ID stall: the counter the last issue attempt
+        #: would have bumped, and the cycle the interval is charged
+        #: from.  The next step (or :meth:`settle_stall`) charges it —
+        #: one cycle under always-step, the whole sleep otherwise.
+        self._stalled: str | None = None
+        self._stalled_since = 0
 
     def _wake_watchers(self) -> None:
         for watcher in self.watchers:
@@ -233,10 +239,11 @@ class DmaEngine(Component):
         wakes it) — is quiet.  One with W beats to stream or a burst to
         issue is not, whether or not it can move this cycle: ``quiet``
         is a function of the engine's own state.  Such an engine still
-        sleeps when only a full W/AW/AR FIFO holds it — ``step`` returns
-        BLOCKED and the pop that makes room wakes it (DESIGN.md §2) —
-        and polls through an ID/MOT stall, which bumps a per-cycle
-        counter.
+        sleeps — ``step`` returns BLOCKED (DESIGN.md §2) — when only a
+        full W/AW/AR FIFO holds it (the pop that makes room wakes it) or
+        an ID/MOT stall does (the B/R push or watchdog deadline that
+        ends it wakes it, and the step it wakes to charges the whole
+        stall to ``dma_*_mot_stall``).
         """
         if self._occ_resp[0] or self._w_emit:
             return False
@@ -246,9 +253,21 @@ class DmaEngine(Component):
         return True
 
     def blocked_on(self) -> str:
-        """The full request FIFOs of this engine's link."""
+        """The full request FIFOs of this engine's link, and the stall
+        it is charging if it is out of ids or MOT room."""
         link = self.link
-        return full_fifos((link.aw, link.w, link.ar))
+        stall = (f"{self._stalled} since {self._stalled_since}"
+                 if self._stalled is not None else "")
+        return "; ".join(filter(None, (
+            full_fifos((link.aw, link.w, link.ar)), stall)))
+
+    def settle_stall(self, now: int) -> None:
+        """Charge an open stall interval up to ``now`` — before a reader
+        looks at the counters between two steps (``NocNetwork.run`` and
+        ``drain`` call this on return)."""
+        if self._stalled is not None:
+            self.counters.bump(self._stalled, now - self._stalled_since)
+            self._stalled_since = now
 
     def next_event(self, now: int) -> int | None:
         wake = None
@@ -277,6 +296,10 @@ class DmaEngine(Component):
     # semantics to peek/pop; pinned by the FIFO unit tests).
     def step(self, now: int) -> bool | int:
         self._last_now = now
+        if self._stalled is not None:
+            # The stall the last attempt recorded has lasted until now.
+            self.settle_stall(now)
+            self._stalled = None
         link = self.link
         # Sink responses first (mandatory progress for deadlock freedom).
         if self._occ_resp[0]:
@@ -324,7 +347,8 @@ class DmaEngine(Component):
                           or self._issue(now))
         # Report post-step state inline: False to poll, True when quiet()
         # would be, BLOCKED when all that is left is held by a full FIFO
-        # we produce into — its pop wakes us.
+        # we produce into — its pop wakes us — or by an ID/MOT stall,
+        # which a response or a watchdog deadline ends: both wake us.
         if self._occ_resp[0] or (w_emit and not held):
             return False
         if issue_held:
@@ -508,10 +532,10 @@ class DmaEngine(Component):
     # ------------------------------------------------------------------
     def _issue(self, now: int) -> bool:
         """Issue at most one burst.  Returns True when a burst is ready
-        and only a full AW/AR FIFO holds it (the pop that makes room
-        wakes the engine; ``_held_by`` names the FIFO); False when it
-        issued, advanced the split, or stalled on IDs/MOT — a counted
-        stall, which polls."""
+        and held — by a full AW/AR FIFO (the pop that makes room wakes
+        the engine; ``_held_by`` names the FIFO) or by the ID pool / MOT
+        (``_stalled`` opens the interval the next step charges) — and
+        False when it issued or advanced the split."""
         self._held_by = None
         if self._cur is None:
             if not self._pending:
@@ -538,8 +562,7 @@ class DmaEngine(Component):
         dl = now + to if to is not None else 0
         if transfer.is_read:
             if not self._rd_free or len(self._rd_out) >= self.max_outstanding:
-                self.counters.bump("dma_rd_mot_stall")
-                return False
+                return self._stall("dma_rd_mot_stall", now)
             if not link.ar.can_push():
                 self._held_by = link.ar
                 return True
@@ -550,8 +573,7 @@ class DmaEngine(Component):
             self._rd_out[tid] = [transfer, now, burst.beats, burst, 0, dl, 0]
         else:
             if not self._wr_free or len(self._wr_out) >= self.max_outstanding:
-                self.counters.bump("dma_wr_mot_stall")
-                return False
+                return self._stall("dma_wr_mot_stall", now)
             if not link.aw.can_push():
                 self._held_by = link.aw
                 return True
@@ -575,6 +597,13 @@ class DmaEngine(Component):
                 self._wake_watchers()  # backlog() stops counting the split
         return False
 
+    def _stall(self, key: str, now: int) -> bool:
+        """Out of ids or MOT room: open the interval charged to ``key``
+        (a held attempt, so True — see :meth:`_issue`)."""
+        self._stalled = key
+        self._stalled_since = now
+        return True
+
     def _issue_retry(self, retry: _BurstRetry, now: int) -> bool:
         """Reissue one failed burst (head of the pending queue).  Pops
         the record only once the burst actually goes out; until then the
@@ -591,8 +620,7 @@ class DmaEngine(Component):
                      -1 if dest is None else dest, self.tile)
         if transfer.is_read:
             if not self._rd_free or len(self._rd_out) >= self.max_outstanding:
-                self.counters.bump("dma_rd_mot_stall")
-                return False
+                return self._stall("dma_rd_mot_stall", now)
             if not link.ar.can_push():
                 self._held_by = link.ar
                 return True
@@ -602,8 +630,7 @@ class DmaEngine(Component):
                                  burst, retry.retries, dl, flags]
         else:
             if not self._wr_free or len(self._wr_out) >= self.max_outstanding:
-                self.counters.bump("dma_wr_mot_stall")
-                return False
+                return self._stall("dma_wr_mot_stall", now)
             if not link.aw.can_push():
                 self._held_by = link.aw
                 return True

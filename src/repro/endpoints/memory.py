@@ -16,8 +16,13 @@ from collections import deque
 from repro.axi.beats import BBeat, RBeat
 from repro.axi.link import AxiLink
 from repro.axi.types import Resp
-from repro.sim.kernel import Component
+from repro.sim.fifo import full_fifos
+from repro.sim.kernel import BLOCKED, Component
 from repro.sim.stats import ThroughputMeter
+
+
+#: A due time later than any cycle (an empty response queue).
+_NEVER = float("inf")
 
 
 class _REmitter:
@@ -105,8 +110,9 @@ class MemorySlave(Component):
     def quiet(self) -> bool:
         """Activity contract: no request waiting on the link, no W burst
         mid-reception, and every queued response due strictly after the
-        next cycle (``next_event`` wakes us for those; a response blocked
-        on a full channel keeps its due time in the past and polls)."""
+        next cycle (``next_event`` wakes us for those).  A memory that
+        is not quiet still sleeps when nothing it holds can move —
+        ``step`` returns BLOCKED, see there."""
         if self._occ_req[0] or self._w_expect:
             return False
         horizon = self._last_now + 1
@@ -119,43 +125,75 @@ class MemorySlave(Component):
         return True
 
     def next_event(self, now: int) -> int | None:
-        wake = self._b_queue[0][0] if self._b_queue else None
-        if self._r_jobs:
-            due = self._r_jobs[0][0]
-            if wake is None or due < wake:
-                wake = due
+        """The earliest response head still to come due.  One already
+        due sits behind a full channel and waits for a pop, not a
+        cycle."""
+        wake = None
+        for queue in (self._b_queue, self._r_jobs):
+            if queue:
+                due = queue[0][0]
+                if due > now and (wake is None or due < wake):
+                    wake = due
         return wake
+
+    def blocked_on(self) -> str:
+        """The full response FIFOs of this memory's link, and the W data
+        it waits for."""
+        link = self.link
+        data = (f"W data of {len(self._w_expect)} open bursts"
+                if self._w_expect else "")
+        return "; ".join(filter(None, (full_fifos((link.b, link.r)), data)))
 
     # ------------------------------------------------------------------
     # The inline ``_q`` probes below mirror the crossbar hot path: this
     # step runs every busy cycle of every memory and the peek/pop call
     # pairs dominated its profile (semantics are identical; the FIFO
     # unit tests pin them down).
-    def step(self, now: int) -> bool:
+    def step(self, now: int) -> bool | int:
         self._last_now = now
         link = self.link
+        moved = False
         if self._occ_req[0] or self._w_expect:
-            self._accept(now, link)
+            moved = self._accept(now, link)
         b_queue = self._b_queue
         r_jobs = self._r_jobs
-        if b_queue or r_jobs:
-            self._emit(now, link)
-        # Report post-step quietness inline (mirrors quiet()).
-        if self._occ_req[0] or self._w_expect:
-            return False
+        if (b_queue or r_jobs) and self._emit(now, link):
+            moved = True
+        # Report post-step state inline.  True mirrors quiet().  False
+        # polls: something moved, a response comes due next cycle, or a
+        # request head is not yet visible (no wake was scheduled for
+        # it).  Otherwise nothing moved and nothing can before a wake:
+        # an open W burst waits for a push, a visible AW/AR head for a
+        # slot and so for a response to leave, a response not yet due
+        # for next_event, and a due one for a pop from the full B/R
+        # channel we produce into — BLOCKED.
+        waiting = self._occ_req[0] or self._w_expect
+        if moved and waiting:
+            return False  # (the W-stream hot path)
+        due = b_queue[0][0] if b_queue else _NEVER
+        if r_jobs and r_jobs[0][0] < due:
+            due = r_jobs[0][0]
         horizon = now + 1
-        if b_queue and b_queue[0][0] <= horizon:
+        if not waiting and due > horizon:
+            return True
+        if moved or due == horizon:
             return False
-        if r_jobs and r_jobs[0][0] <= horizon:
-            return False
-        return True
+        if self._occ_req[0]:
+            for fifo in (link.aw, link.w, link.ar):
+                q = fifo._q
+                if q and q[0][0] > now:
+                    return False
+        return BLOCKED
 
-    def _accept(self, now: int, link: AxiLink) -> None:
+    def _accept(self, now: int, link: AxiLink) -> bool:
+        """Take what the request channels offer; True if anything was."""
+        moved = False
         # Accept one AW per cycle, bounded by open write transactions.
         q = link.aw._q
         if (q and q[0][0] <= now
                 and len(self._w_expect) + len(self._b_queue)
                 < self.max_outstanding):
+            moved = True
             aw = link.aw.pop(now)
             fm = self.fault_model
             corrupt = fm is not None and fm.corrupt(aw.src, aw.beats)
@@ -167,6 +205,7 @@ class MemorySlave(Component):
             wf = link.w
             q = wf._q
             if q and q[0][0] <= now:
+                moved = True
                 w = q.popleft()[1]
                 wf.popped += 1
                 if not q:
@@ -209,6 +248,7 @@ class MemorySlave(Component):
         q = link.ar._q
         if (q and q[0][0] <= now
                 and len(self._r_jobs) < self.max_outstanding):
+            moved = True
             ar = link.ar.pop(now)
             fm = self.fault_model
             resp = (Resp.SLVERR if fm is not None
@@ -217,13 +257,17 @@ class MemorySlave(Component):
                 now + self.latency,
                 _REmitter(ar.id, ar.addr, ar.beats, ar.nbytes,
                           self.beat_bytes, resp)))
+        return moved
 
-    def _emit(self, now: int, link: AxiLink) -> None:
+    def _emit(self, now: int, link: AxiLink) -> bool:
+        """Send what is due and fits; True if anything was."""
+        moved = False
         # Emit one B per cycle.
         b_queue = self._b_queue
         if b_queue and b_queue[0][0] <= now:
             b = link.b
             if len(b._q) < b.capacity:
+                moved = True
                 _, bid, resp = b_queue.popleft()
                 b.push(BBeat(bid, resp), now)
         # Emit one R beat per cycle (jobs served strictly in order).
@@ -234,6 +278,7 @@ class MemorySlave(Component):
             r = link.r
             rq = r._q
             if len(rq) < r.capacity:
+                moved = True
                 emitter = r_jobs[0][1]
                 if not rq:
                     occ = r.occ
@@ -250,3 +295,4 @@ class MemorySlave(Component):
                     if self.scoreboard is not None:
                         self.scoreboard.record_read(
                             self.endpoint, emitter.rid, now)
+        return moved

@@ -16,34 +16,39 @@ an unrelated change costs zero simulations.
 
 from __future__ import annotations
 
-from typing import Callable
+from importlib import import_module
+from typing import TYPE_CHECKING, Callable
 
-from repro.eval import (
-    fig2,
-    fig3,
-    fig4,
-    fig6,
-    fig8,
-    power,
-    resilience,
-    table1,
-    table2,
-)
 from repro.eval.report import ExperimentResult
-from repro.scenarios import MeasureSpec
+
+if TYPE_CHECKING:
+    from repro.scenarios import MeasureSpec
+
+
+def _runner(module: str) -> Callable[..., ExperimentResult]:
+    """``repro.eval.<module>.run``, imported when it is first called:
+    listing the registry (``repro list``, argument parsing) must not
+    cost the import of every figure's simulator stack."""
+    def run(measure, seed):
+        return import_module(f"repro.eval.{module}").run(measure, seed)
+    return run
+
 
 #: id → (description, runner).
 EXPERIMENTS: dict[str, tuple[str, Callable[..., ExperimentResult]]] = {
-    "table1": ("Table I: mesh parameter space", table1.run),
-    "fig2": ("Fig. 2: 2x2 area vs bisection bandwidth vs ESP-NoC", fig2.run),
-    "fig3": ("Fig. 3: 4x4 scaling and MOT/area tradeoff", fig3.run),
-    "fig4": ("Fig. 4: uniform random traffic vs packet baseline", fig4.run),
-    "fig6": ("Fig. 6: synthetic pattern utilization", fig6.run),
-    "fig8": ("Fig. 8: DNN workload throughput", fig8.run),
-    "table2": ("Table II: comparison with state-of-the-art NoCs", table2.run),
-    "power": ("Sec. III: power at 1 GHz", power.run),
+    "table1": ("Table I: mesh parameter space", _runner("table1")),
+    "fig2": ("Fig. 2: 2x2 area vs bisection bandwidth vs ESP-NoC",
+             _runner("fig2")),
+    "fig3": ("Fig. 3: 4x4 scaling and MOT/area tradeoff", _runner("fig3")),
+    "fig4": ("Fig. 4: uniform random traffic vs packet baseline",
+             _runner("fig4")),
+    "fig6": ("Fig. 6: synthetic pattern utilization", _runner("fig6")),
+    "fig8": ("Fig. 8: DNN workload throughput", _runner("fig8")),
+    "table2": ("Table II: comparison with state-of-the-art NoCs",
+               _runner("table2")),
+    "power": ("Sec. III: power at 1 GHz", _runner("power")),
     "resilience": ("Beyond the paper: throughput retention under "
-                   "transient link faults", resilience.run),
+                   "transient link faults", _runner("resilience")),
 }
 
 
@@ -59,6 +64,8 @@ def run_experiment(exp_id: str, quick: bool = False, *,
         raise KeyError(
             f"unknown experiment {exp_id!r}; choose from {sorted(EXPERIMENTS)}")
     if measure is None:
+        from repro.scenarios import MeasureSpec
+
         measure = MeasureSpec.coerce(quick)
     _desc, runner = EXPERIMENTS[exp_id]
     return runner(measure, seed)

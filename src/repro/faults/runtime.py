@@ -11,11 +11,13 @@ and activity-driven kernels.
 from __future__ import annotations
 
 import heapq
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.sim.rng import DEFAULT_SEED
 from repro.sim.stats import LatencyStats
+
+if TYPE_CHECKING:  # imported where a stream is drawn, like sim/rng.py
+    import numpy as np
 
 #: Salt mixed into the scenario seed for fault RNG streams.  Traffic
 #: sources use ``spawn_rngs(seed, n)`` — the *unsalted* SeedSequence —
@@ -26,6 +28,8 @@ FAULT_SALT = 0xFA_017  # "FAULT"
 
 def fault_rngs(seed: int | None, n: int) -> list[np.random.Generator]:
     """Spawn ``n`` independent fault generators from the scenario seed."""
+    import numpy as np
+
     if n < 0:
         raise ValueError(f"cannot spawn {n} generators")
     root = DEFAULT_SEED if seed is None else seed

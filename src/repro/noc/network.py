@@ -416,7 +416,18 @@ class NocNetwork:
     # execution
     # ------------------------------------------------------------------
     def run(self, cycles: int, until=None) -> int:
-        return self.sim.run(cycles, until=until)
+        now = self.sim.run(cycles, until=until)
+        self._settle_stalls()
+        return now
+
+    def _settle_stalls(self) -> None:
+        """A DMA asleep in an ID/MOT stall charges it when it next steps
+        (DESIGN.md §7 "Stalls are intervals"); whoever reads
+        ``counters`` after a run must find the cycles so far on them."""
+        now = self.sim.now
+        for dma in self.dmas:
+            if dma is not None:
+                dma.settle_stall(now)
 
     def idle(self) -> bool:
         """True when no transaction is anywhere in flight."""
@@ -449,6 +460,7 @@ class NocNetwork:
         """
         sim = self.sim
         sim.run(max_cycles, until_idle=lambda: sim.all_quiet() and self.idle())
+        self._settle_stalls()
         if not self.idle():
             blocked = "; ".join(f"{c.name} ({c.blocked_on()})"
                                 for c in sim.blocked())

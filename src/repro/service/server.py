@@ -64,6 +64,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self.send_response(code)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:  # e.g. a refused POST: tell the client
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -124,6 +126,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:
         url = urlparse(self.path)
         if [p for p in url.path.split("/") if p] != ["jobs"]:
+            # Its body stays unread and would be parsed as the next
+            # request on a kept-alive connection: close, as below.
+            self.close_connection = True
             return self._error(404, f"no such endpoint: POST {url.path}")
         query = parse_qs(url.query)
         declared = self.headers.get("Content-Length", "0").strip()

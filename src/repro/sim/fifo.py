@@ -184,5 +184,7 @@ class TimedFifo:
 
 def full_fifos(fifos) -> str:
     """``"full: a, b"`` — the names of the FIFOs among ``fifos`` that
-    cannot take a push (what a blocked producer waits behind)."""
-    return "full: " + ", ".join(f.name for f in fifos if not f.can_push())
+    cannot take a push (what a blocked producer waits behind); empty
+    when none is full."""
+    names = ", ".join(f.name for f in fifos if not f.can_push())
+    return f"full: {names}" if names else ""

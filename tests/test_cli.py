@@ -1,9 +1,14 @@
 """End-to-end CLI tests: list / info / run / sweep subcommands."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 import repro.cli as cli
 import repro.eval.experiments as experiments
 
@@ -14,6 +19,25 @@ class TestList:
         out = capsys.readouterr().out
         for exp_id in experiments.EXPERIMENTS:
             assert exp_id in out
+
+    def test_list_imports_neither_numpy_nor_a_simulator(self):
+        """``python -m repro list`` at its real entry point: the public
+        names of ``repro`` and the registry's runners resolve on use, so
+        printing nine lines costs no numpy (0.13 s), no figure module
+        and no fabric.  CI runs the same check after tier-1."""
+        src = Path(repro.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "repro", "list"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0].startswith("table1 ")
+        imported = {line.rpartition("|")[2].strip()
+                    for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "repro.eval.experiments" in imported
+        assert not imported & {"numpy", "repro.eval.fig4", "repro.sim",
+                               "repro.noc.network", "repro.scenarios"}
 
 
 class TestInfo:

@@ -97,6 +97,28 @@ def test_reroute_table_swap_with_reads_in_flight_drains():
     net.drain(max_cycles=20_000)
 
 
+def test_the_wedged_r_ring_is_reported_without_polling_and_names_memories():
+    """The same reproducer, for what the open defect costs to see: the
+    memories behind the full R links sleep like the crosspoints, so the
+    drain jumps to its bound and the error names them too."""
+    spec = FaultSpec(links=[LinkFault(7, 4, start=107, duration=211,
+                                      width_factor=0.25)],
+                     recovery="reroute")
+    net = NocNetwork(NocConfig.slim(4, 3), faults=spec, fault_seed=7772347)
+    traffic = uniform_random(net, load=0.5, max_burst_bytes=100,
+                             read_fraction=1.0, seed=7772347).install()
+    net.run(302)
+    traffic.quiesce()
+    before = net.sim.steps
+    with pytest.raises(RuntimeError, match="possible deadlock") as err:
+        net.drain(max_cycles=20_000)
+    assert net.sim.now == 20_302
+    assert net.sim.steps - before < 5_000  # always-step: 760 000
+    assert net.sim.cycles_skipped > 19_000
+    assert "tile3.mem (full: xp3->tile3.mem.r)" in str(err.value)
+    assert sum(c.name.endswith(".mem") for c in net.sim.blocked()) == 6
+
+
 def test_deadlock_is_seen_without_polling_and_names_the_blocked():
     """A slave that never answers wedges the write path behind it.  The
     production scheduler ends with the active set and the wake heap

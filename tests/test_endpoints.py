@@ -95,6 +95,35 @@ class TestDmaEngine:
         net.drain(max_cycles=20_000)
         assert net.memories[3].bytes_written == 1024
 
+    def test_engine_out_of_mot_room_sleeps_and_charges_the_stall_on_wake(
+            self):
+        """An ID/MOT stall is an interval, not a poll: the engine leaves
+        the active set, a read of the counter between runs finds the
+        cycles slept so far on it, and both schedulers count the same."""
+        stalls = {}
+        for always_step in (False, True):
+            net = NocNetwork(NocConfig(rows=2, cols=2, max_outstanding=1),
+                             always_step=always_step)
+            dma = net.dmas[0]
+            net.memories[3].step = lambda now: True  # never answers
+            for _ in range(2):
+                dma.submit(Transfer(src=0, addr=net.addr_of(3, 0), nbytes=64,
+                                    is_read=True))
+            net.run(100)
+            assert len(dma._rd_out) == 1 and dma.queue_depth == 0
+            seen = [net.counters["dma_rd_mot_stall"]]
+            before = net.sim.steps
+            for _ in range(3):
+                net.run(250)
+                seen.append(net.counters["dma_rd_mot_stall"])
+            assert [b - a for a, b in zip(seen, seen[1:])] == [250] * 3
+            if not always_step:
+                assert net.sim.steps == before  # nobody polled
+                assert dma in net.sim.blocked()
+                assert dma.blocked_on().startswith("dma_rd_mot_stall since ")
+            stalls[always_step] = seen
+        assert stalls[False] == stalls[True]
+
     def test_queue_depth_visible(self):
         net = tiny_net()
         for _ in range(5):
@@ -149,3 +178,48 @@ class TestMemorySlave:
         net.drain(max_cycles=30_000)
         assert net.memories[0].bursts_read == 2  # 375 beats → 256 + 119
         assert net.dmas[2].bytes_read == 1500
+
+    def test_memory_behind_a_full_r_channel_sleeps_until_a_pop(self):
+        """A due R beat behind a full channel is not polled: the memory
+        leaves the active set and the crosspoint's next pop brings it
+        back."""
+        net = tiny_net()
+        mem, xp = net.memories[3], net.xps[3]
+        net.dmas[0].submit(Transfer(src=0, addr=net.addr_of(3, 0),
+                                    nbytes=1024, is_read=True))
+        net.run(10_000, until=lambda now: mem.link.r.pushed > 0)
+        real_step, xp.step = xp.step, lambda now: True  # crosspoint stalls
+        net.run(50)
+        assert not mem.link.r.can_push()
+        assert mem in net.sim.blocked() and net.sim.active_count == 0
+        assert mem.blocked_on() == "full: xp3->tile3.mem.r"
+        before = net.sim.steps
+        net.run(1000)
+        assert net.sim.steps == before  # nobody polled
+        del xp.step
+        assert xp.step == real_step
+        xp.wake()
+        net.drain(max_cycles=20_000)
+        assert net.dmas[0].bytes_read == 1024
+
+    def test_memory_waiting_for_w_data_sleeps_until_a_push(self):
+        """A W burst mid-reception with nothing on the W channel waits
+        for a push, which wakes the memory: it does not poll either."""
+        net = tiny_net()
+        mem, xp = net.memories[3], net.xps[3]
+        net.dmas[0].submit(Transfer(src=0, addr=net.addr_of(3, 0),
+                                    nbytes=1024, is_read=False))
+        net.run(10_000, until=lambda now: mem.link.w.popped > 0)
+        real_step, xp.step = xp.step, lambda now: True  # crosspoint stalls
+        net.run(50)
+        assert mem.link.idle() and 0 < mem.bytes_written < 1024
+        assert mem in net.sim.blocked()
+        assert mem.blocked_on() == "W data of 1 open bursts"
+        before = net.sim.steps
+        net.run(1000)
+        assert net.sim.steps == before  # nobody polled
+        del xp.step
+        assert xp.step == real_step
+        xp.wake()
+        net.drain(max_cycles=20_000)
+        assert mem.bytes_written == 1024

@@ -76,7 +76,9 @@ def axi_cases(draw):
     recovery policy.  The many-to-one arm (every master addresses one
     tile's memory) is what draws sustained back-pressure: full FIFOs,
     W locks and blocked crosspoints and engines, the states the
-    production scheduler sleeps through.
+    production scheduler sleeps through.  A small ``max_outstanding``
+    adds the ID/MOT stalls an engine sleeps through as an interval, so
+    the counters compared at the end include ones settled at the read.
 
     ``reroute`` never gets the transaction watchdog: that pair trips an
     open defect in ``dma._complete`` (strict xfail
@@ -114,6 +116,7 @@ def axi_cases(draw):
                       txn_timeout=draw(st.integers(300, 900)))
     return dict(
         rows=rows, cols=cols, wide=draw(st.booleans()), hot_spot=hot_spot,
+        max_outstanding=draw(st.sampled_from([1, 2, 8])),
         traffic=dict(
             load=draw(st.sampled_from([0.1, 0.5, 1.0])),
             max_burst_bytes=draw(st.sampled_from([4, 100, 1000, 64000])),
@@ -129,7 +132,8 @@ def _axi_observables(case, always_step):
     from repro.traffic.uniform import uniform_random
 
     cfg = (NocConfig.wide if case["wide"] else NocConfig.slim)(
-        case["rows"], case["cols"])
+        case["rows"], case["cols"]).with_(
+            max_outstanding=case["max_outstanding"])
     net = NocNetwork(cfg, always_step=always_step,
                      faults=FaultSpec(**case["faults"]),
                      fault_seed=case["seed"])

@@ -6,6 +6,7 @@ resubmission hits."""
 import dataclasses
 import http.client
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -265,6 +266,25 @@ class TestHttpService:
         finally:
             conn.close()
         assert self.get(f"{service}/jobs") == {"jobs": []}
+
+    def test_post_to_an_unknown_path_leaves_no_body_on_the_connection(
+            self, service):
+        """The 404 is answered without reading the body, so the
+        connection closes: kept alive, the body would be parsed as the
+        client's next request — here a second, smuggled one."""
+        url = urlparse(service)
+        smuggled = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        request = (b"POST /frobnicate HTTP/1.1\r\nHost: x\r\n"
+                   b"Content-Length: %d\r\n\r\n" % len(smuggled)) + smuggled
+        with socket.create_connection((url.hostname, url.port),
+                                      timeout=10) as sock:
+            sock.sendall(request)
+            answer = b"".join(iter(lambda: sock.recv(65536), b""))
+        head, _, body = answer.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 404 ")
+        assert b"\r\nConnection: close" in head
+        assert json.loads(body) == {
+            "error": "no such endpoint: POST /frobnicate"}
 
     def test_bodies_are_compact_json_of_the_documented_shape(self, service):
         """Every JSON endpoint: one compact line that parses to the same
