@@ -2,12 +2,11 @@
 
 These are Python behavioural models of the open-source elementary AXI
 blocks the paper builds on (Kurth et al., IEEE TComp 2022): crossbar,
-mux/demux, ID remapper, register slice, and error slave.
+mux/demux and ID remapper; every link is a register slice and the
+crossbar terminates unroutable requests itself.
 """
 
 from repro.axi.beats import AddrBeat, BBeat, RBeat, WBeat
-from repro.axi.cut import AxiCut
-from repro.axi.error_slave import ErrorSlave
 from repro.axi.id_pool import IdRemapper
 from repro.axi.interleave import CompositeMap, InterleavedMap
 from repro.axi.link import CHANNELS, AxiLink
@@ -35,7 +34,6 @@ from repro.axi.xbar import (
 __all__ = [
     "AddrBeat",
     "AxiCrossbar",
-    "AxiCut",
     "AxiLink",
     "BBeat",
     "BOUNDARY_4K",
@@ -46,7 +44,6 @@ __all__ = [
     "ConnectivityError",
     "InterleavedMap",
     "ERROR_PORT",
-    "ErrorSlave",
     "IdRemapper",
     "LinkMonitor",
     "MAX_BURST_BEATS",

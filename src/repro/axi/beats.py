@@ -73,6 +73,9 @@ class BBeat:
     """A write-response beat."""
 
     __slots__ = ("id", "resp")
+    #: One B answers a whole burst: the response path treats it as the
+    #: burst's final (and only) beat.
+    last = True
 
     def __init__(self, id: int, resp: Resp = Resp.OKAY):
         self.id = id
@@ -103,3 +106,45 @@ class RBeat:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"RBeat(id={self.id}, last={self.last}, "
                 f"nbytes={self.nbytes}, resp={self.resp.name})")
+
+
+class BeatStream:
+    """The data beats of one burst, in order.
+
+    The first and the last beat may be partial (an unaligned head, a
+    short tail); every beat between them carries the full bus width
+    (:func:`~repro.axi.transaction.beat_sizes` is the per-beat oracle).
+    So a burst is at most three distinct immutable beats, built once
+    here by ``make(last, nbytes)`` — :class:`WBeat` itself on the DMA's
+    write side, :class:`RBeat` with the burst's id and response bound at
+    the memory — and :meth:`next_beat` hands them out.
+    """
+
+    __slots__ = ("issued", "beats", "_first", "_mid", "_last")
+
+    def __init__(self, addr: int, beats: int, nbytes: int, beat_bytes: int,
+                 make):
+        self.issued = 0
+        self.beats = beats
+        if beats == 1:
+            self._first = self._mid = None
+            self._last = make(True, nbytes)
+            return
+        first = min(beat_bytes - addr % beat_bytes, nbytes)
+        last = nbytes - first - (beats - 2) * beat_bytes
+        if not 0 < last <= beat_bytes:
+            raise AssertionError(
+                f"beat arithmetic broke: addr={addr:#x} beats={beats} "
+                f"nbytes={nbytes} last={last}")
+        self._first = make(False, first)
+        self._mid = make(False, beat_bytes)
+        self._last = make(True, last)
+
+    def next_beat(self):
+        """The next beat; the stream is spent once ``issued`` reaches
+        ``beats``."""
+        k = self.issued
+        self.issued = k + 1
+        if k == self.beats - 1:
+            return self._last
+        return self._mid if k else self._first

@@ -52,6 +52,83 @@ class ConnectivityError(RuntimeError):
     """The routing function produced a turn the XBAR is not wired for."""
 
 
+def _endpoint(fifo):
+    """(fifo, deque, capacity, latency) of a FIFO the hot loops push
+    into: all stable for its lifetime, so carrying them directly saves
+    attribute loads per beat."""
+    return fifo, fifo._q, fifo.capacity, fifo.latency
+
+
+class _Direction:
+    """One direction of a crossbar as data: its request channel and the
+    response channel that answers it — AW and B for writes, AR and R for
+    reads.  The write and the read side of the ``axi_xbar`` are the same
+    demux / round-robin mux / ID-remap structure, so
+    :meth:`AxiCrossbar._arbitrate`, ``_terminate`` and ``_forward`` are
+    written once and take one of these (DESIGN.md §5)."""
+
+    __slots__ = ("write", "remap", "inflight", "ptr", "dest", "err", "head",
+                 "egress", "req", "occ_req", "occ_resp", "hot",
+                 "src", "out", "scan", "dst",
+                 "same_id_stall", "mot_stall", "id_stall", "unmapped",
+                 "fault_blocked", "decerr", "slverr")
+
+    def __init__(self, prefix: str, n_in: int, n_out: int, id_width: int):
+        #: What only writes have — the W order queue, route and lock —
+        #: is a block guarded by this inside the shared bodies.
+        self.write = prefix == "aw"
+        # Per-egress state.
+        self.remap = [IdRemapper(id_width) for _ in range(n_out)]
+        self.inflight = [0] * n_out
+        self.ptr = [0] * n_out  # round-robin grant pointers
+        #: Mask of the ingresses requesting each egress — scratch of one
+        #: arbitration call, all zero between calls.
+        self.req = [0] * n_out
+        # Per-ingress state.
+        self.dest: list[dict[int, list]] = [dict() for _ in range(n_in)]
+        #: Error responses owed: [oid, beats_left, resp] (one B answers
+        #: a whole burst).
+        self.err: list[deque] = [deque() for _ in range(n_in)]
+        #: Decode-once memo: the request head beat of each ingress and
+        #: the egress the route function gave it, so a head that waits
+        #: is routed once, not once per cycle.  Dropped when the head is
+        #: popped and by :meth:`AxiCrossbar.routes_changed`.
+        self.head: list[AddrBeat | None] = [None] * n_in
+        self.egress = [ERROR_PORT] * n_in
+        # Shared occupancy cells (DESIGN.md §2).  Requests: a bitmask,
+        # bit i set while ingress i's FIFO is non-empty, which is where
+        # address arbitration starts.  Responses: the count of non-empty
+        # egress FIFOs.
+        self.occ_req = [0]
+        self.occ_resp = [0]
+        #: Scan-start hint: when exactly one response source is occupied
+        #: (the common case) the rotation is irrelevant to arbitration,
+        #: so the scan starts at the last known occupied port.
+        self.hot = 0
+        self.same_id_stall = f"{prefix}_same_id_stall"
+        self.mot_stall = f"{prefix}_mot_stall"
+        self.id_stall = f"{prefix}_id_stall"
+        self.unmapped = f"{prefix}_unmapped"
+        self.fault_blocked = f"{prefix}_fault_blocked"
+        self.decerr = "decerr_b" if self.write else "decerr_r"
+        self.slverr = "slverr_b" if self.write else "slverr_r"
+
+    def wire(self, ins: list, outs: list) -> None:
+        """Prebuild what the per-beat loops index, from each ingress's
+        and each egress's (request FIFO, response FIFO) pair — None
+        where the port is unconnected."""
+        #: Request FIFOs by ingress and by egress.
+        self.src = [p[0] if p is not None else None for p in ins]
+        self.out = [p[0] if p is not None else None for p in outs]
+        #: Response sources: (egress, fifo, deque, remapper, remap
+        #: table, capacity - 1: the length a pop leaves a full FIFO at).
+        self.scan = [(j, p[1], p[1]._q, self.remap[j], self.remap[j]._table,
+                      p[1].capacity - 1)
+                     for j, p in enumerate(outs) if p is not None]
+        #: Response destinations by ingress.
+        self.dst = [_endpoint(p[1]) if p is not None else None for p in ins]
+
+
 class AxiCrossbar(Component):
     """An ``n_in × n_out`` AXI crossbar with ID remapping.
 
@@ -113,39 +190,26 @@ class AxiCrossbar(Component):
         self._allowed: frozenset[tuple[int, int]] | None = (
             None if connectivity is None else frozenset(connectivity))
 
-        # Per-egress state.
-        self._wr_remap = [IdRemapper(id_width) for _ in range(n_out)]
-        self._rd_remap = [IdRemapper(id_width) for _ in range(n_out)]
-        self._wr_inflight = [0] * n_out
-        self._rd_inflight = [0] * n_out
+        #: The write (AW/B) and the read (AR/R) direction.
+        self._wr = _Direction("aw", n_in, n_out, id_width)
+        self._rd = _Direction("ar", n_in, n_out, id_width)
+
+        # The W channel: what only the write direction has.
         self._w_order: list[deque] = [deque() for _ in range(n_out)]  # [in, beats_left]
         #: Egresses whose _w_order is non-empty (unordered; W-mux
-        #: conflicts are impossible across egresses, see _move_w).
+        #: conflicts are impossible across egresses, see step()).
         self._w_busy: list[int] = []
-        self._aw_ptr = [0] * n_out
-        self._ar_ptr = [0] * n_out
-
-        # Per-ingress state.
-        self._wr_dest: list[dict[int, list]] = [dict() for _ in range(n_in)]
-        self._rd_dest: list[dict[int, list]] = [dict() for _ in range(n_in)]
         self._w_route: list[deque] = [deque() for _ in range(n_in)]  # [out, oid]
         #: Bitmask of the ingresses whose _w_route is non-empty: their AW
         #: heads wait for the W data of the burst already granted.
         self._w_locked = 0
-        self._err_b: list[deque] = [deque() for _ in range(n_in)]  # (oid, resp)
-        self._err_r: list[deque] = [deque() for _ in range(n_in)]  # [oid, beats_left, resp]
-        #: Decode-once memo: the AW/AR head beat of each ingress and the
-        #: egress the route function gave it, so a head that waits is
-        #: routed once, not once per cycle.  Dropped when the head is
-        #: popped and by :meth:`routes_changed`.
-        self._aw_head: list[AddrBeat | None] = [None] * n_in
-        self._aw_egress = [ERROR_PORT] * n_in
-        self._ar_head: list[AddrBeat | None] = [None] * n_in
-        self._ar_egress = [ERROR_PORT] * n_in
-        #: Per-egress mask of the ingresses requesting it — scratch of
-        #: one arbitration call, all zero between calls.
-        self._aw_req = [0] * n_out
-        self._ar_req = [0] * n_out
+        #: Non-empty W FIFOs (a count, like the response cells).
+        self._occ_w = [0]
+        #: Error-bound write bursts awaiting their W data sink.
+        self._err_w = 0
+        #: Queued error responses over both directions; with _w_busy
+        #: and _err_w it makes the dead-path guards and quiet() O(1).
+        self._err_pending = 0
         #: The last AR arbitration, if it was futile — every non-empty
         #: ingress filed, every requested egress FIFO-full or MOT-full:
         #: (ingress mask, [(ingress deque, its head entry)], [(egress,
@@ -160,28 +224,9 @@ class AxiCrossbar(Component):
         #: path; only the fault controller writes this.
         self._fault_blocked: frozenset[int] | None = None
 
-        # Hot-path caches, rebuilt lazily after wiring changes.
+        #: Connected ingress ports; None until the hot-path caches are
+        #: (re)built after a wiring change.
         self._in_ports: list[int] | None = None
-        self._err_pending = 0
-        # Incrementally maintained busy counter: with the _w_busy list it
-        # makes the per-step dead-path guards and idle() O(1).
-        self._err_w = 0      # error-bound write bursts awaiting W data sink
-        # Shared occupancy cells, one per channel class this XP consumes
-        # (DESIGN.md §2): non-zero while any attached FIFO is non-empty,
-        # so step() skips whole phases and quiet() is O(1).  W, B and R
-        # count their non-empty FIFOs; AW and AR are bitmasks, bit i set
-        # while ingress i's FIFO is non-empty, which is where address
-        # arbitration starts.
-        self._occ_aw = [0]
-        self._occ_w = [0]
-        self._occ_ar = [0]
-        self._occ_b = [0]
-        self._occ_r = [0]
-        # Scan-start hints: when exactly one response source is occupied
-        # (the common case) the rotation is irrelevant to arbitration,
-        # so the scan starts at the last known occupied port.
-        self._b_hot = 0
-        self._r_hot = 0
 
     # ------------------------------------------------------------------
     # wiring
@@ -192,9 +237,9 @@ class AxiCrossbar(Component):
             raise ValueError(f"{self.name}: in port {port} already connected")
         self.in_links[port] = link
         link.watch_requests(self)
-        link.aw.track_occupancy(self._occ_aw, 1 << port)
+        link.aw.track_occupancy(self._wr.occ_req, 1 << port)
         link.w.track_occupancy(self._occ_w)
-        link.ar.track_occupancy(self._occ_ar, 1 << port)
+        link.ar.track_occupancy(self._rd.occ_req, 1 << port)
         self._in_ports = None
         return link
 
@@ -204,8 +249,8 @@ class AxiCrossbar(Component):
             raise ValueError(f"{self.name}: out port {port} already connected")
         self.out_links[port] = link
         link.watch_responses(self)
-        link.b.track_occupancy(self._occ_b)
-        link.r.track_occupancy(self._occ_r)
+        link.b.track_occupancy(self._wr.occ_resp)
+        link.r.track_occupancy(self._rd.occ_resp)
         self._in_ports = None
         return link
 
@@ -222,56 +267,30 @@ class AxiCrossbar(Component):
     def routes_changed(self) -> None:
         """The route function's answers may have changed (a fault-table
         swap, DESIGN.md §10): forget the decoded heads and re-arbitrate."""
-        self._aw_head = [None] * self.n_in
-        self._ar_head = [None] * self.n_in
+        self._wr.head = [None] * self.n_in
+        self._rd.head = [None] * self.n_in
         self._ar_memo = None
         self.wake()
 
     def _refresh_port_lists(self) -> None:
-        self._in_ports = [i for i, l in enumerate(self.in_links) if l is not None]
-        out_ports = [j for j, l in enumerate(self.out_links) if l is not None]
-        # Prebuilt hot-scan tuples.  A FIFO's deque, capacity, and
-        # latency are stable for its lifetime, so carrying them directly
-        # saves attribute loads in the per-beat loops:
-        #   scans: (egress, src fifo, src deque, remapper, remap table,
-        #           src capacity - 1: the length a pop leaves a full FIFO at)
-        #   dsts:  (dst fifo, dst deque, capacity, latency) | None
-        self._b_scan = [(j, self.out_links[j].b, self.out_links[j].b._q,
-                         self._wr_remap[j], self._wr_remap[j]._table,
-                         self.out_links[j].b.capacity - 1)
-                        for j in out_ports]
-        self._r_scan = [(j, self.out_links[j].r, self.out_links[j].r._q,
-                         self._rd_remap[j], self._rd_remap[j]._table,
-                         self.out_links[j].r.capacity - 1)
-                        for j in out_ports]
-
-        def _dst(fifo):
-            return ((fifo, fifo._q, fifo.capacity, fifo.latency)
-                    if fifo is not None else None)
-
-        self._b_dst = [_dst(l.b if l is not None else None)
-                       for l in self.in_links]
-        self._r_dst = [_dst(l.r if l is not None else None)
-                       for l in self.in_links]
+        ins, outs = self.in_links, self.out_links
+        self._in_ports = [i for i, l in enumerate(ins) if l is not None]
+        self._wr.wire([(l.aw, l.b) if l is not None else None for l in ins],
+                      [(l.aw, l.b) if l is not None else None for l in outs])
+        self._rd.wire([(l.ar, l.r) if l is not None else None for l in ins],
+                      [(l.ar, l.r) if l is not None else None for l in outs])
         # W-channel endpoints by port index: (src fifo, src deque,
-        # capacity - 1) | None, and dsts as above.
+        # capacity - 1) | None by ingress, _endpoint() | None by egress.
         self._w_src = [(l.w, l.w._q, l.w.capacity - 1) if l is not None
-                       else None for l in self.in_links]
-        self._w_dst = [_dst(l.w if l is not None else None)
-                       for l in self.out_links]
-        # Address-channel source deques by ingress index.
-        self._aw_q = [l.aw._q if l is not None else None
-                      for l in self.in_links]
-        self._ar_q = [l.ar._q if l is not None else None
-                      for l in self.in_links]
+                       else None for l in ins]
+        self._w_dst = [_endpoint(l.w) if l is not None else None
+                       for l in outs]
 
     def idle(self) -> bool:
         """True when no transaction state is held inside this crossbar."""
-        return (not any(self._w_order)
-                and not any(self._w_route)
-                and not any(self._err_b) and not any(self._err_r)
-                and all(r.in_flight() == 0 for r in self._wr_remap)
-                and all(r.in_flight() == 0 for r in self._rd_remap))
+        return not (any(self._w_order) or any(self._w_route)
+                    or any(any(d.err) or any(r.in_flight() for r in d.remap)
+                           for d in (self._wr, self._rd)))
 
     def quiet(self) -> bool:
         """Activity contract: stepping can do no work — no beat on any
@@ -283,8 +302,9 @@ class AxiCrossbar(Component):
         XP has nothing to do for it until a response beat lands on a
         watched FIFO — which wakes it.
         """
-        return not (self._occ_aw[0] or self._occ_w[0] or self._occ_ar[0]
-                    or self._occ_b[0] or self._occ_r[0]
+        wr, rd = self._wr, self._rd
+        return not (wr.occ_req[0] or self._occ_w[0] or rd.occ_req[0]
+                    or wr.occ_resp[0] or rd.occ_resp[0]
                     or self._err_pending)
 
     def blocked_on(self) -> str:
@@ -303,156 +323,27 @@ class AxiCrossbar(Component):
     # mesh makes ~1.5 M channel probes per 4 k cycles and the function
     # call overhead dominated the profile.  The semantics are identical
     # to peek/pop and the FIFO unit tests pin them down.
-    # step() is deliberately one flat function: every sub-phase is gated
-    # by an occupancy cell (a channel class with no beat anywhere costs
-    # nothing) and the two per-beat streaming loops are fully inlined —
-    # pop/push/lookup/with_id included, with counter and occupancy-cell
-    # updates — because a loaded mesh spends most of its wall clock right
-    # here and the call layers dominated the profile.  Semantics are
-    # identical to the TimedFifo/peek/pop compositions they replace (the
-    # FIFO unit tests pin them down).  Response mux rotation derives
-    # from ``now`` (not a step counter) so arbitration is a pure
-    # function of cycle number — identical whether or not the activity
-    # kernel skipped quiet cycles.  Used-ingress tracking is a bitmask
-    # (one grant per ingress per channel per cycle).
+    # Every sub-phase of step() is gated by an occupancy cell (a channel
+    # class with no beat anywhere costs nothing), and the per-beat loops
+    # — _forward for B and R, the W move here — inline pop, push, remap
+    # lookup and the occupancy-cell updates, because a loaded mesh
+    # spends most of its wall clock right there (DESIGN.md §7).
+    # Used-ingress tracking is a bitmask (one grant per ingress per
+    # channel per cycle).
     def step(self, now: int) -> bool:
         if self._in_ports is None:  # wiring changed
             self._refresh_port_lists()
-        # -- forward B responses (egress -> ingress, round-robin) -------
+        wr = self._wr
+        rd = self._rd
+        # -- forward B and R responses (egress -> ingress) --------------
         poll = False  # a head not yet visible: nothing will wake us for it
-        b_used = 0
-        remaining = self._occ_b[0]  # non-empty B sources left to visit
-        if remaining:
-            scan = self._b_scan
-            n = len(scan)
-            if remaining == 1:
-                idx = self._b_hot
-                if idx >= n:
-                    idx = 0
-            else:
-                idx = now % n
-            for _ in range(n):
-                pos = idx
-                j, src, q, remap, table, was_full = scan[idx]
-                idx += 1
-                if idx == n:
-                    idx = 0
-                if not q:
-                    continue
-                remaining -= 1
-                self._b_hot = pos
-                head = q[0]
-                if head[0] > now:
-                    poll = True
-                else:
-                    beat = head[1]
-                    entry = table[beat.id]
-                    i = entry[0]
-                    if not (b_used >> i) & 1:
-                        dst, dq, cap, lat = self._b_dst[i]
-                        if len(dq) < cap:
-                            oid = entry[1]
-                            q.popleft()
-                            src.popped += 1
-                            if not q:
-                                occ = src.occ
-                                if occ is not None:
-                                    occ[0] -= 1
-                                if not was_full:  # a capacity-1 FIFO
-                                    src.freed()
-                            elif len(q) == was_full:
-                                producer = src.producer  # inlined freed()
-                                if (producer is not None
-                                        and not producer._in_active_set):
-                                    producer.wake()
-                            remap.release(beat.id)
-                            self._wr_inflight[j] -= 1
-                            _retire_dest(self._wr_dest[i], oid, j)
-                            if not dq:
-                                occ = dst.occ
-                                if occ is not None:
-                                    occ[0] += 1
-                            # Beats are immutable: reuse when the ID maps
-                            # to itself instead of allocating a copy.
-                            dq.append((now + lat,
-                                       beat if oid == beat.id
-                                       else BBeat(oid, beat.resp)))
-                            dst.pushed += 1
-                            consumer = dst.consumer
-                            if (consumer is not None
-                                    and not consumer._in_active_set):
-                                consumer.wake(now + lat)
-                            b_used |= 1 << i
-                if not remaining:
-                    break
-        # -- forward R responses (egress -> ingress, round-robin) -------
-        r_used = 0
-        remaining = self._occ_r[0]  # non-empty R sources left to visit
-        if remaining:
-            scan = self._r_scan
-            n = len(scan)
-            if remaining == 1:
-                idx = self._r_hot
-                if idx >= n:
-                    idx = 0
-            else:
-                idx = now % n
-            for _ in range(n):
-                pos = idx
-                j, src, q, remap, table, was_full = scan[idx]
-                idx += 1
-                if idx == n:
-                    idx = 0
-                if not q:
-                    continue
-                remaining -= 1
-                self._r_hot = pos
-                head = q[0]
-                if head[0] > now:
-                    poll = True
-                else:
-                    beat = head[1]
-                    entry = table[beat.id]
-                    i = entry[0]
-                    if not (r_used >> i) & 1:
-                        dst, dq, cap, lat = self._r_dst[i]
-                        if len(dq) < cap:
-                            oid = entry[1]
-                            q.popleft()
-                            src.popped += 1
-                            if not q:
-                                occ = src.occ
-                                if occ is not None:
-                                    occ[0] -= 1
-                                if not was_full:  # a capacity-1 FIFO
-                                    src.freed()
-                            elif len(q) == was_full:
-                                producer = src.producer  # inlined freed()
-                                if (producer is not None
-                                        and not producer._in_active_set):
-                                    producer.wake()
-                            if beat.last:
-                                remap.release(beat.id)
-                                self._rd_inflight[j] -= 1
-                                _retire_dest(self._rd_dest[i], oid, j)
-                            if not dq:
-                                occ = dst.occ
-                                if occ is not None:
-                                    occ[0] += 1
-                            # Beats are immutable: reuse when the ID maps
-                            # to itself instead of allocating a copy.
-                            dq.append((now + lat,
-                                       beat if oid == beat.id
-                                       else RBeat(oid, beat.last, beat.nbytes,
-                                                  beat.resp)))
-                            dst.pushed += 1
-                            consumer = dst.consumer
-                            if (consumer is not None
-                                    and not consumer._in_active_set):
-                                consumer.wake(now + lat)
-                            r_used |= 1 << i
-                if not remaining:
-                    break
+        b_used = r_used = 0
+        if wr.occ_resp[0]:
+            b_used, poll = self._forward(now, wr)
+        if rd.occ_resp[0]:
+            r_used, unseen = self._forward(now, rd)
+            if unseen:
+                poll = True
         if self._err_pending:
             self._error_responses(now, b_used, r_used)
         # -- move W data (granted bursts only, see _w_busy invariant) ---
@@ -526,12 +417,12 @@ class AxiCrossbar(Component):
                 self._sink_error_w(now, w_used)
         # -- arbitrate AW/AR: only among the ingresses that can request --
         # An AW head behind its own ingress's W lock (W-coupled
-        # forwarding, see _arbitrate_aw) is not a request; the W move
-        # that releases the lock is ours and ran above.
-        mask = self._occ_aw[0] & ~self._w_locked
-        if mask and self._arbitrate_aw(now, mask):
+        # forwarding, see _arbitrate) is not a request; the W move that
+        # releases the lock is ours and ran above.
+        mask = wr.occ_req[0] & ~self._w_locked
+        if mask and self._arbitrate(now, mask, wr):
             poll = True
-        mask = self._occ_ar[0]
+        mask = rd.occ_req[0]
         if mask:
             # A futile AR arbitration is replayed, not repeated, while
             # its memo still describes us: the same visible heads (a
@@ -550,15 +441,15 @@ class AxiCrossbar(Component):
                     mot = self.max_outstanding
                     for j, q, cap in memo[2]:
                         if len(q) < cap:
-                            if mot is None or self._rd_inflight[j] < mot:
+                            if mot is None or rd.inflight[j] < mot:
                                 stalls = -1  # an egress has opened
                                 break
                             stalls += 1
             if stalls < 0:
-                if self._arbitrate_ar(now, mask):
+                if self._arbitrate(now, mask, rd):
                     poll = True
             elif stalls:
-                self.counters.bump("ar_mot_stall", stalls)
+                self.counters.bump(rd.mot_stall, stalls)
                 poll = True
         # Report post-step state inline (see Component.step): quiet with
         # nothing on any channel; BLOCKED when beats remain but this step
@@ -568,34 +459,107 @@ class AxiCrossbar(Component):
         # paths and counted stalls keep polling.
         if b_used or r_used or w_used or poll or self._err_pending:
             return False  # (a step that emptied us retires on the next)
-        if not (self._occ_aw[0] or self._occ_w[0] or self._occ_ar[0]
-                or self._occ_b[0] or self._occ_r[0]):
+        if self.quiet():
             return True
         return False if self._err_w else BLOCKED
 
+    def _forward(self, now: int, d: _Direction) -> tuple[int, bool]:
+        """Move at most one response beat of direction ``d`` to each
+        ingress, visiting the occupied egress FIFOs round-robin: look the
+        beat's id up in the egress's remap table, restore the original
+        id, and on the burst's ``last`` beat (every B is one) release the
+        remap entry.  Returns the mask of ingresses served and whether a
+        head was not yet visible.
+
+        Called only while ``d.occ_resp[0]`` is non-zero.  The rotation
+        derives from ``now`` so arbitration is a pure function of the
+        cycle number, whatever cycles the kernel skipped."""
+        unseen = False
+        used = 0
+        remaining = d.occ_resp[0]  # non-empty sources left to visit
+        scan = d.scan
+        n = len(scan)
+        if remaining == 1:
+            idx = d.hot  # (in range: ports are only ever added)
+        else:
+            idx = now % n
+        for _ in range(n):
+            pos = idx
+            j, src, q, remap, table, was_full = scan[idx]
+            idx += 1
+            if idx == n:
+                idx = 0
+            if not q:
+                continue
+            remaining -= 1
+            d.hot = pos
+            head = q[0]
+            if head[0] > now:
+                unseen = True
+            else:
+                beat = head[1]
+                entry = table[beat.id]
+                i = entry[0]
+                if not (used >> i) & 1:
+                    dst, dq, cap, lat = d.dst[i]
+                    if len(dq) < cap:
+                        oid = entry[1]
+                        q.popleft()
+                        src.popped += 1
+                        if not q:
+                            occ = src.occ
+                            if occ is not None:
+                                occ[0] -= 1
+                            if not was_full:  # a capacity-1 FIFO
+                                src.freed()
+                        elif len(q) == was_full:
+                            producer = src.producer  # inlined freed()
+                            if (producer is not None
+                                    and not producer._in_active_set):
+                                producer.wake()
+                        if beat.last:
+                            remap.release(beat.id)
+                            d.inflight[j] -= 1
+                            _retire_dest(d.dest[i], oid, j)
+                        if not dq:
+                            occ = dst.occ
+                            if occ is not None:
+                                occ[0] += 1
+                        # Beats are immutable: reuse when the ID maps
+                        # to itself instead of allocating a copy.
+                        dq.append((now + lat, beat if oid == beat.id
+                                   else beat.with_id(oid)))
+                        dst.pushed += 1
+                        consumer = dst.consumer
+                        if (consumer is not None
+                                and not consumer._in_active_set):
+                            consumer.wake(now + lat)
+                        used |= 1 << i
+            if not remaining:
+                break
+        return used, unseen
+
     def _error_responses(self, now: int, b_used: int, r_used: int) -> None:
-        for i in self._in_ports:
-            in_link = self.in_links[i]
-            if (not (b_used >> i) & 1 and self._err_b[i]
-                    and in_link.b.can_push()):
-                oid, resp = self._err_b[i].popleft()
-                self._err_pending -= 1
-                _retire_dest(self._wr_dest[i], oid, ERROR_PORT)
-                in_link.b.push(BBeat(oid, resp), now)
-                self.counters.bump("decerr_b" if resp is Resp.DECERR
-                                   else "slverr_b")
-            if (not (r_used >> i) & 1 and self._err_r[i]
-                    and in_link.r.can_push()):
-                entry = self._err_r[i][0]
+        """Send one owed error beat per direction to each ingress this
+        step has not served: a B, or the next zero-byte R beat."""
+        for d, used in ((self._wr, b_used), (self._rd, r_used)):
+            for i in self._in_ports:
+                queue = d.err[i]
+                fifo = d.dst[i][0]
+                if (used >> i) & 1 or not queue or not fifo.can_push():
+                    continue
+                entry = queue[0]
                 entry[1] -= 1
                 last = entry[1] == 0
-                in_link.r.push(RBeat(entry[0], last, 0, entry[2]), now)
+                oid, _, resp = entry
+                fifo.push(BBeat(oid, resp) if d.write
+                          else RBeat(oid, last, 0, resp), now)
                 if last:
-                    self._err_r[i].popleft()
+                    queue.popleft()
                     self._err_pending -= 1
-                    _retire_dest(self._rd_dest[i], entry[0], ERROR_PORT)
-                    self.counters.bump("decerr_r" if entry[2] is Resp.DECERR
-                                       else "slverr_r")
+                    _retire_dest(d.dest[i], oid, ERROR_PORT)
+                    self.counters.bump(d.decerr if resp is Resp.DECERR
+                                       else d.slverr)
 
     # -- write data (error path) ----------------------------------------
     def _sink_error_w(self, now: int, w_used: int) -> None:
@@ -616,15 +580,13 @@ class AxiCrossbar(Component):
                 entry = route_q.popleft()
                 self._w_locked &= ~(1 << i)
                 self._err_w -= 1
-                self._err_b[i].append((entry[1], entry[2]))
+                self._wr.err[i].append([entry[1], 1, entry[2]])
                 self._err_pending += 1
 
     # -- address channels ------------------------------------------------
     def _decode(self, beat: AddrBeat, i: int) -> int:
         j = self.route(beat, i)
-        if j is None:
-            return ERROR_PORT
-        if j == ERROR_PORT:
+        if j is None or j == ERROR_PORT:
             return ERROR_PORT
         if not 0 <= j < self.n_out or self.out_links[j] is None:
             raise ConnectivityError(
@@ -634,9 +596,10 @@ class AxiCrossbar(Component):
                 f"{self.name}: route used disallowed turn {i}->{j} for {beat!r}")
         return j
 
-    def _arbitrate_aw(self, now: int, mask: int) -> bool:
-        """Grant at most one AW per egress among the ingresses in
-        ``mask``: those with a non-empty AW FIFO and no W lock.
+    def _arbitrate(self, now: int, mask: int, d: _Direction) -> bool:
+        """Grant at most one request of direction ``d`` per egress among
+        the ingresses in ``mask``: those with a non-empty AW FIFO and no
+        W lock, or those with a non-empty AR FIFO.
 
         W-coupled AW forwarding: at most one granted write burst per
         ingress until its W data has fully moved through this XP.  This
@@ -654,124 +617,34 @@ class AxiCrossbar(Component):
         that depends on the egress — FIFO space, the W order queue, MOT,
         the ID pool — is checked there, at visit time.
 
+        Many-to-one reads make most AR calls futile: pass 1 files every
+        ingress and pass 2 finds every requested egress FIFO-full or
+        MOT-full.  Such a call leaves ``_ar_memo`` behind, and
+        :meth:`step` replays its outcome without calling again until an
+        ingress, a head or an egress has changed.  AW needs none: the
+        ``_w_locked`` mask already keeps its futile calls away.
+
         Returns True when the crossbar must step again next cycle
         whatever its neighbours do — it granted or terminated a request,
         a head is not yet visible, an error path is pending, or a
         per-cycle stall counter ran — and False when every head is held
         by a full egress FIFO."""
-        busy = False
-        heads = self._aw_head
-        egress = self._aw_egress
-        req = self._aw_req
-        src = self._aw_q
-        blocked = self._fault_blocked
-        wanted = 0  # egresses with a request filed
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            i = bit.bit_length() - 1
-            head = src[i][0]
-            if head[0] > now:
-                busy = True
-                continue
-            beat = head[1]
-            if heads[i] is beat:
-                j = egress[i]
-            else:
-                j = egress[i] = self._decode(beat, i)
-                heads[i] = beat
-            if j == ERROR_PORT or (blocked is not None and j in blocked):
-                busy = True  # the error path polls
-                self._terminate_aw(now, i, beat, j)
-                continue
-            dest = self._wr_dest[i].get(beat.id)
-            if dest is not None and dest[0] != j:
-                self.counters.bump("aw_same_id_stall")
-                busy = True
-                continue
-            req[j] |= bit
-            wanted |= 1 << j
-        while wanted:
-            bit = wanted & -wanted
-            wanted ^= bit
-            j = bit.bit_length() - 1
-            mask = req[j]
-            req[j] = 0
-            out = self.out_links[j].aw
-            if len(out._q) >= out.capacity:
-                continue  # back-pressure: the pop that frees it wakes us
-            busy = True
-            order = self._w_order[j]
-            if len(order) >= self.w_order_depth:
-                self.counters.bump("aw_order_full")
-                continue
-            if (self.max_outstanding is not None
-                    and self._wr_inflight[j] >= self.max_outstanding):
-                self.counters.bump("aw_mot_stall")
-                continue
-            i = self._pick_mask(mask, self._aw_ptr[j])
-            beat = heads[i]
-            rid = self._wr_remap[j].acquire(i, beat.id)
-            if rid is None:
-                self.counters.bump("aw_id_stall")
-                continue
-            self.in_links[i].aw.pop(now)
-            heads[i] = None
-            out.push(beat.with_id(rid), now)
-            self._wr_inflight[j] += 1
-            _bump_dest(self._wr_dest[i], beat.id, j)
-            self._w_route[i].append([j, None])
-            self._w_locked |= 1 << i
-            if not order:
-                self._w_busy.append(j)
-            order.append([i, beat.beats])
-            self._aw_ptr[j] = i + 1 if i + 1 < self.n_in else 0
-        return busy
-
-    def _terminate_aw(self, now: int, i: int, beat: AddrBeat, j: int) -> None:
-        """Consume ingress ``i``'s AW head into the error path, same-ID
-        order and error-queue space permitting: it decoded to no egress
-        (``j`` is ERROR_PORT: DECERR) or to a fault-killed one (fail
-        fast with SLVERR)."""
-        dest = self._wr_dest[i].get(beat.id)
-        if dest is not None and dest[0] != ERROR_PORT:
-            return  # same-ID ordering across destinations
-        if len(self._err_b[i]) >= self.err_depth:  # (_w_route[i] is empty)
-            return
-        resp = Resp.DECERR if j == ERROR_PORT else Resp.SLVERR
-        self.in_links[i].aw.pop(now)
-        self._aw_head[i] = None
-        _bump_dest(self._wr_dest[i], beat.id, ERROR_PORT)
-        self._w_route[i].append([ERROR_PORT, beat.id, resp])
-        self._w_locked |= 1 << i
-        self._err_w += 1
-        self.counters.bump("aw_unmapped" if resp is Resp.DECERR
-                           else "aw_fault_blocked")
-
-    def _arbitrate_ar(self, now: int, mask: int) -> bool:
-        """The AR twin of :meth:`_arbitrate_aw` (same passes and return
-        contract; reads have no W coupling, so ``mask`` is every ingress
-        with a non-empty AR FIFO).
-
-        Many-to-one reads make most calls futile: pass 1 files every
-        ingress and pass 2 finds every requested egress FIFO-full or
-        MOT-full.  Such a call leaves ``_ar_memo`` behind, and
-        :meth:`step` replays its outcome without calling again until an
-        ingress, a head or an egress has changed.  AW needs no twin: the
-        ``_w_locked`` mask already keeps its futile calls away."""
         occupied = mask
         busy = False
-        heads = self._ar_head
-        egress = self._ar_egress
-        req = self._ar_req
-        src = self._ar_q
+        write = d.write
+        heads = d.head
+        egress = d.egress
+        req = d.req
+        src = d.src
         blocked = self._fault_blocked
+        bump = self.counters.bump
+        mot = self.max_outstanding
         wanted = 0  # egresses with a request filed
         while mask:
             bit = mask & -mask
             mask ^= bit
             i = bit.bit_length() - 1
-            head = src[i][0]
+            head = src[i]._q[0]
             if head[0] > now:
                 busy = True
                 continue
@@ -783,11 +656,11 @@ class AxiCrossbar(Component):
                 heads[i] = beat
             if j == ERROR_PORT or (blocked is not None and j in blocked):
                 busy = True  # the error path polls
-                self._terminate_ar(now, i, beat, j)
+                self._terminate(now, i, beat, j, d)
                 continue
-            dest = self._rd_dest[i].get(beat.id)
+            dest = d.dest[i].get(beat.id)
             if dest is not None and dest[0] != j:
-                self.counters.bump("ar_same_id_stall")
+                bump(d.same_id_stall)
                 busy = True
                 continue
             req[j] |= bit
@@ -799,28 +672,39 @@ class AxiCrossbar(Component):
             j = bit.bit_length() - 1
             mask = req[j]
             req[j] = 0
-            out = self.out_links[j].ar
+            out = d.out[j]
             if len(out._q) >= out.capacity:
                 continue  # back-pressure: the pop that frees it wakes us
             busy = True
-            if (self.max_outstanding is not None
-                    and self._rd_inflight[j] >= self.max_outstanding):
-                self.counters.bump("ar_mot_stall")
+            if write:
+                order = self._w_order[j]
+                if len(order) >= self.w_order_depth:
+                    bump("aw_order_full")
+                    continue
+            if mot is not None and d.inflight[j] >= mot:
+                bump(d.mot_stall)
                 continue
             futile = False
-            i = self._pick_mask(mask, self._ar_ptr[j])
+            i = self._pick_mask(mask, d.ptr[j])
             beat = heads[i]
-            rid = self._rd_remap[j].acquire(i, beat.id)
+            rid = d.remap[j].acquire(i, beat.id)
             if rid is None:
-                self.counters.bump("ar_id_stall")
+                bump(d.id_stall)
                 continue
-            self.in_links[i].ar.pop(now)
+            src[i].pop(now)
             heads[i] = None
             out.push(beat.with_id(rid), now)
-            self._rd_inflight[j] += 1
-            _bump_dest(self._rd_dest[i], beat.id, j)
-            self._ar_ptr[j] = i + 1 if i + 1 < self.n_in else 0
-        self._ar_memo = self._remember_ar(occupied) if futile else None
+            d.inflight[j] += 1
+            _bump_dest(d.dest[i], beat.id, j)
+            if write:
+                self._w_route[i].append([j, None])
+                self._w_locked |= 1 << i
+                if not order:
+                    self._w_busy.append(j)
+                order.append([i, beat.beats])
+            d.ptr[j] = i + 1 if i + 1 < self.n_in else 0
+        if not write:
+            self._ar_memo = self._remember_ar(occupied) if futile else None
         return busy
 
     def _remember_ar(self, mask: int) -> tuple:
@@ -829,28 +713,40 @@ class AxiCrossbar(Component):
         under it: a filed head leaves only by a grant, the same-ID rule
         can only start to bind at one, and :meth:`routes_changed` /
         :meth:`set_fault_blocked` drop the memo."""
+        rd = self._rd
         ingresses = [i for i in range(self.n_in) if mask >> i & 1]
-        src = self._ar_q
-        outs = [(j, self.out_links[j].ar)
-                for j in {self._ar_egress[i] for i in ingresses}]
-        return (mask, [(src[i], src[i][0]) for i in ingresses],
-                [(j, out._q, out.capacity) for j, out in outs])
+        src = [rd.src[i]._q for i in ingresses]
+        outs = {rd.egress[i] for i in ingresses}
+        return (mask, [(q, q[0]) for q in src],
+                [(j, rd.out[j]._q, rd.out[j].capacity) for j in outs])
 
-    def _terminate_ar(self, now: int, i: int, beat: AddrBeat, j: int) -> None:
-        """The AR twin of :meth:`_terminate_aw`."""
-        dest = self._rd_dest[i].get(beat.id)
+    def _terminate(self, now: int, i: int, beat: AddrBeat, j: int,
+                   d: _Direction) -> None:
+        """Consume ingress ``i``'s request head into the error path,
+        same-ID order and error-queue space permitting: it decoded to no
+        egress (``j`` is ERROR_PORT: DECERR) or to a fault-killed one
+        (fail fast with SLVERR)."""
+        dest = d.dest[i].get(beat.id)
         if dest is not None and dest[0] != ERROR_PORT:
             return  # same-ID ordering across destinations
-        if len(self._err_r[i]) >= self.err_depth:
+        if len(d.err[i]) >= self.err_depth:
             return
         resp = Resp.DECERR if j == ERROR_PORT else Resp.SLVERR
-        self.in_links[i].ar.pop(now)
-        self._ar_head[i] = None
-        _bump_dest(self._rd_dest[i], beat.id, ERROR_PORT)
-        self._err_r[i].append([beat.id, beat.beats, resp])
-        self._err_pending += 1
-        self.counters.bump("ar_unmapped" if resp is Resp.DECERR
-                           else "ar_fault_blocked")
+        d.src[i].pop(now)
+        d.head[i] = None
+        _bump_dest(d.dest[i], beat.id, ERROR_PORT)
+        if d.write:
+            # The B is owed once the burst's W data has been sunk
+            # (_sink_error_w); _w_route[i] is empty, or the W lock would
+            # have kept this head out of the mask.
+            self._w_route[i].append([ERROR_PORT, beat.id, resp])
+            self._w_locked |= 1 << i
+            self._err_w += 1
+        else:
+            d.err[i].append([beat.id, beat.beats, resp])
+            self._err_pending += 1
+        self.counters.bump(d.unmapped if resp is Resp.DECERR
+                           else d.fault_blocked)
 
     def _pick_mask(self, mask: int, ptr: int) -> int:
         """Arbitrate among the requesting ingresses in ``mask``: the

@@ -18,7 +18,8 @@ from collections import deque
 
 from repro.baseline.flit import Flit, Packet, make_flits
 from repro.baseline.router import P_E, P_LOCAL, P_N, P_S, P_W, Router
-from repro.faults.runtime import FaultStats, FaultTimeline, fault_rngs
+from repro.faults.runtime import (FaultStats, FaultTimeline, PortFaults,
+                                  fault_rngs)
 from repro.noc.topology import Mesh2D
 from repro.sim.kernel import Component, Simulator
 from repro.sim.rng import spawn_rngs
@@ -113,7 +114,7 @@ class PacketMesh(Component):
         self._faults = faults if faults is not None and faults.active() else None
         self._fault_stats: FaultStats | None = None
         self._timeline: FaultTimeline | None = None
-        self._fault_entries: dict[tuple[int, int], dict[int, float]] = {}
+        self._port_faults: PortFaults | None = None
         self._dead_ports: dict[int, set[int]] = {}
         self._deg_ports: dict[int, dict[int, float]] = {}
         self._corrupt_rate = 0.0
@@ -139,6 +140,8 @@ class PacketMesh(Component):
                     "watchdog is the only thing that terminates an "
                     "orphaned packet")
             self._fault_stats = FaultStats()
+            self._port_faults = PortFaults(self._link_ports,
+                                           self._fault_stats)
             rngs = fault_rngs(seed if fault_seed is None else fault_seed, 2)
             self._timeline = FaultTimeline(spec, len(self._link_ports),
                                            rng=rngs[0],
@@ -313,44 +316,24 @@ class PacketMesh(Component):
             stats.dropped += 1
 
     # ------------------------------------------------------------------
-    # Fault-event bookkeeping (mirror of faults.controller for the AXI
-    # side, folded into the mesh because it already is one component).
+    # Fault-event bookkeeping (folded into the mesh because it already
+    # is one component; the AXI side has faults.controller).
     # ------------------------------------------------------------------
     def _apply_fault_events(self, events) -> None:
-        stats = self._fault_stats
-        entries = self._fault_entries
         touched: set[tuple[int, int]] = set()
-        for kind, *rest in events:
+        for event in events:
+            kind = event[0]
             if kind == "vc":
-                node, port, vc, fid = rest
+                _, node, port, vc, fid = event
                 self._stuck_entries.setdefault(node, {})[fid] = (port, vc)
-                stats.vc_faults += 1
+                self._fault_stats.vc_faults += 1
                 self._refresh_stuck(node)
-                continue
-            if kind == "vc_clear":
-                node, port, vc, fid = rest
+            elif kind == "vc_clear":
+                _, node, port, vc, fid = event
                 self._stuck_entries.get(node, {}).pop(fid, None)
                 self._refresh_stuck(node)
-                continue
-            if kind == "link":
-                idx, fid, factor = rest
-                key = self._link_ports[idx]
-                entries.setdefault(key, {})[fid] = factor
-                stats.link_faults += 1
-            elif kind == "link_clear":
-                idx, fid = rest
-                key = self._link_ports[idx]
-                entries.get(key, {}).pop(fid, None)
-            elif kind == "port":
-                node, port, fid = rest
-                key = (node, port)
-                entries.setdefault(key, {})[fid] = 0.0
-                stats.port_faults += 1
-            else:  # port_clear
-                node, port, fid = rest
-                key = (node, port)
-                entries.get(key, {}).pop(fid, None)
-            touched.add(key)
+            else:
+                touched.add(self._port_faults.apply(event))
         for key in sorted(touched):
             self._refresh_fault_port(key)
 
@@ -361,23 +344,18 @@ class PacketMesh(Component):
         self.routers[node].fault_stuck = frozenset(slots) if slots else None
 
     def _refresh_fault_port(self, key: tuple[int, int]) -> None:
-        """Recompute one (node, out_port)'s effective state from the
-        overlapping fault entries: dead wins, else the narrowest width."""
+        """Install one (node, out_port)'s effective state on its router."""
         node, port = key
-        factors = self._fault_entries.get(key) or {}
-        router = self.routers[node]
+        width = self._port_faults.width(key)
         dead = self._dead_ports.setdefault(node, set())
         deg = self._deg_ports.setdefault(node, {})
-        if 0.0 in factors.values():
+        dead.discard(port)
+        deg.pop(port, None)
+        if width == 0.0:
             dead.add(port)
-            deg.pop(port, None)
-        else:
-            dead.discard(port)
-            live = [f for f in factors.values() if f > 0.0]
-            if live:
-                deg[port] = min(live)
-            else:
-                deg.pop(port, None)
+        elif width is not None:
+            deg[port] = width
+        router = self.routers[node]
         router.fault_dead = frozenset(dead) if dead else None
         router.fault_degraded = dict(deg) if deg else None
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterator
 
-from repro.axi.beats import AddrBeat, WBeat
+from repro.axi.beats import AddrBeat, BeatStream, WBeat
 from repro.axi.link import AxiLink
 from repro.axi.memory_map import MemoryMap
 from repro.axi.transaction import Burst, Transfer, split_transfer
@@ -37,43 +37,6 @@ from repro.axi.types import Resp
 from repro.sim.fifo import full_fifos
 from repro.sim.kernel import BLOCKED, Component
 from repro.sim.stats import CounterSet, LatencyStats, ThroughputMeter
-
-
-class _WEmitter:
-    """Streams the W beats of one burst, reusing the middle-beat object."""
-
-    __slots__ = ("issued", "beats", "first", "mid", "last", "tag", "_mid_beat")
-
-    def __init__(self, burst: Burst, beat_bytes: int, tag: tuple):
-        offset = burst.addr % beat_bytes
-        self.issued = 0
-        self.beats = burst.beats
-        if burst.beats == 1:
-            self.first = burst.nbytes
-            self.mid = 0
-            self.last = 0
-        else:
-            self.first = min(beat_bytes - offset, burst.nbytes)
-            body = burst.nbytes - self.first
-            self.last = body - (burst.beats - 2) * beat_bytes
-            self.mid = beat_bytes
-            if not 0 < self.last <= beat_bytes:
-                raise AssertionError(
-                    f"beat arithmetic broke for {burst}: last={self.last}")
-        self.tag = tag
-        self._mid_beat = WBeat(False, self.mid)
-
-    def next_beat(self) -> WBeat:
-        k = self.issued
-        self.issued += 1
-        if k == self.beats - 1:
-            return WBeat(True, self.last if self.beats > 1 else self.first)
-        if k == 0:
-            return WBeat(False, self.first)
-        return self._mid_beat
-
-    def done(self) -> bool:
-        return self.issued >= self.beats
 
 
 #: Flag bits for outstanding-entry index 6 (transaction-lifetime state).
@@ -90,15 +53,15 @@ class _BurstRetry:
     logically in flight), so the transfer cannot complete under it.
     """
 
-    __slots__ = ("transfer", "burst", "first_issue", "retries", "timed_out")
+    __slots__ = ("transfer", "burst", "first_issue", "retries", "flags")
 
     def __init__(self, transfer: Transfer, burst: Burst,
-                 first_issue: int, retries: int, timed_out: bool = False):
+                 first_issue: int, retries: int, flags: int = 0):
         self.transfer = transfer
         self.burst = burst
         self.first_issue = first_issue
         self.retries = retries
-        self.timed_out = timed_out
+        self.flags = flags  # _F_TIMED when the watchdog sent it here
 
 
 class DmaEngine(Component):
@@ -131,20 +94,20 @@ class DmaEngine(Component):
         n_ids = 1 << id_width
         self._wr_free = list(range(n_ids - 1, -1, -1))
         self._rd_free = list(range(n_ids - 1, -1, -1))
-        # id -> [transfer, first_issue, beats_left, burst, retries]
+        # id -> [transfer, first_issue, beats_left, burst, retries,
+        #        watchdog deadline, _F_* flags]
         self._wr_out: dict[int, list] = {}
         self._rd_out: dict[int, list] = {}
         #: Transfers awaiting split + _BurstRetry records awaiting
         #: reissue, in FIFO order (one queue so every existing activity
         #: gate covers retries for free).
         self._pending: deque = deque()
-        self._w_emit: deque[_WEmitter] = deque()
+        self._w_emit: deque[BeatStream] = deque()
         self._cur: Transfer | None = None
         self._burst_iter: Iterator[Burst] | None = None
         self._next_burst: Burst | None = None
         self._idle_until = 0
         self._last_now = -1
-        self._seq = 0
         self.transfers_completed = 0
         self.bytes_read = 0
         self.errors = 0
@@ -312,17 +275,17 @@ class DmaEngine(Component):
             w = link.w
             wq = w._q
             if len(wq) < w.capacity:
-                emitter = w_emit[0]
+                stream = w_emit[0]
                 if not wq:
                     occ = w.occ
                     if occ is not None:
                         occ[0] += 1
-                wq.append((now + w.latency, emitter.next_beat()))
+                wq.append((now + w.latency, stream.next_beat()))
                 w.pushed += 1
                 consumer = w.consumer
                 if consumer is not None and not consumer._in_active_set:
                     consumer.wake(now + w.latency)
-                if emitter.issued >= emitter.beats:
+                if stream.issued >= stream.beats:
                     w_emit.popleft()
                     if self.watchers:
                         self._wake_watchers()
@@ -359,16 +322,28 @@ class DmaEngine(Component):
         return BLOCKED if held else True
 
     def _sink(self, now: int, link: AxiLink) -> None:
-        """Consume at most one B and one R beat (inlined pop hot path).
+        """Consume at most one B and one R beat (inlined R pop: the
+        read-stream hot path).
 
-        Fault wiring shadows this with :meth:`_sink_armed` (an instance
-        attribute wins over the class method), so the fault-free path
-        never pays for the response-fault guards."""
+        The transaction-lifetime guards (DESIGN.md §10) are part of this
+        one body and inert unless fault wiring armed them: no byzantine
+        RNG means no draw, the zombie tables are empty without a
+        watchdog, and no entry carries a flag."""
+        rng = self._byz_rng
         q = link.b._q
         if q and q[0][0] <= now:
             beat = link.b.pop(now)
-            self._complete(self._wr_out, self._wr_free, beat.id,
-                           beat.resp, now)
+            tid = beat.id
+            hit = self._byzantine(rng) if rng is not None else 0
+            if hit == _F_GAP:
+                pass  # ID mangled in flight: the scoreboard discards the
+                #       beat; the burst orphans into the watchdog
+            elif tid in self._wr_zombie:
+                del self._wr_zombie[tid]  # late response for an aborted
+                self._wr_free.append(tid)  # burst: its id is free again
+            else:  # (a corrupted payload is detected as an error)
+                self._complete(self._wr_out, self._wr_free, tid,
+                               Resp.SLVERR if hit else beat.resp, now)
         rf = link.r
         q = rf._q
         if q and q[0][0] <= now:
@@ -384,98 +359,55 @@ class DmaEngine(Component):
                 producer = rf.producer
                 if producer is not None and not producer._in_active_set:
                     producer.wake()
-            if not beat.resp:  # error beats carry no creditable payload
+            tid = beat.id
+            resp = beat.resp
+            entry = self._rd_out.get(tid)
+            if rng is not None:
+                hit = self._byzantine(rng)
+                if hit:
+                    # A mangled ID discards the beat, so the burst's
+                    # count can no longer line up: _F_GAP tells the tail
+                    # check.  A corrupted payload fails the burst there.
+                    if entry is not None:
+                        entry[6] |= hit
+                    if hit == _F_GAP:
+                        return
+                    resp = Resp.SLVERR
+            if entry is None:
+                if tid not in self._rd_zombie:
+                    raise AssertionError(
+                        f"{self.name}: R beat for unknown id {tid}")
+                if beat.last:  # the aborted burst's tail finally arrived
+                    del self._rd_zombie[tid]
+                    self._rd_free.append(tid)
+                return
+            if not resp:  # error beats carry no creditable payload
                 meter = self.read_meter  # inlined ThroughputMeter.add
                 meter.bytes_total += beat.nbytes
                 if now >= meter.warmup_cycles:
                     meter.bytes_measured += beat.nbytes
                 self.bytes_read += beat.nbytes
-            entry = self._rd_out.get(beat.id)
-            if entry is None:
-                raise AssertionError(
-                    f"{self.name}: R beat for unknown id {beat.id}")
             entry[2] -= 1
-            if beat.last != (entry[2] == 0):
+            mismatch = beat.last != (entry[2] == 0)
+            # With response-path faults armed an R burst may arrive with
+            # beats missing; it then completes as SLVERR at its tail.
+            if (mismatch and not (entry[6] & _F_GAP)
+                    and not self._resp_tolerant):
                 raise AssertionError(
-                    f"{self.name}: R burst length mismatch on id {beat.id}")
+                    f"{self.name}: R burst length mismatch on id {tid}")
             if beat.last:
-                self._complete(self._rd_out, self._rd_free, beat.id,
-                               beat.resp, now)
+                if mismatch or (entry[6] & _F_BYZ):
+                    resp = Resp.SLVERR
+                self._complete(self._rd_out, self._rd_free, tid, resp, now)
 
-    def _sink_armed(self, now: int, link: AxiLink) -> None:
-        """:meth:`_sink` with the transaction-lifetime guards — bound
-        over the class method at fault wiring time whenever the
-        watchdog, byzantine draws, or tolerant response handling are
-        live.  The guarded sinks are bit-identical to the fast path
-        while no guard has anything to do, so static dispatch here
-        preserves golden equivalence."""
-        q = link.b._q
-        if q and q[0][0] <= now:
-            beat = link.b.pop(now)
-            self._sink_b_guarded(beat.id, beat.resp, now)
-        q = link.r._q
-        if q and q[0][0] <= now:
-            self._sink_r_guarded(link.r.pop(now), now)
-
-    def _sink_b_guarded(self, tid: int, resp: Resp, now: int) -> None:
-        """B sink with the transaction-lifetime guards (byzantine draws,
-        zombie ids) — reachable only with response-path faults armed."""
-        rng = self._byz_rng
-        if rng is not None and rng.random() < self._byz_rate:
-            self.fault_stats.byzantine += 1
-            if rng.random() < 0.5:
-                return  # ID mangled in flight: the scoreboard discards
-                #         the beat; the burst orphans into the watchdog
-            resp = Resp.SLVERR  # payload corrupted: detected as an error
-        if tid in self._wr_out:
-            self._complete(self._wr_out, self._wr_free, tid, resp, now)
-        elif self._wr_zombie.pop(tid, None) is not None:
-            self._wr_free.append(tid)  # late response for an aborted burst
-        else:
-            raise AssertionError(
-                f"{self.name}: response for unknown id {tid}")
-
-    def _sink_r_guarded(self, beat, now: int) -> None:
-        """R sink with the transaction-lifetime guards; credit
-        bookkeeping is identical to the inline fast path."""
-        tid = beat.id
-        resp = beat.resp
-        entry = self._rd_out.get(tid)
-        rng = self._byz_rng
-        if rng is not None and rng.random() < self._byz_rate:
-            self.fault_stats.byzantine += 1
-            if rng.random() < 0.5:
-                # ID mangled: discard; the burst's beat count can no
-                # longer line up, so flag the gap for the tail check.
-                if entry is not None:
-                    entry[6] |= _F_GAP
-                return
-            resp = Resp.SLVERR
-            if entry is not None:
-                entry[6] |= _F_BYZ
-        if entry is None:
-            if tid not in self._rd_zombie:
-                raise AssertionError(
-                    f"{self.name}: R beat for unknown id {tid}")
-            if beat.last:  # the aborted burst's tail finally arrived
-                del self._rd_zombie[tid]
-                self._rd_free.append(tid)
-            return
-        if not resp:
-            meter = self.read_meter
-            meter.bytes_total += beat.nbytes
-            if now >= meter.warmup_cycles:
-                meter.bytes_measured += beat.nbytes
-            self.bytes_read += beat.nbytes
-        entry[2] -= 1
-        mismatch = beat.last != (entry[2] == 0)
-        if mismatch and not (entry[6] & _F_GAP) and not self._resp_tolerant:
-            raise AssertionError(
-                f"{self.name}: R burst length mismatch on id {tid}")
-        if beat.last:
-            if mismatch or (entry[6] & _F_BYZ):
-                resp = Resp.SLVERR
-            self._complete(self._rd_out, self._rd_free, tid, resp, now)
+    def _byzantine(self, rng) -> int:
+        """One byzantine draw for a response beat: 0 when it is clean,
+        ``_F_BYZ`` when its payload was corrupted, ``_F_GAP`` when its ID
+        was mangled (nobody can claim the beat)."""
+        if rng.random() >= self._byz_rate:
+            return 0
+        self.fault_stats.byzantine += 1
+        return _F_GAP if rng.random() < 0.5 else _F_BYZ
 
     def _check_timeouts(self, now: int) -> None:
         """The per-transaction watchdog: abort outstanding bursts whose
@@ -518,7 +450,8 @@ class DmaEngine(Component):
                         and now - entry[1] <= policy.timeout):
                     policy.stats.retransmissions += 1
                     self._pending.append(_BurstRetry(
-                        transfer, entry[3], entry[1], entry[4] + 1, True))
+                        transfer, entry[3], entry[1], entry[4] + 1,
+                        _F_TIMED))
                     continue
                 stats.dropped += 1
                 transfer._failed = True
@@ -531,18 +464,24 @@ class DmaEngine(Component):
 
     # ------------------------------------------------------------------
     def _issue(self, now: int) -> bool:
-        """Issue at most one burst.  Returns True when a burst is ready
-        and held — by a full AW/AR FIFO (the pop that makes room wakes
-        the engine; ``_held_by`` names the FIFO) or by the ID pool / MOT
-        (``_stalled`` opens the interval the next step charges) — and
-        False when it issued or advanced the split."""
+        """Issue at most one burst — the pending queue's head if it is a
+        :class:`_BurstRetry`, else the next burst of the transfer being
+        split.  Returns True when a burst is ready and held (see
+        :meth:`_send`), False when it issued or advanced the split."""
         self._held_by = None
         if self._cur is None:
             if not self._pending:
                 return False
             head = self._pending[0]
             if type(head) is _BurstRetry:
-                return self._issue_retry(head, now)
+                # Popped only once the burst actually goes out.
+                if self._send(head.transfer, head.burst, head.first_issue,
+                              head.retries, head.flags, now):
+                    return True
+                self._pending.popleft()
+                for feeder in self.feeders:
+                    feeder.wake()
+                return False
             transfer = self._pending.popleft()
             for feeder in self.feeders:
                 feeder.wake()
@@ -557,37 +496,9 @@ class DmaEngine(Component):
         if burst is None:
             return False
         transfer = self._cur
-        link = self.link
-        to = self._txn_timeout
-        dl = now + to if to is not None else 0
-        if transfer.is_read:
-            if not self._rd_free or len(self._rd_out) >= self.max_outstanding:
-                return self._stall("dma_rd_mot_stall", now)
-            if not link.ar.can_push():
-                self._held_by = link.ar
-                return True
-            tid = self._rd_free.pop()
-            dest = self.memory_map.resolve(burst.addr)
-            link.ar.push(AddrBeat(tid, burst.addr, burst.beats, burst.nbytes,
-                                  -1 if dest is None else dest, self.tile), now)
-            self._rd_out[tid] = [transfer, now, burst.beats, burst, 0, dl, 0]
-        else:
-            if not self._wr_free or len(self._wr_out) >= self.max_outstanding:
-                return self._stall("dma_wr_mot_stall", now)
-            if not link.aw.can_push():
-                self._held_by = link.aw
-                return True
-            tid = self._wr_free.pop()
-            dest = self.memory_map.resolve(burst.addr)
-            link.aw.push(AddrBeat(tid, burst.addr, burst.beats, burst.nbytes,
-                                  -1 if dest is None else dest, self.tile), now)
-            self._wr_out[tid] = [transfer, now, 0, burst, 0, dl, 0]
-            self._w_emit.append(
-                _WEmitter(burst, self.beat_bytes, (self.tile, self._seq)))
-            self._seq += 1
+        if self._send(transfer, burst, now, 0, 0, now):
+            return True
         transfer._bursts_left += 1
-        # Descriptor processing gap before the next burst may issue.
-        self._idle_until = now + self.issue_overhead
         self._next_burst = next(self._burst_iter, None)
         if self._next_burst is None:
             transfer._split_done = True
@@ -597,53 +508,38 @@ class DmaEngine(Component):
                 self._wake_watchers()  # backlog() stops counting the split
         return False
 
-    def _stall(self, key: str, now: int) -> bool:
-        """Out of ids or MOT room: open the interval charged to ``key``
-        (a held attempt, so True — see :meth:`_issue`)."""
-        self._stalled = key
-        self._stalled_since = now
-        return True
-
-    def _issue_retry(self, retry: _BurstRetry, now: int) -> bool:
-        """Reissue one failed burst (head of the pending queue).  Pops
-        the record only once the burst actually goes out; until then the
-        engine waits exactly as for a stalled fresh issue (same return
-        contract as :meth:`_issue`)."""
-        burst = retry.burst
-        transfer = retry.transfer
+    def _send(self, transfer: Transfer, burst: Burst, first_issue: int,
+              retries: int, flags: int, now: int) -> bool:
+        """Put one burst — fresh or retried, read or write — on its
+        address channel and into the outstanding table.  Returns True
+        when it is held instead: by the ID pool / MOT (``_stalled`` opens
+        the interval the next step charges) or by a full AW/AR FIFO (the
+        pop that makes room wakes the engine; ``_held_by`` names it)."""
         link = self.link
-        to = self._txn_timeout
-        dl = now + to if to is not None else 0
-        flags = _F_TIMED if retry.timed_out else 0
-        dest = self.memory_map.resolve(burst.addr)
-        beat_args = (burst.addr, burst.beats, burst.nbytes,
-                     -1 if dest is None else dest, self.tile)
         if transfer.is_read:
-            if not self._rd_free or len(self._rd_out) >= self.max_outstanding:
-                return self._stall("dma_rd_mot_stall", now)
-            if not link.ar.can_push():
-                self._held_by = link.ar
-                return True
-            tid = self._rd_free.pop()
-            link.ar.push(AddrBeat(tid, *beat_args), now)
-            self._rd_out[tid] = [transfer, retry.first_issue, burst.beats,
-                                 burst, retry.retries, dl, flags]
+            free, out, fifo = self._rd_free, self._rd_out, link.ar
         else:
-            if not self._wr_free or len(self._wr_out) >= self.max_outstanding:
-                return self._stall("dma_wr_mot_stall", now)
-            if not link.aw.can_push():
-                self._held_by = link.aw
-                return True
-            tid = self._wr_free.pop()
-            link.aw.push(AddrBeat(tid, *beat_args), now)
-            self._wr_out[tid] = [transfer, retry.first_issue, 0, burst,
-                                 retry.retries, dl, flags]
-            self._w_emit.append(
-                _WEmitter(burst, self.beat_bytes, (self.tile, self._seq)))
-            self._seq += 1
-        self._pending.popleft()
-        for feeder in self.feeders:
-            feeder.wake()
+            free, out, fifo = self._wr_free, self._wr_out, link.aw
+        if not free or len(out) >= self.max_outstanding:
+            self._stalled = ("dma_rd_mot_stall" if transfer.is_read
+                             else "dma_wr_mot_stall")
+            self._stalled_since = now
+            return True
+        if not fifo.can_push():
+            self._held_by = fifo
+            return True
+        tid = free.pop()
+        dest = self.memory_map.resolve(burst.addr)
+        fifo.push(AddrBeat(tid, burst.addr, burst.beats, burst.nbytes,
+                           -1 if dest is None else dest, self.tile), now)
+        to = self._txn_timeout
+        out[tid] = [transfer, first_issue, burst.beats, burst, retries,
+                    now + to if to is not None else 0, flags]
+        if not transfer.is_read:
+            self._w_emit.append(BeatStream(
+                burst.addr, burst.beats, burst.nbytes, self.beat_bytes,
+                WBeat))
+        # Descriptor processing gap before the next burst may issue.
         self._idle_until = now + self.issue_overhead
         return False
 

@@ -12,8 +12,9 @@ atomicity via tags) are always on — they are assertions, not statistics.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 
-from repro.axi.beats import BBeat, RBeat
+from repro.axi.beats import BBeat, BeatStream, RBeat
 from repro.axi.link import AxiLink
 from repro.axi.types import Resp
 from repro.sim.fifo import full_fifos
@@ -23,49 +24,6 @@ from repro.sim.stats import ThroughputMeter
 
 #: A due time later than any cycle (an empty response queue).
 _NEVER = float("inf")
-
-
-class _REmitter:
-    """Streams the R beats of one read burst (mirror of the DMA's W side)."""
-
-    __slots__ = ("rid", "issued", "beats", "first", "mid", "last", "resp",
-                 "_mid_beat")
-
-    def __init__(self, rid: int, addr: int, beats: int, nbytes: int,
-                 beat_bytes: int, resp: Resp = Resp.OKAY):
-        offset = addr % beat_bytes
-        self.rid = rid
-        self.resp = resp
-        self.issued = 0
-        self.beats = beats
-        if beats == 1:
-            self.first = nbytes
-            self.mid = 0
-            self.last = 0
-        else:
-            self.first = min(beat_bytes - offset, nbytes)
-            body = nbytes - self.first
-            self.last = body - (beats - 2) * beat_bytes
-            self.mid = beat_bytes
-            if not 0 < self.last <= beat_bytes:
-                raise AssertionError(
-                    f"R beat arithmetic broke: addr={addr:#x} beats={beats} "
-                    f"nbytes={nbytes} last={self.last}")
-        self._mid_beat = RBeat(rid, False, self.mid, resp)
-
-    def next_beat(self) -> RBeat:
-        k = self.issued
-        self.issued += 1
-        if k == self.beats - 1:
-            return RBeat(self.rid, True,
-                         self.last if self.beats > 1 else self.first,
-                         self.resp)
-        if k == 0:
-            return RBeat(self.rid, False, self.first, self.resp)
-        return self._mid_beat
-
-    def done(self) -> bool:
-        return self.issued >= self.beats
 
 
 class MemorySlave(Component):
@@ -102,7 +60,7 @@ class MemorySlave(Component):
         # [id, beats_left, bytes_left, total_bytes, total_beats, corrupt]
         self._w_expect: deque[list] = deque()
         self._b_queue: deque[tuple] = deque()  # (ready_at, id, resp)
-        self._r_jobs: deque[tuple[int, _REmitter]] = deque()  # (ready_at, emitter)
+        self._r_jobs: deque[tuple] = deque()  # (ready_at, id, BeatStream)
 
     def idle(self) -> bool:
         return not self._w_expect and not self._b_queue and not self._r_jobs
@@ -254,9 +212,9 @@ class MemorySlave(Component):
             resp = (Resp.SLVERR if fm is not None
                     and fm.corrupt(ar.src, ar.beats) else Resp.OKAY)
             self._r_jobs.append((
-                now + self.latency,
-                _REmitter(ar.id, ar.addr, ar.beats, ar.nbytes,
-                          self.beat_bytes, resp)))
+                now + self.latency, ar.id,
+                BeatStream(ar.addr, ar.beats, ar.nbytes, self.beat_bytes,
+                           partial(RBeat, ar.id, resp=resp))))
         return moved
 
     def _emit(self, now: int, link: AxiLink) -> bool:
@@ -279,20 +237,20 @@ class MemorySlave(Component):
             rq = r._q
             if len(rq) < r.capacity:
                 moved = True
-                emitter = r_jobs[0][1]
+                _, rid, stream = r_jobs[0]
                 if not rq:
                     occ = r.occ
                     if occ is not None:
                         occ[0] += 1
-                rq.append((now + r.latency, emitter.next_beat()))
+                rq.append((now + r.latency, stream.next_beat()))
                 r.pushed += 1
                 consumer = r.consumer
                 if consumer is not None and not consumer._in_active_set:
                     consumer.wake(now + r.latency)
-                if emitter.issued >= emitter.beats:
+                if stream.issued >= stream.beats:
                     r_jobs.popleft()
                     self.bursts_read += 1
                     if self.scoreboard is not None:
                         self.scoreboard.record_read(
-                            self.endpoint, emitter.rid, now)
+                            self.endpoint, rid, now)
         return moved

@@ -31,7 +31,8 @@ from collections import deque
 
 from repro.axi.link import AxiLink
 from repro.axi.xbar import _retire_dest
-from repro.faults.runtime import FaultStats, FaultTimeline, degraded_pass
+from repro.faults.runtime import (FaultStats, FaultTimeline, PortFaults,
+                                  degraded_pass)
 from repro.noc.topology import MESH_PORTS
 from repro.sim.kernel import Component
 
@@ -50,14 +51,10 @@ class FaultController(Component):
         self._timeline = timeline
         self.stats = stats
         self._xps = xps
-        #: (node, out_port) per mesh-link index (the timeline's currency).
-        self._link_ports = link_ports
         self._links = links
         self._link_by_key = {key: links[i]
                              for i, key in enumerate(link_ports)}
-        #: (node, port) -> {fault_id: width_factor}; overlapping faults
-        #: on one egress compose as dead-if-any-dead, else min factor.
-        self._entries: dict[tuple[int, int], dict[int, float]] = {}
+        self._port_faults = PortFaults(link_ports, stats)
         #: Effective degraded links: key -> (link, factor).
         self._deg_map: dict[tuple[int, int], tuple[AxiLink, float]] = {}
         self._degraded: list[tuple[AxiLink, float]] = []
@@ -128,7 +125,7 @@ class FaultController(Component):
         scheduler."""
         for node, port in self._resp_dead:
             xp = self._xps[node]
-            if xp._wr_inflight[port] or xp._rd_inflight[port]:
+            if xp._wr.inflight[port] or xp._rd.inflight[port]:
                 return True
         return False
 
@@ -171,9 +168,9 @@ class FaultController(Component):
                 break  # endpoint link: the DMA watchdog owns recovery
             node, out = key
             xp = self._xps[node]
-            i, oid = xp._wr_remap[out].release(rid)
-            xp._wr_inflight[out] -= 1
-            _retire_dest(xp._wr_dest[i], oid, out)
+            i, oid = xp._wr.remap[out].release(rid)
+            xp._wr.inflight[out] -= 1
+            _retire_dest(xp._wr.dest[i], oid, out)
             link = xp.in_links[i]
             rid = oid
         self.stats.response_drops += 1
@@ -191,7 +188,7 @@ class FaultController(Component):
                 break
             node, out = key
             xp = self._xps[node]
-            entry = xp._rd_remap[out]._table[rid]
+            entry = xp._rd.remap[out]._table[rid]
             i, oid = entry[0], entry[1]
             hops.append((xp, out, rid, i, oid))
             link = xp.in_links[i]
@@ -205,41 +202,13 @@ class FaultController(Component):
         while dq and dq[0][0] <= now:
             _, hops = dq.popleft()
             for xp, out, rid, i, oid in hops:
-                xp._rd_remap[out].release(rid)
-                xp._rd_inflight[out] -= 1
-                _retire_dest(xp._rd_dest[i], oid, out)
+                xp._rd.remap[out].release(rid)
+                xp._rd.inflight[out] -= 1
+                _retire_dest(xp._rd.dest[i], oid, out)
 
     # -- event application ---------------------------------------------
     def _apply(self, events: list[tuple]) -> None:
-        stats = self.stats
-        entries = self._entries
-        touched = set()
-        for ev in events:
-            kind = ev[0]
-            if kind == "link":
-                _, idx, fid, factor = ev
-                key = self._link_ports[idx]
-                entries.setdefault(key, {})[fid] = factor
-                stats.link_faults += 1
-            elif kind == "link_clear":
-                _, idx, fid = ev
-                key = self._link_ports[idx]
-                sub = entries.get(key)
-                if sub is not None:
-                    sub.pop(fid, None)
-            elif kind == "port":
-                _, node, port, fid = ev
-                key = (node, port)
-                entries.setdefault(key, {})[fid] = 0.0
-                stats.port_faults += 1
-            else:  # port_clear
-                _, node, port, fid = ev
-                key = (node, port)
-                sub = entries.get(key)
-                if sub is not None:
-                    sub.pop(fid, None)
-            touched.add(key)
-        for key in sorted(touched):
+        for key in sorted({self._port_faults.apply(ev) for ev in events}):
             self._refresh(key)
         if self._routers is not None:
             self._retable()
@@ -254,14 +223,13 @@ class FaultController(Component):
 
         dead = set()
         degraded = {}
-        for key, sub in self._entries.items():
-            if key[1] >= MESH_PORTS or not sub:
+        for key, width in self._port_faults.unhealthy():
+            if key[1] >= MESH_PORTS:
                 continue  # local-port faults don't reshape the mesh
-            factors = sub.values()
-            if 0.0 in factors:
+            if width == 0.0:
                 dead.add(key)
             else:
-                degraded[key] = min(factors)
+                degraded[key] = width
         sig = (frozenset(dead), tuple(sorted(degraded.items())))
         if sig == self._table_sig:
             return
@@ -286,8 +254,8 @@ class FaultController(Component):
 
     def _refresh(self, key: tuple[int, int]) -> None:
         node, port = key
-        factors = list((self._entries.get(key) or {}).values())
-        dead = 0.0 in factors
+        width = self._port_faults.width(key)
+        dead = width == 0.0
         blocked = self._blocked.setdefault(node, set())
         if dead != (port in blocked):
             if dead:
@@ -298,9 +266,8 @@ class FaultController(Component):
                 frozenset(blocked) if blocked else None)
         link = self._link_by_key.get(key)
         if link is not None:
-            nonzero = [f for f in factors if f > 0.0]
-            if nonzero and not dead:
-                self._deg_map[key] = (link, min(nonzero))
+            if width:  # degraded: 0 < width < 1
+                self._deg_map[key] = (link, width)
             else:
                 self._deg_map.pop(key, None)
             self._degraded = list(self._deg_map.values())

@@ -11,7 +11,7 @@ and activity-driven kernels.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from repro.sim.rng import DEFAULT_SEED
 from repro.sim.stats import LatencyStats
@@ -196,6 +196,53 @@ class FaultTimeline:
                     and event[2] > self._n_explicit):
                 self._schedule_rate_fault(cycle)
         return out
+
+
+class PortFaults:
+    """The link and port faults in force, per egress ``(node, port)`` —
+    one table and one composition rule for both fabrics.
+
+    Overlapping faults on an egress compose as: dead if any of them is
+    dead, else the narrowest width.  A dead fault is width factor 0 and
+    ``LinkFault`` keeps the others inside (0, 1), so that is the
+    minimum over the faults in force.
+    """
+
+    def __init__(self, link_ports: list[tuple[int, int]], stats: FaultStats):
+        #: (node, out_port) per mesh-link index (the timeline's currency).
+        self._link_ports = link_ports
+        self._stats = stats
+        self._entries: dict[tuple[int, int], dict[int, float]] = {}
+
+    def apply(self, event: tuple) -> tuple[int, int]:
+        """Fold one ``link`` / ``port`` event or its ``_clear`` into the
+        table (fault starts are counted); returns the egress it names."""
+        kind = event[0]
+        if kind in ("link", "link_clear"):
+            key, fid = self._link_ports[event[1]], event[2]
+        else:
+            key, fid = (event[1], event[2]), event[3]
+        if kind == "link":
+            self._entries.setdefault(key, {})[fid] = event[3]
+            self._stats.link_faults += 1
+        elif kind == "port":
+            self._entries.setdefault(key, {})[fid] = 0.0
+            self._stats.port_faults += 1
+        else:
+            self._entries.get(key, {}).pop(fid, None)
+        return key
+
+    def width(self, key: tuple[int, int]) -> float | None:
+        """The egress's effective state: 0.0 dead, a factor in (0, 1)
+        degraded, None healthy."""
+        faults = self._entries.get(key)
+        return min(faults.values()) if faults else None
+
+    def unhealthy(self) -> Iterator[tuple[tuple[int, int], float]]:
+        """``(egress, width)`` of every egress with a fault in force."""
+        for key, faults in self._entries.items():
+            if faults:
+                yield key, min(faults.values())
 
 
 class RetransmitPolicy:

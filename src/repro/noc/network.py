@@ -299,12 +299,6 @@ class NocNetwork:
                 if n_byz:
                     dma._byz_rate = faults.byzantine_rate
                     dma._byz_rng = rngs[1 + len(mem_tiles) + k]
-                if (faults.txn_timeout is not None or n_byz
-                        or faults.response_faults):
-                    # Static dispatch: shadow the class-level fast sink
-                    # with the guarded one so the fault-free hot path
-                    # pays nothing per beat (DESIGN.md §10).
-                    dma._sink = dma._sink_armed
             reroute = faults.recovery == "reroute"
             self._fault_controller = FaultController(
                 "faults", timeline, stats, self.xps,

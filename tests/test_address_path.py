@@ -256,12 +256,18 @@ def test_mask_pick_equals_list_pick_on_the_sorted_candidates(data):
 # the saving, as exact counts
 # ----------------------------------------------------------------------
 def count_calls(monkeypatch, cls, method: str) -> list[int]:
-    """Wrap ``cls.method`` to count its invocations in ``[n]``."""
+    """Wrap ``cls.method`` to count its invocations in ``[n]``;
+    ``_arbitrate_aw`` / ``_arbitrate_ar`` count the crossbar's
+    ``_arbitrate`` calls on its write / read direction record."""
     calls = [0]
+    record = {"_arbitrate_aw": "_wr", "_arbitrate_ar": "_rd"}.get(method)
+    if record is not None:
+        method = "_arbitrate"
     inner = getattr(cls, method)
 
     def counted(self, *args):
-        calls[0] += 1
+        if record is None or args[-1] is getattr(self, record):
+            calls[0] += 1
         return inner(self, *args)
 
     monkeypatch.setattr(cls, method, counted)

@@ -1,11 +1,9 @@
-"""Tests for the small standalone AXI blocks: cut, error slave, monitor,
-link, and the protocol-constant validators."""
+"""Tests for the small standalone AXI blocks: beats, monitor, link, and
+the protocol-constant validators."""
 
 import pytest
 
 from repro.axi.beats import AddrBeat, BBeat, RBeat, WBeat
-from repro.axi.cut import AxiCut
-from repro.axi.error_slave import ErrorSlave
 from repro.axi.link import CHANNELS, AxiLink
 from repro.axi.monitor import LinkMonitor
 from repro.axi.types import (
@@ -15,7 +13,6 @@ from repro.axi.types import (
     validate_id_width,
     validate_mot,
 )
-from repro.sim.kernel import Simulator
 
 
 class TestValidators:
@@ -66,62 +63,6 @@ class TestLink:
         link = AxiLink("l", capacity=2, w_capacity=8)
         assert link.w.capacity == 8
         assert link.aw.capacity == 2
-
-
-class TestAxiCut:
-    def test_forwards_all_channels(self):
-        up, down = AxiLink("up"), AxiLink("down")
-        sim = Simulator()
-        sim.add(AxiCut("cut", up, down))
-        up.aw.push(AddrBeat(0, 0, 1, 4, 0, 0), sim.now)
-        up.w.push(WBeat(True, 4), sim.now)
-        up.ar.push(AddrBeat(1, 0, 1, 4, 0, 0), sim.now)
-        down.b.push(BBeat(0), sim.now)
-        down.r.push(RBeat(1, True, 4), sim.now)
-        sim.run(3)
-        assert down.aw.peek(sim.now) is not None
-        assert down.w.peek(sim.now) is not None
-        assert down.ar.peek(sim.now) is not None
-        assert up.b.peek(sim.now) is not None
-        assert up.r.peek(sim.now) is not None
-
-    def test_respects_backpressure(self):
-        up = AxiLink("up", capacity=4)
-        down = AxiLink("down", capacity=1)
-        sim = Simulator()
-        sim.add(AxiCut("cut", up, down))
-        for _ in range(3):
-            up.w.push(WBeat(False, 4), sim.now)
-        sim.run(5)
-        assert len(down.w) == 1  # capacity bound held
-
-
-class TestErrorSlave:
-    def test_write_gets_decerr(self):
-        link = AxiLink("err")
-        sim = Simulator()
-        slave = ErrorSlave("err", link)
-        sim.add(slave)
-        link.aw.push(AddrBeat(4, 0, 1, 4, 0, 0), sim.now)
-        link.w.push(WBeat(True, 4), sim.now)
-        sim.run(4)
-        b = link.b.pop(sim.now)
-        assert b.id == 4 and b.resp == Resp.DECERR
-        assert slave.writes_rejected == 1
-
-    def test_read_gets_decerr_burst(self):
-        link = AxiLink("err")
-        sim = Simulator()
-        slave = ErrorSlave("err", link)
-        sim.add(slave)
-        link.ar.push(AddrBeat(2, 0, 2, 8, 0, 0), sim.now)
-        beats = []
-        for _ in range(8):
-            sim.run(1)
-            if link.r.peek(sim.now) is not None:
-                beats.append(link.r.pop(sim.now))
-        assert [b.last for b in beats] == [False, True]
-        assert slave.reads_rejected == 1
 
 
 class TestLinkMonitor:

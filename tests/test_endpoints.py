@@ -2,10 +2,18 @@
 
 import pytest
 
+from repro.axi.beats import BBeat, RBeat
 from repro.axi.transaction import Transfer
 from repro.endpoints.scoreboard import Scoreboard
+from repro.faults import FaultSpec
 from repro.noc.config import NocConfig
 from repro.noc.network import NocNetwork
+
+
+#: Arms the DMA's transaction-lifetime guards; the link fault itself
+#: never fires.
+WATCHDOG = FaultSpec(links=[{"src": 0, "dst": 1, "start": 10**9}],
+                     txn_timeout=100)
 
 
 def tiny_net(**cfg_kwargs):
@@ -123,6 +131,48 @@ class TestDmaEngine:
                 assert dma.blocked_on().startswith("dma_rd_mot_stall since ")
             stalls[always_step] = seen
         assert stalls[False] == stalls[True]
+
+    @pytest.mark.parametrize("armed", [False, True])
+    @pytest.mark.parametrize("beat, message", [
+        (BBeat(9), "tile0.dma: response for unknown id 9"),
+        (RBeat(9, True, 4), "tile0.dma: R beat for unknown id 9")])
+    def test_response_nobody_waits_for_is_a_modelling_bug(self, armed, beat,
+                                                           message):
+        """The one response sink, armed or not: an id that is neither
+        outstanding nor a zombie fails loudly, as it always did."""
+        net = tiny_net() if not armed else NocNetwork(
+            NocConfig(rows=2, cols=2), faults=WATCHDOG)
+        channel = net.dmas[0].link.b if type(beat) is BBeat \
+            else net.dmas[0].link.r
+        channel.push(beat, net.sim.now)
+        with pytest.raises(AssertionError, match=message):
+            net.run(3)
+
+    @pytest.mark.parametrize("is_read", [False, True])
+    def test_late_response_for_an_aborted_burst_frees_its_id(self, is_read):
+        """Only an armed engine can make a zombie: the watchdog aborts
+        the burst and quarantines its id; the response that trickles in
+        later is absorbed and the id is free again."""
+        net = NocNetwork(NocConfig(rows=2, cols=2), faults=WATCHDOG)
+        dma = net.dmas[0]
+        net.memories[3].step = lambda now: True  # never answers
+        dma.submit(Transfer(src=0, addr=net.addr_of(3, 0), nbytes=8,
+                            is_read=is_read))
+        net.run(200)  # issued, orphaned at the deadline, not retried
+        zombies = dma._rd_zombie if is_read else dma._wr_zombie
+        free = dma._rd_free if is_read else dma._wr_free
+        assert list(zombies) == [0] and 0 not in free
+        assert net.fault_stats.orphaned == 1 and dma.outstanding() == 0
+        if is_read:
+            dma.link.r.push(RBeat(0, False, 4), net.sim.now)
+            net.run(3)
+            assert list(zombies) == [0]  # only the tail ends the burst
+            dma.link.r.push(RBeat(0, True, 4), net.sim.now)
+        else:
+            dma.link.b.push(BBeat(0), net.sim.now)
+        net.run(3)
+        assert not zombies and 0 in free
+        assert dma.bytes_read == 0 and dma.errors == 0
 
     def test_queue_depth_visible(self):
         net = tiny_net()

@@ -11,12 +11,10 @@ process.
 """
 
 import os
+from itertools import permutations
 
 import pytest
 
-from repro.axi.error_slave import ErrorSlave
-from repro.axi.beats import AddrBeat, WBeat
-from repro.axi.link import AxiLink
 from repro.axi.transaction import Transfer
 from repro.baseline.network import PacketMesh, PacketMeshConfig
 from repro.faults import (
@@ -26,6 +24,7 @@ from repro.faults import (
     PortFault,
     fault_rngs,
 )
+from repro.faults.runtime import FaultStats, PortFaults
 from repro.noc.config import NocConfig
 from repro.noc.network import NocNetwork
 from repro.scenarios import (
@@ -37,7 +36,6 @@ from repro.scenarios import (
     run_scenario,
 )
 from repro.scenarios.sweep import run_sweep, sweep
-from repro.sim.kernel import Component, Simulator
 from repro.traffic.uniform import uniform_random
 
 QUICK = MeasureSpec(warmup=300, window=1200)
@@ -137,6 +135,39 @@ class TestScenarioIntegration:
                                faults=FaultSpec(links=[LinkFault(0, 1)],
                                                 recovery="reroute"))
         assert sc.faults.recovery == "reroute"
+
+
+def test_overlapping_faults_compose_in_any_order():
+    """One table for both fabrics (``PortFaults``): an egress is dead
+    while any fault on it is dead, else as narrow as its narrowest
+    fault, else healthy — whatever order the faults start and clear in.
+    Link 0 is egress (2, 1); the port fault names it directly."""
+    starts = {1: ("link", 0, 1, 0.5), 2: ("port", 2, 1, 2),
+              3: ("link", 0, 3, 0.25)}
+    clears = {1: ("link_clear", 0, 1), 2: ("port_clear", 2, 1, 2),
+              3: ("link_clear", 0, 3)}
+    def rule(live):
+        if 2 in live:
+            return 0.0  # the port fault is dead: it wins
+        return min({1: 0.5, 3: 0.25}[f] for f in live) if live else None
+
+    for begin in permutations(starts):
+        for end in permutations(clears):
+            stats = FaultStats()
+            table = PortFaults([(2, 1), (0, 0)], stats)
+            live = set()
+            for fid in begin:
+                assert table.apply(starts[fid]) == (2, 1)
+                live.add(fid)
+                assert table.width((2, 1)) == rule(live)
+            assert (stats.link_faults, stats.port_faults) == (2, 1)
+            for fid in end:
+                assert table.apply(clears[fid]) == (2, 1)
+                live.discard(fid)
+                assert table.width((2, 1)) == rule(live)
+                assert dict(table.unhealthy()) == (
+                    {(2, 1): rule(live)} if live else {})
+            assert table.width((0, 0)) is None
 
 
 # ----------------------------------------------------------------------
@@ -563,77 +594,6 @@ class TestBaselineFaults:
         assert report["recovered"] > 0
         total_payload = 512 * mesh.cfg.n_nodes
         assert mesh.bytes_received == total_payload
-
-
-# ----------------------------------------------------------------------
-# ErrorSlave activity contract (regression)
-# ----------------------------------------------------------------------
-class _ErrDriver(Component):
-    """Scripted requester against an ErrorSlave, logging every response
-    beat with its cycle — the observable for mode equivalence."""
-
-    def __init__(self, link):
-        self.link = link
-        link.watch_responses(self)
-        self.log = []
-        self._script = {2: "w", 9: "r", 40: "w", 41: "r"}
-        self._next_id = 0
-
-    def quiet(self):
-        return not self.link.b._q and not self.link.r._q and not self._script
-
-    def next_event(self, now):
-        due = [c for c in self._script if c > now]
-        return min(due) if due else None
-
-    def step(self, now):
-        kind = self._script.pop(now, None)
-        if kind == "w":
-            self.link.aw.push(AddrBeat(self._next_id, 0, 1, 4, 0, 0), now)
-            self.link.w.push(WBeat(True, 4), now)
-            self._next_id += 1
-        elif kind == "r":
-            self.link.ar.push(AddrBeat(self._next_id, 0, 2, 8, 0, 0), now)
-            self._next_id += 1
-        b = self.link.b.peek(now)
-        if b is not None:
-            self.link.b.pop(now)
-            self.log.append((now, "b", b.id, int(b.resp)))
-        r = self.link.r.peek(now)
-        if r is not None:
-            self.link.r.pop(now)
-            self.log.append((now, "r", r.id, r.last, int(r.resp)))
-
-
-class TestErrorSlaveActivity:
-    @pytest.mark.parametrize("always_step", [False, True])
-    def test_error_slave_goes_quiet(self, always_step):
-        link = AxiLink("err")
-        sim = Simulator(activity=not always_step)
-        slave = ErrorSlave("err", link)
-        sim.add(slave)
-        link.aw.push(AddrBeat(1, 0, 1, 4, 0, 0), sim.now)
-        link.w.push(WBeat(True, 4), sim.now)
-        sim.run(20)
-        assert slave.writes_rejected == 1
-        assert slave.quiet()
-
-    def test_mode_equivalence(self):
-        """An ErrorSlave-backed topology is bit-identical between
-        always-step and activity modes, including long idle gaps the
-        activity kernel fast-forwards across."""
-        def observe(always_step):
-            link = AxiLink("err")
-            sim = Simulator(activity=not always_step)
-            slave = ErrorSlave("err", link)
-            driver = _ErrDriver(link)
-            sim.add(driver)
-            sim.add(slave)
-            sim.run(100)
-            return (driver.log, slave.writes_rejected,
-                    slave.reads_rejected, sim.now)
-
-        assert observe(False) == observe(True)
 
 
 # ----------------------------------------------------------------------

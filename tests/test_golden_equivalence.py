@@ -198,12 +198,21 @@ def test_no_fault_path_is_bit_identical(always_step):
                        faults=FaultSpec(links=[{"src": 0, "dst": 1,
                                                 "start": 10**9}],
                                         recovery="reroute"))
+    # The watchdog, tolerant response handling and retransmission arm
+    # every lifetime guard of the DMA's one response sink; with nothing
+    # to do they must stay inert.
+    guarded = observe(cfg, traffic_kwargs, 7, always_step,
+                      faults=FaultSpec(links=[{"src": 0, "dst": 1,
+                                               "start": 10**9}],
+                                       txn_timeout=900, response_faults=True,
+                                       recovery="retransmit"))
     for key in baseline:
         assert inactive[key] == baseline[key], f"inactive spec: {key}"
         if key == "faults":
             continue  # armed specs legitimately report a (zeroed) section
         assert armed[key] == baseline[key], f"armed-never-firing: {key}"
         assert rr_armed[key] == baseline[key], f"reroute-armed: {key}"
+        assert guarded[key] == baseline[key], f"guards-armed: {key}"
 
 
 def test_repeated_drain_is_idempotent_in_both_modes():

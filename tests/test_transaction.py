@@ -5,9 +5,12 @@ the NoC are subject to AXI compliance"): no burst crosses a 4 KiB page,
 no burst exceeds 256 beats, and the split tiles the transfer exactly.
 """
 
+from functools import partial
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.axi.beats import BeatStream, RBeat, WBeat
 from repro.axi.transaction import Transfer, beat_sizes, split_transfer
 from repro.axi.types import BOUNDARY_4K, MAX_BURST_BEATS
 
@@ -103,3 +106,25 @@ def test_split_invariants(addr, nbytes, beat_shift):
         assert sum(beat_sizes(burst, beat_bytes)) == burst.nbytes
         pos += burst.nbytes
     assert pos == addr + nbytes
+
+
+@pytest.mark.parametrize("make", [WBeat, partial(RBeat, 5)],
+                         ids=["WBeat", "RBeat"])
+@given(addr=st.integers(0, 1 << 32), nbytes=st.integers(1, 40_000),
+       beat_shift=st.integers(0, 7), max_beats=st.integers(1, 256))
+def test_beat_stream_matches_the_per_beat_oracle(make, addr, nbytes,
+                                                 beat_shift, max_beats):
+    """Property: a ``BeatStream`` hands out the beats ``beat_sizes``
+    describes — the DMA's W side and the memory's R side both stream
+    from it — marks exactly the final one ``last``, and builds at most
+    three distinct objects per burst."""
+    beat_bytes = 1 << beat_shift
+    for burst in split_transfer(addr, nbytes, beat_bytes, max_beats):
+        stream = BeatStream(burst.addr, burst.beats, burst.nbytes,
+                            beat_bytes, make)
+        beats = [stream.next_beat() for _ in range(stream.beats)]
+        assert stream.issued == stream.beats == burst.beats
+        assert [b.nbytes for b in beats] == list(
+            beat_sizes(burst, beat_bytes))
+        assert [b.last for b in beats] == [False] * (burst.beats - 1) + [True]
+        assert len({id(b) for b in beats}) <= 3

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.axi.beats import AddrBeat, WBeat
+from repro.axi.beats import AddrBeat, BBeat, RBeat, WBeat
 from repro.axi.link import AxiLink
 from repro.axi.types import Resp
 from repro.axi.xbar import (
@@ -61,7 +61,7 @@ class TestBasicForwarding:
         from repro.axi.beats import BBeat
         down.aw.pop(sim.now)
         down.w.pop(sim.now)
-        down.b.push(BBeat(xbar._wr_remap[0]._by_key[(0, 5)]), sim.now)
+        down.b.push(BBeat(xbar._wr.remap[0]._by_key[(0, 5)]), sim.now)
         sim.run(3)
         assert up.b.pop(sim.now).id == 5
 
@@ -147,6 +147,118 @@ class TestOrderingRules:
                 aws += 1
         assert stream == [False, True, False, True]
         assert aws == 2
+
+
+@pytest.mark.parametrize("write", [True, False], ids=["write", "read"])
+def test_both_directions_remap_stall_and_terminate_alike(write):
+    """The write (AW/B) and the read (AR/R) side run the same bodies
+    over a direction record, so one 2×2 scenario drives either: ids are
+    remapped per egress and restored, the remap entry is released at
+    the B / at R-``last`` only, and every stall and termination counts
+    under the direction's own prefix."""
+    prefix, other = ("aw", "ar") if write else ("ar", "aw")
+    routes = {0x0: 0, 0x1000: 1, 0x2000: None}
+    xbar = AxiCrossbar("dut", 2, 2, lambda beat, i: routes[beat.addr],
+                       id_width=1, max_outstanding=3)
+    ups = [AxiLink("u0"), AxiLink("u1")]
+    # (W data is left to pile up downstream: only AW order matters here.)
+    downs = [AxiLink("d0", w_capacity=64), AxiLink("d1", w_capacity=64)]
+    for port in (0, 1):
+        xbar.connect_in(port, ups[port])
+        xbar.connect_out(port, downs[port])
+    sim = Simulator()
+    sim.add(xbar)
+    d = xbar._wr if write else xbar._rd
+    count = xbar.counters.__getitem__
+
+    def request(i, tid, addr):
+        """A two-beat burst from ingress ``i`` (W data right behind)."""
+        (ups[i].aw if write else ups[i].ar).push(
+            AddrBeat(tid, addr, 2, 8, dest=0, src=i), sim.now)
+        if write:
+            ups[i].w.push(WBeat(False, 4), sim.now)
+            ups[i].w.push(WBeat(True, 4), sim.now)
+        sim.run(5)
+
+    def granted(j):
+        """The remapped ids egress ``j`` has forwarded since last asked."""
+        channel = downs[j].aw if write else downs[j].ar
+        ids = []
+        while channel.peek(sim.now) is not None:
+            ids.append(channel.pop(sim.now).id)
+        return ids
+
+    def respond(j, rid, last=True):
+        """One response beat into egress ``j``; [(ingress, beat)] out."""
+        if write:
+            downs[j].b.push(BBeat(rid), sim.now)
+        else:
+            downs[j].r.push(RBeat(rid, last, 4), sim.now)
+        return responses()
+
+    def responses():
+        sim.run(3)
+        out = []
+        for i, up in enumerate(ups):
+            channel = up.b if write else up.r
+            while channel.peek(sim.now) is not None:
+                out.append((i, channel.pop(sim.now)))
+        return out
+
+    # Both ingresses use id 5 towards egress 0: two remapped ids.
+    request(0, 5, 0x0)
+    request(1, 5, 0x0)
+    rid_a, rid_b = granted(0)
+    assert rid_a != rid_b and d.remap[0].in_flight() == 2
+    if not write:  # a read burst holds its entry until R-last
+        [(i, beat)] = respond(0, rid_a, last=False)
+        assert (i, beat.id, beat.last) == (0, 5, False)
+        assert d.remap[0].in_flight() == 2
+    [(i, beat)] = respond(0, rid_a)
+    assert (i, beat.id, beat.last) == (0, 5, True)
+    assert d.remap[0].in_flight() == 1 and d.inflight[0] == 1
+
+    # Same id from ingress 1 towards the other egress waits for the drain.
+    request(1, 5, 0x1000)
+    assert granted(1) == [] and count(f"{prefix}_same_id_stall") > 0
+    assert [(i, b.id) for i, b in respond(0, rid_b)] == [(1, 5)]
+    sim.run(3)
+    [rid] = granted(1)
+    assert [(i, b.id) for i, b in respond(1, rid)] == [(1, 5)]
+    assert xbar.idle()
+
+    # Two remap ids per egress (id_width=1): a third key stalls on the
+    # pool, below the MOT of 3 ...
+    request(0, 1, 0x0)
+    request(1, 1, 0x0)
+    rid_a, rid_b = granted(0)
+    request(0, 2, 0x0)
+    assert granted(0) == [] and count(f"{prefix}_id_stall") > 0
+    assert count(f"{prefix}_mot_stall") == 0
+    respond(0, rid_a)
+    sim.run(3)
+    [rid_c] = granted(0)
+    # ... a known key shares its id, and the fourth burst meets the MOT.
+    request(1, 1, 0x0)
+    assert granted(0) == [rid_b] and d.inflight[0] == 3
+    request(0, 2, 0x0)
+    assert granted(0) == [] and count(f"{prefix}_mot_stall") > 0
+    respond(0, rid_b)
+    sim.run(3)
+    assert granted(0) == [rid_c]
+
+    # No route: DECERR.  A fault-killed egress: SLVERR.  (Ingress 1 is
+    # free; its error burst is answered before the next one is sent.)
+    request(1, 3, 0x2000)
+    assert count(f"{prefix}_unmapped") == 1
+    assert {(i, b.id, b.resp) for i, b in responses()} == {
+        (1, 3, Resp.DECERR)}
+    xbar.set_fault_blocked(frozenset({1}))
+    request(1, 3, 0x1000)
+    assert count(f"{prefix}_fault_blocked") == 1 and granted(1) == []
+    assert {(i, b.id, b.resp) for i, b in responses()} == {
+        (1, 3, Resp.SLVERR)}
+    assert not any(key.startswith(other) for key in xbar.counters.as_dict())
 
 
 class TestConnectivity:
