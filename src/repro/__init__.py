@@ -19,10 +19,10 @@ Quickstart (declarative scenario API, DESIGN.md §9)::
 or imperatively::
 
     from repro import NocConfig, NocNetwork
-    from repro.traffic import UniformRandomTraffic
+    from repro.traffic import uniform_random
 
     net = NocNetwork(NocConfig.slim())
-    traffic = UniformRandomTraffic(net, load=0.1, max_burst_bytes=1000)
+    traffic = uniform_random(net, load=0.1, max_burst_bytes=1000)
     traffic.install()
     net.set_warmup(1000)
     net.run(10_000)

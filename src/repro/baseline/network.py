@@ -155,9 +155,9 @@ class PacketMesh(Component):
         #: the per-object ``Router.step`` loop is the reference oracle.
         self._stepper = None
         if not always_step:
-            from repro.baseline.stepper import SoaMeshKernel
+            from repro.baseline.stepper import MaskStepper
 
-            self._stepper = SoaMeshKernel(self)
+            self._stepper = MaskStepper(self)
         #: Escape-VC adaptive mode (recovery="reroute"): heads get both
         #: productive egresses and the routers keep VC 0 strictly XY
         #: (Router._adaptive_candidate; deadlock-free, DESIGN.md §10).

@@ -181,17 +181,8 @@ class Router:
                     else:
                         dead = self.fault_dead
                         if dead is not None and out_port in dead:
-                            # Dead egress and no alternate route: the
-                            # packet is lost here.  Body flits behind
-                            # the head drain via the dropping flag.
-                            buf.popleft()
-                            self.flits_dropped += 1
-                            if drop_fn is not None:
-                                drop_fn(flit, now)
+                            self._drop_head(buf, state, now, drop_fn)
                             used_inputs.add(in_port)
-                            if not flit.is_tail:
-                                state.dropping = True
-                                self._dropping += 1
                             self._sa_ptr[out_port] = (idx + 1) % total
                             break
                         out_vc = self._find_free_vc(out_port, min_vc)
@@ -231,6 +222,18 @@ class Router:
                 break
             else:
                 self._sa_ptr[out_port] = (start + 1) % total
+
+    def _drop_head(self, buf, state, now: int, drop_fn) -> None:
+        """Dead egress and no alternate route: the packet is lost here.
+        Its head is dropped now; the body flits behind it drain via the
+        VC's ``dropping`` flag (:meth:`_drain_dropped`)."""
+        _, flit = buf.popleft()
+        self.flits_dropped += 1
+        if drop_fn is not None:
+            drop_fn(flit, now)
+        if not flit.is_tail:
+            state.dropping = True
+            self._dropping += 1
 
     def _drain_dropped(self, now: int, drop_fn) -> None:
         """Consume (at most one per VC per cycle) the body flits of

@@ -4,7 +4,7 @@ production stepper (DESIGN.md §11).
 The reference :meth:`~repro.baseline.router.Router.step` scans, for each
 of the 5 output ports, all ``5 × n_vcs`` input slots in rotated priority
 order and re-derives every blocked head's route at each of them.
-:class:`SoaMeshKernel` keeps one int bitmask per router — bit
+:class:`MaskStepper` keeps one int bitmask per router — bit
 ``in_port * n_vcs + in_vc`` set iff that input buffer is non-empty — and
 splits a router's cycle in two:
 
@@ -42,7 +42,7 @@ PORTS_IN = [tuple(p for p in range(N_PORTS) if m >> p & 1)
             for m in range(1 << N_PORTS)]
 
 
-class SoaMeshKernel:
+class MaskStepper:
     """Fused injection + request-mask stepper for all routers of a
     PacketMesh."""
 
@@ -192,19 +192,12 @@ class SoaMeshKernel:
                         eject_fn(flit, now)
                     else:
                         if state.out_port is None:
-                            flit = buf[0][1]
                             if dead is not None and out_port in dead:
-                                # Dead egress, no alternate route: packet
-                                # lost here; body flits drain later.
-                                buf.popleft()
+                                router._drop_head(buf, state, now, drop_fn)
                                 if not buf:
                                     mask &= ~(1 << idx)
-                                router.flits_dropped += 1
-                                drop_fn(flit, now)
-                                if flit.seq != flit.packet.length - 1:
-                                    state.dropping = True
-                                    router._dropping += 1
                                 break
+                            flit = buf[0][1]
                             if down[out_port] is None:
                                 raise AssertionError(
                                     f"router {node}: route to unconnected "

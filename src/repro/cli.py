@@ -158,30 +158,22 @@ def _profiled(fn, *args, **kwargs):
 
 
 def _run(args) -> int:
-    import os
-
     from repro.scenarios import MeasureSpec
 
-    if args.cache != "off":
-        # run_scenario's env opt-in (see its docstring): every point
-        # the experiment measures goes through the result store.
-        os.environ["REPRO_CACHE"] = args.cache
-        if args.store:
-            os.environ["REPRO_STORE"] = args.store
-    elif args.store:
+    if args.store and args.cache == "off":
         print("error: --store requires --cache ro|rw", file=sys.stderr)
         return 2
-    measure = MeasureSpec.coerce(args.quick)
+    point_args = dict(measure=MeasureSpec.coerce(args.quick), seed=args.seed,
+                      cache=args.cache, store=args.store)
     targets = sorted(EXPERIMENTS) if args.experiment == "all" \
         else [args.experiment]
     timings: list[tuple[str, float]] = []
     for exp_id in targets:
         start = time.time()
         if args.profile:
-            result = _profiled(run_experiment, exp_id, measure=measure,
-                               seed=args.seed)
+            result = _profiled(run_experiment, exp_id, **point_args)
         else:
-            result = run_experiment(exp_id, measure=measure, seed=args.seed)
+            result = run_experiment(exp_id, **point_args)
         elapsed = time.time() - start
         timings.append((exp_id, elapsed))
         print(render_text(result))

@@ -23,8 +23,9 @@ FIG2_CONFIGS = (
 PAPER_AREAS = {"AXI_32_32_2": 174.0, "AXI_32_512_2": 830.0}
 
 
-def run(measure=None, seed: int = 1) -> ExperimentResult:
-    del measure, seed  # analytic: no simulation, no measurement window
+def run(measure=None, seed: int = 1, cache: str = "off",
+        store=None) -> ExperimentResult:
+    del measure, seed, cache, store  # analytic: nothing is simulated
     result = ExperimentResult(
         "fig2", "2x2 mesh: area vs bisection bandwidth (vs ESP-NoC)")
     sec = result.section(

@@ -15,14 +15,9 @@ config}.
 
 from __future__ import annotations
 
+from repro.eval.experiments import measure_points
 from repro.eval.report import ExperimentResult
-from repro.scenarios import (
-    MeasureSpec,
-    Scenario,
-    TopologySpec,
-    TrafficSpec,
-    run_scenario,
-)
+from repro.scenarios import MeasureSpec, Scenario, TopologySpec, TrafficSpec
 
 BURST_CAPS = (4, 100, 1000, 10000, 64000)
 FULL_LOADS = (0.0001, 0.001, 0.01, 0.05, 0.1, 0.2, 0.4, 0.7, 1.0)
@@ -39,11 +34,19 @@ PAPER_SATURATION = {
 }
 
 
-def run(measure: MeasureSpec | bool | None = None,
-        seed: int = 1) -> ExperimentResult:
+def run(measure: MeasureSpec | bool | None = None, seed: int = 1,
+        cache: str = "off", store=None) -> ExperimentResult:
     measure = MeasureSpec.coerce(measure)
     loads = QUICK_LOADS if measure.is_quick else FULL_LOADS
-    slim = TopologySpec.slim()
+    points = [Scenario(topology=TopologySpec.slim(),
+                       traffic=TrafficSpec.uniform(load, burst),
+                       measure=measure, seed=seed)
+              for load in loads for burst in BURST_CAPS]
+    points += [Scenario(topology=TopologySpec.baseline(n_vcs, buf),
+                        traffic=TrafficSpec.uniform(load, 1),
+                        measure=measure, seed=seed)
+               for load in loads for n_vcs, buf in BASELINE_CONFIGS]
+    measured = iter(measure_points(points, cache, store))
     result = ExperimentResult(
         "fig4", "uniform random traffic: throughput vs injected load "
         "(slim 4x4 PATRONoC vs packet baseline)")
@@ -54,11 +57,8 @@ def run(measure: MeasureSpec | bool | None = None,
     series: dict[str, list[float]] = {f"burst<{b}": [] for b in BURST_CAPS}
     for load in loads:
         row = [load]
-        for burst in BURST_CAPS:
-            point = run_scenario(Scenario(
-                topology=slim,
-                traffic=TrafficSpec.uniform(load, burst),
-                measure=measure, seed=seed))
+        for _burst in BURST_CAPS:
+            point = next(measured)
             series[point.label].append(point.throughput_gib_s)
             row.append(point.throughput_gib_s)
         curves.add(*row)
@@ -70,11 +70,8 @@ def run(measure: MeasureSpec | bool | None = None,
         f"VC={v},Buf={b}": [] for v, b in BASELINE_CONFIGS}
     for load in loads:
         row = [load]
-        for n_vcs, buf in BASELINE_CONFIGS:
-            point = run_scenario(Scenario(
-                topology=TopologySpec.baseline(n_vcs, buf),
-                traffic=TrafficSpec.uniform(load, 1),
-                measure=measure, seed=seed))
+        for _config in BASELINE_CONFIGS:
+            point = next(measured)
             base_series[point.label].append(point.throughput_gib_s)
             row.append(point.throughput_gib_s)
         base.add(*row)

@@ -7,15 +7,10 @@ Each bar is one :class:`~repro.scenarios.spec.Scenario` over
 
 from __future__ import annotations
 
+from repro.eval.experiments import measure_points
 from repro.eval.report import ExperimentResult
 from repro.noc.bandwidth import bisection_gib_s
-from repro.scenarios import (
-    MeasureSpec,
-    Scenario,
-    TopologySpec,
-    TrafficSpec,
-    run_scenario,
-)
+from repro.scenarios import MeasureSpec, Scenario, TopologySpec, TrafficSpec
 from repro.traffic.synthetic import ALL_GLOBAL, MAX_ONE_HOP, MAX_TWO_HOP
 
 BURST_CAPS = (4, 100, 1000, 10000, 64000)
@@ -39,14 +34,19 @@ PAPER_UTILIZATION = {
 }
 
 
-def run(measure: MeasureSpec | bool | None = None,
-        seed: int = 1) -> ExperimentResult:
+def run(measure: MeasureSpec | bool | None = None, seed: int = 1,
+        cache: str = "off", store=None) -> ExperimentResult:
     measure = MeasureSpec.coerce(measure)
     caps = QUICK_CAPS if measure.is_quick else BURST_CAPS
+    topologies = (("slim", TopologySpec.slim()), ("wide", TopologySpec.wide()))
+    measured = iter(measure_points(
+        [Scenario(topology=topo, traffic=TrafficSpec.synthetic(p.key, cap),
+                  measure=measure, seed=seed)
+         for _label, topo in topologies for p in PATTERNS for cap in caps],
+        cache, store))
     result = ExperimentResult(
         "fig6", "synthetic patterns: utilization at maximum injected load")
-    for label, topo in (("slim", TopologySpec.slim()),
-                        ("wide", TopologySpec.wide())):
+    for label, topo in topologies:
         bisection = bisection_gib_s(topo.noc_config())
         for pattern in PATTERNS:
             sec = result.section(
@@ -56,10 +56,7 @@ def run(measure: MeasureSpec | bool | None = None,
                  "paper_pct"])
             paper = PAPER_UTILIZATION[(label, pattern.key)]
             for cap in caps:
-                point = run_scenario(Scenario(
-                    topology=topo,
-                    traffic=TrafficSpec.synthetic(pattern.key, cap),
-                    measure=measure, seed=seed))
+                point = next(measured)
                 sec.add(cap, point.throughput_gib_s,
                         point.utilization_pct, paper.get(cap, "-"))
     result.note("utilization = aggregate throughput / bidirectional "

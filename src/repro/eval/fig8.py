@@ -9,14 +9,9 @@ explicitly pinned windows are honored per-field."""
 
 from __future__ import annotations
 
+from repro.eval.experiments import measure_points
 from repro.eval.report import ExperimentResult
-from repro.scenarios import (
-    MeasureSpec,
-    Scenario,
-    TopologySpec,
-    TrafficSpec,
-    run_scenario,
-)
+from repro.scenarios import MeasureSpec, Scenario, TopologySpec, TrafficSpec
 
 WORKLOAD_ORDER = ("train", "par", "pipe")
 TITLES = {"train": "Distributed Training",
@@ -30,20 +25,23 @@ PAPER_THROUGHPUT = {
 }
 
 
-def run(measure: MeasureSpec | bool | None = None,
-        seed: int = 1) -> ExperimentResult:
+def run(measure: MeasureSpec | bool | None = None, seed: int = 1,
+        cache: str = "off", store=None) -> ExperimentResult:
     measure = MeasureSpec.coerce(measure)
+    topologies = (("slim", TopologySpec.slim()), ("wide", TopologySpec.wide()))
+    measured = iter(measure_points(
+        [Scenario(topology=topo, traffic=TrafficSpec.dnn(key),
+                  measure=measure, seed=seed)
+         for _label, topo in topologies for key in WORKLOAD_ORDER],
+        cache, store))
     result = ExperimentResult(
         "fig8", "DNN workload traffic: throughput on slim and wide 4x4")
-    for label, topo in (("slim", TopologySpec.slim()),
-                        ("wide", TopologySpec.wide())):
+    for label, topo in topologies:
         sec = result.section(
             f"{label} NoC (DW={topo.data_width})",
             ["workload", "throughput_GiB_s", "paper_GiB_s", "ratio"])
         for key in WORKLOAD_ORDER:
-            point = run_scenario(Scenario(
-                topology=topo, traffic=TrafficSpec.dnn(key),
-                measure=measure, seed=seed))
+            point = next(measured)
             paper = PAPER_THROUGHPUT[(label, key)]
             sec.add(TITLES[key], point.throughput_gib_s, paper,
                     point.throughput_gib_s / paper)

@@ -10,8 +10,9 @@ from repro.noc.config import NocConfig
 PAPER_POWER = {32: 45.0, 512: 171.0}
 
 
-def run(measure=None, seed: int = 1) -> ExperimentResult:
-    del measure, seed  # analytic: no simulation, no measurement window
+def run(measure=None, seed: int = 1, cache: str = "off",
+        store=None) -> ExperimentResult:
+    del measure, seed, cache, store  # analytic: nothing is simulated
     result = ExperimentResult("power", "4x4 PATRONoC power at 1 GHz")
     sec = result.section("power model (uniform random activity)",
                          ["DW_bits", "power_mW", "paper_mW"])

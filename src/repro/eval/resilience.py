@@ -22,15 +22,10 @@ the fault set changes.
 
 from __future__ import annotations
 
+from repro.eval.experiments import measure_points
 from repro.eval.report import ExperimentResult
 from repro.faults.spec import FaultSpec
-from repro.scenarios import (
-    MeasureSpec,
-    Scenario,
-    TopologySpec,
-    TrafficSpec,
-    run_scenario,
-)
+from repro.scenarios import MeasureSpec, Scenario, TopologySpec, TrafficSpec
 
 RECOVERIES = ("none", "retransmit", "reroute")
 
@@ -38,136 +33,94 @@ RECOVERIES = ("none", "retransmit", "reroute")
 #: faults in steady state with the 500-cycle default duration.
 FAULT_RATES = (2e-3, 8e-3)
 
+#: Churn rates for the partial-repair cost sweep (faults/cycle): high
+#: enough that the up*/down* tables are rebuilt many times per window.
+CHURN_RATES = (4e-3, 1.6e-2)
+
+UNIFORM = TrafficSpec.uniform(0.6, 1000)
+
 #: Traffic rows: label → TrafficSpec.
 TRAFFIC = (
-    ("fig4 uniform", TrafficSpec.uniform(0.6, 1000)),
+    ("fig4 uniform", UNIFORM),
     ("fig6 all_global", TrafficSpec.synthetic("all_global", 1000, load=0.6)),
     ("fig8 par", TrafficSpec.dnn("par")),
     ("fig8 pipe", TrafficSpec.dnn("pipe")),
 )
 
 
-def run(measure: MeasureSpec | bool | None = None,
-        seed: int = 1) -> ExperimentResult:
+def run(measure: MeasureSpec | bool | None = None, seed: int = 1,
+        cache: str = "off", store=None) -> ExperimentResult:
     measure = MeasureSpec.coerce(measure)
     topo = TopologySpec.slim()
     result = ExperimentResult(
         "resilience", "throughput retention under transient link faults")
     rates = FAULT_RATES[:1] if measure.is_quick else FAULT_RATES
+
+    def grid(traffic, rates, recoveries, **fault_knobs):
+        """``traffic`` measured fault-free and under rate × recovery:
+        ``(clean GiB/s, [(rate, recovery, point, retention), ...])``."""
+        cells = [(rate, rec) for rate in rates for rec in recoveries]
+        clean, *faulty = measure_points(
+            [Scenario(topology=topo, traffic=traffic, measure=measure,
+                      seed=seed)]
+            + [Scenario(topology=topo, traffic=traffic, measure=measure,
+                        faults=FaultSpec(link_rate=rate, recovery=rec,
+                                         **fault_knobs), seed=seed)
+               for rate, rec in cells], cache, store)
+        base = clean.throughput_gib_s
+        return base, [
+            (f"{rate:g}", rec, point,
+             point.throughput_gib_s / base if base else 0.0)
+            for (rate, rec), point in zip(cells, faulty)]
+
     for label, traffic in TRAFFIC:
-        clean = run_scenario(Scenario(topology=topo, traffic=traffic,
-                                      measure=measure, seed=seed))
+        clean, rows = grid(traffic, rates, RECOVERIES)
         sec = result.section(
-            f"{label} (clean {clean.throughput_gib_s:.2f} GiB/s)",
+            f"{label} (clean {clean:.2f} GiB/s)",
             ["fault_rate", "recovery", "throughput_GiB_s", "retention",
              "rec_p50", "rec_p99", "dropped"])
-        for rate in rates:
-            for recovery in RECOVERIES:
-                point = run_scenario(Scenario(
-                    topology=topo, traffic=traffic, measure=measure,
-                    faults=FaultSpec(link_rate=rate, recovery=recovery),
-                    seed=seed))
-                rec = point.faults.get("recovery_latency", {})
-                sec.add(f"{rate:g}", recovery, point.throughput_gib_s,
-                        point.throughput_gib_s / clean.throughput_gib_s
-                        if clean.throughput_gib_s else 0.0,
-                        rec.get("p50", 0.0), rec.get("p99", 0.0),
-                        point.faults.get("dropped", 0))
-    _churn_section(result, topo, measure, seed)
-    _response_section(result, topo, measure, seed)
+        for rate, recovery, point, retention in rows:
+            rec = point.faults.get("recovery_latency", {})
+            sec.add(rate, recovery, point.throughput_gib_s, retention,
+                    rec.get("p50", 0.0), rec.get("p99", 0.0),
+                    point.faults.get("dropped", 0))
+
+    # Transient churn: retention of reroute vs fail-fast under Poisson
+    # link churn, plus the table-repair cost the RouteCache actually
+    # paid (``dijkstra_sources``) against the full-swap baseline
+    # (``retables × n_nodes`` sources).
+    clean, rows = grid(
+        UNIFORM, CHURN_RATES[:1] if measure.is_quick else CHURN_RATES,
+        ("none", "reroute"))
+    sec = result.section(
+        f"transient churn: partial table repair (clean {clean:.2f} GiB/s)",
+        ["churn_rate", "recovery", "retention", "retables",
+         "repaired_sources", "full_swap_sources"])
+    for rate, recovery, point, retention in rows:
+        retables = point.faults.get("retables", 0)
+        sec.add(rate, recovery, retention, retables,
+                point.faults.get("dijkstra_sources", 0),
+                retables * topo.rows * topo.cols)
+
+    # Response-path fault loop: transient dead links also drop B/R
+    # beats; the per-transaction watchdog aborts orphans into the
+    # retransmission path (DESIGN.md §10).
+    clean, rows = grid(UNIFORM, rates, ("none", "retransmit"),
+                       response_faults=True, txn_timeout=2000)
+    sec = result.section(
+        f"response-path faults: orphan timeouts (clean {clean:.2f} GiB/s)",
+        ["fault_rate", "recovery", "retention", "response_drops",
+         "orphaned", "timeout_recovered", "timeout_p99"])
+    for rate, recovery, point, retention in rows:
+        sec.add(rate, recovery, retention,
+                point.faults.get("response_drops", 0),
+                point.faults.get("orphaned", 0),
+                point.faults.get("timeout_recovered", 0),
+                point.faults.get("timeout_latency", {}).get("p99", 0.0))
+
     result.note("retention = throughput / the same scenario's fault-free "
                 "throughput; rec_p50/p99 = cycles from a lost burst's "
                 "first issue to its clean completion (retransmit)")
     result.note(f"transient dead links, {500}-cycle duration, Poisson "
                 f"rate per mesh; recovery in {RECOVERIES}")
     return result
-
-
-#: Churn rates for the partial-repair cost sweep (faults/cycle): high
-#: enough that the up*/down* tables are rebuilt many times per window.
-CHURN_RATES = (4e-3, 1.6e-2)
-
-
-def _churn_section(result: ExperimentResult, topo, measure, seed) -> None:
-    """Transient-churn sweep: throughput retention of reroute vs
-    fail-fast under Poisson link churn, plus the table-repair cost the
-    RouteCache actually paid (``dijkstra_sources``) against the
-    full-swap baseline (``retables × n_nodes`` sources)."""
-    traffic = TrafficSpec.uniform(0.6, 1000)
-    clean = run_scenario(Scenario(topology=topo, traffic=traffic,
-                                  measure=measure, seed=seed))
-    sec = result.section(
-        "transient churn: partial table repair "
-        f"(clean {clean.throughput_gib_s:.2f} GiB/s)",
-        ["churn_rate", "recovery", "retention", "retables",
-         "repaired_sources", "full_swap_sources"])
-    n_nodes = topo.rows * topo.cols
-    rates = CHURN_RATES[:1] if measure.is_quick else CHURN_RATES
-    for rate in rates:
-        for recovery in ("none", "reroute"):
-            point = run_scenario(Scenario(
-                topology=topo, traffic=traffic, measure=measure,
-                faults=FaultSpec(link_rate=rate, recovery=recovery),
-                seed=seed))
-            retables = point.faults.get("retables", 0)
-            sec.add(f"{rate:g}", recovery,
-                    point.throughput_gib_s / clean.throughput_gib_s
-                    if clean.throughput_gib_s else 0.0,
-                    retables, point.faults.get("dijkstra_sources", 0),
-                    retables * n_nodes)
-
-
-def _response_section(result: ExperimentResult, topo, measure,
-                      seed) -> None:
-    """Response-path fault loop: transient dead links also drop B/R
-    beats; the per-transaction watchdog aborts orphans into the
-    retransmission path (DESIGN.md §10)."""
-    traffic = TrafficSpec.uniform(0.6, 1000)
-    clean = run_scenario(Scenario(topology=topo, traffic=traffic,
-                                  measure=measure, seed=seed))
-    sec = result.section(
-        "response-path faults: orphan timeouts "
-        f"(clean {clean.throughput_gib_s:.2f} GiB/s)",
-        ["fault_rate", "recovery", "retention", "response_drops",
-         "orphaned", "timeout_recovered", "timeout_p99"])
-    rates = FAULT_RATES[:1] if measure.is_quick else FAULT_RATES
-    for rate in rates:
-        for recovery in ("none", "retransmit"):
-            point = run_scenario(Scenario(
-                topology=topo, traffic=traffic, measure=measure,
-                faults=FaultSpec(link_rate=rate, recovery=recovery,
-                                 response_faults=True, txn_timeout=2000),
-                seed=seed))
-            lat = point.faults.get("timeout_latency", {})
-            sec.add(f"{rate:g}", recovery,
-                    point.throughput_gib_s / clean.throughput_gib_s
-                    if clean.throughput_gib_s else 0.0,
-                    point.faults.get("response_drops", 0),
-                    point.faults.get("orphaned", 0),
-                    point.faults.get("timeout_recovered", 0),
-                    lat.get("p99", 0.0))
-
-
-def retention_curve(traffic: TrafficSpec, *, rates=FAULT_RATES,
-                    recoveries=RECOVERIES,
-                    measure: MeasureSpec | bool | None = None,
-                    seed: int = 1) -> dict:
-    """``{recovery: [(rate, retention), ...]}`` for one traffic spec —
-    the programmatic form of the experiment, for plotting."""
-    measure = MeasureSpec.coerce(measure)
-    topo = TopologySpec.slim()
-    clean = run_scenario(Scenario(topology=topo, traffic=traffic,
-                                  measure=measure, seed=seed))
-    curves: dict = {}
-    for recovery in recoveries:
-        pts = []
-        for rate in rates:
-            point = run_scenario(Scenario(
-                topology=topo, traffic=traffic, measure=measure,
-                faults=FaultSpec(link_rate=rate, recovery=recovery),
-                seed=seed))
-            pts.append((rate, point.throughput_gib_s
-                        / clean.throughput_gib_s
-                        if clean.throughput_gib_s else 0.0))
-        curves[recovery] = pts
-    return curves

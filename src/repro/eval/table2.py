@@ -11,14 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.eval.experiments import measure_points
 from repro.eval.report import ExperimentResult
-from repro.scenarios import (
-    MeasureSpec,
-    Scenario,
-    TopologySpec,
-    TrafficSpec,
-    run_scenario,
-)
+from repro.scenarios import MeasureSpec, Scenario, TopologySpec, TrafficSpec
 from repro.traffic.synthetic import MAX_ONE_HOP
 
 
@@ -49,8 +44,8 @@ LITERATURE = (
 )
 
 
-def run(measure: MeasureSpec | bool | None = None,
-        seed: int = 1) -> ExperimentResult:
+def run(measure: MeasureSpec | bool | None = None, seed: int = 1,
+        cache: str = "off", store=None) -> ExperimentResult:
     measure = MeasureSpec.coerce(measure)
     result = ExperimentResult(
         "table2", "comparison of PATRONoC with state-of-the-art NoCs")
@@ -60,10 +55,10 @@ def run(measure: MeasureSpec | bool | None = None,
     for row in LITERATURE:
         sec.add(row.work, _mark(row.open_source), _mark(row.full_axi),
                 _mark(row.burst_support), row.configurable, row.noc_bw_gbps)
-    point = run_scenario(Scenario(
+    [point] = measure_points([Scenario(
         topology=TopologySpec.wide(),
         traffic=TrafficSpec.synthetic(MAX_ONE_HOP.key, 64000),
-        measure=measure, seed=seed))
+        measure=measure, seed=seed)], cache, store)
     measured_gbps = point.throughput_gib_s * 8  # GiB/s → Gibit/s ≈ Gbps
     sec.add("PATRONoC (this repro)", "yes", "yes", "yes", "yes",
             f"{measured_gbps:.0f}")

@@ -92,6 +92,14 @@ class Result:
         return row
 
 
+def paired_payload(scenarios: list, results: list[Result | None]) -> list:
+    """Index-aligned ``{"scenario", "result"}`` dicts — the shape of
+    ``results.json`` and of the service's ``/results`` body."""
+    return [{"scenario": sc.to_dict(),
+             "result": r.to_dict() if r is not None else None}
+            for sc, r in zip(scenarios, results)]
+
+
 def save_results_json(results: list[Result | None], path: str | Path,
                       scenarios: list | None = None) -> Path:
     """Dump results (optionally paired with their scenarios) as JSON.
@@ -103,9 +111,7 @@ def save_results_json(results: list[Result | None], path: str | Path,
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     if scenarios is not None:
-        payload = [{"scenario": sc.to_dict(),
-                    "result": r.to_dict() if r is not None else None}
-                   for sc, r in zip(scenarios, results)]
+        payload = paired_payload(scenarios, results)
     else:
         payload = [r.to_dict() if r is not None else None for r in results]
     path.write_text(json.dumps(payload, indent=2))

@@ -1,5 +1,6 @@
 """Execute one :class:`~repro.scenarios.spec.Scenario` → one
-:class:`~repro.scenarios.result.Result`.
+:class:`~repro.scenarios.result.Result`, in three phases:
+:func:`build_network` → ``_drive`` → ``_collect``.
 
 Methodology (matches the paper's §IV setup):
 
@@ -22,7 +23,6 @@ the split is simulation-identical to a single call.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import replace
 
@@ -79,191 +79,162 @@ def run_scenario(scenario: Scenario) -> Result:
     """Build, drive, and measure one scenario point.
 
     Pure function of the scenario (all RNGs derive from
-    ``scenario.seed``), so results are reproducible across processes —
-    the property parallel sweeps and the result store rely on.  Every
-    Result is stamped with its provenance (spec hash, seed, code
-    fingerprint — DESIGN.md §12).
-
-    ``REPRO_CACHE=rw|ro`` consults the default
-    :class:`~repro.store.ResultStore` around the simulation — the
-    opt-in that gives the eval runners (``repro run --cache``), and
-    anything else built directly on ``run_scenario``, result caching
-    without threading a store through every signature.
+    ``scenario.seed``) that consults nothing else — no environment
+    variable, no result store — so results are reproducible across
+    processes: the property parallel sweeps and the result store rely
+    on.  Every Result is stamped with its provenance (spec hash, seed,
+    code fingerprint — DESIGN.md §12).
     """
-    mode = os.environ.get("REPRO_CACHE", "off")
-    if mode not in ("off", "ro", "rw"):
-        raise ValueError(
-            f"REPRO_CACHE must be 'off', 'ro', or 'rw', got {mode!r}")
-    if mode == "off":
-        return _execute(scenario)
-    from repro.store import ResultStore
-
-    store = ResultStore.default()
-    cached = store.get(scenario)
-    if cached is not None:
-        return cached
-    result = _execute(scenario)
-    if mode == "rw":
-        store.put(scenario, result)
-    return result
-
-
-def _execute(scenario: Scenario) -> Result:
-    """Dispatch to the backend runner and stamp provenance."""
     from repro.store import provenance_for
 
-    if scenario.topology.backend == "baseline":
-        result = _run_baseline(scenario)
-    elif scenario.traffic.kind == "uniform":
-        result = _run_uniform(scenario)
-    elif scenario.traffic.kind == "synthetic":
-        result = _run_synthetic(scenario)
-    else:
-        result = _run_dnn(scenario)
-    return replace(result, provenance=provenance_for(scenario))
+    net, scripts = build_network(scenario)
+    link_util = _drive(scenario, net, scripts)
+    return replace(_collect(scenario, net, link_util),
+                   provenance=provenance_for(scenario))
 
 
-# ----------------------------------------------------------------------
-# PATRONoC backends
-# ----------------------------------------------------------------------
-def _run_uniform(sc: Scenario) -> Result:
+def build_network(sc: Scenario):
+    """``(network, core scripts)`` for one point, traffic installed;
+    scripts are ``None`` unless the traffic is a DNN workload."""
+    wiring = dict(faults=sc.faults, fault_seed=sc.seed)
+    tr = sc.traffic
+    if sc.topology.backend == "baseline":
+        from repro.baseline.network import PacketMesh
+
+        return PacketMesh(sc.topology.mesh_config(), injection_rate=tr.load,
+                          seed=sc.seed, **wiring), None
+    cfg = sc.topology.noc_config()
+    if tr.kind == "dnn":
+        from repro.traffic.dnn.workloads import WORKLOADS
+
+        # Quick shrinks the model so even a training batch fits a CI
+        # budget; layer orderings are preserved.
+        model = dict(shrink=0.95, input_hw=112) if sc.measure.is_quick else {}
+        workload = WORKLOADS[tr.workload](cfg, **model)
+        net = workload.build_network(cfg, **wiring)
+        return net, workload.install(net)
+    shape = dict(load=tr.load, max_burst_bytes=tr.max_burst_bytes,
+                 read_fraction=tr.read_fraction,
+                 min_burst_bytes=tr.min_burst_bytes, seed=sc.seed)
+    if tr.kind == "synthetic":
+        from repro.traffic.synthetic import (
+            PATTERNS,
+            build_synthetic_network,
+            synthetic_traffic,
+        )
+
+        pattern = PATTERNS[tr.pattern]
+        net, _slaves = build_synthetic_network(cfg, pattern, **wiring)
+        synthetic_traffic(net, pattern, **shape).install()
+        return net, None
     from repro.noc.network import NocNetwork
     from repro.traffic.uniform import uniform_random
 
-    cfg = sc.topology.noc_config()
-    tr = sc.traffic
-    net = NocNetwork(cfg, faults=sc.faults, fault_seed=sc.seed)
-    uniform_random(net, load=tr.load, max_burst_bytes=tr.max_burst_bytes,
-                   read_fraction=tr.read_fraction,
-                   min_burst_bytes=tr.min_burst_bytes,
-                   seed=sc.seed).install()
-    link_util = _run_windowed(net, sc.measure)
-    return _noc_result(sc, net, cfg, label=f"burst<{tr.max_burst_bytes}",
-                       link_utilization=link_util)
+    net = NocNetwork(cfg, **wiring)
+    uniform_random(net, **shape).install()
+    return net, None
 
 
-def _run_synthetic(sc: Scenario) -> Result:
-    from repro.traffic.synthetic import (
-        PATTERNS,
-        build_synthetic_network,
-        synthetic_traffic,
-    )
-
-    cfg = sc.topology.noc_config()
-    tr = sc.traffic
-    pattern = PATTERNS[tr.pattern]
-    net, _slaves = build_synthetic_network(cfg, pattern, faults=sc.faults,
-                                           fault_seed=sc.seed)
-    synthetic_traffic(net, pattern, load=tr.load,
-                      max_burst_bytes=tr.max_burst_bytes,
-                      read_fraction=tr.read_fraction,
-                      min_burst_bytes=tr.min_burst_bytes,
-                      seed=sc.seed).install()
-    link_util = _run_windowed(net, sc.measure)
-    return _noc_result(
-        sc, net, cfg, label=f"{pattern.key}/burst<{tr.max_burst_bytes}",
-        link_utilization=link_util)
+def _is_train(sc: Scenario) -> bool:
+    return sc.traffic.kind == "dnn" and sc.traffic.workload == "train"
 
 
-def _run_dnn(sc: Scenario) -> Result:
-    from repro.sim.stats import GIB
-    from repro.traffic.dnn.workloads import WORKLOADS
+def _drive(sc: Scenario, net, scripts) -> dict:
+    """Run the measurement: one full batch for ``dnn:train``, warm-up
+    then window for everything else.  Returns the per-link utilization
+    of the measured span (``{}`` unless ``measure.per_link``)."""
+    measure = sc.measure
+    dog = _watchdog(measure)
+    heat = None
+    if measure.per_link:
+        from repro.eval.heatmap import LinkHeatmap
 
-    cfg = sc.topology.noc_config()
-    key = sc.traffic.workload
-    quick = sc.measure.is_quick
-    if quick:
-        # Shrink the model so even a training batch fits a CI budget;
-        # layer orderings are preserved.
-        workload = WORKLOADS[key](cfg, shrink=0.95, input_hw=112)
-    else:
-        workload = WORKLOADS[key](cfg)
-    net = workload.build_network(cfg, faults=sc.faults, fault_seed=sc.seed)
-    scripts = workload.install(net)
-    slim = cfg.data_width <= 64
-    if key == "train":
+        heat = LinkHeatmap(net)
+    if _is_train(sc):
         for script in scripts:
             script.loop = False
-        heat = None
-        if sc.measure.per_link:
+        if heat is not None:
             # The batch IS the measurement window: capture links over
             # the whole run, like the throughput number.
-            from repro.eval.heatmap import LinkHeatmap
-
-            heat = LinkHeatmap(net)
             heat.open_window()
-        limit = _TRAIN_LIMIT[quick]
-        dog = _watchdog(sc.measure)
-        net.run(limit, until=lambda now: (dog is not None and dog(now))
+        net.run(_TRAIN_LIMIT[measure.is_quick],
+                until=lambda now: (dog is not None and dog(now))
                 or (now % 2048 == 0
                     and all(s.done for s in scripts) and net.idle()))
         if not all(s.done for s in scripts):
             raise RuntimeError("training batch did not complete in budget")
-        thr = net.total_bytes() / net.sim.now * cfg.freq_hz / GIB
+    else:
+        warmup, window = measure.resolve()
+        if scripts is not None:
+            # Per-field None-fill like resolve(), but against the
+            # workload-derived table instead of the fidelity preset.
+            derived = _DNN_WINDOWS[(measure.is_quick,
+                                    net.cfg.data_width <= 64)]
+            if measure.warmup is None:
+                warmup = derived[0]
+            if measure.window is None:
+                window = derived[1]
+        net.set_warmup(warmup)
+        if heat is None:
+            net.run(warmup + window, until=dog)
+        else:
+            net.run(warmup, until=dog)
+            heat.open_window()
+            net.run(window, until=dog)
+    return heat.utilization() if heat is not None else {}
+
+
+def _collect(sc: Scenario, net, link_util: dict) -> Result:
+    """Read one driven network into a Result (provenance aside)."""
+    tr = sc.traffic
+    if sc.topology.backend == "baseline":
         return Result(
-            name=sc.label, backend="patronoc", label=key, load=1.0,
-            seed=sc.seed, throughput_gib_s=thr, cycles=net.sim.now,
-            counters=_noc_counters(net),
-            link_utilization=heat.utilization() if heat else {},
+            name=sc.label, backend="baseline",
+            label=f"VC={net.cfg.n_vcs},Buf={net.cfg.buf_depth}",
+            load=tr.load, seed=sc.seed,
+            throughput_gib_s=net.throughput_gib_s_node(),
+            latency_p50=net.latency.percentile(0.5),
+            latency_p90=net.latency.percentile(0.9),
+            latency_p99=net.latency.percentile(0.99),
+            cycles=net.sim.now,
+            counters={"aggregate_gib_s": net.throughput_gib_s_aggregate(),
+                      "flits_received": net.flits_received,
+                      "flits_received_measured": net.flits_received_measured,
+                      "packets_received": net.packets_received},
             faults=net.fault_report())
-    # Per-field None-fill, like MeasureSpec.resolve() but against the
-    # workload-derived table instead of the fidelity preset.
-    d_warmup, d_window = _DNN_WINDOWS[(quick, slim)]
-    warmup = sc.measure.warmup if sc.measure.warmup is not None else d_warmup
-    window = sc.measure.window if sc.measure.window is not None else d_window
-    measure = replace(sc.measure, warmup=warmup, window=window)
-    link_util = _run_windowed(net, measure)
-    return _noc_result(sc, net, cfg, label=key,
-                       link_utilization=link_util)
+    if _is_train(sc):
+        from repro.sim.stats import GIB
 
+        # Bytes over the whole batch; a batch has no steady state to
+        # take a utilization or a latency distribution from.
+        steady = dict(load=1.0, throughput_gib_s=(
+            net.total_bytes() / net.sim.now * net.cfg.freq_hz / GIB))
+    else:
+        from repro.noc.bandwidth import utilization
 
-def _run_windowed(net, measure: MeasureSpec) -> dict:
-    """Warm up, optionally open per-link monitors, run the window."""
-    warmup, window = measure.resolve()
-    dog = _watchdog(measure)
-    net.set_warmup(warmup)
-    if not measure.per_link:
-        net.run(warmup + window, until=dog)
-        return {}
-    from repro.eval.heatmap import LinkHeatmap
-
-    heat = LinkHeatmap(net)
-    net.run(warmup, until=dog)
-    heat.open_window()
-    net.run(window, until=dog)
-    return heat.utilization()
-
-
-def _noc_result(sc: Scenario, net, cfg, *, label: str,
-                link_utilization: dict) -> Result:
-    from repro.noc.bandwidth import utilization
-
-    thr = net.aggregate_throughput_gib_s()
-    p50, p90, p99 = _latency_percentiles(net)
+        thr = net.aggregate_throughput_gib_s()
+        p50, p90, p99 = (_median_of_dma_percentiles(net, q)
+                         for q in (0.5, 0.9, 0.99))
+        steady = dict(load=tr.load, throughput_gib_s=thr,
+                      utilization_pct=utilization(thr, net.cfg),
+                      latency_p50=p50, latency_p90=p90, latency_p99=p99)
+    label = f"burst<{tr.max_burst_bytes}"
+    if tr.kind == "synthetic":
+        label = f"{tr.pattern}/{label}"
+    elif tr.kind == "dnn":
+        label = tr.workload
     return Result(
-        name=sc.label, backend="patronoc", label=label,
-        load=sc.traffic.load, seed=sc.seed, throughput_gib_s=thr,
-        utilization_pct=utilization(thr, cfg),
-        latency_p50=p50, latency_p90=p90, latency_p99=p99,
-        cycles=net.sim.now, counters=_noc_counters(net),
-        link_utilization=link_utilization,
-        faults=net.fault_report())
-
-
-def _noc_counters(net) -> dict:
-    return {"measured_bytes": net.measured_bytes(),
-            "total_bytes": net.total_bytes(),
-            "transfers_completed": net.transfers_completed(),
-            "response_errors": net.response_errors()}
-
-
-def _latency_percentiles(net) -> tuple[float, float, float]:
-    """Median across DMAs of each DMA's percentile (robust, cheap)."""
-    return tuple(_median_of_dma_percentiles(net, q)
-                 for q in (0.5, 0.9, 0.99))
+        name=sc.label, backend="patronoc", label=label, seed=sc.seed,
+        cycles=net.sim.now,
+        counters={"measured_bytes": net.measured_bytes(),
+                  "total_bytes": net.total_bytes(),
+                  "transfers_completed": net.transfers_completed(),
+                  "response_errors": net.response_errors()},
+        link_utilization=link_util, faults=net.fault_report(), **steady)
 
 
 def _median_of_dma_percentiles(net, q: float) -> float:
+    """Median across DMAs of each DMA's percentile (robust, cheap)."""
     values = sorted(
         built.dma.latency_stats.percentile(q)
         for built in net.tiles
@@ -271,31 +242,3 @@ def _median_of_dma_percentiles(net, q: float) -> float:
     if not values:
         return 0.0
     return values[len(values) // 2]
-
-
-# ----------------------------------------------------------------------
-# Packet baseline
-# ----------------------------------------------------------------------
-def _run_baseline(sc: Scenario) -> Result:
-    from repro.baseline.network import PacketMesh
-
-    cfg = sc.topology.mesh_config()
-    mesh = PacketMesh(cfg, injection_rate=sc.traffic.load, seed=sc.seed,
-                      faults=sc.faults, fault_seed=sc.seed)
-    warmup, window = sc.measure.resolve()
-    mesh.set_warmup(warmup)
-    mesh.run(warmup + window, until=_watchdog(sc.measure))
-    return Result(
-        name=sc.label, backend="baseline",
-        label=f"VC={cfg.n_vcs},Buf={cfg.buf_depth}",
-        load=sc.traffic.load, seed=sc.seed,
-        throughput_gib_s=mesh.throughput_gib_s_node(),
-        latency_p50=mesh.latency.percentile(0.5),
-        latency_p90=mesh.latency.percentile(0.9),
-        latency_p99=mesh.latency.percentile(0.99),
-        cycles=mesh.sim.now,
-        counters={"aggregate_gib_s": mesh.throughput_gib_s_aggregate(),
-                  "flits_received": mesh.flits_received,
-                  "flits_received_measured": mesh.flits_received_measured,
-                  "packets_received": mesh.packets_received},
-        faults=mesh.fault_report())

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -119,27 +118,6 @@ def sweep(base: Scenario | None = None, **axes) -> Sweep:
     return Sweep(base=base, axes=axes)
 
 
-#: True only inside pool workers (set by the pool initializer); the
-#: crash seam below must never fire in the parent process.
-_IS_WORKER = False
-
-
-def _worker_init() -> None:
-    global _IS_WORKER
-    _IS_WORKER = True
-
-
-def _run_point(sc: Scenario) -> Result:
-    """One sweep point, with a test-only crash seam: when
-    ``REPRO_SWEEP_TEST_CRASH`` names a substring of this point's label,
-    a *worker* process dies hard (``os._exit``) — the only way to
-    exercise the BrokenProcessPool recovery path from a test."""
-    crash = os.environ.get("REPRO_SWEEP_TEST_CRASH")
-    if crash and _IS_WORKER and crash in sc.label:
-        os._exit(3)
-    return run_scenario(sc)
-
-
 @dataclass(frozen=True)
 class SweepStats:
     """Per-sweep point accounting: where each point's Result came from.
@@ -201,7 +179,7 @@ def _run_chunk(scs: list[Scenario]) -> list:
     out = []
     for sc in scs:
         try:
-            out.append(("ok", _run_point(sc)))
+            out.append(("ok", run_scenario(sc)))
         except Exception:
             out.append(("err",))
     return out
@@ -253,9 +231,9 @@ def run_sweep(points: Sweep | list[Scenario], *, jobs: int = 1,
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if chunksize is not None and chunksize < 1:
         raise ValueError(f"chunksize must be >= 1, got {chunksize}")
-    from repro.store import CACHE_MODES
-    if cache not in CACHE_MODES:
-        raise ValueError(f"cache must be one of {CACHE_MODES}, got {cache!r}")
+    from repro.store import ResultStore, check_cache_mode
+
+    check_cache_mode(cache)
     if cache == "off" and store is not None:
         raise ValueError("store given but cache='off'; pass cache='rw' "
                          "or 'ro' to use it")
@@ -274,8 +252,6 @@ def run_sweep(points: Sweep | list[Scenario], *, jobs: int = 1,
     if cache == "off":
         pending = list(range(len(points)))
     else:
-        from repro.store import ResultStore
-
         store = ResultStore.coerce(store)
         pending = []
         for i, sc in enumerate(points):
@@ -290,7 +266,7 @@ def run_sweep(points: Sweep | list[Scenario], *, jobs: int = 1,
     if jobs == 1 or len(pending) <= 1:
         for i in pending:
             try:
-                results[i] = _run_point(points[i])
+                results[i] = run_scenario(points[i])
                 _emit(i, "run")
             except Exception:
                 first_try_failures.append(i)
@@ -301,8 +277,7 @@ def run_sweep(points: Sweep | list[Scenario], *, jobs: int = 1,
             chunksize = max(1, len(pending) // (jobs * 4))
         chunks = [pending[i:i + chunksize]
                   for i in range(0, len(pending), chunksize)]
-        with ProcessPoolExecutor(max_workers=jobs,
-                                 initializer=_worker_init) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_run_chunk, [points[i] for i in idxs])
                        for idxs in chunks]
             for idxs, future in zip(chunks, futures):
@@ -322,8 +297,7 @@ def run_sweep(points: Sweep | list[Scenario], *, jobs: int = 1,
                         first_try_failures.append(i)
     failed: list[tuple[int, Exception]] = []
     for i in first_try_failures:
-        # Direct run_scenario: in-process, so the crash seam (and any
-        # worker-environment flakiness) is out of the loop.
+        # In-process, so worker-environment flakiness is out of the loop.
         try:
             results[i] = run_scenario(points[i])
             _emit(i, "run")

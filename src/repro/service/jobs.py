@@ -16,8 +16,10 @@ import itertools
 import threading
 from collections import deque
 
+from repro.scenarios.result import paired_payload
 from repro.scenarios.spec import Scenario
 from repro.scenarios.sweep import ProgressEvent, SweepResults, run_sweep
+from repro.store import ResultStore, check_cache_mode
 
 #: Lifecycle of a job.  queued → running → done | failed.  "failed"
 #: means run_sweep itself raised (bad spec interactions, broken store
@@ -62,11 +64,7 @@ class JobManager:
     """FIFO job queue + one worker thread over ``run_sweep``."""
 
     def __init__(self, store=None, *, cache: str = "rw", jobs: int = 1):
-        from repro.store import CACHE_MODES, ResultStore
-
-        if cache not in CACHE_MODES:
-            raise ValueError(
-                f"cache must be one of {CACHE_MODES}, got {cache!r}")
+        check_cache_mode(cache)
         self.cache = cache
         self.store = (ResultStore.coerce(store)
                       if cache != "off" else None)
@@ -85,14 +83,10 @@ class JobManager:
     def submit(self, points: list[Scenario], *, jobs: int | None = None,
                cache: str | None = None) -> Job:
         """Enqueue a sweep; returns the (already-queued) Job."""
-        from repro.store import CACHE_MODES
-
         if not points:
             raise ValueError("a job needs at least one scenario point")
         cache = self.cache if cache is None else cache
-        if cache not in CACHE_MODES:
-            raise ValueError(
-                f"cache must be one of {CACHE_MODES}, got {cache!r}")
+        check_cache_mode(cache)
         if cache != "off" and self.store is None:
             raise ValueError(
                 "service was started with cache='off' (no store); "
@@ -138,9 +132,7 @@ class JobManager:
                 return None
             points, results = job.points, job.results
         # Finished results never change: build the payload unlocked.
-        return [{"scenario": sc.to_dict(),
-                 "result": r.to_dict() if r is not None else None}
-                for sc, r in zip(points, results)]
+        return paired_payload(points, results)
 
     def shutdown(self) -> None:
         """Stop the worker after the current job (daemon thread: safe

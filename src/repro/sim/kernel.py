@@ -300,8 +300,6 @@ class Simulator:
         self,
         cycles: int,
         until: Callable[[int], bool] | None = None,
-        progress_every: int = 0,
-        progress: Callable[[int], None] | None = None,
         until_idle: Callable[[], bool] | None = None,
     ) -> int:
         """Run for up to ``cycles`` more cycles.
@@ -317,8 +315,6 @@ class Simulator:
             still evaluated at every intermediate cycle (component state
             is frozen across the gap, so results match always-step mode
             exactly).
-        progress_every / progress:
-            Optional progress callback invoked every N cycles.
         until_idle:
             Optional 0-argument predicate over *simulation state only*
             (it must not depend on ``now``), evaluated after each stepped
@@ -335,8 +331,7 @@ class Simulator:
             raise ValueError(f"cycles must be >= 0, got {cycles}")
         end = self.now + cycles
         if not self.activity:
-            return self._run_always_step(end, until, progress_every,
-                                         progress, until_idle)
+            return self._run_always_step(end, until, until_idle)
         # Settled at entry consumes zero cycles, like the always-step
         # loop's top-of-iteration check.  The checks below come after a
         # stepped cycle, too late when a drain-transparent component (an
@@ -344,8 +339,6 @@ class Simulator:
         if until_idle is not None and until_idle():
             return self.now
         heap = self._heap
-        walk_gaps = until is not None or (progress_every > 0
-                                          and progress is not None)
         while self.now < end:
             now = self.now
             if heap and heap[0][0] <= now:
@@ -361,19 +354,16 @@ class Simulator:
                     target = end
                 if target <= now:  # defensive; wakes are always future
                     target = now + 1
-                if not walk_gaps:
+                if until is None:
                     self.cycles_skipped += target - now
                     self.now = target
                     continue
                 stopped = False
                 while now < target:
                     now += 1
-                    if until is not None and until(now):
+                    if until(now):
                         stopped = True
                         break
-                    if (progress_every and progress
-                            and now % progress_every == 0):
-                        progress(now)
                 self.cycles_skipped += now - self.now
                 self.now = now
                 if stopped:
@@ -416,12 +406,9 @@ class Simulator:
                 break
             if until_idle is not None and until_idle():
                 break
-            if progress_every and progress and now % progress_every == 0:
-                progress(now)
         return self.now
 
-    def _run_always_step(self, end, until, progress_every, progress,
-                         until_idle) -> int:
+    def _run_always_step(self, end, until, until_idle) -> int:
         """Reference semantics: every component stepped every cycle.
 
         ``until_idle`` is evaluated at the top of each iteration — i.e.
@@ -442,8 +429,6 @@ class Simulator:
             self.now = now + 1
             if until is not None and until(self.now):
                 break
-            if progress_every and progress and self.now % progress_every == 0:
-                progress(self.now)
         return self.now
 
     def finalize(self) -> None:

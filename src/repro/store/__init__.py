@@ -16,19 +16,19 @@ persists them under exactly that key so repeat work is a cache hit::
 
 from repro.store.fingerprint import code_fingerprint
 from repro.store.store import (
-    CACHE_MODES,
     ResultStore,
     StoreKey,
     canonical_spec_json,
+    check_cache_mode,
     provenance_for,
     spec_hash,
 )
 
 __all__ = [
-    "CACHE_MODES",
     "ResultStore",
     "StoreKey",
     "canonical_spec_json",
+    "check_cache_mode",
     "code_fingerprint",
     "provenance_for",
     "spec_hash",

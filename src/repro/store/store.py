@@ -42,6 +42,13 @@ STORE_FORMAT = 1
 #: are served, misses are not written back), read-write.
 CACHE_MODES = ("off", "ro", "rw")
 
+
+def check_cache_mode(cache: str) -> None:
+    """Reject anything but a :data:`CACHE_MODES` value — the one check
+    ``run_sweep`` and the job service put in front of a store."""
+    if cache not in CACHE_MODES:
+        raise ValueError(f"cache must be one of {CACHE_MODES}, got {cache!r}")
+
 #: Default store root when neither an explicit path nor the
 #: ``REPRO_STORE`` environment variable names one.
 DEFAULT_ROOT = "~/.cache/repro-store"

@@ -10,7 +10,7 @@ from repro.traffic.synthetic import (
     build_synthetic_network,
     synthetic_traffic,
 )
-from repro.traffic.uniform import UniformRandomTraffic, uniform_random
+from repro.traffic.uniform import uniform_random
 
 __all__ = [
     "ALL_GLOBAL",
@@ -19,7 +19,6 @@ __all__ = [
     "PATTERNS",
     "RandomTraffic",
     "SyntheticPattern",
-    "UniformRandomTraffic",
     "build_synthetic_network",
     "synthetic_traffic",
     "uniform_random",

@@ -26,13 +26,3 @@ def uniform_random(net: NocNetwork, load: float, max_burst_bytes: int, *,
                          min_burst_bytes=min_burst_bytes,
                          read_fraction=read_fraction, seed=seed,
                          queue_cap=queue_cap)
-
-
-class UniformRandomTraffic(RandomTraffic):
-    """Convenience class mirroring :func:`uniform_random` (public API)."""
-
-    def __init__(self, net: NocNetwork, load: float, max_burst_bytes: int,
-                 **kwargs):
-        source = uniform_random(net, load, max_burst_bytes, **kwargs)
-        # Steal the prepared state: cheap and keeps one implementation.
-        self.__dict__.update(source.__dict__)

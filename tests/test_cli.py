@@ -82,6 +82,32 @@ class TestRun:
         assert "function calls" in out
         assert "[fig2 completed in" in out  # normal output still present
 
+    def test_cache_flags_travel_as_arguments(self, tmp_path, monkeypatch,
+                                             capsys):
+        """``--cache rw`` twice: the second run simulates nothing and
+        prints the same table, and neither writes the environment."""
+        import importlib
+
+        sweep_mod = importlib.import_module("repro.scenarios.sweep")
+        argv = ["run", "table2", "--quick", "--cache", "rw",
+                "--store", str(tmp_path / "store")]
+        env_before = dict(os.environ)
+        assert cli.main(argv) == 0
+        cold = capsys.readouterr().out
+
+        def boom(sc):
+            raise AssertionError("a stored point must not simulate")
+        monkeypatch.setattr(sweep_mod, "run_scenario", boom)
+        assert cli.main(argv) == 0
+        warm = capsys.readouterr().out
+
+        def table(out):
+            return [line for line in out.splitlines()
+                    if "completed in" not in line]
+        assert table(warm) == table(cold)
+        assert "PATRONoC (this repro)" in warm
+        assert dict(os.environ) == env_before
+
     def test_run_all_prints_per_experiment_timing_and_summary(
             self, monkeypatch, capsys):
         subset = {k: experiments.EXPERIMENTS[k] for k in ("table1", "power")}

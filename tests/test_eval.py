@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.eval.experiments import EXPERIMENTS, run_all, run_experiment
+from repro.eval.experiments import (
+    EXPERIMENTS,
+    measure_points,
+    run_all,
+    run_experiment,
+)
 from repro.eval.report import ExperimentResult, render_text, save_csv
 from repro.scenarios import (
     MeasureSpec,
@@ -28,6 +33,26 @@ class TestRegistry:
     def test_unknown_experiment_raises(self):
         with pytest.raises(KeyError):
             run_experiment("fig99")
+
+
+class TestMeasurePoints:
+    def test_a_failed_point_raises_and_is_named(self, capsys):
+        """A figure's layout needs every point: the doomed one (watchdog
+        trips at its first check, cycle 2048) is reported by run_sweep
+        and then raised, not laid out as a hole."""
+        ok = Scenario(traffic=TrafficSpec.uniform(0.5, 1000),
+                      measure=MeasureSpec(300, 2500))
+        doomed = ok.with_(measure=MeasureSpec(300, 2500, max_wall_s=1e-9))
+        with pytest.raises(RuntimeError, match="1 of 2 point"):
+            measure_points([doomed, ok])
+        err = capsys.readouterr().err
+        assert doomed.label in err and "SimulationTimeout" in err
+
+    def test_analytic_runner_ignores_cache_and_store(self, tmp_path):
+        root = tmp_path / "store"
+        cached = run_experiment("fig2", cache="rw", store=root)
+        assert render_text(cached) == render_text(run_experiment("fig2"))
+        assert not root.exists()
 
 
 class TestModelExperiments:

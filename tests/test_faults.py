@@ -10,6 +10,8 @@ fault history for the same (spec, seed) in both kernel modes, in any
 process.
 """
 
+import importlib
+import multiprocessing
 import os
 from itertools import permutations
 
@@ -37,6 +39,10 @@ from repro.scenarios import (
 )
 from repro.scenarios.sweep import run_sweep, sweep
 from repro.traffic.uniform import uniform_random
+
+#: The module, not the ``sweep()`` function ``repro.scenarios`` exports
+#: under the same name.
+sweep_mod = importlib.import_module("repro.scenarios.sweep")
 
 QUICK = MeasureSpec(warmup=300, window=1200)
 
@@ -623,6 +629,25 @@ class TestWatchdog:
         assert MeasureSpec.coerce(m.to_dict()) == m
 
 
+def kill_workers_running(monkeypatch, label_part: str) -> None:
+    """From here on, a *pool worker* that starts a point whose label
+    contains ``label_part`` dies hard (``os._exit``) — the only way to
+    reach run_sweep's BrokenProcessPool recovery.  Forked workers
+    inherit the patch; the parent (serial path, serial retry) has no
+    parent process and runs the real ``run_scenario``."""
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("a spawned worker would not inherit the patch")
+    real = sweep_mod.run_scenario
+
+    def run_or_die(sc):
+        if (multiprocessing.parent_process() is not None
+                and label_part in sc.label):
+            os._exit(3)
+        return real(sc)
+
+    monkeypatch.setattr(sweep_mod, "run_scenario", run_or_die)
+
+
 class TestHardenedSweep:
     def _points(self, n=3):
         base = _uniform_scenario(measure=MeasureSpec(warmup=200, window=600))
@@ -646,14 +671,9 @@ class TestHardenedSweep:
         matches a clean serial run exactly."""
         points = self._points(4)
         clean = run_sweep(points, jobs=1)
-        monkeypatch.setenv("REPRO_SWEEP_TEST_CRASH", "seed2")
+        kill_workers_running(monkeypatch, "seed2")
         crashed = run_sweep(points, jobs=2)
         assert crashed == clean
-
-    def test_crash_seam_inert_in_parent(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_TEST_CRASH", "seed")
-        results = run_sweep(self._points(2), jobs=1)
-        assert all(r is not None for r in results)
 
     def test_artifacts_round_trip_with_failures(self, tmp_path):
         from repro.scenarios import load_results_json, save_artifacts

@@ -129,13 +129,6 @@ class TestActivityKernel:
         sim.run(1_000, until=lambda now: now >= 123)
         assert sim.now == 123
 
-    def test_progress_fires_inside_quiet_gaps(self):
-        seen = []
-        sim = Simulator()
-        sim.add(Sleeper())
-        sim.run(100, progress_every=25, progress=seen.append)
-        assert seen == [25, 50, 75, 100]
-
     def test_fifo_push_wakes_consumer_at_visibility(self):
         sim = Simulator()
 

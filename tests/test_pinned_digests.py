@@ -37,12 +37,10 @@ def assert_pinned(name: str, seed: int) -> None:
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
-def test_seed_1_points_hash_to_the_pinned_digest(name, monkeypatch):
-    monkeypatch.delenv("REPRO_CACHE", raising=False)
+def test_seed_1_points_hash_to_the_pinned_digest(name):
     assert_pinned(name, 1)
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
-def test_seed_2_points_hash_to_the_pinned_digest(name, monkeypatch):
-    monkeypatch.delenv("REPRO_CACHE", raising=False)
+def test_seed_2_points_hash_to_the_pinned_digest(name):
     assert_pinned(name, 2)

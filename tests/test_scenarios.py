@@ -25,6 +25,7 @@ from repro.scenarios import (
     save_results_json,
     sweep,
 )
+from repro.scenarios.run import build_network
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -244,6 +245,36 @@ class TestRunScenario:
         assert linked.throughput_gib_s == plain.throughput_gib_s
         assert linked.link_utilization
         assert all(v >= 0 for v in linked.link_utilization.values())
+
+    def test_train_per_link_captures_the_whole_batch(self):
+        """The batch IS the window: per-link capture spans it and does
+        not perturb it."""
+        base = Scenario(topology=TopologySpec.wide(),
+                        traffic=TrafficSpec.dnn("train"),
+                        measure=MeasureSpec.quick())
+        plain = run_scenario(base)
+        linked = run_scenario(base.with_(
+            measure=MeasureSpec.quick(per_link=True)))
+        assert not plain.link_utilization
+        assert linked.link_utilization
+        assert linked.throughput_gib_s == plain.throughput_gib_s
+        assert linked.cycles == plain.cycles
+
+    @pytest.mark.parametrize("topology, traffic, scripted", [
+        (TopologySpec.slim(), TrafficSpec.uniform(0.5, 1000), False),
+        (TopologySpec.slim(), TrafficSpec.synthetic("one_hop", 1000), False),
+        (TopologySpec.wide(), TrafficSpec.dnn("pipe"), True),
+        (TopologySpec.baseline(1, 4), TrafficSpec.uniform(0.1, 1), False),
+    ], ids=["uniform", "synthetic", "dnn", "baseline"])
+    def test_build_network_returns_scripts_for_dnn_only(
+            self, topology, traffic, scripted):
+        net, scripts = build_network(Scenario(
+            topology=topology, traffic=traffic, measure=MeasureSpec.quick()))
+        assert net.sim.now == 0  # built and installed, not driven
+        if scripted:
+            assert len(scripts) == len(net.dma_endpoints())
+        else:
+            assert scripts is None
 
     def test_dnn_windows_fill_per_field(self):
         # Pinned windows are honored exactly...

@@ -17,6 +17,7 @@ from repro.noc.config import NocConfig
 from repro.noc.network import NocNetwork
 from repro.scenarios import MeasureSpec, Scenario, TrafficSpec, run_sweep, sweep
 from repro.traffic.uniform import uniform_random
+from test_faults import kill_workers_running
 
 #: Small windows: these tests assert equivalence, not paper numbers.
 FAST = MeasureSpec(300, 900)
@@ -181,5 +182,5 @@ class TestChunkedSweep:
         not the sweep: every point recovers via the serial retry."""
         points = self._sweep().points()
         clean = run_sweep(points, jobs=1)
-        monkeypatch.setenv("REPRO_SWEEP_TEST_CRASH", "seed2")
+        kill_workers_running(monkeypatch, "seed2")
         assert run_sweep(points, jobs=2, chunksize=2) == clean

@@ -256,7 +256,6 @@ class TestSweepCache:
 
         def boom(*a, **k):
             raise AssertionError("cache hit must not simulate")
-        monkeypatch.setattr(sweep_mod, "_run_point", boom)
         monkeypatch.setattr(sweep_mod, "run_scenario", boom)
         again = run_sweep(self.grid(), cache="rw", store=store)
         assert again.stats == SweepStats(total=4, hits=4)
@@ -330,21 +329,23 @@ class TestSweepCache:
         assert all(e.result is not None for e in again)
 
 
-class TestRunScenarioEnvCache:
-    """REPRO_CACHE: the opt-in that gives eval runners caching."""
+class TestNoEnvironmentSideChannel:
+    """The store is reached through ``run_sweep(cache=, store=)`` only:
+    ``REPRO_CACHE`` is an unknown variable, and ``REPRO_STORE`` names
+    the default root without switching anything on."""
 
-    def test_rw_round_trip(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "env-store"))
-        sc = fast_point()
-        fresh = run_scenario(sc)
+    def test_cache_off_touches_no_store(self, tmp_path, monkeypatch):
+        root = tmp_path / "env-store"
         monkeypatch.setenv("REPRO_CACHE", "rw")
-        miss_then_write = run_scenario(sc)
-        assert miss_then_write == fresh
-        assert ResultStore.default().get(sc) == fresh
-        monkeypatch.setenv("REPRO_CACHE", "ro")
-        assert run_scenario(sc) == fresh
-
-    def test_bad_mode_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", "yes-please")
-        with pytest.raises(ValueError):
-            run_scenario(fast_point())
+        monkeypatch.setenv("REPRO_STORE", str(root))
+        grid = TestSweepCache().grid()
+        first = run_sweep(grid, jobs=2, cache="off")
+        assert first.stats == SweepStats(total=4, misses=4)
+        sc = fast_point()
+        assert run_scenario(sc) == run_scenario(sc)
+        assert ResultStore.default().stats()["entries"] == 0
+        assert not root.exists()
+        # ... and run_scenario does not read it either: a poisoned
+        # entry under the point's key is never served.
+        ResultStore.default().put(sc, first[0])
+        assert run_scenario(sc) != first[0]

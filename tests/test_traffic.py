@@ -13,7 +13,7 @@ from repro.traffic.synthetic import (
     build_synthetic_network,
     synthetic_traffic,
 )
-from repro.traffic.uniform import UniformRandomTraffic, uniform_random
+from repro.traffic.uniform import uniform_random
 
 
 class TestUniformRandom:
@@ -69,7 +69,7 @@ class TestUniformRandom:
 
     def test_uniform_class_facade(self):
         net = NocNetwork(NocConfig(rows=2, cols=2))
-        traffic = UniformRandomTraffic(net, load=0.5, max_burst_bytes=100)
+        traffic = uniform_random(net, load=0.5, max_burst_bytes=100)
         assert isinstance(traffic, RandomTraffic)
 
     def test_deterministic_across_runs(self):
@@ -144,8 +144,9 @@ class TestSleepsAtTheBacklogCap:
                 [s.offered_transfers for s in sources])
 
     @pytest.mark.parametrize("build", [
-        pytest.param(lambda net: [UniformRandomTraffic(
-            net, 1.0, 4, read_fraction=0.0, seed=5).install()], id="facade"),
+        pytest.param(lambda net: [uniform_random(
+            net, load=1.0, max_burst_bytes=4, read_fraction=0.0,
+            seed=5).install()], id="facade"),
         pytest.param(lambda net: [uniform_random(
             net, 1.0, 4, read_fraction=0.0, seed=5).install()],
             id="uniform_random"),
