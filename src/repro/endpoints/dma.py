@@ -38,6 +38,10 @@ from repro.sim.fifo import full_fifos
 from repro.sim.kernel import BLOCKED, Component
 from repro.sim.stats import CounterSet, LatencyStats, ThroughputMeter
 
+#: Fewest middle beats still to push that make a W stream worth probing
+#: for a train (``noc/trains.py``, which owns the rest of the policy).
+_MIN_TRAIN_BEATS = 16
+_NEVER = 1 << 62  # a cycle no run reaches
 
 #: Flag bits for outstanding-entry index 6 (transaction-lifetime state).
 _F_TIMED = 1  # this issue is a txn-timeout retry (timeout_recovered)
@@ -155,6 +159,15 @@ class DmaEngine(Component):
         #: one cycle under always-step, the whole sleep otherwise.
         self._stalled: str | None = None
         self._stalled_since = 0
+        #: W trains (DESIGN.md §7 "A burst is a run"), wired by
+        #: ``NocNetwork`` under the activity scheduler only: the
+        #: :class:`~repro.noc.trains.WTrain` of this engine, the cycle
+        #: from which it may look at the head W stream (never, unless
+        #: wired), and — while the stream's middle beats ride a frozen
+        #: train — the cycle its last beat is pushed on (-1: none open).
+        self._train = None
+        self._probe_at = _NEVER
+        self._frozen_until = -1
 
     def _wake_watchers(self) -> None:
         for watcher in self.watchers:
@@ -216,13 +229,16 @@ class DmaEngine(Component):
         return True
 
     def blocked_on(self) -> str:
-        """The full request FIFOs of this engine's link, and the stall
-        it is charging if it is out of ids or MOT room."""
+        """The full request FIFOs of this engine's link, the stall it is
+        charging if it is out of ids or MOT room, and the W train its
+        head burst rides (asleep with work in hand, not idle)."""
         link = self.link
         stall = (f"{self._stalled} since {self._stalled_since}"
                  if self._stalled is not None else "")
+        train = (f"W train until {self._frozen_until}"
+                 if self._frozen_until >= 0 else "")
         return "; ".join(filter(None, (
-            full_fifos((link.aw, link.w, link.ar)), stall)))
+            full_fifos((link.aw, link.w, link.ar)), stall, train)))
 
     def settle_stall(self, now: int) -> None:
         """Charge an open stall interval up to ``now`` — before a reader
@@ -233,9 +249,12 @@ class DmaEngine(Component):
             self._stalled_since = now
 
     def next_event(self, now: int) -> int | None:
-        wake = None
+        wake = self._frozen_until  # the cycle an open train ends on
+        if wake <= now:
+            wake = None
         if ((self._pending or self._cur is not None)
-                and self._idle_until > now):
+                and self._idle_until > now
+                and (wake is None or self._idle_until < wake)):
             wake = self._idle_until  # an elapsed gap is not an event
         if self._txn_timeout is not None:
             # Earliest watchdog deadline: deadlines are monotone in each
@@ -274,8 +293,19 @@ class DmaEngine(Component):
         if w_emit:
             w = link.w
             wq = w._q
-            if len(wq) < w.capacity:
-                stream = w_emit[0]
+            stream = w_emit[0]
+            if len(wq) >= w.capacity:
+                held = True
+            elif (now >= self._probe_at
+                  and (self._frozen_until >= 0 or stream.beats
+                       - stream.issued > _MIN_TRAIN_BEATS)
+                  and self._train.holds(stream, now)):
+                # The stream's middle beats ride a train, frozen on this
+                # cycle or an earlier one (its FIFOs read empty): nothing
+                # to push until the cycle it ends on, which puts the path
+                # back first.
+                held = True
+            else:
                 if not wq:
                     occ = w.occ
                     if occ is not None:
@@ -289,8 +319,6 @@ class DmaEngine(Component):
                     w_emit.popleft()
                     if self.watchers:
                         self._wake_watchers()
-            else:
-                held = True
         # Abort orphaned transactions before considering new issues, so a
         # freed slot/retry is usable the same cycle under either scheduler.
         if self._txn_timeout is not None:
@@ -316,8 +344,11 @@ class DmaEngine(Component):
             return False
         if issue_held:
             return BLOCKED
+        # (An issue due next cycle is polled for; an engine whose W
+        # stream is held — asleep on a train, mostly — leaves it to
+        # next_event, not to a step that moves nothing.)
         if ((self._pending or self._cur is not None)
-                and self._idle_until <= now + 1):
+                and self._idle_until <= (now if held else now + 1)):
             return False
         return BLOCKED if held else True
 

@@ -22,6 +22,7 @@ from repro.faults.runtime import (CorruptionModel, FaultStats, FaultTimeline,
 from repro.noc.config import NocConfig
 from repro.noc.routing import ComputedRouter, TableRouter, generate_route_tables
 from repro.noc.topology import LOCAL_PORT_BASE, Mesh2D
+from repro.noc.trains import WTrain
 from repro.noc.xp import build_crosspoint
 from repro.sim.kernel import Simulator
 from repro.sim.stats import GIB, CounterSet, LatencyStats, ThroughputMeter
@@ -101,7 +102,11 @@ class NocNetwork:
         Step every component every cycle (the reference oracle) instead
         of scheduling the same ``step()`` bodies by activity
         (DESIGN.md §2).  Results are identical; the golden-equivalence
-        tests rely on this switch.
+        tests rely on this switch.  The oracle is strictly per beat;
+        the activity scheduler also skips *predictable* cycles: a
+        write burst whose W data streams over a path it owns is frozen
+        as a train and charged arithmetically (``noc/trains.py``,
+        DESIGN.md §7) — never on a network with a fault controller.
     faults / fault_seed:
         Optional :class:`~repro.faults.FaultSpec` and the seed its
         deterministic fault events derive from (DESIGN.md §10).  An
@@ -322,6 +327,16 @@ class NocNetwork:
                 self.sim.add(built.dma)
             if built.memory is not None:
                 self.sim.add(built.memory)
+        # W trains (DESIGN.md §7): the activity scheduler skips the
+        # predictable cycles of a burst that owns its path.  Never with
+        # a fault controller, which re-times and re-routes beats.
+        self._trains: list[WTrain] = []
+        if not always_step and self._fault_controller is None:
+            ingress = {link.w: i for xp in self.xps
+                       for i, link in enumerate(xp.in_links)
+                       if link is not None}
+            self._trains = [WTrain(dma, ingress) for dma in self.dmas
+                            if dma is not None]
 
     # ------------------------------------------------------------------
     # addressing helpers
@@ -351,6 +366,7 @@ class NocNetwork:
     # ------------------------------------------------------------------
     def set_warmup(self, cycle: int) -> None:
         """Start the throughput measurement window at ``cycle``."""
+        self._settle()  # an open train is credited against the old one
         self.warmup = cycle
         for built in self.tiles:
             if built.dma is not None:
@@ -410,18 +426,39 @@ class NocNetwork:
     # execution
     # ------------------------------------------------------------------
     def run(self, cycles: int, until=None) -> int:
+        """Advance by up to ``cycles``; on return no W train is open and
+        every stall interval is charged, so everything a caller can read
+        equals the per-beat oracle's.  A bare ``net.sim.run()`` skips
+        that: counters lag by the open stall intervals, and the beats of
+        an open train are in neither the FIFOs nor the counters until
+        the next ``run`` / ``drain`` / ``set_warmup`` ends it."""
         now = self.sim.run(cycles, until=until)
-        self._settle_stalls()
+        self._settle()
         return now
 
-    def _settle_stalls(self) -> None:
-        """A DMA asleep in an ID/MOT stall charges it when it next steps
-        (DESIGN.md §7 "Stalls are intervals"); whoever reads
-        ``counters`` after a run must find the cycles so far on them."""
+    def _settle(self) -> None:
+        """End every open W train where it stands (no train outlives the
+        call that started it), then charge the open stalls: a DMA asleep
+        in an ID/MOT stall charges it when it next steps (DESIGN.md §7
+        "Stalls are intervals"), and whoever reads ``counters`` after a
+        run must find the cycles so far on them."""
         now = self.sim.now
+        for train in self._trains:
+            train.end(now)
         for dma in self.dmas:
             if dma is not None:
                 dma.settle_stall(now)
+
+    def kernel_stats(self) -> dict:
+        """What the scheduler did, for tests and reports — not part of
+        any Result: ``step()`` calls made, cycles jumped in quiet gaps,
+        W trains frozen, beats they carried, probes taken."""
+        trains = self._trains
+        return dict(steps=self.sim.steps,
+                    cycles_skipped=self.sim.cycles_skipped,
+                    trains=sum(t.trains for t in trains),
+                    train_beats=sum(t.beats for t in trains),
+                    train_probes=sum(t.probes for t in trains))
 
     def idle(self) -> bool:
         """True when no transaction is anywhere in flight."""
@@ -454,7 +491,7 @@ class NocNetwork:
         """
         sim = self.sim
         sim.run(max_cycles, until_idle=lambda: sim.all_quiet() and self.idle())
-        self._settle_stalls()
+        self._settle()  # before the report: the FIFOs it names are real
         if not self.idle():
             blocked = "; ".join(f"{c.name} ({c.blocked_on()})"
                                 for c in sim.blocked())

@@ -1,11 +1,19 @@
 """Property-based end-to-end tests: random meshes, random transfer
 lists — conservation and completion must hold for every input."""
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from repro.axi.transaction import Transfer
 from repro.noc.config import NocConfig
 from repro.noc.network import NocNetwork
+
+
+def budget(examples: int) -> settings:
+    """``examples`` under the ``ci`` profile (100 examples a test),
+    scaled with whichever profile ``tests/conftest.py`` has loaded."""
+    return settings(
+        max_examples=max(1, examples * settings().max_examples // 100))
+
 
 transfer_strategy = st.tuples(
     st.integers(0, 3),            # src tile
@@ -16,8 +24,7 @@ transfer_strategy = st.tuples(
 )
 
 
-@settings(max_examples=15, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@budget(15)
 @given(transfers=st.lists(transfer_strategy, min_size=1, max_size=12),
        dw_shift=st.integers(2, 6))
 def test_conservation_holds_for_any_transfer_list(transfers, dw_shift):
@@ -43,8 +50,7 @@ def test_conservation_holds_for_any_transfer_list(transfers, dw_shift):
     assert net.idle()
 
 
-@settings(max_examples=10, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@budget(10)
 @given(seed=st.integers(0, 1000), id_width=st.integers(1, 4),
        mot=st.sampled_from([1, 2, 8]))
 def test_any_id_mot_configuration_completes(seed, id_width, mot):
@@ -126,17 +132,11 @@ def axi_cases(draw):
         faults=faults)
 
 
-def _axi_observables(case, always_step):
-    from repro.faults import FaultSpec
+def _install_traffic(net, case):
+    """Uniform random traffic, or every master addressing the hot spot."""
     from repro.traffic.base import RandomTraffic
     from repro.traffic.uniform import uniform_random
 
-    cfg = (NocConfig.wide if case["wide"] else NocConfig.slim)(
-        case["rows"], case["cols"]).with_(
-            max_outstanding=case["max_outstanding"])
-    net = NocNetwork(cfg, always_step=always_step,
-                     faults=FaultSpec(**case["faults"]),
-                     fault_seed=case["seed"])
     hot = case["hot_spot"]
     if hot is None:
         traffic = uniform_random(net, seed=case["seed"], **case["traffic"])
@@ -144,7 +144,19 @@ def _axi_observables(case, always_step):
         traffic = RandomTraffic(
             net, {m: [hot] for m in net.dma_endpoints() if m != hot},
             seed=case["seed"], **case["traffic"])
-    traffic.install()
+    return traffic.install()
+
+
+def _axi_observables(case, always_step):
+    from repro.faults import FaultSpec
+
+    cfg = (NocConfig.wide if case["wide"] else NocConfig.slim)(
+        case["rows"], case["cols"]).with_(
+            max_outstanding=case["max_outstanding"])
+    net = NocNetwork(cfg, always_step=always_step,
+                     faults=FaultSpec(**case["faults"]),
+                     fault_seed=case["seed"])
+    traffic = _install_traffic(net, case)
     net.set_warmup(100)
     net.run(case["cycles"])
     traffic.quiesce()
@@ -168,8 +180,7 @@ def _axi_observables(case, always_step):
     }
 
 
-@settings(max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@budget(40)
 @given(case=axi_cases())
 def test_axi_activity_scheduler_matches_always_step(case):
     """Any mesh shape, bus width, load, burst cap, read share and fault
@@ -180,6 +191,83 @@ def test_axi_activity_scheduler_matches_always_step(case):
     want = _axi_observables(case, always_step=True)
     for key in want:
         assert got[key] == want[key], key
+
+
+# ----------------------------------------------------------------------
+# W trains: the one optimisation the always-step oracle cannot share
+# ----------------------------------------------------------------------
+@st.composite
+def train_cases(draw):
+    """Fault-free points — ``axi_cases`` is armed in most draws, and an
+    armed network never trains — cut into ``run()`` segments, so that
+    the boundaries fall inside open trains."""
+    rows, cols = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    return dict(
+        rows=rows, cols=cols, wide=draw(st.booleans()),
+        hop_latency=draw(st.integers(1, 3)),
+        max_outstanding=draw(st.sampled_from([1, 2, 8])),
+        hot_spot=draw(st.none() | st.integers(0, rows * cols - 1)),
+        traffic=dict(
+            load=draw(st.sampled_from([0.1, 0.5, 1.0])),
+            max_burst_bytes=draw(st.sampled_from([100, 1000, 64000])),
+            read_fraction=draw(st.sampled_from([0.0, 0.3, 0.5]))),
+        seed=draw(st.integers(0, 2 ** 31 - 1)),
+        warmup=draw(st.integers(0, 500)),
+        segments=draw(st.lists(st.integers(50, 700), min_size=1,
+                               max_size=4)))
+
+
+def _train_network(case, always_step):
+    cfg = (NocConfig.wide if case["wide"] else NocConfig.slim)(
+        case["rows"], case["cols"]).with_(
+            hop_latency=case["hop_latency"],
+            max_outstanding=case["max_outstanding"])
+    net = NocNetwork(cfg, always_step=always_step)
+    traffic = _install_traffic(net, case)
+    net.set_warmup(case["warmup"])
+    return net, traffic
+
+
+def network_state(net):
+    """Everything a caller can read off a network between two ``run()``
+    calls that a W train touches: the clock, the meters, every channel
+    counter of every link, the W FIFO contents, the protocol counters."""
+    return {
+        "now": net.sim.now,
+        "measured_bytes": net.measured_bytes(),
+        "total_bytes": net.total_bytes(),
+        "transfers": net.transfers_completed(),
+        "channels": [[(ch.pushed, ch.popped) for ch in link.channels()]
+                     for link in net.links],
+        "w_fifos": [[(stamp, beat.last, beat.nbytes)
+                     for stamp, beat in link.w._q] for link in net.links],
+        "bytes_written": [m.bytes_written for m in net.memories],
+        "counters": net.counters.as_dict(),
+    }
+
+
+@budget(50)
+@given(case=train_cases())
+def test_w_trains_match_per_beat_oracle(case):
+    """Whatever the mesh, width, hop latency, MOT, load, cap, read share
+    and warm-up: after every ``run()`` segment, and after the drain, the
+    network that moved its long W bursts as trains reads exactly like
+    the always-step network that moved every beat."""
+    net, traffic = _train_network(case, always_step=False)
+    ref, ref_traffic = _train_network(case, always_step=True)
+    for cycles in case["segments"]:
+        net.run(cycles)
+        ref.run(cycles)
+        assert network_state(net) == network_state(ref)
+    traffic.quiesce()
+    ref_traffic.quiesce()
+    net.drain(max_cycles=200_000)
+    ref.drain(max_cycles=200_000)
+    assert network_state(net) == network_state(ref)
+    assert ([d.latency_stats.summary() for d in net.dmas]
+            == [d.latency_stats.summary() for d in ref.dmas])
+    assert ref.kernel_stats()["trains"] == 0
+    event("trained" if net.kernel_stats()["trains"] else "no train fired")
 
 
 # ----------------------------------------------------------------------
@@ -254,8 +342,7 @@ def _script_observables(case, always_step):
     }
 
 
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@budget(60)
 @given(case=script_cases())
 def test_core_scripts_activity_matches_always_step(case):
     """Any program over compute / blocking and async transfers with
@@ -356,8 +443,7 @@ def _assert_same(production, reference):
         assert got[key] == want[key], key
 
 
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@budget(60)
 @given(case=mesh_cases())
 def test_mesh_production_stepper_matches_reference(case):
     """Any mesh shape, VC count, buffer depth, load and fault mix: the
@@ -370,8 +456,7 @@ def test_mesh_production_stepper_matches_reference(case):
     _assert_same(production, reference)
 
 
-@settings(max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@budget(40)
 @given(case=mesh_cases(),
        transfers=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15),
                                     st.integers(1, 400)),
@@ -489,7 +574,7 @@ def _assert_to_dict_contract(obj, rebuild):
     assert obj.to_dict() == dataclasses.asdict(before)
 
 
-@settings(max_examples=150, deadline=None)
+@budget(150)
 @given(sc=scenario_cases())
 def test_spec_to_dict_keeps_the_asdict_contract(sc):
     """JSON-identical to ``dataclasses.asdict``, round-trips through
@@ -506,13 +591,13 @@ def test_spec_to_dict_keeps_the_asdict_contract(sc):
         _assert_to_dict_contract(sc.faults, type(sc.faults).from_dict)
 
 
-@settings(max_examples=150, deadline=None)
+@budget(150)
 @given(result=result_cases())
 def test_result_to_dict_keeps_the_asdict_contract(result):
     _assert_to_dict_contract(result, type(result).from_dict)
 
 
-@settings(max_examples=100, deadline=None)
+@budget(100)
 @given(sc=scenario_cases())
 def test_spec_hash_does_not_depend_on_how_the_scenario_was_built(sc):
     """Constructor, ``from_dict`` and ``dataclasses.replace`` back to the

@@ -1,0 +1,258 @@
+"""W trains (DESIGN.md §7 "A burst is a run"): where they fire, where
+they must not, and that every ``run()`` boundary — the one place a train
+is cut short — leaves the network exactly as the per-beat oracle has it.
+
+``always_step=True`` never trains, so unlike the gates of the address
+path it *can* see an inexact train: every comparison here is against it.
+``test_w_trains_match_per_beat_oracle`` in test_properties.py is the
+same comparison over random points.
+"""
+
+import pytest
+
+from repro.axi.monitor import LinkMonitor
+from repro.axi.transaction import Transfer
+from repro.faults import FaultSpec
+from repro.noc.config import NocConfig
+from repro.noc.network import NocNetwork
+from repro.traffic.uniform import uniform_random
+from test_properties import network_state
+
+
+def write(net, src, dst, nbytes, offset=0):
+    net.dmas[src].submit(Transfer(
+        src=src, addr=net.addr_of(dst, offset), nbytes=nbytes, is_read=False))
+
+
+def both(cfg, *writes, **net_kwargs):
+    """The production network and the per-beat oracle, same writes."""
+    nets = (NocNetwork(cfg, **net_kwargs),
+            NocNetwork(cfg, always_step=True, **net_kwargs))
+    for net in nets:
+        for args in writes:
+            write(net, *args)
+    return nets
+
+
+def saturated(cap, cfg=None, **net_kwargs):
+    net = NocNetwork(cfg or NocConfig.slim(), **net_kwargs)
+    uniform_random(net, load=1.0, max_burst_bytes=cap, seed=1).install()
+    return net
+
+
+# ----------------------------------------------------------------------
+# where trains fire, and where they must not
+# ----------------------------------------------------------------------
+def test_trains_carry_the_long_bursts_of_a_saturated_slim_mesh():
+    net, ref = saturated(64000), saturated(64000, always_step=True)
+    net.run(3000)
+    ref.run(3000)
+    assert network_state(net) == network_state(ref)
+    stats = net.kernel_stats()
+    assert set(stats) == {"steps", "cycles_skipped", "trains",
+                          "train_beats", "train_probes"}
+    delivered = sum(m.link.w.popped for m in net.memories)
+    assert stats["trains"] > 0
+    assert stats["train_beats"] >= 0.9 * delivered
+    assert stats["steps"] < ref.kernel_stats()["steps"] / 5
+    assert stats["train_probes"] < 6 * stats["trains"]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: saturated(4),
+    lambda: saturated(64000, always_step=True),
+    # The benchmark's armed AXI point (`faulted`), and long bursts under
+    # the mildest fault spec that instantiates a controller.
+    lambda: saturated(1000, faults=FaultSpec(
+        links=[dict(src=5, dst=6, start=500, duration=1000),
+               dict(src=6, dst=5, start=500, duration=1000)],
+        corrupt_rate=2e-4, txn_timeout=900, recovery="retransmit",
+        response_faults=True), fault_seed=1),
+    lambda: saturated(64000, faults=FaultSpec(corrupt_rate=1e-9),
+                      fault_seed=1),
+], ids=["cap4", "always_step", "faulted", "armed_long_bursts"])
+def test_no_train_fires_where_none_can(build):
+    net = build()
+    net.run(3000)
+    stats = net.kernel_stats()
+    assert stats["trains"] == stats["train_beats"] == 0
+    assert stats["train_probes"] == 0
+
+
+def test_a_burst_needs_sixteen_middle_beats_left_after_the_third():
+    """19 beats: 16 remain after the third and the last is not a middle
+    beat — not probed.  40 beats: one train."""
+    cfg = NocConfig.wide(2, 2)
+    for beats, trains in ((19, 0), (40, 1)):
+        net, ref = both(cfg, (0, 1, beats * cfg.beat_bytes))
+        assert net.drain() == ref.drain()
+        stats = net.kernel_stats()
+        assert stats["trains"] == trains
+        assert bool(stats["train_probes"]) == bool(trains)
+        assert network_state(net) == network_state(ref)
+
+
+def test_back_to_back_bursts_each_ride_their_own_train():
+    """The four bursts of an unaligned 4 KiB write stream without a gap:
+    while a burst's first beat and its predecessor's last are still on
+    the path every FIFO already moves a beat a cycle, but the far
+    crossbars are locked to the predecessor — only ``is _mid`` says so."""
+    net, ref = both(NocConfig.slim(2, 2), (0, 3, 4096, 2))
+    assert net.drain() == ref.drain()
+    assert net.kernel_stats()["trains"] == 4
+    assert network_state(net) == network_state(ref)
+
+
+# ----------------------------------------------------------------------
+# probe pairs that must fail
+# ----------------------------------------------------------------------
+def test_a_bubble_every_other_cycle_never_trains():
+    """A memory W channel of capacity 1 halves the rate: the pipeline is
+    periodic with period two, never a fixed point.  The back-off keeps
+    the probes few."""
+    nets = both(NocConfig.slim(2, 2), (0, 1, 1024))
+    for net in nets:
+        net.memories[1].link.w.capacity = 1
+    net, ref = nets
+    assert net.drain() == ref.drain()
+    stats = net.kernel_stats()
+    assert stats["trains"] == 0
+    assert 0 < stats["train_probes"] < 30
+    assert network_state(net) == network_state(ref)
+
+
+def test_a_first_beat_still_in_flight_delays_the_train():
+    """Corner to corner at hop latency 3 the first beat is still on its
+    way when the third goes out: the first pairs fail, the train starts
+    later and carries less than on the one-hop path."""
+    cfg = NocConfig.slim(4, 4).with_(hop_latency=3)
+    near, _ = both(cfg, (0, 0, 1024))
+    far, ref = both(cfg, (0, 15, 1024))
+    near.drain()
+    assert far.drain() == ref.drain()
+    near, far = near.kernel_stats(), far.kernel_stats()
+    assert near["trains"] == far["trains"] == 1
+    assert near["train_probes"] == 2 < far["train_probes"]
+    assert far["train_beats"] < near["train_beats"]
+
+
+def test_a_path_not_yet_locked_at_the_last_hop_waits_its_turn():
+    """Three engines write one memory: the last crossbar's W mux serves
+    them one burst at a time, and a burst trains only once it is its."""
+    net, ref = both(NocConfig.slim(2, 2),
+                    (1, 0, 1024), (2, 0, 1024), (3, 0, 1024))
+    assert net.drain() == ref.drain()
+    assert network_state(net) == network_state(ref)
+    trains = sorted((dma._train for dma in net.dmas[1:]),
+                    key=lambda train: train.start)
+    assert [train.trains for train in trains] == [1, 1, 1]
+    for earlier, later in zip(trains, trains[1:]):
+        assert earlier.start + earlier.beats < later.start
+        assert later.probes > 2
+
+
+# ----------------------------------------------------------------------
+# no train outlives the run() that started it
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("dst", [0, 3],
+                         ids=["memory_steps_first", "memory_steps_last"])
+def test_runs_cut_across_a_train_equal_one_run(dst, chunk):
+    """``run(chunk)`` × N ends every train it starts, between two
+    cycles; each boundary reads like the oracle's, and the end like a
+    single ``run(N)``."""
+    cfg = NocConfig.slim(2, 2).with_(hop_latency=2)
+    net, ref = both(cfg, (1, dst, 1024, 3))
+    whole, _ = both(cfg, (1, dst, 1024, 3))
+    net.set_warmup(100)
+    ref.set_warmup(100)
+    whole.set_warmup(100)
+    for _ in range(0, 280, chunk):
+        net.run(chunk)
+        ref.run(chunk)
+        assert network_state(net) == network_state(ref)
+    whole.run(net.sim.now)
+    assert network_state(net) == network_state(whole)
+    assert net.kernel_stats()["trains"] > whole.kernel_stats()["trains"] == 1
+
+
+def test_links_conserve_beats_at_a_boundary_inside_a_train():
+    net, ref = both(NocConfig.slim(2, 2), (0, 3, 1024))
+    net.run(100)
+    ref.run(100)
+    train = net.dmas[0]._train
+    assert train.trains == 1 and 0 < train.beats < 200  # cut short
+    for link, ref_link in zip(net.links, ref.links):
+        monitor = LinkMonitor(link)
+        assert monitor.in_flight() == sum(
+            ch.pushed - ch.popped for ch in link.channels())
+        assert monitor.in_flight() == LinkMonitor(ref_link).in_flight()
+        assert link.idle() == ref_link.idle()
+
+
+def test_set_warmup_inside_a_train_splits_the_measured_bytes_there():
+    net, ref = both(NocConfig.slim(2, 2), (0, 3, 1024))
+    for n in (net, ref):
+        n.sim.run(100)  # bare: the train stays open
+        n.set_warmup(150)
+        n.run(200)
+    assert net.measured_bytes() == ref.measured_bytes() > 0
+    assert net.measured_bytes() < net.total_bytes()
+
+
+def test_per_link_result_and_energy_beats_are_unchanged(monkeypatch):
+    """What reads the channel counters — the per-link utilization of a
+    Result, the energy model's beat count — sees every train's beats."""
+    from repro.models.energy import EnergyMeter
+    from repro.noc.trains import WTrain
+    from repro.scenarios import (MeasureSpec, Scenario, TopologySpec,
+                                 TrafficSpec)
+    from repro.scenarios.run import _collect, _drive, build_network
+
+    sc = Scenario(topology=TopologySpec.slim(),
+                  traffic=TrafficSpec.uniform(1.0, 64000),
+                  measure=MeasureSpec(warmup=300, window=1500, per_link=True),
+                  seed=5)
+
+    def point():
+        net, scripts = build_network(sc)
+        meter = EnergyMeter(net)
+        meter.open_window()
+        result = _collect(sc, net, _drive(sc, net, scripts))
+        return net, result.to_dict(), meter.report()
+
+    net, result, energy = point()
+    assert net.kernel_stats()["trains"] > 0
+    assert max(result["link_utilization"].values()) > 0
+    monkeypatch.setattr(WTrain, "holds", lambda self, stream, now: False)
+    net, per_beat_result, per_beat_energy = point()
+    assert net.kernel_stats()["trains"] == 0
+    assert result == per_beat_result
+    assert energy == per_beat_energy
+
+
+# ----------------------------------------------------------------------
+# reports stay truthful
+# ----------------------------------------------------------------------
+def test_a_bare_sim_run_leaves_a_train_open_and_the_engine_says_so():
+    net, ref = both(NocConfig.slim(2, 2), (0, 3, 1024))
+    net.sim.run(100)
+    ref.run(100)
+    dma = net.dmas[0]
+    assert dma._asleep_blocked
+    assert f"W train until {dma._frozen_until}" in dma.blocked_on()
+    assert network_state(net) != network_state(ref)  # beats in no FIFO
+    net.run(0)
+    assert "train" not in dma.blocked_on()
+    assert network_state(net) == network_state(ref)
+    assert net.drain() == ref.drain()
+    assert network_state(net) == network_state(ref)
+
+
+def test_a_failed_drain_ends_its_trains_before_it_reports():
+    net, ref = both(NocConfig.slim(2, 2), (0, 3, 1024))
+    for n in (net, ref):
+        with pytest.raises(RuntimeError, match="failed to drain"):
+            n.drain(max_cycles=100)
+    assert net.kernel_stats()["trains"] == 1
+    assert network_state(net) == network_state(ref)
