@@ -13,8 +13,9 @@ from conftest import run_once
 from repro.eval.fig4 import run
 
 
-def test_fig4(benchmark):
-    result = run_once(benchmark, run, True)
+def test_fig4(benchmark, figure_store):
+    result = run_once(benchmark, run, True, cache="rw",
+                      store=figure_store)
     sat = {row[0]: row[1] for row in result.sections[2].rows}
 
     small = sat["burst<4"]

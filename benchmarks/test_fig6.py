@@ -11,8 +11,9 @@ from conftest import run_once
 from repro.eval.fig6 import run
 
 
-def test_fig6(benchmark):
-    result = run_once(benchmark, run, True)
+def test_fig6(benchmark, figure_store):
+    result = run_once(benchmark, run, True, cache="rw",
+                      store=figure_store)
     # sections: slim a/b/c then wide a/b/c; rows indexed by burst cap.
     by_title = {sec.title: {row[0]: (row[1], row[2]) for row in sec.rows}
                 for sec in result.sections}

@@ -52,13 +52,6 @@ class ConnectivityError(RuntimeError):
     """The routing function produced a turn the XBAR is not wired for."""
 
 
-def _endpoint(fifo):
-    """(fifo, deque, capacity, latency) of a FIFO the hot loops push
-    into: all stable for its lifetime, so carrying them directly saves
-    attribute loads per beat."""
-    return fifo, fifo._q, fifo.capacity, fifo.latency
-
-
 class _Direction:
     """One direction of a crossbar as data: its request channel and the
     response channel that answers it — AW and B for writes, AR and R for
@@ -120,13 +113,12 @@ class _Direction:
         #: Request FIFOs by ingress and by egress.
         self.src = [p[0] if p is not None else None for p in ins]
         self.out = [p[0] if p is not None else None for p in outs]
-        #: Response sources: (egress, fifo, deque, remapper, remap
-        #: table, capacity - 1: the length a pop leaves a full FIFO at).
-        self.scan = [(j, p[1], p[1]._q, self.remap[j], self.remap[j]._table,
-                      p[1].capacity - 1)
+        #: Response sources: (egress, fifo, its deque, remapper, remap
+        #: table).
+        self.scan = [(j, p[1], p[1]._q, self.remap[j], self.remap[j]._table)
                      for j, p in enumerate(outs) if p is not None]
-        #: Response destinations by ingress.
-        self.dst = [_endpoint(p[1]) if p is not None else None for p in ins]
+        #: Response FIFOs by ingress.
+        self.dst = [p[1] if p is not None else None for p in ins]
 
 
 class AxiCrossbar(Component):
@@ -279,12 +271,9 @@ class AxiCrossbar(Component):
                       [(l.aw, l.b) if l is not None else None for l in outs])
         self._rd.wire([(l.ar, l.r) if l is not None else None for l in ins],
                       [(l.ar, l.r) if l is not None else None for l in outs])
-        # W-channel endpoints by port index: (src fifo, src deque,
-        # capacity - 1) | None by ingress, _endpoint() | None by egress.
-        self._w_src = [(l.w, l.w._q, l.w.capacity - 1) if l is not None
-                       else None for l in ins]
-        self._w_dst = [_endpoint(l.w) if l is not None else None
-                       for l in outs]
+        # W FIFOs by ingress and by egress (None: unconnected).
+        self._w_src = [l.w if l is not None else None for l in ins]
+        self._w_dst = [l.w if l is not None else None for l in outs]
 
     def idle(self) -> bool:
         """True when no transaction state is held inside this crossbar."""
@@ -318,18 +307,14 @@ class AxiCrossbar(Component):
     # ------------------------------------------------------------------
     # per-cycle behaviour
     # ------------------------------------------------------------------
-    # The bodies below reach into TimedFifo internals (``_q`` holds
-    # ``(ready_at, item)`` pairs) instead of calling peek()/pop(): a 4×4
-    # mesh makes ~1.5 M channel probes per 4 k cycles and the function
-    # call overhead dominated the profile.  The semantics are identical
-    # to peek/pop and the FIFO unit tests pin them down.
-    # Every sub-phase of step() is gated by an occupancy cell (a channel
-    # class with no beat anywhere costs nothing), and the per-beat loops
-    # — _forward for B and R, the W move here — inline pop, push, remap
-    # lookup and the occupancy-cell updates, because a loaded mesh
-    # spends most of its wall clock right there (DESIGN.md §7).
-    # Used-ingress tracking is a bitmask (one grant per ingress per
-    # channel per cycle).
+    # The bodies below read TimedFifo internals (``_q`` holds
+    # ``(ready_at, item)`` pairs) instead of calling peek()/can_push():
+    # a 4×4 mesh makes ~1.5 M channel probes per 4 k cycles, most of
+    # which move nothing.  A beat that moves goes through pop()/push()
+    # (DESIGN.md §7).  Every sub-phase of step() is gated by an
+    # occupancy cell (a channel class with no beat anywhere costs
+    # nothing).  Used-ingress tracking is a bitmask (one grant per
+    # ingress per channel per cycle).
     def step(self, now: int) -> bool:
         if self._in_ports is None:  # wiring changed
             self._refresh_port_lists()
@@ -368,38 +353,18 @@ class AxiCrossbar(Component):
                     raise AssertionError(
                         f"{self.name}: egress {j} expects W data from "
                         f"ingress {i}, which owes {list(route_q)}")
-                src, q, was_full = w_src[i]
+                src = w_src[i]
+                q = src._q
                 if q:
                     head = q[0]
                     if head[0] > now:
                         poll = True
                     else:
                         beat = head[1]
-                        dst, dq, cap, lat = self._w_dst[j]
-                        if len(dq) < cap:
-                            q.popleft()
-                            src.popped += 1
-                            if not q:
-                                occ = src.occ
-                                if occ is not None:
-                                    occ[0] -= 1
-                                if not was_full:  # a capacity-1 FIFO
-                                    src.freed()
-                            elif len(q) == was_full:
-                                producer = src.producer  # inlined freed()
-                                if (producer is not None
-                                        and not producer._in_active_set):
-                                    producer.wake()
-                            if not dq:
-                                occ = dst.occ
-                                if occ is not None:
-                                    occ[0] += 1
-                            dq.append((now + lat, beat))
-                            dst.pushed += 1
-                            consumer = dst.consumer
-                            if (consumer is not None
-                                    and not consumer._in_active_set):
-                                consumer.wake(now + lat)
+                        dst = self._w_dst[j]
+                        if len(dst._q) < dst.capacity:
+                            src.pop(now)
+                            dst.push(beat, now)
                             w_used |= 1 << i
                             entry[1] -= 1
                             if beat.last:
@@ -485,7 +450,7 @@ class AxiCrossbar(Component):
             idx = now % n
         for _ in range(n):
             pos = idx
-            j, src, q, remap, table, was_full = scan[idx]
+            j, src, q, remap, table = scan[idx]
             idx += 1
             if idx == n:
                 idx = 0
@@ -501,39 +466,18 @@ class AxiCrossbar(Component):
                 entry = table[beat.id]
                 i = entry[0]
                 if not (used >> i) & 1:
-                    dst, dq, cap, lat = d.dst[i]
-                    if len(dq) < cap:
+                    dst = d.dst[i]
+                    if len(dst._q) < dst.capacity:
                         oid = entry[1]
-                        q.popleft()
-                        src.popped += 1
-                        if not q:
-                            occ = src.occ
-                            if occ is not None:
-                                occ[0] -= 1
-                            if not was_full:  # a capacity-1 FIFO
-                                src.freed()
-                        elif len(q) == was_full:
-                            producer = src.producer  # inlined freed()
-                            if (producer is not None
-                                    and not producer._in_active_set):
-                                producer.wake()
+                        src.pop(now)
                         if beat.last:
                             remap.release(beat.id)
                             d.inflight[j] -= 1
                             _retire_dest(d.dest[i], oid, j)
-                        if not dq:
-                            occ = dst.occ
-                            if occ is not None:
-                                occ[0] += 1
                         # Beats are immutable: reuse when the ID maps
                         # to itself instead of allocating a copy.
-                        dq.append((now + lat, beat if oid == beat.id
-                                   else beat.with_id(oid)))
-                        dst.pushed += 1
-                        consumer = dst.consumer
-                        if (consumer is not None
-                                and not consumer._in_active_set):
-                            consumer.wake(now + lat)
+                        dst.push(beat if oid == beat.id
+                                 else beat.with_id(oid), now)
                         used |= 1 << i
             if not remaining:
                 break
@@ -545,7 +489,7 @@ class AxiCrossbar(Component):
         for d, used in ((self._wr, b_used), (self._rd, r_used)):
             for i in self._in_ports:
                 queue = d.err[i]
-                fifo = d.dst[i][0]
+                fifo = d.dst[i]
                 if (used >> i) & 1 or not queue or not fifo.can_push():
                     continue
                 entry = queue[0]

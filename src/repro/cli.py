@@ -60,10 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweepp.add_argument("--jobs", type=int, default=1,
                         help="worker processes (results are identical "
                              "for any job count)")
-    sweepp.add_argument("--chunksize", type=int, default=None,
-                        help="points batched into each worker task "
-                             "(default: ~4 tasks per worker; results "
-                             "are identical for any chunk size)")
     sweepp.add_argument("--quick", action="store_true",
                         help="force fidelity='quick' on every point")
     sweepp.add_argument("--out", metavar="DIR", default=None,
@@ -217,9 +213,8 @@ def _sweep(args) -> int:
             print(f"[{ev.done}/{ev.total}] {ev.status:5s} "
                   f"{ev.scenario.label}", file=sys.stderr, flush=True)
     start = time.time()
-    results = run_sweep(points, jobs=args.jobs, chunksize=args.chunksize,
-                        cache=args.cache, store=args.store,
-                        on_point=on_point)
+    results = run_sweep(points, jobs=args.jobs, cache=args.cache,
+                        store=args.store, on_point=on_point)
     elapsed = time.time() - start
     table = ExperimentResult("sweep", f"{len(points)} scenario point(s)")
     sec = table.section(

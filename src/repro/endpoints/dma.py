@@ -113,7 +113,6 @@ class DmaEngine(Component):
         self._idle_until = 0
         self._last_now = -1
         self.transfers_completed = 0
-        self.bytes_read = 0
         self.errors = 0
         #: Optional :class:`~repro.faults.runtime.RetransmitPolicy` —
         #: when set, transfers that complete with an error response are
@@ -184,6 +183,11 @@ class DmaEngine(Component):
     @property
     def queue_depth(self) -> int:
         return len(self._pending)
+
+    @property
+    def bytes_read(self) -> int:
+        """Read payload delivered here, warm-up included (the meter's)."""
+        return self.read_meter.bytes_total
 
     def outstanding(self) -> int:
         """Bursts currently in flight in the network."""
@@ -274,8 +278,8 @@ class DmaEngine(Component):
         return wake
 
     # ------------------------------------------------------------------
-    # The inline ``_q`` probes mirror the crossbar hot path (identical
-    # semantics to peek/pop; pinned by the FIFO unit tests).
+    # The inline ``_q`` reads mirror the crossbar hot path: probes that
+    # move nothing make no call; a beat that moves goes through push/pop.
     def step(self, now: int) -> bool | int:
         self._last_now = now
         if self._stalled is not None:
@@ -286,15 +290,13 @@ class DmaEngine(Component):
         # Sink responses first (mandatory progress for deadlock freedom).
         if self._occ_resp[0]:
             self._sink(now, link)
-        # Stream W data in AW order, one beat per cycle (inlined push:
-        # the write-stream hot loop, identical to TimedFifo.push).
+        # Stream W data in AW order, one beat per cycle.
         held = False  # W stream or burst issue held by a full FIFO
         w_emit = self._w_emit
         if w_emit:
             w = link.w
-            wq = w._q
             stream = w_emit[0]
-            if len(wq) >= w.capacity:
+            if len(w._q) >= w.capacity:
                 held = True
             elif (now >= self._probe_at
                   and (self._frozen_until >= 0 or stream.beats
@@ -306,15 +308,7 @@ class DmaEngine(Component):
                 # back first.
                 held = True
             else:
-                if not wq:
-                    occ = w.occ
-                    if occ is not None:
-                        occ[0] += 1
-                wq.append((now + w.latency, stream.next_beat()))
-                w.pushed += 1
-                consumer = w.consumer
-                if consumer is not None and not consumer._in_active_set:
-                    consumer.wake(now + w.latency)
+                w.push(stream.next_beat(), now)
                 if stream.issued >= stream.beats:
                     w_emit.popleft()
                     if self.watchers:
@@ -353,8 +347,7 @@ class DmaEngine(Component):
         return BLOCKED if held else True
 
     def _sink(self, now: int, link: AxiLink) -> None:
-        """Consume at most one B and one R beat (inlined R pop: the
-        read-stream hot path).
+        """Consume at most one B and one R beat.
 
         The transaction-lifetime guards (DESIGN.md §10) are part of this
         one body and inert unless fault wiring armed them: no byzantine
@@ -375,21 +368,9 @@ class DmaEngine(Component):
             else:  # (a corrupted payload is detected as an error)
                 self._complete(self._wr_out, self._wr_free, tid,
                                Resp.SLVERR if hit else beat.resp, now)
-        rf = link.r
-        q = rf._q
+        q = link.r._q
         if q and q[0][0] <= now:
-            beat = q.popleft()[1]
-            rf.popped += 1
-            if not q:
-                occ = rf.occ
-                if occ is not None:
-                    occ[0] -= 1
-                if rf.capacity == 1:
-                    rf.freed()
-            elif len(q) == rf.capacity - 1:  # was full (inlined freed())
-                producer = rf.producer
-                if producer is not None and not producer._in_active_set:
-                    producer.wake()
+            beat = link.r.pop(now)
             tid = beat.id
             resp = beat.resp
             entry = self._rd_out.get(tid)
@@ -413,11 +394,7 @@ class DmaEngine(Component):
                     self._rd_free.append(tid)
                 return
             if not resp:  # error beats carry no creditable payload
-                meter = self.read_meter  # inlined ThroughputMeter.add
-                meter.bytes_total += beat.nbytes
-                if now >= meter.warmup_cycles:
-                    meter.bytes_measured += beat.nbytes
-                self.bytes_read += beat.nbytes
+                self.read_meter.add(beat.nbytes, now)
             entry[2] -= 1
             mismatch = beat.last != (entry[2] == 0)
             # With response-path faults armed an R burst may arrive with
@@ -486,12 +463,7 @@ class DmaEngine(Component):
                     continue
                 stats.dropped += 1
                 transfer._failed = True
-                transfer._bursts_left -= 1
-                if transfer._split_done and transfer._bursts_left == 0:
-                    self.transfers_completed += 1
-                    self.latency_stats.add(now - transfer._start_cycle)
-                    if transfer.on_complete is not None:
-                        transfer.on_complete(now)
+                self._retire(transfer, now)
 
     # ------------------------------------------------------------------
     def _issue(self, now: int) -> bool:
@@ -608,6 +580,11 @@ class DmaEngine(Component):
             if entry[6] & _F_TIMED:
                 stats.timeout_recovered += 1
                 stats.timeout_latency.add(now - entry[1])
+        self._retire(transfer, now)
+
+    def _retire(self, transfer: Transfer, now: int) -> None:
+        """One burst of ``transfer`` is done for good — completed, failed
+        or dropped; the transfer completes with its last."""
         transfer._bursts_left -= 1
         if transfer._split_done and transfer._bursts_left == 0:
             self.transfers_completed += 1

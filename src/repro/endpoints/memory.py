@@ -47,7 +47,6 @@ class MemorySlave(Component):
         self.max_outstanding = max_outstanding
         self.write_meter = write_meter if write_meter is not None else ThroughputMeter()
         self.scoreboard = scoreboard
-        self.bytes_written = 0
         self.bursts_written = 0
         self.bursts_read = 0
         #: Optional :class:`~repro.faults.runtime.CorruptionModel` — when
@@ -61,6 +60,11 @@ class MemorySlave(Component):
         self._w_expect: deque[list] = deque()
         self._b_queue: deque[tuple] = deque()  # (ready_at, id, resp)
         self._r_jobs: deque[tuple] = deque()  # (ready_at, id, BeatStream)
+
+    @property
+    def bytes_written(self) -> int:
+        """Write payload credited here, warm-up included (the meter's)."""
+        return self.write_meter.bytes_total
 
     def idle(self) -> bool:
         return not self._w_expect and not self._b_queue and not self._r_jobs
@@ -103,10 +107,9 @@ class MemorySlave(Component):
         return "; ".join(filter(None, (full_fifos((link.b, link.r)), data)))
 
     # ------------------------------------------------------------------
-    # The inline ``_q`` probes below mirror the crossbar hot path: this
-    # step runs every busy cycle of every memory and the peek/pop call
-    # pairs dominated its profile (semantics are identical; the FIFO
-    # unit tests pin them down).
+    # The inline ``_q`` reads below mirror the crossbar hot path: this
+    # step runs every busy cycle of every memory, and a probe that moves
+    # nothing makes no call; a beat that moves goes through push/pop.
     def step(self, now: int) -> bool | int:
         self._last_now = now
         link = self.link
@@ -157,34 +160,17 @@ class MemorySlave(Component):
             corrupt = fm is not None and fm.corrupt(aw.src, aw.beats)
             self._w_expect.append(
                 [aw.id, aw.beats, aw.nbytes, aw.nbytes, aw.beats, corrupt])
-        # Accept one W beat per cycle, only for an already-accepted AW
-        # (inlined pop: the write-stream hot loop).
+        # Accept one W beat per cycle, only for an already-accepted AW.
         if self._w_expect:
-            wf = link.w
-            q = wf._q
+            q = link.w._q
             if q and q[0][0] <= now:
                 moved = True
-                w = q.popleft()[1]
-                wf.popped += 1
-                if not q:
-                    occ = wf.occ
-                    if occ is not None:
-                        occ[0] -= 1
-                    if wf.capacity == 1:
-                        wf.freed()
-                elif len(q) == wf.capacity - 1:  # was full (inlined freed())
-                    producer = wf.producer
-                    if producer is not None and not producer._in_active_set:
-                        producer.wake()
+                w = link.w.pop(now)
                 head = self._w_expect[0]
                 head[1] -= 1
                 head[2] -= w.nbytes
                 if not head[5]:  # corrupted payload is never credited
-                    meter = self.write_meter  # inlined ThroughputMeter.add
-                    meter.bytes_total += w.nbytes
-                    if now >= meter.warmup_cycles:
-                        meter.bytes_measured += w.nbytes
-                    self.bytes_written += w.nbytes
+                    self.write_meter.add(w.nbytes, now)
                 if w.last:
                     if head[1] != 0 or head[2] != 0:
                         raise AssertionError(
@@ -229,24 +215,13 @@ class MemorySlave(Component):
                 _, bid, resp = b_queue.popleft()
                 b.push(BBeat(bid, resp), now)
         # Emit one R beat per cycle (jobs served strictly in order).
-        # R streaming is the memory's hot loop, so the push is inlined
-        # like the crossbar's (identical semantics to TimedFifo.push).
         r_jobs = self._r_jobs
         if r_jobs and r_jobs[0][0] <= now:
             r = link.r
-            rq = r._q
-            if len(rq) < r.capacity:
+            if len(r._q) < r.capacity:
                 moved = True
                 _, rid, stream = r_jobs[0]
-                if not rq:
-                    occ = r.occ
-                    if occ is not None:
-                        occ[0] += 1
-                rq.append((now + r.latency, stream.next_beat()))
-                r.pushed += 1
-                consumer = r.consumer
-                if consumer is not None and not consumer._in_active_set:
-                    consumer.wake(now + r.latency)
+                r.push(stream.next_beat(), now)
                 if stream.issued >= stream.beats:
                     r_jobs.popleft()
                     self.bursts_read += 1

@@ -148,13 +148,9 @@ class WTrain:
         return True
 
     def _freeze(self, stream, now: int) -> None:
-        self.saved = [list(fifo._q) for fifo in self.fifos]
-        for fifo in self.fifos:
-            # (The DMA's own FIFO reads empty where its consumer steps
-            # first and has popped this cycle; the others cannot.)
-            if fifo._q and fifo.occ is not None:
-                fifo.occ[0] -= fifo.occ_bit
-            fifo._q.clear()
+        # (The DMA's own FIFO reads empty where its consumer steps first
+        # and has popped this cycle; the others cannot.)
+        self.saved = [fifo.freeze() for fifo in self.fifos]
         self.start = now
         self.mem_first = self.fifos[-1].consumer._order < self.dma._order
         self.dma._frozen_until = now + stream.beats - 1 - stream.issued
@@ -165,15 +161,7 @@ class WTrain:
         ``start + d``: the frozen state moved ``d`` cycles on, with the
         ``d`` beats every stage has moved meanwhile credited."""
         for fifo, entries in zip(self.fifos, self.saved):
-            q = fifo._q
-            for stamp, beat in entries:
-                q.append((stamp + d, beat))
-            fifo.pushed += d
-            fifo.popped += d
-            if entries:
-                if fifo.occ is not None:
-                    fifo.occ[0] += fifo.occ_bit
-                fifo.consumer.wake(max(entries[0][0] + d, now))
+            fifo.thaw(entries, d, now)
         for entry in self.orders:
             entry[1] -= d
         self.stream.issued += d
@@ -186,14 +174,9 @@ class WTrain:
         """The memory took ``n`` middle beats, on cycles ``first`` to
         ``first + n - 1`` (what ``MemorySlave._accept`` does per beat,
         the beat count aside: that is ``orders[-1]``)."""
-        mem = self.fifos[-1].consumer
         nbytes = self.stream._mid.nbytes
         self.orders[-1][2] -= n * nbytes
-        meter = mem.write_meter
-        meter.bytes_total += n * nbytes
-        meter.bytes_measured += nbytes * max(
-            0, min(n, first + n - meter.warmup_cycles))
-        mem.bytes_written += n * nbytes
+        self.fifos[-1].consumer.write_meter.add(nbytes, first, n)
 
     def end(self, now: int) -> None:
         """End the open train, if any, between cycles ``now - 1`` and

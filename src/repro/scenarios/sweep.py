@@ -168,37 +168,23 @@ class ProgressEvent:
     result: Result | None
 
 
-def _run_chunk(scs: list[Scenario]) -> list:
-    """Run a batch of points inside one worker task.
-
-    Returns one ``("ok", result)`` / ``("err",)`` tag per point so a
-    single raising point costs only itself a serial retry, not the whole
-    chunk.  (A point that kills the worker still loses the chunk — the
-    parent's BrokenProcessPool handling retries all of it serially.)
-    """
-    out = []
-    for sc in scs:
-        try:
-            out.append(("ok", run_scenario(sc)))
-        except Exception:
-            out.append(("err",))
-    return out
+def _run_point(sc: Scenario) -> Result:
+    """One pool task: one point.  ``run_scenario`` is looked up here, in
+    the worker, so a test can patch the module attribute with a closure
+    (which could not be pickled as the task itself)."""
+    return run_scenario(sc)
 
 
 def run_sweep(points: Sweep | list[Scenario], *, jobs: int = 1,
-              chunksize: int | None = None,
               out: str | Path | None = None,
               cache: str = "off", store=None,
               on_point: Callable[[ProgressEvent], None] | None = None,
               ) -> SweepResults:
     """Run every point; return results in point order.
 
-    ``jobs > 1`` fans points out over a process pool.  Each Scenario is
-    self-contained (its own seed), so parallel results are bit-identical
-    to serial.  ``chunksize`` batches that many points into each worker
-    task (default: ~4 tasks per worker), amortizing submission/pickle
-    overhead across points while keeping the pool's warm interpreters
-    busy; it only changes scheduling, never results.  With ``out`` set,
+    ``jobs > 1`` fans points out over a process pool, one task per
+    point.  Each Scenario is self-contained (its own seed), so parallel
+    results are bit-identical to serial.  With ``out`` set,
     scenario+result artifacts are written there (``results.json``,
     ``results.csv``).
 
@@ -229,8 +215,6 @@ def run_sweep(points: Sweep | list[Scenario], *, jobs: int = 1,
         points = points.points()
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if chunksize is not None and chunksize < 1:
-        raise ValueError(f"chunksize must be >= 1, got {chunksize}")
     from repro.store import ResultStore, check_cache_mode
 
     check_cache_mode(cache)
@@ -271,30 +255,18 @@ def run_sweep(points: Sweep | list[Scenario], *, jobs: int = 1,
             except Exception:
                 first_try_failures.append(i)
     else:
-        if chunksize is None:
-            # Aim for ~4 tasks per worker: large enough to amortize
-            # per-task IPC, small enough to balance uneven point costs.
-            chunksize = max(1, len(pending) // (jobs * 4))
-        chunks = [pending[i:i + chunksize]
-                  for i in range(0, len(pending), chunksize)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_chunk, [points[i] for i in idxs])
-                       for idxs in chunks]
-            for idxs, future in zip(chunks, futures):
+            futures = [pool.submit(_run_point, points[i]) for i in pending]
+            for i, future in zip(pending, futures):
                 try:
-                    tagged = future.result()
+                    results[i] = future.result()
                 except Exception:
                     # Includes BrokenProcessPool: a dead worker fails
                     # every in-flight future, and all their points land
                     # in the serial retry below.
-                    first_try_failures.extend(idxs)
+                    first_try_failures.append(i)
                     continue
-                for i, tag in zip(idxs, tagged):
-                    if tag[0] == "ok":
-                        results[i] = tag[1]
-                        _emit(i, "run")
-                    else:
-                        first_try_failures.append(i)
+                _emit(i, "run")
     failed: list[tuple[int, Exception]] = []
     for i in first_try_failures:
         # In-process, so worker-environment flakiness is out of the loop.

@@ -3,8 +3,8 @@
 A :class:`JobManager` owns a FIFO queue of submitted sweeps and one
 daemon worker thread that drains it through
 :func:`~repro.scenarios.sweep.run_sweep` — so jobs land on the existing
-process-pool execution path (``jobs`` workers, chunking, retry
-hardening, result-store caching) and the HTTP layer stays a thin,
+process-pool execution path (``jobs`` workers, retry hardening,
+result-store caching) and the HTTP layer stays a thin,
 non-blocking front end.  Every finalized point appends one progress
 event (the ``run_sweep(on_point=...)`` hook), which the server streams
 back as NDJSON.

@@ -149,8 +149,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
             job = self.server.manager.submit(points, jobs=jobs, cache=cache)
         except (ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
             return self._error(400, f"bad submission: {exc}")
+        # The status at acceptance, not a read of ``job.status``: the
+        # worker may already have taken the job (``GET /jobs/<id>``).
         return self._json(202, {"job": job.id, "points": len(job.points),
-                                "status": job.status})
+                                "status": "queued"})
 
 
 def make_server(host: str = "127.0.0.1", port: int = 0, *,

@@ -18,6 +18,12 @@ component at the cycle a pushed item becomes visible, so idle consumers
 can safely leave the simulator's active set; one with a registered
 ``producer`` wakes it when a pop takes the FIFO from full to not-full,
 so a producer held only by back-pressure can leave it too.
+
+This module is the only code that writes a FIFO's state — its queue,
+its counters, its occupancy cell (``tests/test_fifo.py`` enforces it).
+Hot loops elsewhere may *read* ``_q`` (a head's ``(ready_at, item)``,
+its length against ``capacity``) but move items with :meth:`push` and
+:meth:`pop` only.
 """
 
 from __future__ import annotations
@@ -69,10 +75,7 @@ class TimedFifo:
         self.occ: list[int] | None = None
         #: What this FIFO adds to its cell while non-empty: 1 makes the
         #: cell a count; a bit of its own makes it a mask that also says
-        #: *which* FIFOs are non-empty.  The hand-inlined pushes and pops
-        #: in the crossbar and endpoint hot loops add and subtract a
-        #: literal 1, so only a FIFO reached through push/pop/drain alone
-        #: (AW, AR) may carry another bit.
+        #: *which* FIFOs are non-empty.
         self.occ_bit = 1
 
     def track_occupancy(self, cell: list[int], bit: int = 1) -> None:
@@ -114,11 +117,12 @@ class TimedFifo:
             occ = self.occ
             if occ is not None:
                 occ[0] += self.occ_bit
-        q.append((now + self.latency, item))
+        ready_at = now + self.latency
+        q.append((ready_at, item))
         self.pushed += 1
         consumer = self.consumer
         if consumer is not None and not consumer._in_active_set:
-            consumer.wake(now + self.latency)
+            consumer.wake(ready_at)
 
     def peek(self, now: int) -> Any | None:
         """Return the head item if it is visible at cycle ``now``, else None."""
@@ -129,42 +133,60 @@ class TimedFifo:
         return None
 
     def pop(self, now: int) -> Any:
-        """Remove and return the head item.
+        """Remove and return the head item.  A pop that takes the FIFO
+        from full to not-full wakes a producer asleep behind it (this
+        cycle if it steps after the popper, else the next — see
+        ``Simulator.wake_at``).
 
         Raises
         ------
         LookupError
             If the FIFO is empty or the head is not yet visible.
         """
-        if not self._q:
-            raise LookupError(f"pop from empty FIFO {self.name!r}")
-        ready_at, item = self._q[0]
-        if ready_at > now:
-            raise LookupError(
-                f"pop from FIFO {self.name!r} before head is visible "
-                f"(ready at {ready_at}, now {now})"
-            )
         q = self._q
-        q.popleft()
+        if not q or q[0][0] > now:
+            raise LookupError(
+                f"pop from FIFO {self.name!r}: "
+                + (f"head ready at {q[0][0]}, now {now}" if q else "empty"))
+        item = q.popleft()[1]
         self.popped += 1
-        if not q:
+        n = len(q)
+        if not n:
             occ = self.occ
             if occ is not None:
                 occ[0] -= self.occ_bit
-            if self.capacity == 1:
-                self.freed()
-        elif len(q) == self.capacity - 1:
-            self.freed()
+        if n == self.capacity - 1:
+            producer = self.producer
+            if producer is not None and not producer._in_active_set:
+                producer.wake()
         return item
 
-    def freed(self) -> None:
-        """A pop just took this FIFO from full to not-full: wake a
-        producer asleep behind it (this cycle if it steps after the
-        popper, else the next — see ``Simulator.wake_at``).  The inlined
-        pops in the crossbar and endpoint hot loops repeat this test."""
-        producer = self.producer
-        if producer is not None and not producer._in_active_set:
-            producer.wake()
+    def freeze(self) -> list[tuple[int, Any]]:
+        """Take every entry out, as ``(ready_at, item)`` pairs, and leave
+        the counters alone: a W train (``noc/trains.py``) holds the
+        pipeline's contents while it charges the beats arithmetically."""
+        q = self._q
+        entries = list(q)
+        if q:
+            if self.occ is not None:
+                self.occ[0] -= self.occ_bit
+            q.clear()
+        return entries
+
+    def thaw(self, entries: list[tuple[int, Any]], d: int, now: int) -> None:
+        """Undo :meth:`freeze` ``d`` cycles on: the entries back with
+        their stamps ``+ d``, the ``d`` items that passed through
+        meanwhile credited to both counters, and the consumer woken for
+        the head (at ``now`` if it is already visible)."""
+        q = self._q
+        for ready_at, item in entries:
+            q.append((ready_at + d, item))
+        self.pushed += d
+        self.popped += d
+        if entries:
+            if self.occ is not None:
+                self.occ[0] += self.occ_bit
+            self.consumer.wake(max(entries[0][0] + d, now))
 
     def stall_head(self, now: int) -> None:
         """Push a currently-visible head one cycle into the future — the

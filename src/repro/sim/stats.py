@@ -21,6 +21,8 @@ class ThroughputMeter:
 
     The warm-up window lets the network reach steady state before
     measurement starts, the standard methodology for NoC load sweeps.
+    :meth:`add` is the only code that credits bytes (``tests/test_fifo.py``
+    enforces it); an endpoint's byte count is a view of its meter.
     """
 
     def __init__(self, warmup_cycles: int = 0, name: str = ""):
@@ -31,11 +33,15 @@ class ThroughputMeter:
         self.bytes_total = 0  # everything, including warm-up
         self.bytes_measured = 0  # delivered at or after warm-up
 
-    def add(self, nbytes: int, now: int) -> None:
-        """Record ``nbytes`` of payload delivered at cycle ``now``."""
-        self.bytes_total += nbytes
+    def add(self, nbytes: int, now: int, n: int = 1) -> None:
+        """Record ``nbytes`` of payload delivered at cycle ``now`` — or,
+        with ``n``, on each of the ``n`` cycles ``now .. now + n - 1``
+        (a W train's run of beats)."""
+        self.bytes_total += nbytes * n
         if now >= self.warmup_cycles:
-            self.bytes_measured += nbytes
+            self.bytes_measured += nbytes * n
+        elif now + n > self.warmup_cycles:
+            self.bytes_measured += nbytes * (now + n - self.warmup_cycles)
 
     def bytes_per_cycle(self, now: int) -> float:
         """Average measured bytes per cycle over the measurement window."""

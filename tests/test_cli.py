@@ -54,9 +54,10 @@ class TestInfo:
 
 
 class TestRun:
-    def test_run_fig4_quick_json(self, tmp_path, capsys):
+    def test_run_fig4_quick_json(self, tmp_path, capsys, figure_store):
         assert cli.main(["run", "fig4", "--quick",
-                         "--json", str(tmp_path)]) == 0
+                         "--json", str(tmp_path),
+                         "--cache", "rw", "--store", str(figure_store)]) == 0
         out = capsys.readouterr().out
         assert "FIG4" in out
         assert "completed in" in out
@@ -151,15 +152,6 @@ class TestSweep:
         assert cli.main(["sweep", str(spec)]) == 0
         out = capsys.readouterr().out
         assert "GiB/s" in out
-
-    def test_chunksize_flag_plumbed_through(self, tmp_path, capsys):
-        # Equivalence of chunked vs serial results is asserted in
-        # tests/test_soa.py; this only checks the CLI plumbing.
-        spec = tmp_path / "spec.json"
-        spec.write_text(self.SPEC)
-        assert cli.main(["sweep", str(spec), "--jobs", "2",
-                         "--chunksize", "2"]) == 0
-        assert "2 point(s), jobs=2" in capsys.readouterr().out
 
     def test_cached_resweep_reports_all_hits(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

@@ -1,9 +1,15 @@
 """Unit and property tests for the two-phase register-stage FIFO."""
 
+import ast
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+import repro
 from repro.sim.fifo import TimedFifo
+from repro.sim.stats import ThroughputMeter
 
 
 class TestBasics:
@@ -195,3 +201,127 @@ class TestProducerWake:
         sim.run(2)  # two pushes, still in the active set
         producer.fifo.pop(sim.now)
         assert not sim._heap  # nothing scheduled for an active component
+
+
+class TestFreezeThaw:
+    """What a W train does to each FIFO of its path (``noc/trains.py``)."""
+
+    def test_freeze_then_thaw_moves_the_contents_d_cycles_on(self):
+        from repro.sim.kernel import Component, Simulator
+
+        class Idle(Component):
+            def step(self, now):
+                return True
+
+        sim = Simulator()
+        consumer = sim.add(Idle())
+        fifo = TimedFifo(capacity=3, latency=2)
+        fifo.consumer = consumer
+        cell = [0]
+        fifo.track_occupancy(cell, 4)
+        fifo.push("a", 0)
+        fifo.push("b", 1)
+        sim.run(5)  # the consumer steps, finds nothing to do, retires
+        entries = fifo.freeze()
+        assert entries == [(2, "a"), (3, "b")]
+        assert len(fifo) == 0 and cell == [0]
+        assert (fifo.pushed, fifo.popped) == (2, 0)
+        fifo.thaw(entries, 10, sim.now)
+        assert list(fifo._q) == [(12, "a"), (13, "b")]
+        assert cell == [4]
+        assert (fifo.pushed, fifo.popped) == (12, 10)
+        assert consumer._wake_cycle == 12
+
+    def test_thaw_of_an_empty_freeze_only_credits(self):
+        fifo = TimedFifo()
+        fifo.thaw(fifo.freeze(), 7, 0)
+        assert len(fifo) == 0 and (fifo.pushed, fifo.popped) == (7, 7)
+
+
+class TestMeterRuns:
+    def test_a_run_equals_its_beats(self):
+        for first in range(0, 12):
+            run, beats = ThroughputMeter(5), ThroughputMeter(5)
+            run.add(8, first, 4)
+            for cycle in range(first, first + 4):
+                beats.add(8, cycle)
+            assert ((run.bytes_total, run.bytes_measured)
+                    == (beats.bytes_total, beats.bytes_measured)), first
+
+
+#: What only ``sim/fifo.py`` writes (a FIFO's counters) and only
+#: ``sim/stats.py`` writes (a meter's byte counts).
+_OWNED_ATTRS = {"pushed", "popped", "bytes_total", "bytes_measured"}
+#: Occupancy cells: ``occ`` and every ``occ_*`` / ``_occ_*`` cell a
+#: component hands to ``track_occupancy``.
+_OCC_CELL = re.compile(r"_?occ(_\w+)?$")
+_DEQUE_WRITES = {"append", "appendleft", "extend", "extendleft", "pop",
+                 "popleft", "clear", "insert", "remove", "rotate"}
+
+
+def _name(node) -> str | None:
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
+
+
+def _stage_writes(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, what) for every write to FIFO or meter state in ``tree``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                if (isinstance(target, ast.Attribute)
+                        and target.attr in _OWNED_ATTRS
+                        and (isinstance(node, ast.AugAssign)
+                             or _name(target.value) != "self")):
+                    found.append((node.lineno, f"writes .{target.attr}"))
+                elif isinstance(target, ast.Subscript):
+                    base = _name(target.value)
+                    if base == "_q" or (base and _OCC_CELL.match(base)):
+                        found.append((node.lineno, f"writes {base}[...]"))
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr in _DEQUE_WRITES
+              and _name(node.func.value) == "_q"):
+            found.append((node.lineno, f"calls ._q.{node.func.attr}()"))
+    return found
+
+
+def test_the_register_stage_is_written_once():
+    """Outside ``sim/fifo.py`` no code writes a FIFO's queue, counters
+    or occupancy cell, and outside ``sim/stats.py`` none credits a
+    meter's bytes: hot loops move beats with ``push``/``pop`` and credit
+    them with ``ThroughputMeter.add``.  (A pop re-inlined through an
+    alias of ``_q`` still has to bump ``popped``, so it is caught too.)"""
+    root = Path(repro.__file__).parent
+    owners = {root / "sim" / "fifo.py", root / "sim" / "stats.py"}
+    offences = [f"{path.relative_to(root.parent)}:{line}: {what}"
+                for path in sorted(root.rglob("*.py")) if path not in owners
+                for line, what in _stage_writes(ast.parse(path.read_text()))]
+    assert not offences, "\n".join(offences)
+
+
+def test_the_guard_sees_each_kind_of_write():
+    src = ("fifo.pushed += 1\n"
+           "link.r.popped += d\n"
+           "meter.bytes_total += n\n"
+           "m.bytes_measured = 0\n"
+           "occ[0] -= 1\n"
+           "fifo.occ[0] += fifo.occ_bit\n"
+           "self._occ_w[0] = 0\n"
+           "fifo._q.popleft()\n"
+           "link.w._q.append((1, beat))\n"
+           "fifo._q[0] = (now + 1, item)\n"
+           # reads and unrelated writes pass
+           "n = fifo.pushed + len(fifo._q)\n"
+           "self.pushed = 0\n"
+           "q = fifo._q\n"
+           "if self._occ_req[0]: pass\n"
+           "order.append(1)\n")
+    assert sorted(line for line, _ in _stage_writes(ast.parse(src))) == list(
+        range(1, 11))

@@ -437,11 +437,12 @@ class TestFigureGoldens:
     against goldens captured from the pre-refactor runner at seed=1."""
 
     @pytest.mark.parametrize("exp_id", ["fig4", "fig6"])
-    def test_quick_output_is_pinned(self, exp_id):
+    def test_quick_output_is_pinned(self, exp_id, figure_store):
         from repro.eval.experiments import run_experiment
         from repro.eval.report import render_text
 
-        text = render_text(run_experiment(exp_id, quick=True))
+        text = render_text(run_experiment(exp_id, quick=True, cache="rw",
+                                          store=figure_store))
         golden = (GOLDEN_DIR / f"{exp_id}_quick.txt").read_text()
         assert text == golden, (
             f"{exp_id} --quick output drifted from the pre-scenario-API "

@@ -87,9 +87,9 @@ class TestJobManager:
 
     def test_serving_results_does_not_hold_the_manager_lock(
             self, manager, monkeypatch):
-        """While one thread builds a /results payload (a deliberately
-        slow ``Result.to_dict``), status reads and submissions from
-        another thread return at once."""
+        """While one thread builds a /results payload (a ``Result.to_dict``
+        held on an event), status reads and submissions from another
+        thread complete: they finish before the payload is released."""
         job = manager.submit([self.point(0.1)])
         wait_finished(lambda: manager.snapshot(job.id))
         inside, release = threading.Event(), threading.Event()
@@ -104,20 +104,31 @@ class TestJobManager:
         payloads = []
         reader = threading.Thread(
             target=lambda: payloads.append(manager.results_payload(job.id)))
+        reads = {}
+
+        def read_while_serving():
+            reads["snap"] = manager.snapshot(job.id)
+            reads["queued"] = manager.submit([self.point(0.1)], cache="ro")
+            reads["events"] = manager.events_since(job.id, 0)
+            reads["listing"] = manager.snapshots()
+
         reader.start()
+        other = threading.Thread(target=read_while_serving)
         try:
             assert inside.wait(timeout=30)
-            t0 = time.monotonic()
-            snap = manager.snapshot(job.id)
-            queued = manager.submit([self.point(0.1)], cache="ro")
-            events = manager.events_since(job.id, 0)
-            listing = manager.snapshots()
-            elapsed = time.monotonic() - t0
+            other.start()
+            # A reader holding the lock would hold ``other`` until the
+            # release below: it must finish while the payload is held.
+            other.join(timeout=30)
+            assert not other.is_alive()
         finally:
             release.set()
             reader.join(timeout=30)
+            if other.is_alive():
+                other.join(timeout=30)
         assert not reader.is_alive()
-        assert elapsed < 0.05
+        snap, queued = reads["snap"], reads["queued"]
+        events, listing = reads["events"], reads["listing"]
         assert snap["status"] == "done" and events[1] is True
         assert {j["job"] for j in listing} == {job.id, queued.id}
         assert payloads[0][0]["result"] == real_to_dict(job.results[0])
@@ -335,31 +346,42 @@ class TestHttpService:
                 urllib.request.urlopen(f"{service}{url}")
             assert err.value.code == 404
 
-    def test_results_before_completion_is_409(self, tmp_path):
-        # A manager with no worker progress: enqueue behind a slow job
-        # isn't needed — ask for results of a still-queued job directly.
+    def test_results_before_completion_is_409(self, tmp_path, monkeypatch):
+        """``/results`` of a job that is not done is 409, then 200 once
+        it is.  The worker is held inside ``run_sweep`` on an event, so
+        the job is provably running when ``/results`` is asked."""
+        import repro.service.jobs as jobs_mod
+
+        entered, release = threading.Event(), threading.Event()
+        real_run_sweep = jobs_mod.run_sweep
+
+        def gated_run_sweep(*args, **kwargs):
+            entered.set()
+            assert release.wait(timeout=POLL_DEADLINE_S)
+            return real_run_sweep(*args, **kwargs)
+
+        monkeypatch.setattr(jobs_mod, "run_sweep", gated_run_sweep)
         server = make_server("127.0.0.1", 0, store=tmp_path / "s",
                              cache="rw", jobs=1)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
         try:
-            # Don't start serve_forever: talk to the manager directly,
-            # then hit the HTTP layer once the job is visibly queued.
-            manager = server.manager
-            job = manager.submit([Scenario(
-                traffic=TrafficSpec.uniform(0.5, 1000),
-                measure=MeasureSpec(300, 900))])
-            thread = threading.Thread(target=server.serve_forever,
-                                      daemon=True)
-            thread.start()
             host, port = server.server_address[:2]
             base = f"http://{host}:{port}"
-            snap = self.get(f"{base}/jobs/{job.id}")
-            if snap["status"] in ("queued", "running"):
-                with pytest.raises(urllib.error.HTTPError) as err:
-                    urllib.request.urlopen(f"{base}/jobs/{job.id}/results")
-                assert err.value.code == 409
+            job = server.manager.submit([Scenario(
+                traffic=TrafficSpec.uniform(0.5, 1000),
+                measure=MeasureSpec(300, 900))])
+            assert entered.wait(timeout=POLL_DEADLINE_S)
+            assert self.get(f"{base}/jobs/{job.id}")["status"] == "running"
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(f"{base}/jobs/{job.id}/results")
+            assert err.value.code == 409
+            release.set()
             wait_finished(lambda: self.get(f"{base}/jobs/{job.id}"))
             assert self.get(f"{base}/jobs/{job.id}/results")
         finally:
+            release.set()
             server.shutdown()
             server.manager.shutdown()
             server.server_close()
+            thread.join(timeout=10)

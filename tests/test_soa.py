@@ -5,7 +5,7 @@ on the AXI fabric one ``step()`` body per component under two
 schedulers, on the packet mesh ``Router.step`` against the request-mask
 stepper.  This module pins which one a constructor call selects, the
 bit-identity of the two under fault injection on both fabrics, and
-chunked sweep execution.  The fault-free matrix lives in
+pooled sweep execution.  The fault-free matrix lives in
 test_golden_equivalence.py, the exhaustive checks in test_properties.py.
 """
 
@@ -144,7 +144,7 @@ def test_mesh_soa_bit_identical_under_faults(recovery):
 
 
 # ----------------------------------------------------------------------
-# Chunked sweeps
+# Pooled sweeps (one task per point)
 # ----------------------------------------------------------------------
 class TestChunkedSweep:
     def _sweep(self):
@@ -153,34 +153,29 @@ class TestChunkedSweep:
                      loads=[0.1, 0.5], seeds=[1, 2, 3])
 
     def test_chunked_equals_serial(self):
-        """6-point grid: serial, per-point, and chunked submission all
-        produce bit-identical Results in the same order."""
+        """6-point grid: serial and pooled submission (one task per
+        point) produce bit-identical Results in the same order."""
         serial = run_sweep(self._sweep(), jobs=1)
-        assert run_sweep(self._sweep(), jobs=2, chunksize=1) == serial
-        assert run_sweep(self._sweep(), jobs=2, chunksize=4) == serial
-        assert run_sweep(self._sweep(), jobs=2) == serial  # auto chunking
-
-    def test_bad_chunksize_rejected(self):
-        with pytest.raises(ValueError):
-            run_sweep([], chunksize=0)
+        assert run_sweep(self._sweep(), jobs=2) == serial
 
     def test_failing_point_does_not_sink_its_chunk(self, capsys):
-        """One raising point inside a chunk costs only itself: its
-        chunk-mates complete in the worker, the failure retries serially
-        and is reported as None."""
+        """One raising point costs only itself: the other points
+        complete in the pool, the failure retries serially and is
+        reported as None."""
         points = self._sweep().points()
         points[1] = points[1].with_(
             measure=MeasureSpec(warmup=1000, window=50_000_000,
                                 max_wall_s=0.1))
-        results = run_sweep(points, jobs=2, chunksize=3)
+        results = run_sweep(points, jobs=2)
         assert results[1] is None
         assert all(r is not None for i, r in enumerate(results) if i != 1)
         assert "failed after one retry" in capsys.readouterr().err
 
     def test_worker_crash_recovers_whole_chunk(self, monkeypatch):
-        """A worker dying mid-chunk (BrokenProcessPool) loses the chunk,
-        not the sweep: every point recovers via the serial retry."""
+        """A worker dying mid-point (BrokenProcessPool) fails every
+        in-flight future, not the sweep: every point recovers via the
+        serial retry."""
         points = self._sweep().points()
         clean = run_sweep(points, jobs=1)
         kill_workers_running(monkeypatch, "seed2")
-        assert run_sweep(points, jobs=2, chunksize=2) == clean
+        assert run_sweep(points, jobs=2) == clean
