@@ -106,7 +106,8 @@ class NocNetwork:
         the activity scheduler also skips *predictable* cycles: a
         write burst whose W data streams over a path it owns is frozen
         as a train and charged arithmetically (``noc/trains.py``,
-        DESIGN.md §7) — never on a network with a fault controller.
+        DESIGN.md §7) — on armed networks too, unless ``faults`` can
+        degrade a link.
     faults / fault_seed:
         Optional :class:`~repro.faults.FaultSpec` and the seed its
         deterministic fault events derive from (DESIGN.md §10).  An
@@ -328,10 +329,14 @@ class NocNetwork:
             if built.memory is not None:
                 self.sim.add(built.memory)
         # W trains (DESIGN.md §7): the activity scheduler skips the
-        # predictable cycles of a burst that owns its path.  Never with
-        # a fault controller, which re-times and re-routes beats.
+        # predictable cycles of a burst that owns its path.  Not where a
+        # link can be degraded: the controller re-times W heads there.
+        # Every other fault acts at admission, on decoded heads or on
+        # B/R beats, and leaves a locked W path alone.
+        degradable = faults is not None and any(
+            lf.width_factor > 0 for lf in faults.links)
         self._trains: list[WTrain] = []
-        if not always_step and self._fault_controller is None:
+        if not always_step and not degradable:
             ingress = {link.w: i for xp in self.xps
                        for i, link in enumerate(xp.in_links)
                        if link is not None}

@@ -19,8 +19,11 @@ when ``NocNetwork.run`` / ``drain`` / ``set_warmup`` end it so that no
 train outlives the call that started it.
 
 Only wired by :class:`~repro.noc.network.NocNetwork`, and only with the
-activity scheduler on a network without a fault controller:
-``always_step=True`` is the per-beat reference the tests compare with.
+activity scheduler on a network whose fault spec degrades no link (the
+controller re-times W heads there; every other fault acts at admission,
+on decoded heads or on B/R beats): ``always_step=True`` is the per-beat
+reference the tests compare with.  A corrupt burst trains like any
+other and, like the per-beat accept, credits no byte.
 R beats are re-arbitrated by ID at every hop and own nothing: there is
 no R train.
 """
@@ -175,8 +178,10 @@ class WTrain:
         ``first + n - 1`` (what ``MemorySlave._accept`` does per beat,
         the beat count aside: that is ``orders[-1]``)."""
         nbytes = self.stream._mid.nbytes
-        self.orders[-1][2] -= n * nbytes
-        self.fifos[-1].consumer.write_meter.add(nbytes, first, n)
+        expect = self.orders[-1]
+        expect[2] -= n * nbytes
+        if not expect[5]:  # corrupted payload is never credited
+            self.fifos[-1].consumer.write_meter.add(nbytes, first, n)
 
     def end(self, now: int) -> None:
         """End the open train, if any, between cycles ``now - 1`` and

@@ -12,7 +12,7 @@ import pytest
 
 from repro.axi.monitor import LinkMonitor
 from repro.axi.transaction import Transfer
-from repro.faults import FaultSpec
+from repro.faults import FaultSpec, LinkFault
 from repro.noc.config import NocConfig
 from repro.noc.network import NocNetwork
 from repro.traffic.uniform import uniform_random
@@ -61,22 +61,63 @@ def test_trains_carry_the_long_bursts_of_a_saturated_slim_mesh():
 @pytest.mark.parametrize("build", [
     lambda: saturated(4),
     lambda: saturated(64000, always_step=True),
-    # The benchmark's armed AXI point (`faulted`), and long bursts under
-    # the mildest fault spec that instantiates a controller.
-    lambda: saturated(1000, faults=FaultSpec(
-        links=[dict(src=5, dst=6, start=500, duration=1000),
-               dict(src=6, dst=5, start=500, duration=1000)],
-        corrupt_rate=2e-4, txn_timeout=900, recovery="retransmit",
-        response_faults=True), fault_seed=1),
-    lambda: saturated(64000, faults=FaultSpec(corrupt_rate=1e-9),
-                      fault_seed=1),
-], ids=["cap4", "always_step", "faulted", "armed_long_bursts"])
+    # A degraded link re-times W heads on a locked path: per beat.
+    lambda: saturated(64000, faults=FaultSpec(
+        links=[LinkFault(5, 6, width_factor=0.5)]), fault_seed=1),
+], ids=["cap4", "always_step", "degraded"])
 def test_no_train_fires_where_none_can(build):
     net = build()
     net.run(3000)
     stats = net.kernel_stats()
     assert stats["trains"] == stats["train_beats"] == 0
     assert stats["train_probes"] == 0
+
+
+@pytest.mark.parametrize("cap, faults", [
+    (1000, FaultSpec(
+        links=[dict(src=5, dst=6, start=500, duration=1000),
+               dict(src=6, dst=5, start=500, duration=1000)],
+        corrupt_rate=2e-4, txn_timeout=900, recovery="retransmit",
+        response_faults=True)),
+    (64000, FaultSpec(corrupt_rate=1e-9)),
+], ids=["faulted", "armed_long_bursts"])
+def test_trains_ride_an_armed_fabric(cap, faults):
+    """The benchmark's armed AXI point (`faulted`, writes only: dead
+    links, corruption, retransmission, lost responses and the watchdog),
+    and long bursts under the mildest spec that instantiates a
+    controller: dead links fail at admission, the rest acts on B/R beats
+    or decoded heads, and a granted W burst crosses as it would unarmed
+    — as a train."""
+    pair = []
+    for always_step in (False, True):
+        net = NocNetwork(NocConfig.slim(), always_step=always_step,
+                         faults=faults, fault_seed=1)
+        traffic = uniform_random(net, load=1.0, max_burst_bytes=cap,
+                                 read_fraction=0.0, seed=1)
+        pair.append((net, traffic.install()))
+    (net, traffic), (ref, ref_traffic) = pair
+    for _ in range(3):
+        net.run(1000)
+        ref.run(1000)
+        assert network_state(net) == network_state(ref)
+        assert net.fault_report() == ref.fault_report()
+    assert net.kernel_stats()["trains"] > 0
+    traffic.quiesce()
+    ref_traffic.quiesce()
+    assert net.drain() == ref.drain()
+    assert network_state(net) == network_state(ref)
+    assert net.fault_report() == ref.fault_report()
+
+
+def test_a_corrupted_train_credits_no_byte():
+    """A burst the memory marked corrupt on its AW still rides a train;
+    like the per-beat accept, the train credits none of its payload."""
+    net, ref = both(NocConfig.slim(2, 2), (0, 3, 1024),
+                    faults=FaultSpec(corrupt_rate=1.0), fault_seed=1)
+    assert net.drain() == ref.drain()
+    assert net.kernel_stats()["trains"] == 1
+    assert net.memories[3].bytes_written == ref.memories[3].bytes_written == 0
+    assert network_state(net) == network_state(ref)
 
 
 def test_a_burst_needs_sixteen_middle_beats_left_after_the_third():
