@@ -18,8 +18,8 @@ from collections import deque
 
 from repro.baseline.flit import Flit, Packet, make_flits
 from repro.baseline.router import P_E, P_LOCAL, P_N, P_S, P_W, Router
-from repro.faults.runtime import (FaultStats, FaultTimeline, PortFaults,
-                                  fault_rngs)
+from repro.faults.runtime import (CorruptionModel, FaultStats, FaultTimeline,
+                                  PortFaults, Recovery, fault_rngs)
 from repro.noc.topology import Mesh2D
 from repro.sim.kernel import Component, Simulator
 from repro.sim.rng import spawn_rngs
@@ -112,13 +112,13 @@ class PacketMesh(Component):
             [None] * cfg.n_nodes
         # -- fault injection (DESIGN.md §10) ---------------------------
         self._faults = faults if faults is not None and faults.active() else None
-        self._fault_stats: FaultStats | None = None
+        self._recovery: Recovery | None = None
         self._timeline: FaultTimeline | None = None
         self._port_faults: PortFaults | None = None
         self._dead_ports: dict[int, set[int]] = {}
         self._deg_ports: dict[int, dict[int, float]] = {}
-        self._corrupt_rate = 0.0
-        self._corrupt_rng = None
+        #: One corruption model per destination node (corrupt_rate > 0).
+        self._corruption: list[CorruptionModel] | None = None
         self._nics: dict[int, object] = {}
         self.packets_dropped = 0
         #: Stuck-VC faults: node -> {fault_id: (in_port, vc)}.
@@ -129,26 +129,21 @@ class PacketMesh(Component):
         self._delivered: set[int] = set()
         if self._faults is not None:
             spec = self._faults
-            if spec.byzantine_rate > 0.0:
-                raise ValueError(
-                    "byzantine_rate is an AXI fault model (response beats "
-                    "checked by the scoreboard/ID remap): the packet "
-                    "baseline has no response beats to corrupt")
-            if spec.response_faults and spec.txn_timeout is None:
-                raise ValueError(
-                    "response_faults needs txn_timeout: the endpoint "
-                    "watchdog is the only thing that terminates an "
-                    "orphaned packet")
-            self._fault_stats = FaultStats()
-            self._port_faults = PortFaults(self._link_ports,
-                                           self._fault_stats)
+            spec.check("baseline")
+            stats = FaultStats()
+            self._recovery = Recovery(spec, stats)
+            self._port_faults = PortFaults(self._link_ports, stats)
             rngs = fault_rngs(seed if fault_seed is None else fault_seed, 2)
             self._timeline = FaultTimeline(spec, len(self._link_ports),
                                            rng=rngs[0],
                                            link_index=link_index)
             if spec.corrupt_rate > 0.0:
-                self._corrupt_rate = spec.corrupt_rate
-                self._corrupt_rng = rngs[1]
+                # XY hops plus ejection; one stream, packet-creation order.
+                n = cfg.n_nodes
+                self._corruption = [CorruptionModel(
+                    rngs[1], spec.corrupt_rate,
+                    {src: self.topology.hop_distance(src, dst) + 1
+                     for src in range(n)}, stats) for dst in range(n)]
         self.sim.add(self)
         self._source_cap = 64  # packets queued per node before pausing
         #: The production stepper; None under ``always_step=True``, where
@@ -211,24 +206,15 @@ class PacketMesh(Component):
         """Deliver a flit into ``node``'s local input port (NIC-driven
         mode).  Keeps the in-network flit count exact and wakes the mesh
         if the activity kernel had put it to sleep."""
-        if flit.seq == 0 and self._corrupt_rate:
-            self._maybe_corrupt(flit.packet)
+        if flit.seq == 0 and self._corruption is not None:
+            packet = flit.packet
+            packet.corrupt = self._corruption[packet.dst].corrupt(
+                packet.src, packet.length)
         self.routers[node].accept(P_LOCAL, vc, flit, now)
         if self._stepper is not None:
             self._stepper.masks[node] |= 1 << (P_LOCAL * self.cfg.n_vcs + vc)
         self._flits_in_network += 1
         self.wake(now + 1)  # flit is visible to allocation next cycle
-
-    def _maybe_corrupt(self, packet: Packet) -> None:
-        """Per-packet corruption draw (burst-granularity, like the AXI
-        side): a packet of L flits crossing H hops has L*H chances at
-        ``corrupt_rate`` each.  Draws happen in packet-creation order,
-        identical in both kernel modes."""
-        hops = self._row(packet.src)[1][packet.dst] + 1
-        p = 1.0 - (1.0 - self._corrupt_rate) ** (packet.length * hops)
-        if self._corrupt_rng.random() < p:
-            packet.corrupt = True
-            self._fault_stats.corrupted += 1
 
     def _eject(self, flit: Flit, now: int) -> None:
         self._flits_in_network -= 1
@@ -243,7 +229,7 @@ class PacketMesh(Component):
             if packet.corrupt:
                 # Detected at the receiving endpoint: payload is never
                 # credited; retransmit end-to-end if the policy allows.
-                self._recover_or_drop(packet, nbytes)
+                self._recover_or_drop(packet, nbytes, now)
                 return
             if packet.token is not None:
                 # NIC reply-watchdog mode: credit each payload once
@@ -262,10 +248,9 @@ class PacketMesh(Component):
                     if nic is not None:
                         nic.confirm(packet.token, now)
                 return
-            if packet.attempt:
-                stats = self._fault_stats
-                stats.recovered += 1
-                stats.recovery_latency.add(now - packet.origin)
+            if self._recovery is not None:
+                self._recovery.recovered(packet.attempt, packet.origin, now,
+                                         False)
             if nbytes:
                 self.bytes_received += nbytes
                 if now >= self.warmup:
@@ -279,7 +264,7 @@ class PacketMesh(Component):
             packet = flit.packet
             self.packets_dropped += 1
             nbytes = self._payloads.pop(packet.pid, 0)
-            self._recover_or_drop(packet, nbytes)
+            self._recover_or_drop(packet, nbytes, now)
 
     def _ack_path_alive(self, src: int, dst: int) -> bool:
         """Whether an instant reply from ``src`` back to ``dst`` makes
@@ -296,24 +281,21 @@ class PacketMesh(Component):
             node = self.routers[node].neighbors[port].node
         return True
 
-    def _recover_or_drop(self, packet: Packet, nbytes: int) -> None:
-        """A packet was lost or corrupted: resubmit through the source
-        NIC (bounded attempts) or count it dropped."""
+    def _recover_or_drop(self, packet: Packet, nbytes: int,
+                         now: int) -> None:
+        """A packet was lost or corrupted: resubmit its payload through
+        the source NIC, if Recovery says so, or count it dropped."""
         if packet.token is not None:
             # NIC reply-watchdog mode: nothing reached the receiver, so
             # no reply comes back — the source NIC's txn_timeout owns
             # recovery (instant loss-retransmit would be an oracle).
             return
-        stats = self._fault_stats
-        spec = self._faults
         nic = self._nics.get(packet.src)
-        if (spec is not None and spec.recovery == "retransmit"
-                and nic is not None and packet.attempt < spec.max_retries):
-            stats.retransmissions += 1
+        if nic is None:
+            self._recovery.drop()  # a Scenario-built point has no NIC
+        elif self._recovery.retry(packet.attempt, packet.origin, now):
             nic.resubmit(packet.dst, nbytes, packet.attempt + 1,
                          packet.origin)
-        else:
-            stats.dropped += 1
 
     # ------------------------------------------------------------------
     # Fault-event bookkeeping (folded into the mesh because it already
@@ -326,7 +308,7 @@ class PacketMesh(Component):
             if kind == "vc":
                 _, node, port, vc, fid = event
                 self._stuck_entries.setdefault(node, {})[fid] = (port, vc)
-                self._fault_stats.vc_faults += 1
+                self._recovery.stats.vc_faults += 1
                 self._refresh_stuck(node)
             elif kind == "vc_clear":
                 _, node, port, vc, fid = event
@@ -361,9 +343,9 @@ class PacketMesh(Component):
 
     def fault_report(self) -> dict:
         """The ``faults`` section of a Result (empty when inactive)."""
-        stats = self._fault_stats
-        if stats is None:
+        if self._recovery is None:
             return {}
+        stats = self._recovery.stats
         report = stats.as_dict()
         report["packets_dropped"] = self.packets_dropped
         report["flits_dropped"] = sum(r.flits_dropped for r in self.routers)
@@ -373,9 +355,13 @@ class PacketMesh(Component):
         return report
 
     def register_nic(self, nic) -> None:
-        """Attach a :class:`~repro.baseline.nic.PacketNic` as the
-        retransmission endpoint for its node."""
+        """Attach a :class:`~repro.baseline.nic.PacketNic` as its node's
+        retransmission endpoint; arm its reply watchdog if asked."""
         self._nics[nic.node] = nic
+        spec = self._faults
+        if spec is not None and spec.response_faults:
+            nic.recovery = self._recovery
+            nic._txn_timeout = spec.txn_timeout
 
     def register_payload(self, pid: int, nbytes: int) -> None:
         """Associate useful payload bytes with a packet (NIC-driven mode)."""
@@ -447,8 +433,9 @@ class PacketMesh(Component):
                         dst += 1
                     packet = Packet(node, dst, cfg.packet_flits, now, self._pid)
                     self._pid += 1
-                    if self._corrupt_rate:
-                        self._maybe_corrupt(packet)
+                    if self._corruption is not None:
+                        packet.corrupt = self._corruption[dst].corrupt(
+                            node, cfg.packet_flits)
                     queue.append(packet)
                     self.flits_offered += cfg.packet_flits
                     arrival += rng.exponential(

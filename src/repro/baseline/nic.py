@@ -59,15 +59,12 @@ class PacketNic(Component):
         self._idle_until = 0
         self._pid = node << 32
         self.bytes_sent = 0
-        # Reply watchdog (response_faults): each sent packet's payload
-        # stays outstanding until its instant reply confirms delivery or
-        # txn_timeout expires — token -> [deadline, dst, nbytes,
-        # attempt, origin, timed] (deadlines monotone in insertion
-        # order, so only the head is ever inspected).
-        spec = getattr(mesh, "_faults", None)
-        self._watchdog = spec is not None and spec.response_faults
-        self._txn_timeout = spec.txn_timeout if self._watchdog else None
-        self._spec = spec
+        # Reply watchdog (response_faults; the mesh arms it): a sent
+        # payload stays outstanding until its reply confirms it or
+        # txn_timeout expires — token -> [deadline, dst, nbytes, attempt,
+        # origin, timed], deadlines monotone in insertion order.
+        self.recovery = None
+        self._txn_timeout: int | None = None
         self._outstanding: dict[int, list] = {}
         mesh.register_nic(self)
 
@@ -78,10 +75,9 @@ class PacketNic(Component):
         self.wake()  # external input: revive a NIC asleep in the kernel
 
     def resubmit(self, dst: int, nbytes: int, attempt: int,
-                 origin: int, token=None, timed: bool = False) -> None:
-        """End-to-end retransmission of one lost/corrupted packet's
-        payload (called by the mesh's fault machinery)."""
-        self._pending.append((dst, nbytes, attempt, origin, token, timed))
+                 origin: int) -> None:
+        """Resend one lost or corrupted packet's payload (mesh-called)."""
+        self._pending.append((dst, nbytes, attempt, origin, None, False))
         self.wake()
 
     @property
@@ -109,34 +105,20 @@ class PacketNic(Component):
         entry = self._outstanding.pop(token, None)
         if entry is None:
             return  # late duplicate: an earlier copy already confirmed
-        stats = self.mesh._fault_stats
-        if entry[3]:
-            stats.recovered += 1
-            stats.recovery_latency.add(now - entry[4])
-        if entry[5]:
-            stats.timeout_recovered += 1
-            stats.timeout_latency.add(now - entry[4])
+        self.recovery.recovered(entry[3], entry[4], now, entry[5])
 
     def _check_timeouts(self, now: int) -> None:
-        """Abort outstanding payloads whose reply never came back:
-        resubmit (bounded attempts) or count them dropped."""
+        """Abort payloads whose reply never came: Recovery decides."""
         out = self._outstanding
-        stats = self.mesh._fault_stats
-        spec = self._spec
         while out:
             token = next(iter(out))
             entry = out[token]
             if entry[0] > now:
                 break
             del out[token]
-            stats.orphaned += 1
-            if (spec.recovery == "retransmit"
-                    and entry[3] < spec.max_retries):
-                stats.retransmissions += 1
+            if self.recovery.expired(entry[3], entry[4], now):
                 self._pending.append((entry[1], entry[2], entry[3] + 1,
                                       entry[4], token, True))
-            else:
-                stats.dropped += 1
 
     def step(self, now: int) -> None:
         if self._outstanding:
@@ -151,7 +133,7 @@ class PacketNic(Component):
             if attempt:
                 packet.attempt = attempt
                 packet.origin = origin
-            if self._watchdog:
+            if self._txn_timeout is not None:
                 packet.token = token if token is not None else packet.pid
                 self._outstanding[packet.token] = [
                     now + self._txn_timeout, dst, chunk, attempt,

@@ -34,6 +34,7 @@ from repro.axi.link import AxiLink
 from repro.axi.memory_map import MemoryMap
 from repro.axi.transaction import Burst, Transfer, split_transfer
 from repro.axi.types import Resp
+from repro.faults.runtime import zombie_grace
 from repro.sim.fifo import full_fifos
 from repro.sim.kernel import BLOCKED, Component
 from repro.sim.stats import CounterSet, LatencyStats, ThroughputMeter
@@ -114,14 +115,10 @@ class DmaEngine(Component):
         self._last_now = -1
         self.transfers_completed = 0
         self.errors = 0
-        #: Optional :class:`~repro.faults.runtime.RetransmitPolicy` —
-        #: when set, transfers that complete with an error response are
-        #: re-submitted end-to-end (bounded retries/timeout).  None is
-        #: the fault-free fast path.
-        self.fault_policy = None
-        #: Shared :class:`~repro.faults.runtime.FaultStats` (set by the
-        #: network whenever the watchdog or byzantine model is armed).
-        self.fault_stats = None
+        #: The network's :class:`~repro.faults.runtime.Recovery` (and its
+        #: ``FaultStats``) on armed networks: it decides whether a failed
+        #: or orphaned burst goes again.  None is the fault-free path.
+        self.recovery = None
         #: Per-transaction cycle budget (``FaultSpec.txn_timeout``);
         #: None disables the watchdog and all lifetime guards.
         self._txn_timeout: int | None = None
@@ -414,7 +411,7 @@ class DmaEngine(Component):
         was mangled (nobody can claim the beat)."""
         if rng.random() >= self._byz_rate:
             return 0
-        self.fault_stats.byzantine += 1
+        self.recovery.stats.byzantine += 1
         return _F_GAP if rng.random() < 0.5 else _F_BYZ
 
     def _check_timeouts(self, now: int) -> None:
@@ -431,13 +428,6 @@ class DmaEngine(Component):
                     break
                 del zom[tid]
                 free.append(tid)
-        # Same reservation bound the fault controller uses for its
-        # deferred read-chain releases: a *slow* (congested, not lost)
-        # response can outlive the watchdog budget by far, and a stale
-        # beat landing on a recycled id would complete the wrong burst.
-        grace = max(4096, 2 * self._txn_timeout)
-        stats = self.fault_stats
-        policy = self.fault_policy
         for table, zom in ((self._wr_out, self._wr_zombie),
                            (self._rd_out, self._rd_zombie)):
             while table:
@@ -448,20 +438,14 @@ class DmaEngine(Component):
                 del table[tid]
                 if self.watchers:
                     self._wake_watchers()
-                # Hold the id through a grace window: beats of the
-                # orphan may still be in flight (a slow rather than
-                # lost response) and must not land on a recycled id.
-                zom[tid] = now + grace
-                stats.orphaned += 1
+                # Quarantine the id: the orphan's beats may still come.
+                zom[tid] = now + zombie_grace(self._txn_timeout)
                 transfer = entry[0]
-                if (policy is not None and entry[4] < policy.max_retries
-                        and now - entry[1] <= policy.timeout):
-                    policy.stats.retransmissions += 1
+                if self.recovery.expired(entry[4], entry[1], now):
                     self._pending.append(_BurstRetry(
                         transfer, entry[3], entry[1], entry[4] + 1,
                         _F_TIMED))
                     continue
-                stats.dropped += 1
                 transfer._failed = True
                 self._retire(transfer, now)
 
@@ -555,31 +539,24 @@ class DmaEngine(Component):
         if self.watchers:
             self._wake_watchers()
         transfer = entry[0]
+        recovery = self.recovery
         if resp != Resp.OKAY:
             self.errors += 1
             self.counters.bump("dma_resp_error")
-            policy = self.fault_policy
-            if policy is not None:
-                if (entry[4] < policy.max_retries
-                        and now - entry[1] <= policy.timeout):
-                    # Selective per-burst retransmission: only this
-                    # burst goes again; its transfer keeps owing it
-                    # (``_bursts_left`` untouched) so it cannot
-                    # complete before the retry resolves.
-                    policy.stats.retransmissions += 1
-                    self._pending.append(_BurstRetry(
-                        transfer, entry[3], entry[1], entry[4] + 1))
-                    return
-                policy.stats.dropped += 1
+            # Under "none" / "reroute" an error response is counted in
+            # ``response_errors`` only, never ``dropped``: asking
+            # Recovery here would move ``dropped`` in every such armed
+            # run (a statistic change, not a refactor).
+            if (recovery is not None and recovery.retransmit
+                    and recovery.retry(entry[4], entry[1], now)):
+                # Only this burst goes again; its transfer keeps owing
+                # it (``_bursts_left``) until the retry resolves.
+                self._pending.append(_BurstRetry(
+                    transfer, entry[3], entry[1], entry[4] + 1))
+                return
             transfer._failed = True
-        elif entry[4]:
-            # A retried burst finally came back clean.
-            stats = self.fault_policy.stats
-            stats.recovered += 1
-            stats.recovery_latency.add(now - entry[1])
-            if entry[6] & _F_TIMED:
-                stats.timeout_recovered += 1
-                stats.timeout_latency.add(now - entry[1])
+        elif recovery is not None:
+            recovery.recovered(entry[4], entry[1], now, entry[6] & _F_TIMED)
         self._retire(transfer, now)
 
     def _retire(self, transfer: Transfer, now: int) -> None:

@@ -7,7 +7,7 @@ aware rerouting in the packet baseline).
 """
 
 from repro.faults.runtime import (CorruptionModel, FaultStats, FaultTimeline,
-                                  RetransmitPolicy, degraded_pass, fault_rngs)
+                                  Recovery, degraded_pass, fault_rngs)
 from repro.faults.spec import (RECOVERY_POLICIES, FaultSpec, LinkFault,
                                PortFault, StuckVcFault)
 
@@ -19,7 +19,7 @@ __all__ = [
     "FaultTimeline",
     "LinkFault",
     "PortFault",
-    "RetransmitPolicy",
+    "Recovery",
     "StuckVcFault",
     "degraded_pass",
     "fault_rngs",

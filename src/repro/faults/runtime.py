@@ -245,24 +245,65 @@ class PortFaults:
                 yield key, min(faults.values())
 
 
-class RetransmitPolicy:
-    """End-to-end retransmission policy applied at DMA/NIC endpoints."""
+def zombie_grace(txn_timeout: int | None) -> int:
+    """Cycles an aborted transaction's id stays reserved (DMA zombie ids,
+    the controller's deferred read-chain releases): a slow response can
+    outlive the watchdog by far and must not land on a recycled id."""
+    return max(4096, 2 * (txn_timeout or 0))
 
-    __slots__ = ("max_retries", "timeout", "stats")
 
-    def __init__(self, max_retries: int, timeout: int, stats: FaultStats):
-        self.max_retries = max_retries
-        self.timeout = timeout
+class Recovery:
+    """The one rule that decides, and counts, the fate of a lost or
+    failed unit — a burst at the AXI DMA, a packet payload at the
+    baseline NIC or mesh.  ``attempt`` is its retry number (0 on first
+    issue), ``first_issue`` the cycle of that first issue."""
+
+    __slots__ = ("retransmit", "max_retries", "timeout", "stats")
+
+    def __init__(self, spec, stats: FaultStats):
+        self.retransmit = spec.recovery == "retransmit"
+        self.max_retries = spec.max_retries
+        self.timeout = spec.retry_timeout
         self.stats = stats
+
+    def retry(self, attempt: int, first_issue: int, now: int) -> bool:
+        """Send the unit again (``retransmissions``) or drop it."""
+        if (self.retransmit and attempt < self.max_retries
+                and now - first_issue <= self.timeout):
+            self.stats.retransmissions += 1
+            return True
+        self.drop()
+        return False
+
+    def expired(self, attempt: int, first_issue: int, now: int) -> bool:
+        """A watchdog aborted the unit: ``orphaned``, then :meth:`retry`."""
+        self.stats.orphaned += 1
+        return self.retry(attempt, first_issue, now)
+
+    def drop(self) -> None:
+        """Abandon a unit nothing can resend (``dropped``)."""
+        self.stats.dropped += 1
+
+    def recovered(self, attempt: int, first_issue: int, now: int,
+                  timed) -> None:
+        """A unit completed clean: after a retry it counts ``recovered``
+        (and ``timeout_recovered`` if a watchdog sent it, ``timed``)."""
+        if attempt:
+            stats = self.stats
+            stats.recovered += 1
+            stats.recovery_latency.add(now - first_issue)
+            if timed:
+                stats.timeout_recovered += 1
+                stats.timeout_latency.add(now - first_issue)
 
 
 class CorruptionModel:
-    """Per-burst corruption draw at the receiving endpoint.
+    """Corruption draw per burst (AXI) or packet (baseline) at one endpoint.
 
-    A burst of B beats crossing H hops has B*H chances to be hit; the
-    endpoint draws once per burst with the aggregate probability
-    ``1 - (1 - rate)**(B*H)``.  Draws happen in burst-arrival order,
-    which both kernel modes produce identically.
+    A unit of B beats crossing H hops has B*H chances to be hit; the
+    endpoint draws once per unit with the aggregate probability
+    ``1 - (1 - rate)**(B*H)``.  Draws happen in arrival or creation
+    order, which both kernel modes produce identically.
     """
 
     __slots__ = ("_rng", "_rate", "_hops_by_src", "stats")

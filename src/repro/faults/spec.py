@@ -133,11 +133,11 @@ class FaultSpec:
     recovery:
         One of :data:`RECOVERY_POLICIES`.
     max_retries:
-        Retransmission budget per transfer/packet (``recovery ==
-        "retransmit"``).
+        Retransmission budget (``recovery == "retransmit"``) per burst
+        on the AXI mesh, per packet payload on the baseline.
     retry_timeout:
-        Cycles after a transfer's first issue beyond which it is dropped
-        instead of retried.
+        Cycles after that burst's or payload's first issue beyond which
+        it is dropped instead of retried.
     response_faults:
         Close the response-path fault loop: B/R beats (AXI) and reply
         confirmations (baseline) are lost on dead links just like
@@ -219,6 +219,23 @@ class FaultSpec:
         return bool(self.links or self.ports or self.stuck_vcs
                     or self.link_rate > 0.0 or self.corrupt_rate > 0.0
                     or self.byzantine_rate > 0.0)
+
+    def check(self, backend: str) -> None:
+        """Reject what ``backend`` ("patronoc"/"baseline") cannot model."""
+        if backend == "patronoc" and self.stuck_vcs:
+            raise ValueError(
+                "stuck_vcs is a packet-baseline fault model: the AXI "
+                "mesh has no router VCs to pin")
+        if backend == "baseline" and self.byzantine_rate > 0.0:
+            raise ValueError(
+                "byzantine_rate is an AXI fault model (response beats "
+                "checked by the scoreboard/ID remap): the packet "
+                "baseline has no response beats to corrupt")
+        if self.response_faults and self.txn_timeout is None:
+            raise ValueError(
+                "response_faults needs txn_timeout: with responses lost "
+                "on dead links, only the endpoint watchdog can terminate "
+                "an orphaned burst or packet")
 
     # -- serialization -------------------------------------------------
     def to_dict(self) -> dict:

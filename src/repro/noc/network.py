@@ -18,7 +18,7 @@ from repro.endpoints.dma import DmaEngine
 from repro.endpoints.memory import MemorySlave
 from repro.faults.controller import FaultController
 from repro.faults.runtime import (CorruptionModel, FaultStats, FaultTimeline,
-                                  RetransmitPolicy, fault_rngs)
+                                  Recovery, fault_rngs, zombie_grace)
 from repro.noc.config import NocConfig
 from repro.noc.routing import ComputedRouter, TableRouter, generate_route_tables
 from repro.noc.topology import LOCAL_PORT_BASE, Mesh2D
@@ -185,15 +185,20 @@ class NocNetwork:
                 for n in range(self.topology.n_nodes)
             }
             self.route_tables = None
-        reroute_mode = (faults is not None and faults.active()
-                        and faults.recovery == "reroute")
+        reroute = (faults is not None and faults.active()
+                   and faults.recovery == "reroute")
+        if reroute and routing == "table":
+            raise ValueError(
+                "recovery='reroute' needs routing='computed': the per-hop "
+                "address tables are frozen at build time and cannot swap "
+                "to the up*/down* fault tables")
         self.xps: list[AxiCrossbar] = []
         for node in range(self.topology.n_nodes):
             xp = build_crosspoint(
                 f"xp{node}", node, self.topology, cfg,
                 n_local_ports=ports_used.get(node, 0),
                 route=routers[node], counters=self.counters,
-                force_full=reroute_mode)
+                force_full=reroute)
             self.xps.append(xp)
 
         # -- mesh links ------------------------------------------------------
@@ -254,20 +259,7 @@ class NocNetwork:
         self.fault_stats: FaultStats | None = None
         self._fault_controller: FaultController | None = None
         if faults is not None and faults.active():
-            if faults.recovery == "reroute" and routing == "table":
-                raise ValueError(
-                    "recovery='reroute' needs routing='computed': the "
-                    "per-hop address tables are frozen at build time "
-                    "and cannot swap to the up*/down* fault tables")
-            if faults.stuck_vcs:
-                raise ValueError(
-                    "stuck_vcs is a packet-baseline fault model: the AXI "
-                    "mesh has no router VCs to pin")
-            if faults.response_faults and faults.txn_timeout is None:
-                raise ValueError(
-                    "response_faults needs txn_timeout: with responses "
-                    "lost on dead links, only the per-transaction "
-                    "watchdog can terminate the orphans")
+            faults.check("patronoc")
             self.fault_stats = stats = FaultStats()
             mem_tiles = [b for b in self.tiles if b.memory is not None]
             dma_tiles = [t for t in self.tiles if t.dma is not None]
@@ -292,20 +284,15 @@ class NocNetwork:
                     }
                     built.memory.fault_model = CorruptionModel(
                         rngs[1 + k], faults.corrupt_rate, hops, stats)
-            if faults.recovery == "retransmit":
-                policy = RetransmitPolicy(faults.max_retries,
-                                          faults.retry_timeout, stats)
-                for built in dma_tiles:
-                    built.dma.fault_policy = policy
+            recovery = Recovery(faults, stats)
             for k, built in enumerate(dma_tiles):
                 dma = built.dma
-                dma.fault_stats = stats
+                dma.recovery = recovery
                 dma._txn_timeout = faults.txn_timeout
                 dma._resp_tolerant = faults.response_faults
                 if n_byz:
                     dma._byz_rate = faults.byzantine_rate
                     dma._byz_rng = rngs[1 + len(mem_tiles) + k]
-            reroute = faults.recovery == "reroute"
             self._fault_controller = FaultController(
                 "faults", timeline, stats, self.xps,
                 self._mesh_link_ports, self._mesh_links,
@@ -314,7 +301,7 @@ class NocNetwork:
                 dest_nodes=(frozenset(endpoint_nodes.values())
                             if reroute else None),
                 response_faults=faults.response_faults,
-                release_grace=max(4096, 2 * (faults.txn_timeout or 0)))
+                release_grace=zombie_grace(faults.txn_timeout))
 
         # -- registration ------------------------------------------------------
         # The fault controller steps first so a head stalled at cycle t

@@ -3,16 +3,11 @@
 A stored :class:`~repro.scenarios.result.Result` is only reusable while
 the simulator that produced it behaves identically, so every store key
 (and every Result's provenance) carries a fingerprint of the
-``src/repro`` source tree.  Two paths compute it:
+``src/repro`` source tree: ``src:<sha256>`` over every ``*.py`` file's
+path and bytes, sorted, so any source edit changes the fingerprint and
+nothing else does (a docs-only commit keeps every stored result).
 
-* **git fast path** — when the package sits inside a git checkout whose
-  ``src/repro`` tree is clean, the fingerprint is ``git:<HEAD sha>``;
-  one subprocess call instead of hashing every file.
-* **tree hash** — otherwise (dirty tree, no git, installed package) it
-  is ``src:<sha256>`` over every ``*.py`` file's path and bytes, sorted,
-  so any source edit changes the fingerprint.
-
-``REPRO_CODE_FINGERPRINT`` overrides both (tests use it to simulate a
+``REPRO_CODE_FINGERPRINT`` overrides it (tests use it to simulate a
 code-version change without touching files).  The computed value is
 cached per process — sweeps call this once per worker, not per point.
 """
@@ -21,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import subprocess
 from pathlib import Path
 
 #: ``src/repro`` — the tree whose bytes define the code version.
@@ -31,7 +25,7 @@ _cached: str | None = None
 
 
 def code_fingerprint(*, refresh: bool = False) -> str:
-    """The current code-version fingerprint (``git:...`` or ``src:...``).
+    """The current code-version fingerprint (``src:...``).
 
     Cached after the first call; ``refresh=True`` recomputes (only
     needed if source files change under a live process).
@@ -41,37 +35,11 @@ def code_fingerprint(*, refresh: bool = False) -> str:
         return env
     global _cached
     if _cached is None or refresh:
-        _cached = _git_fingerprint() or _tree_fingerprint()
+        h = hashlib.sha256()
+        for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+            h.update(path.relative_to(PACKAGE_ROOT).as_posix().encode())
+            h.update(b"\0")
+            h.update(path.read_bytes())
+            h.update(b"\0")
+        _cached = f"src:{h.hexdigest()[:16]}"
     return _cached
-
-
-def _git_fingerprint() -> str | None:
-    """``git:<sha>`` when the checkout's src/repro tree is clean."""
-    repo = PACKAGE_ROOT.parent.parent  # src/repro -> src -> checkout root
-    if not (repo / ".git").exists():
-        return None
-    try:
-        rev = subprocess.run(
-            ["git", "-C", str(repo), "rev-parse", "--verify", "HEAD"],
-            capture_output=True, text=True, timeout=10)
-        if rev.returncode != 0:
-            return None
-        dirty = subprocess.run(
-            ["git", "-C", str(repo), "status", "--porcelain", "--",
-             "src/repro"],
-            capture_output=True, text=True, timeout=10)
-        if dirty.returncode != 0 or dirty.stdout.strip():
-            return None  # uncommitted simulator changes: hash the tree
-    except (OSError, subprocess.SubprocessError):
-        return None
-    return f"git:{rev.stdout.strip()[:16]}"
-
-
-def _tree_fingerprint() -> str:
-    h = hashlib.sha256()
-    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
-        h.update(path.relative_to(PACKAGE_ROOT).as_posix().encode())
-        h.update(b"\0")
-        h.update(path.read_bytes())
-        h.update(b"\0")
-    return f"src:{h.hexdigest()[:16]}"

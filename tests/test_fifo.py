@@ -325,3 +325,54 @@ def test_the_guard_sees_each_kind_of_write():
            "order.append(1)\n")
     assert sorted(line for line, _ in _stage_writes(ast.parse(src))) == list(
         range(1, 11))
+
+
+#: The outcome counters and latency stats only ``faults.Recovery`` bumps.
+_RECOVERY_COUNTERS = {"retransmissions", "dropped", "recovered",
+                      "timeout_recovered", "orphaned"}
+_RECOVERY_LATENCIES = {"recovery_latency", "timeout_latency"}
+
+
+def _recovery_counts(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, what) for every recovery-outcome count in ``tree``."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.AugAssign)
+                and isinstance(node.target, ast.Attribute)
+                and node.target.attr in _RECOVERY_COUNTERS):
+            found.append((node.lineno, f"bumps .{node.target.attr}"))
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "add"
+              and _name(node.func.value) in _RECOVERY_LATENCIES):
+            found.append((node.lineno,
+                          f"calls .{_name(node.func.value)}.add()"))
+    return found
+
+
+def test_recovery_is_counted_once():
+    """Whether a lost unit is retried, dropped or recovered is decided
+    and counted by ``faults.runtime.Recovery`` alone; the DMA, the NIC
+    and the packet mesh ask it.  The first assertion proves the walk
+    sees each kind of count."""
+    src = ("stats.retransmissions += 1\n"
+           "self.stats.dropped += 1\n"
+           "s.recovered += 1\n"
+           "s.timeout_recovered += 1\n"
+           "stats.orphaned += n\n"
+           "stats.recovery_latency.add(now - t)\n"
+           "s.timeout_latency.add(d)\n"
+           # reads, plain assignments and other counters pass
+           "self.packets_dropped += 1\n"
+           "self.dropped = 0\n"
+           "n = stats.dropped + stats.recovered\n"
+           "self.latency.add(d)\n")
+    assert sorted(line for line, _ in _recovery_counts(ast.parse(src))) == (
+        list(range(1, 8)))
+    root = Path(repro.__file__).parent
+    owner = root / "faults" / "runtime.py"
+    offences = [f"{path.relative_to(root.parent)}:{line}: {what}"
+                for path in sorted(root.rglob("*.py")) if path != owner
+                for line, what in _recovery_counts(
+                    ast.parse(path.read_text()))]
+    assert not offences, "\n".join(offences)

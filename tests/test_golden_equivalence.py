@@ -5,14 +5,15 @@ and §11).
 These tests run the same traffic on the same seeds through both and
 require exact equality of every observable: delivered-payload
 throughput, per-DMA latency statistics, completed transfers, byte
-counts, protocol counters, and the exact drain cycle.
-
-The one-value ``kernel`` axis below is a label: it keeps the node ids
-these tests have had since the matrix also covered a third kernel.
+counts, protocol counters, and the exact drain cycle.  They also pin
+which path a constructor call selects, and the bit-identity of the two
+under fault injection on both fabrics; the exhaustive checks live in
+test_properties.py.
 """
 
 import pytest
 
+from repro.baseline.network import PacketMesh, PacketMeshConfig
 from repro.faults import FaultSpec
 from repro.noc.config import NocConfig
 from repro.noc.network import NocNetwork
@@ -69,10 +70,9 @@ REROUTE_FAULTS = FaultSpec(
     link_rate=5e-4, recovery="reroute")
 
 
-@pytest.mark.parametrize("kernel", ["activity"])
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_reroute_kernels_match_always_step(name, seed, kernel):
+def test_reroute_kernels_match_always_step(name, seed):
     """Active up*/down* rerouting (dead links + Poisson churn) is
     bit-identical under both schedulers — a table swap must reach a
     crosspoint the activity scheduler has put to sleep."""
@@ -97,10 +97,9 @@ RESPONSE_FAULTS = FaultSpec(
     response_faults=True, txn_timeout=800)
 
 
-@pytest.mark.parametrize("kernel", ["activity"])
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_response_fault_kernels_match_always_step(name, seed, kernel):
+def test_response_fault_kernels_match_always_step(name, seed):
     """Response-path faults (dropped replies, orphan timeouts, zombie
     grace, timed retransmissions) are bit-identical under both
     schedulers — the watchdog deadlines feed the activity scheduler's
@@ -131,8 +130,6 @@ BASELINE_STUCK_CONFIGS = {
 
 
 def observe_baseline(name: str, seed: int, always_step: bool = False):
-    from repro.baseline.network import PacketMesh, PacketMeshConfig
-
     mesh = PacketMesh(PacketMeshConfig(**BASELINE_STUCK_CONFIGS[name]),
                       injection_rate=0.25, seed=seed,
                       always_step=always_step,
@@ -147,10 +144,9 @@ def observe_baseline(name: str, seed: int, always_step: bool = False):
     }
 
 
-@pytest.mark.parametrize("kernel", ["activity"])
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", sorted(BASELINE_STUCK_CONFIGS))
-def test_stuck_vc_kernels_match_always_step(name, seed, kernel):
+def test_stuck_vc_kernels_match_always_step(name, seed):
     """Stuck-VC faults on baseline routers (slots pinned out of switch
     allocation) are bit-identical across the reference router loop and
     the production request-mask stepper."""
@@ -162,10 +158,9 @@ def test_stuck_vc_kernels_match_always_step(name, seed, kernel):
     assert reference["packets_received"] > 0  # mesh stays live
 
 
-@pytest.mark.parametrize("kernel", ["activity"])
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_kernel_matches_always_step(name, seed, kernel):
+def test_kernel_matches_always_step(name, seed):
     cfg, traffic_kwargs = CONFIGS[name]
     candidate = observe(cfg, traffic_kwargs, seed)
     reference = observe(cfg, traffic_kwargs, seed, always_step=True)
@@ -291,3 +286,123 @@ def test_gather_executes_under_half_of_always_steps_component_steps():
     assert oracle.cycles_skipped == 0
     # 98 253 of 738 480 (13.3 %) when this test was written.
     assert production.steps < 0.5 * oracle.steps
+
+
+# ----------------------------------------------------------------------
+# Kernel selection
+# ----------------------------------------------------------------------
+class TestKernelSelection:
+    def test_defaults(self):
+        """``always_step`` is the only stepper switch on either fabric:
+        the default is the activity scheduler, ``always_step=True`` the
+        oracle, and the removed ``kernel=`` option is refused."""
+        assert NocNetwork(NocConfig.slim()).sim.activity
+        assert not NocNetwork(NocConfig.slim(), always_step=True).sim.activity
+        assert PacketMesh(PacketMeshConfig()).sim.activity
+        for kernel in ("soa", "activity", "always"):
+            with pytest.raises(TypeError):
+                NocNetwork(NocConfig.slim(), kernel=kernel)
+            with pytest.raises(TypeError):
+                PacketMesh(PacketMeshConfig(), kernel=kernel)
+
+    def test_mesh_has_two_steppers(self):
+        """The default selects the one production stepper, the oracle
+        switch the per-object ``Router.step`` loop (DESIGN.md §11)."""
+        mesh = PacketMesh(PacketMeshConfig())
+        assert mesh._stepper is not None and mesh.sim.activity
+        mesh = PacketMesh(PacketMeshConfig(), always_step=True)
+        assert mesh._stepper is None and not mesh.sim.activity
+
+
+# ----------------------------------------------------------------------
+# PATRONoC fabric under faults
+# ----------------------------------------------------------------------
+#: Dead link, degraded link, response corruption: every fault path at
+#: once, firing inside the run window.
+NOC_FAULTS = FaultSpec(
+    links=[{"src": 5, "dst": 6, "start": 200, "duration": 400},
+           {"src": 1, "dst": 2, "start": 300, "width_factor": 0.5}],
+    corrupt_rate=0.02, recovery="retransmit")
+
+
+def observe_noc(always_step, seed, faults=None):
+    net = NocNetwork(NocConfig.slim(), always_step=always_step,
+                     faults=faults, fault_seed=seed)
+    traffic = uniform_random(net, load=0.5, max_burst_bytes=1000,
+                             seed=seed).install()
+    net.run(1000)
+    traffic.quiesce()
+    net.drain(max_cycles=200_000)
+    return {
+        "drain_cycle": net.sim.now,
+        "throughput_gib_s": net.aggregate_throughput_gib_s(1000),
+        "transfers_completed": net.transfers_completed(),
+        "total_bytes": net.total_bytes(),
+        "latency": [d.latency_stats.summary() for d in net.dmas
+                    if d is not None],
+        "counters": net.counters.as_dict(),
+        "faults": net.fault_report(),
+    }
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_noc_bit_identical_under_faults(seed):
+    prod = observe_noc(False, seed, faults=NOC_FAULTS)
+    ref = observe_noc(True, seed, faults=NOC_FAULTS)
+    for key in ref:
+        assert prod[key] == ref[key], key
+    assert ref["faults"]["injected"] > 0  # the scenario actually fired
+
+
+def test_noc_fault_report_has_activity():
+    report = observe_noc(False, 1, faults=NOC_FAULTS)["faults"]
+    assert report["injected"] >= 2
+    assert report["detected"] > 0
+
+
+# ----------------------------------------------------------------------
+# Baseline mesh
+# ----------------------------------------------------------------------
+def observe_mesh(always_step, cfgkw, rate, seed, faults=None, cycles=2000):
+    mesh = PacketMesh(PacketMeshConfig(**cfgkw), injection_rate=rate,
+                      seed=seed, always_step=always_step, faults=faults,
+                      fault_seed=seed)
+    mesh.run(cycles)
+    return {
+        "flits_received": mesh.flits_received,
+        "flits_measured": mesh.flits_received_measured,
+        "packets": mesh.packets_received,
+        "offered": mesh.flits_offered,
+        "in_flight": mesh.in_flight(),
+        "routed": sum(r.flits_routed for r in mesh.routers),
+        "latency": mesh.latency.summary(),
+        "faults": mesh.fault_report(),
+    }
+
+
+@pytest.mark.parametrize("cfgkw,rate", [
+    (dict(n_vcs=4, buf_depth=32), 0.3),   # the bench configuration
+    (dict(n_vcs=1, buf_depth=4), 0.8),    # saturated, heavy backpressure
+])
+def test_mesh_bit_identical(cfgkw, rate):
+    for seed in (0, 7):
+        prod = observe_mesh(False, cfgkw, rate, seed)
+        ref = observe_mesh(True, cfgkw, rate, seed)
+        for key in ref:
+            assert prod[key] == ref[key], (seed, key)
+
+
+@pytest.mark.parametrize("recovery", ["none", "reroute"])
+def test_mesh_bit_identical_under_faults(recovery):
+    spec = FaultSpec(links=[{"src": 5, "dst": 6, "start": 300,
+                             "duration": 800},
+                            {"src": 9, "dst": 10, "start": 500,
+                             "width_factor": 0.5}],
+                     recovery=recovery)
+    prod = observe_mesh(False, dict(n_vcs=4, buf_depth=32), 0.3, 3,
+                        faults=spec)
+    ref = observe_mesh(True, dict(n_vcs=4, buf_depth=32), 0.3, 3,
+                       faults=spec)
+    for key in ref:
+        assert prod[key] == ref[key], key
+    assert ref["faults"]["injected"] > 0

@@ -282,6 +282,22 @@ class TestBaselineReplyWatchdog:
         assert f["timeout_recovered"] > 0
         assert mesh.bytes_received == 512  # credited exactly once
 
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_baseline_retry_timeout_bounds_the_watchdog_loop(self, kernel):
+        """The same dead reply path with ``retry_timeout`` shorter than
+        the fault window: once a payload's first issue is more than
+        ``retry_timeout`` cycles ago its orphan is dropped, not retried
+        until the link heals — the rule the AXI DMA applies per burst."""
+        spec = FaultSpec(links=[LinkFault(1, 0, start=50, duration=3000)],
+                         recovery="retransmit", max_retries=8,
+                         response_faults=True, txn_timeout=400,
+                         retry_timeout=500)
+        mesh, nic = _nic_mesh(spec, kernel=kernel)
+        f = mesh.fault_report()
+        assert nic.idle()
+        assert f["timeout_recovered"] == 0
+        assert f["dropped"] > 0
+
     def test_watchdog_identical_across_kernels(self):
         spec = FaultSpec(links=[LinkFault(1, 0, start=50, duration=3000)],
                          recovery="retransmit", max_retries=8,

@@ -26,6 +26,7 @@ from repro.scenarios import (
     sweep,
 )
 from repro.scenarios.run import build_network
+from test_faults import kill_workers_running
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -320,6 +321,44 @@ class TestParallelSweep:
     def test_bad_jobs_rejected(self):
         with pytest.raises(ValueError):
             run_sweep([], jobs=0)
+
+
+class TestPooledSweep:
+    """One pool task per point: a failing or crashing point costs only
+    itself."""
+
+    def _sweep(self):
+        return sweep(Scenario(traffic=TrafficSpec.uniform(0.5, 1000),
+                              measure=FAST),
+                     loads=[0.1, 0.5], seeds=[1, 2, 3])
+
+    def test_pooled_equals_serial(self):
+        """6-point grid: serial and pooled submission (one task per
+        point) produce bit-identical Results in the same order."""
+        serial = run_sweep(self._sweep(), jobs=1)
+        assert run_sweep(self._sweep(), jobs=2) == serial
+
+    def test_failing_point_costs_only_itself(self, capsys):
+        """One raising point costs only itself: the other points
+        complete in the pool, the failure retries serially and is
+        reported as None."""
+        points = self._sweep().points()
+        points[1] = points[1].with_(
+            measure=MeasureSpec(warmup=1000, window=50_000_000,
+                                max_wall_s=0.1))
+        results = run_sweep(points, jobs=2)
+        assert results[1] is None
+        assert all(r is not None for i, r in enumerate(results) if i != 1)
+        assert "failed after one retry" in capsys.readouterr().err
+
+    def test_worker_crash_recovers_every_point(self, monkeypatch):
+        """A worker dying mid-point (BrokenProcessPool) fails every
+        in-flight future, not the sweep: every point recovers via the
+        serial retry."""
+        points = self._sweep().points()
+        clean = run_sweep(points, jobs=1)
+        kill_workers_running(monkeypatch, "seed2")
+        assert run_sweep(points, jobs=2) == clean
 
 
 class TestArtifacts:

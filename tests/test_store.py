@@ -50,7 +50,7 @@ class TestFingerprint:
     def test_stable_and_prefixed(self):
         fp = code_fingerprint()
         assert fp == code_fingerprint()
-        assert fp.startswith(("git:", "src:"))
+        assert fp.startswith("src:")
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_CODE_FINGERPRINT", "test:abc")
