@@ -33,7 +33,7 @@ RECOVERIES = ("none", "retransmit", "reroute")
 #: faults in steady state with the 500-cycle default duration.
 FAULT_RATES = (2e-3, 8e-3)
 
-#: Churn rates for the partial-repair cost sweep (faults/cycle): high
+#: Churn rates for the table-recompute sweep (faults/cycle): high
 #: enough that the up*/down* tables are rebuilt many times per window.
 CHURN_RATES = (4e-3, 1.6e-2)
 
@@ -86,21 +86,15 @@ def run(measure: MeasureSpec | bool | None = None, seed: int = 1,
                     point.faults.get("dropped", 0))
 
     # Transient churn: retention of reroute vs fail-fast under Poisson
-    # link churn, plus the table-repair cost the RouteCache actually
-    # paid (``dijkstra_sources``) against the full-swap baseline
-    # (``retables × n_nodes`` sources).
+    # link churn, and how often the up*/down* tables were recomputed.
     clean, rows = grid(
         UNIFORM, CHURN_RATES[:1] if measure.is_quick else CHURN_RATES,
         ("none", "reroute"))
     sec = result.section(
-        f"transient churn: partial table repair (clean {clean:.2f} GiB/s)",
-        ["churn_rate", "recovery", "retention", "retables",
-         "repaired_sources", "full_swap_sources"])
+        f"transient churn: table recomputes (clean {clean:.2f} GiB/s)",
+        ["churn_rate", "recovery", "retention", "retables"])
     for rate, recovery, point, retention in rows:
-        retables = point.faults.get("retables", 0)
-        sec.add(rate, recovery, retention, retables,
-                point.faults.get("dijkstra_sources", 0),
-                retables * topo.rows * topo.cols)
+        sec.add(rate, recovery, retention, point.faults.get("retables", 0))
 
     # Response-path fault loop: transient dead links also drop B/R
     # beats; the per-transaction watchdog aborts orphans into the
@@ -121,6 +115,6 @@ def run(measure: MeasureSpec | bool | None = None, seed: int = 1,
     result.note("retention = throughput / the same scenario's fault-free "
                 "throughput; rec_p50/p99 = cycles from a lost burst's "
                 "first issue to its clean completion (retransmit)")
-    result.note(f"transient dead links, {500}-cycle duration, Poisson "
-                f"rate per mesh; recovery in {RECOVERIES}")
+    result.note(f"transient dead links, {FaultSpec().link_duration}-cycle "
+                f"duration, Poisson rate per mesh; recovery in {RECOVERIES}")
     return result

@@ -78,7 +78,6 @@ class FaultController(Component):
         self._routers = routers
         self._dest_nodes = dest_nodes
         self._table_sig = None
-        self._route_cache = None
         if routers is not None:
             for router in routers.values():
                 router.fault_stats = stats
@@ -215,11 +214,9 @@ class FaultController(Component):
 
     def _retable(self) -> None:
         """Recompute and install the up*/down* fault tables when the
-        mesh-level liveness picture changed (reroute mode only).  Tables
-        come from a :class:`~repro.noc.reroute.RouteCache`, which repairs
-        only the sources the change can affect (bit-identical to a full
-        swap; its counters feed the churn-cost report)."""
-        from repro.noc.reroute import RouteCache
+        mesh-level liveness picture changed (reroute mode only): one
+        :func:`~repro.noc.reroute.compute_fault_tables` call per change."""
+        from repro.noc.reroute import compute_fault_tables
 
         dead = set()
         degraded = {}
@@ -238,13 +235,10 @@ class FaultController(Component):
             for router in self._routers.values():
                 router.fault_table = None
         else:
-            cache = self._route_cache
-            if cache is None:
-                cache = self._route_cache = RouteCache(self._topology,
-                                                       self._dest_nodes)
-            tables = cache.tables(dead, degraded)
-            self.stats.retables = cache.retables
-            self.stats.dijkstra_sources = cache.dijkstra_sources
+            tables = compute_fault_tables(self._topology, dead, degraded,
+                                          self._dest_nodes)
+            self.stats.retables += 1
+            self.stats.dijkstra_sources += len(tables)
             for node, router in self._routers.items():
                 router.fault_table = tables[node]
         # Heads decoded under the old tables re-route (and crosspoints

@@ -69,9 +69,9 @@ class FaultStats:
         self.timeout_recovered = 0  # orphans clean after a timeout retry
         self.timeout_latency = LatencyStats("timeout")
         self.byzantine = 0          # byzantine beats detected/discarded
-        self.retables = 0           # up*/down* table repair events
-        self.dijkstra_sources = 0   # per-source Dijkstra runs spent on
-        #                             repairs (full swap = n_nodes each)
+        self.retables = 0           # up*/down* table recomputes
+        self.dijkstra_sources = 0   # nodes routed by those recomputes
+        #                             (n_nodes per recompute)
 
     def injected(self) -> int:
         return (self.link_faults + self.port_faults + self.vc_faults

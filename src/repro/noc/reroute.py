@@ -85,29 +85,19 @@ def _is_down(levels, src, dst):
 def _legal_dijkstra(adj, levels, src, start_phase):
     """Shortest legal continuations from ``(src, start_phase)``.
 
-    Returns ``(best, dist, used)``: ``best`` is ``{dest: (dist, phase,
-    first_port)}`` over the (node, phase) doubled graph — from DOWN
-    phase only down edges may be taken; ``dist`` maps every settled
-    ``(node, phase)`` key to its distance; ``used`` is the set of
-    directed ``(u, v)`` edges on the settled shortest-path tree (the
-    edges whose weights the result actually depends on — see
-    :class:`RouteCache`).  Deterministic: ties settle by (node, phase,
-    first_port); the trailing parent fields in the heap tuples only
-    disambiguate entries that are fully equal in those, which settle
-    identically either way.
+    Returns ``{dest: (dist, phase, first_port)}`` over the (node, phase)
+    doubled graph — from DOWN phase only down edges may be taken.
+    Deterministic: ties settle by (node, phase, first_port).
     """
-    dist = {}
+    settled = set()
     best = {}
-    used = set()
-    heap = [(0.0, src, start_phase, -1, -1)]
+    heap = [(0.0, src, start_phase, -1)]
     while heap:
-        d, node, phase, first, parent = heapq.heappop(heap)
+        d, node, phase, first = heapq.heappop(heap)
         key = (node, phase)
-        if key in dist:
+        if key in settled:
             continue
-        dist[key] = d
-        if parent >= 0:
-            used.add((parent, node))
+        settled.add(key)
         cur = best.get(node)
         if cur is None or (d, phase) < (cur[0], cur[1]):
             best[node] = (d, phase, first)
@@ -116,10 +106,10 @@ def _legal_dijkstra(adj, levels, src, start_phase):
             if phase == DOWN and not down:
                 continue
             nb_phase = DOWN if down else UP
-            if (nb, nb_phase) not in dist:
+            if (nb, nb_phase) not in settled:
                 heapq.heappush(heap, (d + w, nb, nb_phase,
-                                      port if first < 0 else first, node))
-    return best, dist, used
+                                      port if first < 0 else first))
+    return best
 
 
 def compute_fault_tables(topology, dead, degraded, dest_nodes):
@@ -152,28 +142,16 @@ def compute_fault_tables(topology, dead, degraded, dest_nodes):
     down_in = _down_in_ports(topology, levels, dead)
     tables = {}
     for node in range(n):
-        up_tbl, down_tbl, _dists, _used = _source_tables(
-            adj, levels, node, dest_nodes)
+        up_tbl = {}
+        down_tbl = {}
+        if levels[node] >= 0:
+            for phase, tbl in ((UP, up_tbl), (DOWN, down_tbl)):
+                best = _legal_dijkstra(adj, levels, node, phase)
+                for dest, (_d, _ph, port) in best.items():
+                    if dest != node and dest in dest_nodes:
+                        tbl[dest] = port
         tables[node] = (up_tbl, down_tbl, down_in[node])
     return tables
-
-
-def _source_tables(adj, levels, node, dest_nodes):
-    """One node's up/down tables plus the Dijkstra traces the cache
-    needs: ``(up_tbl, down_tbl, {phase: dist}, used_edges)``."""
-    up_tbl = {}
-    down_tbl = {}
-    dists = {UP: {}, DOWN: {}}
-    used = set()
-    if levels[node] >= 0:
-        for phase, tbl in ((UP, up_tbl), (DOWN, down_tbl)):
-            best, dist, used_p = _legal_dijkstra(adj, levels, node, phase)
-            for dest, (_d, _ph, port) in best.items():
-                if dest != node and dest in dest_nodes:
-                    tbl[dest] = port
-            dists[phase] = dist
-            used |= used_p
-    return up_tbl, down_tbl, dists, used
 
 
 def _down_in_ports(topology, levels, dead):
@@ -187,118 +165,3 @@ def _down_in_ports(topology, levels, dead):
                 and _is_down(levels, src, dst)):
             out[dst].add(in_port)
     return [frozenset(s) for s in out]
-
-
-class RouteCache:
-    """Churn-resilient up*/down* table repair (DESIGN.md §10).
-
-    :func:`compute_fault_tables` reruns every source's Dijkstra on each
-    dead/degraded-set change — ``2 × n_nodes`` runs per event, even for
-    a fault on the far side of the mesh.  The cache repairs instead: it
-    keeps each source's settled distance maps and shortest-path-tree
-    edges and, when the surviving adjacency changes, recomputes only the
-    sources the change can actually affect:
-
-    * BFS levels changed → the up/down orientation moved somewhere, so
-      every table is suspect: full rebuild.
-    * an edge got worse (heavier or removed) → only sources whose
-      settled tree *used* that edge can change;
-    * an edge got better (lighter or added) → only sources where a
-      legal phase assignment satisfies ``dist[u] + w <= dist[v]``
-      (``<=`` so a new tie, which could flip a deterministic
-      tie-break, also invalidates).
-
-    Untouched sources reuse their cached table dicts verbatim, so the
-    steady-state result is bit-identical to a full swap (the test suite
-    asserts dict equality against :func:`compute_fault_tables` across
-    churn sequences).  ``retables`` / ``dijkstra_sources`` count repair
-    events and per-source recomputes — the cost metric the resilience
-    churn sweep reports against the ``n_nodes``-per-event full-swap
-    baseline.
-    """
-
-    def __init__(self, topology, dest_nodes):
-        self.topology = topology
-        self.dest_nodes = frozenset(dest_nodes)
-        self.retables = 0
-        self.dijkstra_sources = 0
-        self._levels = None
-        self._edges: dict[tuple[int, int], float] = {}
-        self._up: list = []
-        self._down: list = []
-        self._dists: list = []
-        self._used: list = []
-
-    def tables(self, dead, degraded):
-        """Tables for the given fault state, repairing incrementally
-        from the previously requested state.  Same signature semantics
-        and bit-identical output as :func:`compute_fault_tables`."""
-        topo = self.topology
-        n = topo.n_nodes
-        adj = _surviving_adjacency(topo, dead, degraded)
-        levels = _bfs_levels(adj, n)
-        edges = {(u, v): w for u, nbrs in enumerate(adj)
-                 for _p, v, w in nbrs}
-        if levels != self._levels:
-            invalid = list(range(n))
-            self._up = [None] * n
-            self._down = [None] * n
-            self._dists = [None] * n
-            self._used = [None] * n
-        else:
-            invalid = sorted(self._invalidated(levels, edges))
-        if invalid:
-            self.retables += 1
-            self.dijkstra_sources += len(invalid)
-            for node in invalid:
-                up_tbl, down_tbl, dists, used = _source_tables(
-                    adj, levels, node, self.dest_nodes)
-                self._up[node] = up_tbl
-                self._down[node] = down_tbl
-                self._dists[node] = dists
-                self._used[node] = used
-        self._levels = levels
-        self._edges = edges
-        down_in = _down_in_ports(topo, levels, dead)
-        return {node: (self._up[node], self._down[node], down_in[node])
-                for node in range(n)}
-
-    def _invalidated(self, levels, edges) -> set[int]:
-        """Sources whose cached tables the adjacency diff may touch."""
-        inf = float("inf")
-        worse: list[tuple[tuple[int, int], float]] = []
-        better: list[tuple[tuple[int, int], float]] = []
-        old = self._edges
-        for key, w in edges.items():
-            w0 = old.get(key, inf)
-            if w > w0:
-                worse.append((key, w))
-            elif w < w0:
-                better.append((key, w))
-        for key in old:
-            if key not in edges:
-                worse.append((key, inf))
-        invalid: set[int] = set()
-        n = len(levels)
-        for (u, v), _w in worse:
-            for node in range(n):
-                if node not in invalid and (u, v) in self._used[node]:
-                    invalid.add(node)
-        for (u, v), w in better:
-            down = _is_down(levels, u, v)
-            pairs = ((UP, DOWN), (DOWN, DOWN)) if down else ((UP, UP),)
-            for node in range(n):
-                if node in invalid:
-                    continue
-                for dist in self._dists[node].values():
-                    hit = False
-                    for pu, pv in pairs:
-                        du = dist.get((u, pu))
-                        if du is not None and du + w <= dist.get((v, pv),
-                                                                 inf):
-                            hit = True
-                            break
-                    if hit:
-                        invalid.add(node)
-                        break
-        return invalid

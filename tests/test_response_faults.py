@@ -2,7 +2,7 @@
 reply packets die on dead links like requests do, per-transaction
 watchdogs abort the resulting orphans into retransmission, stuck VCs
 pin baseline router slots, byzantine beats are detected (not crashed
-on), and up*/down* churn repairs tables incrementally.
+on), and the up*/down* tables follow every mesh-liveness change.
 
 The adversarial core: a *dead response path* used to hang the drain
 loop forever (the simplification these tests retire).  Every test here
@@ -15,12 +15,12 @@ import pytest
 from repro.axi.transaction import Transfer
 from repro.baseline.network import PacketMesh, PacketMeshConfig
 from repro.baseline.nic import PacketNic
-from repro.faults import FaultSpec, LinkFault
+from repro.faults import FaultSpec, LinkFault, PortFault
 from repro.faults.spec import StuckVcFault
 from repro.noc.config import NocConfig
 from repro.noc.network import NocNetwork
-from repro.noc.reroute import RouteCache, compute_fault_tables
-from repro.noc.topology import Mesh2D
+from repro.noc.reroute import compute_fault_tables
+from repro.noc.topology import MESH_PORTS
 from repro.traffic.uniform import uniform_random
 
 #: Both fabrics: the production path (default) and the ``always_step``
@@ -223,6 +223,30 @@ def test_hot_spot_response_outliving_the_zombie_grace_is_absorbed(
     net.drain(max_cycles=200_000)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="open defect: the DMA's R sink sees a beat for an "
+                          "id it no longer tracks (retransmit + "
+                          "response_faults + txn_timeout, 50 % reads)")
+@pytest.mark.parametrize("seed", [1, 3])
+def test_retransmit_with_response_faults_keeps_every_r_beat_known(seed):
+    """Reproducer for ``tileN.dma: R beat for unknown id K``: the
+    benchmark's armed AXI point (links 5<->6 dead over [2500, 5500),
+    corruption, retransmission, lost responses under a 900-cycle
+    watchdog) with half its bursts reads.  It raises near cycle 7 000 on
+    seed 1 and 7 900 on seed 3, under either scheduler and without the
+    corruption too; the benchmark point is writes-only, so no digest
+    covers it."""
+    dead = [LinkFault(src, dst, start=2500, duration=3000)
+            for src, dst in ((5, 6), (6, 5))]
+    spec = FaultSpec(links=dead, corrupt_rate=2e-4, txn_timeout=900,
+                     recovery="retransmit", response_faults=True)
+    net = NocNetwork(NocConfig.slim(), faults=spec, fault_seed=seed)
+    uniform_random(net, load=1.0, max_burst_bytes=1000, read_fraction=0.5,
+                   seed=seed).install()
+    while net.sim.now < 10_000:
+        net.run(100)
+
+
 class TestByzantine:
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_high_rate_never_crashes(self, kernel):
@@ -370,56 +394,69 @@ class TestStuckVc:
 
 
 # ----------------------------------------------------------------------
-# Churn repair: RouteCache is bit-identical to full swaps, and cheaper
+# Reroute tables: one recompute per mesh-liveness change
 # ----------------------------------------------------------------------
-class TestRouteCacheChurn:
-    def _churn_sequence(self, topo):
-        """A realistic fault churn: links die, degrade, heal, die again
-        — expressed as (dead set, degraded map) states."""
-        links = list(topo.directed_links())
-        # Undirected pairs as ((src, port), (dst, in_port)).
-        a = (links[3][0], links[3][1]), (links[3][2], links[3][3])
-        b = (links[10][0], links[10][1]), (links[10][2], links[10][3])
-        c = (links[17][0], links[17][1])
-        states = [
-            (set(), {}),
-            ({a[0], a[1]}, {}),                       # link a dies
-            ({a[0], a[1], b[0], b[1]}, {}),           # link b dies too
-            ({a[0], a[1], b[0], b[1]}, {c: 0.5}),     # link c degrades
-            ({b[0], b[1]}, {c: 0.5}),                 # link a heals
-            ({b[0], b[1]}, {}),                       # link c heals
-            (set(), {}),                              # all clear
-            ({a[0], a[1]}, {}),                       # a dies again
-        ]
-        return states
+CHURN = FaultSpec(link_rate=4e-3, link_duration=300, recovery="reroute")
 
-    def test_repair_matches_full_swap_exactly(self):
-        topo = Mesh2D(4, 4)
-        dests = frozenset(range(topo.n_nodes))
-        cache = RouteCache(topo, dests)
-        for dead, degraded in self._churn_sequence(topo):
-            repaired = cache.tables(dead, degraded)
-            full = compute_fault_tables(topo, dead, degraded, dests)
-            assert repaired == full
 
-    def test_repair_is_cheaper_than_full_swaps(self):
-        """Across the churn sequence, incremental repair runs fewer
-        per-source Dijkstras than the retable-count times n_nodes a
-        full-swap policy would spend."""
-        topo = Mesh2D(4, 4)
-        cache = RouteCache(topo, frozenset(range(topo.n_nodes)))
-        for dead, degraded in self._churn_sequence(topo):
-            cache.tables(dead, degraded)
-        assert cache.retables > 0
-        assert cache.dijkstra_sources < cache.retables * topo.n_nodes
-
-    def test_scenario_churn_reports_repair_cost(self):
-        """End-to-end: a Poisson-churn reroute run reports retables and
-        dijkstra_sources in its fault section, with the repair saving
-        visible against the n_nodes-per-retable full-swap cost."""
-        spec = FaultSpec(link_rate=4e-3, link_duration=300,
+class TestRerouteTables:
+    def test_installed_tables_follow_every_liveness_change(self):
+        """After every fault event the controller applies, each router
+        holds exactly the tables ``compute_fault_tables`` gives for the
+        mesh faults then in force, and none once the mesh is healthy.  A
+        local-port fault overlaps the churn: it changes no mesh
+        liveness, so the controller keeps the tables it has."""
+        spec = FaultSpec(link_rate=CHURN.link_rate,
+                         link_duration=CHURN.link_duration,
+                         ports=[PortFault(5, MESH_PORTS, start=700,
+                                          duration=600)],
                          recovery="reroute")
-        net = _run_axi(spec, load=0.4, cycles=2000)
+        net = NocNetwork(NocConfig.slim(), faults=spec, fault_seed=7)
+        ctrl = net._fault_controller
+        apply = ctrl._apply
+        seen = {"state": (set(), {}), "recomputes": 0, "clear": 0,
+                "unchanged": 0}
+
+        def checked(events):
+            apply(events)
+            dead, degraded = set(), {}
+            for key, width in ctrl._port_faults.unhealthy():
+                if key[1] < MESH_PORTS:
+                    if width == 0.0:
+                        dead.add(key)
+                    else:
+                        degraded[key] = width
+            tables = {node: router.fault_table
+                      for node, router in ctrl._routers.items()}
+            if dead or degraded:
+                assert tables == compute_fault_tables(
+                    net.topology, dead, degraded, ctrl._dest_nodes)
+            else:
+                assert set(tables.values()) == {None}
+            state = (dead, degraded)
+            if state == seen["state"]:
+                seen["unchanged"] += 1
+            elif dead or degraded:
+                seen["recomputes"] += 1
+            else:
+                seen["clear"] += 1
+            seen["state"] = state
+
+        ctrl._apply = checked
+        traffic = uniform_random(net, load=0.4, max_burst_bytes=1000,
+                                 seed=7).install()
+        net.run(2000)
+        traffic.quiesce()
+        net.drain(max_cycles=200_000)
+        f = net.fault_report()
+        assert seen["recomputes"] > 0 and seen["clear"] > 0
+        assert seen["unchanged"] > 0
+        assert f["retables"] == seen["recomputes"]
+
+    def test_scenario_churn_recomputes_every_table(self):
+        """End-to-end: a Poisson-churn reroute run reports its table
+        recomputes, each one routing all 16 nodes of the slim mesh."""
+        net = _run_axi(CHURN, load=0.4, cycles=2000)
         f = net.fault_report()
         assert f["retables"] > 0
-        assert 0 < f["dijkstra_sources"] <= f["retables"] * 16
+        assert f["dijkstra_sources"] == f["retables"] * 16
