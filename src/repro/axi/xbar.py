@@ -209,6 +209,10 @@ class AxiCrossbar(Component):
         #: crossbar, step() replays the call's outcome instead of making
         #: it (DESIGN.md §5); None otherwise.
         self._ar_memo: tuple | None = None
+        #: Open R trains through this crossbar (``noc/trains.py``):
+        #: ingress -> (egress, train).  A read from that ingress toward
+        #: another egress cuts the train, see :meth:`_cut_r_train`.
+        self._r_trains: dict[int, tuple] = {}
 
         #: Egresses currently killed by fault injection (DESIGN.md §10):
         #: requests decoding to one are terminated with SLVERR through
@@ -646,6 +650,8 @@ class AxiCrossbar(Component):
                 if not order:
                     self._w_busy.append(j)
                 order.append([i, beat.beats])
+            elif self._r_trains:
+                self._cut_r_train(now, i, j)
             d.ptr[j] = i + 1 if i + 1 < self.n_in else 0
         if not write:
             self._ar_memo = self._remember_ar(occupied) if futile else None
@@ -689,8 +695,21 @@ class AxiCrossbar(Component):
         else:
             d.err[i].append([beat.id, beat.beats, resp])
             self._err_pending += 1
+            if self._r_trains:
+                self._cut_r_train(now, i, ERROR_PORT)
         self.counters.bump(d.unmapped if resp is Resp.DECERR
                            else d.fault_blocked)
+
+    def _cut_r_train(self, now: int, i: int, j: int) -> None:
+        """A read from ingress ``i`` has just started toward egress ``j``
+        (ERROR_PORT: terminated here).  If an R train holds the ingress
+        through another egress, its response could compete with the
+        train's beats for the ingress — at this crossbar's step of the
+        next cycle at the earliest, an error beat — so the train ends
+        this cycle, at its memory's step (DESIGN.md §7)."""
+        held = self._r_trains.get(i)
+        if held is not None and held[0] != j:
+            held[1].cut(now)
 
     def _pick_mask(self, mask: int, ptr: int) -> int:
         """Arbitrate among the requesting ingresses in ``mask``: the

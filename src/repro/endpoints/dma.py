@@ -39,9 +39,10 @@ from repro.sim.fifo import full_fifos
 from repro.sim.kernel import BLOCKED, Component
 from repro.sim.stats import CounterSet, LatencyStats, ThroughputMeter
 
-#: Fewest middle beats still to push that make a W stream worth probing
-#: for a train (``noc/trains.py``, which owns the rest of the policy).
-_MIN_TRAIN_BEATS = 16
+#: Fewest middle beats still to push that make a W or R stream worth
+#: probing for a train (``noc/trains.py``, which owns the rest of the
+#: policy).
+MIN_TRAIN_BEATS = 16
 _NEVER = 1 << 62  # a cycle no run reaches
 
 #: Flag bits for outstanding-entry index 6 (transaction-lifetime state).
@@ -297,7 +298,7 @@ class DmaEngine(Component):
                 held = True
             elif (now >= self._probe_at
                   and (self._frozen_until >= 0 or stream.beats
-                       - stream.issued > _MIN_TRAIN_BEATS)
+                       - stream.issued > MIN_TRAIN_BEATS)
                   and self._train.holds(stream, now)):
                 # The stream's middle beats ride a train, frozen on this
                 # cycle or an earlier one (its FIFOs read empty): nothing

@@ -17,6 +17,7 @@ from functools import partial
 from repro.axi.beats import BBeat, BeatStream, RBeat
 from repro.axi.link import AxiLink
 from repro.axi.types import Resp
+from repro.endpoints.dma import MIN_TRAIN_BEATS
 from repro.sim.fifo import full_fifos
 from repro.sim.kernel import BLOCKED, Component
 from repro.sim.stats import ThroughputMeter
@@ -60,6 +61,16 @@ class MemorySlave(Component):
         self._w_expect: deque[list] = deque()
         self._b_queue: deque[tuple] = deque()  # (ready_at, id, resp)
         self._r_jobs: deque[tuple] = deque()  # (ready_at, id, BeatStream)
+        #: R trains (DESIGN.md §7 "A burst is a run"), wired by
+        #: ``NocNetwork`` under the activity scheduler on unarmed
+        #: networks only: the :class:`~repro.noc.trains.RTrain` of this
+        #: memory, the cycle from which it may look at the head R job
+        #: (never, unless wired), and — while the job's middle beats
+        #: ride a frozen train — the cycle its next beat is pushed on
+        #: (-1: none open).
+        self._train = None
+        self._probe_at = _NEVER
+        self._frozen_until = -1
 
     @property
     def bytes_written(self) -> int:
@@ -87,10 +98,12 @@ class MemorySlave(Component):
         return True
 
     def next_event(self, now: int) -> int | None:
-        """The earliest response head still to come due.  One already
-        due sits behind a full channel and waits for a pop, not a
-        cycle."""
-        wake = None
+        """The earliest response head still to come due, or the cycle
+        an open R train ends on.  A head already due sits behind a full
+        channel and waits for a pop, not a cycle."""
+        wake = self._frozen_until
+        if wake <= now:
+            wake = None
         for queue in (self._b_queue, self._r_jobs):
             if queue:
                 due = queue[0][0]
@@ -99,12 +112,15 @@ class MemorySlave(Component):
         return wake
 
     def blocked_on(self) -> str:
-        """The full response FIFOs of this memory's link, and the W data
-        it waits for."""
+        """The full response FIFOs of this memory's link, the W data it
+        waits for, and the R train its head job rides."""
         link = self.link
         data = (f"W data of {len(self._w_expect)} open bursts"
                 if self._w_expect else "")
-        return "; ".join(filter(None, (full_fifos((link.b, link.r)), data)))
+        train = (f"R train until {self._frozen_until}"
+                 if self._frozen_until >= 0 else "")
+        return "; ".join(filter(None, (
+            full_fifos((link.b, link.r)), data, train)))
 
     # ------------------------------------------------------------------
     # The inline ``_q`` reads below mirror the crossbar hot path: this
@@ -214,13 +230,20 @@ class MemorySlave(Component):
                 moved = True
                 _, bid, resp = b_queue.popleft()
                 b.push(BBeat(bid, resp), now)
-        # Emit one R beat per cycle (jobs served strictly in order).
+        # Emit one R beat per cycle (jobs served strictly in order),
+        # unless the head job's middle beats ride a train, frozen on
+        # this cycle or an earlier one (nothing to push until the cycle
+        # it ends on, which puts the path back first).
         r_jobs = self._r_jobs
         if r_jobs and r_jobs[0][0] <= now:
             r = link.r
-            if len(r._q) < r.capacity:
+            _, rid, stream = r_jobs[0]
+            if len(r._q) < r.capacity and not (
+                    now >= self._probe_at
+                    and (self._frozen_until >= 0 or stream.beats
+                         - stream.issued > MIN_TRAIN_BEATS)
+                    and self._train.holds(stream, now)):
                 moved = True
-                _, rid, stream = r_jobs[0]
                 r.push(stream.next_beat(), now)
                 if stream.issued >= stream.beats:
                     r_jobs.popleft()

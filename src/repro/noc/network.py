@@ -22,7 +22,7 @@ from repro.faults.runtime import (CorruptionModel, FaultStats, FaultTimeline,
 from repro.noc.config import NocConfig
 from repro.noc.routing import ComputedRouter, TableRouter, generate_route_tables
 from repro.noc.topology import LOCAL_PORT_BASE, Mesh2D
-from repro.noc.trains import WTrain
+from repro.noc.trains import RTrain, WTrain
 from repro.noc.xp import build_crosspoint
 from repro.sim.kernel import Simulator
 from repro.sim.stats import GIB, CounterSet, LatencyStats, ThroughputMeter
@@ -104,10 +104,11 @@ class NocNetwork:
         (DESIGN.md §2).  Results are identical; the golden-equivalence
         tests rely on this switch.  The oracle is strictly per beat;
         the activity scheduler also skips *predictable* cycles: a
-        write burst whose W data streams over a path it owns is frozen
+        burst whose W or R data streams over a path it owns is frozen
         as a train and charged arithmetically (``noc/trains.py``,
-        DESIGN.md §7) — on armed networks too, unless ``faults`` can
-        degrade a link.
+        DESIGN.md §7) — W bursts on armed networks too, unless
+        ``faults`` can degrade a link; R bursts only where no fault is
+        armed.
     faults / fault_seed:
         Optional :class:`~repro.faults.FaultSpec` and the seed its
         deterministic fault events derive from (DESIGN.md §10).  An
@@ -315,20 +316,28 @@ class NocNetwork:
                 self.sim.add(built.dma)
             if built.memory is not None:
                 self.sim.add(built.memory)
-        # W trains (DESIGN.md §7): the activity scheduler skips the
-        # predictable cycles of a burst that owns its path.  Not where a
-        # link can be degraded: the controller re-times W heads there.
-        # Every other fault acts at admission, on decoded heads or on
-        # B/R beats, and leaves a locked W path alone.
+        # Trains (DESIGN.md §7): the activity scheduler skips the
+        # predictable cycles of a burst that owns its path.  W trains
+        # not where a link can be degraded: the controller re-times W
+        # heads there.  Every other fault acts at admission, on decoded
+        # heads or on B/R beats, and leaves a locked W path alone — but
+        # not an R path, so R trains only where no fault is armed.
         degradable = faults is not None and any(
             lf.width_factor > 0 for lf in faults.links)
         self._trains: list[WTrain] = []
+        self._r_trains: list[RTrain] = []
         if not always_step and not degradable:
             ingress = {link.w: i for xp in self.xps
                        for i, link in enumerate(xp.in_links)
                        if link is not None}
             self._trains = [WTrain(dma, ingress) for dma in self.dmas
                             if dma is not None]
+        if not always_step and self._fault_controller is None:
+            egress = {link.r: j for xp in self.xps
+                      for j, link in enumerate(xp.out_links)
+                      if link is not None}
+            self._r_trains = [RTrain(mem, egress) for mem in self.memories
+                              if mem is not None]
 
     # ------------------------------------------------------------------
     # addressing helpers
@@ -418,7 +427,7 @@ class NocNetwork:
     # execution
     # ------------------------------------------------------------------
     def run(self, cycles: int, until=None) -> int:
-        """Advance by up to ``cycles``; on return no W train is open and
+        """Advance by up to ``cycles``; on return no train is open and
         every stall interval is charged, so everything a caller can read
         equals the per-beat oracle's.  A bare ``net.sim.run()`` skips
         that: counters lag by the open stall intervals, and the beats of
@@ -429,13 +438,13 @@ class NocNetwork:
         return now
 
     def _settle(self) -> None:
-        """End every open W train where it stands (no train outlives the
-        call that started it), then charge the open stalls: a DMA asleep
-        in an ID/MOT stall charges it when it next steps (DESIGN.md §7
-        "Stalls are intervals"), and whoever reads ``counters`` after a
-        run must find the cycles so far on them."""
+        """End every open W and R train where it stands (no train
+        outlives the call that started it), then charge the open
+        stalls: a DMA asleep in an ID/MOT stall charges it when it next
+        steps (DESIGN.md §7 "Stalls are intervals"), and whoever reads
+        ``counters`` after a run must find the cycles so far on them."""
         now = self.sim.now
-        for train in self._trains:
+        for train in self._trains + self._r_trains:
             train.end(now)
         for dma in self.dmas:
             if dma is not None:
@@ -444,13 +453,16 @@ class NocNetwork:
     def kernel_stats(self) -> dict:
         """What the scheduler did, for tests and reports — not part of
         any Result: ``step()`` calls made, cycles jumped in quiet gaps,
-        W trains frozen, beats they carried, probes taken."""
-        trains = self._trains
+        W and R trains frozen and the beats they carried, probes taken
+        in both directions."""
+        w, r = self._trains, self._r_trains
         return dict(steps=self.sim.steps,
                     cycles_skipped=self.sim.cycles_skipped,
-                    trains=sum(t.trains for t in trains),
-                    train_beats=sum(t.beats for t in trains),
-                    train_probes=sum(t.probes for t in trains))
+                    trains=sum(t.trains for t in w),
+                    train_beats=sum(t.beats for t in w),
+                    r_trains=sum(t.trains for t in r),
+                    r_train_beats=sum(t.beats for t in r),
+                    train_probes=sum(t.probes for t in w + r))
 
     def idle(self) -> bool:
         """True when no transaction is anywhere in flight."""

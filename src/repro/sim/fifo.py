@@ -163,7 +163,7 @@ class TimedFifo:
 
     def freeze(self) -> list[tuple[int, Any]]:
         """Take every entry out, as ``(ready_at, item)`` pairs, and leave
-        the counters alone: a W train (``noc/trains.py``) holds the
+        the counters alone: a W or R train (``noc/trains.py``) holds the
         pipeline's contents while it charges the beats arithmetically."""
         q = self._q
         entries = list(q)

@@ -36,7 +36,7 @@ class ThroughputMeter:
     def add(self, nbytes: int, now: int, n: int = 1) -> None:
         """Record ``nbytes`` of payload delivered at cycle ``now`` — or,
         with ``n``, on each of the ``n`` cycles ``now .. now + n - 1``
-        (a W train's run of beats)."""
+        (a train's run of beats)."""
         self.bytes_total += nbytes * n
         if now >= self.warmup_cycles:
             self.bytes_measured += nbytes * n

@@ -204,7 +204,7 @@ class TestProducerWake:
 
 
 class TestFreezeThaw:
-    """What a W train does to each FIFO of its path (``noc/trains.py``)."""
+    """What a train does to each FIFO of its path (``noc/trains.py``)."""
 
     def test_freeze_then_thaw_moves_the_contents_d_cycles_on(self):
         from repro.sim.kernel import Component, Simulator

@@ -208,14 +208,15 @@ def test_axi_activity_scheduler_matches_always_step(case):
 
 
 # ----------------------------------------------------------------------
-# W trains: the one optimisation the always-step oracle cannot share
+# Trains: the one optimisation the always-step oracle cannot share
 # ----------------------------------------------------------------------
 @st.composite
 def train_cases(draw):
     """Points cut into ``run()`` segments, so that the boundaries fall
-    inside open trains.  About half are armed (a dead link or a
-    corruption stream drawn) with every fault kind but a degraded link,
-    which keeps a network per beat."""
+    inside open trains, from writes only to reads only.  About half are
+    armed (a dead link or a corruption stream drawn) with every fault
+    kind but a degraded link, which keeps W per beat; an armed network
+    keeps R per beat anyway."""
     rows, cols = draw(st.integers(2, 4)), draw(st.integers(2, 4))
     case = dict(
         rows=rows, cols=cols, wide=draw(st.booleans()),
@@ -225,7 +226,7 @@ def train_cases(draw):
         traffic=dict(
             load=draw(st.sampled_from([0.1, 0.5, 1.0])),
             max_burst_bytes=draw(st.sampled_from([100, 1000, 64000])),
-            read_fraction=draw(st.sampled_from([0.0, 0.3, 0.5]))),
+            read_fraction=draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))),
         seed=draw(st.integers(0, 2 ** 31 - 1)),
         warmup=draw(st.integers(0, 500)),
         segments=draw(st.lists(st.integers(50, 700), min_size=1,
@@ -252,8 +253,9 @@ def _train_network(case, always_step):
 
 def network_state(net):
     """Everything a caller can read off a network between two ``run()``
-    calls that a W train touches: the clock, the meters, every channel
-    counter of every link, the W FIFO contents, the protocol counters."""
+    calls that a train touches: the clock, the meters, every channel
+    counter of every link, the W and R FIFO contents, the bytes each
+    memory took and each DMA read, the protocol counters."""
     return {
         "now": net.sim.now,
         "measured_bytes": net.measured_bytes(),
@@ -263,18 +265,21 @@ def network_state(net):
                      for link in net.links],
         "w_fifos": [[(stamp, beat.last, beat.nbytes)
                      for stamp, beat in link.w._q] for link in net.links],
+        "r_fifos": [[(stamp, beat.id, beat.last, beat.nbytes, beat.resp)
+                     for stamp, beat in link.r._q] for link in net.links],
         "bytes_written": [m.bytes_written for m in net.memories],
+        "bytes_read": [d.bytes_read for d in net.dmas],
         "counters": net.counters.as_dict(),
     }
 
 
 @budget(50)
 @given(case=train_cases())
-def test_w_trains_match_per_beat_oracle(case):
+def test_trains_match_per_beat_oracle(case):
     """Whatever the mesh, width, hop latency, MOT, load, cap, read share,
     warm-up and fault mix: after every ``run()`` segment, and after the
-    drain, the network that moved its long W bursts as trains reads
-    exactly like the always-step network that moved every beat."""
+    drain, the network that moved its long W and R bursts as trains
+    reads exactly like the always-step network that moved every beat."""
     net, traffic = _train_network(case, always_step=False)
     ref, ref_traffic = _train_network(case, always_step=True)
     for cycles in case["segments"]:
@@ -293,9 +298,13 @@ def test_w_trains_match_per_beat_oracle(case):
     assert net.fault_report() == ref.fault_report()
     assert ([d.latency_stats.summary() for d in net.dmas]
             == [d.latency_stats.summary() for d in ref.dmas])
-    assert ref.kernel_stats()["trains"] == 0
+    stats = net.kernel_stats()
+    assert ref.kernel_stats()["trains"] == ref.kernel_stats()["r_trains"] == 0
+    if net.fault_stats:
+        assert stats["r_trains"] == 0  # an armed network keeps R per beat
     event(("armed, " if net.fault_stats else "clean, ")
-          + ("trained" if net.kernel_stats()["trains"] else "no train fired"))
+          + ("W trained" if stats["trains"] else "no W train") + ", "
+          + ("R trained" if stats["r_trains"] else "no R train"))
 
 
 # ----------------------------------------------------------------------

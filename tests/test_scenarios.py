@@ -472,10 +472,12 @@ class TestSpecFiles:
 
 
 class TestFigureGoldens:
-    """The scenario refactor must not change any figure output: compare
-    against goldens captured from the pre-refactor runner at seed=1."""
+    """No refactor or speed-up may change any figure output: compare
+    against goldens captured at seed=1 — fig4 and fig6 from the
+    pre-scenario-API runner, fig8 (all six DNN bars) from the per-beat
+    read path before R trains."""
 
-    @pytest.mark.parametrize("exp_id", ["fig4", "fig6"])
+    @pytest.mark.parametrize("exp_id", ["fig4", "fig6", "fig8"])
     def test_quick_output_is_pinned(self, exp_id, figure_store):
         from repro.eval.experiments import run_experiment
         from repro.eval.report import render_text
@@ -484,6 +486,6 @@ class TestFigureGoldens:
                                           store=figure_store))
         golden = (GOLDEN_DIR / f"{exp_id}_quick.txt").read_text()
         assert text == golden, (
-            f"{exp_id} --quick output drifted from the pre-scenario-API "
-            f"golden; if the change is intentional, regenerate "
+            f"{exp_id} --quick output drifted from its golden; if the "
+            f"change is intentional, regenerate "
             f"tests/golden/{exp_id}_quick.txt")
