@@ -19,17 +19,11 @@ class FlitKind(IntEnum):
 class Packet:
     """One serialised network packet (the baseline's unit of transfer).
 
-    The trailing slots are fault-injection state (DESIGN.md §10):
-    ``corrupt`` marks in-flight payload corruption (detected at
-    ejection), ``attempt`` counts retransmissions of this payload,
-    ``origin`` is the cycle the *first* attempt was created (recovery
-    latency is measured from it), and ``token`` identifies the payload
-    across attempts for the NIC's reply watchdog (the first attempt's
-    pid; None outside NIC response-fault mode).
+    ``corrupt`` is fault-injection state (DESIGN.md §10): in-flight
+    payload corruption, detected at ejection.
     """
 
-    __slots__ = ("src", "dst", "length", "created", "pid",
-                 "corrupt", "attempt", "origin", "token")
+    __slots__ = ("src", "dst", "length", "created", "pid", "corrupt")
 
     def __init__(self, src: int, dst: int, length: int, created: int,
                  pid: int):
@@ -41,9 +35,6 @@ class Packet:
         self.created = created
         self.pid = pid
         self.corrupt = False
-        self.attempt = 0
-        self.origin = created
-        self.token = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"Packet(pid={self.pid}, {self.src}->{self.dst}, "

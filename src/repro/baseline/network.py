@@ -119,14 +119,9 @@ class PacketMesh(Component):
         self._deg_ports: dict[int, dict[int, float]] = {}
         #: One corruption model per destination node (corrupt_rate > 0).
         self._corruption: list[CorruptionModel] | None = None
-        self._nics: dict[int, object] = {}
         self.packets_dropped = 0
         #: Stuck-VC faults: node -> {fault_id: (in_port, vc)}.
         self._stuck_entries: dict[int, dict[int, tuple[int, int]]] = {}
-        #: NIC reply-watchdog mode (response_faults): payload tokens
-        #: already credited (a resent copy whose first delivery lost
-        #: only its reply must not double-count).
-        self._delivered: set[int] = set()
         if self._faults is not None:
             spec = self._faults
             spec.check("baseline")
@@ -227,30 +222,10 @@ class PacketMesh(Component):
             self.latency.add(now - packet.created)
             nbytes = self._payloads.pop(packet.pid, 0)
             if packet.corrupt:
-                # Detected at the receiving endpoint: payload is never
-                # credited; retransmit end-to-end if the policy allows.
-                self._recover_or_drop(packet, nbytes, now)
+                # Detected at the receiving endpoint: the payload is
+                # never credited and nothing resends it.
+                self._recovery.drop()
                 return
-            if packet.token is not None:
-                # NIC reply-watchdog mode: credit each payload once
-                # (a resent copy whose first delivery lost only its
-                # reply is a duplicate) and deliver the instant reply
-                # over the reverse path — lost if any hop is dead,
-                # leaving the source NIC's watchdog to recover.
-                if packet.token not in self._delivered:
-                    self._delivered.add(packet.token)
-                    if nbytes:
-                        self.bytes_received += nbytes
-                        if now >= self.warmup:
-                            self.bytes_received_measured += nbytes
-                if self._ack_path_alive(packet.dst, packet.src):
-                    nic = self._nics.get(packet.src)
-                    if nic is not None:
-                        nic.confirm(packet.token, now)
-                return
-            if self._recovery is not None:
-                self._recovery.recovered(packet.attempt, packet.origin, now,
-                                         False)
             if nbytes:
                 self.bytes_received += nbytes
                 if now >= self.warmup:
@@ -258,44 +233,12 @@ class PacketMesh(Component):
 
     def _drop(self, flit: Flit, now: int) -> None:
         """Router drop callback (dead-link losses): keep the in-network
-        count exact; on the head, account the packet and retransmit."""
+        count exact; on the head, count the packet dropped."""
         self._flits_in_network -= 1
         if flit.seq == 0:
-            packet = flit.packet
             self.packets_dropped += 1
-            nbytes = self._payloads.pop(packet.pid, 0)
-            self._recover_or_drop(packet, nbytes, now)
-
-    def _ack_path_alive(self, src: int, dst: int) -> bool:
-        """Whether an instant reply from ``src`` back to ``dst`` makes
-        it: every XY hop's egress must be live.  Replies are not
-        simulated flit-by-flit — a dead hop loses them outright, a
-        degraded hop only slows them (still well inside any sensible
-        ``txn_timeout``), mirroring how requests fare on each."""
-        node = src
-        while node != dst:
-            port = self._route(node, dst)
-            dead = self._dead_ports.get(node)
-            if dead and port in dead:
-                return False
-            node = self.routers[node].neighbors[port].node
-        return True
-
-    def _recover_or_drop(self, packet: Packet, nbytes: int,
-                         now: int) -> None:
-        """A packet was lost or corrupted: resubmit its payload through
-        the source NIC, if Recovery says so, or count it dropped."""
-        if packet.token is not None:
-            # NIC reply-watchdog mode: nothing reached the receiver, so
-            # no reply comes back — the source NIC's txn_timeout owns
-            # recovery (instant loss-retransmit would be an oracle).
-            return
-        nic = self._nics.get(packet.src)
-        if nic is None:
-            self._recovery.drop()  # a Scenario-built point has no NIC
-        elif self._recovery.retry(packet.attempt, packet.origin, now):
-            nic.resubmit(packet.dst, nbytes, packet.attempt + 1,
-                         packet.origin)
+            self._payloads.pop(flit.packet.pid, None)
+            self._recovery.drop()
 
     # ------------------------------------------------------------------
     # Fault-event bookkeeping (folded into the mesh because it already
@@ -353,15 +296,6 @@ class PacketMesh(Component):
                                        + sum(r.reroutes
                                              for r in self.routers))
         return report
-
-    def register_nic(self, nic) -> None:
-        """Attach a :class:`~repro.baseline.nic.PacketNic` as its node's
-        retransmission endpoint; arm its reply watchdog if asked."""
-        self._nics[nic.node] = nic
-        spec = self._faults
-        if spec is not None and spec.response_faults:
-            nic.recovery = self._recovery
-            nic._txn_timeout = spec.txn_timeout
 
     def register_payload(self, pid: int, nbytes: int) -> None:
         """Associate useful payload bytes with a packet (NIC-driven mode)."""

@@ -201,7 +201,11 @@ def _sweep(args) -> int:
     if args.store and args.cache == "off":
         print("error: --store requires --cache ro|rw", file=sys.stderr)
         return 2
-    points = load_spec(args.spec)
+    try:
+        points = load_spec(args.spec)
+    except (ValueError, TypeError, KeyError) as exc:  # JSON errors too
+        print(f"error: {args.spec}: {exc}", file=sys.stderr)
+        return 2
     if args.quick:
         points = [sc.with_(measure=replace(sc.measure, fidelity="quick"))
                   for sc in points]

@@ -2,8 +2,8 @@
 
 Declarative, seed-deterministic fault scenarios: dead and degraded
 links, dead router/crosspoint ports, payload corruption surfacing as
-AXI SLVERR, and endpoint recovery (end-to-end retransmission; fault-
-aware rerouting in the packet baseline).
+AXI SLVERR, and recovery (burst retransmission at the AXI DMA; fault-
+aware rerouting on both fabrics).
 """
 
 from repro.faults.runtime import (CorruptionModel, FaultStats, FaultTimeline,

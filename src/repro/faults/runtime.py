@@ -53,11 +53,11 @@ class FaultStats:
         self.port_faults = 0        # port fault events applied
         self.vc_faults = 0          # stuck-VC fault events applied
         self.corrupted = 0          # bursts/packets corrupted in flight
-        self.retransmissions = 0    # endpoint-initiated retries (bursts
-        #                             on AXI, packets on the baseline)
-        self.recovered = 0          # bursts/packets clean after a retry
+        self.retransmissions = 0    # DMA-initiated burst retries (AXI)
+        self.recovered = 0          # bursts clean after a retry
         self.dropped = 0            # bursts/packets abandoned (budget or
-        #                             timeout exhausted)
+        #                             timeout exhausted; every lost
+        #                             packet on the baseline)
         self.reroute_decisions = 0  # route deviations from the pristine
         #                             path (AXI: per addr-beat per hop;
         #                             baseline: per rerouted packet-hop)
@@ -254,9 +254,10 @@ def zombie_grace(txn_timeout: int | None) -> int:
 
 class Recovery:
     """The one rule that decides, and counts, the fate of a lost or
-    failed unit — a burst at the AXI DMA, a packet payload at the
-    baseline NIC or mesh.  ``attempt`` is its retry number (0 on first
-    issue), ``first_issue`` the cycle of that first issue."""
+    failed unit — a burst at the AXI DMA, a packet at the baseline mesh
+    (which only calls :meth:`drop`: nothing there resends).  ``attempt``
+    is a burst's retry number (0 on first issue), ``first_issue`` the
+    cycle of that first issue."""
 
     __slots__ = ("retransmit", "max_retries", "timeout", "stats")
 

@@ -16,12 +16,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-#: Endpoint recovery policies, all applicable to both backends.
-#: "retransmit" retries lost/corrupted traffic at the DMA/NIC endpoints
-#: (per-burst on the AXI side, per-packet on the baseline); "reroute"
-#: routes around dead links — escape-VC adaptive routing on the packet
-#: baseline, up*/down* fault tables on the AXI mesh (DESIGN.md §10).
+#: Recovery policies.  "retransmit" retries a lost or corrupted burst
+#: at the AXI DMA; the packet baseline has no endpoint that resends, so
+#: there it behaves as "none".  "reroute" routes around dead links —
+#: escape-VC adaptive routing on the packet baseline, up*/down* fault
+#: tables on the AXI mesh (DESIGN.md §10).
 RECOVERY_POLICIES = ("none", "retransmit", "reroute")
+
+#: The fields only the AXI endpoints act on: the packet baseline has no
+#: endpoint that retries, waits for a response or checks one, so
+#: ``FaultSpec.check("baseline")`` refuses a non-default value.
+_AXI_ONLY_FIELDS = ("max_retries", "retry_timeout", "response_faults",
+                    "txn_timeout", "byzantine_rate")
 
 
 def flat_dict(spec) -> dict:
@@ -131,24 +137,24 @@ class FaultSpec:
         endpoint and surfaces as an SLVERR response; corrupted payload
         is never credited to throughput.
     recovery:
-        One of :data:`RECOVERY_POLICIES`.
+        One of :data:`RECOVERY_POLICIES` (``"retransmit"`` behaves as
+        ``"none"`` on the baseline).
     max_retries:
-        Retransmission budget (``recovery == "retransmit"``) per burst
-        on the AXI mesh, per packet payload on the baseline.
+        Retransmission budget (``recovery == "retransmit"``) per burst.
+        AXI only, as are the next three.
     retry_timeout:
-        Cycles after that burst's or payload's first issue beyond which
-        it is dropped instead of retried.
+        Cycles after a burst's first issue beyond which it is dropped
+        instead of retried.
     response_faults:
-        Close the response-path fault loop: B/R beats (AXI) and reply
-        confirmations (baseline) are lost on dead links just like
-        requests, orphaning the issuing transaction until its
-        ``txn_timeout`` watchdog aborts it.  Off by default, which
-        preserves the historical fail-fast-only model.
+        Close the response-path fault loop: B/R beats are lost on dead
+        links just like requests, orphaning the issuing transaction
+        until its ``txn_timeout`` watchdog aborts it.  Off by default,
+        which preserves the historical fail-fast-only model.
     txn_timeout:
-        Per-transaction cycle budget at the DMA/NIC endpoints: an
-        outstanding burst/packet with no response after this many cycles
-        is aborted (counted ``orphaned``) and handed to the
-        retransmission path.  ``None`` disables the watchdog.
+        Per-transaction cycle budget at the DMA endpoints: an
+        outstanding burst with no response after this many cycles is
+        aborted (counted ``orphaned``) and handed to the retransmission
+        path.  ``None`` disables the watchdog.
     stuck_vcs:
         Explicit :class:`StuckVcFault` events (baseline backend only).
     byzantine_rate:
@@ -226,16 +232,20 @@ class FaultSpec:
             raise ValueError(
                 "stuck_vcs is a packet-baseline fault model: the AXI "
                 "mesh has no router VCs to pin")
-        if backend == "baseline" and self.byzantine_rate > 0.0:
-            raise ValueError(
-                "byzantine_rate is an AXI fault model (response beats "
-                "checked by the scoreboard/ID remap): the packet "
-                "baseline has no response beats to corrupt")
+        if backend == "baseline":
+            fields = self.__dataclass_fields__
+            for name in _AXI_ONLY_FIELDS:
+                if getattr(self, name) != fields[name].default:
+                    raise ValueError(
+                        f"{name} is an AXI endpoint knob: the packet "
+                        f"baseline has no endpoint that retries, waits "
+                        f"for a response or checks one, so {name} must "
+                        f"keep its default {fields[name].default!r}")
         if self.response_faults and self.txn_timeout is None:
             raise ValueError(
                 "response_faults needs txn_timeout: with responses lost "
                 "on dead links, only the endpoint watchdog can terminate "
-                "an orphaned burst or packet")
+                "an orphaned burst")
 
     # -- serialization -------------------------------------------------
     def to_dict(self) -> dict:

@@ -22,8 +22,9 @@ Scenario instantiations; sweeps over arbitrary grids are built with
 
 from __future__ import annotations
 
+import inspect
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from repro.baseline.network import PacketMeshConfig
 from repro.faults.spec import FaultSpec, flat_dict
@@ -37,6 +38,11 @@ QUICK_WARMUP = 2_000
 QUICK_WINDOW = 8_000
 
 BACKENDS = ("patronoc", "baseline")
+#: The fields each backend's config takes, read once from the configs.
+_CONFIG_FIELDS = {
+    "patronoc": tuple(f.name for f in fields(NocConfig)),
+    "baseline": tuple(inspect.signature(PacketMeshConfig).parameters),
+}
 TRAFFIC_KINDS = ("uniform", "synthetic", "dnn")
 FIDELITIES = ("full", "quick")
 
@@ -49,7 +55,9 @@ class TopologySpec:
     :class:`~repro.noc.config.NocConfig` fields apply, with the same
     defaults); ``backend="baseline"`` uses the packet mesh (``n_vcs``,
     ``buf_depth``, ``flit_bytes``, ``packet_flits`` apply).  Shared:
-    ``rows``, ``cols``, ``freq_hz``.
+    ``rows``, ``cols``, ``freq_hz``.  A field the backend's config does
+    not take must keep its default: it would change nothing, yet enter
+    the spec hash.
     """
 
     backend: str = "patronoc"
@@ -78,6 +86,11 @@ class TopologySpec:
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}")
+        for name, default in _IGNORED_FIELDS[self.backend]:
+            if getattr(self, name) != default:
+                raise ValueError(
+                    f"{name}={getattr(self, name)!r} does nothing on the "
+                    f"{self.backend} backend: leave it at {default!r}")
         # Construct the backing config once: its validation is the spec's.
         if self.backend == "patronoc":
             self.noc_config()
@@ -89,25 +102,17 @@ class TopologySpec:
         """The :class:`NocConfig` this spec describes (patronoc only)."""
         if self.backend != "patronoc":
             raise ValueError(f"{self.backend!r} spec has no NocConfig")
-        return NocConfig(
-            rows=self.rows, cols=self.cols, data_width=self.data_width,
-            addr_width=self.addr_width, id_width=self.id_width,
-            max_outstanding=self.max_outstanding,
-            full_connectivity=self.full_connectivity,
-            register_slices=self.register_slices, freq_hz=self.freq_hz,
-            dma_issue_overhead=self.dma_issue_overhead,
-            memory_latency=self.memory_latency,
-            memory_outstanding=self.memory_outstanding,
-            w_order_depth=self.w_order_depth, hop_latency=self.hop_latency)
+        return NocConfig(**self._config_kwargs())
 
     def mesh_config(self) -> PacketMeshConfig:
         """The :class:`PacketMeshConfig` this spec describes."""
         if self.backend != "baseline":
             raise ValueError(f"{self.backend!r} spec has no PacketMeshConfig")
-        return PacketMeshConfig(
-            rows=self.rows, cols=self.cols, n_vcs=self.n_vcs,
-            buf_depth=self.buf_depth, flit_bytes=self.flit_bytes,
-            packet_flits=self.packet_flits, freq_hz=self.freq_hz)
+        return PacketMeshConfig(**self._config_kwargs())
+
+    def _config_kwargs(self) -> dict:
+        return {name: getattr(self, name)
+                for name in _CONFIG_FIELDS[self.backend]}
 
     @property
     def label(self) -> str:
@@ -167,6 +172,14 @@ class TopologySpec:
 
     def to_dict(self) -> dict:
         return flat_dict(self)
+
+
+#: Per backend, ``(name, default)`` of each TopologySpec field its
+#: config does not take.
+_IGNORED_FIELDS = {
+    backend: tuple((f.name, f.default) for f in fields(TopologySpec)
+                   if f.name != "backend" and f.name not in taken)
+    for backend, taken in _CONFIG_FIELDS.items()}
 
 
 @dataclass(frozen=True)

@@ -573,33 +573,28 @@ class TestBaselineFaults:
         assert rerouted.packets_dropped == plain.packets_dropped
         assert rerouted.fault_report()["reroute_decisions"] == 0
 
+    def test_retransmit_behaves_as_none(self):
+        """No baseline endpoint resends a packet, so ``retransmit`` is
+        ``none`` there: the same Result, fault report included.  It stays
+        accepted because existing specs write it on the packet mesh."""
+        def result(recovery):
+            dead = [LinkFault(5, 6, start=400), LinkFault(6, 5, start=400)]
+            faults = FaultSpec(links=dead, corrupt_rate=2e-3,
+                               recovery=recovery)
+            data = run_scenario(_uniform_scenario(
+                backend="baseline", load=0.3, faults=faults)).to_dict()
+            del data["provenance"]
+            return data
+
+        none = result("none")
+        assert none["faults"]["dropped"] > 0
+        assert result("retransmit") == none
+
     def test_corrupt_packets_not_credited(self):
         clean = self._mesh(None)
         noisy = self._mesh(FaultSpec(corrupt_rate=1e-3))
         assert noisy.fault_report()["corrupted"] > 0
         assert (noisy.flits_received_measured < clean.flits_received_measured)
-
-    def test_nic_retransmit_recovers_lost_payload(self):
-        """NIC-driven mode: corrupted packets are retransmitted
-        end-to-end and their payload is eventually credited."""
-        from repro.baseline.nic import PacketNic
-
-        spec = FaultSpec(corrupt_rate=2e-3, recovery="retransmit")
-        mesh = PacketMesh(PacketMeshConfig(), injection_rate=0.0, seed=3,
-                          faults=spec)
-        nics = [PacketNic(mesh, n) for n in range(mesh.cfg.n_nodes)]
-        for nic in nics:
-            mesh.sim.add(nic)
-        for n, nic in enumerate(nics):
-            nic.submit(Transfer(src=n, addr=0, nbytes=512, is_read=False),
-                       (n + 5) % mesh.cfg.n_nodes)
-        mesh.run(20_000)
-        report = mesh.fault_report()
-        assert report["corrupted"] > 0
-        assert report["retransmissions"] > 0
-        assert report["recovered"] > 0
-        total_payload = 512 * mesh.cfg.n_nodes
-        assert mesh.bytes_received == total_payload
 
 
 # ----------------------------------------------------------------------

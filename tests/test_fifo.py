@@ -352,9 +352,9 @@ def _recovery_counts(tree: ast.AST) -> list[tuple[int, str]]:
 
 def test_recovery_is_counted_once():
     """Whether a lost unit is retried, dropped or recovered is decided
-    and counted by ``faults.runtime.Recovery`` alone; the DMA, the NIC
-    and the packet mesh ask it.  The first assertion proves the walk
-    sees each kind of count."""
+    and counted by ``faults.runtime.Recovery`` alone; the DMA and the
+    packet mesh ask it.  The first assertion proves the walk sees each
+    kind of count."""
     src = ("stats.retransmissions += 1\n"
            "self.stats.dropped += 1\n"
            "s.recovered += 1\n"

@@ -647,7 +647,7 @@ def test_spec_hash_does_not_depend_on_how_the_scenario_was_built(sc):
 
     there_and_back = replace(
         replace(sc, name=sc.name + "x", topology=replace(
-            sc.topology, buf_depth=sc.topology.buf_depth + 1)),
+            sc.topology, freq_hz=sc.topology.freq_hz / 2)),
         name=sc.name, topology=replace(sc.topology))
     assert (spec_hash(sc) == spec_hash(Scenario.from_dict(sc.to_dict()))
             == spec_hash(there_and_back)

@@ -2,6 +2,8 @@
 validation, JSON round-trips, sweep expansion, parallel == serial
 execution, and figure-output pinning against pre-refactor goldens."""
 
+import dataclasses
+import inspect
 from pathlib import Path
 
 import pytest
@@ -33,6 +35,14 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 #: Small windows: these tests assert plumbing, not paper numbers.
 FAST = MeasureSpec(300, 900)
 
+#: A valid value other than the default for every TopologySpec field.
+NON_DEFAULT = dict(
+    rows=3, cols=3, freq_hz=5e8, data_width=64, addr_width=64, id_width=3,
+    max_outstanding=4, full_connectivity=True, register_slices="single",
+    dma_issue_overhead=4, memory_latency=3, memory_outstanding=8,
+    w_order_depth=4, hop_latency=1, n_vcs=2, buf_depth=8, flit_bytes=8,
+    packet_flits=4)
+
 
 class TestTopologySpec:
     def test_bad_backend(self):
@@ -59,6 +69,28 @@ class TestTopologySpec:
         spec = TopologySpec.baseline(4, 32)
         assert spec.mesh_config().n_vcs == 4
         assert "VC=4" in spec.label
+
+    @pytest.mark.parametrize("backend", ["patronoc", "baseline"])
+    @pytest.mark.parametrize("field", [
+        f.name for f in dataclasses.fields(TopologySpec)
+        if f.name != "backend"])
+    def test_ignored_field_is_refused(self, field, backend):
+        """A non-default value of a field the backend's config does not
+        take is refused by name; one it takes is accepted.  A field no
+        config takes, or one missing from ``NON_DEFAULT``, fails here."""
+        from repro.baseline.network import PacketMeshConfig
+        from repro.noc.config import NocConfig
+
+        noc = {f.name for f in dataclasses.fields(NocConfig)}
+        mesh = set(inspect.signature(PacketMeshConfig).parameters)
+        assert field in noc | mesh, f"{field} is wired into no config"
+        taken = noc if backend == "patronoc" else mesh
+        kwargs = {"backend": backend, field: NON_DEFAULT[field]}
+        if field in taken:
+            assert getattr(TopologySpec(**kwargs), field) == NON_DEFAULT[field]
+        else:
+            with pytest.raises(ValueError, match=f"{field}=.*{backend}"):
+                TopologySpec(**kwargs)
 
 
 class TestTrafficSpec:

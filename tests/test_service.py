@@ -252,6 +252,18 @@ class TestHttpService:
         assert err.value.code == code
         assert "error" in json.load(err.value)
 
+    def test_a_field_the_backend_ignores_is_refused_by_name(self, service):
+        point = {"topology": {"backend": "baseline", "rows": 2, "cols": 2,
+                              "data_width": 64},
+                 "traffic": {"kind": "uniform", "load": 0.1,
+                             "max_burst_bytes": 1}}
+        req = urllib.request.Request(f"{service}/jobs",
+                                     data=json.dumps(point).encode())
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(req)
+        assert err.value.code == 400
+        assert "data_width" in json.load(err.value)["error"]
+
     @pytest.mark.parametrize("declared, code", [
         ("twelve", 400),
         ("-1", 400),
