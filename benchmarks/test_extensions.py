@@ -9,6 +9,9 @@
   saturation point.
 * **Load–latency curve** — the classic NoC characterisation the paper
   omits; asserts latency grows sharply past saturation.
+* **Per-XP routing tables** (§II: "an automated script generates the
+  address-based routing table for each XP") — the table decode routes
+  every burst as the computed XY decode does.
 """
 
 from conftest import run_once
@@ -99,3 +102,21 @@ def test_load_latency_curve(benchmark):
     low, mid, high = run_once(benchmark, sweep)
     assert low <= mid <= high
     assert high > 2 * low  # latency blows up past saturation
+
+
+def test_per_xp_routing_tables_route_as_computed_routing(benchmark):
+    """The generated per-XP address tables (``routing="table"``) and the
+    computed XY decode are one routing function: a slim uniform point
+    gives bit-identical throughput and per-DMA latency under both."""
+    def run_pair():
+        out = []
+        for routing in ("table", "computed"):
+            net = NocNetwork(NocConfig.slim(), routing=routing)
+            thr = _measure(net, load=0.5, burst=1000)
+            out.append((thr, [t.dma.latency_stats.summary()
+                              for t in net.tiles]))
+        return out
+
+    table, computed = run_once(benchmark, run_pair)
+    assert table[0] > 0
+    assert table == computed

@@ -8,7 +8,6 @@ crossbar terminates unroutable requests itself.
 
 from repro.axi.beats import AddrBeat, BBeat, RBeat, WBeat
 from repro.axi.id_pool import IdRemapper
-from repro.axi.interleave import CompositeMap, InterleavedMap
 from repro.axi.link import CHANNELS, AxiLink
 from repro.axi.memory_map import MemoryMap, Region
 from repro.axi.monitor import LinkMonitor
@@ -40,9 +39,7 @@ __all__ = [
     "Burst",
     "BurstType",
     "CHANNELS",
-    "CompositeMap",
     "ConnectivityError",
-    "InterleavedMap",
     "ERROR_PORT",
     "IdRemapper",
     "LinkMonitor",

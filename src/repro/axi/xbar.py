@@ -106,6 +106,15 @@ class _Direction:
         self.decerr = "decerr_b" if self.write else "decerr_r"
         self.slverr = "slverr_b" if self.write else "slverr_r"
 
+    def retire(self, j: int, rid: int) -> tuple[int, int]:
+        """Retire one burst that egress ``j`` answered under remapped id
+        ``rid``: release the id, free its MOT slot and drop it from its
+        ingress's destination count.  Returns (ingress, original id)."""
+        i, oid = self.remap[j].release(rid)
+        self.inflight[j] -= 1
+        _retire_dest(self.dest[i], oid, j)
+        return i, oid
+
     def wire(self, ins: list, outs: list) -> None:
         """Prebuild what the per-beat loops index, from each ingress's
         and each egress's (request FIFO, response FIFO) pair — None
@@ -113,9 +122,8 @@ class _Direction:
         #: Request FIFOs by ingress and by egress.
         self.src = [p[0] if p is not None else None for p in ins]
         self.out = [p[0] if p is not None else None for p in outs]
-        #: Response sources: (egress, fifo, its deque, remapper, remap
-        #: table).
-        self.scan = [(j, p[1], p[1]._q, self.remap[j], self.remap[j]._table)
+        #: Response sources: (egress, fifo, its deque, remap table).
+        self.scan = [(j, p[1], p[1]._q, self.remap[j]._table)
                      for j, p in enumerate(outs) if p is not None]
         #: Response FIFOs by ingress.
         self.dst = [p[1] if p is not None else None for p in ins]
@@ -454,7 +462,7 @@ class AxiCrossbar(Component):
             idx = now % n
         for _ in range(n):
             pos = idx
-            j, src, q, remap, table = scan[idx]
+            j, src, q, table = scan[idx]
             idx += 1
             if idx == n:
                 idx = 0
@@ -475,9 +483,7 @@ class AxiCrossbar(Component):
                         oid = entry[1]
                         src.pop(now)
                         if beat.last:
-                            remap.release(beat.id)
-                            d.inflight[j] -= 1
-                            _retire_dest(d.dest[i], oid, j)
+                            d.retire(j, beat.id)
                         # Beats are immutable: reuse when the ID maps
                         # to itself instead of allocating a copy.
                         dst.push(beat if oid == beat.id

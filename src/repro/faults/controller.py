@@ -30,7 +30,6 @@ from __future__ import annotations
 from collections import deque
 
 from repro.axi.link import AxiLink
-from repro.axi.xbar import _retire_dest
 from repro.faults.runtime import (FaultStats, FaultTimeline, PortFaults,
                                   degraded_pass)
 from repro.noc.topology import MESH_PORTS
@@ -167,9 +166,7 @@ class FaultController(Component):
                 break  # endpoint link: the DMA watchdog owns recovery
             node, out = key
             xp = self._xps[node]
-            i, oid = xp._wr.remap[out].release(rid)
-            xp._wr.inflight[out] -= 1
-            _retire_dest(xp._wr.dest[i], oid, out)
+            i, oid = xp._wr.retire(out, rid)
             link = xp.in_links[i]
             rid = oid
         self.stats.response_drops += 1
@@ -189,7 +186,7 @@ class FaultController(Component):
             xp = self._xps[node]
             entry = xp._rd.remap[out]._table[rid]
             i, oid = entry[0], entry[1]
-            hops.append((xp, out, rid, i, oid))
+            hops.append((xp, out, rid))
             link = xp.in_links[i]
             rid = oid
         if hops:
@@ -200,10 +197,8 @@ class FaultController(Component):
         dq = self._deferred
         while dq and dq[0][0] <= now:
             _, hops = dq.popleft()
-            for xp, out, rid, i, oid in hops:
-                xp._rd.remap[out].release(rid)
-                xp._rd.inflight[out] -= 1
-                _retire_dest(xp._rd.dest[i], oid, out)
+            for xp, out, rid in hops:
+                xp._rd.retire(out, rid)
 
     # -- event application ---------------------------------------------
     def _apply(self, events: list[tuple]) -> None:

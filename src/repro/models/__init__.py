@@ -11,7 +11,6 @@ from repro.models.area import (
     xp_area_kge,
     xp_port_count,
 )
-from repro.models.energy import EnergyMeter, EnergyReport, energy_per_byte_pj
 from repro.models.power import mesh_power_mw, platform_power_fraction
 from repro.models.tech import (
     ACCEL_POWER_MW,
@@ -33,10 +32,7 @@ __all__ = [
     "K_SWITCH",
     "TARGET_FREQ_HZ",
     "TECH_NAME",
-    "EnergyMeter",
-    "EnergyReport",
     "area_efficiency",
-    "energy_per_byte_pj",
     "kge_to_mm2",
     "mesh_area_kge",
     "mesh_power_mw",

@@ -87,17 +87,12 @@ class NocNetwork:
         regular topologies from the same blocks.
     routing:
         "computed" (default) or "table" (per-hop address decode from the
-        generated routing tables).  The two are behaviourally equivalent.
+        generated routing tables, §II).  The two are behaviourally
+        equivalent: the address map is one contiguous region per
+        memory-bearing tile, which both express exactly.
     scoreboard:
         Optional :class:`~repro.endpoints.scoreboard.Scoreboard` shared
         by all memories (integrity tests).
-    memory_map:
-        Optional address-map override (e.g. an
-        :class:`~repro.axi.interleave.InterleavedMap` or
-        :class:`~repro.axi.interleave.CompositeMap` for banked shared
-        L2s).  Must address only memory-bearing tiles and requires
-        ``routing="computed"`` (per-hop address tables cannot express
-        overlapping interleaved windows).
     always_step:
         Step every component every cycle (the reference oracle) instead
         of scheduling the same ``step()`` bodies by activity
@@ -119,13 +114,10 @@ class NocNetwork:
 
     def __init__(self, cfg: NocConfig, tiles: list[TileSpec] | None = None,
                  topology: Mesh2D | None = None, routing: str = "computed",
-                 scoreboard=None, memory_map=None, always_step: bool = False,
+                 scoreboard=None, always_step: bool = False,
                  faults=None, fault_seed: int | None = None):
         if routing not in ("computed", "table"):
             raise ValueError(f"routing must be 'computed' or 'table', got {routing!r}")
-        if memory_map is not None and routing != "computed":
-            raise ValueError(
-                "a custom memory map requires routing='computed'")
         self.cfg = cfg
         self.topology = topology if topology is not None else Mesh2D(cfg.rows, cfg.cols)
         if self.topology.n_nodes != cfg.n_nodes:
@@ -152,15 +144,7 @@ class NocNetwork:
                 endpoint_nodes[index] = spec.node
         if not regions:
             raise ValueError("network needs at least one memory endpoint")
-        if memory_map is not None:
-            unknown = set(memory_map.endpoints()) - set(endpoint_nodes)
-            if unknown:
-                raise ValueError(
-                    f"custom memory map addresses endpoints without a "
-                    f"memory tile: {sorted(unknown)}")
-            self.memory_map = memory_map
-        else:
-            self.memory_map = MemoryMap(regions)
+        self.memory_map = MemoryMap(regions)
 
         # -- local port assignment ---------------------------------------
         local_ports: dict[int, int] = {}

@@ -75,8 +75,7 @@ class Component:
     #: Open-loop sources (e.g. Poisson traffic generators) set this True:
     #: their pending future work never blocks :meth:`Simulator.all_quiet`,
     #: so a drain can complete between their injections.  Finite,
-    #: scheduled work (a DNN core mid-compute, a trace replayer with
-    #: entries left) must leave it False.
+    #: scheduled work (a DNN core mid-compute) must leave it False.
     drain_transparent: bool = False
     #: Back-reference to the owning simulator (set by ``Simulator.add``).
     _sim: "Simulator | None" = None

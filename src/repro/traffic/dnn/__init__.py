@@ -1,6 +1,5 @@
-"""DNN workload traffic generation (the GVSoC substitute): ResNet-34
-layer model, per-core command scripts, the three §IV-C workloads, and
-trace record/replay."""
+"""DNN workload traffic generation (the GVSoC substitute): the ResNet-34
+layer model, per-core command scripts and the three §IV-C workloads."""
 
 from repro.traffic.dnn.layers import (
     BYTES_PER_ELEM,
@@ -10,16 +9,9 @@ from repro.traffic.dnn.layers import (
     total_macs,
     total_weight_bytes,
 )
-from repro.traffic.dnn.mobilenet import (
-    MOBILENET_BLOCKS,
-    conv_layers_mobilenet,
-    mobilenet_v1,
-)
 from repro.traffic.dnn.resnet import RESNET34_CHANNELS, RESNET34_STAGES, conv_layers, resnet34
 from repro.traffic.dnn.script import CoreScript, Event, install_scripts
-from repro.traffic.dnn.trace import TraceEntry, TraceRecorder, TraceReplayer, load_csv
 from repro.traffic.dnn.workloads import (
-    MODELS,
     WORKLOADS,
     DnnWorkload,
     distributed_training,
@@ -35,20 +27,12 @@ __all__ = [
     "Event",
     "FcLayer",
     "Layer",
-    "MOBILENET_BLOCKS",
-    "MODELS",
     "RESNET34_CHANNELS",
     "RESNET34_STAGES",
-    "TraceEntry",
-    "TraceRecorder",
-    "TraceReplayer",
     "WORKLOADS",
     "conv_layers",
-    "conv_layers_mobilenet",
     "distributed_training",
-    "mobilenet_v1",
     "install_scripts",
-    "load_csv",
     "parallel_conv",
     "pipelined_conv",
     "resnet34",

@@ -17,12 +17,7 @@ BYTES_PER_ELEM = 1
 
 @dataclass(frozen=True)
 class ConvLayer:
-    """A 2D convolution layer (optionally strided and/or grouped).
-
-    ``groups`` follows the standard convention: weights and MACs scale
-    with ``in_ch / groups``; a depthwise convolution has
-    ``groups == in_ch == out_ch``.
-    """
+    """A 2D convolution layer (optionally strided)."""
 
     name: str
     in_ch: int
@@ -32,17 +27,11 @@ class ConvLayer:
     in_h: int
     in_w: int
     padding: int = 1
-    groups: int = 1
 
     def __post_init__(self) -> None:
-        for field in ("in_ch", "out_ch", "kernel", "stride", "in_h", "in_w",
-                      "groups"):
+        for field in ("in_ch", "out_ch", "kernel", "stride", "in_h", "in_w"):
             if getattr(self, field) < 1:
                 raise ValueError(f"{self.name}: {field} must be >= 1")
-        if self.in_ch % self.groups or self.out_ch % self.groups:
-            raise ValueError(
-                f"{self.name}: groups={self.groups} must divide both "
-                f"channel counts ({self.in_ch}, {self.out_ch})")
 
     @property
     def out_h(self) -> int:
@@ -54,8 +43,8 @@ class ConvLayer:
 
     @property
     def weight_bytes(self) -> int:
-        return (self.out_ch * (self.in_ch // self.groups)
-                * self.kernel * self.kernel * BYTES_PER_ELEM)
+        return (self.out_ch * self.in_ch * self.kernel * self.kernel
+                * BYTES_PER_ELEM)
 
     @property
     def in_act_bytes(self) -> int:
@@ -67,8 +56,7 @@ class ConvLayer:
 
     @property
     def macs(self) -> int:
-        return (self.out_h * self.out_w * self.out_ch
-                * (self.in_ch // self.groups)
+        return (self.out_h * self.out_w * self.out_ch * self.in_ch
                 * self.kernel * self.kernel)
 
 

@@ -33,31 +33,11 @@ from repro.noc.config import NocConfig
 from repro.noc.network import NocNetwork, TileSpec
 from repro.noc.topology import Mesh2D
 from repro.traffic.dnn.layers import ConvLayer, Layer
-from repro.traffic.dnn.mobilenet import conv_layers_mobilenet, mobilenet_v1
 from repro.traffic.dnn.resnet import conv_layers, resnet34
 from repro.traffic.dnn.script import CoreScript, Event, install_scripts
 
 #: Grid position of the shared L2 tile (matches the synthetic hot spot).
 L2_COORDS = (2, 1)
-
-#: Workload networks: name → (full layer list builder, conv-only builder).
-#: The paper evaluates ResNet-34; MobileNetV1 is an extension (see
-#: :mod:`repro.traffic.dnn.mobilenet`).
-MODELS = {
-    "resnet34": (resnet34, conv_layers),
-    "mobilenet_v1": (mobilenet_v1, conv_layers_mobilenet),
-}
-
-
-def _model_layers(model: str, shrink: float, input_hw: int,
-                  convs_only: bool):
-    try:
-        full, convs = MODELS[model]
-    except KeyError:
-        raise ValueError(
-            f"unknown model {model!r}; choose from {sorted(MODELS)}") from None
-    builder = convs if convs_only else full
-    return builder(shrink=shrink, input_hw=input_hw)
 
 
 @dataclass
@@ -110,7 +90,7 @@ def _snake_order(topo: Mesh2D) -> list[int]:
 # a) distributed training
 # ----------------------------------------------------------------------
 def distributed_training(cfg: NocConfig, *, shrink: float = 0.9,
-                         input_hw: int = 224, model: str = "resnet34",
+                         input_hw: int = 224,
                          macs_per_cycle: int | None = None) -> DnnWorkload:
     """Data-parallel ResNet-34 training on all cores (Fig. 7a).
 
@@ -131,7 +111,7 @@ def distributed_training(cfg: NocConfig, *, shrink: float = 0.9,
     and L1 (core) to L1 (core) transfers".
     """
     tiles, l2 = _dnn_tiles(cfg)
-    layers = _model_layers(model, shrink, input_hw, convs_only=False)
+    layers = resnet34(shrink=shrink, input_hw=input_hw)
     n_cores = cfg.n_nodes
     topo = Mesh2D(cfg.rows, cfg.cols)
     chain = _snake_order(topo)
@@ -191,12 +171,12 @@ def distributed_training(cfg: NocConfig, *, shrink: float = 0.9,
 # b) parallelized convolution
 # ----------------------------------------------------------------------
 def parallel_conv(cfg: NocConfig, *, shrink: float = 0.9,
-                  input_hw: int = 224, model: str = "resnet34",
+                  input_hw: int = 224,
                   macs_per_cycle: int | None = None) -> DnnWorkload:
     """Layer-parallel CNN inference: every layer tiled over all cores
     (Fig. 7b) — pure L2↔L1 traffic, a barrier between layers."""
     tiles, l2 = _dnn_tiles(cfg)
-    layers = _model_layers(model, shrink, input_hw, convs_only=True)
+    layers = conv_layers(shrink=shrink, input_hw=input_hw)
     n_cores = cfg.n_nodes
     l2_offsets = _l2_layout(layers)
     barrier = Event("layer_barrier")
@@ -226,7 +206,7 @@ def parallel_conv(cfg: NocConfig, *, shrink: float = 0.9,
 # ----------------------------------------------------------------------
 def pipelined_conv(cfg: NocConfig, *, shrink: float = 0.9,
                    input_hw: int = 224, tiles_per_image: int = 8,
-                   buffers: int = 4, model: str = "resnet34",
+                   buffers: int = 4,
                    macs_per_cycle: int | None = None) -> DnnWorkload:
     """Depth-first CNN inference: layer groups chained along a mesh snake
     (Fig. 7c) — predominantly L1→L1 neighbour traffic.
@@ -235,7 +215,7 @@ def pipelined_conv(cfg: NocConfig, *, shrink: float = 0.9,
     standard depth-first pipelining that keeps every link streaming.
     """
     tiles, l2 = _dnn_tiles(cfg)
-    layers = _model_layers(model, shrink, input_hw, convs_only=True)
+    layers = conv_layers(shrink=shrink, input_hw=input_hw)
     topo = Mesh2D(cfg.rows, cfg.cols)
     chain = _snake_order(topo)
     n_stages = len(chain)

@@ -386,11 +386,10 @@ def test_set_warmup_inside_an_r_train_splits_the_read_bytes_there():
     assert 0 < meters[0][0] < meters[0][1]
 
 
-def test_per_link_result_and_energy_beats_are_unchanged(monkeypatch):
+def test_per_link_result_is_unchanged(monkeypatch):
     """What reads the channel counters — the per-link utilization of a
-    Result, the energy model's beat count — sees every train's beats,
-    at a write point and at a read point."""
-    from repro.models.energy import EnergyMeter
+    Result — sees every train's beats, at a write point and at a read
+    point."""
     from repro.noc.trains import Train
     from repro.scenarios import (MeasureSpec, Scenario, TopologySpec,
                                  TrafficSpec)
@@ -406,22 +405,19 @@ def test_per_link_result_and_energy_beats_are_unchanged(monkeypatch):
 
     def point(sc):
         net, scripts = build_network(sc)
-        meter = EnergyMeter(net)
-        meter.open_window()
         result = _collect(sc, net, _drive(sc, net, scripts))
         stats = net.kernel_stats()
-        return (stats["trains"], stats["r_trains"]), result.to_dict(), \
-            meter.report()
+        return (stats["trains"], stats["r_trains"]), result.to_dict()
 
     trained = [point(sc) for sc in points]
     assert trained[0][0][0] > 0 and trained[1][0][1] > 0
     assert all(max(result["link_utilization"].values()) > 0
-               for _, result, _ in trained)
+               for _, result in trained)
     monkeypatch.setattr(Train, "holds", lambda self, stream, now: False)
     per_beat = [point(sc) for sc in points]
-    assert [trains for trains, _, _ in per_beat] == [(0, 0), (0, 0)]
-    assert ([result_energy for _, *result_energy in trained]
-            == [result_energy for _, *result_energy in per_beat])
+    assert [trains for trains, _ in per_beat] == [(0, 0), (0, 0)]
+    assert ([result for _, result in trained]
+            == [result for _, result in per_beat])
 
 
 # ----------------------------------------------------------------------
