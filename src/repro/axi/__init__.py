@@ -1,9 +1,10 @@
 """AXI4 substrate: beats, links, compliance rules, and building blocks.
 
 These are Python behavioural models of the open-source elementary AXI
-blocks the paper builds on (Kurth et al., IEEE TComp 2022): crossbar,
-mux/demux and ID remapper; every link is a register slice and the
-crossbar terminates unroutable requests itself.
+blocks the paper builds on (Kurth et al., IEEE TComp 2022): crossbar
+(a mux or demux is a crossbar with one egress or one ingress) and ID
+remapper; every link is a register slice and the crossbar terminates
+unroutable requests itself.
 """
 
 from repro.axi.beats import AddrBeat, BBeat, RBeat, WBeat
@@ -22,13 +23,7 @@ from repro.axi.types import (
     validate_id_width,
     validate_mot,
 )
-from repro.axi.xbar import (
-    ERROR_PORT,
-    AxiCrossbar,
-    ConnectivityError,
-    make_demux,
-    make_mux,
-)
+from repro.axi.xbar import ERROR_PORT, AxiCrossbar, ConnectivityError
 
 __all__ = [
     "AddrBeat",
@@ -51,8 +46,6 @@ __all__ = [
     "Transfer",
     "WBeat",
     "beat_sizes",
-    "make_demux",
-    "make_mux",
     "split_transfer",
     "validate_addr_width",
     "validate_data_width",

@@ -60,15 +60,6 @@ class AxiLink:
         """True when no beat occupies any channel of this link."""
         return all(len(ch) == 0 for ch in self.channels())
 
-    def stall_heads(self, now: int) -> None:
-        """Push every currently-visible channel head one cycle into the
-        future — the degraded-link injection point (DESIGN.md §10): on
-        cycles a width-degraded link may not move a beat, the fault
-        controller stalls its heads before any consumer steps.  Heads
-        not yet visible are untouched (never moved earlier)."""
-        for ch in (self.aw, self.w, self.ar, self.b, self.r):
-            ch.stall_head(now)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         occ = ",".join(f"{n}={len(ch)}" for n, ch in zip(CHANNELS, self.channels()))
         return f"AxiLink({self.name}: {occ})"

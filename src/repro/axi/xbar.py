@@ -402,8 +402,7 @@ class AxiCrossbar(Component):
         mask = rd.occ_req[0]
         if mask:
             # A futile AR arbitration is replayed, not repeated, while
-            # its memo still describes us: the same visible heads (a
-            # degraded link's stall_heads re-times one: a new entry) and
+            # its memo still describes us: the same visible heads and
             # every requested egress still closed.  What the call would
             # do is bump ar_mot_stall once per egress with FIFO room but
             # no MOT room, and ask for another step iff it bumped.
@@ -765,15 +764,3 @@ def _retire_dest(dest_map: dict[int, list], oid: int, out: int) -> None:
     if entry[1] == 0:
         del dest_map[oid]
 
-
-def make_mux(name: str, n_in: int, *, id_width: int,
-             **kwargs) -> AxiCrossbar:
-    """An ``n_in × 1`` crossbar: the ``axi_mux`` building block."""
-    return AxiCrossbar(name, n_in, 1, lambda beat, i: 0,
-                       id_width=id_width, **kwargs)
-
-
-def make_demux(name: str, n_out: int, route: RouteFn, *, id_width: int,
-               **kwargs) -> AxiCrossbar:
-    """A ``1 × n_out`` crossbar: the ``axi_demux`` building block."""
-    return AxiCrossbar(name, 1, n_out, route, id_width=id_width, **kwargs)

@@ -116,7 +116,6 @@ class PacketMesh(Component):
         self._timeline: FaultTimeline | None = None
         self._port_faults: PortFaults | None = None
         self._dead_ports: dict[int, set[int]] = {}
-        self._deg_ports: dict[int, dict[int, float]] = {}
         #: One corruption model per destination node (corrupt_rate > 0).
         self._corruption: list[CorruptionModel] | None = None
         self.packets_dropped = 0
@@ -271,18 +270,12 @@ class PacketMesh(Component):
     def _refresh_fault_port(self, key: tuple[int, int]) -> None:
         """Install one (node, out_port)'s effective state on its router."""
         node, port = key
-        width = self._port_faults.width(key)
         dead = self._dead_ports.setdefault(node, set())
-        deg = self._deg_ports.setdefault(node, {})
-        dead.discard(port)
-        deg.pop(port, None)
-        if width == 0.0:
+        if self._port_faults.dead(key):
             dead.add(port)
-        elif width is not None:
-            deg[port] = width
-        router = self.routers[node]
-        router.fault_dead = frozenset(dead) if dead else None
-        router.fault_degraded = dict(deg) if deg else None
+        else:
+            dead.discard(port)
+        self.routers[node].fault_dead = frozenset(dead) if dead else None
 
     def fault_report(self) -> dict:
         """The ``faults`` section of a Result (empty when inactive)."""

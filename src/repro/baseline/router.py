@@ -31,7 +31,6 @@ from __future__ import annotations
 from collections import deque
 
 from repro.baseline.flit import Flit
-from repro.faults.runtime import degraded_pass
 
 #: Port indices (N/E/S/W match the mesh convention; LOCAL injects/ejects).
 P_N, P_E, P_S, P_W, P_LOCAL = 0, 1, 2, 3, 4
@@ -89,12 +88,9 @@ class Router:
         self._sa_ptr = [0] * N_PORTS
         self.flits_routed = 0
         #: Fault injection (DESIGN.md §10): dead egress ports (flits
-        #: routed into one are dropped) and degraded egress ports
-        #: (port -> width factor; flits traverse only on pass cycles).
-        #: Written by the mesh's fault machinery; None = fault-free fast
-        #: path.
+        #: routed into one are dropped).  Written by the mesh's fault
+        #: machinery; None = fault-free fast path.
         self.fault_dead: frozenset[int] | None = None
-        self.fault_degraded: dict[int, float] | None = None
         #: Stuck input VCs — (in_port, vc) slots whose buffered flits
         #: never win switch allocation while the fault holds (a jammed
         #: VC allocator / credit loss).  Allocation *into* a stuck VC
@@ -199,12 +195,6 @@ class Router:
                     buf.popleft()
                     eject_fn(flit, now)
                 else:
-                    deg = self.fault_degraded
-                    if deg is not None:
-                        factor = deg.get(out_port)
-                        if (factor is not None
-                                and not degraded_pass(now, factor)):
-                            continue  # degraded link: not a pass cycle
                     out_vc = state.out_vc
                     neighbor = self.neighbors[out_port]
                     nb_port = self.neighbor_in_port[out_port]

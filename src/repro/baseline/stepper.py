@@ -19,9 +19,8 @@ splits a router's cycle in two:
   fixed.
 * **Pass 2** is the reference's rotated-priority grant loop over each
   egress's own request mask.  What other routers change within a cycle
-  (downstream space, free downstream VCs) and what the reference orders
-  after VC allocation (the degraded-link pass) stay checked at visit
-  time, so the granted flit sequence and every counter match.
+  (downstream space, free downstream VCs) stays checked at visit time,
+  so the granted flit sequence and every counter match.
 
 Switch-allocation pointers are kept as offsets: the reference rotates a
 pointer by one on every grantless cycle (stepped or fast-forwarded) and
@@ -34,7 +33,6 @@ The :class:`Router` objects remain the owners of all other state.
 from __future__ import annotations
 
 from repro.baseline.router import N_PORTS, P_LOCAL
-from repro.faults.runtime import degraded_pass
 
 #: The set bits of a 5-bit egress mask, ascending: pass 2 walks only the
 #: egresses pass 1 filed a request under.
@@ -119,7 +117,7 @@ class MaskStepper:
         contexts = self.contexts
         armed = drop_fn is not None  # else every router.fault_* stays None
         dropping = 0
-        dead = deg = None
+        dead = None
         for node, mask in enumerate(masks):
             if not mask:
                 continue  # nothing buffered: the pointers rotate implicitly
@@ -134,7 +132,6 @@ class MaskStepper:
                     pending = mask = sum(1 << slot for slot, buf
                                          in enumerate(bufs) if buf)
                 dead = router.fault_dead
-                deg = router.fault_degraded
                 if router.fault_stuck is not None:
                     for in_port, in_vc in router.fault_stuck:
                         pending &= ~(1 << (in_port * n_vcs + in_vc))
@@ -218,11 +215,6 @@ class MaskStepper:
                             owners[vc] = divmod(idx, n_vcs)
                             if min_vc:
                                 router.reroutes += 1
-                        if deg is not None:
-                            factor = deg.get(out_port)
-                            if (factor is not None
-                                    and not degraded_pass(now, factor)):
-                                continue  # degraded link: not a pass cycle
                         nb_vc_bufs, nb_node, nb_slot = down[out_port]
                         out_vc = state.out_vc
                         nb_buf = nb_vc_bufs[out_vc]

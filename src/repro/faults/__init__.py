@@ -1,13 +1,13 @@
 """Fault injection and resilience (DESIGN.md §10).
 
-Declarative, seed-deterministic fault scenarios: dead and degraded
-links, dead router/crosspoint ports, payload corruption surfacing as
-AXI SLVERR, and recovery (burst retransmission at the AXI DMA; fault-
-aware rerouting on both fabrics).
+Declarative, seed-deterministic fault scenarios: dead links, dead
+router/crosspoint ports, payload corruption surfacing as AXI SLVERR,
+and recovery (burst retransmission at the AXI DMA; fault-aware
+rerouting on both fabrics).
 """
 
 from repro.faults.runtime import (CorruptionModel, FaultStats, FaultTimeline,
-                                  Recovery, degraded_pass, fault_rngs)
+                                  Recovery, fault_rngs)
 from repro.faults.spec import (RECOVERY_POLICIES, FaultSpec, LinkFault,
                                PortFault, StuckVcFault)
 
@@ -21,6 +21,5 @@ __all__ = [
     "PortFault",
     "Recovery",
     "StuckVcFault",
-    "degraded_pass",
     "fault_rngs",
 ]

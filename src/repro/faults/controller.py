@@ -3,26 +3,21 @@
 One :class:`FaultController` per network applies the run's
 :class:`~repro.faults.runtime.FaultTimeline` to the wired fabric:
 
-* **dead links / ports** (width factor 0) — the egress is added to the
-  owning crosspoint's fault-blocked set; new AW/AR requests that decode
-  to it are terminated with SLVERR at the ingress (fail-fast admission
+* **dead links / ports** — the egress is added to the owning
+  crosspoint's fault-blocked set; new AW/AR requests that decode to it
+  are terminated with SLVERR at the ingress (fail-fast admission
   control).  Transactions already granted into the dead egress complete
   normally, and responses still flow back over it — a deliberate
   simplification that keeps the AXI ordering machinery intact
-  (DESIGN.md §10).
-* **degraded links** (0 < factor < 1) — on the cycles the pure pass
-  function :func:`~repro.faults.runtime.degraded_pass` denies, the
-  controller rewrites the link's visible channel heads one cycle into
-  the future, so beats cross only on a ``factor`` fraction of cycles.
+  (DESIGN.md §10) — unless ``response_faults`` drops them.
 
 The controller must be registered with the simulator *before* the
-crosspoints so a head stalled at cycle ``t`` is stalled before any
-consumer could pop it at ``t`` — in both kernel modes.  It honours the
-activity contract: with no degraded link active it sleeps until the
-timeline's next event; while one is active it steps every cycle (the
-stall decision changes per cycle).  It is ``drain_transparent``: pending
-*future* fault events never hold a drain open (beats actually stalled in
-a link keep their consumer awake, which does).
+crosspoints so a response beat dropped at cycle ``t`` is gone before any
+consumer could pop it at ``t`` — in both kernel modes.  It is a pure
+event component: it sleeps until the timeline's next event (or a
+deferred release), and steps on only while a response drop is pending.
+It is ``drain_transparent``: pending *future* fault events never hold a
+drain open.
 """
 
 from __future__ import annotations
@@ -30,8 +25,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.axi.link import AxiLink
-from repro.faults.runtime import (FaultStats, FaultTimeline, PortFaults,
-                                  degraded_pass)
+from repro.faults.runtime import FaultStats, FaultTimeline, PortFaults
 from repro.noc.topology import MESH_PORTS
 from repro.sim.kernel import Component
 
@@ -54,9 +48,6 @@ class FaultController(Component):
         self._link_by_key = {key: links[i]
                              for i, key in enumerate(link_ports)}
         self._port_faults = PortFaults(link_ports, stats)
-        #: Effective degraded links: key -> (link, factor).
-        self._deg_map: dict[tuple[int, int], tuple[AxiLink, float]] = {}
-        self._degraded: list[tuple[AxiLink, float]] = []
         self._blocked: dict[int, set[int]] = {}
         #: Response-path fault loop (DESIGN.md §10): while armed, B/R
         #: beats on dead mesh links are dropped — the issuing DMA's
@@ -83,8 +74,7 @@ class FaultController(Component):
 
     # -- activity contract ---------------------------------------------
     def quiet(self) -> bool:
-        return (not self._degraded
-                and not (self._resp_dead and self._resp_pending()))
+        return not (self._resp_dead and self._resp_pending())
 
     def next_event(self, now: int) -> int | None:
         wake = self._timeline.peek()
@@ -101,17 +91,10 @@ class FaultController(Component):
             self._apply(tl.pop_due(now))
         if self._deferred and self._deferred[0][0] <= now:
             self._expire_releases(now)
-        busy = False
         if self._resp_dead:
             self._drop_responses(now)
-            busy = self._resp_pending()
-        degraded = self._degraded
-        if degraded:
-            for link, factor in degraded:
-                if not degraded_pass(now, factor):
-                    link.stall_heads(now)
-            return False  # stall decisions change every cycle
-        return not busy
+            return not self._resp_pending()
+        return True
 
     # -- response-path drops (response_faults) --------------------------
     def _resp_pending(self) -> bool:
@@ -213,24 +196,16 @@ class FaultController(Component):
         :func:`~repro.noc.reroute.compute_fault_tables` call per change."""
         from repro.noc.reroute import compute_fault_tables
 
-        dead = set()
-        degraded = {}
-        for key, width in self._port_faults.unhealthy():
-            if key[1] >= MESH_PORTS:
-                continue  # local-port faults don't reshape the mesh
-            if width == 0.0:
-                dead.add(key)
-            else:
-                degraded[key] = width
-        sig = (frozenset(dead), tuple(sorted(degraded.items())))
-        if sig == self._table_sig:
+        dead = frozenset(key for key in self._port_faults.unhealthy()
+                         if key[1] < MESH_PORTS)  # local ports: no reshape
+        if dead == self._table_sig:
             return
-        self._table_sig = sig
-        if not dead and not degraded:
+        self._table_sig = dead
+        if not dead:
             for router in self._routers.values():
                 router.fault_table = None
         else:
-            tables = compute_fault_tables(self._topology, dead, degraded,
+            tables = compute_fault_tables(self._topology, dead, {},
                                           self._dest_nodes)
             self.stats.retables += 1
             self.stats.dijkstra_sources += len(tables)
@@ -243,8 +218,7 @@ class FaultController(Component):
 
     def _refresh(self, key: tuple[int, int]) -> None:
         node, port = key
-        width = self._port_faults.width(key)
-        dead = width == 0.0
+        dead = self._port_faults.dead(key)
         blocked = self._blocked.setdefault(node, set())
         if dead != (port in blocked):
             if dead:
@@ -253,15 +227,9 @@ class FaultController(Component):
                 blocked.discard(port)
             self._xps[node].set_fault_blocked(
                 frozenset(blocked) if blocked else None)
-        link = self._link_by_key.get(key)
-        if link is not None:
-            if width:  # degraded: 0 < width < 1
-                self._deg_map[key] = (link, width)
+        link = self._link_by_key.get(key)  # mesh links only
+        if link is not None and self._response:
+            if dead:
+                self._resp_dead[key] = link
             else:
-                self._deg_map.pop(key, None)
-            self._degraded = list(self._deg_map.values())
-            if self._response and port < MESH_PORTS:
-                if dead:
-                    self._resp_dead[key] = link
-                else:
-                    self._resp_dead.pop(key, None)
+                self._resp_dead.pop(key, None)

@@ -111,7 +111,7 @@ class FaultTimeline:
 
     Events (popped in (cycle, seq) order, seq breaks ties by insertion):
 
-    * ``("link", link_idx, fault_id, width_factor)`` — link goes bad
+    * ``("link", link_idx, fault_id)`` — link dies
     * ``("link_clear", link_idx, fault_id)`` — that fault ends
     * ``("port", node, port, fault_id)`` — egress port dies
     * ``("port_clear", node, port, fault_id)`` — that fault ends
@@ -138,7 +138,7 @@ class FaultTimeline:
                         f"link fault targets nonexistent directed link "
                         f"{lf.src}->{lf.dst}")
             fid = self._new_fid()
-            self._push(lf.start, ("link", idx, fid, lf.width_factor))
+            self._push(lf.start, ("link", idx, fid))
             if lf.duration is not None:
                 self._push(lf.start + lf.duration, ("link_clear", idx, fid))
         for pf in spec.ports:
@@ -175,7 +175,7 @@ class FaultTimeline:
         idx = int(self._rng.integers(self._n_links))
         fid = self._new_fid()
         start = after + gap
-        self._push(start, ("link", idx, fid, 0.0))
+        self._push(start, ("link", idx, fid))
         self._push(start + self._duration, ("link_clear", idx, fid))
 
     def peek(self) -> int | None:
@@ -200,19 +200,17 @@ class FaultTimeline:
 
 class PortFaults:
     """The link and port faults in force, per egress ``(node, port)`` —
-    one table and one composition rule for both fabrics.
-
-    Overlapping faults on an egress compose as: dead if any of them is
-    dead, else the narrowest width.  A dead fault is width factor 0 and
-    ``LinkFault`` keeps the others inside (0, 1), so that is the
-    minimum over the faults in force.
+    one table and one composition rule for both fabrics: an egress is
+    dead while any fault on it is in force (overlapping faults each
+    keep it dead until the last one clears).
     """
 
     def __init__(self, link_ports: list[tuple[int, int]], stats: FaultStats):
         #: (node, out_port) per mesh-link index (the timeline's currency).
         self._link_ports = link_ports
         self._stats = stats
-        self._entries: dict[tuple[int, int], dict[int, float]] = {}
+        #: egress -> ids of the faults in force on it.
+        self._entries: dict[tuple[int, int], set[int]] = {}
 
     def apply(self, event: tuple) -> tuple[int, int]:
         """Fold one ``link`` / ``port`` event or its ``_clear`` into the
@@ -222,27 +220,25 @@ class PortFaults:
             key, fid = self._link_ports[event[1]], event[2]
         else:
             key, fid = (event[1], event[2]), event[3]
-        if kind == "link":
-            self._entries.setdefault(key, {})[fid] = event[3]
-            self._stats.link_faults += 1
-        elif kind == "port":
-            self._entries.setdefault(key, {})[fid] = 0.0
-            self._stats.port_faults += 1
+        if kind.endswith("_clear"):
+            self._entries.get(key, set()).discard(fid)
         else:
-            self._entries.get(key, {}).pop(fid, None)
+            self._entries.setdefault(key, set()).add(fid)
+            if kind == "link":
+                self._stats.link_faults += 1
+            else:
+                self._stats.port_faults += 1
         return key
 
-    def width(self, key: tuple[int, int]) -> float | None:
-        """The egress's effective state: 0.0 dead, a factor in (0, 1)
-        degraded, None healthy."""
-        faults = self._entries.get(key)
-        return min(faults.values()) if faults else None
+    def dead(self, key: tuple[int, int]) -> bool:
+        """True while any fault on the egress is in force."""
+        return bool(self._entries.get(key))
 
-    def unhealthy(self) -> Iterator[tuple[tuple[int, int], float]]:
-        """``(egress, width)`` of every egress with a fault in force."""
+    def unhealthy(self) -> Iterator[tuple[int, int]]:
+        """Every egress with a fault in force."""
         for key, faults in self._entries.items():
             if faults:
-                yield key, min(faults.values())
+                yield key
 
 
 def zombie_grace(txn_timeout: int | None) -> int:
@@ -324,12 +320,3 @@ class CorruptionModel:
             return True
         return False
 
-
-def degraded_pass(now: int, factor: float) -> bool:
-    """True on the cycles a ``factor``-width link may move a beat.
-
-    Pure in ``now`` (no RNG, no state), so both kernel modes agree even
-    when quiet-cycle fast-forward skips over non-pass cycles: a beat
-    arriving on any cycle sees the same accept/stall decision.
-    """
-    return int((now + 1) * factor) - int(now * factor) >= 1

@@ -1,8 +1,8 @@
 """Declarative fault-injection specs (DESIGN.md §10).
 
-A :class:`FaultSpec` describes *what goes wrong* in a run: dead or
-width-degraded links (explicit, or drawn from a Poisson process),
-dead crosspoint/router egress ports, and payload corruption that
+A :class:`FaultSpec` describes *what goes wrong* in a run: dead links
+(explicit, or drawn from a Poisson process), dead crosspoint/router
+egress ports, and payload corruption that
 surfaces as AXI SLVERR at the endpoints — plus the recovery policy the
 endpoints apply.  Like the scenario specs it composes with, a FaultSpec
 is frozen, picklable, and JSON-round-trippable, and every random choice
@@ -37,20 +37,16 @@ def flat_dict(spec) -> dict:
 
 @dataclass(frozen=True)
 class LinkFault:
-    """One directed mesh link going bad.
-
-    ``width_factor = 0`` kills the link outright (new requests routed
-    into it are terminated with SLVERR; baseline packets are dropped or
-    rerouted).  ``0 < width_factor < 1`` degrades it: beats cross only
-    on a ``width_factor`` fraction of cycles, modelling a link running
-    on a subset of its wires.
+    """One directed mesh link going dead over ``[start, start +
+    duration)``: new requests routed into it are terminated with SLVERR
+    (AXI); baseline packets are dropped or rerouted.  A link is alive
+    or dead — there is no partial width.
     """
 
     src: int
     dst: int
     start: int = 0
     duration: int | None = None  # None = permanent
-    width_factor: float = 0.0
 
     def __post_init__(self) -> None:
         if self.src < 0 or self.dst < 0 or self.src == self.dst:
@@ -62,10 +58,6 @@ class LinkFault:
         if self.duration is not None and self.duration < 1:
             raise ValueError(
                 f"fault duration must be >= 1 (or None), got {self.duration}")
-        if not 0.0 <= self.width_factor < 1.0:
-            raise ValueError(
-                f"width_factor must be in [0, 1) — 0 kills the link, "
-                f"fractions degrade it; got {self.width_factor}")
 
 
 @dataclass(frozen=True)

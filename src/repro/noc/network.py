@@ -101,9 +101,8 @@ class NocNetwork:
         the activity scheduler also skips *predictable* cycles: a
         burst whose W or R data streams over a path it owns is frozen
         as a train and charged arithmetically (``noc/trains.py``,
-        DESIGN.md §7) — W bursts on armed networks too, unless
-        ``faults`` can degrade a link; R bursts only where no fault is
-        armed.
+        DESIGN.md §7) — W bursts on armed networks too, R bursts only
+        where no fault is armed.
     faults / fault_seed:
         Optional :class:`~repro.faults.FaultSpec` and the seed its
         deterministic fault events derive from (DESIGN.md §10).  An
@@ -289,8 +288,9 @@ class NocNetwork:
                 release_grace=zombie_grace(faults.txn_timeout))
 
         # -- registration ------------------------------------------------------
-        # The fault controller steps first so a head stalled at cycle t
-        # is stalled before any consumer could pop it at t (both modes).
+        # The fault controller steps first so a response beat dropped at
+        # cycle t is gone before any consumer could pop it at t (both
+        # modes).
         if self._fault_controller is not None:
             self.sim.add(self._fault_controller)
         for xp in self.xps:
@@ -301,16 +301,13 @@ class NocNetwork:
             if built.memory is not None:
                 self.sim.add(built.memory)
         # Trains (DESIGN.md §7): the activity scheduler skips the
-        # predictable cycles of a burst that owns its path.  W trains
-        # not where a link can be degraded: the controller re-times W
-        # heads there.  Every other fault acts at admission, on decoded
-        # heads or on B/R beats, and leaves a locked W path alone — but
-        # not an R path, so R trains only where no fault is armed.
-        degradable = faults is not None and any(
-            lf.width_factor > 0 for lf in faults.links)
+        # predictable cycles of a burst that owns its path.  Every fault
+        # acts at admission, on decoded heads or on B/R beats, and
+        # leaves a locked W path alone — but not an R path, so R trains
+        # only where no fault is armed.
         self._trains: list[WTrain] = []
         self._r_trains: list[RTrain] = []
-        if not always_step and not degradable:
+        if not always_step:
             ingress = {link.w: i for xp in self.xps
                        for i, link in enumerate(xp.in_links)
                        if link is not None}

@@ -20,9 +20,10 @@ Autonet-style **up*/down*** routing over the surviving link graph:
   phase from its ingress port, so no routing state travels with beats.
 
 Paths are shortest *legal* paths (Dijkstra over the (node, phase)
-doubled graph) with degraded links weighted ``1 / width_factor`` — the
-tables prefer a longer healthy detour over a crawling link.  All
-tie-breaks are deterministic (port order, then node id), so the same
+doubled graph); an egress listed in ``degraded`` with factor ``f`` is
+weighted ``1 / f``, every other link 1.  The fault controller passes no
+degraded egress (a link is alive or dead), so every path is a
+min-hop legal path.  All tie-breaks are deterministic (port order, then node id), so the same
 fault state yields the same tables in every process and kernel mode.
 
 A destination with no legal route (the fault cut it off, or one
@@ -122,7 +123,8 @@ def compute_fault_tables(topology, dead, degraded, dest_nodes):
     dead:
         Set of dead ``(node, out_port)`` mesh egresses.
     degraded:
-        ``(node, out_port) → width_factor`` for degraded egresses.
+        ``(node, out_port) → factor`` in (0, 1): the egress weighs
+        ``1 / factor`` hops.  The fault controller passes ``{}``.
     dest_nodes:
         Nodes hosting at least one endpoint (only these need entries).
 

@@ -34,8 +34,7 @@ differs, and it lives in the path walk:
   (``AxiCrossbar._cut_r_train``) before its response could compete.
 
 Only wired by :class:`~repro.noc.network.NocNetwork`, and only with the
-activity scheduler: W trains on a network whose fault spec degrades no
-link (the controller re-times W heads there; every other fault acts at
+activity scheduler: W trains on every network (every fault acts at
 admission, on decoded heads or on B/R beats), R trains on a network with
 no fault controller at all (lost, mangled and corrupted responses act on
 R beats).  ``always_step=True`` is the per-beat reference the tests

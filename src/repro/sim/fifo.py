@@ -188,14 +188,6 @@ class TimedFifo:
                 self.occ[0] += self.occ_bit
             self.consumer.wake(max(entries[0][0] + d, now))
 
-    def stall_head(self, now: int) -> None:
-        """Push a currently-visible head one cycle into the future — the
-        degraded-link fault injection point (DESIGN.md §10).  Heads not
-        yet visible are untouched (never moved earlier)."""
-        q = self._q
-        if q and q[0][0] <= now:
-            q[0] = (now + 1, q[0][1])
-
     def drain(self) -> Iterator[Any]:
         """Yield and remove all items regardless of visibility (teardown)."""
         if self._q and self.occ is not None:

@@ -51,13 +51,24 @@ DESIGN = ROOT / "DESIGN.md"
 #: leaves them unreached.
 VERDICT_HEADING = "Reach verdicts"
 
-#: CI's refused spec: a baseline point that sets an AXI-only field.
-REFUSED_SPEC = {
-    "base": {"topology": {"backend": "baseline", "rows": 2, "cols": 2,
-                          "data_width": 64},
-             "traffic": {"kind": "uniform", "load": 0.1,
-                         "max_burst_bytes": 1}},
-    "axes": {"seed": [1]},
+#: CI's refused specs, by the field each must name: a baseline point
+#: that sets an AXI-only field, and a fault link that carries the
+#: removed ``width_factor``.
+REFUSED_SPECS = {
+    "data_width": {
+        "base": {"topology": {"backend": "baseline", "rows": 2, "cols": 2,
+                              "data_width": 64},
+                 "traffic": {"kind": "uniform", "load": 0.1,
+                             "max_burst_bytes": 1}},
+        "axes": {"seed": [1]},
+    },
+    "width_factor": {
+        "base": {"topology": {"backend": "patronoc", "rows": 2, "cols": 2},
+                 "traffic": {"kind": "uniform", "load": 0.1},
+                 "faults": {"links": [{"src": 0, "dst": 1,
+                                       "width_factor": 0.5}]}},
+        "axes": {"seed": [1]},
+    },
 }
 
 
@@ -180,8 +191,10 @@ def _cli(*argv: str) -> int:
 def steps(work: Path) -> list[tuple[str, object, int]]:
     """(name, thunk, expected exit code) in run order."""
     examples = ROOT / "examples"
-    refused = work / "refused.json"
-    refused.write_text(json.dumps(REFUSED_SPEC))
+    refused = {}
+    for field, spec in REFUSED_SPECS.items():
+        refused[field] = work / f"refused-{field}.json"
+        refused[field].write_text(json.dumps(spec))
 
     def sweep(spec, *extra):
         out = work / Path(spec).stem
@@ -220,9 +233,11 @@ def steps(work: Path) -> list[tuple[str, object, int]]:
              0),
             ("sweep stuck_vc_quick.json", sweep("stuck_vc_quick.json"), 0),
             ("sweep dnn_fault_sweep_quick.json",
-             sweep("dnn_fault_sweep_quick.json", "--quick"), 0),
-            ("sweep refused spec", lambda: _cli("sweep", str(refused)), 2),
-            ("figure warm path", warm_path, 0),
+             sweep("dnn_fault_sweep_quick.json", "--quick"), 0)]
+    out += [(f"sweep refused spec ({field})",
+             lambda path=path: _cli("sweep", str(path)), 2)
+            for field, path in refused.items()]
+    out += [("figure warm path", warm_path, 0),
             ("service smoke", service, 0)]
     return out
 

@@ -83,11 +83,10 @@ def test_deep_mot_under_load():
 def test_reroute_table_swap_with_reads_in_flight_drains():
     """Reproducer found by the scheduler property in test_properties.py
     (which therefore compares "did not drain" as an outcome): a slim 4x3
-    mesh of reads only, one link degraded over [107, 318) under
+    mesh of reads only, one link dead over [107, 318) under
     ``recovery="reroute"``.  Under either scheduler every R link of the
     ring 0-1-2-5-8-7-6-3 ends up full and nothing moves again."""
-    spec = FaultSpec(links=[LinkFault(7, 4, start=107, duration=211,
-                                      width_factor=0.25)],
+    spec = FaultSpec(links=[LinkFault(7, 4, start=107, duration=211)],
                      recovery="reroute")
     net = NocNetwork(NocConfig.slim(4, 3), faults=spec, fault_seed=7772347)
     traffic = uniform_random(net, load=0.5, max_burst_bytes=100,
@@ -101,8 +100,7 @@ def test_the_wedged_r_ring_is_reported_without_polling_and_names_memories():
     """The same reproducer, for what the open defect costs to see: the
     memories behind the full R links sleep like the crosspoints, so the
     drain jumps to its bound and the error names them too."""
-    spec = FaultSpec(links=[LinkFault(7, 4, start=107, duration=211,
-                                      width_factor=0.25)],
+    spec = FaultSpec(links=[LinkFault(7, 4, start=107, duration=211)],
                      recovery="reroute")
     net = NocNetwork(NocConfig.slim(4, 3), faults=spec, fault_seed=7772347)
     traffic = uniform_random(net, load=0.5, max_burst_bytes=100,
@@ -116,7 +114,7 @@ def test_the_wedged_r_ring_is_reported_without_polling_and_names_memories():
     assert net.sim.steps - before < 5_000  # always-step: 760 000
     assert net.sim.cycles_skipped > 19_000
     assert "tile3.mem (full: xp3->tile3.mem.r)" in str(err.value)
-    assert sum(c.name.endswith(".mem") for c in net.sim.blocked()) == 6
+    assert sum(c.name.endswith(".mem") for c in net.sim.blocked()) == 8
 
 
 def test_deadlock_is_seen_without_polling_and_names_the_blocked():

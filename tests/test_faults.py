@@ -64,7 +64,7 @@ class TestFaultSpec:
     def test_json_round_trip(self):
         spec = FaultSpec(
             links=[LinkFault(0, 1, start=100, duration=500),
-                   LinkFault(5, 6, width_factor=0.5)],
+                   LinkFault(5, 6)],
             ports=[PortFault(2, 1, start=10)],
             link_rate=1e-4, corrupt_rate=2e-5,
             recovery="retransmit", max_retries=5)
@@ -89,7 +89,7 @@ class TestFaultSpec:
         dict(links=[{"src": 0, "dst": 0}]),
         dict(links=[{"src": 0, "dst": 1, "start": -1}]),
         dict(links=[{"src": 0, "dst": 1, "duration": 0}]),
-        dict(links=[{"src": 0, "dst": 1, "width_factor": 1.0}]),
+        dict(links=[{"src": -1, "dst": 1}]),
         dict(ports=[{"node": -1, "port": 0}]),
         dict(link_rate=1.5),
         dict(corrupt_rate=2.0),
@@ -100,6 +100,12 @@ class TestFaultSpec:
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             FaultSpec(**bad)
+
+    def test_a_degraded_link_is_refused_by_name(self):
+        """A link is alive or dead: a spec written for the removed
+        width-degraded model fails naming the key it no longer takes."""
+        with pytest.raises(TypeError, match="width_factor"):
+            FaultSpec(links=[{"src": 0, "dst": 1, "width_factor": 0.5}])
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown fault key"):
@@ -145,35 +151,27 @@ class TestScenarioIntegration:
 
 def test_overlapping_faults_compose_in_any_order():
     """One table for both fabrics (``PortFaults``): an egress is dead
-    while any fault on it is dead, else as narrow as its narrowest
-    fault, else healthy — whatever order the faults start and clear in.
-    Link 0 is egress (2, 1); the port fault names it directly."""
-    starts = {1: ("link", 0, 1, 0.5), 2: ("port", 2, 1, 2),
-              3: ("link", 0, 3, 0.25)}
+    while any fault on it is in force, and healthy once the last one
+    clears — whatever order the faults start and clear in.  Link 0 is
+    egress (2, 1); the port fault names it directly."""
+    starts = {1: ("link", 0, 1), 2: ("port", 2, 1, 2), 3: ("link", 0, 3)}
     clears = {1: ("link_clear", 0, 1), 2: ("port_clear", 2, 1, 2),
               3: ("link_clear", 0, 3)}
-    def rule(live):
-        if 2 in live:
-            return 0.0  # the port fault is dead: it wins
-        return min({1: 0.5, 3: 0.25}[f] for f in live) if live else None
-
     for begin in permutations(starts):
         for end in permutations(clears):
             stats = FaultStats()
             table = PortFaults([(2, 1), (0, 0)], stats)
-            live = set()
             for fid in begin:
                 assert table.apply(starts[fid]) == (2, 1)
-                live.add(fid)
-                assert table.width((2, 1)) == rule(live)
+                assert table.dead((2, 1))
             assert (stats.link_faults, stats.port_faults) == (2, 1)
+            live = set(clears)
             for fid in end:
                 assert table.apply(clears[fid]) == (2, 1)
                 live.discard(fid)
-                assert table.width((2, 1)) == rule(live)
-                assert dict(table.unhealthy()) == (
-                    {(2, 1): rule(live)} if live else {})
-            assert table.width((0, 0)) is None
+                assert table.dead((2, 1)) == bool(live)
+                assert list(table.unhealthy()) == ([(2, 1)] if live else [])
+            assert not table.dead((0, 0))
 
 
 # ----------------------------------------------------------------------
@@ -212,7 +210,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("backend", ["patronoc", "baseline"])
     def test_activity_matches_always_step_under_faults(self, backend):
         spec = FaultSpec(links=[LinkFault(5, 6, start=100, duration=600),
-                                LinkFault(9, 10, width_factor=0.5)],
+                                LinkFault(9, 10)],
                         link_rate=5e-4, corrupt_rate=1e-4,
                         recovery="none" if backend == "patronoc"
                         else "reroute")
@@ -288,24 +286,6 @@ class TestAxiFaults:
         net.drain(max_cycles=20_000)
         assert net.dmas[0].errors == 1 and len(errors) == 1 and len(ok) == 1
         assert net.memories[1].bytes_written == 64
-
-    def test_degraded_link_throttles_but_delivers(self):
-        """A width-degraded link slows traffic through it without errors
-        and without dropping anything."""
-        def total_cycles(faults):
-            net = NocNetwork(NocConfig(rows=2, cols=2), faults=faults,
-                             fault_seed=1)
-            net.dmas[0].submit(Transfer(
-                src=0, addr=net.addr_of(1, 0), nbytes=4096, is_read=False))
-            net.drain(max_cycles=100_000)
-            assert net.memories[1].bytes_written == 4096
-            assert net.dmas[0].errors == 0
-            return net.sim.now
-
-        healthy = total_cycles(None)
-        degraded = total_cycles(FaultSpec(links=[
-            LinkFault(0, 1, width_factor=0.25)]))
-        assert degraded > healthy * 2
 
     def test_corruption_surfaces_as_slverr_and_is_not_credited(self):
         sc = _uniform_scenario(

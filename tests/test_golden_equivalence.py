@@ -228,16 +228,16 @@ def test_repeated_drain_is_idempotent_in_both_modes():
 
 @pytest.mark.parametrize("always_step", [False, True])
 def test_drain_of_a_settled_network_consumes_zero_cycles(always_step):
-    """Settled at entry means zero cycles under either scheduler, also
-    when the activity scheduler's active set is not empty: components a
-    never-run network has just registered, or a fault controller kept
-    awake by a permanently degraded link (found by the scheduler
-    property in test_properties.py)."""
+    """Settled at entry means zero cycles under either scheduler: a
+    never-run network (whose just-registered components fill the
+    activity scheduler's active set), and a drained one whose fault
+    controller drops responses on a permanently dead link."""
     cfg, traffic_kwargs = CONFIGS["slim4x4"]
     assert NocNetwork(cfg, always_step=always_step).drain() == 0
     net = NocNetwork(cfg, always_step=always_step, fault_seed=1,
-                     faults=FaultSpec(links=[{"src": 0, "dst": 1,
-                                              "width_factor": 0.25}]))
+                     faults=FaultSpec(links=[{"src": 0, "dst": 1}],
+                                      response_faults=True,
+                                      txn_timeout=900))
     traffic = uniform_random(net, seed=1, **traffic_kwargs).install()
     net.run(400)
     traffic.quiesce()
@@ -317,11 +317,11 @@ class TestKernelSelection:
 # ----------------------------------------------------------------------
 # PATRONoC fabric under faults
 # ----------------------------------------------------------------------
-#: Dead link, degraded link, response corruption: every fault path at
-#: once, firing inside the run window.
+#: A transient and a permanent dead link, response corruption: every
+#: fault path at once, firing inside the run window.
 NOC_FAULTS = FaultSpec(
     links=[{"src": 5, "dst": 6, "start": 200, "duration": 400},
-           {"src": 1, "dst": 2, "start": 300, "width_factor": 0.5}],
+           {"src": 1, "dst": 2, "start": 300}],
     corrupt_rate=0.02, recovery="retransmit")
 
 
@@ -396,8 +396,7 @@ def test_mesh_bit_identical(cfgkw, rate):
 def test_mesh_bit_identical_under_faults(recovery):
     spec = FaultSpec(links=[{"src": 5, "dst": 6, "start": 300,
                              "duration": 800},
-                            {"src": 9, "dst": 10, "start": 500,
-                             "width_factor": 0.5}],
+                            {"src": 9, "dst": 10, "start": 500}],
                      recovery=recovery)
     prod = observe_mesh(False, dict(n_vcs=4, buf_depth=32), 0.3, 3,
                         faults=spec)

@@ -78,17 +78,17 @@ def test_any_id_mot_configuration_completes(seed, id_width, mot):
 @st.composite
 def axi_cases(draw):
     """A mesh shape and bus width, uniform or many-to-one traffic, and
-    an optional dead link / degraded link / corruption stream with a
-    recovery policy.  The many-to-one arm (every master addresses one
-    tile's memory) is what draws sustained back-pressure: full FIFOs,
-    W locks and blocked crosspoints and engines, the states the
-    production scheduler sleeps through.  A small ``max_outstanding``
-    adds the ID/MOT stalls an engine sleeps through as an interval, so
-    the counters compared at the end include ones settled at the read.
+    an optional dead link / corruption stream with a recovery policy.
+    The many-to-one arm (every master addresses one tile's memory) is
+    what draws sustained back-pressure: full FIFOs, W locks and blocked
+    crosspoints and engines, the states the production scheduler sleeps
+    through.  A small ``max_outstanding`` adds the ID/MOT stalls an
+    engine sleeps through as an interval, so the counters compared at
+    the end include ones settled at the read.
     """
     rows, cols = draw(st.integers(2, 4)), draw(st.integers(2, 4))
     hot_spot = draw(st.none() | st.integers(0, rows * cols - 1))
-    faults = _draw_faults(draw, rows, cols, hot_spot, degraded=True)
+    faults = _draw_faults(draw, rows, cols, hot_spot)
     return dict(
         rows=rows, cols=cols, wide=draw(st.booleans()), hot_spot=hot_spot,
         max_outstanding=draw(st.sampled_from([1, 2, 8])),
@@ -101,11 +101,10 @@ def axi_cases(draw):
         faults=faults)
 
 
-def _draw_faults(draw, rows, cols, hot_spot, *, degraded):
+def _draw_faults(draw, rows, cols, hot_spot):
     """``FaultSpec`` keywords: a corruption stream, a recovery policy,
-    maybe a dead link (a start, a duration or none), maybe a
-    ``degraded`` one, maybe lost responses under the transaction
-    watchdog.
+    maybe a dead link (a start, a duration or none), maybe lost
+    responses under the transaction watchdog.
 
     ``reroute`` never gets the transaction watchdog: that pair trips an
     open defect in ``dma._complete`` (strict xfail
@@ -125,10 +124,10 @@ def _draw_faults(draw, rows, cols, hot_spot, *, degraded):
     links = [(src, dst)
              for src, _out, dst, _in in Mesh2D(rows, cols).directed_links()]
 
-    def link(**extra):
+    def link():
         src, dst = draw(st.sampled_from(links))
         return dict(src=src, dst=dst, start=draw(st.integers(0, 400)),
-                    duration=draw(st.none() | st.integers(1, 400)), **extra)
+                    duration=draw(st.none() | st.integers(1, 400)))
 
     faults = dict(links=[],
                   corrupt_rate=draw(st.sampled_from([0.0, 0.0, 2e-3, 2e-2])),
@@ -136,9 +135,6 @@ def _draw_faults(draw, rows, cols, hot_spot, *, degraded):
                       ["none", "retransmit", "reroute"])))
     if draw(st.booleans()):
         faults["links"].append(link())
-    if degraded and draw(st.booleans()):
-        faults["links"].append(link(
-            width_factor=draw(st.sampled_from([0.25, 0.5, 0.75]))))
     if (faults["recovery"] != "reroute" and hot_spot is None
             and draw(st.booleans())):
         faults.update(response_faults=True,
@@ -213,10 +209,9 @@ def test_axi_activity_scheduler_matches_always_step(case):
 @st.composite
 def train_cases(draw):
     """Points cut into ``run()`` segments, so that the boundaries fall
-    inside open trains, from writes only to reads only.  About half are
-    armed (a dead link or a corruption stream drawn) with every fault
-    kind but a degraded link, which keeps W per beat; an armed network
-    keeps R per beat anyway."""
+    inside open trains, from writes only to reads only.  Most are armed
+    (a dead link or a corruption stream drawn), with every fault kind;
+    an armed network keeps R per beat."""
     rows, cols = draw(st.integers(2, 4)), draw(st.integers(2, 4))
     case = dict(
         rows=rows, cols=cols, wide=draw(st.booleans()),
@@ -231,8 +226,7 @@ def train_cases(draw):
         warmup=draw(st.integers(0, 500)),
         segments=draw(st.lists(st.integers(50, 700), min_size=1,
                                max_size=4)))
-    case["faults"] = _draw_faults(draw, rows, cols, case["hot_spot"],
-                                  degraded=False)
+    case["faults"] = _draw_faults(draw, rows, cols, case["hot_spot"])
     return case
 
 
@@ -398,8 +392,8 @@ def test_core_scripts_activity_matches_always_step(case):
 # ----------------------------------------------------------------------
 @st.composite
 def mesh_cases(draw):
-    """A mesh shape, a load, and an optional dead link / degraded link /
-    stuck VC, each over its own window of the first few hundred cycles."""
+    """A mesh shape, a load, and an optional dead link / stuck VC, each
+    over its own window of the first few hundred cycles."""
     from repro.noc.topology import Mesh2D
 
     rows, cols = draw(st.integers(2, 4)), draw(st.integers(2, 4))
@@ -411,17 +405,14 @@ def mesh_cases(draw):
         return dict(start=draw(st.integers(0, 300)),
                     duration=draw(st.none() | st.integers(1, 300)))
 
-    def link(**extra):
+    def link():
         src, dst = draw(st.sampled_from(links))
-        return dict(src=src, dst=dst, **window(), **extra)
+        return dict(src=src, dst=dst, **window())
 
     faults = dict(links=[], stuck_vcs=[],
                   recovery=draw(st.sampled_from(["none", "reroute"])))
     if draw(st.booleans()):
         faults["links"].append(link())
-    if draw(st.booleans()):
-        faults["links"].append(link(
-            width_factor=draw(st.sampled_from([0.25, 0.5, 0.75]))))
     if draw(st.booleans()):
         faults["stuck_vcs"].append(dict(
             node=draw(st.integers(0, rows * cols - 1)),

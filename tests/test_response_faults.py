@@ -345,33 +345,27 @@ class TestRerouteTables:
         net = NocNetwork(NocConfig.slim(), faults=spec, fault_seed=7)
         ctrl = net._fault_controller
         apply = ctrl._apply
-        seen = {"state": (set(), {}), "recomputes": 0, "clear": 0,
+        seen = {"dead": set(), "recomputes": 0, "clear": 0,
                 "unchanged": 0}
 
         def checked(events):
             apply(events)
-            dead, degraded = set(), {}
-            for key, width in ctrl._port_faults.unhealthy():
-                if key[1] < MESH_PORTS:
-                    if width == 0.0:
-                        dead.add(key)
-                    else:
-                        degraded[key] = width
+            dead = {key for key in ctrl._port_faults.unhealthy()
+                    if key[1] < MESH_PORTS}
             tables = {node: router.fault_table
                       for node, router in ctrl._routers.items()}
-            if dead or degraded:
+            if dead:
                 assert tables == compute_fault_tables(
-                    net.topology, dead, degraded, ctrl._dest_nodes)
+                    net.topology, dead, {}, ctrl._dest_nodes)
             else:
                 assert set(tables.values()) == {None}
-            state = (dead, degraded)
-            if state == seen["state"]:
+            if dead == seen["dead"]:
                 seen["unchanged"] += 1
-            elif dead or degraded:
+            elif dead:
                 seen["recomputes"] += 1
             else:
                 seen["clear"] += 1
-            seen["state"] = state
+            seen["dead"] = dead
 
         ctrl._apply = checked
         traffic = uniform_random(net, load=0.4, max_burst_bytes=1000,

@@ -253,16 +253,25 @@ class TestHttpService:
         assert "error" in json.load(err.value)
 
     def test_a_field_the_backend_ignores_is_refused_by_name(self, service):
-        point = {"topology": {"backend": "baseline", "rows": 2, "cols": 2,
-                              "data_width": 64},
-                 "traffic": {"kind": "uniform", "load": 0.1,
-                             "max_burst_bytes": 1}}
-        req = urllib.request.Request(f"{service}/jobs",
-                                     data=json.dumps(point).encode())
-        with pytest.raises(urllib.error.HTTPError) as err:
-            urllib.request.urlopen(req)
-        assert err.value.code == 400
-        assert "data_width" in json.load(err.value)["error"]
+        """An AXI-only field on a baseline point, and a fault link that
+        carries the removed ``width_factor``: 400, naming the field."""
+        baseline = {"topology": {"backend": "baseline", "rows": 2,
+                                 "cols": 2, "data_width": 64},
+                    "traffic": {"kind": "uniform", "load": 0.1,
+                                "max_burst_bytes": 1}}
+        degraded = {"topology": {"backend": "patronoc", "rows": 2,
+                                 "cols": 2},
+                    "traffic": {"kind": "uniform", "load": 0.1},
+                    "faults": {"links": [{"src": 0, "dst": 1,
+                                          "width_factor": 0.5}]}}
+        for field, point in (("data_width", baseline),
+                             ("width_factor", degraded)):
+            req = urllib.request.Request(f"{service}/jobs",
+                                         data=json.dumps(point).encode())
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(req)
+            assert err.value.code == 400
+            assert field in json.load(err.value)["error"]
 
     @pytest.mark.parametrize("declared, code", [
         ("twelve", 400),

@@ -212,16 +212,6 @@ def test_the_memo_replays_until_an_ingress_changes(monkeypatch):
     assert bench.step() == (0, 1)
 
 
-def test_a_degraded_links_stalled_head_defeats_the_memo(monkeypatch):
-    """``stall_heads`` un-sees the head for a cycle: the call it forces
-    finds nothing to file, so the stall is not counted on that cycle."""
-    bench = MemoBench(monkeypatch)
-    bench.ups[1].stall_heads(bench.now + 1)
-    assert bench.step() == (1, 0)
-    assert bench.step() == (1, 1)
-    assert bench.step() == (0, 1)
-
-
 def test_a_route_swap_defeats_the_memo(monkeypatch):
     bench = MemoBench(monkeypatch)
     bench.routes[0] = 1  # the held head now decodes to the idle egress

@@ -67,8 +67,12 @@ class TestKeys:
         assert spec_hash(fast_point()) != spec_hash(fast_point(name="x"))
 
     def test_spec_hash_is_the_one_pr15_computed(self):
-        """Literals recorded at the parent commit (3124678): a changed
-        canonical JSON would orphan every store entry ever written."""
+        """Literals pinning the canonical JSON: a changed one would
+        orphan every store entry ever written.  ``replay``'s is the one
+        recorded at commit 3124678.  ``every_fault_kind``'s link was
+        width-degraded there (``aa7a705f…``); ``LinkFault`` lost that
+        field, and the literal is now that of the same spec with the
+        link dead."""
         replay = Scenario(  # the benchmark's 256 store_replay points
             topology=TopologySpec.baseline(1, 4, rows=2, cols=2),
             traffic=TrafficSpec.uniform(0.6, 1),
@@ -76,13 +80,12 @@ class TestKeys:
         assert spec_hash(replay) == ("0b5f767ec8b968418480b8aca279ce0e"
                                      "408619a5f50c6354889e29ed92469934")
         every_fault_kind = FaultSpec(
-            links=(LinkFault(0, 1, start=10, duration=50,
-                             width_factor=0.5),),
+            links=(LinkFault(0, 1, start=10, duration=50),),
             ports=(PortFault(1, 2),),
             stuck_vcs=(StuckVcFault(2, 1, vc=0, start=5),),
             corrupt_rate=1e-4, recovery="retransmit", txn_timeout=900)
         assert spec_hash(replay.with_(faults=every_fault_kind)) == (
-            "aa7a705f947b295c46b541c570e4ef33415cc38e9f35a283a881d48c4b675c0c")
+            "10334be2a6a54c5ac7ff6926c64bc1d4416eb0b308bea489e689a50f83f8325e")
 
     def test_key_separates_seeds_and_code_versions(self, store, monkeypatch):
         a = store.path_for(fast_point(seed=1))
@@ -132,11 +135,16 @@ class TestGetPut:
 
 
 class TestEntryFormatCompatibility:
-    """Entries written by earlier commits keep hitting."""
+    """Entries written by earlier commits keep hitting — or, when the
+    schema dropped a field they carry, read as corrupt without raising."""
 
-    #: Copied verbatim from a ``put`` at the parent commit (3124678):
-    #: a faulted per-link point, so every nested container is present.
-    GOLDEN = Path(__file__).parent / "golden" / "store_entry_pr15.json"
+    #: Written by ``store.put`` under a fixed fingerprint: a faulted
+    #: per-link point (one dead link, corruption, retransmission), so
+    #: every nested container is present.
+    GOLDEN = Path(__file__).parent / "golden" / "store_entry_pr34.json"
+    #: A ``put`` at commit 3124678 of the same point with its link
+    #: width-degraded: a field ``LinkFault`` no longer has.
+    PRE_SCHEMA = Path(__file__).parent / "golden" / "store_entry_pr15.json"
 
     def test_parent_commit_entry_hits_and_verifies(self, store, monkeypatch):
         data = json.loads(self.GOLDEN.read_text())
@@ -155,10 +163,21 @@ class TestEntryFormatCompatibility:
         monkeypatch.setenv("REPRO_CODE_FINGERPRINT", data["code_fingerprint"])
         path = store.put(Scenario.from_dict(data["scenario"]),
                          Result.from_dict(data["result"]))
-        assert path == store.root / ("git-3124678d79adb1f4/16/847323bf07de2264"
-                                     "70b2f152851a25a9851944b31e687b4b4006cb50"
-                                     "57dc0c-s3.json")
+        assert path == store.root / ("src-a0a1940467741827/7e/2a31cbc1f865f605"
+                                     "871a0844b605e36713647b835379b3f0a8cc4f24"
+                                     "9db51c-s3.json")
         assert path.read_bytes() == self.GOLDEN.read_bytes()
+
+    def test_an_entry_the_schema_cannot_load_is_corrupt(self, store):
+        rel = ("git-3124678d79adb1f4/16/847323bf07de226470b2f152851a25a98519"
+               "44b31e687b4b4006cb5057dc0c-s3.json")
+        path = store.root / rel
+        path.parent.mkdir(parents=True)
+        shutil.copyfile(self.PRE_SCHEMA, path)
+        with pytest.raises(TypeError, match="width_factor"):
+            Scenario.from_dict(json.loads(path.read_text())["scenario"])
+        assert store.verify() == {"checked": 1, "ok": 0, "corrupt": [rel],
+                                  "mismatched": []}
 
 
 class TestCorruptionTolerance:

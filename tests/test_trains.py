@@ -13,7 +13,7 @@ import pytest
 
 from repro.axi.monitor import LinkMonitor
 from repro.axi.transaction import Transfer
-from repro.faults import FaultSpec, LinkFault
+from repro.faults import FaultSpec
 from repro.noc.config import NocConfig
 from repro.noc.network import DEFAULT_REGION_BYTES, NocNetwork
 from repro.traffic.uniform import uniform_random
@@ -73,10 +73,7 @@ def test_trains_carry_the_long_bursts_of_a_saturated_slim_mesh():
 @pytest.mark.parametrize("build", [
     lambda: saturated(4),
     lambda: saturated(64000, always_step=True),
-    # A degraded link re-times W heads on a locked path: per beat.
-    lambda: saturated(64000, faults=FaultSpec(
-        links=[LinkFault(5, 6, width_factor=0.5)]), fault_seed=1),
-], ids=["cap4", "always_step", "degraded"])
+], ids=["cap4", "always_step"])
 def test_no_train_fires_where_none_can(build):
     net = build()
     net.run(3000)

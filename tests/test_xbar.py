@@ -5,13 +5,7 @@ import pytest
 from repro.axi.beats import AddrBeat, BBeat, RBeat, WBeat
 from repro.axi.link import AxiLink
 from repro.axi.types import Resp
-from repro.axi.xbar import (
-    ERROR_PORT,
-    AxiCrossbar,
-    ConnectivityError,
-    make_demux,
-    make_mux,
-)
+from repro.axi.xbar import ERROR_PORT, AxiCrossbar, ConnectivityError
 from repro.sim.kernel import Simulator
 
 
@@ -121,7 +115,7 @@ class TestOrderingRules:
     def test_w_beats_follow_aw_grant_order(self):
         """Two masters writing to one slave: W data must arrive in AW
         grant order, never interleaved within a burst."""
-        xbar = make_mux("mux", 2, id_width=4)
+        xbar = AxiCrossbar("mux", 2, 1, lambda beat, i: 0, id_width=4)
         u0, u1 = AxiLink("u0"), AxiLink("u1")
         down = AxiLink("down")
         xbar.connect_in(0, u0)
@@ -291,12 +285,3 @@ class TestConnectivity:
         with pytest.raises(ValueError):
             AxiCrossbar("dut", 0, 1, lambda b, i: 0, id_width=2)
 
-
-class TestFactories:
-    def test_make_demux_routes(self):
-        demux = make_demux("demux", 3, lambda beat, i: beat.dest, id_width=2)
-        assert demux.n_in == 1 and demux.n_out == 3
-
-    def test_make_mux_shape(self):
-        mux = make_mux("mux", 4, id_width=2)
-        assert mux.n_in == 4 and mux.n_out == 1
