@@ -8,9 +8,8 @@ production scheduler skips and the equivalence properties
 Two things can:
 
 * a golden recorded at the commit *before* the gates existed
-  (``tests/golden/address_path_pr16.json``; ``python
-  tests/test_address_path.py`` prints what this checkout produces, which
-  is how the file was made at ``534750a``), holding every stall counter,
+  (``tests/golden/address_path_pr16.json``, made at ``534750a``;
+  ``python tests/golden/repin.py`` rewrites it), holding every stall counter,
   the offered load, each DMA's latency histogram and the fault report
   under both schedulers;
 * the saving itself as exact call counts, under counting wrappers.
@@ -227,12 +226,6 @@ def test_golden_points_exercise_the_stalls_they_pin():
             "slverr_b"} <= fired
     assert golden["faulted"]["faults"]["retransmissions"] > 0
     assert golden["faulted"]["faults"]["orphaned"] > 0
-
-
-if __name__ == "__main__":
-    print("{\n" + ",\n".join(
-        f' "{name}": {json.dumps(observe(name, False), sort_keys=True)}'
-        for name in ALL_POINTS) + "\n}")
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,18 @@
-"""The benchmark's machine-independent gate, inside tier-1 and therefore
-CI (ROADMAP item 4): the seed-1 and seed-2 points of the five kernel
-workloads and of ``sweep_cold``, generated by
+"""The benchmark's points, pinned statistic by statistic, inside tier-1
+and therefore CI (ROADMAP item 4): the seed-1 and seed-2 points of the
+five kernel workloads and of ``sweep_cold``, generated by
 ``benchmarks/perf/perf_workloads.py`` itself (imported, never edited),
-must hash to ``benchmarks/perf/expected_digests.json``.
+must equal their snapshots, ``tests/golden/results/<workload>-s<seed>.json``
+(every ``Result.to_dict()`` without ``provenance``).
 
-A speed-only change to either fabric may not move a digest; a change
-that means to re-pins the file in its own PR.  ``sweep_cold``'s grid is
-run point by point here — the digest is over the Results, which the
-benchmark's own ``verify`` holds equal between ``jobs=1`` and the pool —
-and ``store_replay`` is left to the CI benchmark step: it exercises the
-store and the service, not the kernels.
+A speed-only change to either fabric may not move a field.  A change
+that means to runs ``python tests/golden/repin.py`` and pastes the table
+it prints; a mismatch here prints the same table.  ``sweep_cold``'s grid
+is run point by point: the benchmark's own ``verify`` holds the pool's
+Results equal to ``jobs=1``.  ``store_replay`` is left to the CI
+benchmark step: it exercises the store and the service, not the
+kernels.  (The test names predate the snapshots, which replaced one
+SHA-256 digest per workload.)
 """
 
 import json
@@ -18,29 +21,24 @@ from pathlib import Path
 
 import pytest
 
-from repro.scenarios import run_scenario
+sys.path.insert(0, str(Path(__file__).resolve().parent / "golden"))
 
-PERF = Path(__file__).resolve().parents[1] / "benchmarks" / "perf"
-sys.path.insert(0, str(PERF))
-
-import perf_workloads  # noqa: E402 - needs PERF on the path
-
-WORKLOADS = ["axi_write", "axi_rw", "dnn_fig8", "faulted", "mesh_uniform",
-             "sweep_cold"]
+import repin  # noqa: E402 - needs tests/golden on the path
 
 
 def assert_pinned(name: str, seed: int) -> None:
-    pinned = json.loads((PERF / "expected_digests.json").read_text())
-    workload = perf_workloads.WORKLOADS[name](seed, False)
-    results = [run_scenario(sc) for sc in workload.points]
-    assert perf_workloads.result_digest(results) == pinned[f"seed{seed}"][name]
+    path = repin.snapshot_path(name, seed)
+    old = repin.snapshot_points(path.read_text())
+    new = repin.snapshot_points(json.dumps(repin.snapshot(name, seed)))
+    assert new == old, "\n" + repin.format_table(
+        repin.diff_rows(path.name, old, new))
 
 
-@pytest.mark.parametrize("name", WORKLOADS)
+@pytest.mark.parametrize("name", repin.SNAPSHOT_WORKLOADS)
 def test_seed_1_points_hash_to_the_pinned_digest(name):
     assert_pinned(name, 1)
 
 
-@pytest.mark.parametrize("name", WORKLOADS)
+@pytest.mark.parametrize("name", repin.SNAPSHOT_WORKLOADS)
 def test_seed_2_points_hash_to_the_pinned_digest(name):
     assert_pinned(name, 2)

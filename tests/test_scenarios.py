@@ -518,6 +518,5 @@ class TestFigureGoldens:
                                           store=figure_store))
         golden = (GOLDEN_DIR / f"{exp_id}_quick.txt").read_text()
         assert text == golden, (
-            f"{exp_id} --quick output drifted from its golden; if the "
-            f"change is intentional, regenerate "
-            f"tests/golden/{exp_id}_quick.txt")
+            f"{exp_id} --quick output drifted from its golden; a change "
+            f"that means to move it runs tests/golden/repin.py")

@@ -7,9 +7,8 @@ component has, like the address-path gates before them
 code.  What holds them exact:
 
 * a golden recorded at the commit *before* either existed
-  (``tests/golden/stall_intervals_pr19.json``; ``python
-  tests/test_stall_intervals.py`` prints what this checkout produces,
-  which is how the file was made at ``16b6576``): every counter on six
+  (``tests/golden/stall_intervals_pr19.json``, made at ``16b6576``;
+  ``python tests/golden/repin.py`` rewrites it): every counter on six
   many-to-one / MOT-bound points under both schedulers, read after each
   of three consecutive ``run()`` segments — so a read meets a DMA in the
   middle of a stall, where the cycles are not yet on the counter;
@@ -225,9 +224,3 @@ def test_a_fault_blocked_egress_defeats_the_memo(monkeypatch):
     bench.xbar.set_fault_blocked(frozenset({0}))
     assert bench.step() == (1, 0)
     assert bench.xbar.counters["ar_fault_blocked"] == 1
-
-
-if __name__ == "__main__":
-    print("{\n" + ",\n".join(
-        f' "{name}": {json.dumps(observe(name, False), sort_keys=True)}'
-        for name in sorted(POINTS)) + "\n}")
