@@ -40,7 +40,7 @@ _EXPORTS = {
     "repro.noc": ("Mesh2D", "NocConfig", "NocNetwork", "TileSpec", "Torus2D",
                   "bisection_gbit_s", "bisection_gib_s", "ring",
                   "utilization"),
-    "repro.scenarios": ("FaultSpec", "LinkFault", "MeasureSpec", "PortFault",
+    "repro.scenarios": ("FaultSpec", "LinkFault", "MeasureSpec",
                         "ProgressEvent", "Result", "Scenario",
                         "SimulationTimeout", "Sweep", "SweepResults",
                         "SweepStats", "TopologySpec", "TrafficSpec",

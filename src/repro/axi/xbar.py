@@ -156,18 +156,12 @@ class AxiCrossbar(Component):
         Optional per-egress, per-direction cap on in-flight transactions
         (Table I MOT for the fabric blocks); None = limited only by the
         ID pool.
-    priorities:
-        Optional per-ingress arbitration priorities (the AXI QoS
-        analogue): among simultaneously requesting ingresses, the
-        highest priority wins; round-robin breaks ties.  None (default)
-        is plain round-robin.
     """
 
     def __init__(self, name: str, n_in: int, n_out: int, route: RouteFn, *,
                  id_width: int, connectivity: Iterable[tuple[int, int]] | None = None,
                  w_order_depth: int = 8, max_outstanding: int | None = None,
-                 err_depth: int = 4, counters: CounterSet | None = None,
-                 priorities: list[int] | None = None):
+                 err_depth: int = 4, counters: CounterSet | None = None):
         if n_in < 1 or n_out < 1:
             raise ValueError(f"crossbar needs >=1 port per side, got {n_in}x{n_out}")
         self.name = name
@@ -178,11 +172,6 @@ class AxiCrossbar(Component):
         self.max_outstanding = max_outstanding
         self.err_depth = err_depth
         self.counters = counters if counters is not None else CounterSet()
-        if priorities is not None and len(priorities) != n_in:
-            raise ValueError(
-                f"priorities must have one entry per ingress "
-                f"({n_in}), got {len(priorities)}")
-        self.priorities = priorities
 
         self.in_links: list[AxiLink | None] = [None] * n_in
         self.out_links: list[AxiLink | None] = [None] * n_out
@@ -716,34 +705,13 @@ class AxiCrossbar(Component):
         if held is not None and held[0] != j:
             held[1].cut(now)
 
-    def _pick_mask(self, mask: int, ptr: int) -> int:
-        """Arbitrate among the requesting ingresses in ``mask``: the
-        lowest at or after ``ptr``, wrapping — :func:`_round_robin_pick`
-        on the mask's bits, without the list.  With QoS priorities and
-        more than one requester, :meth:`_pick` decides."""
-        if self.priorities is not None and mask & (mask - 1):
-            return self._pick(
-                [i for i in range(self.n_in) if mask >> i & 1], ptr)
+    @staticmethod
+    def _pick_mask(mask: int, ptr: int) -> int:
+        """Round-robin among the requesting ingresses in ``mask``: the
+        lowest at or after ``ptr``, wrapping."""
         high = mask >> ptr << ptr
         pick = high or mask
         return (pick & -pick).bit_length() - 1
-
-    def _pick(self, candidates: list[int], ptr: int) -> int:
-        """Arbitrate among requesting ingresses: QoS priority first (if
-        configured), round-robin from ``ptr`` within the winners."""
-        if self.priorities is not None and len(candidates) > 1:
-            best = max(self.priorities[i] for i in candidates)
-            candidates = [i for i in candidates
-                          if self.priorities[i] == best]
-        return _round_robin_pick(candidates, ptr)
-
-
-def _round_robin_pick(candidates: list[int], ptr: int) -> int:
-    """First candidate at or after ``ptr``, wrapping (candidates sorted)."""
-    for i in candidates:
-        if i >= ptr:
-            return i
-    return candidates[0]
 
 
 def _bump_dest(dest_map: dict[int, list], oid: int, out: int) -> None:

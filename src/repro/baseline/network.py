@@ -18,8 +18,8 @@ from collections import deque
 
 from repro.baseline.flit import Flit, Packet, make_flits
 from repro.baseline.router import P_E, P_LOCAL, P_N, P_S, P_W, Router
-from repro.faults.runtime import (CorruptionModel, FaultStats, FaultTimeline,
-                                  PortFaults, Recovery, fault_rngs)
+from repro.faults.runtime import (CorruptionModel, DeadLinks, FaultStats,
+                                  FaultTimeline, Recovery, fault_rngs)
 from repro.noc.topology import Mesh2D
 from repro.sim.kernel import Component, Simulator
 from repro.sim.rng import spawn_rngs
@@ -114,7 +114,7 @@ class PacketMesh(Component):
         self._faults = faults if faults is not None and faults.active() else None
         self._recovery: Recovery | None = None
         self._timeline: FaultTimeline | None = None
-        self._port_faults: PortFaults | None = None
+        self._dead_links: DeadLinks | None = None
         self._dead_ports: dict[int, set[int]] = {}
         #: One corruption model per destination node (corrupt_rate > 0).
         self._corruption: list[CorruptionModel] | None = None
@@ -126,7 +126,7 @@ class PacketMesh(Component):
             spec.check("baseline")
             stats = FaultStats()
             self._recovery = Recovery(spec, stats)
-            self._port_faults = PortFaults(self._link_ports, stats)
+            self._dead_links = DeadLinks(self._link_ports, stats)
             rngs = fault_rngs(seed if fault_seed is None else fault_seed, 2)
             self._timeline = FaultTimeline(spec, len(self._link_ports),
                                            rng=rngs[0],
@@ -257,7 +257,7 @@ class PacketMesh(Component):
                 self._stuck_entries.get(node, {}).pop(fid, None)
                 self._refresh_stuck(node)
             else:
-                touched.add(self._port_faults.apply(event))
+                touched.add(self._dead_links.apply(event))
         for key in sorted(touched):
             self._refresh_fault_port(key)
 
@@ -271,7 +271,7 @@ class PacketMesh(Component):
         """Install one (node, out_port)'s effective state on its router."""
         node, port = key
         dead = self._dead_ports.setdefault(node, set())
-        if self._port_faults.dead(key):
+        if self._dead_links.dead(key):
             dead.add(port)
         else:
             dead.discard(port)

@@ -45,11 +45,8 @@ from repro.sim.stats import CounterSet, LatencyStats, ThroughputMeter
 MIN_TRAIN_BEATS = 16
 _NEVER = 1 << 62  # a cycle no run reaches
 
-#: Flag bits for outstanding-entry index 6 (transaction-lifetime state).
+#: Flag bit for outstanding-entry index 6 (transaction-lifetime state).
 _F_TIMED = 1  # this issue is a txn-timeout retry (timeout_recovered)
-_F_BYZ = 2    # byzantine payload corruption detected mid-burst
-_F_GAP = 4    # a beat was discarded in flight; tolerate the tail
-#               length mismatch and fail the burst there instead
 
 
 class _BurstRetry:
@@ -123,9 +120,6 @@ class DmaEngine(Component):
         #: Per-transaction cycle budget (``FaultSpec.txn_timeout``);
         #: None disables the watchdog and all lifetime guards.
         self._txn_timeout: int | None = None
-        #: Byzantine response-corruption model (``byzantine_rate``).
-        self._byz_rate = 0.0
-        self._byz_rng = None
         #: Response-path faults armed: R bursts may arrive with beats
         #: missing (dropped on a transient dead link whose tail
         #: survived), so length mismatches complete as SLVERR instead
@@ -348,41 +342,25 @@ class DmaEngine(Component):
         """Consume at most one B and one R beat.
 
         The transaction-lifetime guards (DESIGN.md §10) are part of this
-        one body and inert unless fault wiring armed them: no byzantine
-        RNG means no draw, the zombie tables are empty without a
-        watchdog, and no entry carries a flag."""
-        rng = self._byz_rng
+        one body and inert unless fault wiring armed them: the zombie
+        tables are empty without a watchdog, and a length mismatch
+        raises unless response faults are armed."""
         q = link.b._q
         if q and q[0][0] <= now:
             beat = link.b.pop(now)
             tid = beat.id
-            hit = self._byzantine(rng) if rng is not None else 0
-            if hit == _F_GAP:
-                pass  # ID mangled in flight: the scoreboard discards the
-                #       beat; the burst orphans into the watchdog
-            elif tid in self._wr_zombie:
+            if tid in self._wr_zombie:
                 del self._wr_zombie[tid]  # late response for an aborted
                 self._wr_free.append(tid)  # burst: its id is free again
-            else:  # (a corrupted payload is detected as an error)
-                self._complete(self._wr_out, self._wr_free, tid,
-                               Resp.SLVERR if hit else beat.resp, now)
+            else:
+                self._complete(self._wr_out, self._wr_free, tid, beat.resp,
+                               now)
         q = link.r._q
         if q and q[0][0] <= now:
             beat = link.r.pop(now)
             tid = beat.id
             resp = beat.resp
             entry = self._rd_out.get(tid)
-            if rng is not None:
-                hit = self._byzantine(rng)
-                if hit:
-                    # A mangled ID discards the beat, so the burst's
-                    # count can no longer line up: _F_GAP tells the tail
-                    # check.  A corrupted payload fails the burst there.
-                    if entry is not None:
-                        entry[6] |= hit
-                    if hit == _F_GAP:
-                        return
-                    resp = Resp.SLVERR
             if entry is None:
                 if tid not in self._rd_zombie:
                     raise AssertionError(
@@ -397,23 +375,12 @@ class DmaEngine(Component):
             mismatch = beat.last != (entry[2] == 0)
             # With response-path faults armed an R burst may arrive with
             # beats missing; it then completes as SLVERR at its tail.
-            if (mismatch and not (entry[6] & _F_GAP)
-                    and not self._resp_tolerant):
+            if mismatch and not self._resp_tolerant:
                 raise AssertionError(
                     f"{self.name}: R burst length mismatch on id {tid}")
             if beat.last:
-                if mismatch or (entry[6] & _F_BYZ):
-                    resp = Resp.SLVERR
-                self._complete(self._rd_out, self._rd_free, tid, resp, now)
-
-    def _byzantine(self, rng) -> int:
-        """One byzantine draw for a response beat: 0 when it is clean,
-        ``_F_BYZ`` when its payload was corrupted, ``_F_GAP`` when its ID
-        was mangled (nobody can claim the beat)."""
-        if rng.random() >= self._byz_rate:
-            return 0
-        self.recovery.stats.byzantine += 1
-        return _F_GAP if rng.random() < 0.5 else _F_BYZ
+                self._complete(self._rd_out, self._rd_free, tid,
+                               Resp.SLVERR if mismatch else resp, now)
 
     def _check_timeouts(self, now: int) -> None:
         """The per-transaction watchdog: abort outstanding bursts whose

@@ -3,7 +3,7 @@
 One :class:`FaultController` per network applies the run's
 :class:`~repro.faults.runtime.FaultTimeline` to the wired fabric:
 
-* **dead links / ports** — the egress is added to the owning
+* **dead links** — the egress is added to the owning
   crosspoint's fault-blocked set; new AW/AR requests that decode to it
   are terminated with SLVERR at the ingress (fail-fast admission
   control).  Transactions already granted into the dead egress complete
@@ -25,8 +25,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.axi.link import AxiLink
-from repro.faults.runtime import FaultStats, FaultTimeline, PortFaults
-from repro.noc.topology import MESH_PORTS
+from repro.faults.runtime import DeadLinks, FaultStats, FaultTimeline
 from repro.sim.kernel import Component
 
 
@@ -47,7 +46,7 @@ class FaultController(Component):
         self._links = links
         self._link_by_key = {key: links[i]
                              for i, key in enumerate(link_ports)}
-        self._port_faults = PortFaults(link_ports, stats)
+        self._dead = DeadLinks(link_ports, stats)
         self._blocked: dict[int, set[int]] = {}
         #: Response-path fault loop (DESIGN.md §10): while armed, B/R
         #: beats on dead mesh links are dropped — the issuing DMA's
@@ -185,7 +184,7 @@ class FaultController(Component):
 
     # -- event application ---------------------------------------------
     def _apply(self, events: list[tuple]) -> None:
-        for key in sorted({self._port_faults.apply(ev) for ev in events}):
+        for key in sorted({self._dead.apply(ev) for ev in events}):
             self._refresh(key)
         if self._routers is not None:
             self._retable()
@@ -196,8 +195,7 @@ class FaultController(Component):
         :func:`~repro.noc.reroute.compute_fault_tables` call per change."""
         from repro.noc.reroute import compute_fault_tables
 
-        dead = frozenset(key for key in self._port_faults.unhealthy()
-                         if key[1] < MESH_PORTS)  # local ports: no reshape
+        dead = frozenset(self._dead.unhealthy())
         if dead == self._table_sig:
             return
         self._table_sig = dead
@@ -218,7 +216,7 @@ class FaultController(Component):
 
     def _refresh(self, key: tuple[int, int]) -> None:
         node, port = key
-        dead = self._port_faults.dead(key)
+        dead = self._dead.dead(key)
         blocked = self._blocked.setdefault(node, set())
         if dead != (port in blocked):
             if dead:
@@ -227,9 +225,8 @@ class FaultController(Component):
                 blocked.discard(port)
             self._xps[node].set_fault_blocked(
                 frozenset(blocked) if blocked else None)
-        link = self._link_by_key.get(key)  # mesh links only
-        if link is not None and self._response:
+        if self._response:
             if dead:
-                self._resp_dead[key] = link
+                self._resp_dead[key] = self._link_by_key[key]
             else:
                 self._resp_dead.pop(key, None)

@@ -41,16 +41,14 @@ class FaultStats:
     """Mutable fault/recovery bookkeeping shared by the injection points
     and recovery policies of one network."""
 
-    __slots__ = ("link_faults", "port_faults", "vc_faults", "corrupted",
+    __slots__ = ("link_faults", "vc_faults", "corrupted",
                  "retransmissions", "recovered", "dropped",
                  "reroute_decisions", "recovery_latency",
                  "response_drops", "orphaned", "timeout_recovered",
-                 "timeout_latency", "byzantine", "retables",
-                 "dijkstra_sources")
+                 "timeout_latency", "retables", "dijkstra_sources")
 
     def __init__(self) -> None:
         self.link_faults = 0        # link fault events applied
-        self.port_faults = 0        # port fault events applied
         self.vc_faults = 0          # stuck-VC fault events applied
         self.corrupted = 0          # bursts/packets corrupted in flight
         self.retransmissions = 0    # DMA-initiated burst retries (AXI)
@@ -68,24 +66,21 @@ class FaultStats:
         #                             txn_timeout watchdog
         self.timeout_recovered = 0  # orphans clean after a timeout retry
         self.timeout_latency = LatencyStats("timeout")
-        self.byzantine = 0          # byzantine beats detected/discarded
         self.retables = 0           # up*/down* table recomputes
         self.dijkstra_sources = 0   # nodes routed by those recomputes
         #                             (n_nodes per recompute)
 
     def injected(self) -> int:
-        return (self.link_faults + self.port_faults + self.vc_faults
-                + self.corrupted + self.byzantine)
+        return self.link_faults + self.vc_faults + self.corrupted
 
     def as_dict(self) -> dict:
         return {
             "injected": self.injected(),
             "link_faults": self.link_faults,
-            "port_faults": self.port_faults,
             "vc_faults": self.vc_faults,
             "corrupted": self.corrupted,
-            # every corruption (in-flight or byzantine) is detected
-            "detected": self.corrupted + self.byzantine,
+            # every corruption is detected at the receiving endpoint
+            "detected": self.corrupted,
             "retransmissions": self.retransmissions,
             "recovered": self.recovered,
             "dropped": self.dropped,
@@ -95,7 +90,6 @@ class FaultStats:
             "orphaned": self.orphaned,
             "timeout_recovered": self.timeout_recovered,
             "timeout_latency": self.timeout_latency.summary(),
-            "byzantine": self.byzantine,
             "retables": self.retables,
             "dijkstra_sources": self.dijkstra_sources,
         }
@@ -104,7 +98,7 @@ class FaultStats:
 class FaultTimeline:
     """The merged, time-ordered stream of fault events for one run.
 
-    Explicit ``LinkFault``/``PortFault`` entries become heap events up
+    Explicit ``LinkFault``/``StuckVcFault`` entries become heap events up
     front; the Poisson process (``link_rate``) keeps exactly one pending
     fault-start in the heap and draws the next one when it pops, so the
     expansion is lazy, bounded, and independent of run length.
@@ -113,8 +107,6 @@ class FaultTimeline:
 
     * ``("link", link_idx, fault_id)`` — link dies
     * ``("link_clear", link_idx, fault_id)`` — that fault ends
-    * ``("port", node, port, fault_id)`` — egress port dies
-    * ``("port_clear", node, port, fault_id)`` — that fault ends
     * ``("vc", node, port, vc, fault_id)`` — input VC stops draining
     * ``("vc_clear", node, port, vc, fault_id)`` — that fault ends
     """
@@ -141,12 +133,6 @@ class FaultTimeline:
             self._push(lf.start, ("link", idx, fid))
             if lf.duration is not None:
                 self._push(lf.start + lf.duration, ("link_clear", idx, fid))
-        for pf in spec.ports:
-            fid = self._new_fid()
-            self._push(pf.start, ("port", pf.node, pf.port, fid))
-            if pf.duration is not None:
-                self._push(pf.start + pf.duration,
-                           ("port_clear", pf.node, pf.port, fid))
         for sv in spec.stuck_vcs:
             fid = self._new_fid()
             self._push(sv.start, ("vc", sv.node, sv.port, sv.vc, fid))
@@ -198,11 +184,11 @@ class FaultTimeline:
         return out
 
 
-class PortFaults:
-    """The link and port faults in force, per egress ``(node, port)`` —
-    one table and one composition rule for both fabrics: an egress is
-    dead while any fault on it is in force (overlapping faults each
-    keep it dead until the last one clears).
+class DeadLinks:
+    """The link faults in force, per egress ``(node, port)`` — one table
+    and one composition rule for both fabrics: an egress is dead while
+    any fault on it is in force (overlapping faults each keep it dead
+    until the last one clears).
     """
 
     def __init__(self, link_ports: list[tuple[int, int]], stats: FaultStats):
@@ -213,21 +199,15 @@ class PortFaults:
         self._entries: dict[tuple[int, int], set[int]] = {}
 
     def apply(self, event: tuple) -> tuple[int, int]:
-        """Fold one ``link`` / ``port`` event or its ``_clear`` into the
-        table (fault starts are counted); returns the egress it names."""
-        kind = event[0]
-        if kind in ("link", "link_clear"):
-            key, fid = self._link_ports[event[1]], event[2]
-        else:
-            key, fid = (event[1], event[2]), event[3]
-        if kind.endswith("_clear"):
-            self._entries.get(key, set()).discard(fid)
-        else:
+        """Fold one ``link`` / ``link_clear`` event into the table (fault
+        starts are counted); returns the egress it names."""
+        kind, index, fid = event
+        key = self._link_ports[index]
+        if kind == "link":
             self._entries.setdefault(key, set()).add(fid)
-            if kind == "link":
-                self._stats.link_faults += 1
-            else:
-                self._stats.port_faults += 1
+            self._stats.link_faults += 1
+        else:
+            self._entries.get(key, set()).discard(fid)
         return key
 
     def dead(self, key: tuple[int, int]) -> bool:

@@ -1,14 +1,14 @@
 """Declarative fault-injection specs (DESIGN.md §10).
 
 A :class:`FaultSpec` describes *what goes wrong* in a run: dead links
-(explicit, or drawn from a Poisson process), dead crosspoint/router
-egress ports, and payload corruption that
-surfaces as AXI SLVERR at the endpoints — plus the recovery policy the
-endpoints apply.  Like the scenario specs it composes with, a FaultSpec
-is frozen, picklable, and JSON-round-trippable, and every random choice
-it implies is derived deterministically from the run's seed: the same
-(spec, seed) pair produces the same fault history in every process and
-in both kernel modes.
+(explicit, or drawn from a Poisson process), stuck baseline VCs, and
+payload corruption that surfaces as AXI SLVERR at the endpoints — plus
+the recovery policy the endpoints apply.  Like the scenario specs it
+composes with, a FaultSpec is frozen, picklable, and
+JSON-round-trippable, and every random choice it implies is derived
+deterministically from the run's seed: the same (spec, seed) pair
+produces the same fault history in every process and in both kernel
+modes.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ RECOVERY_POLICIES = ("none", "retransmit", "reroute")
 #: endpoint that retries, waits for a response or checks one, so
 #: ``FaultSpec.check("baseline")`` refuses a non-default value.
 _AXI_ONLY_FIELDS = ("max_retries", "retry_timeout", "response_faults",
-                    "txn_timeout", "byzantine_rate")
+                    "txn_timeout")
 
 
 def flat_dict(spec) -> dict:
@@ -53,27 +53,6 @@ class LinkFault:
             raise ValueError(
                 f"link fault needs two distinct nodes, got "
                 f"{self.src}->{self.dst}")
-        if self.start < 0:
-            raise ValueError(f"fault start must be >= 0, got {self.start}")
-        if self.duration is not None and self.duration < 1:
-            raise ValueError(
-                f"fault duration must be >= 1 (or None), got {self.duration}")
-
-
-@dataclass(frozen=True)
-class PortFault:
-    """One crosspoint/router egress port going dead."""
-
-    node: int
-    port: int
-    start: int = 0
-    duration: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.node < 0 or self.port < 0:
-            raise ValueError(
-                f"port fault needs node >= 0 and port >= 0, got "
-                f"node={self.node} port={self.port}")
         if self.start < 0:
             raise ValueError(f"fault start must be >= 0, got {self.start}")
         if self.duration is not None and self.duration < 1:
@@ -116,9 +95,8 @@ class FaultSpec:
 
     Parameters
     ----------
-    links / ports:
-        Explicit fault events (see :class:`LinkFault` /
-        :class:`PortFault`).
+    links:
+        Explicit dead-link events (see :class:`LinkFault`).
     link_rate:
         Poisson rate (faults per cycle, mesh-wide) of *transient dead
         link* events; each victim link is drawn uniformly and stays dead
@@ -149,15 +127,9 @@ class FaultSpec:
         path.  ``None`` disables the watchdog.
     stuck_vcs:
         Explicit :class:`StuckVcFault` events (baseline backend only).
-    byzantine_rate:
-        Per-response-beat probability of byzantine corruption at the
-        AXI endpoints: a hit mangles the beat's ID (the scoreboard
-        detects and discards it — the transaction orphans) or its
-        payload/resp (surfaces as SLVERR).  AXI backend only.
     """
 
     links: tuple[LinkFault, ...] = ()
-    ports: tuple[PortFault, ...] = ()
     link_rate: float = 0.0
     link_duration: int = 500
     corrupt_rate: float = 0.0
@@ -167,7 +139,6 @@ class FaultSpec:
     response_faults: bool = False
     txn_timeout: int | None = None
     stuck_vcs: tuple[StuckVcFault, ...] = ()
-    byzantine_rate: float = 0.0
 
     def __post_init__(self) -> None:
         # Normalize list/dict inputs (JSON round-trips give lists of
@@ -175,9 +146,6 @@ class FaultSpec:
         object.__setattr__(self, "links", tuple(
             lf if isinstance(lf, LinkFault) else LinkFault(**lf)
             for lf in self.links))
-        object.__setattr__(self, "ports", tuple(
-            pf if isinstance(pf, PortFault) else PortFault(**pf)
-            for pf in self.ports))
         object.__setattr__(self, "stuck_vcs", tuple(
             sv if isinstance(sv, StuckVcFault) else StuckVcFault(**sv)
             for sv in self.stuck_vcs))
@@ -205,18 +173,13 @@ class FaultSpec:
             raise ValueError(
                 f"txn_timeout must be >= 1 (or None), got "
                 f"{self.txn_timeout}")
-        if not 0.0 <= self.byzantine_rate <= 1.0:
-            raise ValueError(
-                f"byzantine_rate must be in [0, 1], got "
-                f"{self.byzantine_rate}")
 
     def active(self) -> bool:
         """True if this spec injects anything at all.  An inactive spec
         is behaviourally identical to ``faults=None`` (no controller,
         no models, bit-identical results)."""
-        return bool(self.links or self.ports or self.stuck_vcs
-                    or self.link_rate > 0.0 or self.corrupt_rate > 0.0
-                    or self.byzantine_rate > 0.0)
+        return bool(self.links or self.stuck_vcs
+                    or self.link_rate > 0.0 or self.corrupt_rate > 0.0)
 
     def check(self, backend: str) -> None:
         """Reject what ``backend`` ("patronoc"/"baseline") cannot model."""
@@ -242,7 +205,7 @@ class FaultSpec:
     # -- serialization -------------------------------------------------
     def to_dict(self) -> dict:
         data = flat_dict(self)
-        for name in ("links", "ports", "stuck_vcs"):
+        for name in ("links", "stuck_vcs"):
             data[name] = tuple(flat_dict(fault) for fault in data[name])
         return data
 

@@ -247,11 +247,7 @@ class NocNetwork:
             self.fault_stats = stats = FaultStats()
             mem_tiles = [b for b in self.tiles if b.memory is not None]
             dma_tiles = [t for t in self.tiles if t.dma is not None]
-            # Child streams are index-stable, so appending the per-DMA
-            # byzantine streams after the memory streams leaves every
-            # pre-existing stream (timeline, corruption) untouched.
-            n_byz = len(dma_tiles) if faults.byzantine_rate > 0.0 else 0
-            rngs = fault_rngs(fault_seed, 1 + len(mem_tiles) + n_byz)
+            rngs = fault_rngs(fault_seed, 1 + len(mem_tiles))
             timeline = FaultTimeline(faults, len(self._mesh_links),
                                      rng=rngs[0],
                                      link_index=self._mesh_link_index)
@@ -269,14 +265,11 @@ class NocNetwork:
                     built.memory.fault_model = CorruptionModel(
                         rngs[1 + k], faults.corrupt_rate, hops, stats)
             recovery = Recovery(faults, stats)
-            for k, built in enumerate(dma_tiles):
+            for built in dma_tiles:
                 dma = built.dma
                 dma.recovery = recovery
                 dma._txn_timeout = faults.txn_timeout
                 dma._resp_tolerant = faults.response_faults
-                if n_byz:
-                    dma._byz_rate = faults.byzantine_rate
-                    dma._byz_rng = rngs[1 + len(mem_tiles) + k]
             self._fault_controller = FaultController(
                 "faults", timeline, stats, self.xps,
                 self._mesh_link_ports, self._mesh_links,

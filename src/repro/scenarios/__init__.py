@@ -18,7 +18,7 @@ the simulator supports (DESIGN.md §9)::
                               configs=["slim", "wide"]), jobs=4)
 """
 
-from repro.faults.spec import FaultSpec, LinkFault, PortFault
+from repro.faults.spec import FaultSpec, LinkFault
 from repro.scenarios.result import (
     Result,
     load_results_json,
@@ -54,7 +54,6 @@ __all__ = [
     "FaultSpec",
     "LinkFault",
     "MeasureSpec",
-    "PortFault",
     "ProgressEvent",
     "QUICK_WARMUP",
     "QUICK_WINDOW",

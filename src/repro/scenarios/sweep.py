@@ -309,12 +309,8 @@ def _fault_axes(sc: Scenario) -> str:
         parts.append(f"corrupt_rate={f.corrupt_rate:g}")
     if f.response_faults:
         parts.append(f"response_faults txn_timeout={f.txn_timeout}")
-    if f.byzantine_rate:
-        parts.append(f"byzantine_rate={f.byzantine_rate:g}")
     if f.links:
         parts.append(f"links={len(f.links)}")
-    if f.ports:
-        parts.append(f"ports={len(f.ports)}")
     if f.stuck_vcs:
         parts.append(f"stuck_vcs={len(f.stuck_vcs)}")
     return " (" + ", ".join(parts) + ")"

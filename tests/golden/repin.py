@@ -18,7 +18,7 @@ The goldens, all under ``tests/golden/``, and the tests that read them:
 * ``address_path_pr16.json`` (``tests/test_address_path.py``) and
   ``stall_intervals_pr19.json`` (``tests/test_stall_intervals.py``):
   what each point's ``observe`` reads under the production scheduler;
-* ``store_entry_pr34.json``: one armed per-link point as ``store.put``
+* ``store_entry_pr35.json``: one armed per-link point as ``store.put``
   writes it, under the fingerprint the file already carries
   (``tests/test_store.py``).
 
@@ -51,7 +51,7 @@ SNAPSHOT_WORKLOADS = ("axi_write", "axi_rw", "dnn_fig8", "faulted",
                       "mesh_uniform", "sweep_cold")
 SNAPSHOT_SEEDS = (1, 2)
 FIGURES = ("fig4", "fig6", "fig8")
-STORE_ENTRY = GOLDEN / "store_entry_pr34.json"
+STORE_ENTRY = GOLDEN / "store_entry_pr35.json"
 
 ABSENT = "(absent)"
 
@@ -78,9 +78,10 @@ def snapshot(name: str, seed: int) -> list[dict]:
     return json.loads(json.dumps(points))
 
 
-def snapshot_points(text: str) -> dict:
+def snapshot_points(points: list[dict]) -> dict:
+    """A snapshot's points by index and label, as the table names them."""
     return {f"#{i} {point['label']}": point
-            for i, point in enumerate(json.loads(text))}
+            for i, point in enumerate(points)}
 
 
 def figure_text(exp_id: str) -> str:
@@ -119,7 +120,8 @@ def store_entry_point():
     """A faulted per-link point (one dead link, corruption,
     retransmission), so every nested container of an entry is present."""
     from repro.faults import FaultSpec, LinkFault
-    from repro.scenarios import MeasureSpec, Scenario, TopologySpec, TrafficSpec
+    from repro.scenarios import (MeasureSpec, Scenario, TopologySpec,
+                                 TrafficSpec)
 
     return Scenario(
         topology=TopologySpec(rows=2, cols=2),
@@ -174,7 +176,7 @@ def goldens() -> list[Golden]:
     out = [Golden(snapshot_path(name, seed),
                   lambda name=name, seed=seed: json.dumps(
                       snapshot(name, seed), indent=1, sort_keys=True) + "\n",
-                  snapshot_points)
+                  lambda text: snapshot_points(json.loads(text)))
            for name in SNAPSHOT_WORKLOADS for seed in SNAPSHOT_SEEDS]
     out += [Golden(GOLDEN / f"{exp_id}_quick.txt",
                    lambda exp_id=exp_id: figure_text(exp_id), figure_points)
@@ -215,7 +217,7 @@ def relative_change(old, new) -> str:
     if not (_is_number(old) and _is_number(new)) or old == new:
         return ""
     if old == 0:
-        return "new"
+        return "from 0"
     return f"{(new - old) / abs(old):+.3%}"
 
 

@@ -52,8 +52,9 @@ DESIGN = ROOT / "DESIGN.md"
 VERDICT_HEADING = "Reach verdicts"
 
 #: CI's refused specs, by the field each must name: a baseline point
-#: that sets an AXI-only field, and a fault link that carries the
-#: removed ``width_factor``.
+#: that sets an AXI-only field, a fault link that carries the removed
+#: ``width_factor``, and fault specs that carry the removed dead-port
+#: and byzantine-beat keys.
 REFUSED_SPECS = {
     "data_width": {
         "base": {"topology": {"backend": "baseline", "rows": 2, "cols": 2,
@@ -67,6 +68,18 @@ REFUSED_SPECS = {
                  "traffic": {"kind": "uniform", "load": 0.1},
                  "faults": {"links": [{"src": 0, "dst": 1,
                                        "width_factor": 0.5}]}},
+        "axes": {"seed": [1]},
+    },
+    "ports": {
+        "base": {"topology": {"backend": "patronoc", "rows": 2, "cols": 2},
+                 "traffic": {"kind": "uniform", "load": 0.1},
+                 "faults": {"ports": [{"node": 0, "port": 1}]}},
+        "axes": {"seed": [1]},
+    },
+    "byzantine_rate": {
+        "base": {"topology": {"backend": "patronoc", "rows": 2, "cols": 2},
+                 "traffic": {"kind": "uniform", "load": 0.1},
+                 "faults": {"corrupt_rate": 1e-4, "byzantine_rate": 1e-3}},
         "axes": {"seed": [1]},
     },
 }

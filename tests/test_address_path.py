@@ -104,12 +104,11 @@ class XbarBench(Component):
 
     N_IN, N_OUT = 4, 3
 
-    def __init__(self, always_step: bool, priorities=None):
+    def __init__(self, always_step: bool):
         self.sim = Simulator(activity=not always_step)
         self.xbar = AxiCrossbar(
             "dut", self.N_IN, self.N_OUT, lambda beat, i: beat.dest,
-            id_width=1, max_outstanding=3, w_order_depth=2,
-            priorities=priorities)
+            id_width=1, max_outstanding=3, w_order_depth=2)
         self.ups = [self.xbar.connect_in(i, AxiLink(f"up{i}"))
                     for i in range(self.N_IN)]
         self.downs = [self.xbar.connect_out(j, AxiLink(f"down{j}"))
@@ -183,13 +182,12 @@ class XbarBench(Component):
                 "log_sha256": hashlib.sha256(log).hexdigest()}
 
 
-XBAR_POINTS = {"xbar_round_robin": None, "xbar_qos": [0, 1, 1, 2]}
-ALL_POINTS = sorted([*POINTS, *XBAR_POINTS])
+ALL_POINTS = sorted([*POINTS, "xbar_round_robin"])
 
 
 def observe(name: str, always_step: bool) -> dict:
-    if name in XBAR_POINTS:
-        return XbarBench(always_step, XBAR_POINTS[name]).observe()
+    if name == "xbar_round_robin":
+        return XbarBench(always_step).observe()
     net, source = build(name, always_step)
     net.run(POINTS[name][2])
     return {
@@ -234,15 +232,14 @@ def test_golden_points_exercise_the_stalls_they_pin():
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_mask_pick_equals_list_pick_on_the_sorted_candidates(data):
+    """The bit trick picks what a round-robin walk over the sorted
+    candidate list picks: the first at or after ``ptr``, wrapping."""
     n_in = data.draw(st.integers(1, 8))
     mask = data.draw(st.integers(1, (1 << n_in) - 1))
-    priorities = data.draw(st.none() | st.lists(
-        st.integers(0, 3), min_size=n_in, max_size=n_in))
-    xbar = AxiCrossbar("dut", n_in, 1, lambda beat, i: 0, id_width=4,
-                       priorities=priorities)
     candidates = [i for i in range(n_in) if mask >> i & 1]
     for ptr in range(n_in):
-        assert xbar._pick_mask(mask, ptr) == xbar._pick(candidates, ptr)
+        walk = next((i for i in candidates if i >= ptr), candidates[0])
+        assert AxiCrossbar._pick_mask(mask, ptr) == walk
 
 
 # ----------------------------------------------------------------------

@@ -23,10 +23,10 @@ from repro.faults import (
     FaultSpec,
     FaultTimeline,
     LinkFault,
-    PortFault,
+    StuckVcFault,
     fault_rngs,
 )
-from repro.faults.runtime import FaultStats, PortFaults
+from repro.faults.runtime import DeadLinks, FaultStats
 from repro.noc.config import NocConfig
 from repro.noc.network import NocNetwork
 from repro.scenarios import (
@@ -65,7 +65,6 @@ class TestFaultSpec:
         spec = FaultSpec(
             links=[LinkFault(0, 1, start=100, duration=500),
                    LinkFault(5, 6)],
-            ports=[PortFault(2, 1, start=10)],
             link_rate=1e-4, corrupt_rate=2e-5,
             recovery="retransmit", max_retries=5)
         again = FaultSpec.from_json(spec.to_json())
@@ -74,9 +73,9 @@ class TestFaultSpec:
 
     def test_dict_inputs_normalized(self):
         spec = FaultSpec(links=[{"src": 0, "dst": 1}],
-                         ports=[{"node": 3, "port": 0}])
+                         stuck_vcs=[{"node": 3, "port": 0}])
         assert spec.links == (LinkFault(0, 1),)
-        assert spec.ports == (PortFault(3, 0),)
+        assert spec.stuck_vcs == (StuckVcFault(3, 0),)
 
     def test_active(self):
         assert not FaultSpec().active()
@@ -90,7 +89,7 @@ class TestFaultSpec:
         dict(links=[{"src": 0, "dst": 1, "start": -1}]),
         dict(links=[{"src": 0, "dst": 1, "duration": 0}]),
         dict(links=[{"src": -1, "dst": 1}]),
-        dict(ports=[{"node": -1, "port": 0}]),
+        dict(link_duration=0),
         dict(link_rate=1.5),
         dict(corrupt_rate=2.0),
         dict(recovery="pray"),
@@ -106,6 +105,19 @@ class TestFaultSpec:
         width-degraded model fails naming the key it no longer takes."""
         with pytest.raises(TypeError, match="width_factor"):
             FaultSpec(links=[{"src": 0, "dst": 1, "width_factor": 0.5}])
+
+    @pytest.mark.parametrize("key, value", [
+        ("ports", [{"node": 0, "port": 1}]),
+        ("byzantine_rate", 1e-3),
+    ])
+    def test_a_removed_fault_kind_is_refused_by_name(self, key, value):
+        """Dead ports and byzantine response beats are not modelled: a
+        spec that carries either fails naming the key, from a dict (the
+        JSON form) or as a keyword."""
+        with pytest.raises(ValueError, match=key):
+            FaultSpec.from_dict({key: value})
+        with pytest.raises(TypeError, match=key):
+            FaultSpec(**{key: value})
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown fault key"):
@@ -150,21 +162,20 @@ class TestScenarioIntegration:
 
 
 def test_overlapping_faults_compose_in_any_order():
-    """One table for both fabrics (``PortFaults``): an egress is dead
+    """One table for both fabrics (``DeadLinks``): an egress is dead
     while any fault on it is in force, and healthy once the last one
     clears — whatever order the faults start and clear in.  Link 0 is
-    egress (2, 1); the port fault names it directly."""
-    starts = {1: ("link", 0, 1), 2: ("port", 2, 1, 2), 3: ("link", 0, 3)}
-    clears = {1: ("link_clear", 0, 1), 2: ("port_clear", 2, 1, 2),
-              3: ("link_clear", 0, 3)}
+    egress (2, 1)."""
+    starts = {fid: ("link", 0, fid) for fid in (1, 2, 3)}
+    clears = {fid: ("link_clear", 0, fid) for fid in (1, 2, 3)}
     for begin in permutations(starts):
         for end in permutations(clears):
             stats = FaultStats()
-            table = PortFaults([(2, 1), (0, 0)], stats)
+            table = DeadLinks([(2, 1), (0, 0)], stats)
             for fid in begin:
                 assert table.apply(starts[fid]) == (2, 1)
                 assert table.dead((2, 1))
-            assert (stats.link_faults, stats.port_faults) == (2, 1)
+            assert stats.link_faults == 3
             live = set(clears)
             for fid in end:
                 assert table.apply(clears[fid]) == (2, 1)
@@ -256,18 +267,24 @@ class TestAxiFaults:
         assert result.throughput_gib_s > 0  # the rest of the mesh flows
 
     def test_dead_port_blocks_its_direction(self):
+        """A dead link kills the egress port it leaves by, in one
+        direction only."""
         net = NocNetwork(NocConfig(rows=2, cols=2),
-                         faults=FaultSpec(ports=[PortFault(0, 1)]),
+                         faults=FaultSpec(links=[LinkFault(0, 1)]),
                          fault_seed=1)
         done = []
-        # node 0 -> node 1 crosses XP 0's east port (port 1): SLVERR.
-        net.dmas[0].submit(Transfer(
-            src=0, addr=net.addr_of(1, 0), nbytes=64, is_read=False,
-            on_complete=lambda now: done.append(now)))
+        # node 0 -> node 1 crosses XP 0's east port (port 1): SLVERR;
+        # node 1 -> node 0 takes the other link and lands.
+        for src, dst in ((0, 1), (1, 0)):
+            net.dmas[src].submit(Transfer(
+                src=src, addr=net.addr_of(dst, 0), nbytes=64,
+                is_read=False, on_complete=lambda now: done.append(now)))
         net.drain(max_cycles=20_000)
-        assert done and net.dmas[0].errors == 1
+        assert len(done) == 2
+        assert (net.dmas[0].errors, net.dmas[1].errors) == (1, 0)
         assert net.fault_report()["blocked_aw"] == 1
         assert net.memories[1].bytes_written == 0
+        assert net.memories[0].bytes_written == 64
 
     def test_transient_link_fault_clears(self):
         """After the fault window, the same path works again."""

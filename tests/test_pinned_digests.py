@@ -28,8 +28,8 @@ import repin  # noqa: E402 - needs tests/golden on the path
 
 def assert_pinned(name: str, seed: int) -> None:
     path = repin.snapshot_path(name, seed)
-    old = repin.snapshot_points(path.read_text())
-    new = repin.snapshot_points(json.dumps(repin.snapshot(name, seed)))
+    old = repin.snapshot_points(json.loads(path.read_text()))
+    new = repin.snapshot_points(repin.snapshot(name, seed))
     assert new == old, "\n" + repin.format_table(
         repin.diff_rows(path.name, old, new))
 

@@ -515,8 +515,8 @@ def test_mesh_production_stepper_matches_reference_through_nics(
 @st.composite
 def scenario_cases(draw):
     """The :class:`Scenario` an ``axi_cases`` / ``mesh_cases`` draw
-    describes, plus dead ports, so a drawn ``FaultSpec`` can carry all
-    three fault tuples at once (stuck VCs come with the mesh arm)."""
+    describes, its ``FaultSpec`` included (the mesh arm's carries both
+    fault tuples, dead links and stuck VCs)."""
     from repro.faults import FaultSpec
     from repro.scenarios import (MeasureSpec, Scenario, TopologySpec,
                                  TrafficSpec)
@@ -529,17 +529,13 @@ def scenario_cases(draw):
         preset = TopologySpec.wide if case["wide"] else TopologySpec.slim
         topology = preset(case["rows"], case["cols"])
         traffic = TrafficSpec.uniform(**case["traffic"])
-    ports = draw(st.lists(st.fixed_dictionaries(dict(
-        node=st.integers(0, topology.rows * topology.cols - 1),
-        port=st.integers(0, 4), start=st.integers(0, 300),
-        duration=st.none() | st.integers(1, 300))), max_size=2))
     return Scenario(
         topology=topology, traffic=traffic,
         measure=MeasureSpec(warmup=draw(st.none() | st.integers(0, 500)),
                             window=case["cycles"],
                             max_wall_s=draw(st.none() | st.just(30.0))),
         faults=draw(st.none()
-                    | st.just(FaultSpec(**case["faults"], ports=ports))),
+                    | st.just(FaultSpec(**case["faults"]))),
         seed=case["seed"], name=draw(st.sampled_from(["", "drawn"])))
 
 

@@ -1,8 +1,7 @@
 """Response-path fault loop (DESIGN.md §10): B/R beats die on dead
 links like requests do, per-transaction watchdogs abort the resulting
-orphans into retransmission, stuck VCs pin baseline router slots,
-byzantine beats are detected (not crashed on), and the up*/down*
-tables follow every mesh-liveness change.
+orphans into retransmission, stuck VCs pin baseline router slots, and
+the up*/down* tables follow every mesh-liveness change.
 
 The adversarial core: a *dead response path* used to hang the drain
 loop forever (the simplification these tests retire).  Every test here
@@ -14,12 +13,11 @@ import pytest
 
 from repro.axi.transaction import Transfer
 from repro.baseline.network import PacketMesh, PacketMeshConfig
-from repro.faults import FaultSpec, LinkFault, PortFault
+from repro.faults import FaultSpec, LinkFault
 from repro.faults.spec import StuckVcFault
 from repro.noc.config import NocConfig
 from repro.noc.network import NocNetwork
 from repro.noc.reroute import compute_fault_tables
-from repro.noc.topology import MESH_PORTS
 from repro.traffic.uniform import uniform_random
 
 #: Both fabrics: the production path (default) and the ``always_step``
@@ -35,8 +33,7 @@ class TestSpec:
         spec = FaultSpec(
             links=[LinkFault(0, 1, start=100, duration=500)],
             recovery="retransmit", response_faults=True, txn_timeout=800,
-            stuck_vcs=[StuckVcFault(5, 1, 0, start=200, duration=400)],
-            byzantine_rate=1e-4)
+            stuck_vcs=[StuckVcFault(5, 1, 0, start=200, duration=400)])
         again = FaultSpec.from_json(spec.to_json())
         assert again == spec
         assert isinstance(again.stuck_vcs[0], StuckVcFault)
@@ -47,7 +44,6 @@ class TestSpec:
 
     def test_new_fields_make_spec_active(self):
         assert FaultSpec(stuck_vcs=[StuckVcFault(0, 0, 0)]).active()
-        assert FaultSpec(byzantine_rate=1e-5).active()
         # response_faults/txn_timeout alone arm nothing: they change how
         # faults behave, they are not faults themselves.
         assert not FaultSpec(response_faults=True, txn_timeout=100).active()
@@ -55,8 +51,8 @@ class TestSpec:
     @pytest.mark.parametrize("bad", [
         dict(txn_timeout=0),
         dict(txn_timeout=-5),
-        dict(byzantine_rate=1.5),
-        dict(byzantine_rate=-0.1),
+        dict(stuck_vcs=[{"node": 0, "port": -1, "vc": 0}]),
+        dict(stuck_vcs=[{"node": 0, "port": 0, "vc": -1}]),
         dict(stuck_vcs=[{"node": -1, "port": 0, "vc": 0}]),
         dict(stuck_vcs=[{"node": 0, "port": 0, "vc": 0, "duration": 0}]),
     ])
@@ -80,9 +76,16 @@ class TestBackendValidation:
                        fault_seed=1)
 
     def test_baseline_rejects_byzantine(self):
-        with pytest.raises(ValueError, match="byzantine"):
-            PacketMesh(PacketMeshConfig(),
-                       faults=FaultSpec(byzantine_rate=1e-4), fault_seed=1)
+        """No fabric models byzantine response beats: a point that
+        asks for them is refused by name, before anything is built."""
+        from repro.scenarios import Scenario
+
+        with pytest.raises(ValueError, match="byzantine_rate"):
+            Scenario.from_dict({
+                "topology": {"backend": "baseline"},
+                "traffic": {"kind": "uniform", "load": 0.1,
+                            "max_burst_bytes": 1},
+                "faults": {"byzantine_rate": 1e-4}})
 
     @pytest.mark.parametrize("field", ["max_retries", "retry_timeout",
                                        "response_faults", "txn_timeout"])
@@ -177,7 +180,7 @@ class TestAxiOrphans:
 
 
 # ----------------------------------------------------------------------
-# AXI mesh: byzantine corruption is detected, never fatal
+# Open defects, pinned as strict xfails
 # ----------------------------------------------------------------------
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="open defect: dma._complete sees a response for "
@@ -252,33 +255,6 @@ def test_retransmit_with_response_faults_keeps_every_r_beat_known(seed):
         net.run(100)
 
 
-class TestByzantine:
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_high_rate_never_crashes(self, kernel):
-        """A hot byzantine stream (mangled IDs and payloads) is absorbed
-        by the guarded sinks: detected and discarded or SLVERR-completed,
-        with the drain still reaching a fixpoint."""
-        spec = FaultSpec(byzantine_rate=2e-3, recovery="retransmit",
-                         txn_timeout=900)
-        net = _run_axi(spec, kernel=kernel)
-        f = net.fault_report()
-        assert net.idle()
-        assert f["byzantine"] > 0
-        assert f["detected"] == f["corrupted"] + f["byzantine"]
-
-    def test_byzantine_matches_across_kernels(self):
-        spec = FaultSpec(byzantine_rate=1e-3, recovery="retransmit",
-                         txn_timeout=900)
-
-        def observe(kernel):
-            net = _run_axi(spec, kernel=kernel)
-            return (net.sim.now, net.total_bytes(),
-                    net.transfers_completed(), net.counters.as_dict(),
-                    net.fault_report())
-
-        assert observe("activity") == observe("always")
-
-
 # ----------------------------------------------------------------------
 # Packet baseline: stuck VCs pin slots, mesh stays live
 # ----------------------------------------------------------------------
@@ -334,13 +310,14 @@ class TestRerouteTables:
     def test_installed_tables_follow_every_liveness_change(self):
         """After every fault event the controller applies, each router
         holds exactly the tables ``compute_fault_tables`` gives for the
-        mesh faults then in force, and none once the mesh is healthy.  A
-        local-port fault overlaps the churn: it changes no mesh
-        liveness, so the controller keeps the tables it has."""
+        mesh faults then in force, and none once the mesh is healthy.
+        Two faults on one link overlap the churn: the inner one's start
+        and clear change no mesh liveness, so the controller keeps the
+        tables it has."""
         spec = FaultSpec(link_rate=CHURN.link_rate,
                          link_duration=CHURN.link_duration,
-                         ports=[PortFault(5, MESH_PORTS, start=700,
-                                          duration=600)],
+                         links=[LinkFault(5, 6, start=700, duration=600),
+                                LinkFault(5, 6, start=900, duration=200)],
                          recovery="reroute")
         net = NocNetwork(NocConfig.slim(), faults=spec, fault_seed=7)
         ctrl = net._fault_controller
@@ -350,8 +327,7 @@ class TestRerouteTables:
 
         def checked(events):
             apply(events)
-            dead = {key for key in ctrl._port_faults.unhealthy()
-                    if key[1] < MESH_PORTS}
+            dead = set(ctrl._dead.unhealthy())
             tables = {node: router.fault_table
                       for node, router in ctrl._routers.items()}
             if dead:

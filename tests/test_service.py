@@ -253,8 +253,10 @@ class TestHttpService:
         assert "error" in json.load(err.value)
 
     def test_a_field_the_backend_ignores_is_refused_by_name(self, service):
-        """An AXI-only field on a baseline point, and a fault link that
-        carries the removed ``width_factor``: 400, naming the field."""
+        """An AXI-only field on a baseline point, a fault link that
+        carries the removed ``width_factor``, and fault specs that carry
+        the removed ``ports`` / ``byzantine_rate``: 400, naming the
+        field."""
         baseline = {"topology": {"backend": "baseline", "rows": 2,
                                  "cols": 2, "data_width": 64},
                     "traffic": {"kind": "uniform", "load": 0.1,
@@ -264,8 +266,11 @@ class TestHttpService:
                     "traffic": {"kind": "uniform", "load": 0.1},
                     "faults": {"links": [{"src": 0, "dst": 1,
                                           "width_factor": 0.5}]}}
+        removed = {key: {**degraded, "faults": {key: value}}
+                   for key, value in (("ports", [{"node": 0, "port": 1}]),
+                                      ("byzantine_rate", 1e-3))}
         for field, point in (("data_width", baseline),
-                             ("width_factor", degraded)):
+                             ("width_factor", degraded), *removed.items()):
             req = urllib.request.Request(f"{service}/jobs",
                                          data=json.dumps(point).encode())
             with pytest.raises(urllib.error.HTTPError) as err:

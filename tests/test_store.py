@@ -13,7 +13,7 @@ import pytest
 # The package re-exports the sweep() *function* under the submodule's
 # name, so attribute import would grab the function; go via importlib.
 sweep_mod = importlib.import_module("repro.scenarios.sweep")
-from repro.faults import FaultSpec, LinkFault, PortFault, StuckVcFault
+from repro.faults import FaultSpec, LinkFault, StuckVcFault
 from repro.scenarios import (
     MeasureSpec,
     Result,
@@ -69,10 +69,13 @@ class TestKeys:
     def test_spec_hash_is_the_one_pr15_computed(self):
         """Literals pinning the canonical JSON: a changed one would
         orphan every store entry ever written.  ``replay``'s is the one
-        recorded at commit 3124678.  ``every_fault_kind``'s link was
-        width-degraded there (``aa7a705f…``); ``LinkFault`` lost that
-        field, and the literal is now that of the same spec with the
-        link dead."""
+        recorded at commit 3124678.  ``every_fault_kind``'s literal
+        moved twice, each time because ``FaultSpec`` lost a fault kind
+        and its canonical JSON lost the key: its link was width-degraded
+        at 3124678 (``aa7a705f…``), then dead beside a dead port and
+        with a ``byzantine_rate`` key (``10334be2…``).  It now holds
+        every fault kind there is: a dead link, a stuck VC and
+        corruption."""
         replay = Scenario(  # the benchmark's 256 store_replay points
             topology=TopologySpec.baseline(1, 4, rows=2, cols=2),
             traffic=TrafficSpec.uniform(0.6, 1),
@@ -81,11 +84,10 @@ class TestKeys:
                                      "408619a5f50c6354889e29ed92469934")
         every_fault_kind = FaultSpec(
             links=(LinkFault(0, 1, start=10, duration=50),),
-            ports=(PortFault(1, 2),),
             stuck_vcs=(StuckVcFault(2, 1, vc=0, start=5),),
             corrupt_rate=1e-4, recovery="retransmit", txn_timeout=900)
         assert spec_hash(replay.with_(faults=every_fault_kind)) == (
-            "10334be2a6a54c5ac7ff6926c64bc1d4416eb0b308bea489e689a50f83f8325e")
+            "0cdfc589d5b6a1a549b762fca8a02e8e78b09247dabb4399d5f6495960ece8ea")
 
     def test_key_separates_seeds_and_code_versions(self, store, monkeypatch):
         a = store.path_for(fast_point(seed=1))
@@ -140,11 +142,20 @@ class TestEntryFormatCompatibility:
 
     #: Written by ``store.put`` under a fixed fingerprint: a faulted
     #: per-link point (one dead link, corruption, retransmission), so
-    #: every nested container is present.
-    GOLDEN = Path(__file__).parent / "golden" / "store_entry_pr34.json"
-    #: A ``put`` at commit 3124678 of the same point with its link
-    #: width-degraded: a field ``LinkFault`` no longer has.
-    PRE_SCHEMA = Path(__file__).parent / "golden" / "store_entry_pr15.json"
+    #: every nested container is present.  ``tests/golden/repin.py``
+    #: rewrites it.
+    GOLDEN = Path(__file__).parent / "golden" / "store_entry_pr35.json"
+    #: Entries ``put`` wrote before the schema dropped a field they
+    #: carry, under the path each was written to: at commit 3124678 the
+    #: same point with its link width-degraded, at 133480c the same point
+    #: with the ``ports`` and ``byzantine_rate`` keys ``FaultSpec`` no
+    #: longer has (both entries carry those two).
+    PRE_SCHEMA = {
+        "pr15": ("git-3124678d79adb1f4/16/847323bf07de226470b2f152851a25a9"
+                 "851944b31e687b4b4006cb5057dc0c-s3.json"),
+        "pr34": ("src-a0a1940467741827/7e/2a31cbc1f865f605871a0844b605e367"
+                 "13647b835379b3f0a8cc4f249db51c-s3.json"),
+    }
 
     def test_parent_commit_entry_hits_and_verifies(self, store, monkeypatch):
         data = json.loads(self.GOLDEN.read_text())
@@ -163,18 +174,21 @@ class TestEntryFormatCompatibility:
         monkeypatch.setenv("REPRO_CODE_FINGERPRINT", data["code_fingerprint"])
         path = store.put(Scenario.from_dict(data["scenario"]),
                          Result.from_dict(data["result"]))
-        assert path == store.root / ("src-a0a1940467741827/7e/2a31cbc1f865f605"
-                                     "871a0844b605e36713647b835379b3f0a8cc4f24"
-                                     "9db51c-s3.json")
+        assert path == store.root / ("src-a0a1940467741827/45/e4c72423e7cbe8b9"
+                                     "cc1214d7f2fbf622ceb50ea80fe7e4e5c56aa3cd"
+                                     "a60a65-s3.json")
         assert path.read_bytes() == self.GOLDEN.read_bytes()
 
-    def test_an_entry_the_schema_cannot_load_is_corrupt(self, store):
-        rel = ("git-3124678d79adb1f4/16/847323bf07de226470b2f152851a25a98519"
-               "44b31e687b4b4006cb5057dc0c-s3.json")
+    @pytest.mark.parametrize("entry", sorted(PRE_SCHEMA))
+    def test_an_entry_the_schema_cannot_load_is_corrupt(self, store, entry):
+        rel = self.PRE_SCHEMA[entry]
         path = store.root / rel
         path.parent.mkdir(parents=True)
-        shutil.copyfile(self.PRE_SCHEMA, path)
-        with pytest.raises(TypeError, match="width_factor"):
+        shutil.copyfile(Path(__file__).parent / "golden"
+                        / f"store_entry_{entry}.json", path)
+        with pytest.raises(ValueError,
+                           match=r"unknown fault key.*'byzantine_rate', "
+                                 r"'ports'"):
             Scenario.from_dict(json.loads(path.read_text())["scenario"])
         assert store.verify() == {"checked": 1, "ok": 0, "corrupt": [rel],
                                   "mismatched": []}
