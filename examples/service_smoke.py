@@ -4,7 +4,7 @@
 Starts the HTTP service in-process on an ephemeral port, submits
 ``examples/sweep_quick.json`` twice, and asserts the second submission
 is served entirely from the content-addressed result store — the
-"millions of users" workflow (ROADMAP item 2) in one script:
+"millions of users" workflow of DESIGN.md §12 in one script:
 
     PYTHONPATH=src python examples/service_smoke.py [store-dir]
 

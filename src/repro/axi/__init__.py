@@ -11,7 +11,6 @@ from repro.axi.beats import AddrBeat, BBeat, RBeat, WBeat
 from repro.axi.id_pool import IdRemapper
 from repro.axi.link import CHANNELS, AxiLink
 from repro.axi.memory_map import MemoryMap, Region
-from repro.axi.monitor import LinkMonitor
 from repro.axi.transaction import Burst, Transfer, beat_sizes, split_transfer
 from repro.axi.types import (
     BOUNDARY_4K,
@@ -37,7 +36,6 @@ __all__ = [
     "ConnectivityError",
     "ERROR_PORT",
     "IdRemapper",
-    "LinkMonitor",
     "MAX_BURST_BEATS",
     "MemoryMap",
     "RBeat",

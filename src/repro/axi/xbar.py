@@ -135,7 +135,7 @@ class AxiCrossbar(Component):
     Parameters
     ----------
     name:
-        Instance name (used in assertions and monitors).
+        Instance name (used in assertions).
     n_in / n_out:
         Number of slave (request-ingress) / master (request-egress) ports.
     route:

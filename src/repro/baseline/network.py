@@ -99,7 +99,6 @@ class PacketMesh(Component):
         #: Payload bytes by packet id, registered by NICs (AXI-bridged mode).
         self._payloads: dict[int, int] = {}
         self.bytes_received = 0
-        self.bytes_received_measured = 0
         self.latency = LatencyStats("baseline")
         #: Flits currently buffered inside routers (activity contract).
         self._flits_in_network = 0
@@ -225,10 +224,7 @@ class PacketMesh(Component):
                 # never credited and nothing resends it.
                 self._recovery.drop()
                 return
-            if nbytes:
-                self.bytes_received += nbytes
-                if now >= self.warmup:
-                    self.bytes_received_measured += nbytes
+            self.bytes_received += nbytes
 
     def _drop(self, flit: Flit, now: int) -> None:
         """Router drop callback (dead-link losses): keep the in-network
@@ -293,14 +289,6 @@ class PacketMesh(Component):
     def register_payload(self, pid: int, nbytes: int) -> None:
         """Associate useful payload bytes with a packet (NIC-driven mode)."""
         self._payloads[pid] = nbytes
-
-    def payload_gib_s_aggregate(self, now: int | None = None) -> float:
-        """Aggregate useful-payload throughput in NIC-driven mode."""
-        end = self.sim.now if now is None else now
-        window = end - self.warmup
-        if window <= 0:
-            return 0.0
-        return self.bytes_received_measured / window * self.cfg.freq_hz / GIB
 
     def set_warmup(self, cycle: int) -> None:
         self.warmup = cycle

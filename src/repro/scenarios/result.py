@@ -2,7 +2,7 @@
 
 Whatever the backend (AXI mesh or packet baseline) and traffic kind, a
 run yields one :class:`Result` with the same fields — throughput,
-latency percentiles, raw counters, optional per-link utilization — so
+latency percentiles, raw counters, a fault report — so
 sweeps, figures, and serialized artifacts all consume one shape.
 Results compare with ``==`` (used to assert parallel == serial sweeps)
 and round-trip through JSON.
@@ -55,7 +55,6 @@ class Result:
     latency_p99: float | None = None
     cycles: int = 0
     counters: dict = field(default_factory=dict)
-    link_utilization: dict = field(default_factory=dict)
     #: Fault-injection report (DESIGN.md §10): injected/detected/
     #: recovered counts, retransmissions, drops, recovery latency.
     #: Empty when the scenario had no active FaultSpec.

@@ -15,10 +15,6 @@ Methodology (matches the paper's §IV setup):
   distributed training (its phase structure is longer than any sensible
   steady-state window).  Windows are derived from the workload and the
   configuration unless the MeasureSpec pins them explicitly.
-
-Per-link capture (``measure.per_link``) splits the run at the warm-up
-boundary to open the monitor window; ``Simulator.run`` is relative, so
-the split is simulation-identical to a single call.
 """
 
 from __future__ import annotations
@@ -88,8 +84,8 @@ def run_scenario(scenario: Scenario) -> Result:
     from repro.store import provenance_for
 
     net, scripts = build_network(scenario)
-    link_util = _drive(scenario, net, scripts)
-    return replace(_collect(scenario, net, link_util),
+    _drive(scenario, net, scripts)
+    return replace(_collect(scenario, net),
                    provenance=provenance_for(scenario))
 
 
@@ -139,24 +135,14 @@ def _is_train(sc: Scenario) -> bool:
     return sc.traffic.kind == "dnn" and sc.traffic.workload == "train"
 
 
-def _drive(sc: Scenario, net, scripts) -> dict:
+def _drive(sc: Scenario, net, scripts) -> None:
     """Run the measurement: one full batch for ``dnn:train``, warm-up
-    then window for everything else.  Returns the per-link utilization
-    of the measured span (``{}`` unless ``measure.per_link``)."""
+    then window for everything else."""
     measure = sc.measure
     dog = _watchdog(measure)
-    heat = None
-    if measure.per_link:
-        from repro.eval.heatmap import LinkHeatmap
-
-        heat = LinkHeatmap(net)
     if _is_train(sc):
         for script in scripts:
             script.loop = False
-        if heat is not None:
-            # The batch IS the measurement window: capture links over
-            # the whole run, like the throughput number.
-            heat.open_window()
         net.run(_TRAIN_LIMIT[measure.is_quick],
                 until=lambda now: (dog is not None and dog(now))
                 or (now % 2048 == 0
@@ -175,16 +161,10 @@ def _drive(sc: Scenario, net, scripts) -> dict:
             if measure.window is None:
                 window = derived[1]
         net.set_warmup(warmup)
-        if heat is None:
-            net.run(warmup + window, until=dog)
-        else:
-            net.run(warmup, until=dog)
-            heat.open_window()
-            net.run(window, until=dog)
-    return heat.utilization() if heat is not None else {}
+        net.run(warmup + window, until=dog)
 
 
-def _collect(sc: Scenario, net, link_util: dict) -> Result:
+def _collect(sc: Scenario, net) -> Result:
     """Read one driven network into a Result (provenance aside)."""
     tr = sc.traffic
     if sc.topology.backend == "baseline":
@@ -230,7 +210,7 @@ def _collect(sc: Scenario, net, link_util: dict) -> Result:
                   "total_bytes": net.total_bytes(),
                   "transfers_completed": net.transfers_completed(),
                   "response_errors": net.response_errors()},
-        link_utilization=link_util, faults=net.fault_report(), **steady)
+        faults=net.fault_report(), **steady)
 
 
 def _median_of_dma_percentiles(net, q: float) -> float:

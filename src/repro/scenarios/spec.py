@@ -9,8 +9,7 @@ A NoC experiment point is fully described by three small frozen specs
 * :class:`TrafficSpec` — what drives it: uniform random DMA traffic,
   one of the Fig. 5 synthetic patterns, or a §IV-C DNN workload.
 * :class:`MeasureSpec` — how it is measured: warm-up and measurement
-  window, fidelity preset (full / quick), and optional per-link
-  utilization capture.
+  window and fidelity preset (full / quick).
 
 They compose into a :class:`Scenario` — one immutable, picklable,
 JSON-serialisable experiment point that
@@ -275,7 +274,7 @@ class TrafficSpec:
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    """How to measure: warm-up + window, fidelity, per-link capture.
+    """How to measure: warm-up + window, fidelity, wall-clock budget.
 
     ``warmup``/``window`` of ``None`` (the default, and what the
     :meth:`full`/:meth:`quick` presets use) mean *derive*: the runner
@@ -299,7 +298,6 @@ class MeasureSpec:
     warmup: int | None = None
     window: int | None = None
     fidelity: str = "full"
-    per_link: bool = False
     max_wall_s: float | None = None
 
     def __post_init__(self) -> None:
@@ -328,18 +326,14 @@ class MeasureSpec:
         return (self.warmup if self.warmup is not None else defaults[0],
                 self.window if self.window is not None else defaults[1])
 
-    def auto_windows(self) -> "MeasureSpec":
-        """A copy with warmup/window cleared (runner-derived windows)."""
-        return replace(self, warmup=None, window=None)
-
     # -- the two presets every experiment shares -----------------------
     @classmethod
-    def full(cls, *, per_link: bool = False) -> "MeasureSpec":
-        return cls(fidelity="full", per_link=per_link)
+    def full(cls) -> "MeasureSpec":
+        return cls(fidelity="full")
 
     @classmethod
-    def quick(cls, *, per_link: bool = False) -> "MeasureSpec":
-        return cls(fidelity="quick", per_link=per_link)
+    def quick(cls) -> "MeasureSpec":
+        return cls(fidelity="quick")
 
     @classmethod
     def coerce(cls, value) -> "MeasureSpec":
@@ -382,10 +376,6 @@ class Scenario:
             raise ValueError(
                 f"the baseline backend only supports uniform traffic, "
                 f"got {self.traffic.kind!r}")
-        if self.topology.backend == "baseline" and self.measure.per_link:
-            raise ValueError(
-                "per-link capture is not supported on the baseline "
-                "backend (no AXI link monitors on the packet mesh)")
         if self.traffic.kind == "dnn" and self.traffic.workload == "train" \
                 and (self.measure.warmup is not None
                      or self.measure.window is not None):

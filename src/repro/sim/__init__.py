@@ -2,7 +2,7 @@
 
 from repro.sim.fifo import TimedFifo
 from repro.sim.kernel import Component, Simulator
-from repro.sim.rng import DEFAULT_SEED, root_rng, spawn_rngs
+from repro.sim.rng import DEFAULT_SEED, spawn_rngs
 from repro.sim.stats import GIB, KIB, CounterSet, LatencyStats, ThroughputMeter
 
 __all__ = [
@@ -15,6 +15,5 @@ __all__ = [
     "Simulator",
     "ThroughputMeter",
     "TimedFifo",
-    "root_rng",
     "spawn_rngs",
 ]

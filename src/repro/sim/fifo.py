@@ -60,7 +60,7 @@ class TimedFifo:
         self.latency = latency
         self.name = name
         self._q: deque[tuple[int, Any]] = deque()
-        self.pushed = 0  # lifetime counters, used by monitors/tests
+        self.pushed = 0  # lifetime counters, used by tests
         self.popped = 0
         #: The component woken when a pushed item becomes visible
         #: (claimed by whoever consumes from this FIFO; may be None).

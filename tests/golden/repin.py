@@ -18,8 +18,8 @@ The goldens, all under ``tests/golden/``, and the tests that read them:
 * ``address_path_pr16.json`` (``tests/test_address_path.py``) and
   ``stall_intervals_pr19.json`` (``tests/test_stall_intervals.py``):
   what each point's ``observe`` reads under the production scheduler;
-* ``store_entry_pr35.json``: one armed per-link point as ``store.put``
-  writes it, under the fingerprint the file already carries
+* ``store_entry_pr36.json``: one armed point as ``store.put`` writes
+  it, under the fingerprint the file already carries
   (``tests/test_store.py``).
 
 The table has one row per point and field that moved: old -> new, and
@@ -51,7 +51,7 @@ SNAPSHOT_WORKLOADS = ("axi_write", "axi_rw", "dnn_fig8", "faulted",
                       "mesh_uniform", "sweep_cold")
 SNAPSHOT_SEEDS = (1, 2)
 FIGURES = ("fig4", "fig6", "fig8")
-STORE_ENTRY = GOLDEN / "store_entry_pr35.json"
+STORE_ENTRY = GOLDEN / "store_entry_pr36.json"
 
 ABSENT = "(absent)"
 
@@ -117,8 +117,8 @@ def stall_intervals_text() -> str:
 
 
 def store_entry_point():
-    """A faulted per-link point (one dead link, corruption,
-    retransmission), so every nested container of an entry is present."""
+    """A faulted point (one dead link, corruption, retransmission), so
+    every nested container of an entry is present."""
     from repro.faults import FaultSpec, LinkFault
     from repro.scenarios import (MeasureSpec, Scenario, TopologySpec,
                                  TrafficSpec)
@@ -126,8 +126,7 @@ def store_entry_point():
     return Scenario(
         topology=TopologySpec(rows=2, cols=2),
         traffic=TrafficSpec.uniform(1.0, 64, read_fraction=0.5),
-        measure=MeasureSpec(warmup=50, window=200, fidelity="full",
-                            per_link=True),
+        measure=MeasureSpec(warmup=50, window=200, fidelity="full"),
         faults=FaultSpec(links=(LinkFault(0, 1, start=10, duration=50),),
                          corrupt_rate=1e-3, recovery="retransmit"),
         seed=3, name="golden")

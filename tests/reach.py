@@ -53,8 +53,9 @@ VERDICT_HEADING = "Reach verdicts"
 
 #: CI's refused specs, by the field each must name: a baseline point
 #: that sets an AXI-only field, a fault link that carries the removed
-#: ``width_factor``, and fault specs that carry the removed dead-port
-#: and byzantine-beat keys.
+#: ``width_factor``, fault specs that carry the removed dead-port and
+#: byzantine-beat keys, and a measure that carries the removed
+#: per-link capture.
 REFUSED_SPECS = {
     "data_width": {
         "base": {"topology": {"backend": "baseline", "rows": 2, "cols": 2,
@@ -80,6 +81,12 @@ REFUSED_SPECS = {
         "base": {"topology": {"backend": "patronoc", "rows": 2, "cols": 2},
                  "traffic": {"kind": "uniform", "load": 0.1},
                  "faults": {"corrupt_rate": 1e-4, "byzantine_rate": 1e-3}},
+        "axes": {"seed": [1]},
+    },
+    "per_link": {
+        "base": {"topology": {"backend": "patronoc", "rows": 2, "cols": 2},
+                 "traffic": {"kind": "uniform", "load": 0.1},
+                 "measure": {"per_link": True}},
         "axes": {"seed": [1]},
     },
 }

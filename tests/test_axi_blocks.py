@@ -1,11 +1,10 @@
-"""Tests for the small standalone AXI blocks: beats, monitor, link, and
-the protocol-constant validators."""
+"""Tests for the small standalone AXI blocks: beats, link, and the
+protocol-constant validators."""
 
 import pytest
 
 from repro.axi.beats import AddrBeat, BBeat, RBeat, WBeat
 from repro.axi.link import CHANNELS, AxiLink
-from repro.axi.monitor import LinkMonitor
 from repro.axi.types import (
     Resp,
     validate_addr_width,
@@ -63,28 +62,3 @@ class TestLink:
         link = AxiLink("l", capacity=2, w_capacity=8)
         assert link.w.capacity == 8
         assert link.aw.capacity == 2
-
-
-class TestLinkMonitor:
-    def test_utilization_counts_beats(self):
-        link = AxiLink("mon", capacity=16)
-        monitor = LinkMonitor(link)
-        monitor.open_window(0)
-        for now in range(10):
-            link.w.push(WBeat(False, 4), now)
-        for now in range(10):
-            link.w.pop(10 + now)
-        util = monitor.utilization(20)
-        assert util["w"] == pytest.approx(0.5)
-        assert util["aw"] == 0.0
-
-    def test_requires_open_window(self):
-        monitor = LinkMonitor(AxiLink("m"))
-        with pytest.raises(RuntimeError):
-            monitor.utilization(10)
-
-    def test_in_flight(self):
-        link = AxiLink("m")
-        monitor = LinkMonitor(link)
-        link.aw.push(AddrBeat(0, 0, 1, 4, 0, 0), 0)
-        assert monitor.in_flight() == 1

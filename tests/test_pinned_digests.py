@@ -1,5 +1,5 @@
 """The benchmark's points, pinned statistic by statistic, inside tier-1
-and therefore CI (ROADMAP item 4): the seed-1 and seed-2 points of the
+and therefore CI (DESIGN.md §7): the seed-1 and seed-2 points of the
 five kernel workloads and of ``sweep_cold``, generated by
 ``benchmarks/perf/perf_workloads.py`` itself (imported, never edited),
 must equal their snapshots, ``tests/golden/results/<workload>-s<seed>.json``

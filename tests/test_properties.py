@@ -563,8 +563,6 @@ def result_cases(draw):
         latency_p50=draw(percentile), latency_p90=draw(percentile),
         latency_p99=draw(percentile), cycles=draw(st.integers(0, 10 ** 6)),
         counters=draw(_report_dicts),
-        link_utilization=draw(st.dictionaries(
-            st.text(max_size=8), st.floats(0, 1), max_size=6)),
         faults=draw(_report_dicts), provenance=draw(_report_dicts))
 
 

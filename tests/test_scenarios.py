@@ -128,11 +128,6 @@ class TestMeasureSpec:
         assert MeasureSpec.quick().warmup is None
         assert MeasureSpec.full().window is None
 
-    def test_auto_windows_resolve_from_fidelity(self):
-        auto = MeasureSpec(1_000, 2_000, "quick").auto_windows()
-        assert auto.warmup is None
-        assert auto.resolve() == (QUICK_WARMUP, QUICK_WINDOW)
-
     def test_coerce_legacy_bool(self):
         assert MeasureSpec.coerce(True) == MeasureSpec.quick()
         assert MeasureSpec.coerce(False) == MeasureSpec.full()
@@ -151,10 +146,16 @@ class TestScenarioValidation:
                      traffic=TrafficSpec.synthetic("one_hop", 1000))
 
     def test_baseline_rejects_per_link(self):
-        with pytest.raises(ValueError):
-            Scenario(topology=TopologySpec.baseline(),
-                     traffic=TrafficSpec.uniform(0.5, 1),
-                     measure=MeasureSpec(300, 900, per_link=True))
+        """Per-link capture is gone from every backend: a spec whose
+        ``measure`` still carries ``per_link`` is refused by name."""
+        for backend in ("baseline", "patronoc"):
+            with pytest.raises(TypeError, match="'per_link'"):
+                Scenario.from_dict({
+                    "topology": {"backend": backend},
+                    "traffic": {"kind": "uniform", "load": 0.5,
+                                "max_burst_bytes": 1},
+                    "measure": {"warmup": 300, "window": 900,
+                                "per_link": False}})
 
     def test_train_rejects_pinned_windows(self):
         # One full batch, not a window: pinned windows cannot be
@@ -179,7 +180,7 @@ class TestJsonRoundTrip:
                  traffic=TrafficSpec.synthetic("one_hop", 64000),
                  measure=MeasureSpec.quick(), seed=3),
         Scenario(traffic=TrafficSpec.dnn("pipe"),
-                 measure=MeasureSpec.quick().auto_windows()),
+                 measure=MeasureSpec.quick()),
         Scenario(topology=TopologySpec.baseline(4, 32),
                  traffic=TrafficSpec.uniform(0.2, 1), name="noxim"),
     ]
@@ -268,30 +269,6 @@ class TestRunScenario:
             traffic=TrafficSpec.synthetic("one_hop", 1000), measure=FAST))
         assert result.utilization_pct is not None
         assert result.utilization_pct > 0
-
-    def test_per_link_capture_does_not_perturb(self):
-        base = Scenario(traffic=TrafficSpec.uniform(0.5, 1000),
-                        measure=FAST)
-        plain = run_scenario(base)
-        linked = run_scenario(base.with_(
-            measure=MeasureSpec(FAST.warmup, FAST.window, per_link=True)))
-        assert linked.throughput_gib_s == plain.throughput_gib_s
-        assert linked.link_utilization
-        assert all(v >= 0 for v in linked.link_utilization.values())
-
-    def test_train_per_link_captures_the_whole_batch(self):
-        """The batch IS the window: per-link capture spans it and does
-        not perturb it."""
-        base = Scenario(topology=TopologySpec.wide(),
-                        traffic=TrafficSpec.dnn("train"),
-                        measure=MeasureSpec.quick())
-        plain = run_scenario(base)
-        linked = run_scenario(base.with_(
-            measure=MeasureSpec.quick(per_link=True)))
-        assert not plain.link_utilization
-        assert linked.link_utilization
-        assert linked.throughput_gib_s == plain.throughput_gib_s
-        assert linked.cycles == plain.cycles
 
     @pytest.mark.parametrize("topology, traffic, scripted", [
         (TopologySpec.slim(), TrafficSpec.uniform(0.5, 1000), False),

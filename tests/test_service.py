@@ -254,9 +254,9 @@ class TestHttpService:
 
     def test_a_field_the_backend_ignores_is_refused_by_name(self, service):
         """An AXI-only field on a baseline point, a fault link that
-        carries the removed ``width_factor``, and fault specs that carry
-        the removed ``ports`` / ``byzantine_rate``: 400, naming the
-        field."""
+        carries the removed ``width_factor``, fault specs that carry the
+        removed ``ports`` / ``byzantine_rate`` and a measure that carries
+        the removed ``per_link``: 400, naming the field."""
         baseline = {"topology": {"backend": "baseline", "rows": 2,
                                  "cols": 2, "data_width": 64},
                     "traffic": {"kind": "uniform", "load": 0.1,
@@ -269,6 +269,9 @@ class TestHttpService:
         removed = {key: {**degraded, "faults": {key: value}}
                    for key, value in (("ports", [{"node": 0, "port": 1}]),
                                       ("byzantine_rate", 1e-3))}
+        removed["per_link"] = {"topology": degraded["topology"],
+                               "traffic": degraded["traffic"],
+                               "measure": {"per_link": True}}
         for field, point in (("data_width", baseline),
                              ("width_factor", degraded), *removed.items()):
             req = urllib.request.Request(f"{service}/jobs",

@@ -68,26 +68,28 @@ class TestKeys:
 
     def test_spec_hash_is_the_one_pr15_computed(self):
         """Literals pinning the canonical JSON: a changed one would
-        orphan every store entry ever written.  ``replay``'s is the one
-        recorded at commit 3124678.  ``every_fault_kind``'s literal
-        moved twice, each time because ``FaultSpec`` lost a fault kind
-        and its canonical JSON lost the key: its link was width-degraded
-        at 3124678 (``aa7a705f…``), then dead beside a dead port and
-        with a ``byzantine_rate`` key (``10334be2…``).  It now holds
-        every fault kind there is: a dead link, a stuck VC and
+        orphan every store entry ever written.  ``replay``'s was the one
+        recorded at commit 3124678 (``0b5f767e…``) until ``MeasureSpec``
+        lost ``per_link`` and every canonical JSON lost the key.
+        ``every_fault_kind``'s literal moved three times, twice because
+        ``FaultSpec`` lost a fault kind and its canonical JSON lost the
+        key: its link was width-degraded at 3124678 (``aa7a705f…``),
+        then dead beside a dead port and with a ``byzantine_rate`` key
+        (``10334be2…``), then it lost ``per_link`` (``0cdfc589…``).
+        It holds every fault kind there is: a dead link, a stuck VC and
         corruption."""
         replay = Scenario(  # the benchmark's 256 store_replay points
             topology=TopologySpec.baseline(1, 4, rows=2, cols=2),
             traffic=TrafficSpec.uniform(0.6, 1),
             measure=MeasureSpec(warmup=25, window=100), seed=7)
-        assert spec_hash(replay) == ("0b5f767ec8b968418480b8aca279ce0e"
-                                     "408619a5f50c6354889e29ed92469934")
+        assert spec_hash(replay) == ("136b2a9c159de0a11c7c058bc5969c31"
+                                     "cfdaa6843f2e202f435d98d266dfeac4")
         every_fault_kind = FaultSpec(
             links=(LinkFault(0, 1, start=10, duration=50),),
             stuck_vcs=(StuckVcFault(2, 1, vc=0, start=5),),
             corrupt_rate=1e-4, recovery="retransmit", txn_timeout=900)
         assert spec_hash(replay.with_(faults=every_fault_kind)) == (
-            "0cdfc589d5b6a1a549b762fca8a02e8e78b09247dabb4399d5f6495960ece8ea")
+            "5ac8ff444c94c5005fd9841055eed55659cf53e985cbb2cdf26bc5d14dd82e2e")
 
     def test_key_separates_seeds_and_code_versions(self, store, monkeypatch):
         a = store.path_for(fast_point(seed=1))
@@ -141,20 +143,23 @@ class TestEntryFormatCompatibility:
     schema dropped a field they carry, read as corrupt without raising."""
 
     #: Written by ``store.put`` under a fixed fingerprint: a faulted
-    #: per-link point (one dead link, corruption, retransmission), so
-    #: every nested container is present.  ``tests/golden/repin.py``
-    #: rewrites it.
-    GOLDEN = Path(__file__).parent / "golden" / "store_entry_pr35.json"
+    #: point (one dead link, corruption, retransmission), so every
+    #: nested container is present.  ``tests/golden/repin.py`` rewrites
+    #: it.
+    GOLDEN = Path(__file__).parent / "golden" / "store_entry_pr36.json"
     #: Entries ``put`` wrote before the schema dropped a field they
     #: carry, under the path each was written to: at commit 3124678 the
     #: same point with its link width-degraded, at 133480c the same point
     #: with the ``ports`` and ``byzantine_rate`` keys ``FaultSpec`` no
-    #: longer has (both entries carry those two).
+    #: longer has, at a5762eb the same point with the ``per_link`` key
+    #: ``MeasureSpec`` no longer has (all three carry ``per_link``).
     PRE_SCHEMA = {
         "pr15": ("git-3124678d79adb1f4/16/847323bf07de226470b2f152851a25a9"
                  "851944b31e687b4b4006cb5057dc0c-s3.json"),
         "pr34": ("src-a0a1940467741827/7e/2a31cbc1f865f605871a0844b605e367"
                  "13647b835379b3f0a8cc4f249db51c-s3.json"),
+        "pr35": ("src-a0a1940467741827/45/e4c72423e7cbe8b9cc1214d7f2fbf622"
+                 "ceb50ea80fe7e4e5c56aa3cda60a65-s3.json"),
     }
 
     def test_parent_commit_entry_hits_and_verifies(self, store, monkeypatch):
@@ -174,9 +179,9 @@ class TestEntryFormatCompatibility:
         monkeypatch.setenv("REPRO_CODE_FINGERPRINT", data["code_fingerprint"])
         path = store.put(Scenario.from_dict(data["scenario"]),
                          Result.from_dict(data["result"]))
-        assert path == store.root / ("src-a0a1940467741827/45/e4c72423e7cbe8b9"
-                                     "cc1214d7f2fbf622ceb50ea80fe7e4e5c56aa3cd"
-                                     "a60a65-s3.json")
+        assert path == store.root / ("src-a0a1940467741827/93/bd0f8b3880e3c12e"
+                                     "153090f9a49f2ac83c0be24bfd36c6ea63be2197"
+                                     "0145a5-s3.json")
         assert path.read_bytes() == self.GOLDEN.read_bytes()
 
     @pytest.mark.parametrize("entry", sorted(PRE_SCHEMA))
@@ -186,9 +191,7 @@ class TestEntryFormatCompatibility:
         path.parent.mkdir(parents=True)
         shutil.copyfile(Path(__file__).parent / "golden"
                         / f"store_entry_{entry}.json", path)
-        with pytest.raises(ValueError,
-                           match=r"unknown fault key.*'byzantine_rate', "
-                                 r"'ports'"):
+        with pytest.raises(TypeError, match=r"'per_link'"):
             Scenario.from_dict(json.loads(path.read_text())["scenario"])
         assert store.verify() == {"checked": 1, "ok": 0, "corrupt": [rel],
                                   "mismatched": []}

@@ -11,7 +11,6 @@ comparison over random points.
 
 import pytest
 
-from repro.axi.monitor import LinkMonitor
 from repro.axi.transaction import Transfer
 from repro.faults import FaultSpec
 from repro.noc.config import NocConfig
@@ -352,10 +351,10 @@ def test_links_conserve_beats_at_a_boundary_inside_a_train():
     train = net.dmas[0]._train
     assert train.trains == 1 and 0 < train.beats < 200  # cut short
     for link, ref_link in zip(net.links, ref.links):
-        monitor = LinkMonitor(link)
-        assert monitor.in_flight() == sum(
+        in_flight = sum(len(ch) for ch in link.channels())
+        assert in_flight == sum(
             ch.pushed - ch.popped for ch in link.channels())
-        assert monitor.in_flight() == LinkMonitor(ref_link).in_flight()
+        assert in_flight == sum(len(ch) for ch in ref_link.channels())
         assert link.idle() == ref_link.idle()
 
 
@@ -384,9 +383,10 @@ def test_set_warmup_inside_an_r_train_splits_the_read_bytes_there():
 
 
 def test_per_link_result_is_unchanged(monkeypatch):
-    """What reads the channel counters — the per-link utilization of a
-    Result — sees every train's beats, at a write point and at a read
-    point."""
+    """What reads the channel counters sees every train's beats: the
+    trained run and the per-beat run end with the same ``(pushed,
+    popped)`` on every channel of every link, and the same Result, at a
+    write point and at a read point."""
     from repro.noc.trains import Train
     from repro.scenarios import (MeasureSpec, Scenario, TopologySpec,
                                  TrafficSpec)
@@ -395,26 +395,28 @@ def test_per_link_result_is_unchanged(monkeypatch):
     points = [Scenario(topology=TopologySpec.slim(),
                        traffic=TrafficSpec.uniform(
                            1.0, 64000, read_fraction=share),
-                       measure=MeasureSpec(warmup=300, window=1500,
-                                           per_link=True),
+                       measure=MeasureSpec(warmup=300, window=1500),
                        seed=5)
               for share in (0.0, 1.0)]
 
     def point(sc):
         net, scripts = build_network(sc)
-        result = _collect(sc, net, _drive(sc, net, scripts))
+        _drive(sc, net, scripts)
         stats = net.kernel_stats()
-        return (stats["trains"], stats["r_trains"]), result.to_dict()
+        counts = [[(ch.pushed, ch.popped) for ch in link.channels()]
+                  for link in net.links]
+        return ((stats["trains"], stats["r_trains"]),
+                (counts, _collect(sc, net).to_dict()))
 
     trained = [point(sc) for sc in points]
     assert trained[0][0][0] > 0 and trained[1][0][1] > 0
-    assert all(max(result["link_utilization"].values()) > 0
-               for _, result in trained)
+    assert all(max(popped for chans in counts for _, popped in chans) > 0
+               for _, (counts, _) in trained)
     monkeypatch.setattr(Train, "holds", lambda self, stream, now: False)
     per_beat = [point(sc) for sc in points]
     assert [trains for trains, _ in per_beat] == [(0, 0), (0, 0)]
-    assert ([result for _, result in trained]
-            == [result for _, result in per_beat])
+    assert ([ended for _, ended in trained]
+            == [ended for _, ended in per_beat])
 
 
 # ----------------------------------------------------------------------
