@@ -11,7 +11,7 @@ from repro.axi.beats import AddrBeat, BBeat, RBeat, WBeat
 from repro.axi.id_pool import IdRemapper
 from repro.axi.link import CHANNELS, AxiLink
 from repro.axi.memory_map import MemoryMap, Region
-from repro.axi.transaction import Burst, Transfer, beat_sizes, split_transfer
+from repro.axi.transaction import Burst, Transfer, split_transfer
 from repro.axi.types import (
     BOUNDARY_4K,
     MAX_BURST_BEATS,
@@ -43,7 +43,6 @@ __all__ = [
     "Resp",
     "Transfer",
     "WBeat",
-    "beat_sizes",
     "split_transfer",
     "validate_addr_width",
     "validate_data_width",

@@ -113,7 +113,7 @@ class BeatStream:
 
     The first and the last beat may be partial (an unaligned head, a
     short tail); every beat between them carries the full bus width
-    (:func:`~repro.axi.transaction.beat_sizes` is the per-beat oracle).
+    (``tests/test_transaction.py`` holds it to a per-beat oracle).
     So a burst is at most three distinct immutable beats, built once
     here by ``make(last, nbytes)`` — :class:`WBeat` itself on the DMA's
     write side, :class:`RBeat` with the burst's id and response bound at

@@ -44,10 +44,6 @@ class IdRemapper:
         """Number of remapped IDs currently allocated."""
         return self._n_used
 
-    def can_acquire(self, src_port: int, orig_id: int) -> bool:
-        """True if :meth:`acquire` would succeed for this key."""
-        return (src_port, orig_id) in self._by_key or bool(self._free)
-
     def acquire(self, src_port: int, orig_id: int) -> int | None:
         """Allocate (or reuse) a remapped ID for one more transaction.
 
@@ -68,19 +64,6 @@ class IdRemapper:
         if self._n_used > self.max_in_flight:
             self.max_in_flight = self._n_used
         return rid
-
-    def lookup(self, rid: int) -> tuple[int, int]:
-        """(src_port, orig_id) for an in-flight remapped ID.
-
-        Raises KeyError for unknown IDs — a response the network never
-        requested is a modelling bug worth failing loudly on.  (The
-        crossbar hot path indexes ``_table`` directly and skips this
-        check; it fails on the subsequent subscript instead.)
-        """
-        entry = self._table[rid]
-        if entry is None:
-            raise KeyError(rid)
-        return entry[0], entry[1]
 
     def release(self, rid: int) -> tuple[int, int]:
         """Retire one transaction on ``rid``; free the ID at refcount 0."""

@@ -82,6 +82,3 @@ class MemoryMap:
     def region_of(self, endpoint: int) -> Region:
         """The region owned by ``endpoint``; KeyError if it has none."""
         return self._by_endpoint[endpoint]
-
-    def endpoints(self) -> tuple[int, ...]:
-        return tuple(self._by_endpoint)

@@ -108,23 +108,3 @@ def split_transfer(addr: int, nbytes: int, beat_bytes: int,
         pos += chunk
         remaining -= chunk
 
-
-def beat_sizes(burst: Burst, beat_bytes: int) -> Iterator[int]:
-    """Payload bytes carried by each beat of ``burst``, in order.
-
-    The first and last beats may be partial; all middle beats carry the
-    full bus width.  ``sum(beat_sizes(b)) == b.nbytes`` always holds.
-    """
-    offset = burst.addr % beat_bytes
-    remaining = burst.nbytes
-    for i in range(burst.beats):
-        if i == 0:
-            size = min(beat_bytes - offset, remaining)
-        else:
-            size = min(beat_bytes, remaining)
-        yield size
-        remaining -= size
-    if remaining != 0:
-        raise AssertionError(
-            f"beat accounting error: {remaining} bytes left after "
-            f"{burst.beats} beats of {burst}")

@@ -48,9 +48,6 @@ class PacketMeshConfig:
     def n_nodes(self) -> int:
         return self.rows * self.cols
 
-    def label(self) -> str:
-        return f"VC={self.n_vcs}, Buf={self.buf_depth} Flits"
-
 
 class PacketMesh(Component):
     """A runnable baseline mesh with built-in uniform random injection.

@@ -65,10 +65,6 @@ class PacketNic(Component):
         self._pending.append((dst_node, transfer.nbytes))
         self.wake()  # external input: revive a NIC asleep in the kernel
 
-    @property
-    def queue_depth(self) -> int:
-        return len(self._pending)
-
     def idle(self) -> bool:
         return not self._pending and not self._flits
 

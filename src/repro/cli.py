@@ -54,9 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweepp = sub.add_parser(
         "sweep", help="run a user-defined scenario sweep from a spec file")
     sweepp.add_argument("spec",
-                        help="sweep spec: .json (base+axes, scenario, or "
-                             "scenario list) or .py (defines SWEEP / "
-                             "SCENARIOS / SCENARIO)")
+                        help="JSON sweep spec: base+axes, one scenario, "
+                             "or a scenario list")
     sweepp.add_argument("--jobs", type=int, default=1,
                         help="worker processes (results are identical "
                              "for any job count)")

@@ -173,17 +173,9 @@ class DmaEngine(Component):
         self.wake()  # external input: revive an engine asleep in the kernel
 
     @property
-    def queue_depth(self) -> int:
-        return len(self._pending)
-
-    @property
     def bytes_read(self) -> int:
         """Read payload delivered here, warm-up included (the meter's)."""
         return self.read_meter.bytes_total
-
-    def outstanding(self) -> int:
-        """Bursts currently in flight in the network."""
-        return len(self._wr_out) + len(self._rd_out)
 
     def backlog(self) -> int:
         """Transfers not yet fully completed: queued, splitting, or with

@@ -1,6 +1,6 @@
 """Evaluation harness: per-figure/table experiment runners and reports."""
 
-from repro.eval.experiments import EXPERIMENTS, run_all, run_experiment
+from repro.eval.experiments import EXPERIMENTS, run_experiment
 from repro.eval.report import (
     ExperimentResult,
     Section,
@@ -14,7 +14,6 @@ __all__ = [
     "ExperimentResult",
     "Section",
     "render_text",
-    "run_all",
     "run_experiment",
     "save_csv",
     "save_json",

@@ -89,8 +89,3 @@ def run_experiment(exp_id: str, quick: bool = False, *,
     _desc, runner = EXPERIMENTS[exp_id]
     return runner(measure, seed, cache, store)
 
-
-def run_all(quick: bool = False, *, measure: MeasureSpec | None = None,
-            seed: int = 1) -> list[ExperimentResult]:
-    return [run_experiment(exp_id, quick, measure=measure, seed=seed)
-            for exp_id in EXPERIMENTS]

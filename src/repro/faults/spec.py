@@ -13,7 +13,6 @@ modes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 #: Recovery policies.  "retransmit" retries a lost or corrupted burst
@@ -23,16 +22,31 @@ from dataclasses import dataclass
 #: tables on the AXI mesh (DESIGN.md §10).
 RECOVERY_POLICIES = ("none", "retransmit", "reroute")
 
-#: The fields only the AXI endpoints act on: the packet baseline has no
-#: endpoint that retries, waits for a response or checks one, so
-#: ``FaultSpec.check("baseline")`` refuses a non-default value.
-_AXI_ONLY_FIELDS = ("max_retries", "retry_timeout", "response_faults",
-                    "txn_timeout")
+#: Per backend, the fields ``FaultSpec.check`` refuses a non-default
+#: value of.  The packet baseline has no endpoint that retries, waits
+#: for a response or checks one; the AXI mesh has no router VCs to pin.
+_UNREAD_FIELDS = {
+    "baseline": ("max_retries", "retry_timeout", "response_faults",
+                 "txn_timeout"),
+    "patronoc": ("stuck_vcs",),
+}
 
 
 def flat_dict(spec) -> dict:
     """A fresh dict, in field order, of an all-scalar dataclass."""
     return {name: getattr(spec, name) for name in spec.__dataclass_fields__}
+
+
+def refuse_unread(spec, names, context: str) -> None:
+    """Refuse, by name, the first of ``names`` that does not keep its
+    default on ``spec``: ``context`` does not read it, so it would
+    change nothing, yet enter the spec hash (DESIGN.md §9)."""
+    for name in names:
+        value, default = (getattr(spec, name),
+                          spec.__dataclass_fields__[name].default)
+        if value != default:
+            raise ValueError(f"{name}={value!r} does nothing {context}: "
+                             f"leave it at {default!r}")
 
 
 @dataclass(frozen=True)
@@ -183,19 +197,8 @@ class FaultSpec:
 
     def check(self, backend: str) -> None:
         """Reject what ``backend`` ("patronoc"/"baseline") cannot model."""
-        if backend == "patronoc" and self.stuck_vcs:
-            raise ValueError(
-                "stuck_vcs is a packet-baseline fault model: the AXI "
-                "mesh has no router VCs to pin")
-        if backend == "baseline":
-            fields = self.__dataclass_fields__
-            for name in _AXI_ONLY_FIELDS:
-                if getattr(self, name) != fields[name].default:
-                    raise ValueError(
-                        f"{name} is an AXI endpoint knob: the packet "
-                        f"baseline has no endpoint that retries, waits "
-                        f"for a response or checks one, so {name} must "
-                        f"keep its default {fields[name].default!r}")
+        refuse_unread(self, _UNREAD_FIELDS[backend],
+                      f"on the {backend} backend")
         if self.response_faults and self.txn_timeout is None:
             raise ValueError(
                 "response_faults needs txn_timeout: with responses lost "
@@ -226,10 +229,3 @@ class FaultSpec:
         if isinstance(value, dict):
             return cls.from_dict(value)
         raise TypeError(f"cannot coerce {value!r} to FaultSpec")
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultSpec":
-        return cls.from_dict(json.loads(text))

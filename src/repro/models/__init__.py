@@ -6,9 +6,7 @@ from repro.models.area import (
     K_MOT,
     K_PORT,
     K_SWITCH,
-    area_efficiency,
     mesh_area_kge,
-    xp_area_kge,
     xp_port_count,
 )
 from repro.models.power import mesh_power_mw, platform_power_fraction
@@ -32,12 +30,10 @@ __all__ = [
     "K_SWITCH",
     "TARGET_FREQ_HZ",
     "TECH_NAME",
-    "area_efficiency",
     "kge_to_mm2",
     "mesh_area_kge",
     "mesh_power_mw",
     "mm2_to_kge",
     "platform_power_fraction",
-    "xp_area_kge",
     "xp_port_count",
 ]

@@ -72,23 +72,5 @@ def mesh_area_kge(cfg: NocConfig,
     mot = (K_MOT * p_sum * (cfg.max_outstanding - 1) ** MOT_EXP
            * (cfg.data_width / 64.0) ** 0.5 * (cfg.id_width / 2.0) ** 0.5)
     connectivity_scale = 1.15 if cfg.full_connectivity else 1.0
-    slice_scale = 1.0 if cfg.register_slices == "all" else 0.93
-    return (K_MESH + (switch + ports) * connectivity_scale + mot) * slice_scale
+    return K_MESH + (switch + ports) * connectivity_scale + mot
 
-
-def xp_area_kge(cfg: NocConfig, n_ports: int) -> float:
-    """Area of a single XP with ``n_ports`` (mesh share excluded)."""
-    switch = K_SWITCH * n_ports * n_ports * cfg.data_width
-    port_factor = 0.5 + 0.25 * (cfg.addr_width / 32.0) + 0.25 * (cfg.id_width / 2.0)
-    ports = K_PORT * n_ports * port_factor
-    mot = (K_MOT * n_ports * (cfg.max_outstanding - 1) ** MOT_EXP
-           * (cfg.data_width / 64.0) ** 0.5 * (cfg.id_width / 2.0) ** 0.5)
-    return switch + ports + mot
-
-
-def area_efficiency(cfg: NocConfig, bisection_gbit_s: float) -> float:
-    """Fig. 2's efficiency metric: bisection Gbit/s per kGE."""
-    area = mesh_area_kge(cfg)
-    if area <= 0:
-        raise ValueError("area model returned non-positive area")
-    return bisection_gbit_s / area

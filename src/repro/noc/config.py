@@ -17,9 +17,6 @@ from repro.axi.types import (
     validate_mot,
 )
 
-#: Register-slice options of Table I.
-REGISTER_SLICE_OPTIONS = ("all", "single")
-
 
 @dataclass(frozen=True)
 class NocConfig:
@@ -41,10 +38,6 @@ class NocConfig:
     full_connectivity:
         XBAR connectivity: False = partial (mesh turns only, the
         default), True = fully connected.
-    register_slices:
-        "all" (default; every channel cut, the timing-closed 1 GHz
-        configuration all results use) or "single".  Affects the area
-        model; hop latency is one cycle either way (see DESIGN.md §5).
 
     Parameters (testbench, §IV defaults)
     ------------------------------------
@@ -73,7 +66,6 @@ class NocConfig:
     id_width: int = 4
     max_outstanding: int = 8
     full_connectivity: bool = False
-    register_slices: str = "all"
     freq_hz: float = 1e9
     dma_issue_overhead: int = 20
     memory_latency: int = 5
@@ -89,10 +81,6 @@ class NocConfig:
         validate_addr_width(self.addr_width)
         validate_id_width(self.id_width)
         validate_mot(self.max_outstanding)
-        if self.register_slices not in REGISTER_SLICE_OPTIONS:
-            raise ValueError(
-                f"register_slices must be one of {REGISTER_SLICE_OPTIONS}, "
-                f"got {self.register_slices!r}")
         if self.freq_hz <= 0:
             raise ValueError(f"frequency must be positive, got {self.freq_hz}")
         if self.dma_issue_overhead < 0:
@@ -105,14 +93,6 @@ class NocConfig:
             raise ValueError("w_order_depth must be >= 1")
         if self.hop_latency < 1:
             raise ValueError("hop_latency must be >= 1")
-        n_masters = self.rows * self.cols
-        if n_masters > 1 and (1 << self.id_width) < n_masters:
-            # The paper sizes IW so each master can own a unique ID
-            # ("IW ... increased to 4 to support 16 unique IDs required
-            # for 16 masters"); warn-by-construction instead of failing.
-            object.__setattr__(self, "_id_pressure", True)
-        else:
-            object.__setattr__(self, "_id_pressure", False)
 
     # ------------------------------------------------------------------
     @property
@@ -123,11 +103,6 @@ class NocConfig:
     @property
     def n_nodes(self) -> int:
         return self.rows * self.cols
-
-    @property
-    def id_pressure(self) -> bool:
-        """True when the ID space is smaller than the master count."""
-        return self._id_pressure
 
     @property
     def label(self) -> str:

@@ -44,10 +44,6 @@ class XpRouteTable:
         self._rules = ordered
         self._bases = [r.base for r in ordered]
 
-    @property
-    def rules(self) -> tuple[RouteRule, ...]:
-        return tuple(self._rules)
-
     def port_for(self, addr: int) -> int | None:
         """Egress port owning ``addr``, or None (unmapped → DECERR)."""
         i = bisect_right(self._bases, addr) - 1

@@ -22,11 +22,10 @@ Scenario instantiations; sweeps over arbitrary grids are built with
 from __future__ import annotations
 
 import inspect
-import json
 from dataclasses import asdict, dataclass, fields, replace
 
 from repro.baseline.network import PacketMeshConfig
-from repro.faults.spec import FaultSpec, flat_dict
+from repro.faults.spec import FaultSpec, flat_dict, refuse_unread
 from repro.noc.config import NocConfig
 
 #: Default measurement windows (cycles).  "quick" shrinks these for
@@ -43,6 +42,19 @@ _CONFIG_FIELDS = {
     "baseline": tuple(inspect.signature(PacketMeshConfig).parameters),
 }
 TRAFFIC_KINDS = ("uniform", "synthetic", "dnn")
+#: Per traffic kind, the TrafficSpec fields its traffic does not read:
+#: a DNN workload script defines its own bursts and rate.
+_UNREAD_TRAFFIC = {
+    "uniform": ("pattern", "workload"),
+    "synthetic": ("workload",),
+    "dnn": ("load", "max_burst_bytes", "min_burst_bytes", "read_fraction",
+            "pattern"),
+}
+#: The burst fields of a baseline point: the packet mesh reads only the
+#: injection rate, so every baseline point carries the values Fig. 4
+#: writes, and its spec hash does not see them.
+_BASELINE_BURSTS = dict(max_burst_bytes=1, min_burst_bytes=1,
+                        read_fraction=0.0)
 FIDELITIES = ("full", "quick")
 
 
@@ -55,8 +67,7 @@ class TopologySpec:
     defaults); ``backend="baseline"`` uses the packet mesh (``n_vcs``,
     ``buf_depth``, ``flit_bytes``, ``packet_flits`` apply).  Shared:
     ``rows``, ``cols``, ``freq_hz``.  A field the backend's config does
-    not take must keep its default: it would change nothing, yet enter
-    the spec hash.
+    not take must keep its default (DESIGN.md §9).
     """
 
     backend: str = "patronoc"
@@ -69,7 +80,6 @@ class TopologySpec:
     id_width: int = 4
     max_outstanding: int = 8
     full_connectivity: bool = False
-    register_slices: str = "all"
     dma_issue_overhead: int = 20
     memory_latency: int = 5
     memory_outstanding: int = 16
@@ -85,11 +95,8 @@ class TopologySpec:
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}")
-        for name, default in _IGNORED_FIELDS[self.backend]:
-            if getattr(self, name) != default:
-                raise ValueError(
-                    f"{name}={getattr(self, name)!r} does nothing on the "
-                    f"{self.backend} backend: leave it at {default!r}")
+        refuse_unread(self, _UNREAD_TOPOLOGY[self.backend],
+                      f"on the {self.backend} backend")
         # Construct the backing config once: its validation is the spec's.
         if self.backend == "patronoc":
             self.noc_config()
@@ -173,10 +180,9 @@ class TopologySpec:
         return flat_dict(self)
 
 
-#: Per backend, ``(name, default)`` of each TopologySpec field its
-#: config does not take.
-_IGNORED_FIELDS = {
-    backend: tuple((f.name, f.default) for f in fields(TopologySpec)
+#: Per backend, the TopologySpec fields its config does not take.
+_UNREAD_TOPOLOGY = {
+    backend: tuple(f.name for f in fields(TopologySpec)
                    if f.name != "backend" and f.name not in taken)
     for backend, taken in _CONFIG_FIELDS.items()}
 
@@ -186,11 +192,12 @@ class TrafficSpec:
     """What drives the fabric.
 
     ``kind="uniform"`` — uniform random DMA traffic (on the baseline
-    backend, ``load`` is the Noxim flit injection rate and the burst
-    fields are ignored).  ``kind="synthetic"`` — one of the Fig. 5
-    patterns, named by ``pattern``.  ``kind="dnn"`` — a §IV-C workload,
-    named by ``workload``; ``load``/burst fields are ignored (the
-    workload script defines its own traffic).
+    backend, ``load`` is the Noxim flit injection rate and a
+    :class:`Scenario` sets the burst fields to Fig. 4's values).
+    ``kind="synthetic"`` — one of the Fig. 5 patterns, named by
+    ``pattern``.  ``kind="dnn"`` — a §IV-C workload, named by
+    ``workload``; the workload script defines its own traffic.  A field
+    the kind does not read must keep its default (DESIGN.md §9).
 
     Note: ``read_fraction`` defaults to 0.0 (pure DMA writes — the
     paper's Fig. 4 push-DMA convention), NOT the 0.5 mixed default of
@@ -211,6 +218,8 @@ class TrafficSpec:
         if self.kind not in TRAFFIC_KINDS:
             raise ValueError(
                 f"kind must be one of {TRAFFIC_KINDS}, got {self.kind!r}")
+        refuse_unread(self, _UNREAD_TRAFFIC[self.kind],
+                      f"in {self.kind} traffic")
         if self.load <= 0:
             raise ValueError(f"load must be > 0, got {self.load}")
         if not 0.0 <= self.read_fraction <= 1.0:
@@ -361,6 +370,10 @@ class Scenario:
     JSON-round-trippable (:meth:`to_dict` / :meth:`from_dict`).  The
     ``seed`` drives every RNG in the point, so a Scenario's result is a
     pure function of the Scenario.
+
+    Construction is where a point is refused (DESIGN.md §10): a
+    baseline point takes Fig. 4's burst fields, and a fault spec is
+    checked against the backend before anything is built.
     """
 
     topology: TopologySpec = TopologySpec()
@@ -371,11 +384,16 @@ class Scenario:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.topology.backend == "baseline" \
-                and self.traffic.kind != "uniform":
-            raise ValueError(
-                f"the baseline backend only supports uniform traffic, "
-                f"got {self.traffic.kind!r}")
+        backend = self.topology.backend
+        if backend == "baseline":
+            if self.traffic.kind != "uniform":
+                raise ValueError(
+                    f"the baseline backend only supports uniform traffic, "
+                    f"got {self.traffic.kind!r}")
+            object.__setattr__(self, "traffic", replace(
+                self.traffic, **_BASELINE_BURSTS))
+        if self.faults is not None:
+            self.faults.check(backend)
         if self.traffic.kind == "dnn" and self.traffic.workload == "train" \
                 and (self.measure.warmup is not None
                      or self.measure.window is not None):
@@ -429,13 +447,6 @@ class Scenario:
             measure=MeasureSpec.coerce(data.get("measure", {})),
             faults=_coerce_faults(data.get("faults")),
             seed=data.get("seed", 1), name=data.get("name", ""))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Scenario":
-        return cls.from_dict(json.loads(text))
 
 
 def _coerce_faults(value) -> FaultSpec | None:

@@ -85,22 +85,8 @@ class Sweep:
         """Expand the grid: one Scenario per axis-value combination,
         in row-major order of the axes as given."""
         paths = list(self.axes)
-        out = []
-        for combo in itertools.product(*self.axes.values()):
-            sc = self.base
-            for path, value in zip(paths, combo):
-                sc = _apply_axis(sc, path, value)
-            out.append(sc)
-        return out
-
-    # -- serialization -------------------------------------------------
-    def to_dict(self) -> dict:
-        # Spec-valued axis entries (configs=[TopologySpec(...)]) encode
-        # as dicts, mirroring the coercion axis application applies.
-        return {"base": self.base.to_dict(),
-                "axes": {k: [v.to_dict() if hasattr(v, "to_dict") else v
-                             for v in values]
-                         for k, values in self.axes.items()}}
+        return [_apply_axes(self.base, zip(paths, combo))
+                for combo in itertools.product(*self.axes.values())]
 
     @classmethod
     def from_dict(cls, data: dict) -> "Sweep":
@@ -330,26 +316,10 @@ def save_artifacts(points: list[Scenario], results: list[Result],
 
 
 def load_spec(path: str | Path) -> list[Scenario]:
-    """Load a sweep/scenario spec file into a list of points.
-
-    ``.json`` files may be a sweep (``{"base": ..., "axes": ...}``), a
-    single scenario object, or a list of scenario objects.  ``.py``
-    files are executed and must define ``SWEEP`` (a :class:`Sweep`),
-    ``SCENARIOS`` (a list), or ``SCENARIO`` (a single point).
-    """
-    path = Path(path)
-    if path.suffix == ".py":
-        namespace: dict = {}
-        exec(compile(path.read_text(), str(path), "exec"), namespace)
-        if "SWEEP" in namespace:
-            return _as_points(namespace["SWEEP"])
-        if "SCENARIOS" in namespace:
-            return list(namespace["SCENARIOS"])
-        if "SCENARIO" in namespace:
-            return [namespace["SCENARIO"]]
-        raise ValueError(
-            f"{path} defines none of SWEEP / SCENARIOS / SCENARIO")
-    return points_from_data(json.loads(path.read_text()))
+    """Load a JSON sweep/scenario spec file into a list of points: a
+    sweep (``{"base": ..., "axes": ...}``), a single scenario object,
+    or a list of scenario objects."""
+    return points_from_data(json.loads(Path(path).read_text()))
 
 
 def points_from_data(data) -> list[Scenario]:
@@ -365,14 +335,6 @@ def points_from_data(data) -> list[Scenario]:
     if "axes" in data or "base" in data:
         return Sweep.from_dict(data).points()
     return [Scenario.from_dict(data)]
-
-
-def _as_points(value) -> list[Scenario]:
-    if isinstance(value, Sweep):
-        return value.points()
-    if isinstance(value, Scenario):
-        return [value]
-    return list(value)
 
 
 def _check_axis_path(path: str) -> None:
@@ -395,15 +357,25 @@ def _axis_fields(head: str) -> set[str]:
     return set(cls.__dataclass_fields__)
 
 
-def _apply_axis(sc: Scenario, path: str, value) -> Scenario:
+def _apply_axes(base: Scenario, values) -> Scenario:
+    """``base`` with every ``(path, value)`` applied, built once: the
+    Scenario checks its fields together (a ``response_faults`` axis
+    needs the ``txn_timeout`` of the next one)."""
     from dataclasses import replace
 
-    head, _, rest = path.partition(".")
-    if head in ("seed", "name"):
-        return replace(sc, **{head: value})
-    if not rest:  # whole-spec axis
-        return replace(sc, **{head: SPEC_COERCERS[head](value)})
-    sub = getattr(sc, head)
-    if sub is None:  # faults axis on a fault-free base scenario
-        sub = FaultSpec()
-    return replace(sc, **{head: replace(sub, **{rest: value})})
+    top: dict = {}
+    fields: dict[str, dict] = {}
+    for path, value in values:
+        head, _, rest = path.partition(".")
+        if head in ("seed", "name"):
+            top[head] = value
+        elif not rest:  # whole-spec axis
+            top[head] = SPEC_COERCERS[head](value)
+        else:
+            fields.setdefault(head, {})[rest] = value
+    for head, changes in fields.items():
+        sub = top.get(head, getattr(base, head))
+        if sub is None:  # faults axis on a fault-free base scenario
+            sub = FaultSpec()
+        top[head] = replace(sub, **changes)
+    return replace(base, **top)

@@ -29,7 +29,7 @@ its length against ``capacity``) but move items with :meth:`push` and
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Iterator
+from typing import Any
 
 
 class TimedFifo:
@@ -187,13 +187,6 @@ class TimedFifo:
             if self.occ is not None:
                 self.occ[0] += self.occ_bit
             self.consumer.wake(max(entries[0][0] + d, now))
-
-    def drain(self) -> Iterator[Any]:
-        """Yield and remove all items regardless of visibility (teardown)."""
-        if self._q and self.occ is not None:
-            self.occ[0] -= self.occ_bit
-        while self._q:
-            yield self._q.popleft()[1]
 
 
 def full_fifos(fifos) -> str:

@@ -105,9 +105,6 @@ class Component:
         """Earliest cycle > ``now`` a quiet component needs a step, or None."""
         return None
 
-    def finalize(self, now: int) -> None:
-        """Hook called once after the last simulated cycle (optional)."""
-
     def blocked_on(self) -> str:
         """What a :data:`BLOCKED` component waits for (deadlock reports)."""
         return ""
@@ -429,13 +426,3 @@ class Simulator:
             if until is not None and until(self.now):
                 break
         return self.now
-
-    def finalize(self) -> None:
-        """Invoke ``finalize`` on every component (end-of-run bookkeeping)."""
-        for component in self._components:
-            component.finalize(self.now)
-
-    def seconds(self, cycles: int | None = None) -> float:
-        """Convert ``cycles`` (default: cycles elapsed so far) to seconds."""
-        n = self.now if cycles is None else cycles
-        return n / self.freq_hz

@@ -43,17 +43,6 @@ class ThroughputMeter:
         elif now + n > self.warmup_cycles:
             self.bytes_measured += nbytes * (now + n - self.warmup_cycles)
 
-    def bytes_per_cycle(self, now: int) -> float:
-        """Average measured bytes per cycle over the measurement window."""
-        window = now - self.warmup_cycles
-        if window <= 0:
-            return 0.0
-        return self.bytes_measured / window
-
-    def gib_per_s(self, now: int, freq_hz: float) -> float:
-        """Measured throughput in GiB/s at clock ``freq_hz``."""
-        return self.bytes_per_cycle(now) * freq_hz / GIB
-
 
 class LatencyStats:
     """Streaming latency statistics (count/mean/min/max/std + histogram).

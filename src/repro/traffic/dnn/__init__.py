@@ -6,8 +6,6 @@ from repro.traffic.dnn.layers import (
     ConvLayer,
     FcLayer,
     Layer,
-    total_macs,
-    total_weight_bytes,
 )
 from repro.traffic.dnn.resnet import RESNET34_CHANNELS, RESNET34_STAGES, conv_layers, resnet34
 from repro.traffic.dnn.script import CoreScript, Event, install_scripts
@@ -36,6 +34,4 @@ __all__ = [
     "parallel_conv",
     "pipelined_conv",
     "resnet34",
-    "total_macs",
-    "total_weight_bytes",
 ]

@@ -77,24 +77,9 @@ class FcLayer:
         return self.in_features * self.out_features * BYTES_PER_ELEM
 
     @property
-    def in_act_bytes(self) -> int:
-        return self.in_features * BYTES_PER_ELEM
-
-    @property
-    def out_act_bytes(self) -> int:
-        return self.out_features * BYTES_PER_ELEM
-
-    @property
     def macs(self) -> int:
         return self.in_features * self.out_features
 
 
 Layer = ConvLayer | FcLayer
 
-
-def total_weight_bytes(layers: list[Layer]) -> int:
-    return sum(l.weight_bytes for l in layers)
-
-
-def total_macs(layers: list[Layer]) -> int:
-    return sum(l.macs for l in layers)

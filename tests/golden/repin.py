@@ -18,7 +18,7 @@ The goldens, all under ``tests/golden/``, and the tests that read them:
 * ``address_path_pr16.json`` (``tests/test_address_path.py``) and
   ``stall_intervals_pr19.json`` (``tests/test_stall_intervals.py``):
   what each point's ``observe`` reads under the production scheduler;
-* ``store_entry_pr36.json``: one armed point as ``store.put`` writes
+* ``store_entry_pr37.json``: one armed point as ``store.put`` writes
   it, under the fingerprint the file already carries
   (``tests/test_store.py``).
 
@@ -51,7 +51,7 @@ SNAPSHOT_WORKLOADS = ("axi_write", "axi_rw", "dnn_fig8", "faulted",
                       "mesh_uniform", "sweep_cold")
 SNAPSHOT_SEEDS = (1, 2)
 FIGURES = ("fig4", "fig6", "fig8")
-STORE_ENTRY = GOLDEN / "store_entry_pr36.json"
+STORE_ENTRY = GOLDEN / "store_entry_pr37.json"
 
 ABSENT = "(absent)"
 

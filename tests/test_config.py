@@ -22,7 +22,6 @@ class TestValidation:
         ("id_width", 17),
         ("max_outstanding", 0),
         ("max_outstanding", 129),
-        ("register_slices", "none"),
         ("freq_hz", 0.0),
         ("dma_issue_overhead", -1),
         ("memory_latency", -1),
@@ -38,11 +37,6 @@ class TestValidation:
         NocConfig(data_width=8, id_width=1, max_outstanding=1)
         NocConfig(data_width=1024, id_width=16, max_outstanding=128,
                   addr_width=64)
-
-    def test_id_pressure_flag(self):
-        assert NocConfig(rows=4, cols=4, id_width=2).id_pressure
-        assert not NocConfig(rows=4, cols=4, id_width=4).id_pressure
-        assert not NocConfig(rows=2, cols=2, id_width=2).id_pressure
 
 
 class TestHelpers:

@@ -118,7 +118,7 @@ class TestDmaEngine:
                 dma.submit(Transfer(src=0, addr=net.addr_of(3, 0), nbytes=64,
                                     is_read=True))
             net.run(100)
-            assert len(dma._rd_out) == 1 and dma.queue_depth == 0
+            assert len(dma._rd_out) == 1 and not dma._pending
             seen = [net.counters["dma_rd_mot_stall"]]
             before = net.sim.steps
             for _ in range(3):
@@ -162,7 +162,8 @@ class TestDmaEngine:
         zombies = dma._rd_zombie if is_read else dma._wr_zombie
         free = dma._rd_free if is_read else dma._wr_free
         assert list(zombies) == [0] and 0 not in free
-        assert net.fault_stats.orphaned == 1 and dma.outstanding() == 0
+        assert net.fault_stats.orphaned == 1
+        assert not dma._wr_out and not dma._rd_out
         if is_read:
             dma.link.r.push(RBeat(0, False, 4), net.sim.now)
             net.run(3)
@@ -179,7 +180,7 @@ class TestDmaEngine:
         for _ in range(5):
             net.dmas[0].submit(Transfer(src=0, addr=net.addr_of(1, 0),
                                         nbytes=8, is_read=False))
-        assert net.dmas[0].queue_depth == 5
+        assert net.dmas[0].backlog() == 5
 
 
 class TestMemorySlave:

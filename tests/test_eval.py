@@ -5,7 +5,6 @@ import pytest
 from repro.eval.experiments import (
     EXPERIMENTS,
     measure_points,
-    run_all,
     run_experiment,
 )
 from repro.eval.report import ExperimentResult, render_text, save_csv

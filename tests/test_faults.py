@@ -11,6 +11,7 @@ process.
 """
 
 import importlib
+import json
 import multiprocessing
 import os
 from itertools import permutations
@@ -67,7 +68,7 @@ class TestFaultSpec:
                    LinkFault(5, 6)],
             link_rate=1e-4, corrupt_rate=2e-5,
             recovery="retransmit", max_retries=5)
-        again = FaultSpec.from_json(spec.to_json())
+        again = FaultSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert again == spec
         assert isinstance(again.links[0], LinkFault)
 
@@ -128,19 +129,19 @@ class TestScenarioIntegration:
     def test_scenario_round_trip_with_faults(self):
         sc = _uniform_scenario(
             faults=FaultSpec(corrupt_rate=1e-4, recovery="retransmit"))
-        again = Scenario.from_json(sc.to_json())
+        again = Scenario.from_dict(json.loads(json.dumps(sc.to_dict())))
         assert again == sc
         assert again.faults == sc.faults
 
     def test_scenario_round_trip_without_faults(self):
         sc = _uniform_scenario()
         assert sc.faults is None
-        assert Scenario.from_json(sc.to_json()) == sc
+        assert Scenario.from_dict(json.loads(json.dumps(sc.to_dict()))) == sc
 
     def test_dnn_accepts_faults(self):
         sc = Scenario(traffic=TrafficSpec.dnn("par"),
                       faults=FaultSpec(link_rate=1e-4, recovery="reroute"))
-        assert Scenario.from_json(sc.to_json()) == sc
+        assert Scenario.from_dict(json.loads(json.dumps(sc.to_dict()))) == sc
 
     def test_patronoc_accepts_reroute(self):
         sc = _uniform_scenario(faults=FaultSpec(links=[LinkFault(0, 1)],

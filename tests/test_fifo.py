@@ -74,13 +74,6 @@ class TestBasics:
         assert fifo.pushed == 2
         assert fifo.popped == 1
 
-    def test_drain_empties_everything(self):
-        fifo = TimedFifo(capacity=4, latency=5)
-        fifo.push(1, 0)
-        fifo.push(2, 0)
-        assert list(fifo.drain()) == [1, 2]
-        assert len(fifo) == 0
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             TimedFifo(capacity=0)

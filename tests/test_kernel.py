@@ -72,12 +72,6 @@ class TestSimulator:
         sim.extend([Ticker(), Ticker()])
         assert len(sim.components) == 2
 
-    def test_seconds_conversion(self):
-        sim = Simulator(freq_hz=1e9)
-        sim.run(1000)
-        assert sim.seconds() == pytest.approx(1e-6)
-        assert sim.seconds(2_000_000_000) == pytest.approx(2.0)
-
     def test_negative_cycles_rejected(self):
         with pytest.raises(ValueError):
             Simulator().run(-1)
@@ -85,22 +79,6 @@ class TestSimulator:
     def test_invalid_frequency_rejected(self):
         with pytest.raises(ValueError):
             Simulator(freq_hz=0)
-
-    def test_finalize_hook(self):
-        seen = []
-
-        class Fin(Component):
-            def step(self, now):
-                pass
-
-            def finalize(self, now):
-                seen.append(now)
-
-        sim = Simulator()
-        sim.add(Fin())
-        sim.run(5)
-        sim.finalize()
-        assert seen == [5]
 
 
 class TestActivityKernel:

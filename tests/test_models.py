@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.baseline.esp import esp_area_kge, esp_point
-from repro.models.area import area_efficiency, mesh_area_kge, xp_area_kge
+from repro.models.area import mesh_area_kge
 from repro.models.power import mesh_power_mw, platform_power_fraction
 from repro.models.tech import kge_to_mm2, mm2_to_kge
 from repro.noc.bandwidth import bisection_gbit_s, bisection_gib_s, utilization
@@ -93,14 +93,6 @@ class TestModelShape:
         partial = mesh_area_kge(NocConfig())
         full = mesh_area_kge(NocConfig(full_connectivity=True))
         assert full > partial
-
-    def test_xp_area_positive_and_growing(self):
-        cfg = NocConfig()
-        assert 0 < xp_area_kge(cfg, 3) < xp_area_kge(cfg, 5)
-
-    def test_area_efficiency_helper(self):
-        cfg = NocConfig.from_label("AXI_32_64_2", 2, 2, max_outstanding=1)
-        assert area_efficiency(cfg, bisection_gbit_s(cfg)) > 0
 
     def test_power_monotone_in_activity(self):
         cfg = NocConfig.slim()

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from reach import ROOT, verdict_modules
+from reach import ROOT, defined_functions, unreached_ceiling, verdict_modules
 
 
 def _module_name(path: Path, src: Path) -> str:
@@ -102,6 +102,12 @@ def test_every_reach_verdict_names_a_module_that_exists():
     for module in sorted(verdict_modules()):
         assert (ROOT / "src" / "repro" / module).is_file(), (
             f"DESIGN.md's reach verdicts keep {module}, which is gone")
+
+
+def test_the_unreached_ceiling_is_recorded_and_below_the_definitions():
+    """``reach.py --check`` reads its ceiling from DESIGN.md §13."""
+    defined = sum(len(funcs) for funcs in defined_functions().values())
+    assert 0 < unreached_ceiling() < defined
 
 
 def test_every_lazy_public_name_resolves():

@@ -9,6 +9,8 @@ asserts the sim terminates — no hang, no SimulationTimeout — while the
 orphan/timeout accounting stays exact.
 """
 
+import json
+
 import pytest
 
 from repro.axi.transaction import Transfer
@@ -34,7 +36,7 @@ class TestSpec:
             links=[LinkFault(0, 1, start=100, duration=500)],
             recovery="retransmit", response_faults=True, txn_timeout=800,
             stuck_vcs=[StuckVcFault(5, 1, 0, start=200, duration=400)])
-        again = FaultSpec.from_json(spec.to_json())
+        again = FaultSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert again == spec
         assert isinstance(again.stuck_vcs[0], StuckVcFault)
 
@@ -68,6 +70,15 @@ class TestBackendValidation:
                        faults=FaultSpec(stuck_vcs=[StuckVcFault(0, 1, 0)]),
                        fault_seed=1)
 
+    def test_a_patronoc_scenario_refuses_stuck_vcs_when_built(self):
+        """The AXI mesh has no router VCs to pin: the point is refused
+        when the Scenario is built, before any network is."""
+        from repro.scenarios import Scenario, TopologySpec
+
+        with pytest.raises(ValueError, match="stuck_vcs=.* patronoc"):
+            Scenario(topology=TopologySpec(rows=2, cols=2),
+                     faults=FaultSpec(stuck_vcs=[StuckVcFault(0, 1, 0)]))
+
     def test_axi_response_faults_need_txn_timeout(self):
         with pytest.raises(ValueError, match="txn_timeout"):
             NocNetwork(NocConfig(rows=2, cols=2),
@@ -91,14 +102,18 @@ class TestBackendValidation:
                                        "response_faults", "txn_timeout"])
     def test_baseline_refuses(self, field):
         """No baseline endpoint retries or waits for a reply, so these
-        knobs would change nothing there: refused, by name."""
+        knobs would change nothing there: refused, by name, by the
+        mesh and by a baseline Scenario when it is built."""
+        from repro.scenarios import Scenario, TopologySpec, TrafficSpec
+
         value = {"max_retries": 8, "retry_timeout": 500,
                  "response_faults": True, "txn_timeout": 400}[field]
+        faults = FaultSpec(links=[LinkFault(0, 1)], **{field: value})
         with pytest.raises(ValueError, match=field):
-            PacketMesh(PacketMeshConfig(),
-                       faults=FaultSpec(links=[LinkFault(0, 1)],
-                                        **{field: value}),
-                       fault_seed=1)
+            PacketMesh(PacketMeshConfig(), faults=faults, fault_seed=1)
+        with pytest.raises(ValueError, match=f"{field}=.* baseline"):
+            Scenario(topology=TopologySpec.baseline(),
+                     traffic=TrafficSpec.uniform(0.1, 1), faults=faults)
 
 
 # ----------------------------------------------------------------------

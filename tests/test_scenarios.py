@@ -4,6 +4,7 @@ execution, and figure-output pinning against pre-refactor goldens."""
 
 import dataclasses
 import inspect
+import json
 from pathlib import Path
 
 import pytest
@@ -38,10 +39,29 @@ FAST = MeasureSpec(300, 900)
 #: A valid value other than the default for every TopologySpec field.
 NON_DEFAULT = dict(
     rows=3, cols=3, freq_hz=5e8, data_width=64, addr_width=64, id_width=3,
-    max_outstanding=4, full_connectivity=True, register_slices="single",
+    max_outstanding=4, full_connectivity=True,
     dma_issue_overhead=4, memory_latency=3, memory_outstanding=8,
     w_order_depth=4, hop_latency=1, n_vcs=2, buf_depth=8, flit_bytes=8,
     packet_flits=4)
+
+#: A valid value other than the default for every TrafficSpec field but
+#: ``kind``, and the name each kind needs.
+TRAFFIC_NON_DEFAULT = dict(load=0.3, max_burst_bytes=64, min_burst_bytes=2,
+                           read_fraction=0.5, pattern="one_hop",
+                           workload="par")
+TRAFFIC_NAMES = {"synthetic": {"pattern": "all_global"},
+                 "dnn": {"workload": "pipe"}}
+#: The fields each traffic kind does not read: a DNN workload script
+#: defines its own bursts and rate.
+UNREAD_TRAFFIC = {
+    "uniform": {"pattern", "workload"},
+    "synthetic": {"workload"},
+    "dnn": {"load", "max_burst_bytes", "min_burst_bytes", "read_fraction",
+            "pattern"},
+}
+#: What a baseline point's burst fields read, whatever the spec says.
+BASELINE_BURSTS = dict(max_burst_bytes=1, min_burst_bytes=1,
+                       read_fraction=0.0)
 
 
 class TestTopologySpec:
@@ -113,6 +133,36 @@ class TestTrafficSpec:
     def test_read_fraction_range(self):
         with pytest.raises(ValueError):
             TrafficSpec(read_fraction=1.5)
+
+    @pytest.mark.parametrize("backend, kind, field", [
+        (backend, kind, f.name)
+        for backend, kind in (("patronoc", "uniform"),
+                              ("patronoc", "synthetic"),
+                              ("patronoc", "dnn"), ("baseline", "uniform"))
+        for f in dataclasses.fields(TrafficSpec) if f.name != "kind"])
+    def test_a_field_the_point_does_not_read(self, backend, kind, field):
+        """A non-default value of a traffic field the point does not
+        read is refused by name, or, for a baseline point's burst
+        fields, replaced by Fig. 4's values, so the spec hash does not
+        see it.  A field the point reads keeps its value."""
+        from repro.store import spec_hash
+
+        base = {"kind": kind, **TRAFFIC_NAMES.get(kind, {})}
+        point = {"topology": {"backend": backend},
+                 "traffic": {**base, field: TRAFFIC_NON_DEFAULT[field]}}
+        unread = UNREAD_TRAFFIC[kind]
+        if backend == "baseline" and field in BASELINE_BURSTS:
+            sc = Scenario.from_dict(point)
+            assert getattr(sc.traffic, field) == BASELINE_BURSTS[field]
+            assert spec_hash(sc) == spec_hash(Scenario.from_dict(
+                {**point, "traffic": base}))
+        elif field in unread:
+            with pytest.raises(ValueError,
+                               match=f"{field}=.* in {kind} traffic"):
+                Scenario.from_dict(point)
+        else:
+            sc = Scenario.from_dict(point)
+            assert getattr(sc.traffic, field) == TRAFFIC_NON_DEFAULT[field]
 
 
 class TestMeasureSpec:
@@ -188,19 +238,23 @@ class TestJsonRoundTrip:
     @pytest.mark.parametrize("sc", SCENARIOS,
                              ids=lambda sc: sc.traffic.kind)
     def test_scenario_round_trips(self, sc):
-        assert Scenario.from_json(sc.to_json()) == sc
+        assert Scenario.from_dict(json.loads(json.dumps(sc.to_dict()))) == sc
 
     def test_sweep_round_trips(self):
+        """A sweep's JSON form expands to the points of the same sweep
+        built in Python."""
         sw = sweep(self.SCENARIOS[0], loads=[0.1, 1.0], seeds=[1, 2])
-        again = Sweep.from_dict(sw.to_dict())
+        data = {"base": self.SCENARIOS[0].to_dict(),
+                "axes": {"loads": [0.1, 1.0], "seeds": [1, 2]}}
+        again = Sweep.from_dict(json.loads(json.dumps(data)))
         assert again.points() == sw.points()
 
     def test_sweep_with_spec_valued_axes_round_trips(self):
-        import json
-
-        sw = sweep(self.SCENARIOS[0],
-                   configs=[TopologySpec.slim(), TopologySpec.wide()])
-        again = Sweep.from_dict(json.loads(json.dumps(sw.to_dict())))
+        configs = [TopologySpec.slim(), TopologySpec.wide()]
+        sw = sweep(self.SCENARIOS[0], configs=configs)
+        data = {"base": self.SCENARIOS[0].to_dict(),
+                "axes": {"configs": [c.to_dict() for c in configs]}}
+        again = Sweep.from_dict(json.loads(json.dumps(data)))
         assert again.points() == sw.points()
 
     def test_result_round_trips(self):
@@ -239,6 +293,15 @@ class TestSweepExpansion:
         with pytest.raises(ValueError):
             sweep(Scenario(), loads=[0.1, 0.5],
                   **{"traffic.load": [1.0]})
+
+    def test_axes_are_checked_together(self):
+        """A point is checked once all its axes are applied: a
+        ``response_faults`` axis may come before the ``txn_timeout``
+        axis it needs."""
+        points = sweep(Scenario(measure=FAST), **{
+            "faults.response_faults": [True],
+            "faults.txn_timeout": [500, 900]}).points()
+        assert [p.faults.txn_timeout for p in points] == [500, 900]
 
     def test_expanded_points_are_validated(self):
         sw = sweep(Scenario(measure=FAST),
@@ -450,13 +513,17 @@ class TestSpecFiles:
         assert points[0].traffic.load == 0.5
 
     def test_py_spec(self, tmp_path):
+        """Specs are JSON only: a ``.py`` spec is refused, never run."""
+        ran = tmp_path / "ran"
         spec = tmp_path / "spec.py"
         spec.write_text(
+            f"open({str(ran)!r}, 'w')\n"
             "from repro.scenarios import *\n"
             "SWEEP = sweep(Scenario(measure=MeasureSpec(300, 900)),\n"
             "              loads=[0.1, 0.2, 0.4])\n")
-        points = load_spec(spec)
-        assert [p.traffic.load for p in points] == [0.1, 0.2, 0.4]
+        with pytest.raises(ValueError):
+            load_spec(spec)
+        assert not ran.exists()
 
     def test_typoed_keys_rejected(self, tmp_path):
         # "axis" instead of "axes": an error, not a silent 1-point run.

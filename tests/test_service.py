@@ -255,8 +255,10 @@ class TestHttpService:
     def test_a_field_the_backend_ignores_is_refused_by_name(self, service):
         """An AXI-only field on a baseline point, a fault link that
         carries the removed ``width_factor``, fault specs that carry the
-        removed ``ports`` / ``byzantine_rate`` and a measure that carries
-        the removed ``per_link``: 400, naming the field."""
+        removed ``ports`` / ``byzantine_rate``, a measure that carries
+        the removed ``per_link``, a topology that carries the removed
+        ``register_slices``, a stuck VC on the AXI mesh and a DNN point
+        with a burst cap: 400, naming the field."""
         baseline = {"topology": {"backend": "baseline", "rows": 2,
                                  "cols": 2, "data_width": 64},
                     "traffic": {"kind": "uniform", "load": 0.1,
@@ -272,6 +274,15 @@ class TestHttpService:
         removed["per_link"] = {"topology": degraded["topology"],
                                "traffic": degraded["traffic"],
                                "measure": {"per_link": True}}
+        removed["register_slices"] = {
+            "topology": {**degraded["topology"], "register_slices": "all"},
+            "traffic": degraded["traffic"]}
+        removed["stuck_vcs"] = {**degraded, "faults": {
+            "stuck_vcs": [{"node": 0, "port": 1}]}}
+        removed["max_burst_bytes"] = {
+            "topology": degraded["topology"],
+            "traffic": {"kind": "dnn", "workload": "par",
+                        "max_burst_bytes": 64}}
         for field, point in (("data_width", baseline),
                              ("width_factor", degraded), *removed.items()):
             req = urllib.request.Request(f"{service}/jobs",

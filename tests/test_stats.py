@@ -18,21 +18,6 @@ class TestThroughputMeter:
         assert meter.bytes_total == 150
         assert meter.bytes_measured == 100
 
-    def test_bytes_per_cycle(self):
-        meter = ThroughputMeter(warmup_cycles=100)
-        meter.add(400, now=200)
-        assert meter.bytes_per_cycle(now=300) == pytest.approx(2.0)
-
-    def test_gib_per_s_at_1ghz(self):
-        meter = ThroughputMeter()
-        meter.add(1 << 30, now=0)
-        # 1 GiB in 1e9 cycles at 1 GHz = 1 GiB/s.
-        assert meter.gib_per_s(int(1e9), 1e9) == pytest.approx(1.0)
-
-    def test_empty_window_is_zero(self):
-        meter = ThroughputMeter(warmup_cycles=10)
-        assert meter.bytes_per_cycle(5) == 0.0
-
     def test_negative_warmup_rejected(self):
         with pytest.raises(ValueError):
             ThroughputMeter(warmup_cycles=-1)

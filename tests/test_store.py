@@ -66,30 +66,43 @@ class TestKeys:
         # name feeds Result.name, so it must be part of the key.
         assert spec_hash(fast_point()) != spec_hash(fast_point(name="x"))
 
+    def test_a_baseline_burst_cap_is_not_in_the_spec_hash(self):
+        """The packet mesh reads only the injection rate: a baseline
+        point takes Fig. 4's burst fields, whatever its spec says."""
+        def point(cap):
+            return Scenario(topology=TopologySpec.baseline(),
+                            traffic=TrafficSpec.uniform(0.2, cap))
+
+        assert spec_hash(point(1)) == spec_hash(point(1000))
+
     def test_spec_hash_is_the_one_pr15_computed(self):
         """Literals pinning the canonical JSON: a changed one would
         orphan every store entry ever written.  ``replay``'s was the one
         recorded at commit 3124678 (``0b5f767e…``) until ``MeasureSpec``
-        lost ``per_link`` and every canonical JSON lost the key.
-        ``every_fault_kind``'s literal moved three times, twice because
-        ``FaultSpec`` lost a fault kind and its canonical JSON lost the
-        key: its link was width-degraded at 3124678 (``aa7a705f…``),
-        then dead beside a dead port and with a ``byzantine_rate`` key
-        (``10334be2…``), then it lost ``per_link`` (``0cdfc589…``).
-        It holds every fault kind there is: a dead link, a stuck VC and
-        corruption."""
+        lost ``per_link`` (``136b2a9c…``), then ``TopologySpec`` lost
+        ``register_slices``; each time every canonical JSON lost the
+        key.  ``every_fault_kind``'s literal moved four times, twice
+        because ``FaultSpec`` lost a fault kind and its canonical JSON
+        lost the key: its link was width-degraded at 3124678
+        (``aa7a705f…``), then dead beside a dead port and with a
+        ``byzantine_rate`` key (``10334be2…``), then it lost
+        ``per_link`` (``0cdfc589…``), then ``register_slices`` and the
+        ``txn_timeout=900`` it carried (``5ac8ff44…``): the baseline
+        has no endpoint watchdog, so a baseline Scenario now refuses
+        the field when it is built.  It holds every fault kind there
+        is: a dead link, a stuck VC and corruption."""
         replay = Scenario(  # the benchmark's 256 store_replay points
             topology=TopologySpec.baseline(1, 4, rows=2, cols=2),
             traffic=TrafficSpec.uniform(0.6, 1),
             measure=MeasureSpec(warmup=25, window=100), seed=7)
-        assert spec_hash(replay) == ("136b2a9c159de0a11c7c058bc5969c31"
-                                     "cfdaa6843f2e202f435d98d266dfeac4")
+        assert spec_hash(replay) == ("75c6bc93d973b049a27b7456a6123d45"
+                                     "5bbb8919300721f3b94df29ef035b6e1")
         every_fault_kind = FaultSpec(
             links=(LinkFault(0, 1, start=10, duration=50),),
             stuck_vcs=(StuckVcFault(2, 1, vc=0, start=5),),
-            corrupt_rate=1e-4, recovery="retransmit", txn_timeout=900)
+            corrupt_rate=1e-4, recovery="retransmit")
         assert spec_hash(replay.with_(faults=every_fault_kind)) == (
-            "5ac8ff444c94c5005fd9841055eed55659cf53e985cbb2cdf26bc5d14dd82e2e")
+            "7e3a2f7a420def1275faef4f548a168bca9fd703bab9ec51b7fa2af1b0cc2aca")
 
     def test_key_separates_seeds_and_code_versions(self, store, monkeypatch):
         a = store.path_for(fast_point(seed=1))
@@ -146,13 +159,15 @@ class TestEntryFormatCompatibility:
     #: point (one dead link, corruption, retransmission), so every
     #: nested container is present.  ``tests/golden/repin.py`` rewrites
     #: it.
-    GOLDEN = Path(__file__).parent / "golden" / "store_entry_pr36.json"
+    GOLDEN = Path(__file__).parent / "golden" / "store_entry_pr37.json"
     #: Entries ``put`` wrote before the schema dropped a field they
     #: carry, under the path each was written to: at commit 3124678 the
     #: same point with its link width-degraded, at 133480c the same point
     #: with the ``ports`` and ``byzantine_rate`` keys ``FaultSpec`` no
     #: longer has, at a5762eb the same point with the ``per_link`` key
-    #: ``MeasureSpec`` no longer has (all three carry ``per_link``).
+    #: ``MeasureSpec`` no longer has, at 01bff79 the same point with the
+    #: ``register_slices`` key ``TopologySpec`` no longer has.  All four
+    #: carry ``register_slices``, the first key a load reaches.
     PRE_SCHEMA = {
         "pr15": ("git-3124678d79adb1f4/16/847323bf07de226470b2f152851a25a9"
                  "851944b31e687b4b4006cb5057dc0c-s3.json"),
@@ -160,6 +175,8 @@ class TestEntryFormatCompatibility:
                  "13647b835379b3f0a8cc4f249db51c-s3.json"),
         "pr35": ("src-a0a1940467741827/45/e4c72423e7cbe8b9cc1214d7f2fbf622"
                  "ceb50ea80fe7e4e5c56aa3cda60a65-s3.json"),
+        "pr36": ("src-a0a1940467741827/93/bd0f8b3880e3c12e153090f9a49f2ac8"
+                 "3c0be24bfd36c6ea63be21970145a5-s3.json"),
     }
 
     def test_parent_commit_entry_hits_and_verifies(self, store, monkeypatch):
@@ -179,9 +196,9 @@ class TestEntryFormatCompatibility:
         monkeypatch.setenv("REPRO_CODE_FINGERPRINT", data["code_fingerprint"])
         path = store.put(Scenario.from_dict(data["scenario"]),
                          Result.from_dict(data["result"]))
-        assert path == store.root / ("src-a0a1940467741827/93/bd0f8b3880e3c12e"
-                                     "153090f9a49f2ac83c0be24bfd36c6ea63be2197"
-                                     "0145a5-s3.json")
+        assert path == store.root / ("src-a0a1940467741827/4c/9f5258b8768f65eb"
+                                     "ea8e7d9d7d9a920c8324243688ecb514028a8a5a"
+                                     "5e67c0-s3.json")
         assert path.read_bytes() == self.GOLDEN.read_bytes()
 
     @pytest.mark.parametrize("entry", sorted(PRE_SCHEMA))
@@ -191,7 +208,7 @@ class TestEntryFormatCompatibility:
         path.parent.mkdir(parents=True)
         shutil.copyfile(Path(__file__).parent / "golden"
                         / f"store_entry_{entry}.json", path)
-        with pytest.raises(TypeError, match=r"'per_link'"):
+        with pytest.raises(TypeError, match=r"'register_slices'"):
             Scenario.from_dict(json.loads(path.read_text())["scenario"])
         assert store.verify() == {"checked": 1, "ok": 0, "corrupt": [rel],
                                   "mismatched": []}

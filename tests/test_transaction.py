@@ -11,8 +11,23 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.axi.beats import BeatStream, RBeat, WBeat
-from repro.axi.transaction import Transfer, beat_sizes, split_transfer
+from repro.axi.transaction import Transfer, split_transfer
 from repro.axi.types import BOUNDARY_4K, MAX_BURST_BEATS
+
+
+def beat_sizes(burst, beat_bytes: int) -> list[int]:
+    """The per-beat oracle: payload bytes of each beat of ``burst``.
+    The first and last beats may be partial; all middle beats carry the
+    full bus width."""
+    offset = burst.addr % beat_bytes
+    remaining = burst.nbytes
+    sizes = []
+    for i in range(burst.beats):
+        size = min(beat_bytes - offset if i == 0 else beat_bytes, remaining)
+        sizes.append(size)
+        remaining -= size
+    assert remaining == 0, f"{remaining} bytes left after {burst}"
+    return sizes
 
 
 class TestUnitCases:
@@ -124,7 +139,6 @@ def test_beat_stream_matches_the_per_beat_oracle(make, addr, nbytes,
                             beat_bytes, make)
         beats = [stream.next_beat() for _ in range(stream.beats)]
         assert stream.issued == stream.beats == burst.beats
-        assert [b.nbytes for b in beats] == list(
-            beat_sizes(burst, beat_bytes))
+        assert [b.nbytes for b in beats] == beat_sizes(burst, beat_bytes)
         assert [b.last for b in beats] == [False] * (burst.beats - 1) + [True]
         assert len({id(b) for b in beats}) <= 3
