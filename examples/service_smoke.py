@@ -3,7 +3,8 @@
 
 Starts the HTTP service in-process on an ephemeral port, submits
 ``examples/sweep_quick.json`` twice, and asserts the second submission
-is served entirely from the content-addressed result store — the
+is served entirely from the content-addressed result store, and that
+every ``/results`` fetch of either job returns the same bytes — the
 "millions of users" workflow of DESIGN.md §12 in one script:
 
     PYTHONPATH=src python examples/service_smoke.py [store-dir]
@@ -51,6 +52,19 @@ def wait(base: str, job: str) -> dict:
     raise SystemExit(f"{job} did not finish within {DEADLINE_S}s")
 
 
+def results_body(base: str, snap: dict) -> bytes:
+    """``/results`` of a done job, fetched twice: the same bytes, one
+    entry per point."""
+    route = f"{base}/jobs/{snap['job']}/results"
+    bodies = []
+    for _ in range(2):
+        with urllib.request.urlopen(route) as resp:
+            bodies.append(resp.read())
+    assert bodies[0] == bodies[1], f"{snap['job']}: two fetches differ"
+    assert len(json.loads(bodies[0])) == snap["total"], snap
+    return bodies[0]
+
+
 def progress_lines(base: str, job: str) -> list[dict]:
     with urllib.request.urlopen(base + f"/jobs/{job}/progress?since=0") as r:
         return [json.loads(line) for line in r.read().splitlines()]
@@ -80,9 +94,9 @@ def main() -> int:
         print(f"{second['job']}: {second['hits']}/{second['total']} "
               f"served from the store — zero simulations")
 
-        results = get(base, f"/jobs/{second['job']}/results")
-        assert len(results) == second["total"]
-        for entry in results:
+        body = results_body(base, second)
+        assert results_body(base, first) == body, "miss and hit bodies differ"
+        for entry in json.loads(body):
             r = entry["result"]
             assert r["throughput_gib_s"] > 0
             assert r["provenance"]["code_fingerprint"]

@@ -23,6 +23,14 @@ from repro.eval.experiments import EXPERIMENTS, run_experiment
 from repro.eval.report import render_text, save_csv, save_json
 
 
+def _jobs(text: str) -> int:
+    """``--jobs``: an integer >= 1, or argparse's exit 2 naming it."""
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"jobs must be >= 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="patronoc",
@@ -56,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweepp.add_argument("spec",
                         help="JSON sweep spec: base+axes, one scenario, "
                              "or a scenario list")
-    sweepp.add_argument("--jobs", type=int, default=1,
+    sweepp.add_argument("--jobs", type=_jobs, default=1,
                         help="worker processes (results are identical "
                              "for any job count)")
     sweepp.add_argument("--quick", action="store_true",
@@ -82,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     servep.add_argument("--host", default="127.0.0.1")
     servep.add_argument("--port", type=int, default=8078,
                         help="TCP port (0 = pick an ephemeral port)")
-    servep.add_argument("--jobs", type=int, default=1,
+    servep.add_argument("--jobs", type=_jobs, default=1,
                         help="default worker processes per job")
     servep.add_argument("--cache", choices=["off", "ro", "rw"],
                         default="rw",

@@ -6,19 +6,23 @@ daemon worker thread that drains it through
 process-pool execution path (``jobs`` workers, retry hardening,
 result-store caching) and the HTTP layer stays a thin,
 non-blocking front end.  Every finalized point appends one progress
-event (the ``run_sweep(on_point=...)`` hook), which the server streams
-back as NDJSON.
+event (the ``run_sweep(on_point=...)`` hook), stored as the NDJSON line
+the server streams back.  A finished job keeps its ``/results`` body,
+encoded once and compressed, and drops its Scenarios and Results
+(DESIGN.md §12 "What a finished job keeps").
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import threading
+import zlib
 from collections import deque
 
 from repro.scenarios.result import paired_payload
 from repro.scenarios.spec import Scenario
-from repro.scenarios.sweep import ProgressEvent, SweepResults, run_sweep
+from repro.scenarios.sweep import ProgressEvent, run_sweep
 from repro.store import ResultStore, check_cache_mode
 
 #: Lifecycle of a job.  queued → running → done | failed.  "failed"
@@ -28,13 +32,29 @@ from repro.store import ResultStore, check_cache_mode
 JOB_STATUSES = ("queued", "running", "done", "failed")
 
 
+def _check_jobs(jobs: int) -> int:
+    """``jobs``, or ValueError if it is below 1 (as ``run_sweep``)."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    return jobs
+
+
+def _line(event: dict) -> str:
+    return json.dumps(event) + "\n"
+
+
 class Job:
-    """One submitted sweep and everything observable about it."""
+    """One submitted sweep and everything observable about it.
+
+    The worker takes ``points`` when it starts the job; from then on
+    the job is its counters, its progress ``lines`` and ``body`` — the
+    zlib-compressed ``/results`` bytes (``None`` unless ``done``)."""
 
     def __init__(self, job_id: str, points: list[Scenario], *,
                  jobs: int, cache: str):
         self.id = job_id
-        self.points = points
+        self.points: list[Scenario] | None = points
+        self.total = len(points)
         self.jobs = jobs
         self.cache = cache
         self.status = "queued"
@@ -42,8 +62,8 @@ class Job:
         self.hits = 0
         self.misses = 0
         self.errors = 0
-        self.events: list[dict] = []
-        self.results: SweepResults | None = None
+        self.lines: list[str] = []
+        self.body: bytes | None = None
         self.error: str | None = None
 
     @property
@@ -54,7 +74,7 @@ class Job:
         """The status document the HTTP layer serves (caller holds the
         manager lock)."""
         return {"job": self.id, "status": self.status,
-                "total": len(self.points), "done": self.done,
+                "total": self.total, "done": self.done,
                 "hits": self.hits, "misses": self.misses,
                 "errors": self.errors, "jobs": self.jobs,
                 "cache": self.cache, "error": self.error}
@@ -68,7 +88,7 @@ class JobManager:
         self.cache = cache
         self.store = (ResultStore.coerce(store)
                       if cache != "off" else None)
-        self.jobs = max(1, jobs)
+        self.jobs = _check_jobs(jobs)
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
         self._queue: deque[Job] = deque()
@@ -85,6 +105,7 @@ class JobManager:
         """Enqueue a sweep; returns the (already-queued) Job."""
         if not points:
             raise ValueError("a job needs at least one scenario point")
+        jobs = _check_jobs(self.jobs if jobs is None else jobs)
         cache = self.cache if cache is None else cache
         check_cache_mode(cache)
         if cache != "off" and self.store is None:
@@ -92,8 +113,7 @@ class JobManager:
                 "service was started with cache='off' (no store); "
                 "submit with cache=off or restart with a store")
         with self._wake:
-            job = Job(f"j{next(self._ids)}", points,
-                      jobs=max(1, jobs if jobs is not None else self.jobs),
+            job = Job(f"j{next(self._ids)}", points, jobs=jobs,
                       cache=cache)
             self._by_id[job.id] = job
             self._queue.append(job)
@@ -114,25 +134,24 @@ class JobManager:
             return job.snapshot() if job is not None else None
 
     def events_since(self, job_id: str, since: int
-                     ) -> tuple[list[dict], bool] | None:
-        """(events[since:], finished) — one poll of the progress stream;
-        ``None`` for an unknown job."""
+                     ) -> tuple[list[str], bool] | None:
+        """(NDJSON lines[since:], finished) — one poll of the progress
+        stream; ``None`` for an unknown job."""
         with self._lock:
             job = self._by_id.get(job_id)
             if job is None:
                 return None
-            return list(job.events[since:]), job.finished
+            return job.lines[since:], job.finished
 
-    def results_payload(self, job_id: str) -> list | None:
-        """Completed results in ``save_results_json`` shape (scenario +
-        result pairs); ``None`` until the job is done."""
+    def results_payload(self, job_id: str) -> bytes | None:
+        """The ``/results`` body: compact JSON of the scenario + result
+        pairs (``save_results_json`` shape) plus a newline; ``None``
+        unless the job is done."""
         with self._lock:
             job = self._by_id.get(job_id)
-            if job is None or job.results is None:
-                return None
-            points, results = job.points, job.results
-        # Finished results never change: build the payload unlocked.
-        return paired_payload(points, results)
+            body = job.body if job is not None else None
+        # A finished body never changes: inflate it unlocked.
+        return zlib.decompress(body) if body is not None else None
 
     def shutdown(self) -> None:
         """Stop the worker after the current job (daemon thread: safe
@@ -155,6 +174,9 @@ class JobManager:
 
     def _run(self, job: Job) -> None:
         def on_point(ev: ProgressEvent) -> None:
+            line = _line({"index": ev.index, "done": ev.done,
+                          "total": ev.total, "status": ev.status,
+                          "label": ev.scenario.label})
             with self._lock:
                 job.done = ev.done
                 if ev.status == "hit":
@@ -163,29 +185,35 @@ class JobManager:
                     job.errors += 1
                 else:
                     job.misses += 1
-                job.events.append({
-                    "index": ev.index, "done": ev.done, "total": ev.total,
-                    "status": ev.status, "label": ev.scenario.label})
+                job.lines.append(line)
 
+        points, job.points = job.points, None
         try:
             results = run_sweep(
-                job.points, jobs=job.jobs, cache=job.cache,
+                points, jobs=job.jobs, cache=job.cache,
                 store=self.store if job.cache != "off" else None,
                 on_point=on_point)
         except Exception as exc:
             with self._lock:
                 job.error = f"{type(exc).__name__}: {exc}"
                 job.status = "failed"
-                job.events.append({"event": "end", "status": "failed",
-                                   "error": job.error})
+                job.lines.append(_line({"event": "end", "status": "failed",
+                                        "error": job.error}))
             return
+        # Encoded once, outside the lock; the job stays "running", with
+        # no end line, until body, counters and status land together.
+        body = zlib.compress(
+            (json.dumps(paired_payload(points, results)) + "\n").encode(),
+            1)
+        stats = results.stats
+        del points, results  # a done job keeps none of them alive
+        end = _line({"event": "end", "status": "done", "hits": stats.hits,
+                     "misses": stats.misses, "errors": stats.errors,
+                     "total": job.total})
         with self._lock:
-            job.results = results
-            job.hits = results.stats.hits
-            job.misses = results.stats.misses
-            job.errors = results.stats.errors
+            job.body = body
+            job.hits = stats.hits
+            job.misses = stats.misses
+            job.errors = stats.errors
             job.status = "done"
-            job.events.append({
-                "event": "end", "status": "done",
-                "hits": job.hits, "misses": job.misses,
-                "errors": job.errors, "total": len(job.points)})
+            job.lines.append(end)

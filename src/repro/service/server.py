@@ -19,7 +19,9 @@ Endpoints::
                                      once the job finishes.  Poll with
                                      since=<lines seen> until then.
     GET  /jobs/<id>/results          scenario+result pairs (the
-                                     results.json artifact shape)
+                                     results.json artifact shape);
+                                     409 until done, naming the error
+                                     of a failed job
     GET  /store/stats                result-store entry/byte counts
 
 Run it with ``python -m repro serve`` or embed it via
@@ -74,10 +76,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self._send(code, (json.dumps(payload) + "\n").encode(),
                    "application/json")
 
-    def _ndjson(self, lines: list[dict]) -> None:
-        body = "".join(json.dumps(line) + "\n" for line in lines)
-        self._send(200, body.encode(), "application/x-ndjson")
-
     def _error(self, code: int, message: str) -> None:
         self._json(code, {"error": message})
 
@@ -112,15 +110,19 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 polled = manager.events_since(job_id, max(0, since))
                 if polled is None:
                     return self._error(404, f"unknown job {job_id!r}")
-                return self._ndjson(polled[0])
+                return self._send(200, "".join(polled[0]).encode(),
+                                  "application/x-ndjson")
             if leaf == "results":
-                if manager.snapshot(job_id) is None:
+                body = manager.results_payload(job_id)
+                if body is not None:
+                    return self._send(200, body, "application/json")
+                snap = manager.snapshot(job_id)
+                if snap is None:
                     return self._error(404, f"unknown job {job_id!r}")
-                payload = manager.results_payload(job_id)
-                if payload is None:
+                if snap["status"] == "failed":
                     return self._error(
-                        409, f"job {job_id!r} has no results yet")
-                return self._json(200, payload)
+                        409, f"job {job_id!r} failed: {snap['error']}")
+                return self._error(409, f"job {job_id!r} has no results yet")
         return self._error(404, f"no such endpoint: GET {url.path}")
 
     def do_POST(self) -> None:
@@ -151,7 +153,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             return self._error(400, f"bad submission: {exc}")
         # The status at acceptance, not a read of ``job.status``: the
         # worker may already have taken the job (``GET /jobs/<id>``).
-        return self._json(202, {"job": job.id, "points": len(job.points),
+        return self._json(202, {"job": job.id, "points": job.total,
                                 "status": "queued"})
 
 

@@ -146,6 +146,18 @@ class TestSweep:
         assert all(r["result"]["throughput_gib_s"] > 0 for r in results)
         assert (out_dir / "results.csv").exists()
 
+    def test_jobs_below_one_is_refused_by_name(self, tmp_path, capsys):
+        """Exit 2, naming the rule, before any point runs."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(self.SPEC)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", str(spec), "--jobs", "0"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "error: argument --jobs: jobs must be >= 1, got 0" in (
+            captured.err)
+        assert "point(s)" not in captured.out
+
     def test_sweep_without_out_still_prints_table(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(self.SPEC)
@@ -239,3 +251,11 @@ class TestServeParser:
         assert args.command == "serve"
         assert (args.port, args.jobs, args.cache) == (0, 2, "ro")
         assert args.store == "/tmp/s" and args.verbose
+
+    def test_jobs_below_one_is_refused_by_name(self, capsys):
+        """Exit 2, naming the rule, before a server is built."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["serve", "--port", "0", "--jobs", "0"])
+        assert exc.value.code == 2
+        assert "error: argument --jobs: jobs must be >= 1, got 0" in (
+            capsys.readouterr().err)

@@ -4,6 +4,7 @@ polling, NDJSON progress streaming, result serving, and store-backed
 resubmission hits."""
 
 import dataclasses
+import gc
 import http.client
 import json
 import socket
@@ -11,12 +12,16 @@ import threading
 import time
 import urllib.error
 import urllib.request
+import weakref
 from urllib.parse import urlparse
 
 import pytest
 
+import repro.service.jobs as jobs_mod
 from repro.scenarios import MeasureSpec, Result, Scenario, TrafficSpec
-from repro.service import JobManager, make_server
+from repro.scenarios.result import paired_payload
+from repro.scenarios.sweep import points_from_data, run_sweep
+from repro.service import JobManager, ScenarioServer, make_server
 from repro.service.server import MAX_BODY_BYTES
 
 #: Small windows: these tests assert plumbing, not paper numbers.
@@ -60,7 +65,7 @@ class TestJobManager:
         assert snap1["status"] == snap2["status"] == "done"
         assert snap1["done"] == snap1["total"] == 2
         assert snap1["misses"] == 2 and snap1["hits"] == 0
-        payload = manager.results_payload(first.id)
+        payload = json.loads(manager.results_payload(first.id))
         assert len(payload) == 2
         assert all(e["result"]["throughput_gib_s"] > 0 for e in payload)
 
@@ -71,8 +76,9 @@ class TestJobManager:
         again = manager.submit(points)
         snap = wait_finished(lambda: manager.snapshot(again.id))
         assert snap["hits"] == 2 and snap["misses"] == 0
-        events, finished = manager.events_since(again.id, 0)
+        lines, finished = manager.events_since(again.id, 0)
         assert finished
+        events = [json.loads(line) for line in lines]
         assert [e["status"] for e in events[:-1]] == ["hit", "hit"]
         assert events[-1]["event"] == "end"
 
@@ -87,51 +93,94 @@ class TestJobManager:
 
     def test_serving_results_does_not_hold_the_manager_lock(
             self, manager, monkeypatch):
-        """While one thread builds a /results payload (a ``Result.to_dict``
-        held on an event), status reads and submissions from another
-        thread complete: they finish before the payload is released."""
-        job = manager.submit([self.point(0.1)])
-        wait_finished(lambda: manager.snapshot(job.id))
+        """While the worker encodes a finished job's body (its
+        ``paired_payload`` held on an event), status reads, a
+        submission, a progress poll and the listing from another thread
+        complete, and see the job still running with no end line; once
+        released, the job is done and ``/results`` is 200."""
         inside, release = threading.Event(), threading.Event()
-        real_to_dict = Result.to_dict
+        real_payload = jobs_mod.paired_payload
 
-        def slow_to_dict(result):
+        def held_payload(points, results):
             inside.set()
             assert release.wait(timeout=30)
-            return real_to_dict(result)
+            return real_payload(points, results)
 
-        monkeypatch.setattr(Result, "to_dict", slow_to_dict)
-        payloads = []
-        reader = threading.Thread(
-            target=lambda: payloads.append(manager.results_payload(job.id)))
+        monkeypatch.setattr(jobs_mod, "paired_payload", held_payload)
+        job = manager.submit([self.point(0.1)])
         reads = {}
 
-        def read_while_serving():
+        def read_while_encoding():
             reads["snap"] = manager.snapshot(job.id)
             reads["queued"] = manager.submit([self.point(0.1)], cache="ro")
             reads["events"] = manager.events_since(job.id, 0)
             reads["listing"] = manager.snapshots()
 
-        reader.start()
-        other = threading.Thread(target=read_while_serving)
+        other = threading.Thread(target=read_while_encoding)
         try:
-            assert inside.wait(timeout=30)
+            assert inside.wait(timeout=POLL_DEADLINE_S)
             other.start()
-            # A reader holding the lock would hold ``other`` until the
-            # release below: it must finish while the payload is held.
+            # A worker encoding under the lock would hold ``other`` until
+            # the release below: it must finish while the encode is held.
             other.join(timeout=30)
             assert not other.is_alive()
         finally:
             release.set()
-            reader.join(timeout=30)
             if other.is_alive():
                 other.join(timeout=30)
-        assert not reader.is_alive()
         snap, queued = reads["snap"], reads["queued"]
-        events, listing = reads["events"], reads["listing"]
-        assert snap["status"] == "done" and events[1] is True
-        assert {j["job"] for j in listing} == {job.id, queued.id}
-        assert payloads[0][0]["result"] == real_to_dict(job.results[0])
+        lines, finished = reads["events"]
+        assert snap["status"] == "running" and snap["done"] == 1
+        assert not finished and len(lines) == 1
+        assert json.loads(lines[0])["status"] == "run"
+        assert {j["job"] for j in reads["listing"]} == {job.id, queued.id}
+        server = ScenarioServer(("127.0.0.1", 0), manager)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            assert wait_finished(
+                lambda: manager.snapshot(job.id))["status"] == "done"
+            host, port = server.server_address[:2]
+            with urllib.request.urlopen(
+                    f"http://{host}:{port}/jobs/{job.id}/results") as resp:
+                assert resp.status == 200
+                assert len(json.load(resp)) == 1
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+
+    def test_a_finished_job_keeps_no_scenario_and_no_result(
+            self, manager, monkeypatch):
+        """A done job holds its body, not the objects it was made from:
+        every submitted Scenario and every Result ``run_sweep`` returned
+        is collected."""
+        returned = []
+        real_run_sweep = jobs_mod.run_sweep
+
+        def recording_run_sweep(*args, **kwargs):
+            results = real_run_sweep(*args, **kwargs)
+            returned.extend(weakref.ref(r) for r in results)
+            return results
+
+        monkeypatch.setattr(jobs_mod, "run_sweep", recording_run_sweep)
+        points = [self.point(0.1), self.point(0.5)]
+        submitted = [weakref.ref(sc) for sc in points]
+        job = manager.submit(points)
+        del points
+        snap = wait_finished(lambda: manager.snapshot(job.id))
+        assert snap["status"] == "done" and snap["misses"] == 2
+        assert len(returned) == 2
+        gc.collect()
+        assert [ref() for ref in submitted + returned] == [None] * 4
+        assert len(json.loads(manager.results_payload(job.id))) == 2
+
+    def test_jobs_below_one_is_refused_by_name(self, manager):
+        with pytest.raises(ValueError, match="jobs must be >= 1, got 0"):
+            JobManager(cache="off", jobs=0)
+        with pytest.raises(ValueError, match="jobs must be >= 1, got -1"):
+            manager.submit([self.point()], jobs=-1)
+        assert manager.snapshots() == []
 
     def test_empty_submission_rejected(self, manager):
         with pytest.raises(ValueError):
@@ -251,6 +300,39 @@ class TestHttpService:
             urllib.request.urlopen(req)
         assert err.value.code == code
         assert "error" in json.load(err.value)
+
+    def test_jobs_below_one_is_refused_by_name(self, service):
+        req = urllib.request.Request(f"{service}/jobs?jobs=0",
+                                     data=json.dumps(SWEEP_SPEC).encode())
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(req)
+        assert err.value.code == 400
+        assert json.load(err.value) == {
+            "error": "bad submission: jobs must be >= 1, got 0"}
+        assert self.get(f"{service}/jobs") == {"jobs": []}
+
+    def test_results_are_the_bytes_a_direct_sweep_encodes(self, service):
+        """A miss job and a hit job of the same points each serve, on
+        every fetch, exactly the compact JSON of a direct ``run_sweep``
+        plus a newline; every progress line is compact JSON too."""
+        points = points_from_data(SWEEP_SPEC)
+        expected = (json.dumps(paired_payload(points, run_sweep(points)))
+                    + "\n").encode()
+        for kind in ("misses", "hits"):
+            job = self.submit(service)["job"]
+            snap = wait_finished(lambda: self.get(f"{service}/jobs/{job}"))
+            assert snap[kind] == snap["total"] == 2
+            for _ in range(2):
+                with urllib.request.urlopen(
+                        f"{service}/jobs/{job}/results") as resp:
+                    assert resp.headers["Content-Type"] == "application/json"
+                    assert resp.read() == expected
+            with urllib.request.urlopen(
+                    f"{service}/jobs/{job}/progress?since=0") as resp:
+                lines = resp.read().decode().splitlines(keepends=True)
+            assert len(lines) == 3
+            assert all(line == json.dumps(json.loads(line)) + "\n"
+                       for line in lines)
 
     def test_a_field_the_backend_ignores_is_refused_by_name(self, service):
         """An AXI-only field on a baseline point, a fault link that
@@ -390,8 +472,6 @@ class TestHttpService:
         """``/results`` of a job that is not done is 409, then 200 once
         it is.  The worker is held inside ``run_sweep`` on an event, so
         the job is provably running when ``/results`` is asked."""
-        import repro.service.jobs as jobs_mod
-
         entered, release = threading.Event(), threading.Event()
         real_run_sweep = jobs_mod.run_sweep
 
@@ -419,6 +499,48 @@ class TestHttpService:
             release.set()
             wait_finished(lambda: self.get(f"{base}/jobs/{job.id}"))
             assert self.get(f"{base}/jobs/{job.id}/results")
+        finally:
+            release.set()
+            server.shutdown()
+            server.manager.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+
+    def test_a_failed_job_names_its_failure(self, tmp_path, monkeypatch):
+        """``/results`` of a job whose ``run_sweep`` raised is a 409
+        that carries the job's error, not "no results yet"."""
+        entered, release = threading.Event(), threading.Event()
+
+        def failing_run_sweep(*args, **kwargs):
+            entered.set()
+            assert release.wait(timeout=POLL_DEADLINE_S)
+            raise RuntimeError("store root vanished")
+
+        monkeypatch.setattr(jobs_mod, "run_sweep", failing_run_sweep)
+        server = make_server("127.0.0.1", 0, store=tmp_path / "s",
+                             cache="rw", jobs=1)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            host, port = server.server_address[:2]
+            base = f"http://{host}:{port}"
+            job = server.manager.submit([Scenario(
+                traffic=TrafficSpec.uniform(0.5, 1000),
+                measure=MeasureSpec(300, 900))])
+            assert entered.wait(timeout=POLL_DEADLINE_S)
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(f"{base}/jobs/{job.id}/results")
+            assert err.value.code == 409
+            assert json.load(err.value) == {
+                "error": f"job {job.id!r} has no results yet"}
+            release.set()
+            snap = wait_finished(lambda: self.get(f"{base}/jobs/{job.id}"))
+            assert snap["error"] == "RuntimeError: store root vanished"
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(f"{base}/jobs/{job.id}/results")
+            assert err.value.code == 409
+            assert json.load(err.value) == {"error": (
+                f"job {job.id!r} failed: RuntimeError: store root vanished")}
         finally:
             release.set()
             server.shutdown()
