@@ -34,7 +34,8 @@ from importlib import import_module
 #: The public names, by the subpackage that defines them.  Resolved on
 #: first use (PEP 562), so ``import repro`` — which every ``python -m
 #: repro`` command pays, ``list`` and ``cache`` included — imports no
-#: simulator and no numpy.
+#: simulator.  No command imports numpy, a simulating one included: the
+#: random streams are pure Python (``repro.sim.rng``).
 _EXPORTS = {
     "repro.axi": ("MemoryMap", "Region", "Transfer"),
     "repro.noc": ("Mesh2D", "NocConfig", "NocNetwork", "TileSpec", "Torus2D",

@@ -340,7 +340,7 @@ class PacketMesh(Component):
                 rng = self._rngs[node]
                 queue = self._source_q[node]
                 while arrival <= now and len(queue) < self._source_cap:
-                    dst = int(rng.integers(n_nodes - 1))
+                    dst = rng.integers(n_nodes - 1)
                     if dst >= node:
                         dst += 1
                     packet = Packet(node, dst, cfg.packet_flits, now, self._pid)

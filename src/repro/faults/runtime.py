@@ -11,13 +11,10 @@ and activity-driven kernels.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
-from repro.sim.rng import DEFAULT_SEED
+from repro.sim.rng import Generator, spawn_rngs
 from repro.sim.stats import LatencyStats
-
-if TYPE_CHECKING:  # imported where a stream is drawn, like sim/rng.py
-    import numpy as np
 
 #: Salt mixed into the scenario seed for fault RNG streams.  Traffic
 #: sources use ``spawn_rngs(seed, n)`` — the *unsalted* SeedSequence —
@@ -26,15 +23,9 @@ if TYPE_CHECKING:  # imported where a stream is drawn, like sim/rng.py
 FAULT_SALT = 0xFA_017  # "FAULT"
 
 
-def fault_rngs(seed: int | None, n: int) -> list[np.random.Generator]:
+def fault_rngs(seed: int | None, n: int) -> list[Generator]:
     """Spawn ``n`` independent fault generators from the scenario seed."""
-    import numpy as np
-
-    if n < 0:
-        raise ValueError(f"cannot spawn {n} generators")
-    root = DEFAULT_SEED if seed is None else seed
-    seq = np.random.SeedSequence([root, FAULT_SALT])
-    return [np.random.default_rng(child) for child in seq.spawn(n)]
+    return spawn_rngs(seed, n, salt=FAULT_SALT)
 
 
 class FaultStats:
@@ -112,7 +103,7 @@ class FaultTimeline:
     """
 
     def __init__(self, spec, n_links: int,
-                 rng: np.random.Generator | None = None,
+                 rng: Generator | None = None,
                  link_index: dict[tuple[int, int], int] | None = None):
         self._heap: list[tuple[int, int, tuple]] = []
         self._seq = 0
@@ -158,7 +149,7 @@ class FaultTimeline:
     def _schedule_rate_fault(self, after: int) -> None:
         """Draw the next Poisson fault start (> ``after``) and its victim."""
         gap = 1 + int(self._rng.exponential(1.0 / self._rate))
-        idx = int(self._rng.integers(self._n_links))
+        idx = self._rng.integers(self._n_links)
         fid = self._new_fid()
         start = after + gap
         self._push(start, ("link", idx, fid))
@@ -285,7 +276,7 @@ class CorruptionModel:
 
     __slots__ = ("_rng", "_rate", "_hops_by_src", "stats")
 
-    def __init__(self, rng: np.random.Generator, rate: float,
+    def __init__(self, rng: Generator, rate: float,
                  hops_by_src: dict[int, int], stats: FaultStats):
         self._rng = rng
         self._rate = rate

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.axi.transaction import Transfer
 from repro.noc.network import NocNetwork
 from repro.sim.kernel import Component
@@ -76,8 +74,7 @@ class RandomTraffic(Component):
         for master in self._masters:
             if net.dmas[master] is None:
                 raise ValueError(f"endpoint {master} has no DMA")
-        self._candidates = {
-            m: np.asarray(candidates[m], dtype=np.int64) for m in self._masters}
+        self._candidates = {m: list(candidates[m]) for m in self._masters}
         mean_size = (min_burst_bytes + max_burst_bytes - 1) / 2.0
         #: Poisson arrival rate per master, transfers per cycle.
         self.rate = load * net.cfg.beat_bytes / mean_size
@@ -106,13 +103,13 @@ class RandomTraffic(Component):
     def _make_transfer(self, master: int, now: int) -> Transfer:
         rng = self._rngs[master]
         cands = self._candidates[master]
-        dest = int(cands[rng.integers(len(cands))]) if len(cands) > 1 else int(cands[0])
-        size = int(rng.integers(self.min_burst, self.max_burst)) \
+        dest = cands[rng.integers(len(cands))]  # one candidate: no draw
+        size = rng.integers(self.min_burst, self.max_burst) \
             if self.max_burst > self.min_burst else self.min_burst
         region = self.net.memory_map.region_of(dest)
         max_off = region.size - size
-        offset = int(rng.integers(0, max_off)) if max_off > 0 else 0
-        is_read = bool(rng.random() < self.read_fraction)
+        offset = rng.integers(0, max_off) if max_off > 0 else 0
+        is_read = rng.random() < self.read_fraction
         return Transfer(src=master, addr=region.base + offset, nbytes=size,
                         is_read=is_read, dest=dest, created=now)
 
