@@ -14,10 +14,13 @@ This is the "plug-and-play" integration argument in miniature: no
 protocol translation anywhere, just AXI links into AXI switches.
 """
 
-from repro.axi import AxiCrossbar, AxiLink, MemoryMap
+from repro.axi.link import AxiLink
+from repro.axi.memory_map import MemoryMap
 from repro.axi.transaction import Transfer
-from repro.endpoints import DmaEngine, MemorySlave
-from repro.sim import Simulator
+from repro.axi.xbar import AxiCrossbar
+from repro.endpoints.dma import DmaEngine
+from repro.endpoints.memory import MemorySlave
+from repro.sim.kernel import Simulator
 
 N = 8           # masters = slaves = 8, switches are 2x2, 3 stages
 STAGES = 3

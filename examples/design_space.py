@@ -19,8 +19,9 @@ from repro import (
     run_sweep,
     sweep,
 )
-from repro.models import mesh_area_kge, mesh_power_mw
-from repro.noc import bisection_gib_s
+from repro.models.area import mesh_area_kge
+from repro.models.power import mesh_power_mw
+from repro.noc.bandwidth import bisection_gib_s
 
 
 def main() -> None:

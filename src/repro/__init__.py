@@ -19,7 +19,7 @@ Quickstart (declarative scenario API, DESIGN.md §9)::
 or imperatively::
 
     from repro import NocConfig, NocNetwork
-    from repro.traffic import uniform_random
+    from repro.traffic.uniform import uniform_random
 
     net = NocNetwork(NocConfig.slim())
     traffic = uniform_random(net, load=0.1, max_burst_bytes=1000)
@@ -31,22 +31,25 @@ or imperatively::
 
 from importlib import import_module
 
-#: The public names, by the subpackage that defines them.  Resolved on
+#: The public names, by the module that defines them.  Resolved on
 #: first use (PEP 562), so ``import repro`` — which every ``python -m
 #: repro`` command pays, ``list`` and ``cache`` included — imports no
 #: simulator.  No command imports numpy, a simulating one included: the
 #: random streams are pure Python (``repro.sim.rng``).
 _EXPORTS = {
-    "repro.axi": ("MemoryMap", "Region", "Transfer"),
-    "repro.noc": ("Mesh2D", "NocConfig", "NocNetwork", "TileSpec", "Torus2D",
-                  "bisection_gbit_s", "bisection_gib_s", "ring",
-                  "utilization"),
+    "repro.axi.memory_map": ("MemoryMap", "Region"),
+    "repro.axi.transaction": ("Transfer",),
+    "repro.noc.bandwidth": ("bisection_gbit_s", "bisection_gib_s",
+                            "utilization"),
+    "repro.noc.config": ("NocConfig",),
+    "repro.noc.network": ("NocNetwork", "TileSpec"),
+    "repro.noc.topology": ("Mesh2D", "Torus2D", "ring"),
     "repro.scenarios": ("FaultSpec", "LinkFault", "MeasureSpec",
                         "ProgressEvent", "Result", "Scenario",
                         "SimulationTimeout", "Sweep", "SweepResults",
                         "SweepStats", "TopologySpec", "TrafficSpec",
                         "run_scenario", "run_sweep", "sweep"),
-    "repro.sim": ("Simulator",),
+    "repro.sim.kernel": ("Simulator",),
     "repro.store": ("ResultStore", "code_fingerprint"),
 }
 _LAZY = {name: module for module, names in _EXPORTS.items()

@@ -1,38 +1,2 @@
 """Classical packet-based NoC baseline (Noxim stand-in) and the ESP-NoC
 area/bandwidth comparison model."""
-
-from repro.baseline.esp import (
-    ESP_PAYLOAD_PLANES,
-    ESP_PLANES,
-    EspNocPoint,
-    esp_area_kge,
-    esp_bisection_gbit_s,
-    esp_point,
-)
-from repro.baseline.flit import Flit, FlitKind, Packet, make_flits
-from repro.baseline.network import PacketMesh, PacketMeshConfig
-from repro.baseline.nic import PacketNic
-from repro.baseline.router import N_PORTS, P_E, P_LOCAL, P_N, P_S, P_W, Router
-
-__all__ = [
-    "ESP_PAYLOAD_PLANES",
-    "ESP_PLANES",
-    "EspNocPoint",
-    "Flit",
-    "FlitKind",
-    "N_PORTS",
-    "P_E",
-    "P_LOCAL",
-    "P_N",
-    "P_S",
-    "P_W",
-    "Packet",
-    "PacketMesh",
-    "PacketMeshConfig",
-    "PacketNic",
-    "Router",
-    "esp_area_kge",
-    "esp_bisection_gbit_s",
-    "esp_point",
-    "make_flits",
-]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections import deque
 
+from repro.baseline.config import PacketMeshConfig
 from repro.baseline.flit import Flit, Packet, make_flits
 from repro.baseline.router import P_E, P_LOCAL, P_N, P_S, P_W, Router
 from repro.faults.runtime import (CorruptionModel, DeadLinks, FaultStats,
@@ -24,29 +25,6 @@ from repro.noc.topology import Mesh2D
 from repro.sim.kernel import Component, Simulator
 from repro.sim.rng import spawn_rngs
 from repro.sim.stats import GIB, LatencyStats
-
-
-class PacketMeshConfig:
-    """Baseline NoC parameters (Noxim's knobs used in Fig. 4)."""
-
-    def __init__(self, rows: int = 4, cols: int = 4, n_vcs: int = 1,
-                 buf_depth: int = 4, flit_bytes: int = 4,
-                 packet_flits: int = 8, freq_hz: float = 1e9):
-        if flit_bytes < 1:
-            raise ValueError("flit_bytes must be >= 1")
-        if packet_flits < 1:
-            raise ValueError("packet_flits must be >= 1")
-        self.rows = rows
-        self.cols = cols
-        self.n_vcs = n_vcs
-        self.buf_depth = buf_depth
-        self.flit_bytes = flit_bytes
-        self.packet_flits = packet_flits
-        self.freq_hz = freq_hz
-
-    @property
-    def n_nodes(self) -> int:
-        return self.rows * self.cols
 
 
 class PacketMesh(Component):

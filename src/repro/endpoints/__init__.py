@@ -1,7 +1,1 @@
 """NoC endpoints: DMA engine masters and AXI memory slaves."""
-
-from repro.endpoints.dma import DmaEngine
-from repro.endpoints.memory import MemorySlave
-from repro.endpoints.scoreboard import Scoreboard
-
-__all__ = ["DmaEngine", "MemorySlave", "Scoreboard"]

@@ -1,63 +1,2 @@
 """PATRONoC core: configuration, topologies, routing, crosspoints, and
 the network generator."""
-
-from repro.noc.bandwidth import (
-    bisection_gbit_s,
-    bisection_gib_s,
-    bisection_links,
-    utilization,
-)
-from repro.noc.config import NocConfig
-from repro.noc.network import DEFAULT_REGION_BYTES, NocNetwork, TileSpec, default_tiles
-from repro.noc.routing import (
-    ComputedRouter,
-    RouteRule,
-    TableRouter,
-    XpRouteTable,
-    generate_route_tables,
-)
-from repro.noc.topology import (
-    LOCAL_PORT_BASE,
-    MESH_PORTS,
-    OPPOSITE,
-    PORT_E,
-    PORT_N,
-    PORT_NAMES,
-    PORT_S,
-    PORT_W,
-    Mesh2D,
-    Torus2D,
-    ring,
-)
-from repro.noc.xp import build_crosspoint, full_connectivity, partial_connectivity
-
-__all__ = [
-    "ComputedRouter",
-    "DEFAULT_REGION_BYTES",
-    "LOCAL_PORT_BASE",
-    "MESH_PORTS",
-    "Mesh2D",
-    "NocConfig",
-    "NocNetwork",
-    "OPPOSITE",
-    "PORT_E",
-    "PORT_N",
-    "PORT_NAMES",
-    "PORT_S",
-    "PORT_W",
-    "RouteRule",
-    "TableRouter",
-    "TileSpec",
-    "Torus2D",
-    "XpRouteTable",
-    "bisection_gbit_s",
-    "bisection_gib_s",
-    "bisection_links",
-    "build_crosspoint",
-    "default_tiles",
-    "full_connectivity",
-    "generate_route_tables",
-    "partial_connectivity",
-    "ring",
-    "utilization",
-]

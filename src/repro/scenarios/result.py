@@ -10,7 +10,6 @@ and round-trip through JSON.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -119,6 +118,8 @@ def save_results_json(results: list[Result | None], path: str | Path,
 
 def save_results_csv(results: list[Result | None], path: str | Path) -> Path:
     """Dump results as one flat CSV table (failed points are skipped)."""
+    import csv
+
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as f:

@@ -21,10 +21,9 @@ Scenario instantiations; sweeps over arbitrary grids are built with
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import asdict, dataclass, fields, replace
 
-from repro.baseline.network import PacketMeshConfig
+from repro.baseline.config import PacketMeshConfig
 from repro.faults.spec import FaultSpec, flat_dict, refuse_unread
 from repro.noc.config import NocConfig
 
@@ -39,7 +38,7 @@ BACKENDS = ("patronoc", "baseline")
 #: The fields each backend's config takes, read once from the configs.
 _CONFIG_FIELDS = {
     "patronoc": tuple(f.name for f in fields(NocConfig)),
-    "baseline": tuple(inspect.signature(PacketMeshConfig).parameters),
+    "baseline": tuple(f.name for f in fields(PacketMeshConfig)),
 }
 TRAFFIC_KINDS = ("uniform", "synthetic", "dnn")
 #: Per traffic kind, the TrafficSpec fields its traffic does not read:
@@ -390,8 +389,14 @@ class Scenario:
                 raise ValueError(
                     f"the baseline backend only supports uniform traffic, "
                     f"got {self.traffic.kind!r}")
-            object.__setattr__(self, "traffic", replace(
-                self.traffic, **_BASELINE_BURSTS))
+            # Rebuilt (and validated again) only when a value or its
+            # type differs: ``1.0`` would hash apart from ``1``.
+            traffic = self.traffic
+            if any(type(getattr(traffic, k)) is not type(v)
+                   or getattr(traffic, k) != v
+                   for k, v in _BASELINE_BURSTS.items()):
+                object.__setattr__(self, "traffic", replace(
+                    traffic, **_BASELINE_BURSTS))
         if self.faults is not None:
             self.faults.check(backend)
         if self.traffic.kind == "dnn" and self.traffic.workload == "train" \

@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -41,6 +40,12 @@ from repro.scenarios.spec import (
     TopologySpec,
     TrafficSpec,
 )
+
+#: The module that simulates each backend.  A pooled sweep imports the
+#: ones its points use before it forks, so every worker inherits them
+#: instead of compiling them again.
+FABRICS = {"patronoc": "repro.noc.network",
+           "baseline": "repro.baseline.network"}
 
 #: Short axis names → dotted spec paths.
 AXIS_ALIASES = {
@@ -241,6 +246,12 @@ def run_sweep(points: Sweep | list[Scenario], *, jobs: int = 1,
             except Exception:
                 first_try_failures.append(i)
     else:
+        # Imported here: a serial sweep loads no multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+        from importlib import import_module
+
+        for backend in {points[i].topology.backend for i in pending}:
+            import_module(FABRICS[backend])
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_run_point, points[i]) for i in pending]
             for i, future in zip(pending, futures):

@@ -30,7 +30,6 @@ import argparse
 import ast
 import contextlib
 import cProfile
-import importlib
 import io
 import json
 import re
@@ -40,7 +39,7 @@ import tempfile
 import threading
 import time
 import traceback
-from concurrent.futures import Future
+from concurrent import futures
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -207,8 +206,9 @@ class Census:
 
 
 class InlinePool:
-    """Stands in for the sweep's ``ProcessPoolExecutor``: each task runs
-    here, when it is submitted."""
+    """Stands in for the sweep's ``ProcessPoolExecutor`` (which
+    ``run_sweep`` imports from ``concurrent.futures`` when it forks):
+    each task runs here, when it is submitted."""
 
     def __init__(self, max_workers=None):
         pass
@@ -220,7 +220,7 @@ class InlinePool:
         return False
 
     def submit(self, fn, *args, **kwargs):
-        future = Future()
+        future = futures.Future()
         try:
             future.set_result(fn(*args, **kwargs))
         except Exception as exc:  # the sweep retries it, as for a pool
@@ -338,11 +338,10 @@ def _workload(name: str, work: Path):
 
 def run_census(log) -> tuple[dict, list[str]]:
     """Run every step under the census; return (reached, failed steps)."""
-    sweep_module = importlib.import_module("repro.scenarios.sweep")
     census = Census()
     failed = []
-    pool = sweep_module.ProcessPoolExecutor
-    sweep_module.ProcessPoolExecutor = InlinePool
+    pool = futures.ProcessPoolExecutor
+    futures.ProcessPoolExecutor = InlinePool
     try:
         with tempfile.TemporaryDirectory(prefix="reach-") as tmp, \
                 census.running():
@@ -365,7 +364,7 @@ def run_census(log) -> tuple[dict, list[str]]:
                           f"output ends:\n{sink.getvalue()[-2000:]}",
                           file=log)
     finally:
-        sweep_module.ProcessPoolExecutor = pool
+        futures.ProcessPoolExecutor = pool
     return census.reached(), failed
 
 

@@ -185,6 +185,22 @@ class TestMeasureSpec:
 
 
 class TestScenarioValidation:
+    def test_canonical_baseline_traffic_is_kept(self):
+        """A baseline point whose burst fields already hold Fig. 4's
+        values keeps its TrafficSpec; any other value or type of them
+        is canonicalised (``1.0`` would hash apart from ``1``)."""
+        from repro.store import spec_hash
+
+        t = TrafficSpec.uniform(0.2, 1)
+        sc = Scenario(topology=TopologySpec.baseline(), traffic=t)
+        assert sc.traffic is t
+        for burst in ({"max_burst_bytes": 64}, {"read_fraction": 0.5},
+                      {"max_burst_bytes": 1.0}, {"read_fraction": 0}):
+            other = Scenario(topology=TopologySpec.baseline(),
+                             traffic=dataclasses.replace(t, **burst))
+            assert other.traffic == t
+            assert spec_hash(other) == spec_hash(sc)
+
     def test_baseline_rejects_synthetic(self):
         with pytest.raises(ValueError):
             Scenario(topology=TopologySpec.baseline(),
