@@ -210,7 +210,7 @@ def _sweep(args) -> int:
         return 2
     try:
         points = load_spec(args.spec)
-    except (ValueError, TypeError, KeyError) as exc:  # JSON errors too
+    except (OSError, ValueError, TypeError, KeyError) as exc:  # JSON too
         print(f"error: {args.spec}: {exc}", file=sys.stderr)
         return 2
     if args.quick:

@@ -158,6 +158,17 @@ class TestSweep:
             captured.err)
         assert "point(s)" not in captured.out
 
+    @pytest.mark.parametrize("name", ["no_such.json", "a_directory"])
+    def test_an_unreadable_spec_exits_2_without_a_traceback(
+            self, tmp_path, capsys, name):
+        """A missing file or a directory is named like any refused spec."""
+        (tmp_path / "a_directory").mkdir()
+        spec = str(tmp_path / name)
+        assert cli.main(["sweep", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {spec}: ")
+        assert "Traceback" not in err
+
     def test_sweep_without_out_still_prints_table(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(self.SPEC)

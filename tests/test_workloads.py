@@ -62,7 +62,11 @@ class TestTrafficShape:
                 assert mem.bytes_written == 0, f"core {ep} got L1 writes"
 
     def test_pipelined_conv_is_mostly_core_to_core(self):
-        """Fig. 7c: cores pass tiles L1→L1; only the chain ends use L2."""
+        """Fig. 7c: cores pass tiles L1→L1; only the chain ends use L2.
+
+        The share counts every metered byte, reads included: stage 0's
+        L2 input read is about 40 % of them and sets the pipeline's
+        period (DESIGN.md §6).  The full model reads 58 % here."""
         wl = pipelined_conv(CFG)
         net = wl.build_network(CFG)
         wl.install(net)
@@ -71,8 +75,9 @@ class TestTrafficShape:
         core_bytes = sum(m.bytes_written for i, m in enumerate(net.memories)
                          if m is not None and i != l2)
         l2_written = net.memories[l2].bytes_written
-        assert core_bytes > 0
-        assert core_bytes > l2_written  # L1→L1 dominates L1→L2
+        l2_read = sum(d.bytes_read for d in net.dmas if d is not None)
+        assert l2_read > 0
+        assert core_bytes / (core_bytes + l2_written + l2_read) >= 0.55
 
     def test_training_has_all_three_transfer_kinds(self):
         """Fig. 7a: L2→L1, L1→L1, and L1→L2 all present in one batch."""
