@@ -3,9 +3,10 @@
 
 Starts the HTTP service in-process on an ephemeral port, submits
 ``examples/sweep_quick.json`` twice, and asserts the second submission
-is served entirely from the content-addressed result store, and that
-every ``/results`` fetch of either job returns the same bytes — the
-"millions of users" workflow of DESIGN.md §12 in one script:
+is served entirely from the content-addressed result store — already
+done when its POST is answered — and that every ``/results`` fetch of
+either job returns the same bytes — the "millions of users" workflow
+of DESIGN.md §12 in one script:
 
     PYTHONPATH=src python examples/service_smoke.py [store-dir]
 
@@ -31,14 +32,16 @@ def get(base: str, route: str):
         return json.load(resp)
 
 
-def submit(base: str, body: bytes) -> str:
+def submit(base: str, body: bytes) -> dict:
+    """POST a spec; the 202 reply (``job``, ``points``, ``status``)."""
     req = urllib.request.Request(base + "/jobs", data=body,
                                  headers={"Content-Type": "application/json"})
     with urllib.request.urlopen(req) as resp:
         assert resp.status == 202, resp.status
         accepted = json.load(resp)
-    print(f"submitted {accepted['job']}: {accepted['points']} point(s)")
-    return accepted["job"]
+    print(f"submitted {accepted['job']}: {accepted['points']} point(s), "
+          f"{accepted['status']}")
+    return accepted
 
 
 def wait(base: str, job: str) -> dict:
@@ -81,14 +84,20 @@ def main() -> int:
     try:
         assert get(base, "/healthz")["ok"] is True
 
-        first = wait(base, submit(base, body))
+        first = wait(base, submit(base, body)["job"])
         assert first["misses"] == first["total"], first
         lines = progress_lines(base, first["job"])
         assert lines[-1]["event"] == "end" and lines[-1]["status"] == "done"
         print(f"{first['job']}: {first['misses']} miss(es), "
               f"{len(lines) - 1} progress event(s)")
 
-        second = wait(base, submit(base, body))
+        accepted = submit(base, body)
+        assert accepted["status"] == "done", accepted
+        lines = progress_lines(base, accepted["job"])
+        assert [e.get("status") for e in lines[:-1]] == (
+            ["hit"] * accepted["points"]), lines
+        assert lines[-1]["event"] == "end", lines
+        second = wait(base, accepted["job"])
         assert second["hits"] == second["total"], second
         assert second["misses"] == 0, second
         print(f"{second['job']}: {second['hits']}/{second['total']} "

@@ -383,6 +383,10 @@ class Scenario:
     name: str = ""
 
     def __post_init__(self) -> None:
+        # Exactly ``int``: ``True`` would run as seed 1 under a second
+        # label and store key, ``"1"`` or ``1.5`` fail mid-simulation.
+        if type(self.seed) is not int:
+            raise TypeError(f"seed must be an int, got {self.seed!r}")
         backend = self.topology.backend
         if backend == "baseline":
             if self.traffic.kind != "uniform":

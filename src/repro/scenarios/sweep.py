@@ -70,8 +70,13 @@ class Sweep:
     def __init__(self, base: Scenario | None = None,
                  axes: dict | None = None):
         self.base = base if base is not None else Scenario()
+        if axes is None:
+            axes = {}
+        if not isinstance(axes, dict):
+            raise TypeError(f"axes must be an object of axis: values, "
+                            f"got {type(axes).__name__}")
         self.axes: dict[str, list] = {}
-        for key, values in (axes or {}).items():
+        for key, values in axes.items():
             path = AXIS_ALIASES.get(key, key)
             if path in self.axes:
                 raise ValueError(

@@ -1,15 +1,15 @@
 """Async sweep jobs for the scenario service (DESIGN.md §12).
 
-A :class:`JobManager` owns a FIFO queue of submitted sweeps and one
-daemon worker thread that drains it through
-:func:`~repro.scenarios.sweep.run_sweep` — so jobs land on the existing
-process-pool execution path (``jobs`` workers, retry hardening,
-result-store caching) and the HTTP layer stays a thin,
+A :class:`JobManager` answers what the result store already holds in
+the thread that submits a job, and queues only the rest: one daemon
+worker thread drains a FIFO of miss sets through
+:func:`~repro.scenarios.sweep.run_sweep` — so misses land on the
+existing process-pool execution path (``jobs`` workers, retry
+hardening, store write-back) and the HTTP layer stays a thin,
 non-blocking front end.  Every finalized point appends one progress
-event (the ``run_sweep(on_point=...)`` hook), stored as the NDJSON line
-the server streams back.  A finished job keeps its ``/results`` body,
-encoded once and compressed, and drops its Scenarios and Results
-(DESIGN.md §12 "What a finished job keeps").
+event, stored as the NDJSON line the server streams back.  A finished
+job keeps its ``/results`` body, encoded once and compressed, and drops
+its Scenarios and Results (DESIGN.md §12 "What a finished job keeps").
 """
 
 from __future__ import annotations
@@ -25,10 +25,11 @@ from repro.scenarios.spec import Scenario
 from repro.scenarios.sweep import ProgressEvent, run_sweep
 from repro.store import ResultStore, check_cache_mode
 
-#: Lifecycle of a job.  queued → running → done | failed.  "failed"
-#: means run_sweep itself raised (bad spec interactions, broken store
-#: root); individual point failures leave the job "done" with a
-#: non-zero ``errors`` counter and ``None`` results.
+#: Lifecycle of a job.  queued → running → done | failed, or done at
+#: submit when the store holds every point.  "failed" means run_sweep
+#: itself raised (bad spec interactions, broken store root); individual
+#: point failures leave the job "done" with a non-zero ``errors``
+#: counter and ``None`` results.
 JOB_STATUSES = ("queued", "running", "done", "failed")
 
 
@@ -43,26 +44,44 @@ def _line(event: dict) -> str:
     return json.dumps(event) + "\n"
 
 
+def _point_line(index: int, done: int, total: int, status: str,
+                scenario: Scenario) -> str:
+    return _line({"index": index, "done": done, "total": total,
+                  "status": status, "label": scenario.label})
+
+
+def _encode(points: list[Scenario], results: list) -> bytes:
+    """The zlib-compressed ``/results`` body of a finished job."""
+    return zlib.compress(
+        (json.dumps(paired_payload(points, results)) + "\n").encode(), 1)
+
+
 class Job:
     """One submitted sweep and everything observable about it.
 
-    The worker takes ``points`` when it starts the job; from then on
-    the job is its counters, its progress ``lines`` and ``body`` — the
-    zlib-compressed ``/results`` bytes (``None`` unless ``done``)."""
+    ``work`` is what the worker takes when it starts the job: the
+    points and their submit-time results (a store hit, or ``None`` at
+    each miss); ``None`` once taken, and for a job finished at submit.
+    From then on the job is its counters, its progress ``lines`` and
+    ``body`` — the zlib-compressed ``/results`` bytes (``None`` unless
+    ``done``)."""
 
-    def __init__(self, job_id: str, points: list[Scenario], *,
+    def __init__(self, job_id: str, total: int, hit_lines: list[str], *,
                  jobs: int, cache: str):
         self.id = job_id
-        self.points: list[Scenario] | None = points
-        self.total = len(points)
+        self.work: tuple[list[Scenario], list] | None = None
+        self.total = total
         self.jobs = jobs
         self.cache = cache
         self.status = "queued"
-        self.done = 0
-        self.hits = 0
+        #: Points the store answered at submit, their events already in
+        #: ``lines``; the worker's events follow them.
+        self.submit_hits = len(hit_lines)
+        self.done = self.submit_hits
+        self.hits = self.submit_hits
         self.misses = 0
         self.errors = 0
-        self.lines: list[str] = []
+        self.lines: list[str] = hit_lines
         self.body: bytes | None = None
         self.error: str | None = None
 
@@ -79,9 +98,23 @@ class Job:
                 "errors": self.errors, "jobs": self.jobs,
                 "cache": self.cache, "error": self.error}
 
+    def finish(self, body: bytes, *, hits: int, misses: int,
+               errors: int) -> None:
+        """Publish ``done`` (caller holds the manager lock): body,
+        counters, status and end line land together, so a client that
+        has seen ``end`` gets a 200."""
+        self.body = body
+        self.done = self.total
+        self.hits, self.misses, self.errors = hits, misses, errors
+        self.status = "done"
+        self.lines.append(_line({"event": "end", "status": "done",
+                                 "hits": hits, "misses": misses,
+                                 "errors": errors, "total": self.total}))
+
 
 class JobManager:
-    """FIFO job queue + one worker thread over ``run_sweep``."""
+    """Store hits answered at submit + a FIFO of misses drained by one
+    worker thread over ``run_sweep``."""
 
     def __init__(self, store=None, *, cache: str = "rw", jobs: int = 1):
         check_cache_mode(cache)
@@ -102,7 +135,9 @@ class JobManager:
     # -- client surface ------------------------------------------------
     def submit(self, points: list[Scenario], *, jobs: int | None = None,
                cache: str | None = None) -> Job:
-        """Enqueue a sweep; returns the (already-queued) Job."""
+        """Answer a sweep's store hits in the calling thread and queue
+        only its misses; returns the Job — already ``done`` when the
+        store held every point."""
         if not points:
             raise ValueError("a job needs at least one scenario point")
         jobs = _check_jobs(self.jobs if jobs is None else jobs)
@@ -112,12 +147,28 @@ class JobManager:
             raise ValueError(
                 "service was started with cache='off' (no store); "
                 "submit with cache=off or restart with a store")
+        # The reads, and an all-hit job's encode, run outside the lock.
+        # ``put`` replaces an entry atomically, so a read racing the
+        # worker's write-back sees the old entry, the new one or a miss.
+        results = ([self.store.get(sc) for sc in points] if cache != "off"
+                   else [None] * len(points))
+        hit_lines = []
+        for i, hit in enumerate(results):
+            if hit is not None:
+                hit_lines.append(_point_line(i, len(hit_lines) + 1,
+                                             len(points), "hit", points[i]))
+        body = (_encode(points, results) if len(hit_lines) == len(points)
+                else None)
         with self._wake:
-            job = Job(f"j{next(self._ids)}", points, jobs=jobs,
-                      cache=cache)
+            job = Job(f"j{next(self._ids)}", len(points), hit_lines,
+                      jobs=jobs, cache=cache)
             self._by_id[job.id] = job
-            self._queue.append(job)
-            self._wake.notify()
+            if body is not None:  # never queued
+                job.finish(body, hits=job.total, misses=0, errors=0)
+            else:
+                job.work = points, results
+                self._queue.append(job)
+                self._wake.notify()
         return job
 
     def get(self, job_id: str) -> Job | None:
@@ -173,12 +224,18 @@ class JobManager:
             self._run(job)
 
     def _run(self, job: Job) -> None:
+        """Run ``job``'s misses — the ``None`` slots of its results —
+        and finish it; its events and counters follow the hits
+        answered at submit."""
+        (points, results), job.work = job.work, None
+        pending = [i for i, result in enumerate(results) if result is None]
+        first = job.submit_hits
+
         def on_point(ev: ProgressEvent) -> None:
-            line = _line({"index": ev.index, "done": ev.done,
-                          "total": ev.total, "status": ev.status,
-                          "label": ev.scenario.label})
+            line = _point_line(pending[ev.index], first + ev.done,
+                               job.total, ev.status, ev.scenario)
             with self._lock:
-                job.done = ev.done
+                job.done = first + ev.done
                 if ev.status == "hit":
                     job.hits += 1
                 elif ev.status == "error":
@@ -187,10 +244,9 @@ class JobManager:
                     job.misses += 1
                 job.lines.append(line)
 
-        points, job.points = job.points, None
         try:
-            results = run_sweep(
-                points, jobs=job.jobs, cache=job.cache,
+            fresh = run_sweep(
+                [points[i] for i in pending], jobs=job.jobs, cache=job.cache,
                 store=self.store if job.cache != "off" else None,
                 on_point=on_point)
         except Exception as exc:
@@ -200,20 +256,13 @@ class JobManager:
                 job.lines.append(_line({"event": "end", "status": "failed",
                                         "error": job.error}))
             return
+        for i, result in zip(pending, fresh):
+            results[i] = result
         # Encoded once, outside the lock; the job stays "running", with
-        # no end line, until body, counters and status land together.
-        body = zlib.compress(
-            (json.dumps(paired_payload(points, results)) + "\n").encode(),
-            1)
-        stats = results.stats
-        del points, results  # a done job keeps none of them alive
-        end = _line({"event": "end", "status": "done", "hits": stats.hits,
-                     "misses": stats.misses, "errors": stats.errors,
-                     "total": job.total})
+        # no end line, until ``finish`` publishes it whole.
+        body = _encode(points, results)
+        stats = fresh.stats
+        del points, results, fresh  # a done job keeps none of them alive
         with self._lock:
-            job.body = body
-            job.hits = stats.hits
-            job.misses = stats.misses
-            job.errors = stats.errors
-            job.status = "done"
-            job.lines.append(end)
+            job.finish(body, hits=first + stats.hits, misses=stats.misses,
+                       errors=stats.errors)

@@ -1,9 +1,10 @@
 """Stdlib HTTP front end for the scenario service (DESIGN.md §12).
 
 A :class:`ThreadingHTTPServer` that accepts Scenario/Sweep JSON,
-schedules the points onto the sweep worker pool through the
+answers the points the result store holds at once and schedules the
+rest onto the sweep worker pool through the
 :class:`~repro.service.jobs.JobManager`, streams per-point progress,
-and serves completed Results (cache hits included) back as JSON.
+and serves completed Results back as JSON.
 
 Endpoints::
 
@@ -152,9 +153,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
         except (ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
             return self._error(400, f"bad submission: {exc}")
         # The status at acceptance, not a read of ``job.status``: the
-        # worker may already have taken the job (``GET /jobs/<id>``).
+        # worker may already have taken a queued job (``GET /jobs/<id>``).
+        status = "done" if job.submit_hits == job.total else "queued"
         return self._json(202, {"job": job.id, "points": job.total,
-                                "status": "queued"})
+                                "status": status})
 
 
 def make_server(host: str = "127.0.0.1", port: int = 0, *,

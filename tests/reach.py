@@ -59,7 +59,8 @@ CEILING = re.compile(r"at most (\d+)\s+functions\s+unreached")
 #: ``width_factor``, fault specs that carry the removed dead-port and
 #: byzantine-beat keys, a measure that carries the removed per-link
 #: capture, a topology that carries the removed ``register_slices``, a
-#: stuck VC on the AXI mesh and a DNN point with a burst cap.
+#: stuck VC on the AXI mesh, a DNN point with a burst cap, ``axes`` that
+#: is not an object and a seed that is not an int.
 REFUSED_SPECS = {
     "data_width": {
         "base": {"topology": {"backend": "baseline", "rows": 2, "cols": 2,
@@ -110,6 +111,16 @@ REFUSED_SPECS = {
                  "traffic": {"kind": "dnn", "workload": "par",
                              "max_burst_bytes": 64}},
         "axes": {"seed": [1]},
+    },
+    "axes": {
+        "base": {"topology": {"backend": "patronoc", "rows": 2, "cols": 2},
+                 "traffic": {"kind": "uniform", "load": 0.1}},
+        "axes": 5,
+    },
+    "seed": {
+        "base": {"topology": {"backend": "patronoc", "rows": 2, "cols": 2},
+                 "traffic": {"kind": "uniform", "load": 0.1}},
+        "axes": {"seed": [1, True]},
     },
 }
 

@@ -169,6 +169,24 @@ class TestSweep:
         assert err.startswith(f"error: {spec}: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("spec, field", [
+        ({"axes": 5}, "axes"),
+        ({"seed": "x"}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ([{"seed": True}], "seed"),
+    ], ids=["axes-int", "seed-str", "seed-float", "seed-bool"])
+    def test_a_mistyped_axes_or_seed_exits_2_naming_it(
+            self, tmp_path, capsys, spec, field):
+        """Refused at load, as any bad spec: no traceback, no point
+        run, no error point retried."""
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert cli.main(["sweep", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: {field} must be")
+        assert "Traceback" not in captured.err
+        assert "point(s)" not in captured.out
+
     def test_sweep_without_out_still_prints_table(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(self.SPEC)

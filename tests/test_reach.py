@@ -11,11 +11,19 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
+import re
 from pathlib import Path
 
 import pytest
 
-from reach import ROOT, defined_functions, unreached_ceiling, verdict_modules
+from reach import (
+    REFUSED_SPECS,
+    ROOT,
+    defined_functions,
+    unreached_ceiling,
+    verdict_modules,
+)
 
 
 def _module_name(path: Path, src: Path) -> str:
@@ -124,3 +132,15 @@ def test_every_package_all_imports(package):
     module = importlib.import_module(package)
     for name in getattr(module, "__all__", ()):
         assert getattr(module, name) is not None, f"{package}.{name}"
+
+
+def test_ci_refuses_the_specs_the_census_runs():
+    """CI's refusal loop and ``REFUSED_SPECS`` are one list kept twice:
+    the same fields in the same order, each with an equal spec."""
+    text = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    specs = {m[1]: json.loads(m[2]) for m in re.finditer(
+        r"cat > refusal-smoke/(\w+)\.json <<'EOF'\n(.*?)\n\s*EOF\n",
+        text, re.S)}
+    loop = re.search(r"for field in ([\w ]+); do", text)[1].split()
+    assert loop == list(specs) == list(REFUSED_SPECS)
+    assert specs == REFUSED_SPECS

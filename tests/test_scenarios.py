@@ -233,6 +233,19 @@ class TestScenarioValidation:
         Scenario(traffic=TrafficSpec.dnn("train"),
                  measure=MeasureSpec.quick())
 
+    @pytest.mark.parametrize("seed", ["x", 1.5, 1.0, True, None])
+    def test_a_seed_that_is_not_an_int_is_refused_by_name(self, seed):
+        """Exactly ``int``, as the baseline burst fields: ``True``
+        would run as seed 1 under another label and store key."""
+        with pytest.raises(TypeError, match="seed must be an int"):
+            Scenario(seed=seed)
+        with pytest.raises(TypeError, match="seed"):
+            Scenario.from_dict({"seed": seed})
+        with pytest.raises(TypeError, match="seed"):
+            Scenario().with_(seed=seed)
+        with pytest.raises(TypeError, match="seed"):
+            sweep(Scenario(), seeds=[1, seed]).points()
+
     def test_label_is_descriptive(self):
         sc = Scenario(traffic=TrafficSpec.uniform(0.5, 1000), seed=7)
         assert "uniform@0.5" in sc.label
@@ -302,6 +315,11 @@ class TestSweepExpansion:
             sweep(Scenario(), voltage=[0.8, 1.0])
         with pytest.raises(ValueError):
             sweep(Scenario(), **{"traffic.color": ["red"]})
+
+    @pytest.mark.parametrize("axes", [5, [["traffic.load", [0.1]]], "x"])
+    def test_axes_that_are_not_an_object_are_refused_by_name(self, axes):
+        with pytest.raises(TypeError, match="axes must be an object"):
+            Sweep.from_dict({"axes": axes})
 
     def test_colliding_axes_rejected(self):
         # loads= and traffic.load= resolve to the same path: an error,

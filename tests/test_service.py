@@ -8,6 +8,7 @@ import gc
 import http.client
 import json
 import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -33,6 +34,29 @@ SWEEP_SPEC = {
 }
 
 POLL_DEADLINE_S = 120.0
+
+
+def hold_run_sweep(monkeypatch, then=None):
+    """Hold the job worker inside ``run_sweep`` until ``release`` is
+    set, then call ``then`` (the real ``run_sweep`` by default).
+    Returns ``(entered, release)``; ``entered`` is set once held."""
+    entered, release = threading.Event(), threading.Event()
+    then = then or jobs_mod.run_sweep
+
+    def held_run_sweep(*args, **kwargs):
+        entered.set()
+        assert release.wait(timeout=POLL_DEADLINE_S)
+        return then(*args, **kwargs)
+
+    monkeypatch.setattr(jobs_mod, "run_sweep", held_run_sweep)
+    return entered, release
+
+
+def direct_bytes(points) -> bytes:
+    """What ``/results`` must serve for ``points``: the compact JSON of
+    a direct ``run_sweep`` plus a newline."""
+    return (json.dumps(paired_payload(points, run_sweep(points)))
+            + "\n").encode()
 
 
 def wait_finished(fetch, label="job"):
@@ -82,6 +106,78 @@ class TestJobManager:
         assert [e["status"] for e in events[:-1]] == ["hit", "hit"]
         assert events[-1]["event"] == "end"
 
+    def test_a_partly_cached_job_streams_its_hits_at_submit(
+            self, manager, monkeypatch):
+        """The store holds A.  ``[B, A]`` publishes A's hit at submit,
+        while the worker is held before B; once released, the job ends
+        one hit, one miss, with the bytes a direct sweep encodes."""
+        a, b = self.point(0.1), self.point(0.5)
+        run_sweep([a], cache="rw", store=manager.store)
+        expected = direct_bytes([b, a])
+        entered, release = hold_run_sweep(monkeypatch)
+        try:
+            job = manager.submit([b, a])
+            assert entered.wait(timeout=POLL_DEADLINE_S)
+            lines, finished = manager.events_since(job.id, 0)
+            assert not finished
+            assert [json.loads(line) for line in lines] == [
+                {"index": 1, "done": 1, "total": 2, "status": "hit",
+                 "label": a.label}]
+            snap = manager.snapshot(job.id)
+            assert snap["status"] == "running"
+            assert snap["done"] == snap["hits"] == 1
+        finally:
+            release.set()
+        wait_finished(lambda: manager.snapshot(job.id))
+        events = [json.loads(line)
+                  for line in manager.events_since(job.id, 0)[0]]
+        assert [(e["index"], e["done"], e["status"])
+                for e in events[:-1]] == [(1, 1, "hit"), (0, 2, "run")]
+        assert events[-1] == {"event": "end", "status": "done", "hits": 1,
+                              "misses": 1, "errors": 0, "total": 2}
+        assert manager.results_payload(job.id) == expected
+
+    def test_concurrent_submissions_each_end_whole(self, manager):
+        """Four threads submit a grid the store half holds, three times
+        each, under a short switch interval, while the worker runs the
+        misses: every job ends with one event per point (indices a
+        permutation, ``done`` counting 1..total), hits + misses ==
+        total on its end line and snapshot, and a direct sweep's bytes."""
+        points = [self.point(load) for load in (0.1, 0.3, 0.5, 0.7)]
+        run_sweep(points[::2], cache="rw", store=manager.store)
+        expected = direct_bytes(points)
+        jobs = []
+
+        def client():
+            for _ in range(3):
+                jobs.append(manager.submit(points))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            clients = [threading.Thread(target=client) for _ in range(4)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=POLL_DEADLINE_S)
+            assert not any(thread.is_alive() for thread in clients)
+            snaps = [wait_finished(lambda: manager.snapshot(job.id))
+                     for job in jobs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(jobs) == 12
+        for job, snap in zip(jobs, snaps):
+            events = [json.loads(line)
+                      for line in manager.events_since(job.id, 0)[0]]
+            end = events.pop()
+            assert sorted(e["index"] for e in events) == [0, 1, 2, 3]
+            assert [e["done"] for e in events] == [1, 2, 3, 4]
+            assert end["status"] == snap["status"] == "done"
+            assert end["hits"] + end["misses"] == end["total"] == 4
+            assert (snap["hits"], snap["misses"], snap["done"]) == (
+                end["hits"], end["misses"], 4)
+            assert manager.results_payload(job.id) == expected
+
     def test_progress_events_are_incremental(self, manager):
         job = manager.submit([self.point(0.1)])
         snap = wait_finished(lambda: manager.snapshot(job.id))
@@ -97,13 +193,16 @@ class TestJobManager:
         ``paired_payload`` held on an event), status reads, a
         submission, a progress poll and the listing from another thread
         complete, and see the job still running with no end line; once
-        released, the job is done and ``/results`` is 200."""
+        released, the job is done and ``/results`` is 200.  The
+        submission is a store hit, encoded and finished in the
+        submitting thread: only the worker's encode is held."""
         inside, release = threading.Event(), threading.Event()
         real_payload = jobs_mod.paired_payload
 
         def held_payload(points, results):
-            inside.set()
-            assert release.wait(timeout=30)
+            if threading.current_thread().name == "repro-job-worker":
+                inside.set()
+                assert release.wait(timeout=30)
             return real_payload(points, results)
 
         monkeypatch.setattr(jobs_mod, "paired_payload", held_payload)
@@ -112,7 +211,8 @@ class TestJobManager:
 
         def read_while_encoding():
             reads["snap"] = manager.snapshot(job.id)
-            reads["queued"] = manager.submit([self.point(0.1)], cache="ro")
+            again = manager.submit([self.point(0.1)], cache="ro")
+            reads["again"] = manager.snapshot(again.id)
             reads["events"] = manager.events_since(job.id, 0)
             reads["listing"] = manager.snapshots()
 
@@ -128,12 +228,13 @@ class TestJobManager:
             release.set()
             if other.is_alive():
                 other.join(timeout=30)
-        snap, queued = reads["snap"], reads["queued"]
+        snap, again = reads["snap"], reads["again"]
         lines, finished = reads["events"]
         assert snap["status"] == "running" and snap["done"] == 1
         assert not finished and len(lines) == 1
         assert json.loads(lines[0])["status"] == "run"
-        assert {j["job"] for j in reads["listing"]} == {job.id, queued.id}
+        assert again["status"] == "done" and again["hits"] == 1
+        assert {j["job"] for j in reads["listing"]} == {job.id, again["job"]}
         server = ScenarioServer(("127.0.0.1", 0), manager)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -264,8 +365,11 @@ class TestHttpService:
     def test_resubmission_is_all_cache_hits(self, service):
         job1 = self.submit(service)["job"]
         wait_finished(lambda: self.get(f"{service}/jobs/{job1}"))
-        job2 = self.submit(service)["job"]
-        snap = wait_finished(lambda: self.get(f"{service}/jobs/{job2}"))
+        accepted = self.submit(service)
+        assert accepted["status"] == "done"  # answered in the POST
+        job2 = accepted["job"]
+        snap = self.get(f"{service}/jobs/{job2}")
+        assert snap["status"] == "done"
         assert snap["hits"] == snap["total"] == 2
         assert snap["misses"] == 0
         stats = self.get(f"{service}/store/stats")
@@ -301,6 +405,26 @@ class TestHttpService:
         assert err.value.code == code
         assert "error" in json.load(err.value)
 
+    @pytest.mark.parametrize("body, field", [
+        ({"axes": 5}, "axes"),
+        ({"seed": "x"}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"axes": {"seed": [1, True]}}, "seed"),
+    ], ids=["axes-int", "seed-str", "seed-float", "seed-bool",
+            "seed-axis-bool"])
+    def test_a_mistyped_axes_or_seed_is_refused_by_name(
+            self, service, body, field):
+        """400 naming the field, not a dropped connection (``axes``) or
+        a job of error points and a second store key (``seed``)."""
+        req = urllib.request.Request(f"{service}/jobs",
+                                     data=json.dumps(body).encode())
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(req)
+        assert err.value.code == 400
+        assert field in json.load(err.value)["error"]
+        assert self.get(f"{service}/jobs") == {"jobs": []}
+
     def test_jobs_below_one_is_refused_by_name(self, service):
         req = urllib.request.Request(f"{service}/jobs?jobs=0",
                                      data=json.dumps(SWEEP_SPEC).encode())
@@ -312,16 +436,18 @@ class TestHttpService:
         assert self.get(f"{service}/jobs") == {"jobs": []}
 
     def test_results_are_the_bytes_a_direct_sweep_encodes(self, service):
-        """A miss job and a hit job of the same points each serve, on
-        every fetch, exactly the compact JSON of a direct ``run_sweep``
-        plus a newline; every progress line is compact JSON too."""
-        points = points_from_data(SWEEP_SPEC)
-        expected = (json.dumps(paired_payload(points, run_sweep(points)))
-                    + "\n").encode()
-        for kind in ("misses", "hits"):
-            job = self.submit(service)["job"]
+        """A miss job, a hit job and a mixed job (a new point, then a
+        stored one) each serve, on every fetch, exactly the compact JSON
+        of a direct ``run_sweep`` of its points plus a newline; every
+        progress line is compact JSON too."""
+        mixed = {**SWEEP_SPEC, "axes": {"traffic.load": [0.5, 1.0]}}
+        for spec, counts in ((SWEEP_SPEC, (0, 2)), (SWEEP_SPEC, (2, 0)),
+                             (mixed, (1, 1))):
+            expected = direct_bytes(points_from_data(spec))
+            job = self.submit(service, payload=spec)["job"]
             snap = wait_finished(lambda: self.get(f"{service}/jobs/{job}"))
-            assert snap[kind] == snap["total"] == 2
+            assert (snap["hits"], snap["misses"]) == counts
+            assert snap["done"] == snap["total"] == 2
             for _ in range(2):
                 with urllib.request.urlopen(
                         f"{service}/jobs/{job}/results") as resp:
@@ -472,15 +598,7 @@ class TestHttpService:
         """``/results`` of a job that is not done is 409, then 200 once
         it is.  The worker is held inside ``run_sweep`` on an event, so
         the job is provably running when ``/results`` is asked."""
-        entered, release = threading.Event(), threading.Event()
-        real_run_sweep = jobs_mod.run_sweep
-
-        def gated_run_sweep(*args, **kwargs):
-            entered.set()
-            assert release.wait(timeout=POLL_DEADLINE_S)
-            return real_run_sweep(*args, **kwargs)
-
-        monkeypatch.setattr(jobs_mod, "run_sweep", gated_run_sweep)
+        entered, release = hold_run_sweep(monkeypatch)
         server = make_server("127.0.0.1", 0, store=tmp_path / "s",
                              cache="rw", jobs=1)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -506,17 +624,48 @@ class TestHttpService:
             server.server_close()
             thread.join(timeout=10)
 
+    def test_a_hit_job_does_not_wait_behind_a_running_job(
+            self, service, tmp_path, monkeypatch):
+        """With the worker held inside ``run_sweep`` on a miss job, a
+        grid the store holds is answered in its POST: 202 ``done``, its
+        end line, every point a hit, and ``/results`` the bytes a
+        direct sweep encodes — all before the worker is released."""
+        run_sweep(points_from_data(SWEEP_SPEC), cache="rw",
+                  store=tmp_path / "store")
+        expected = direct_bytes(points_from_data(SWEEP_SPEC))
+        entered, release = hold_run_sweep(monkeypatch)
+        try:
+            blocker = self.submit(service, payload={
+                **SWEEP_SPEC, "axes": {"traffic.load": [0.5]}})
+            assert blocker["status"] == "queued"
+            assert entered.wait(timeout=POLL_DEADLINE_S)
+            accepted = self.submit(service)
+            assert accepted["status"] == "done"
+            job = accepted["job"]
+            with urllib.request.urlopen(
+                    f"{service}/jobs/{job}/progress?since=0") as resp:
+                lines = [json.loads(l) for l in resp.read().splitlines()]
+            assert [e["status"] for e in lines[:-1]] == ["hit", "hit"]
+            assert lines[-1] == {"event": "end", "status": "done",
+                                 "hits": 2, "misses": 0, "errors": 0,
+                                 "total": 2}
+            snap = self.get(f"{service}/jobs/{job}")
+            assert snap["hits"] == snap["total"] == 2
+            with urllib.request.urlopen(
+                    f"{service}/jobs/{job}/results") as resp:
+                assert resp.status == 200 and resp.read() == expected
+            assert self.get(
+                f"{service}/jobs/{blocker['job']}")["status"] == "running"
+        finally:
+            release.set()
+
     def test_a_failed_job_names_its_failure(self, tmp_path, monkeypatch):
         """``/results`` of a job whose ``run_sweep`` raised is a 409
         that carries the job's error, not "no results yet"."""
-        entered, release = threading.Event(), threading.Event()
-
         def failing_run_sweep(*args, **kwargs):
-            entered.set()
-            assert release.wait(timeout=POLL_DEADLINE_S)
             raise RuntimeError("store root vanished")
 
-        monkeypatch.setattr(jobs_mod, "run_sweep", failing_run_sweep)
+        entered, release = hold_run_sweep(monkeypatch, failing_run_sweep)
         server = make_server("127.0.0.1", 0, store=tmp_path / "s",
                              cache="rw", jobs=1)
         thread = threading.Thread(target=server.serve_forever, daemon=True)

@@ -6,6 +6,8 @@ accounting, byte-identical cached artifacts)."""
 import importlib
 import json
 import shutil
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -148,6 +150,47 @@ class TestGetPut:
     def test_no_tmp_files_left_behind(self, store):
         sc = fast_point()
         store.put(sc, run_scenario(sc))
+        assert not list(store.root.rglob(".tmp-*"))
+
+    def test_readers_racing_a_rewrite_never_miss(self, store):
+        """``put`` replaces an entry atomically: while one thread
+        re-puts K 200 times, two others ``get`` K 200 times each, and
+        every read is the stored Result — never a miss or a torn file."""
+        sc = fast_point()
+        result = run_scenario(sc)
+        store.put(sc, result)
+        reads: list[list] = [[], []]
+        raised = []
+
+        def guarded(body):
+            def run():
+                try:
+                    body()
+                except BaseException as exc:
+                    raised.append(exc)
+            return threading.Thread(target=run)
+
+        def rewrite():
+            for _ in range(200):
+                store.put(sc, result)
+
+        def reader(out):
+            return lambda: out.extend(store.get(sc) for _ in range(200))
+
+        threads = [guarded(rewrite)] + [guarded(reader(out)) for out in reads]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert raised == []
+        assert [len(out) for out in reads] == [200, 200]
+        assert all(r == result for out in reads for r in out)
         assert not list(store.root.rglob(".tmp-*"))
 
 
