@@ -13,8 +13,9 @@ The goldens, all under ``tests/golden/``, and the tests that read them:
   without ``provenance``, for the six workloads x seeds 1-2 that
   ``benchmarks/perf/perf_workloads.py`` generates
   (``tests/test_pinned_digests.py``);
-* ``fig4_quick.txt``, ``fig6_quick.txt``, ``fig8_quick.txt``: ``repro
-  run <fig> --quick`` (``tests/test_scenarios.py``);
+* ``<fig>_quick.txt``: ``repro run <fig> --quick`` for every
+  experiment (``tests/test_scenarios.py`` reads all but
+  ``resilience``, which only this script checks);
 * ``address_path_pr16.json`` (``tests/test_address_path.py``) and
   ``stall_intervals_pr19.json`` (``tests/test_stall_intervals.py``):
   what each point's ``observe`` reads under the production scheduler;
@@ -50,7 +51,8 @@ for _path in (ROOT / "tests", ROOT / "benchmarks" / "perf"):
 SNAPSHOT_WORKLOADS = ("axi_write", "axi_rw", "dnn_fig8", "faulted",
                       "mesh_uniform", "sweep_cold")
 SNAPSHOT_SEEDS = (1, 2)
-FIGURES = ("fig4", "fig6", "fig8")
+FIGURES = ("table1", "fig2", "fig3", "fig4", "fig6", "fig8", "table2",
+           "power", "resilience")
 STORE_ENTRY = GOLDEN / "store_entry_pr37.json"
 
 ABSENT = "(absent)"

@@ -585,9 +585,13 @@ class TestFigureGoldens:
     """No refactor or speed-up may change any figure output: compare
     against goldens captured at seed=1 — fig4 and fig6 from the
     pre-scenario-API runner, fig8 (all six DNN bars) from the per-beat
-    read path before R trains."""
+    read path before R trains, the analytic four and table2 (fig6's
+    wide max-1-hop 64 kB bar, a store hit after fig6) before the
+    points/layout split.  resilience (~10 s) is pinned by
+    ``tests/golden/repin.py --check`` alone."""
 
-    @pytest.mark.parametrize("exp_id", ["fig4", "fig6", "fig8"])
+    @pytest.mark.parametrize("exp_id", ["table1", "fig2", "fig3", "fig4",
+                                        "fig6", "fig8", "table2", "power"])
     def test_quick_output_is_pinned(self, exp_id, figure_store):
         from repro.eval.experiments import run_experiment
         from repro.eval.report import render_text
