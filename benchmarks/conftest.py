@@ -8,9 +8,15 @@ with::
     pytest benchmarks/ --benchmark-only
 """
 
+import pytest
 
-def run_once(benchmark, fn, *args, **kwargs):
-    """Run a whole-experiment benchmark exactly once (sims are seconds
-    to minutes; statistical rounds belong to micro-benchmarks only)."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs,
-                              rounds=1, iterations=1)
+
+@pytest.fixture
+def run_once(benchmark):
+    """``run_once(fn, *args, **kwargs)``: run a whole-experiment
+    benchmark exactly once (sims are seconds to minutes; statistical
+    rounds belong to micro-benchmarks only)."""
+    def run(fn, *args, **kwargs):
+        return benchmark.pedantic(fn, args=args, kwargs=kwargs,
+                                  rounds=1, iterations=1)
+    return run

@@ -14,11 +14,10 @@
   every burst as the computed XY decode does.
 """
 
-from conftest import run_once
-
 from repro.noc.config import NocConfig
 from repro.noc.network import NocNetwork, TileSpec
 from repro.noc.topology import Torus2D
+from repro.scenarios import MeasureSpec, Scenario, TrafficSpec, run_sweep
 from repro.traffic.uniform import uniform_random
 
 WARMUP, WINDOW = 2_000, 8_000
@@ -31,7 +30,7 @@ def _measure(net, load, burst=10_000, seed=3):
     return net.aggregate_throughput_gib_s()
 
 
-def test_concentrated_mesh_wins_on_local_traffic(benchmark):
+def test_concentrated_mesh_wins_on_local_traffic(run_once):
     """§V qualifies the CMesh advantage with 'primarily local access
     patterns' (Reza et al.): cluster-local traffic never leaves the XP
     in a CMesh, so it beats the 4×4 mesh whose 'local' neighbours are
@@ -67,11 +66,11 @@ def test_concentrated_mesh_wins_on_local_traffic(benchmark):
         cmesh.run(WARMUP + WINDOW)
         return mesh_thr, cmesh.aggregate_throughput_gib_s()
 
-    mesh_thr, cmesh_thr = run_once(benchmark, run_pair)
+    mesh_thr, cmesh_thr = run_once(run_pair)
     assert cmesh_thr > mesh_thr
 
 
-def test_torus_beats_mesh_under_uniform_random(benchmark):
+def test_torus_beats_mesh_under_uniform_random(run_once):
     def run_pair():
         mesh_thr = _measure(NocNetwork(NocConfig.slim()), load=1.0)
         torus = NocNetwork(NocConfig.slim(), topology=Torus2D(4, 4))
@@ -80,31 +79,22 @@ def test_torus_beats_mesh_under_uniform_random(benchmark):
         torus_thr = _measure(torus, load=0.4)
         return mesh_thr, torus_thr
 
-    mesh_thr, torus_thr = run_once(benchmark, run_pair)
+    mesh_thr, torus_thr = run_once(run_pair)
     assert torus_thr > 0  # runs, delivers, and does not deadlock
 
 
-def test_load_latency_curve(benchmark):
-    def sweep():
-        latencies = []
-        for load in (0.05, 0.3, 1.0):
-            net = NocNetwork(NocConfig.slim())
-            uniform_random(net, load=load, max_burst_bytes=1000,
-                           seed=5).install()
-            net.set_warmup(WARMUP)
-            net.run(WARMUP + WINDOW)
-            meds = sorted(t.dma.latency_stats.percentile(0.5)
-                          for t in net.tiles
-                          if t.dma is not None and t.dma.latency_stats.count)
-            latencies.append(meds[len(meds) // 2])
-        return latencies
-
-    low, mid, high = run_once(benchmark, sweep)
+def test_load_latency_curve(run_once, figure_store):
+    results = run_once(run_sweep, [
+        Scenario(traffic=TrafficSpec.uniform(load, 1000, read_fraction=0.5),
+                 measure=MeasureSpec(warmup=WARMUP, window=WINDOW), seed=5)
+        for load in (0.05, 0.3, 1.0)], cache="rw", store=figure_store)
+    # Each point's p50 is the median across DMAs of their own p50.
+    low, mid, high = (result.latency_p50 for result in results)
     assert low <= mid <= high
     assert high > 2 * low  # latency blows up past saturation
 
 
-def test_per_xp_routing_tables_route_as_computed_routing(benchmark):
+def test_per_xp_routing_tables_route_as_computed_routing(run_once):
     """The generated per-XP address tables (``routing="table"``) and the
     computed XY decode are one routing function: a slim uniform point
     gives bit-identical throughput and per-DMA latency under both."""
@@ -117,6 +107,6 @@ def test_per_xp_routing_tables_route_as_computed_routing(benchmark):
                               for t in net.tiles]))
         return out
 
-    table, computed = run_once(benchmark, run_pair)
+    table, computed = run_once(run_pair)
     assert table[0] > 0
     assert table == computed

@@ -161,13 +161,11 @@ def _profiled(fn, *args, **kwargs):
 
 
 def _run(args) -> int:
-    from repro.scenarios import MeasureSpec
-
     if args.store and args.cache == "off":
         print("error: --store requires --cache ro|rw", file=sys.stderr)
         return 2
-    point_args = dict(measure=MeasureSpec.coerce(args.quick), seed=args.seed,
-                      cache=args.cache, store=args.store)
+    point_args = dict(quick=args.quick, seed=args.seed, cache=args.cache,
+                      store=args.store)
     targets = sorted(EXPERIMENTS) if args.experiment == "all" \
         else [args.experiment]
     timings: list[tuple[str, float]] = []
@@ -320,7 +318,7 @@ def _cache(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list":
-        for exp_id, (desc, _fn) in EXPERIMENTS.items():
+        for exp_id, desc in EXPERIMENTS.items():
             print(f"{exp_id:8s} {desc}")
         return 0
     if args.command == "info":

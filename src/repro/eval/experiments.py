@@ -1,13 +1,13 @@
 """Experiment registry: every table and figure of the paper's evaluation,
-mapped to its regenerating function (see DESIGN.md §4 and §9).
+by id (see DESIGN.md §4 and §9).
 
-Runners share one signature: ``run(measure, seed, cache="off",
-store=None) -> ExperimentResult``, where ``measure`` is a
-:class:`~repro.scenarios.spec.MeasureSpec` (or anything its ``coerce``
-accepts, including the legacy ``quick`` bool).  A simulating runner is
-a list of :class:`~repro.scenarios.spec.Scenario` points, measured by
-:func:`measure_points` and arranged into the paper's figure layout; the
-analytic ones ignore all four arguments.
+``repro.eval.<id>`` lays its experiment out with ``layout(measure,
+results) -> ExperimentResult``, where ``measure`` is a
+:class:`~repro.scenarios.spec.MeasureSpec`.  A simulating module also
+has ``points(measure, seed) -> list[Scenario]``: :func:`run_experiment`
+measures them, in order, with one :func:`measure_points` call and hands
+``layout`` their Results; an analytic module has no points and gets
+none.
 
 ``cache`` / ``store`` are ``run_sweep``'s (``repro run --cache rw``):
 already-measured points come from the content-addressed store
@@ -18,22 +18,12 @@ costs zero simulations.
 from __future__ import annotations
 
 from importlib import import_module
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.eval.report import ExperimentResult
 
 if TYPE_CHECKING:
     from repro.scenarios import MeasureSpec, Result, Scenario
-
-
-def _runner(module: str) -> Callable[..., ExperimentResult]:
-    """``repro.eval.<module>.run``, imported when it is first called:
-    listing the registry (``repro list``, argument parsing) must not
-    cost the import of every figure's simulator stack."""
-    def run(measure, seed, cache="off", store=None):
-        return import_module(f"repro.eval.{module}").run(
-            measure, seed, cache, store)
-    return run
 
 
 def measure_points(points: list[Scenario], cache: str = "off",
@@ -52,21 +42,20 @@ def measure_points(points: list[Scenario], cache: str = "off",
     return results
 
 
-#: id → (description, runner).
-EXPERIMENTS: dict[str, tuple[str, Callable[..., ExperimentResult]]] = {
-    "table1": ("Table I: mesh parameter space", _runner("table1")),
-    "fig2": ("Fig. 2: 2x2 area vs bisection bandwidth vs ESP-NoC",
-             _runner("fig2")),
-    "fig3": ("Fig. 3: 4x4 scaling and MOT/area tradeoff", _runner("fig3")),
-    "fig4": ("Fig. 4: uniform random traffic vs packet baseline",
-             _runner("fig4")),
-    "fig6": ("Fig. 6: synthetic pattern utilization", _runner("fig6")),
-    "fig8": ("Fig. 8: DNN workload throughput", _runner("fig8")),
-    "table2": ("Table II: comparison with state-of-the-art NoCs",
-               _runner("table2")),
-    "power": ("Sec. III: power at 1 GHz", _runner("power")),
-    "resilience": ("Beyond the paper: throughput retention under "
-                   "transient link faults", _runner("resilience")),
+#: id → description.  A figure module is imported when it is run:
+#: listing the registry (``repro list``, argument parsing) must not
+#: cost the import of every figure's simulator stack.
+EXPERIMENTS: dict[str, str] = {
+    "table1": "Table I: mesh parameter space",
+    "fig2": "Fig. 2: 2x2 area vs bisection bandwidth vs ESP-NoC",
+    "fig3": "Fig. 3: 4x4 scaling and MOT/area tradeoff",
+    "fig4": "Fig. 4: uniform random traffic vs packet baseline",
+    "fig6": "Fig. 6: synthetic pattern utilization",
+    "fig8": "Fig. 8: DNN workload throughput",
+    "table2": "Table II: comparison with state-of-the-art NoCs",
+    "power": "Sec. III: power at 1 GHz",
+    "resilience": "Beyond the paper: throughput retention under "
+                  "transient link faults",
 }
 
 
@@ -85,7 +74,9 @@ def run_experiment(exp_id: str, quick: bool = False, *,
     if measure is None:
         from repro.scenarios import MeasureSpec
 
-        measure = MeasureSpec.coerce(quick)
-    _desc, runner = EXPERIMENTS[exp_id]
-    return runner(measure, seed, cache, store)
-
+        measure = MeasureSpec.quick() if quick else MeasureSpec.full()
+    module = import_module(f"repro.eval.{exp_id}")
+    points = getattr(module, "points", None)
+    results = measure_points(points(measure, seed), cache, store) \
+        if points else []
+    return module.layout(measure, results)

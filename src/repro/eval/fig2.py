@@ -23,9 +23,8 @@ FIG2_CONFIGS = (
 PAPER_AREAS = {"AXI_32_32_2": 174.0, "AXI_32_512_2": 830.0}
 
 
-def run(measure=None, seed: int = 1, cache: str = "off",
-        store=None) -> ExperimentResult:
-    del measure, seed, cache, store  # analytic: nothing is simulated
+def layout(measure, results) -> ExperimentResult:
+    """Analytic: nothing is measured, so both arguments go unread."""
     result = ExperimentResult(
         "fig2", "2x2 mesh: area vs bisection bandwidth (vs ESP-NoC)")
     sec = result.section(

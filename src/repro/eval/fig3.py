@@ -20,9 +20,8 @@ FIG3_CONFIGS = (
 MOT_SWEEP = (1, 2, 4, 8, 16, 32, 64, 128)
 
 
-def run(measure=None, seed: int = 1, cache: str = "off",
-        store=None) -> ExperimentResult:
-    del measure, seed, cache, store  # analytic: nothing is simulated
+def layout(measure, results) -> ExperimentResult:
+    """Analytic: nothing is measured, so both arguments go unread."""
     result = ExperimentResult(
         "fig3", "4x4 mesh scaling: area vs bandwidth, area vs MOT")
     left = result.section(

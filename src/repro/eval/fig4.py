@@ -15,9 +15,9 @@ config}.
 
 from __future__ import annotations
 
-from repro.eval.experiments import measure_points
 from repro.eval.report import ExperimentResult
-from repro.scenarios import MeasureSpec, Scenario, TopologySpec, TrafficSpec
+from repro.scenarios import (MeasureSpec, Result, Scenario, TopologySpec,
+                             TrafficSpec)
 
 BURST_CAPS = (4, 100, 1000, 10000, 64000)
 FULL_LOADS = (0.0001, 0.001, 0.01, 0.05, 0.1, 0.2, 0.4, 0.7, 1.0)
@@ -34,19 +34,21 @@ PAPER_SATURATION = {
 }
 
 
-def run(measure: MeasureSpec | bool | None = None, seed: int = 1,
-        cache: str = "off", store=None) -> ExperimentResult:
-    measure = MeasureSpec.coerce(measure)
+def points(measure: MeasureSpec, seed: int) -> list[Scenario]:
     loads = QUICK_LOADS if measure.is_quick else FULL_LOADS
     points = [Scenario(topology=TopologySpec.slim(),
                        traffic=TrafficSpec.uniform(load, burst),
                        measure=measure, seed=seed)
               for load in loads for burst in BURST_CAPS]
-    points += [Scenario(topology=TopologySpec.baseline(n_vcs, buf),
-                        traffic=TrafficSpec.uniform(load, 1),
-                        measure=measure, seed=seed)
-               for load in loads for n_vcs, buf in BASELINE_CONFIGS]
-    measured = iter(measure_points(points, cache, store))
+    return points + [Scenario(topology=TopologySpec.baseline(n_vcs, buf),
+                              traffic=TrafficSpec.uniform(load, 1),
+                              measure=measure, seed=seed)
+                     for load in loads for n_vcs, buf in BASELINE_CONFIGS]
+
+
+def layout(measure: MeasureSpec, results: list[Result]) -> ExperimentResult:
+    loads = QUICK_LOADS if measure.is_quick else FULL_LOADS
+    measured = iter(results)
     result = ExperimentResult(
         "fig4", "uniform random traffic: throughput vs injected load "
         "(slim 4x4 PATRONoC vs packet baseline)")

@@ -7,15 +7,16 @@ Each bar is one :class:`~repro.scenarios.spec.Scenario` over
 
 from __future__ import annotations
 
-from repro.eval.experiments import measure_points
 from repro.eval.report import ExperimentResult
 from repro.noc.bandwidth import bisection_gib_s
-from repro.scenarios import MeasureSpec, Scenario, TopologySpec, TrafficSpec
+from repro.scenarios import (MeasureSpec, Result, Scenario, TopologySpec,
+                             TrafficSpec)
 from repro.traffic.synthetic import ALL_GLOBAL, MAX_ONE_HOP, MAX_TWO_HOP
 
 BURST_CAPS = (4, 100, 1000, 10000, 64000)
 QUICK_CAPS = (4, 1000, 64000)
 PATTERNS = (ALL_GLOBAL, MAX_TWO_HOP, MAX_ONE_HOP)
+TOPOLOGIES = (("slim", TopologySpec.slim()), ("wide", TopologySpec.wide()))
 
 #: Fig. 6's utilization bars (percent), indexed [noc][pattern][burst cap].
 PAPER_UTILIZATION = {
@@ -34,19 +35,19 @@ PAPER_UTILIZATION = {
 }
 
 
-def run(measure: MeasureSpec | bool | None = None, seed: int = 1,
-        cache: str = "off", store=None) -> ExperimentResult:
-    measure = MeasureSpec.coerce(measure)
+def points(measure: MeasureSpec, seed: int) -> list[Scenario]:
     caps = QUICK_CAPS if measure.is_quick else BURST_CAPS
-    topologies = (("slim", TopologySpec.slim()), ("wide", TopologySpec.wide()))
-    measured = iter(measure_points(
-        [Scenario(topology=topo, traffic=TrafficSpec.synthetic(p.key, cap),
-                  measure=measure, seed=seed)
-         for _label, topo in topologies for p in PATTERNS for cap in caps],
-        cache, store))
+    return [Scenario(topology=topo, traffic=TrafficSpec.synthetic(p.key, cap),
+                     measure=measure, seed=seed)
+            for _label, topo in TOPOLOGIES for p in PATTERNS for cap in caps]
+
+
+def layout(measure: MeasureSpec, results: list[Result]) -> ExperimentResult:
+    caps = QUICK_CAPS if measure.is_quick else BURST_CAPS
+    measured = iter(results)
     result = ExperimentResult(
         "fig6", "synthetic patterns: utilization at maximum injected load")
-    for label, topo in topologies:
+    for label, topo in TOPOLOGIES:
         bisection = bisection_gib_s(topo.noc_config())
         for pattern in PATTERNS:
             sec = result.section(

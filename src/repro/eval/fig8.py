@@ -9,11 +9,12 @@ explicitly pinned windows are honored per-field."""
 
 from __future__ import annotations
 
-from repro.eval.experiments import measure_points
 from repro.eval.report import ExperimentResult
-from repro.scenarios import MeasureSpec, Scenario, TopologySpec, TrafficSpec
+from repro.scenarios import (MeasureSpec, Result, Scenario, TopologySpec,
+                             TrafficSpec)
 
 WORKLOAD_ORDER = ("train", "par", "pipe")
+TOPOLOGIES = (("slim", TopologySpec.slim()), ("wide", TopologySpec.wide()))
 TITLES = {"train": "Distributed Training",
           "par": "Parallelized Convolution",
           "pipe": "Pipelined Convolution"}
@@ -25,18 +26,17 @@ PAPER_THROUGHPUT = {
 }
 
 
-def run(measure: MeasureSpec | bool | None = None, seed: int = 1,
-        cache: str = "off", store=None) -> ExperimentResult:
-    measure = MeasureSpec.coerce(measure)
-    topologies = (("slim", TopologySpec.slim()), ("wide", TopologySpec.wide()))
-    measured = iter(measure_points(
-        [Scenario(topology=topo, traffic=TrafficSpec.dnn(key),
-                  measure=measure, seed=seed)
-         for _label, topo in topologies for key in WORKLOAD_ORDER],
-        cache, store))
+def points(measure: MeasureSpec, seed: int) -> list[Scenario]:
+    return [Scenario(topology=topo, traffic=TrafficSpec.dnn(key),
+                     measure=measure, seed=seed)
+            for _label, topo in TOPOLOGIES for key in WORKLOAD_ORDER]
+
+
+def layout(measure: MeasureSpec, results: list[Result]) -> ExperimentResult:
+    measured = iter(results)
     result = ExperimentResult(
         "fig8", "DNN workload traffic: throughput on slim and wide 4x4")
-    for label, topo in topologies:
+    for label, topo in TOPOLOGIES:
         sec = result.section(
             f"{label} NoC (DW={topo.data_width})",
             ["workload", "throughput_GiB_s", "paper_GiB_s", "ratio"])

@@ -10,9 +10,8 @@ from repro.noc.config import NocConfig
 PAPER_POWER = {32: 45.0, 512: 171.0}
 
 
-def run(measure=None, seed: int = 1, cache: str = "off",
-        store=None) -> ExperimentResult:
-    del measure, seed, cache, store  # analytic: nothing is simulated
+def layout(measure, results) -> ExperimentResult:
+    """Analytic: nothing is measured, so both arguments go unread."""
     result = ExperimentResult("power", "4x4 PATRONoC power at 1 GHz")
     sec = result.section("power model (uniform random activity)",
                          ["DW_bits", "power_mW", "paper_mW"])

@@ -22,10 +22,10 @@ the fault set changes.
 
 from __future__ import annotations
 
-from repro.eval.experiments import measure_points
 from repro.eval.report import ExperimentResult
 from repro.faults.spec import FaultSpec
-from repro.scenarios import MeasureSpec, Scenario, TopologySpec, TrafficSpec
+from repro.scenarios import (MeasureSpec, Result, Scenario, TopologySpec,
+                             TrafficSpec)
 
 RECOVERIES = ("none", "retransmit", "reroute")
 
@@ -48,33 +48,44 @@ TRAFFIC = (
 )
 
 
-def run(measure: MeasureSpec | bool | None = None, seed: int = 1,
-        cache: str = "off", store=None) -> ExperimentResult:
-    measure = MeasureSpec.coerce(measure)
-    topo = TopologySpec.slim()
+def _grids(measure: MeasureSpec) -> list[tuple]:
+    """``(traffic, rates, recoveries, fault knobs)`` per section, in
+    section order: the four traffic rows, churn, response-path faults."""
+    rates = FAULT_RATES[:1] if measure.is_quick else FAULT_RATES
+    churn = CHURN_RATES[:1] if measure.is_quick else CHURN_RATES
+    return [(traffic, rates, RECOVERIES, {}) for _label, traffic in TRAFFIC] \
+        + [(UNIFORM, churn, ("none", "reroute"), {}),
+           (UNIFORM, rates, ("none", "retransmit"),
+            dict(response_faults=True, txn_timeout=2000))]
+
+
+def points(measure: MeasureSpec, seed: int) -> list[Scenario]:
+    """Per grid, its traffic fault-free, then under rate × recovery."""
+    out = []
+    for traffic, rates, recoveries, knobs in _grids(measure):
+        clean = Scenario(topology=TopologySpec.slim(), traffic=traffic,
+                         measure=measure, seed=seed)
+        out += [clean] + [clean.with_(faults=FaultSpec(
+            link_rate=rate, recovery=rec, **knobs))
+            for rate in rates for rec in recoveries]
+    return out
+
+
+def layout(measure: MeasureSpec, results: list[Result]) -> ExperimentResult:
     result = ExperimentResult(
         "resilience", "throughput retention under transient link faults")
-    rates = FAULT_RATES[:1] if measure.is_quick else FAULT_RATES
-
-    def grid(traffic, rates, recoveries, **fault_knobs):
-        """``traffic`` measured fault-free and under rate × recovery:
-        ``(clean GiB/s, [(rate, recovery, point, retention), ...])``."""
-        cells = [(rate, rec) for rate in rates for rec in recoveries]
-        clean, *faulty = measure_points(
-            [Scenario(topology=topo, traffic=traffic, measure=measure,
-                      seed=seed)]
-            + [Scenario(topology=topo, traffic=traffic, measure=measure,
-                        faults=FaultSpec(link_rate=rate, recovery=rec,
-                                         **fault_knobs), seed=seed)
-               for rate, rec in cells], cache, store)
-        base = clean.throughput_gib_s
-        return base, [
+    measured = iter(results)
+    grids = []  # per grid: (clean GiB/s, [(rate, recovery, point, retention)])
+    for _traffic, rates, recoveries, _knobs in _grids(measure):
+        base = next(measured).throughput_gib_s
+        grids.append((base, [
             (f"{rate:g}", rec, point,
              point.throughput_gib_s / base if base else 0.0)
-            for (rate, rec), point in zip(cells, faulty)]
+            for rate in rates for rec in recoveries
+            for point in [next(measured)]]))
+    *traffic_grids, churn, response = grids
 
-    for label, traffic in TRAFFIC:
-        clean, rows = grid(traffic, rates, RECOVERIES)
+    for (label, _traffic), (clean, rows) in zip(TRAFFIC, traffic_grids):
         sec = result.section(
             f"{label} (clean {clean:.2f} GiB/s)",
             ["fault_rate", "recovery", "throughput_GiB_s", "retention",
@@ -87,9 +98,7 @@ def run(measure: MeasureSpec | bool | None = None, seed: int = 1,
 
     # Transient churn: retention of reroute vs fail-fast under Poisson
     # link churn, and how often the up*/down* tables were recomputed.
-    clean, rows = grid(
-        UNIFORM, CHURN_RATES[:1] if measure.is_quick else CHURN_RATES,
-        ("none", "reroute"))
+    clean, rows = churn
     sec = result.section(
         f"transient churn: table recomputes (clean {clean:.2f} GiB/s)",
         ["churn_rate", "recovery", "retention", "retables"])
@@ -99,8 +108,7 @@ def run(measure: MeasureSpec | bool | None = None, seed: int = 1,
     # Response-path fault loop: transient dead links also drop B/R
     # beats; the per-transaction watchdog aborts orphans into the
     # retransmission path (DESIGN.md §10).
-    clean, rows = grid(UNIFORM, rates, ("none", "retransmit"),
-                       response_faults=True, txn_timeout=2000)
+    clean, rows = response
     sec = result.section(
         f"response-path faults: orphan timeouts (clean {clean:.2f} GiB/s)",
         ["fault_rate", "recovery", "retention", "response_drops",

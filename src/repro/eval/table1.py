@@ -16,9 +16,8 @@ from repro.eval.report import ExperimentResult
 from repro.noc.config import NocConfig
 
 
-def run(measure=None, seed: int = 1, cache: str = "off",
-        store=None) -> ExperimentResult:
-    del measure, seed, cache, store  # analytic: nothing is simulated
+def layout(measure, results) -> ExperimentResult:
+    """Analytic: nothing is measured, so both arguments go unread."""
     result = ExperimentResult("table1", "main parameters of the 2D mesh")
     sec = result.section("Table I", ["parameter", "values"])
     sec.add("Mesh Dimension", "N x M")

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.eval.experiments import measure_points
 from repro.eval.report import ExperimentResult
-from repro.scenarios import MeasureSpec, Scenario, TopologySpec, TrafficSpec
+from repro.scenarios import (MeasureSpec, Result, Scenario, TopologySpec,
+                             TrafficSpec)
 from repro.traffic.synthetic import MAX_ONE_HOP
 
 
@@ -44,9 +44,13 @@ LITERATURE = (
 )
 
 
-def run(measure: MeasureSpec | bool | None = None, seed: int = 1,
-        cache: str = "off", store=None) -> ExperimentResult:
-    measure = MeasureSpec.coerce(measure)
+def points(measure: MeasureSpec, seed: int) -> list[Scenario]:
+    return [Scenario(topology=TopologySpec.wide(),
+                     traffic=TrafficSpec.synthetic(MAX_ONE_HOP.key, 64000),
+                     measure=measure, seed=seed)]
+
+
+def layout(measure: MeasureSpec, results: list[Result]) -> ExperimentResult:
     result = ExperimentResult(
         "table2", "comparison of PATRONoC with state-of-the-art NoCs")
     sec = result.section(
@@ -55,10 +59,7 @@ def run(measure: MeasureSpec | bool | None = None, seed: int = 1,
     for row in LITERATURE:
         sec.add(row.work, _mark(row.open_source), _mark(row.full_axi),
                 _mark(row.burst_support), row.configurable, row.noc_bw_gbps)
-    [point] = measure_points([Scenario(
-        topology=TopologySpec.wide(),
-        traffic=TrafficSpec.synthetic(MAX_ONE_HOP.key, 64000),
-        measure=measure, seed=seed)], cache, store)
+    [point] = results
     measured_gbps = point.throughput_gib_s * 8  # GiB/s → Gibit/s ≈ Gbps
     sec.add("PATRONoC (this repro)", "yes", "yes", "yes", "yes",
             f"{measured_gbps:.0f}")

@@ -345,14 +345,11 @@ class MeasureSpec:
 
     @classmethod
     def coerce(cls, value) -> "MeasureSpec":
-        """Accept a spec, a dict, ``None`` (→ full), or the legacy
-        ``quick: bool``."""
+        """Accept a spec, a dict, or ``None`` (→ full)."""
         if isinstance(value, cls):
             return value
         if value is None:
             return cls.full()
-        if isinstance(value, bool):
-            return cls.quick() if value else cls.full()
         if isinstance(value, dict):
             return cls(**value)
         raise TypeError(f"cannot coerce {value!r} to MeasureSpec")

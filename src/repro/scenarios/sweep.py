@@ -83,6 +83,10 @@ class Sweep:
                     f"axis {key!r} collides with an earlier axis: both "
                     f"resolve to {path!r}")
             _check_axis_path(path)
+            # A string or dict would iterate into characters or keys.
+            if not isinstance(values, (list, tuple)):
+                raise TypeError(f"{key} must be a list or tuple of values, "
+                                f"got {type(values).__name__}")
             self.axes[path] = list(values)
 
     def __len__(self) -> int:

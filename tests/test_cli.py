@@ -174,7 +174,11 @@ class TestSweep:
         ({"seed": "x"}, "seed"),
         ({"seed": 1.5}, "seed"),
         ([{"seed": True}], "seed"),
-    ], ids=["axes-int", "seed-str", "seed-float", "seed-bool"])
+        ({"axes": {"name": "ab"}}, "name"),
+        ({"axes": {"traffic.load": "0.5"}}, "traffic.load"),
+        ({"axes": {"seeds": 3}}, "seeds"),
+    ], ids=["axes-int", "seed-str", "seed-float", "seed-bool", "axis-str",
+            "axis-load-str", "axis-int"])
     def test_a_mistyped_axes_or_seed_exits_2_naming_it(
             self, tmp_path, capsys, spec, field):
         """Refused at load, as any bad spec: no traceback, no point

@@ -1,4 +1,4 @@
-"""Tests for the evaluation harness: registry, reports, fast experiments."""
+"""Tests for the evaluation harness: registry, measure_points, reports."""
 
 import pytest
 
@@ -52,35 +52,6 @@ class TestMeasurePoints:
         cached = run_experiment("fig2", cache="rw", store=root)
         assert render_text(cached) == render_text(run_experiment("fig2"))
         assert not root.exists()
-
-
-class TestModelExperiments:
-    """The synthesis-model experiments are fast enough to run fully."""
-
-    def test_fig2(self):
-        result = run_experiment("fig2")
-        assert len(result.sections) == 3
-        headline = result.sections[2]
-        gains = {row[0]: row[1] for row in headline.rows}
-        assert gains["PATRONoC area-efficiency gain"] == "34%"
-
-    def test_fig3(self):
-        result = run_experiment("fig3")
-        mot_rows = result.sections[1].rows
-        areas = [row[1] for row in mot_rows]
-        assert areas == sorted(areas)  # monotone in MOT
-
-    def test_table1(self):
-        result = run_experiment("table1")
-        assert len(result.sections[0].rows) == 9  # Table I rows
-
-    def test_power(self):
-        result = run_experiment("power")
-        dw_to_power = {row[0]: row[1] for row in result.sections[0].rows}
-        assert dw_to_power[32] == pytest.approx(45.0, abs=0.5)
-        assert dw_to_power[512] == pytest.approx(171.0, abs=0.5)
-        for row in result.sections[1].rows:
-            assert row[2] < 10.0  # platform fraction below 10 %
 
 
 class TestRunners:

@@ -24,6 +24,7 @@ from reach import (
     unreached_ceiling,
     verdict_modules,
 )
+from repro.eval.experiments import EXPERIMENTS
 
 
 def _module_name(path: Path, src: Path) -> str:
@@ -53,7 +54,7 @@ def unimported(root: Path) -> list[str]:
     and no ``benchmarks/`` file imports, apart from package ``__init__``
     re-exports.  A name imported from a package counts for the module
     that defines it.  Exempt: entry points (``__main__``), the
-    experiment registry's by-name runners and DESIGN.md's reach
+    registry's figure modules (imported by id) and DESIGN.md's reach
     verdicts."""
     src = root / "src"
     trees = {_module_name(p, src): (p, ast.parse(p.read_text()))
@@ -90,11 +91,7 @@ def unimported(root: Path) -> list[str]:
             else:
                 continue
             used |= {m for m in hits if m in trees and m != me}
-    registry = trees["repro.eval.experiments"][1]
-    used |= {f"repro.eval.{node.args[0].value}"
-             for node in ast.walk(registry)
-             if isinstance(node, ast.Call)
-             and getattr(node.func, "id", None) == "_runner"}
+    used |= {f"repro.eval.{exp_id}" for exp_id in EXPERIMENTS}
     kept = {"repro." + m.removesuffix(".py").replace("/", ".")
             for m in verdict_modules(root / "DESIGN.md")}
     return sorted(name for name in trees

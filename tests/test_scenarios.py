@@ -179,9 +179,11 @@ class TestMeasureSpec:
         assert MeasureSpec.full().window is None
 
     def test_coerce_legacy_bool(self):
-        assert MeasureSpec.coerce(True) == MeasureSpec.quick()
-        assert MeasureSpec.coerce(False) == MeasureSpec.full()
+        """A bool is not a MeasureSpec: ``run_experiment(quick=)`` picks
+        the preset."""
         assert MeasureSpec.coerce(None) == MeasureSpec.full()
+        with pytest.raises(TypeError, match="cannot coerce True"):
+            MeasureSpec.coerce(True)
 
 
 class TestScenarioValidation:
@@ -316,9 +318,19 @@ class TestSweepExpansion:
         with pytest.raises(ValueError):
             sweep(Scenario(), **{"traffic.color": ["red"]})
 
-    @pytest.mark.parametrize("axes", [5, [["traffic.load", [0.1]]], "x"])
-    def test_axes_that_are_not_an_object_are_refused_by_name(self, axes):
-        with pytest.raises(TypeError, match="axes must be an object"):
+    @pytest.mark.parametrize("axes, message", [
+        (5, "axes must be an object"),
+        ([["traffic.load", [0.1]]], "axes must be an object"),
+        ("x", "axes must be an object"),
+        ({"name": "ab"}, "name must be a list or tuple of values, got str"),
+        ({"traffic.load": "0.5"}, "traffic.load must be a list"),
+        ({"seeds": 3}, "seeds must be a list or tuple of values, got int"),
+    ], ids=["5", "axes1", "x", "name-str", "load-str", "seeds-int"])
+    def test_axes_that_are_not_an_object_are_refused_by_name(
+            self, axes, message):
+        """An axis's values, too: a string would run one point per
+        character, a scalar fails mid-expansion or mid-simulation."""
+        with pytest.raises(TypeError, match=message):
             Sweep.from_dict({"axes": axes})
 
     def test_colliding_axes_rejected(self):

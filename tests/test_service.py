@@ -411,8 +411,11 @@ class TestHttpService:
         ({"seed": 1.5}, "seed"),
         ({"seed": True}, "seed"),
         ({"axes": {"seed": [1, True]}}, "seed"),
+        ({"axes": {"name": "ab"}}, "name"),
+        ({"axes": {"traffic.load": "0.5"}}, "traffic.load"),
+        ({"axes": {"seeds": 3}}, "seeds"),
     ], ids=["axes-int", "seed-str", "seed-float", "seed-bool",
-            "seed-axis-bool"])
+            "seed-axis-bool", "axis-str", "axis-load-str", "axis-int"])
     def test_a_mistyped_axes_or_seed_is_refused_by_name(
             self, service, body, field):
         """400 naming the field, not a dropped connection (``axes``) or
