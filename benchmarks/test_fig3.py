@@ -1,13 +1,9 @@
-"""Benchmark: regenerate Fig. 3 (4×4 scaling, MOT/area tradeoff)."""
-
-from conftest import run_once
-
-from repro.eval.fig3 import run
+"""Benchmark: regenerate Fig. 3 (4×4 area scaling, MOT/area tradeoff)."""
 
 
-def test_fig3(benchmark):
-    result = run_once(benchmark, run, True)
-
+def test_fig3(render):
+    """4×4 scaling, MOT/area tradeoff."""
+    result = render("fig3")
     left = {row[0]: (row[1], row[2]) for row in result.sections[0].rows}
     # 4x4 DW=64 lands at the paper's ~1000 kGE anchor.
     assert abs(left["AXI_32_64_4"][0] - 1000.0) < 20.0

@@ -1,22 +1,16 @@
-"""Benchmark: regenerate Fig. 6 (synthetic patterns, slim+wide).
+"""Benchmark: regenerate Fig. 6 (synthetic patterns, slim and wide)."""
 
-Asserts the pattern ordering the paper reports: at large bursts the
-all-global hot spot is slowest, max-2-hop is faster, max-1-hop fastest;
-at ≤4 B bursts utilization collapses to the same endpoint-bound value
-(4.7 % slim / 0.29 % wide in the paper) regardless of pattern.
-"""
-
-from conftest import run_once
-
-from repro.eval.fig6 import run
+from repro.eval import fig6
 
 
-def test_fig6(benchmark, figure_store):
-    result = run_once(benchmark, run, True, cache="rw",
-                      store=figure_store)
+def test_fig6(render):
+    """Synthetic patterns, slim and wide: at large bursts the all-global
+    hot spot is slowest, max-2-hop faster, max-1-hop fastest; at ≤4 B
+    bursts utilization collapses to the same endpoint-bound value
+    regardless of pattern."""
     # sections: slim a/b/c then wide a/b/c; rows indexed by burst cap.
     by_title = {sec.title: {row[0]: (row[1], row[2]) for row in sec.rows}
-                for sec in result.sections}
+                for sec in render("fig6").sections}
 
     for noc in ("slim", "wide"):
         a, b, c = (next(v for k, v in by_title.items()
@@ -27,12 +21,6 @@ def test_fig6(benchmark, figure_store):
         # Tiny bursts: pattern-independent within 20 %.
         tiny = [a[4][0], b[4][0], c[4][0]]
         assert max(tiny) / min(tiny) < 1.2
-
-    # Slim tiny-burst utilization ≈ the paper's 4.7 %.
-    slim_a = next(v for k, v in by_title.items()
-                  if k.startswith("slim") and "All Global" in k)
-    assert abs(slim_a[4][1] - 4.7) < 1.5
-    # Wide tiny-burst utilization ≈ the paper's 0.29 %.
-    wide_a = next(v for k, v in by_title.items()
-                  if k.startswith("wide") and "All Global" in k)
-    assert abs(wide_a[4][1] - 0.29) < 0.15
+        # Tiny-burst utilization ≈ the paper's (4.7 % slim, 0.29 % wide).
+        paper = fig6.PAPER_UTILIZATION[(noc, "all_global")][4]
+        assert abs(a[4][1] - paper) < {"slim": 1.5, "wide": 0.15}[noc]

@@ -1,20 +1,14 @@
-"""Benchmark: regenerate Fig. 8 (DNN workloads on slim and wide NoC).
-
-Asserts the paper's orderings: pipelined convolution (core-to-core)
-is the fastest workload on both NoCs, the wide NoC scales every
-workload up by roughly the DW ratio, and parallel convolution is
-bounded by the single shared-L2 port.
-"""
-
-from conftest import run_once
-
-from repro.eval.fig8 import run
+"""Benchmark: regenerate Fig. 8 (DNN workloads on the slim and wide NoC)."""
 
 
-def test_fig8(benchmark):
-    result = run_once(benchmark, run, True)
-    slim = {row[0]: row[1] for row in result.sections[0].rows}
-    wide = {row[0]: row[1] for row in result.sections[1].rows}
+def test_fig8(render):
+    """DNN workloads on the slim and wide NoC: pipelined convolution
+    (core-to-core) is the fastest workload on both NoCs, the wide NoC
+    scales every workload up by roughly the DW ratio, and parallel
+    convolution is bounded by the single shared-L2 port."""
+    result = render("fig8")
+    slim, wide = ({row[0]: row[1] for row in section.rows}
+                  for section in result.sections[:2])
 
     for values in (slim, wide):
         assert values["Pipelined Convolution"] > values["Parallelized Convolution"]

@@ -1,13 +1,12 @@
-"""Benchmark: regenerate Table II (state-of-the-art comparison)."""
+"""Benchmark: regenerate Table II (state-of-the-art comparison).
 
-from conftest import run_once
+Its one point is Fig. 6's wide max-1-hop 64 kB bar, so after
+``test_fig6`` it is a store hit."""
 
-from repro.eval.table2 import run
 
-
-def test_table2(benchmark):
-    result = run_once(benchmark, run, True)
-    rows = {row[0]: row for row in result.sections[0].rows}
+def test_table2(render):
+    """State-of-the-art comparison."""
+    rows = {row[0]: row for row in render("table2").sections[0].rows}
     ours = rows["PATRONoC (this repro)"]
     # PATRONoC is the only open-source, fully-AXI, burst-capable,
     # configurable entry (with its substrate [9]).
