@@ -42,14 +42,16 @@ class Packet:
 
 
 class Flit:
-    """One flit; body/tail flits carry a reference to their packet."""
+    """One flit; body/tail flits carry a reference to their packet.
+    ``last`` marks the packet's tail (a single-flit packet's head)."""
 
-    __slots__ = ("kind", "packet", "seq")
+    __slots__ = ("kind", "packet", "seq", "last")
 
     def __init__(self, kind: FlitKind, packet: Packet, seq: int):
         self.kind = kind
         self.packet = packet
         self.seq = seq
+        self.last = seq == packet.length - 1
 
     @property
     def is_head(self) -> bool:
@@ -58,17 +60,17 @@ class Flit:
     @property
     def is_tail(self) -> bool:
         """A single-flit packet's head is simultaneously its tail."""
-        return self.seq == self.packet.length - 1
+        return self.last
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Flit({self.kind.name}, pid={self.packet.pid}, seq={self.seq})"
 
 
+_HEAD, _BODY, _TAIL = FlitKind  # an enum member lookup costs ~0.2 µs
+
+
 def make_flits(packet: Packet) -> list[Flit]:
     """Expand a packet into its flit sequence (head .. body .. tail)."""
-    flits = [Flit(FlitKind.HEAD, packet, 0)]
-    flits.extend(Flit(FlitKind.BODY, packet, k)
-                 for k in range(1, packet.length - 1))
-    if packet.length > 1:
-        flits.append(Flit(FlitKind.TAIL, packet, packet.length - 1))
-    return flits
+    last = packet.length - 1
+    return [Flit(_HEAD if k == 0 else _TAIL if k == last else _BODY, packet, k)
+            for k in range(last + 1)]

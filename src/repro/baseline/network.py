@@ -34,7 +34,7 @@ class PacketMesh(Component):
     reference oracle: every cycle stepped, one :meth:`Router.step
     <repro.baseline.router.Router.step>` per router.  The default runs
     the production stepper: the activity simulator's quiet-cycle skipping
-    over the two-pass request-mask allocator of
+    over the request-mask allocator of
     :mod:`repro.baseline.stepper`, bit-identical to the oracle.
     """
 
@@ -178,9 +178,10 @@ class PacketMesh(Component):
             packet = flit.packet
             packet.corrupt = self._corruption[packet.dst].corrupt(
                 packet.src, packet.length)
-        self.routers[node].accept(P_LOCAL, vc, flit, now)
-        if self._stepper is not None:
-            self._stepper.masks[node] |= 1 << (P_LOCAL * self.cfg.n_vcs + vc)
+        router = self.routers[node]
+        router.accept(P_LOCAL, vc, flit, now)
+        if self._stepper is not None and len(router.buffers[P_LOCAL][vc]) == 1:
+            self._stepper.file(node, P_LOCAL * self.cfg.n_vcs + vc)
         self._flits_in_network += 1
         self.wake(now + 1)  # flit is visible to allocation next cycle
 
@@ -190,7 +191,7 @@ class PacketMesh(Component):
         packet = flit.packet
         if now >= self.warmup and not packet.corrupt:
             self.flits_received_measured += 1
-        if flit.seq == packet.length - 1:
+        if flit.last:
             self.packets_received += 1
             self.latency.add(now - packet.created)
             nbytes = self._payloads.pop(packet.pid, 0)
@@ -352,7 +353,7 @@ class PacketMesh(Component):
         drop = self._drop if self._faults is not None else None
         adaptive = self._adaptive_fn
         if self._stepper is not None:
-            # 2+3. Production: fused injection and two-pass allocation.
+            # 2+3. Production: fused injection and request-mask allocation.
             self._stepper.step(now, eject, drop, adaptive)
             return
         # Reference oracle (always_step=True), one object at a time.

@@ -29,17 +29,26 @@ if TYPE_CHECKING:
 def measure_points(points: list[Scenario], cache: str = "off",
                    store=None) -> list[Result]:
     """Measure a figure's points, in order, through ``run_sweep`` — the
-    one place that decides hit, run, retry and write-back.  A figure's
-    layout needs every point, so one that failed its retry raises
-    (``run_sweep`` has already named it on stderr)."""
+    one place that decides hit, run, retry and write-back.  Each
+    distinct (spec hash, seed) is measured once and every copy of it
+    gets that Result.  A figure's layout needs every point, so one that
+    failed its retry raises (``run_sweep`` has already named it on
+    stderr)."""
     from repro.scenarios import run_sweep
+    from repro.store import spec_hash
 
-    results = run_sweep(points, cache=cache, store=store)
+    keys = [(spec_hash(sc), sc.seed) for sc in points]
+    first: dict[tuple[str, int], int] = {}
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    results = run_sweep([points[i] for i in first.values()], cache=cache,
+                        store=store)
     if results.stats.errors:
         raise RuntimeError(
-            f"{results.stats.errors} of {len(points)} point(s) failed "
+            f"{results.stats.errors} of {len(first)} point(s) failed "
             f"after one retry (see stderr)")
-    return results
+    measured = dict(zip(first, results))
+    return [measured[key] for key in keys]
 
 
 #: id → description.  A figure module is imported when it is run:

@@ -47,6 +47,28 @@ class TestMeasurePoints:
         err = capsys.readouterr().err
         assert doomed.label in err and "SimulationTimeout" in err
 
+    def test_a_repeated_point_is_measured_once(self, monkeypatch):
+        """Copies of one (spec, seed) share one simulation and one
+        Result, handed back in point order."""
+        from importlib import import_module
+
+        sweep = import_module("repro.scenarios.sweep")  # not the function
+        calls = []
+
+        def counted(sc):
+            calls.append(sc)
+            return run_scenario(sc)
+
+        monkeypatch.setattr(sweep, "run_scenario", counted)
+        tiny = MeasureSpec(50, 150)
+        a = Scenario(topology=TopologySpec.baseline(1, 4, rows=2, cols=2),
+                     traffic=TrafficSpec.uniform(0.2, 1), measure=tiny)
+        b = a.with_(seed=2)
+        results = measure_points([a, b, a])
+        assert len(calls) == 2
+        assert results[0] == results[2]
+        assert results[1].seed == 2
+
     def test_analytic_runner_ignores_cache_and_store(self, tmp_path):
         root = tmp_path / "store"
         cached = run_experiment("fig2", cache="rw", store=root)

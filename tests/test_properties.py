@@ -471,17 +471,45 @@ def _assert_same(production, reference):
         assert got[key] == want[key], key
 
 
+def _assert_masks_rebuilt(mesh):
+    """The stepper's kept masks equal a rebuild from the routers'
+    buffers: its request masks ``MaskStepper._refile``'s, its occupancy
+    masks the non-empty slots."""
+    stepper = mesh._stepper
+    for node, router in enumerate(mesh.routers):
+        bufs = [buf for port in router.buffers for buf in port]
+        assert stepper.req[node] == stepper._refile(node), node
+        assert stepper.masks[node] == sum(
+            1 << slot for slot, buf in enumerate(bufs) if buf), node
+
+
+def _run_segments(pair, cycles):
+    """Run a (production, reference) pair in three segments, the masks
+    checked after each, and compare the observables at the end."""
+    third = cycles // 3
+    for part in (third, third, cycles - 2 * third):
+        for mesh in pair:
+            mesh.run(part)
+        _assert_masks_rebuilt(pair[0])
+    _assert_same(*pair)
+
+
 @budget(60)
 @given(case=mesh_cases())
 def test_mesh_production_stepper_matches_reference(case):
     """Any mesh shape, VC count, buffer depth, load and fault mix: the
-    two-pass request-mask stepper grants the reference's flit sequence —
-    same deliveries, latencies, fault report, per-router counters and
-    switch-allocation pointers."""
-    production, reference = _mesh_pair(case, case["rate"])
-    production.run(case["cycles"])
-    reference.run(case["cycles"])
-    _assert_same(production, reference)
+    request-mask stepper grants the reference's flit sequence — same
+    deliveries, latencies, fault report, per-router counters and
+    switch-allocation pointers — and its masks stay a rebuild's."""
+    _run_segments(_mesh_pair(case, case["rate"]), case["cycles"])
+
+
+def test_mesh_masks_match_rebuild_at_saturation():
+    """One fixed point that fails fast: Fig. 4's 4x4 VC=1, Buf=4
+    baseline at 1.0 flits/cycle/node, seed 1, 2 000 cycles."""
+    case = dict(cfg=dict(rows=4, cols=4, n_vcs=1, buf_depth=4), rate=1.0,
+                seed=1, faults=dict(links=[], stuck_vcs=[]))
+    _run_segments(_mesh_pair(case, case["rate"]), 2_000)
 
 
 @budget(40)
@@ -492,7 +520,7 @@ def test_mesh_production_stepper_matches_reference(case):
 def test_mesh_production_stepper_matches_reference_through_nics(
         case, transfers):
     """The same, driven through PacketNic: ``PacketMesh.inject`` must
-    keep the stepper's occupancy masks exact."""
+    keep the stepper's masks exact."""
     from repro.baseline.nic import PacketNic
 
     n = case["cfg"]["rows"] * case["cfg"]["cols"]
@@ -505,8 +533,7 @@ def test_mesh_production_stepper_matches_reference_through_nics(
             if src != dst:
                 nics[src].submit(Transfer(src=src, addr=0, nbytes=nbytes,
                                           is_read=False), dst)
-        mesh.run(case["cycles"])
-    _assert_same(*pair)
+    _run_segments(pair, case["cycles"])
 
 
 # ----------------------------------------------------------------------
