@@ -5,9 +5,8 @@ by id (see DESIGN.md §4 and §9).
 results) -> ExperimentResult``, where ``measure`` is a
 :class:`~repro.scenarios.spec.MeasureSpec`.  A simulating module also
 has ``points(measure, seed) -> list[Scenario]``: :func:`run_experiment`
-measures them, in order, with one :func:`measure_points` call and hands
-``layout`` their Results; an analytic module has no points and gets
-none.
+measures them, in order, with one ``run_sweep`` and hands ``layout``
+their Results; an analytic module has no points and gets none.
 
 ``cache`` / ``store`` are ``run_sweep``'s (``repro run --cache rw``):
 already-measured points come from the content-addressed store
@@ -23,32 +22,7 @@ from typing import TYPE_CHECKING
 from repro.eval.report import ExperimentResult
 
 if TYPE_CHECKING:
-    from repro.scenarios import MeasureSpec, Result, Scenario
-
-
-def measure_points(points: list[Scenario], cache: str = "off",
-                   store=None) -> list[Result]:
-    """Measure a figure's points, in order, through ``run_sweep`` — the
-    one place that decides hit, run, retry and write-back.  Each
-    distinct (spec hash, seed) is measured once and every copy of it
-    gets that Result.  A figure's layout needs every point, so one that
-    failed its retry raises (``run_sweep`` has already named it on
-    stderr)."""
-    from repro.scenarios import run_sweep
-    from repro.store import spec_hash
-
-    keys = [(spec_hash(sc), sc.seed) for sc in points]
-    first: dict[tuple[str, int], int] = {}
-    for i, key in enumerate(keys):
-        first.setdefault(key, i)
-    results = run_sweep([points[i] for i in first.values()], cache=cache,
-                        store=store)
-    if results.stats.errors:
-        raise RuntimeError(
-            f"{results.stats.errors} of {len(first)} point(s) failed "
-            f"after one retry (see stderr)")
-    measured = dict(zip(first, results))
-    return [measured[key] for key in keys]
+    from repro.scenarios import MeasureSpec
 
 
 #: id → description.  A figure module is imported when it is run:
@@ -75,17 +49,24 @@ def run_experiment(exp_id: str, quick: bool = False, *,
 
     ``measure`` overrides the preset; without it, ``quick`` picks
     between :meth:`MeasureSpec.quick` and :meth:`MeasureSpec.full`.
-    ``cache`` / ``store`` go to :func:`measure_points`.
+    ``cache`` / ``store`` go to ``run_sweep``.  A figure's layout needs
+    every point, so one that failed its retry raises (``run_sweep`` has
+    already named it on stderr).
     """
     if exp_id not in EXPERIMENTS:
         raise KeyError(
             f"unknown experiment {exp_id!r}; choose from {sorted(EXPERIMENTS)}")
-    if measure is None:
-        from repro.scenarios import MeasureSpec
+    from repro.scenarios import MeasureSpec, run_sweep
 
+    if measure is None:
         measure = MeasureSpec.quick() if quick else MeasureSpec.full()
     module = import_module(f"repro.eval.{exp_id}")
     points = getattr(module, "points", None)
-    results = measure_points(points(measure, seed), cache, store) \
-        if points else []
+    if points is None:
+        return module.layout(measure, [])
+    results = run_sweep(points(measure, seed), cache=cache, store=store)
+    if results.stats.errors:
+        raise RuntimeError(
+            f"{results.stats.errors} of {len(results)} point(s) failed "
+            f"after one retry (see stderr)")
     return module.layout(measure, results)

@@ -37,6 +37,26 @@ def flat_dict(spec) -> dict:
     return {name: getattr(spec, name) for name in spec.__dataclass_fields__}
 
 
+#: Scalar annotation → the types its values may have, and their name: a
+#: ``bool`` is an ``int`` and ``100.0 == 100``, yet each hashes apart.
+_SCALARS = {
+    "int": ((int,), "an int"),
+    "int | None": ((int, type(None)), "an int or None"),
+    "float": ((int, float), "a number"),
+    "float | None": ((int, float, type(None)), "a number or None"),
+    "bool": ((bool,), "a bool"),
+}
+
+
+def refuse_mistyped(spec) -> None:
+    """Refuse, by name, a scalar field's value of a type its annotation
+    does not allow (DESIGN.md §9)."""
+    for name, f in spec.__dataclass_fields__.items():
+        scalar, value = _SCALARS.get(f.type), getattr(spec, name)
+        if scalar is not None and type(value) not in scalar[0]:
+            raise TypeError(f"{name} must be {scalar[1]}, got {value!r}")
+
+
 def refuse_unread(spec, names, context: str) -> None:
     """Refuse, by name, the first of ``names`` that does not keep its
     default on ``spec``: ``context`` does not read it, so it would
@@ -63,6 +83,7 @@ class LinkFault:
     duration: int | None = None  # None = permanent
 
     def __post_init__(self) -> None:
+        refuse_mistyped(self)
         if self.src < 0 or self.dst < 0 or self.src == self.dst:
             raise ValueError(
                 f"link fault needs two distinct nodes, got "
@@ -92,6 +113,7 @@ class StuckVcFault:
     duration: int | None = None
 
     def __post_init__(self) -> None:
+        refuse_mistyped(self)
         if self.node < 0 or self.port < 0 or self.vc < 0:
             raise ValueError(
                 f"stuck-VC fault needs node/port/vc >= 0, got "
@@ -163,6 +185,7 @@ class FaultSpec:
         object.__setattr__(self, "stuck_vcs", tuple(
             sv if isinstance(sv, StuckVcFault) else StuckVcFault(**sv)
             for sv in self.stuck_vcs))
+        refuse_mistyped(self)
         if not 0.0 <= self.link_rate < 1.0:
             raise ValueError(
                 f"link_rate must be in [0, 1) faults/cycle, got "

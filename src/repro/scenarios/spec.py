@@ -24,7 +24,12 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields, replace
 
 from repro.baseline.config import PacketMeshConfig
-from repro.faults.spec import FaultSpec, flat_dict, refuse_unread
+from repro.faults.spec import (
+    FaultSpec,
+    flat_dict,
+    refuse_mistyped,
+    refuse_unread,
+)
 from repro.noc.config import NocConfig
 
 #: Default measurement windows (cycles).  "quick" shrinks these for
@@ -91,6 +96,7 @@ class TopologySpec:
     packet_flits: int = 8
 
     def __post_init__(self) -> None:
+        refuse_mistyped(self)
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}")
@@ -214,6 +220,7 @@ class TrafficSpec:
     workload: str | None = None
 
     def __post_init__(self) -> None:
+        refuse_mistyped(self)
         if self.kind not in TRAFFIC_KINDS:
             raise ValueError(
                 f"kind must be one of {TRAFFIC_KINDS}, got {self.kind!r}")
@@ -309,6 +316,7 @@ class MeasureSpec:
     max_wall_s: float | None = None
 
     def __post_init__(self) -> None:
+        refuse_mistyped(self)
         if self.fidelity not in FIDELITIES:
             raise ValueError(
                 f"fidelity must be one of {FIDELITIES}, got {self.fidelity!r}")
@@ -380,10 +388,7 @@ class Scenario:
     name: str = ""
 
     def __post_init__(self) -> None:
-        # Exactly ``int``: ``True`` would run as seed 1 under a second
-        # label and store key, ``"1"`` or ``1.5`` fail mid-simulation.
-        if type(self.seed) is not int:
-            raise TypeError(f"seed must be an int, got {self.seed!r}")
+        refuse_mistyped(self)  # the seed: ``True`` would be a second key
         backend = self.topology.backend
         if backend == "baseline":
             if self.traffic.kind != "uniform":
@@ -391,7 +396,7 @@ class Scenario:
                     f"the baseline backend only supports uniform traffic, "
                     f"got {self.traffic.kind!r}")
             # Rebuilt (and validated again) only when a value or its
-            # type differs: ``1.0`` would hash apart from ``1``.
+            # type differs: ``0`` would hash apart from ``0.0``.
             traffic = self.traffic
             if any(type(getattr(traffic, k)) is not type(v)
                    or getattr(traffic, k) != v

@@ -175,29 +175,163 @@ def _run_point(sc: Scenario) -> Result:
     return run_scenario(sc)
 
 
+def check_jobs(jobs: int) -> int:
+    """``jobs``, or ValueError if it is below 1."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    return jobs
+
+
+class SweepPlan:
+    """What a sweep must simulate, decided once for every caller.
+
+    Building the plan keys each point (``StoreKey``: spec hash, seed,
+    code fingerprint), maps every copy to the first index with its key,
+    reads the store once per distinct key and calls ``on_point`` with
+    the hits in index order.  :meth:`run` simulates the distinct misses
+    and hands each copy its first index's Result and status.
+    ``run_sweep`` is the two back to back; the scenario service builds
+    the plan in the request thread and runs it on its worker.
+    """
+
+    def __init__(self, points: list[Scenario], *, cache: str = "off",
+                 store=None,
+                 on_point: Callable[[ProgressEvent], None] | None = None):
+        from repro.store import (
+            ResultStore,
+            StoreKey,
+            check_cache_mode,
+            code_fingerprint,
+            spec_hash,
+        )
+
+        check_cache_mode(cache)
+        if cache == "off" and store is not None:
+            raise ValueError("store given but cache='off'; pass cache='rw' "
+                             "or 'ro' to use it")
+        self.points = points
+        self.cache = cache
+        self.store = ResultStore.coerce(store) if cache != "off" else None
+        self.results: list[Result | None] = [None] * len(points)
+        self.done = 0
+        fingerprint = code_fingerprint()
+        copies: dict[StoreKey, list[int]] = {}
+        for i, sc in enumerate(points):
+            copies.setdefault(StoreKey(spec_hash(sc), sc.seed, fingerprint),
+                              []).append(i)
+        #: The distinct misses, as the indices of each key's copies.
+        self.pending: list[list[int]] = []
+        for key, indices in copies.items():
+            hit = self.store.load(key) if self.store is not None else None
+            if hit is None:
+                self.pending.append(indices)
+            for i in indices:
+                self.results[i] = hit
+        for i, hit in enumerate(self.results):
+            if hit is not None:
+                self._finish(on_point, (i,), hit, "hit")
+        self.hits = self.done
+
+    def _finish(self, on_point, indices, result: Result | None,
+                status: str) -> None:
+        """Give ``indices`` their Result, write a fresh one back once
+        (``cache="rw"``), then send one event per index."""
+        if status == "run" and self.cache == "rw":
+            self.store.put(self.points[indices[0]], result)
+        for i in indices:
+            self.results[i] = result
+            self.done += 1
+            if on_point is not None:
+                on_point(ProgressEvent(
+                    index=i, done=self.done, total=len(self.points),
+                    status=status, scenario=self.points[i], result=result))
+
+    def _first_tries(self, jobs: int):
+        """Each distinct miss's Result, in order, or ``None`` where it
+        raised — serially, or one pool task each."""
+        points = [self.points[indices[0]] for indices in self.pending]
+        if jobs == 1 or len(points) <= 1:
+            for sc in points:
+                try:
+                    yield run_scenario(sc)
+                except Exception:
+                    yield None
+            return
+        # Imported here: a serial sweep loads no multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+        from importlib import import_module
+
+        for backend in {sc.topology.backend for sc in points}:
+            import_module(FABRICS[backend])
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            for future in [pool.submit(_run_point, sc) for sc in points]:
+                try:
+                    yield future.result()
+                except Exception:
+                    # Includes BrokenProcessPool: a dead worker fails
+                    # every in-flight future, and all their points land
+                    # in the serial retry.
+                    yield None
+
+    def run(self, jobs: int = 1,
+            on_point: Callable[[ProgressEvent], None] | None = None,
+            ) -> SweepResults:
+        """Simulate each distinct miss once (serially, or over a pool of
+        ``jobs`` workers), retry a failure once in this process, and
+        return every point's Result in index order (``jobs`` checked by
+        the caller, :func:`check_jobs`)."""
+        points = self.points
+        first_try_failures: list[list[int]] = []
+        for indices, result in zip(self.pending, self._first_tries(jobs)):
+            if result is None:
+                first_try_failures.append(indices)
+            else:
+                self._finish(on_point, indices, result, "run")
+        failed: list[tuple[int, Exception]] = []
+        for indices in first_try_failures:
+            # In-process, so worker-environment flakiness is out of the loop.
+            try:
+                result = run_scenario(points[indices[0]])
+            except Exception as exc:
+                failed.extend((i, exc) for i in indices)
+                self._finish(on_point, indices, None, "error")
+                continue
+            self._finish(on_point, indices, result, "run")
+        stats = SweepStats(total=len(points), hits=self.hits,
+                           misses=len(points) - self.hits - len(failed),
+                           errors=len(failed))
+        if failed:
+            print(f"run_sweep: {len(failed)}/{len(points)} point(s) failed "
+                  f"after one retry ({stats.summary()}):", file=sys.stderr)
+            for i, exc in failed:
+                print(f"  [{i}] {points[i].label}{_fault_axes(points[i])}: "
+                      f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return SweepResults(self.results, stats)
+
+
 def run_sweep(points: Sweep | list[Scenario], *, jobs: int = 1,
               out: str | Path | None = None,
               cache: str = "off", store=None,
               on_point: Callable[[ProgressEvent], None] | None = None,
               ) -> SweepResults:
-    """Run every point; return results in point order.
+    """Run every point; return results in point order (a
+    :class:`SweepPlan`, built and run).
 
-    ``jobs > 1`` fans points out over a process pool, one task per
-    point.  Each Scenario is self-contained (its own seed), so parallel
-    results are bit-identical to serial.  With ``out`` set,
-    scenario+result artifacts are written there (``results.json``,
-    ``results.csv``).
+    ``jobs > 1`` fans the distinct points out over a process pool, one
+    task each.  Each Scenario is self-contained (its own seed), so
+    parallel results are bit-identical to serial; copies of one point
+    (same spec hash and seed) are simulated once and share its Result
+    and status.  With ``out`` set, scenario+result artifacts are
+    written there (``results.json``, ``results.csv``).
 
     ``cache="rw"`` consults a :class:`~repro.store.ResultStore`
     (``store`` — a ResultStore, a root path, or None for the default
     store) before simulating: hits skip simulation entirely, misses run
     and are written back, so growing a grid re-runs only the delta and
     resubmitting an identical sweep simulates nothing.  ``"ro"`` serves
-    hits but never writes.  Cached results are the bit-identical
-    Results the simulation would have produced, and artifact order is
-    index order either way, so cached artifacts are byte-identical to
-    fresh ones.  ``cache="off"`` (the default) is exactly the uncached
-    behavior.
+    hits but never writes; ``"off"`` (the default) uses no store.
+    Cached Results are bit-identical to fresh ones, so cached
+    artifacts are byte-identical too.
 
     ``on_point`` is called once per *finalized* point (cache hit, fresh
     result, or post-retry failure) with a :class:`ProgressEvent`; the
@@ -213,92 +347,12 @@ def run_sweep(points: Sweep | list[Scenario], *, jobs: int = 1,
     """
     if isinstance(points, Sweep):
         points = points.points()
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    from repro.store import ResultStore, check_cache_mode
-
-    check_cache_mode(cache)
-    if cache == "off" and store is not None:
-        raise ValueError("store given but cache='off'; pass cache='rw' "
-                         "or 'ro' to use it")
-    results: list[Result | None] = [None] * len(points)
-    done = 0
-
-    def _emit(i: int, status: str) -> None:
-        nonlocal done
-        done += 1
-        if on_point is not None:
-            on_point(ProgressEvent(index=i, done=done, total=len(points),
-                                   status=status, scenario=points[i],
-                                   result=results[i]))
-
-    hits = 0
-    if cache == "off":
-        pending = list(range(len(points)))
-    else:
-        store = ResultStore.coerce(store)
-        pending = []
-        for i, sc in enumerate(points):
-            hit = store.get(sc)
-            if hit is not None:
-                results[i] = hit
-                hits += 1
-                _emit(i, "hit")
-            else:
-                pending.append(i)
-    first_try_failures: list[int] = []
-    if jobs == 1 or len(pending) <= 1:
-        for i in pending:
-            try:
-                results[i] = run_scenario(points[i])
-                _emit(i, "run")
-            except Exception:
-                first_try_failures.append(i)
-    else:
-        # Imported here: a serial sweep loads no multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
-        from importlib import import_module
-
-        for backend in {points[i].topology.backend for i in pending}:
-            import_module(FABRICS[backend])
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_point, points[i]) for i in pending]
-            for i, future in zip(pending, futures):
-                try:
-                    results[i] = future.result()
-                except Exception:
-                    # Includes BrokenProcessPool: a dead worker fails
-                    # every in-flight future, and all their points land
-                    # in the serial retry below.
-                    first_try_failures.append(i)
-                    continue
-                _emit(i, "run")
-    failed: list[tuple[int, Exception]] = []
-    for i in first_try_failures:
-        # In-process, so worker-environment flakiness is out of the loop.
-        try:
-            results[i] = run_scenario(points[i])
-            _emit(i, "run")
-        except Exception as exc:
-            failed.append((i, exc))
-            _emit(i, "error")
-    if cache == "rw":
-        for i in pending:
-            if results[i] is not None:
-                store.put(points[i], results[i])
-    stats = SweepStats(
-        total=len(points), hits=hits,
-        misses=sum(1 for i in pending if results[i] is not None),
-        errors=len(failed))
-    if failed:
-        print(f"run_sweep: {len(failed)}/{len(points)} point(s) failed "
-              f"after one retry ({stats.summary()}):", file=sys.stderr)
-        for i, exc in failed:
-            print(f"  [{i}] {points[i].label}{_fault_axes(points[i])}: "
-                  f"{type(exc).__name__}: {exc}", file=sys.stderr)
+    check_jobs(jobs)
+    results = SweepPlan(points, cache=cache, store=store,
+                        on_point=on_point).run(jobs, on_point)
     if out is not None:
         save_artifacts(points, results, out)
-    return SweepResults(results, stats)
+    return results
 
 
 def _fault_axes(sc: Scenario) -> str:

@@ -1,15 +1,16 @@
 """Async sweep jobs for the scenario service (DESIGN.md §12).
 
-A :class:`JobManager` answers what the result store already holds in
-the thread that submits a job, and queues only the rest: one daemon
-worker thread drains a FIFO of miss sets through
-:func:`~repro.scenarios.sweep.run_sweep` — so misses land on the
-existing process-pool execution path (``jobs`` workers, retry
-hardening, store write-back) and the HTTP layer stays a thin,
-non-blocking front end.  Every finalized point appends one progress
-event, stored as the NDJSON line the server streams back.  A finished
-job keeps its ``/results`` body, encoded once and compressed, and drops
-its Scenarios and Results (DESIGN.md §12 "What a finished job keeps").
+A :class:`JobManager` builds each job's
+:class:`~repro.scenarios.sweep.SweepPlan` in the thread that submits
+it, so what the result store already holds is answered there, and
+queues the plan only if something is left to simulate: one daemon
+worker thread runs the queued plans in FIFO order — on the existing
+process-pool execution path (``jobs`` workers, retry hardening, store
+write-back) — and the HTTP layer stays a thin, non-blocking front end.
+Every finalized point appends one progress event, stored as the NDJSON
+line the server streams back.  A finished job keeps its ``/results``
+body, encoded once and compressed, and drops its Scenarios and Results
+(DESIGN.md §12 "What a finished job keeps").
 """
 
 from __future__ import annotations
@@ -22,32 +23,24 @@ from collections import deque
 
 from repro.scenarios.result import paired_payload
 from repro.scenarios.spec import Scenario
-from repro.scenarios.sweep import ProgressEvent, run_sweep
+from repro.scenarios.sweep import ProgressEvent, SweepPlan, check_jobs
 from repro.store import ResultStore, check_cache_mode
 
 #: Lifecycle of a job.  queued → running → done | failed, or done at
-#: submit when the store holds every point.  "failed" means run_sweep
+#: submit when the store holds every point.  "failed" means the sweep
 #: itself raised (bad spec interactions, broken store root); individual
 #: point failures leave the job "done" with a non-zero ``errors``
 #: counter and ``None`` results.
 JOB_STATUSES = ("queued", "running", "done", "failed")
 
 
-def _check_jobs(jobs: int) -> int:
-    """``jobs``, or ValueError if it is below 1 (as ``run_sweep``)."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    return jobs
-
-
 def _line(event: dict) -> str:
     return json.dumps(event) + "\n"
 
 
-def _point_line(index: int, done: int, total: int, status: str,
-                scenario: Scenario) -> str:
-    return _line({"index": index, "done": done, "total": total,
-                  "status": status, "label": scenario.label})
+def _point_line(ev: ProgressEvent) -> str:
+    return _line({"index": ev.index, "done": ev.done, "total": ev.total,
+                  "status": ev.status, "label": ev.scenario.label})
 
 
 def _encode(points: list[Scenario], results: list) -> bytes:
@@ -57,28 +50,20 @@ def _encode(points: list[Scenario], results: list) -> bytes:
 
 
 class Job:
-    """One submitted sweep and everything observable about it.
-
-    ``work`` is what the worker takes when it starts the job: the
-    points and their submit-time results (a store hit, or ``None`` at
-    each miss); ``None`` once taken, and for a job finished at submit.
-    From then on the job is its counters, its progress ``lines`` and
-    ``body`` — the zlib-compressed ``/results`` bytes (``None`` unless
-    ``done``)."""
+    """One submitted sweep and everything observable about it: its
+    counters, its progress ``lines`` and ``body`` — the
+    zlib-compressed ``/results`` bytes (``None`` unless ``done``).
+    Every hit is known at submit, its event already in ``lines``; the
+    worker's events follow them."""
 
     def __init__(self, job_id: str, total: int, hit_lines: list[str], *,
                  jobs: int, cache: str):
         self.id = job_id
-        self.work: tuple[list[Scenario], list] | None = None
         self.total = total
         self.jobs = jobs
         self.cache = cache
         self.status = "queued"
-        #: Points the store answered at submit, their events already in
-        #: ``lines``; the worker's events follow them.
-        self.submit_hits = len(hit_lines)
-        self.done = self.submit_hits
-        self.hits = self.submit_hits
+        self.done = self.hits = len(hit_lines)
         self.misses = 0
         self.errors = 0
         self.lines: list[str] = hit_lines
@@ -98,33 +83,32 @@ class Job:
                 "errors": self.errors, "jobs": self.jobs,
                 "cache": self.cache, "error": self.error}
 
-    def finish(self, body: bytes, *, hits: int, misses: int,
-               errors: int) -> None:
+    def finish(self, body: bytes) -> None:
         """Publish ``done`` (caller holds the manager lock): body,
-        counters, status and end line land together, so a client that
-        has seen ``end`` gets a 200."""
+        status and end line land together, so a client that has seen
+        ``end`` gets a 200.  Every point has sent its event by now, so
+        the counters are final."""
         self.body = body
-        self.done = self.total
-        self.hits, self.misses, self.errors = hits, misses, errors
         self.status = "done"
         self.lines.append(_line({"event": "end", "status": "done",
-                                 "hits": hits, "misses": misses,
-                                 "errors": errors, "total": self.total}))
+                                 "hits": self.hits, "misses": self.misses,
+                                 "errors": self.errors,
+                                 "total": self.total}))
 
 
 class JobManager:
-    """Store hits answered at submit + a FIFO of misses drained by one
-    worker thread over ``run_sweep``."""
+    """Sweep plans built at submit + a FIFO of the ones with misses,
+    run by one worker thread."""
 
     def __init__(self, store=None, *, cache: str = "rw", jobs: int = 1):
         check_cache_mode(cache)
         self.cache = cache
         self.store = (ResultStore.coerce(store)
                       if cache != "off" else None)
-        self.jobs = _check_jobs(jobs)
+        self.jobs = check_jobs(jobs)
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
-        self._queue: deque[Job] = deque()
+        self._queue: deque[tuple[Job, SweepPlan]] = deque()
         self._by_id: dict[str, Job] = {}
         self._ids = itertools.count(1)
         self._shutdown = False
@@ -135,12 +119,12 @@ class JobManager:
     # -- client surface ------------------------------------------------
     def submit(self, points: list[Scenario], *, jobs: int | None = None,
                cache: str | None = None) -> Job:
-        """Answer a sweep's store hits in the calling thread and queue
-        only its misses; returns the Job — already ``done`` when the
-        store held every point."""
+        """Plan a sweep in the calling thread — its store hits are
+        answered here — and queue the plan if it has misses; returns
+        the Job, already ``done`` when the store held every point."""
         if not points:
             raise ValueError("a job needs at least one scenario point")
-        jobs = _check_jobs(self.jobs if jobs is None else jobs)
+        jobs = check_jobs(self.jobs if jobs is None else jobs)
         cache = self.cache if cache is None else cache
         check_cache_mode(cache)
         if cache != "off" and self.store is None:
@@ -150,30 +134,21 @@ class JobManager:
         # The reads, and an all-hit job's encode, run outside the lock.
         # ``put`` replaces an entry atomically, so a read racing the
         # worker's write-back sees the old entry, the new one or a miss.
-        results = ([self.store.get(sc) for sc in points] if cache != "off"
-                   else [None] * len(points))
-        hit_lines = []
-        for i, hit in enumerate(results):
-            if hit is not None:
-                hit_lines.append(_point_line(i, len(hit_lines) + 1,
-                                             len(points), "hit", points[i]))
-        body = (_encode(points, results) if len(hit_lines) == len(points)
-                else None)
+        hit_lines: list[str] = []
+        plan = SweepPlan(points, cache=cache,
+                         store=self.store if cache != "off" else None,
+                         on_point=lambda ev: hit_lines.append(_point_line(ev)))
+        body = _encode(points, plan.results) if not plan.pending else None
         with self._wake:
             job = Job(f"j{next(self._ids)}", len(points), hit_lines,
                       jobs=jobs, cache=cache)
             self._by_id[job.id] = job
             if body is not None:  # never queued
-                job.finish(body, hits=job.total, misses=0, errors=0)
+                job.finish(body)
             else:
-                job.work = points, results
-                self._queue.append(job)
+                self._queue.append((job, plan))
                 self._wake.notify()
         return job
-
-    def get(self, job_id: str) -> Job | None:
-        with self._lock:
-            return self._by_id.get(job_id)
 
     def snapshots(self) -> list[dict]:
         with self._lock:
@@ -213,56 +188,42 @@ class JobManager:
 
     # -- worker --------------------------------------------------------
     def _loop(self) -> None:
+        """Run queued plans in FIFO order.  One frame holds a job's plan
+        and drops it, with its Scenarios and Results, before the job is
+        published ``done``."""
         while True:
             with self._wake:
                 while not self._queue and not self._shutdown:
                     self._wake.wait()
                 if self._shutdown and not self._queue:
                     return
-                job = self._queue.popleft()
+                job, plan = self._queue.popleft()
                 job.status = "running"
-            self._run(job)
 
-    def _run(self, job: Job) -> None:
-        """Run ``job``'s misses — the ``None`` slots of its results —
-        and finish it; its events and counters follow the hits
-        answered at submit."""
-        (points, results), job.work = job.work, None
-        pending = [i for i, result in enumerate(results) if result is None]
-        first = job.submit_hits
+            def on_point(ev: ProgressEvent) -> None:
+                line = _point_line(ev)
+                with self._lock:
+                    job.done = ev.done
+                    if ev.status == "error":
+                        job.errors += 1
+                    else:
+                        job.misses += 1
+                    job.lines.append(line)
 
-        def on_point(ev: ProgressEvent) -> None:
-            line = _point_line(pending[ev.index], first + ev.done,
-                               job.total, ev.status, ev.scenario)
+            try:
+                results = plan.run(job.jobs, on_point)
+            except Exception as exc:
+                del plan
+                with self._lock:
+                    job.error = f"{type(exc).__name__}: {exc}"
+                    job.status = "failed"
+                    job.lines.append(_line({"event": "end",
+                                            "status": "failed",
+                                            "error": job.error}))
+                continue
+            # Encoded once, outside the lock; the job stays "running",
+            # with no end line, until ``finish`` publishes it whole.
+            body = _encode(plan.points, results)
+            del plan, results  # a done job keeps none of them alive
             with self._lock:
-                job.done = first + ev.done
-                if ev.status == "hit":
-                    job.hits += 1
-                elif ev.status == "error":
-                    job.errors += 1
-                else:
-                    job.misses += 1
-                job.lines.append(line)
-
-        try:
-            fresh = run_sweep(
-                [points[i] for i in pending], jobs=job.jobs, cache=job.cache,
-                store=self.store if job.cache != "off" else None,
-                on_point=on_point)
-        except Exception as exc:
-            with self._lock:
-                job.error = f"{type(exc).__name__}: {exc}"
-                job.status = "failed"
-                job.lines.append(_line({"event": "end", "status": "failed",
-                                        "error": job.error}))
-            return
-        for i, result in zip(pending, fresh):
-            results[i] = result
-        # Encoded once, outside the lock; the job stays "running", with
-        # no end line, until ``finish`` publishes it whole.
-        body = _encode(points, results)
-        stats = fresh.stats
-        del points, results, fresh  # a done job keeps none of them alive
-        with self._lock:
-            job.finish(body, hits=first + stats.hits, misses=stats.misses,
-                       errors=stats.errors)
+                job.finish(body)

@@ -154,7 +154,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
             return self._error(400, f"bad submission: {exc}")
         # The status at acceptance, not a read of ``job.status``: the
         # worker may already have taken a queued job (``GET /jobs/<id>``).
-        status = "done" if job.submit_hits == job.total else "queued"
+        # A job's hits are all counted at submit.
+        status = "done" if job.hits == job.total else "queued"
         return self._json(202, {"job": job.id, "points": job.total,
                                 "status": status})
 

@@ -128,9 +128,6 @@ class ResultStore:
         return StoreKey(spec_hash=spec_hash(scenario), seed=scenario.seed,
                         code_fingerprint=code_fingerprint())
 
-    def path_for(self, scenario: Scenario) -> Path:
-        return self.root / self.key_for(scenario).relpath
-
     # -- lookup / insert ----------------------------------------------
     def get(self, scenario: Scenario) -> Result | None:
         """The stored Result for this point, or ``None`` on a miss.
@@ -139,14 +136,19 @@ class ResultStore:
         JSON, wrong schema, key mismatch — is a miss; the store never
         turns a bad cache entry into a crash.
         """
-        digest, seed = spec_hash(scenario), scenario.seed
+        return self.load(self.key_for(scenario))
+
+    def load(self, key: StoreKey) -> Result | None:
+        """:meth:`get` for a point already keyed (``SweepPlan`` keys
+        each point once)."""
         try:
             with open(os.path.join(self.root, _relpath(
-                    code_fingerprint(), digest, seed)), "rb") as f:
+                    key.code_fingerprint, key.spec_hash, key.seed)),
+                    "rb") as f:
                 data = json.loads(f.read())
             if (data.get("format") != STORE_FORMAT
-                    or data.get("spec_hash") != digest
-                    or data.get("seed") != seed):
+                    or data.get("spec_hash") != key.spec_hash
+                    or data.get("seed") != key.seed):
                 return None
             result = data["result"]
             return Result.from_dict(result) if result is not None else None

@@ -177,8 +177,13 @@ class TestSweep:
         ({"axes": {"name": "ab"}}, "name"),
         ({"axes": {"traffic.load": "0.5"}}, "traffic.load"),
         ({"axes": {"seeds": 3}}, "seeds"),
+        ({"measure": {"window": True}}, "window"),
+        ({"measure": {"window": 100.0}}, "window"),
+        ({"topology": {"rows": 2.0}}, "rows"),
+        ({"traffic": {"load": True}}, "load"),
     ], ids=["axes-int", "seed-str", "seed-float", "seed-bool", "axis-str",
-            "axis-load-str", "axis-int"])
+            "axis-load-str", "axis-int", "window-bool", "window-float",
+            "rows-float", "load-bool"])
     def test_a_mistyped_axes_or_seed_exits_2_naming_it(
             self, tmp_path, capsys, spec, field):
         """Refused at load, as any bad spec: no traceback, no point
@@ -210,6 +215,36 @@ class TestSweep:
         assert cli.main(["sweep", str(spec), "--cache", "rw",
                          "--store", store]) == 0
         assert "2 hit(s), 0 miss(es), 0 error(s)" in capsys.readouterr().out
+
+    def test_a_copied_point_runs_once_and_reports_twice(
+            self, tmp_path, capsys, monkeypatch):
+        """``seeds: [1, 1]`` is one point twice: one simulation, two
+        equal Results, two progress lines."""
+        import importlib
+
+        sweep_mod = importlib.import_module("repro.scenarios.sweep")
+        real, calls = sweep_mod.run_scenario, []
+
+        def counted(sc):
+            calls.append(sc)
+            return real(sc)
+
+        monkeypatch.setattr(sweep_mod, "run_scenario", counted)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "base": {"topology": {"backend": "baseline", "rows": 2,
+                                  "cols": 2},
+                     "traffic": {"load": 0.2, "max_burst_bytes": 1},
+                     "measure": {"warmup": 50, "window": 150}},
+            "axes": {"seeds": [1, 1]}}))
+        out_dir = tmp_path / "out"
+        assert cli.main(["sweep", str(spec), "--progress",
+                         "--out", str(out_dir)]) == 0
+        assert len(calls) == 1
+        first, second = json.loads((out_dir / "results.json").read_text())
+        assert first == second and first["result"] is not None
+        err = capsys.readouterr().err
+        assert "[1/2] run" in err and "[2/2] run" in err
 
     def test_progress_flag_prints_per_point_lines(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

@@ -1,12 +1,11 @@
-"""Tests for the evaluation harness: registry, measure_points, reports."""
+"""Tests for the evaluation harness: registry, measuring a figure's
+points, reports."""
+
+from importlib import import_module
 
 import pytest
 
-from repro.eval.experiments import (
-    EXPERIMENTS,
-    measure_points,
-    run_experiment,
-)
+from repro.eval.experiments import EXPERIMENTS, run_experiment
 from repro.eval.report import ExperimentResult, render_text, save_csv
 from repro.scenarios import (
     MeasureSpec,
@@ -35,39 +34,20 @@ class TestRegistry:
 
 
 class TestMeasurePoints:
-    def test_a_failed_point_raises_and_is_named(self, capsys):
+    def test_a_failed_point_raises_and_is_named(self, capsys,
+                                                monkeypatch):
         """A figure's layout needs every point: the doomed one (watchdog
         trips at its first check, cycle 2048) is reported by run_sweep
         and then raised, not laid out as a hole."""
         ok = Scenario(traffic=TrafficSpec.uniform(0.5, 1000),
                       measure=MeasureSpec(300, 2500))
         doomed = ok.with_(measure=MeasureSpec(300, 2500, max_wall_s=1e-9))
+        monkeypatch.setattr(import_module("repro.eval.table2"), "points",
+                            lambda measure, seed: [doomed, ok])
         with pytest.raises(RuntimeError, match="1 of 2 point"):
-            measure_points([doomed, ok])
+            run_experiment("table2")
         err = capsys.readouterr().err
         assert doomed.label in err and "SimulationTimeout" in err
-
-    def test_a_repeated_point_is_measured_once(self, monkeypatch):
-        """Copies of one (spec, seed) share one simulation and one
-        Result, handed back in point order."""
-        from importlib import import_module
-
-        sweep = import_module("repro.scenarios.sweep")  # not the function
-        calls = []
-
-        def counted(sc):
-            calls.append(sc)
-            return run_scenario(sc)
-
-        monkeypatch.setattr(sweep, "run_scenario", counted)
-        tiny = MeasureSpec(50, 150)
-        a = Scenario(topology=TopologySpec.baseline(1, 4, rows=2, cols=2),
-                     traffic=TrafficSpec.uniform(0.2, 1), measure=tiny)
-        b = a.with_(seed=2)
-        results = measure_points([a, b, a])
-        assert len(calls) == 2
-        assert results[0] == results[2]
-        assert results[1].seed == 2
 
     def test_analytic_runner_ignores_cache_and_store(self, tmp_path):
         root = tmp_path / "store"

@@ -186,22 +186,60 @@ class TestMeasureSpec:
             MeasureSpec.coerce(True)
 
 
+class TestSpecTypes:
+    """A scalar field takes exactly its annotated type (``float`` also
+    an int): a bool or a float where an int belongs would run under a
+    second spec hash, or as a different point (DESIGN.md §9)."""
+
+    @pytest.mark.parametrize("head, field, value", [
+        ("measure", "window", True),
+        ("measure", "window", 100.0),
+        ("measure", "warmup", 25.5),
+        ("topology", "rows", 2.0),
+        ("topology", "hop_latency", True),
+        ("topology", "full_connectivity", 1),
+        ("traffic", "max_burst_bytes", 1000.0),
+        ("traffic", "load", True),
+        ("traffic", "load", "0.5"),
+        ("faults", "txn_timeout", 900.0),
+        ("faults", "link_duration", True),
+        ("faults", "response_faults", 0),
+        (None, "seed", True),
+    ])
+    def test_a_mistyped_field_is_refused_by_name(self, head, field, value):
+        data = {field: value} if head is None else {head: {field: value}}
+        with pytest.raises(TypeError, match=f"^{field} must be "):
+            Scenario.from_dict(data)
+
+    def test_ints_in_float_fields_and_none_where_allowed_pass(self):
+        sc = Scenario.from_dict({
+            "topology": {"freq_hz": 1000000000},
+            "traffic": {"load": 1, "read_fraction": 0},
+            "measure": {"warmup": None, "window": 900, "max_wall_s": 5},
+            "faults": {"corrupt_rate": 0, "txn_timeout": None}})
+        assert sc.traffic.load == 1 and sc.measure.window == 900
+
+
 class TestScenarioValidation:
     def test_canonical_baseline_traffic_is_kept(self):
         """A baseline point whose burst fields already hold Fig. 4's
         values keeps its TrafficSpec; any other value or type of them
-        is canonicalised (``1.0`` would hash apart from ``1``)."""
+        is canonicalised (``0`` would hash apart from ``0.0``).  A
+        ``1.0`` burst cap never gets that far: the TrafficSpec refuses
+        it."""
         from repro.store import spec_hash
 
         t = TrafficSpec.uniform(0.2, 1)
         sc = Scenario(topology=TopologySpec.baseline(), traffic=t)
         assert sc.traffic is t
         for burst in ({"max_burst_bytes": 64}, {"read_fraction": 0.5},
-                      {"max_burst_bytes": 1.0}, {"read_fraction": 0}):
+                      {"read_fraction": 0}):
             other = Scenario(topology=TopologySpec.baseline(),
                              traffic=dataclasses.replace(t, **burst))
             assert other.traffic == t
             assert spec_hash(other) == spec_hash(sc)
+        with pytest.raises(TypeError, match="max_burst_bytes must be an int"):
+            dataclasses.replace(t, max_burst_bytes=1.0)
 
     def test_baseline_rejects_synthetic(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ resubmission hits."""
 import dataclasses
 import gc
 import http.client
+import importlib
 import json
 import socket
 import sys
@@ -19,7 +20,13 @@ from urllib.parse import urlparse
 import pytest
 
 import repro.service.jobs as jobs_mod
-from repro.scenarios import MeasureSpec, Result, Scenario, TrafficSpec
+from repro.scenarios import (
+    MeasureSpec,
+    Result,
+    Scenario,
+    TrafficSpec,
+    run_scenario,
+)
 from repro.scenarios.result import paired_payload
 from repro.scenarios.sweep import points_from_data, run_sweep
 from repro.service import JobManager, ScenarioServer, make_server
@@ -36,19 +43,19 @@ SWEEP_SPEC = {
 POLL_DEADLINE_S = 120.0
 
 
-def hold_run_sweep(monkeypatch, then=None):
-    """Hold the job worker inside ``run_sweep`` until ``release`` is
-    set, then call ``then`` (the real ``run_sweep`` by default).
+def hold_plan_run(monkeypatch, then=None):
+    """Hold the job worker inside ``SweepPlan.run`` until ``release``
+    is set, then call ``then`` (the real ``run`` by default).
     Returns ``(entered, release)``; ``entered`` is set once held."""
     entered, release = threading.Event(), threading.Event()
-    then = then or jobs_mod.run_sweep
+    then = then or jobs_mod.SweepPlan.run
 
-    def held_run_sweep(*args, **kwargs):
+    def held_run(*args, **kwargs):
         entered.set()
         assert release.wait(timeout=POLL_DEADLINE_S)
         return then(*args, **kwargs)
 
-    monkeypatch.setattr(jobs_mod, "run_sweep", held_run_sweep)
+    monkeypatch.setattr(jobs_mod.SweepPlan, "run", held_run)
     return entered, release
 
 
@@ -114,7 +121,7 @@ class TestJobManager:
         a, b = self.point(0.1), self.point(0.5)
         run_sweep([a], cache="rw", store=manager.store)
         expected = direct_bytes([b, a])
-        entered, release = hold_run_sweep(monkeypatch)
+        entered, release = hold_plan_run(monkeypatch)
         try:
             job = manager.submit([b, a])
             assert entered.wait(timeout=POLL_DEADLINE_S)
@@ -254,17 +261,17 @@ class TestJobManager:
     def test_a_finished_job_keeps_no_scenario_and_no_result(
             self, manager, monkeypatch):
         """A done job holds its body, not the objects it was made from:
-        every submitted Scenario and every Result ``run_sweep`` returned
-        is collected."""
+        every submitted Scenario and every Result ``SweepPlan.run``
+        returned is collected."""
         returned = []
-        real_run_sweep = jobs_mod.run_sweep
+        real_run = jobs_mod.SweepPlan.run
 
-        def recording_run_sweep(*args, **kwargs):
-            results = real_run_sweep(*args, **kwargs)
+        def recording_run(*args, **kwargs):
+            results = real_run(*args, **kwargs)
             returned.extend(weakref.ref(r) for r in results)
             return results
 
-        monkeypatch.setattr(jobs_mod, "run_sweep", recording_run_sweep)
+        monkeypatch.setattr(jobs_mod.SweepPlan, "run", recording_run)
         points = [self.point(0.1), self.point(0.5)]
         submitted = [weakref.ref(sc) for sc in points]
         job = manager.submit(points)
@@ -298,6 +305,48 @@ class TestJobManager:
             assert snap["status"] == "done" and snap["misses"] == 1
         finally:
             mgr.shutdown()
+
+    def test_a_job_reads_each_distinct_point_once(self, manager,
+                                                   monkeypatch):
+        """The store holds one of three points: the job opens three
+        entries — at submit — and none again for its two misses."""
+        import repro.store.store as store_mod
+
+        points = [self.point(load) for load in (0.1, 0.3, 0.5)]
+        run_sweep(points[1:2], cache="rw", store=manager.store)
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(store_mod, "open", counting_open, raising=False)
+        job = manager.submit(points)
+        snap = wait_finished(lambda: manager.snapshot(job.id))
+        assert (snap["hits"], snap["misses"]) == (1, 2)
+        assert len(opened) == 3
+
+    def test_a_copied_point_is_simulated_once_and_served_twice(
+            self, manager, monkeypatch):
+        sweep_mod = importlib.import_module("repro.scenarios.sweep")
+        calls = []
+
+        def counted(sc):
+            calls.append(sc)
+            return run_scenario(sc)
+
+        monkeypatch.setattr(sweep_mod, "run_scenario", counted)
+        a, b = self.point(0.1), self.point(0.5)
+        job = manager.submit([a, b, a])
+        snap = wait_finished(lambda: manager.snapshot(job.id))
+        assert snap["misses"] == 3 and len(calls) == 2
+        payload = json.loads(manager.results_payload(job.id))
+        assert payload[0] == payload[2] != payload[1]
+        events = [json.loads(line)
+                  for line in manager.events_since(job.id, 0)[0]]
+        assert sorted(e["index"] for e in events[:-1]) == [0, 1, 2]
+        assert [e["done"] for e in events[:-1]] == [1, 2, 3]
+        assert events[-1]["misses"] == 3
 
 
 class TestHttpService:
@@ -414,8 +463,12 @@ class TestHttpService:
         ({"axes": {"name": "ab"}}, "name"),
         ({"axes": {"traffic.load": "0.5"}}, "traffic.load"),
         ({"axes": {"seeds": 3}}, "seeds"),
+        ({"measure": {"warmup": 25.5}}, "warmup"),
+        ({"axes": {"measure.window": [100, 100.0]}}, "window"),
+        ({"traffic": {"max_burst_bytes": 1000.0}}, "max_burst_bytes"),
     ], ids=["axes-int", "seed-str", "seed-float", "seed-bool",
-            "seed-axis-bool", "axis-str", "axis-load-str", "axis-int"])
+            "seed-axis-bool", "axis-str", "axis-load-str", "axis-int",
+            "warmup-float", "window-axis-float", "burst-float"])
     def test_a_mistyped_axes_or_seed_is_refused_by_name(
             self, service, body, field):
         """400 naming the field, not a dropped connection (``axes``) or
@@ -599,9 +652,9 @@ class TestHttpService:
 
     def test_results_before_completion_is_409(self, tmp_path, monkeypatch):
         """``/results`` of a job that is not done is 409, then 200 once
-        it is.  The worker is held inside ``run_sweep`` on an event, so
-        the job is provably running when ``/results`` is asked."""
-        entered, release = hold_run_sweep(monkeypatch)
+        it is.  The worker is held inside ``SweepPlan.run`` on an event,
+        so the job is provably running when ``/results`` is asked."""
+        entered, release = hold_plan_run(monkeypatch)
         server = make_server("127.0.0.1", 0, store=tmp_path / "s",
                              cache="rw", jobs=1)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -629,14 +682,14 @@ class TestHttpService:
 
     def test_a_hit_job_does_not_wait_behind_a_running_job(
             self, service, tmp_path, monkeypatch):
-        """With the worker held inside ``run_sweep`` on a miss job, a
-        grid the store holds is answered in its POST: 202 ``done``, its
+        """With the worker held inside ``SweepPlan.run`` on a miss job,
+        a grid the store holds is answered in its POST: 202 ``done``, its
         end line, every point a hit, and ``/results`` the bytes a
         direct sweep encodes — all before the worker is released."""
         run_sweep(points_from_data(SWEEP_SPEC), cache="rw",
                   store=tmp_path / "store")
         expected = direct_bytes(points_from_data(SWEEP_SPEC))
-        entered, release = hold_run_sweep(monkeypatch)
+        entered, release = hold_plan_run(monkeypatch)
         try:
             blocker = self.submit(service, payload={
                 **SWEEP_SPEC, "axes": {"traffic.load": [0.5]}})
@@ -663,12 +716,12 @@ class TestHttpService:
             release.set()
 
     def test_a_failed_job_names_its_failure(self, tmp_path, monkeypatch):
-        """``/results`` of a job whose ``run_sweep`` raised is a 409
+        """``/results`` of a job whose ``SweepPlan.run`` raised is a 409
         that carries the job's error, not "no results yet"."""
-        def failing_run_sweep(*args, **kwargs):
+        def failing_run(*args, **kwargs):
             raise RuntimeError("store root vanished")
 
-        entered, release = hold_run_sweep(monkeypatch, failing_run_sweep)
+        entered, release = hold_plan_run(monkeypatch, failing_run)
         server = make_server("127.0.0.1", 0, store=tmp_path / "s",
                              cache="rw", jobs=1)
         thread = threading.Thread(target=server.serve_forever, daemon=True)

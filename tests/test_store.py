@@ -107,11 +107,11 @@ class TestKeys:
             "7e3a2f7a420def1275faef4f548a168bca9fd703bab9ec51b7fa2af1b0cc2aca")
 
     def test_key_separates_seeds_and_code_versions(self, store, monkeypatch):
-        a = store.path_for(fast_point(seed=1))
-        b = store.path_for(fast_point(seed=2))
+        a = store.key_for(fast_point(seed=1)).relpath
+        b = store.key_for(fast_point(seed=2)).relpath
         assert a != b
         monkeypatch.setenv("REPRO_CODE_FINGERPRINT", "test:other")
-        assert store.path_for(fast_point(seed=1)) != a
+        assert store.key_for(fast_point(seed=1)).relpath != a
 
     def test_provenance_matches_key(self, store):
         sc = fast_point()
@@ -226,7 +226,7 @@ class TestEntryFormatCompatibility:
         data = json.loads(self.GOLDEN.read_text())
         monkeypatch.setenv("REPRO_CODE_FINGERPRINT", data["code_fingerprint"])
         sc = Scenario.from_dict(data["scenario"])
-        path = store.path_for(sc)
+        path = store.root / store.key_for(sc).relpath
         path.parent.mkdir(parents=True)
         shutil.copyfile(self.GOLDEN, path)
         assert store.get(sc) == Result.from_dict(data["result"])
@@ -423,6 +423,84 @@ class TestSweepCache:
                   on_point=again.append)
         assert {e.status for e in again} == {"hit"}
         assert all(e.result is not None for e in again)
+
+
+class TestCopies:
+    """Copies of one (spec hash, seed) in a sweep are simulated once,
+    read from the store once and written back once; each gets the
+    Result and status of the first."""
+
+    @staticmethod
+    def tiny(load=0.2, seed=1) -> Scenario:
+        return Scenario(topology=TopologySpec.baseline(1, 4, rows=2, cols=2),
+                        traffic=TrafficSpec.uniform(load, 1),
+                        measure=MeasureSpec(50, 150), seed=seed)
+
+    def test_a_repeated_point_is_measured_once(self, monkeypatch):
+        """Copies of one (spec, seed) share one simulation and one
+        Result, handed back in point order."""
+        calls = []
+
+        def counted(sc):
+            calls.append(sc)
+            return run_scenario(sc)
+
+        monkeypatch.setattr(sweep_mod, "run_scenario", counted)
+        a = self.tiny()
+        b = a.with_(seed=2)
+        results = run_sweep([a, b, a])
+        assert len(calls) == 2
+        assert results[0] == results[2]
+        assert results[1].seed == 2
+
+    def test_a_copy_is_read_and_written_back_once(self, store, monkeypatch):
+        a, b = self.tiny(), self.tiny(seed=2)
+        reads, puts = [], []
+        real_load, real_put = store.load, store.put
+        monkeypatch.setattr(store, "load",
+                            lambda key: reads.append(key) or real_load(key))
+        monkeypatch.setattr(store, "put", lambda sc, result: puts.append(
+            sc) or real_put(sc, result))
+        cold = run_sweep([a, b, a, a], cache="rw", store=store)
+        assert (len(reads), len(puts)) == (2, 2)
+        assert cold.stats == SweepStats(total=4, misses=4)
+        warm = run_sweep([b, a, b], cache="rw", store=store)
+        assert (len(reads), len(puts)) == (4, 2)
+        assert warm.stats == SweepStats(total=3, hits=3)
+        assert list(warm) == [cold[1], cold[0], cold[1]]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("order, stored", [
+        ([0, 1, 0, 2, 1, 0], [1]),
+        ([2, 2, 2], []),
+        ([3, 0, 3, 1, 2, 0], [0, 2]),
+        ([1, 1, 0, 0], [0, 1]),
+    ], ids=["three-copies", "one-point", "half-stored", "all-stored"])
+    def test_copies_against_a_partly_filled_store(self, store, jobs, order,
+                                                  stored):
+        """Per index, the Result ``run_scenario`` gives that point; one
+        event per index with ``done`` counting 1..n, the store's points
+        as hits first, in index order."""
+        distinct = [self.tiny(load, seed)
+                    for load, seed in ((0.2, 1), (0.4, 1), (0.2, 2),
+                                       (0.6, 3))]
+        run_sweep([distinct[k] for k in stored], cache="rw", store=store)
+        points = [distinct[k] for k in order]
+        events = []
+        results = run_sweep(points, jobs=jobs, cache="rw", store=store,
+                            on_point=events.append)
+        assert list(results) == [run_scenario(sc) for sc in points]
+        hits = [i for i, k in enumerate(order) if k in stored]
+        assert results.stats == SweepStats(
+            total=len(points), hits=len(hits),
+            misses=len(points) - len(hits))
+        assert [e.done for e in events] == list(range(1, len(points) + 1))
+        assert sorted(e.index for e in events) == list(range(len(points)))
+        assert [e.index for e in events[:len(hits)]] == hits
+        assert all(e.status == "hit" for e in events[:len(hits)])
+        assert all(e.status == "run" for e in events[len(hits):])
+        assert all(e.result is results[e.index] for e in events)
+        assert store.stats()["entries"] == len(set(order) | set(stored))
 
 
 class TestNoEnvironmentSideChannel:
