@@ -4,9 +4,11 @@
 Starts the HTTP service in-process on an ephemeral port, submits
 ``examples/sweep_quick.json`` twice, and asserts the second submission
 is served entirely from the content-addressed result store — already
-done when its POST is answered — and that every ``/results`` fetch of
-either job returns the same bytes — the "millions of users" workflow
-of DESIGN.md §12 in one script:
+done when its POST is answered.  Then another process wipes the store
+(``repro cache gc --wipe``), and a third submission must simulate
+every point again: the live service never serves an entry the disk
+lost.  Every ``/results`` fetch of every job returns the same bytes —
+the "millions of users" workflow of DESIGN.md §12 in one script:
 
     PYTHONPATH=src python examples/service_smoke.py [store-dir]
 
@@ -15,12 +17,15 @@ verify`` over the store it leaves behind.
 """
 
 import json
+import os
+import subprocess
 import sys
 import threading
 import time
 import urllib.request
 from pathlib import Path
 
+import repro
 from repro.service import make_server
 
 SPEC_PATH = Path(__file__).parent / "sweep_quick.json"
@@ -73,6 +78,14 @@ def progress_lines(base: str, job: str) -> list[dict]:
         return [json.loads(line) for line in r.read().splitlines()]
 
 
+def wipe(store: str) -> None:
+    """``repro cache gc --wipe`` on the store, from another process."""
+    src = Path(repro.__file__).resolve().parents[1]
+    subprocess.run([sys.executable, "-m", "repro", "cache", "gc", "--wipe",
+                    "--store", store], check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})
+
+
 def main() -> int:
     store = sys.argv[1] if len(sys.argv) > 1 else "service-smoke-store"
     server = make_server("127.0.0.1", 0, store=store, cache="rw", jobs=1)
@@ -80,18 +93,18 @@ def main() -> int:
     host, port = server.server_address[:2]
     base = f"http://{host}:{port}"
     print(f"scenario service on {base} (store={store})")
-    body = SPEC_PATH.read_bytes()
+    spec = SPEC_PATH.read_bytes()
     try:
         assert get(base, "/healthz")["ok"] is True
 
-        first = wait(base, submit(base, body)["job"])
+        first = wait(base, submit(base, spec)["job"])
         assert first["misses"] == first["total"], first
         lines = progress_lines(base, first["job"])
         assert lines[-1]["event"] == "end" and lines[-1]["status"] == "done"
         print(f"{first['job']}: {first['misses']} miss(es), "
               f"{len(lines) - 1} progress event(s)")
 
-        accepted = submit(base, body)
+        accepted = submit(base, spec)
         assert accepted["status"] == "done", accepted
         lines = progress_lines(base, accepted["job"])
         assert [e.get("status") for e in lines[:-1]] == (
@@ -109,6 +122,13 @@ def main() -> int:
             r = entry["result"]
             assert r["throughput_gib_s"] > 0
             assert r["provenance"]["code_fingerprint"]
+
+        wipe(store)
+        third = wait(base, submit(base, spec)["job"])
+        assert third["misses"] == third["total"], third
+        assert results_body(base, third) == body, "body after a wipe differs"
+        print(f"{third['job']}: {third['misses']}/{third['total']} "
+              f"simulated again after another process wiped the store")
         stats = get(base, "/store/stats")
         print(f"store: {stats['entries']} entr(ies), {stats['bytes']} bytes")
     finally:

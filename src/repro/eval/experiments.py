@@ -68,5 +68,5 @@ def run_experiment(exp_id: str, quick: bool = False, *,
     if results.stats.errors:
         raise RuntimeError(
             f"{results.stats.errors} of {len(results)} point(s) failed "
-            f"after one retry (see stderr)")
+            f"(see stderr)")
     return module.layout(measure, results)

@@ -124,7 +124,7 @@ class SweepStats:
 
     ``hits`` were served from the result store without simulating,
     ``misses`` were freshly simulated (including points that succeeded
-    on the serial retry), ``errors`` failed even the retry and are
+    on the retry of a pool failure), ``errors`` failed and are
     ``None`` in the results.  ``hits + misses + errors == total``.
     """
 
@@ -154,10 +154,10 @@ class ProgressEvent:
     """One finalized sweep point, delivered to ``run_sweep(on_point=)``.
 
     ``status`` is ``"hit"`` (served from the store), ``"run"`` (freshly
-    simulated), or ``"error"`` (failed after the retry; ``result`` is
-    None).  ``done`` counts finalized points so far — monotonic, ending
-    at ``total`` — which is all a ``done/total`` progress display (CLI
-    ``--progress``, the service's NDJSON stream) needs.
+    simulated), or ``"error"`` (failed; ``result`` is None).  ``done``
+    counts finalized points so far — monotonic, ending at ``total`` —
+    which is all a ``done/total`` progress display (CLI ``--progress``,
+    the service's NDJSON stream) needs.
     """
 
     index: int
@@ -173,6 +173,14 @@ def _run_point(sc: Scenario) -> Result:
     the worker, so a test can patch the module attribute with a closure
     (which could not be pickled as the task itself)."""
     return run_scenario(sc)
+
+
+def _attempt(sc: Scenario) -> Result | Exception:
+    """``run_scenario(sc)`` in this process, or the exception it raised."""
+    try:
+        return run_scenario(sc)
+    except Exception as exc:
+        return exc
 
 
 def check_jobs(jobs: int) -> int:
@@ -247,15 +255,11 @@ class SweepPlan:
                     status=status, scenario=self.points[i], result=result))
 
     def _first_tries(self, jobs: int):
-        """Each distinct miss's Result, in order, or ``None`` where it
-        raised — serially, or one pool task each."""
+        """Each distinct miss's Result, in order, or the exception it
+        raised — serially (``jobs == 1``), or one pool task each."""
         points = [self.points[indices[0]] for indices in self.pending]
-        if jobs == 1 or len(points) <= 1:
-            for sc in points:
-                try:
-                    yield run_scenario(sc)
-                except Exception:
-                    yield None
+        if jobs == 1:
+            yield from map(_attempt, points)
             return
         # Imported here: a serial sweep loads no multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
@@ -267,42 +271,49 @@ class SweepPlan:
             for future in [pool.submit(_run_point, sc) for sc in points]:
                 try:
                     yield future.result()
-                except Exception:
+                except Exception as exc:
                     # Includes BrokenProcessPool: a dead worker fails
                     # every in-flight future, and all their points land
-                    # in the serial retry.
-                    yield None
+                    # in the retry.
+                    yield exc
 
     def run(self, jobs: int = 1,
             on_point: Callable[[ProgressEvent], None] | None = None,
             ) -> SweepResults:
         """Simulate each distinct miss once (serially, or over a pool of
-        ``jobs`` workers), retry a failure once in this process, and
-        return every point's Result in index order (``jobs`` checked by
-        the caller, :func:`check_jobs`)."""
+        ``jobs`` workers), retry a pool worker's failure once in this
+        process, and return every point's Result in index order
+        (``jobs`` checked by the caller, :func:`check_jobs`).  A point
+        that failed in this process is not retried: it would fail the
+        same way, and a tripped ``max_wall_s`` would cost twice."""
         points = self.points
-        first_try_failures: list[list[int]] = []
-        for indices, result in zip(self.pending, self._first_tries(jobs)):
-            if result is None:
-                first_try_failures.append(indices)
-            else:
-                self._finish(on_point, indices, result, "run")
+        pooled = jobs > 1 and len(self.pending) > 1
         failed: list[tuple[int, Exception]] = []
-        for indices in first_try_failures:
-            # In-process, so worker-environment flakiness is out of the loop.
-            try:
-                result = run_scenario(points[indices[0]])
-            except Exception as exc:
-                failed.extend((i, exc) for i in indices)
+
+        def settle(indices, outcome):
+            if isinstance(outcome, Exception):
+                failed.extend((i, outcome) for i in indices)
                 self._finish(on_point, indices, None, "error")
-                continue
-            self._finish(on_point, indices, result, "run")
+            else:
+                self._finish(on_point, indices, outcome, "run")
+
+        retries = []
+        for indices, outcome in zip(self.pending,
+                                    self._first_tries(jobs if pooled else 1)):
+            if pooled and isinstance(outcome, Exception):
+                retries.append(indices)
+            else:
+                settle(indices, outcome)
+        for indices in retries:
+            # In-process, so worker-environment flakiness is out of the loop.
+            settle(indices, _attempt(points[indices[0]]))
         stats = SweepStats(total=len(points), hits=self.hits,
                            misses=len(points) - self.hits - len(failed),
                            errors=len(failed))
         if failed:
+            how = "after one retry" if pooled else "serially, not retried"
             print(f"run_sweep: {len(failed)}/{len(points)} point(s) failed "
-                  f"after one retry ({stats.summary()}):", file=sys.stderr)
+                  f"{how} ({stats.summary()}):", file=sys.stderr)
             for i, exc in failed:
                 print(f"  [{i}] {points[i].label}{_fault_axes(points[i])}: "
                       f"{type(exc).__name__}: {exc}", file=sys.stderr)
@@ -334,16 +345,18 @@ def run_sweep(points: Sweep | list[Scenario], *, jobs: int = 1,
     artifacts are byte-identical too.
 
     ``on_point`` is called once per *finalized* point (cache hit, fresh
-    result, or post-retry failure) with a :class:`ProgressEvent`; the
-    CLI ``--progress`` flag and the scenario service's progress stream
-    are both this hook.  The returned list carries the accounting as
+    result, or failure) with a :class:`ProgressEvent`; the CLI
+    ``--progress`` flag and the scenario service's progress stream are
+    both this hook.  The returned list carries the accounting as
     ``.stats`` (:class:`SweepStats`).
 
-    One bad point does not sink the sweep: a point that raises — or a
-    worker that dies, which breaks the whole pool — is retried once,
-    serially, in the parent.  Points that fail the retry too are
-    reported on stderr and returned as ``None`` (artifacts keep them as
-    JSON ``null`` so indices stay aligned with the scenarios).
+    One bad point does not sink the sweep: a point that raises in a
+    pool worker — or a worker that dies, which breaks the whole pool —
+    is retried once, serially, in the parent; a point that raises in
+    the parent (``jobs=1``, or one point to simulate) is not retried.
+    Points that fail are reported on stderr and returned as ``None``
+    (artifacts keep them as JSON ``null`` so indices stay aligned with
+    the scenarios).
     """
     if isinstance(points, Sweep):
         points = points.points()

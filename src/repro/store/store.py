@@ -18,6 +18,9 @@ Guarantees:
 * **Bit-identical replay** — an entry stores ``Result.to_dict()``
   verbatim, so a cache hit reconstructs a Result equal to (and
   re-serializing byte-identical to) the freshly computed one.
+* **A repeated hit is one ``stat``** — the process keeps each entry it
+  has read with the identity of the file it parsed; while the file
+  keeps that identity, a later read returns the same Result unopened.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ import json
 import os
 import re
 import tempfile
+import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,6 +42,20 @@ from repro.store.fingerprint import code_fingerprint
 #: Bumped on any incompatible entry-layout change; older entries are
 #: treated as misses (and reclaimed by ``gc``).
 STORE_FORMAT = 1
+
+#: How many entries the per-process table of read entries keeps; the
+#: oldest read is dropped first.
+HIT_TABLE_SIZE = 4096
+
+#: A file changed less than this before its read is read again next
+#: time instead of kept: a same-size rewrite within one timestamp tick
+#: (filesystem clocks lag by up to a scheduler tick, 10 ms at 100 Hz)
+#: would keep the identity it was read under.
+SETTLED_NS = 50_000_000
+
+#: Entry path -> (identity of the file parsed, its Result).
+_read: dict[str, tuple[tuple, Result]] = {}
+_read_lock = threading.Lock()
 
 #: ``run_sweep``/CLI cache modes: no caching at all, read-only (hits
 #: are served, misses are not written back), read-write.
@@ -72,6 +91,22 @@ def provenance_for(scenario: Scenario) -> dict:
     enough to attribute it to (spec, seed, code version)."""
     return {"spec_hash": spec_hash(scenario), "seed": scenario.seed,
             "code_fingerprint": code_fingerprint()}
+
+
+def _identity(st: os.stat_result) -> tuple:
+    """What changes whenever a file's bytes may have: a new inode
+    (``put``'s ``os.replace``), a new size, or new timestamps."""
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns,
+            st.st_ctime_ns)
+
+
+def _keep(path: str, identity: tuple, result: Result) -> None:
+    """Record one parsed entry, dropping the oldest beyond the bound."""
+    with _read_lock:
+        _read.pop(path, None)
+        _read[path] = (identity, result)
+        while len(_read) > HIT_TABLE_SIZE:
+            del _read[next(iter(_read))]
 
 
 def _safe_dirname(fingerprint: str) -> str:
@@ -140,20 +175,33 @@ class ResultStore:
 
     def load(self, key: StoreKey) -> Result | None:
         """:meth:`get` for a point already keyed (``SweepPlan`` keys
-        each point once)."""
+        each point once).  A path this process has read before costs
+        one ``os.stat`` while its file is unchanged."""
+        path = os.path.join(self.root, _relpath(
+            key.code_fingerprint, key.spec_hash, key.seed))
+        seen = _read.get(path)
+        if seen is not None:
+            try:
+                if _identity(os.stat(path)) == seen[0]:
+                    return seen[1]
+            except OSError:
+                return None
+        started = time.time_ns()
         try:
-            with open(os.path.join(self.root, _relpath(
-                    key.code_fingerprint, key.spec_hash, key.seed)),
-                    "rb") as f:
+            with open(path, "rb") as f:
                 data = json.loads(f.read())
+                st = os.fstat(f.fileno())
             if (data.get("format") != STORE_FORMAT
                     or data.get("spec_hash") != key.spec_hash
-                    or data.get("seed") != key.seed):
+                    or data.get("seed") != key.seed
+                    or data["result"] is None):
                 return None
-            result = data["result"]
-            return Result.from_dict(result) if result is not None else None
+            result = Result.from_dict(data["result"])
         except Exception:
             return None
+        if max(st.st_mtime_ns, st.st_ctime_ns) < started - SETTLED_NS:
+            _keep(path, _identity(st), result)
+        return result
 
     def put(self, scenario: Scenario, result: Result) -> Path:
         """Store one point's Result; atomic against concurrent readers

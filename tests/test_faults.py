@@ -646,17 +646,28 @@ class TestHardenedSweep:
         base = _uniform_scenario(measure=MeasureSpec(warmup=200, window=600))
         return sweep(base, seeds=list(range(1, n + 1))).points()
 
-    def test_failing_point_reported_not_raised(self, capsys):
-        """A point that raises (timeout) twice becomes None + a stderr
-        report; the other points still complete."""
+    def test_failing_point_reported_not_raised(self, capsys, monkeypatch):
+        """A point that raises (timeout) in a serial sweep becomes None +
+        a stderr report after its one try — it would fail the same way
+        again, so its ``max_wall_s`` is paid once; the other points
+        still complete."""
         points = self._points()
         points[1] = points[1].with_(
             measure=MeasureSpec(warmup=1000, window=50_000_000,
                                 max_wall_s=0.1))
+        real, calls = sweep_mod.run_scenario, []
+
+        def counted(sc):
+            calls.append(sc)
+            return real(sc)
+
+        monkeypatch.setattr(sweep_mod, "run_scenario", counted)
         results = run_sweep(points, jobs=1)
         assert results[0] is not None and results[2] is not None
         assert results[1] is None
-        assert "failed after one retry" in capsys.readouterr().err
+        assert calls == points
+        assert ("1/3 point(s) failed serially, not retried"
+                in capsys.readouterr().err)
 
     def test_worker_crash_recovered_by_serial_retry(self, monkeypatch):
         """A worker process dying hard (BrokenProcessPool) must not sink

@@ -507,6 +507,26 @@ class TestPooledSweep:
         assert all(r is not None for i, r in enumerate(results) if i != 1)
         assert "failed after one retry" in capsys.readouterr().err
 
+    def test_a_lone_miss_runs_here_and_is_not_retried(self, capsys,
+                                                      monkeypatch):
+        """One point to simulate runs in this process even at
+        ``jobs=2``, so its failure is final after one try."""
+        from test_faults import sweep_mod
+
+        point = self._sweep().points()[0].with_(
+            measure=MeasureSpec(warmup=1000, window=50_000_000,
+                                max_wall_s=0.1))
+        real, calls = sweep_mod.run_scenario, []
+
+        def counted(sc):
+            calls.append(sc)
+            return real(sc)
+
+        monkeypatch.setattr(sweep_mod, "run_scenario", counted)
+        assert run_sweep([point, point], jobs=2) == [None, None]
+        assert calls == [point]
+        assert "2/2 point(s) failed serially" in capsys.readouterr().err
+
     def test_worker_crash_recovers_every_point(self, monkeypatch):
         """A worker dying mid-point (BrokenProcessPool) fails every
         in-flight future, not the sweep: every point recovers via the

@@ -308,23 +308,24 @@ class TestJobManager:
 
     def test_a_job_reads_each_distinct_point_once(self, manager,
                                                    monkeypatch):
-        """The store holds one of three points: the job opens three
+        """The store holds one of three points: the job looks up three
         entries — at submit — and none again for its two misses."""
-        import repro.store.store as store_mod
+        from repro.store import ResultStore
 
         points = [self.point(load) for load in (0.1, 0.3, 0.5)]
         run_sweep(points[1:2], cache="rw", store=manager.store)
-        opened = []
+        looked_up = []
+        real_load = ResultStore.load
 
-        def counting_open(path, *args, **kwargs):
-            opened.append(path)
-            return open(path, *args, **kwargs)
+        def counting_load(store, key):
+            looked_up.append(key)
+            return real_load(store, key)
 
-        monkeypatch.setattr(store_mod, "open", counting_open, raising=False)
+        monkeypatch.setattr(ResultStore, "load", counting_load)
         job = manager.submit(points)
         snap = wait_finished(lambda: manager.snapshot(job.id))
         assert (snap["hits"], snap["misses"]) == (1, 2)
-        assert len(opened) == 3
+        assert len(looked_up) == len(set(looked_up)) == 3
 
     def test_a_copied_point_is_simulated_once_and_served_twice(
             self, manager, monkeypatch):

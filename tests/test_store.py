@@ -1,20 +1,28 @@
 """Tests for the content-addressed result store (DESIGN.md §12):
-keys and fingerprints, atomic put/corruption-tolerant get, maintenance
-ops, and the run_sweep cache integration (incremental sweeps, hit/miss
-accounting, byte-identical cached artifacts)."""
+keys and fingerprints, atomic put/corruption-tolerant get, the table of
+entries a process has read, maintenance ops, and the run_sweep cache
+integration (incremental sweeps, hit/miss accounting, byte-identical
+cached artifacts)."""
 
+import dataclasses
 import importlib
 import json
+import os
 import shutil
+import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
+import repro
+
 # The package re-exports the sweep() *function* under the submodule's
 # name, so attribute import would grab the function; go via importlib.
 sweep_mod = importlib.import_module("repro.scenarios.sweep")
+store_mod = importlib.import_module("repro.store.store")
 from repro.faults import FaultSpec, LinkFault, StuckVcFault
 from repro.scenarios import (
     MeasureSpec,
@@ -46,6 +54,56 @@ def fast_point(load=0.5, seed=1, **kwargs) -> Scenario:
 @pytest.fixture
 def store(tmp_path):
     return ResultStore(tmp_path / "store")
+
+
+#: Ways an entry file goes bad; each must read as a miss.
+MANGLERS = {
+    "empty": lambda text: "",
+    "truncated": lambda text: text[:len(text) // 2],
+    "garbage": lambda text: "not json at all {{{",
+    "wrong-shape": lambda text: "[1, 2, 3]",
+    "wrong-format": lambda text: json.dumps({"format": 999}),
+    # Same size as the entry: only its timestamps say it changed.
+    "missing-result": lambda text: text.replace('"result"', '"resalt"'),
+}
+
+
+def readers_race_a_rewrite(store, sc, result, readers: int) -> None:
+    """One thread re-puts ``sc`` 200 times while each reader gets it 200
+    times, under a 10 µs switch interval: no thread raises, and every
+    read is ``result`` — never a miss or a torn file."""
+    reads: list[list] = [[] for _ in range(readers)]
+    raised = []
+
+    def rewrite():
+        for _ in range(200):
+            store.put(sc, result)
+
+    def reader(out):
+        return lambda: out.extend(store.get(sc) for _ in range(200))
+
+    def guarded(body):
+        def run():
+            try:
+                body()
+            except BaseException as exc:
+                raised.append(exc)
+        return threading.Thread(target=run)
+
+    threads = [guarded(rewrite)] + [guarded(reader(out)) for out in reads]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert raised == []
+    assert [len(out) for out in reads] == [200] * readers
+    assert all(r == result for out in reads for r in out)
 
 
 class TestFingerprint:
@@ -159,38 +217,7 @@ class TestGetPut:
         sc = fast_point()
         result = run_scenario(sc)
         store.put(sc, result)
-        reads: list[list] = [[], []]
-        raised = []
-
-        def guarded(body):
-            def run():
-                try:
-                    body()
-                except BaseException as exc:
-                    raised.append(exc)
-            return threading.Thread(target=run)
-
-        def rewrite():
-            for _ in range(200):
-                store.put(sc, result)
-
-        def reader(out):
-            return lambda: out.extend(store.get(sc) for _ in range(200))
-
-        threads = [guarded(rewrite)] + [guarded(reader(out)) for out in reads]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert raised == []
-        assert [len(out) for out in reads] == [200, 200]
-        assert all(r == result for out in reads for r in out)
+        readers_race_a_rewrite(store, sc, result, readers=2)
         assert not list(store.root.rglob(".tmp-*"))
 
 
@@ -260,15 +287,7 @@ class TestEntryFormatCompatibility:
 class TestCorruptionTolerance:
     """A bad cache file is a miss, never a crash."""
 
-    @pytest.mark.parametrize("mangle", [
-        lambda text: "",                          # empty file
-        lambda text: text[:len(text) // 2],       # truncated JSON
-        lambda text: "not json at all {{{",       # garbage
-        lambda text: "[1, 2, 3]",                 # wrong shape
-        lambda text: json.dumps({"format": 999}),  # wrong format version
-        lambda text: text.replace('"result"', '"resalt"'),  # missing key
-    ], ids=["empty", "truncated", "garbage", "wrong-shape",
-            "wrong-format", "missing-result"])
+    @pytest.mark.parametrize("mangle", MANGLERS.values(), ids=MANGLERS)
     def test_bad_cache_file_is_a_miss(self, store, mangle):
         sc = fast_point()
         path = store.put(sc, run_scenario(sc))
@@ -282,6 +301,117 @@ class TestCorruptionTolerance:
         path.write_text("garbage")
         store.put(sc, result)
         assert store.get(sc) == result
+
+
+def settle() -> None:
+    """Let the last write age past ``SETTLED_NS``: a read keeps it."""
+    time.sleep(2 * store_mod.SETTLED_NS / 1e9)
+
+
+def in_another_process(*argv: str) -> None:
+    """``python *argv`` in a fresh interpreter; it must exit 0."""
+    src = Path(repro.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+
+
+#: ``put`` one (scenario, result) pair, given as JSON, into a store.
+PUT = """
+import json, sys
+from repro.scenarios import Result, Scenario
+from repro.store import ResultStore
+sc, result = json.loads(sys.argv[2])
+ResultStore(sys.argv[1]).put(Scenario.from_dict(sc), Result.from_dict(result))
+"""
+
+
+class TestReadTable:
+    """A repeated hit costs one ``stat`` (DESIGN.md §12 "What one hit
+    costs"): the process keeps each entry it read while the file keeps
+    the identity it had, and any change to the file is read again."""
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        paths = []
+
+        def counting_open(path, *args, **kwargs):
+            paths.append(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(store_mod, "open", counting_open, raising=False)
+        return paths
+
+    @pytest.fixture
+    def entry(self, store):
+        """A stored point, settled and read once: its Result is kept."""
+        sc = fast_point()
+        result = run_scenario(sc)
+        path = store.put(sc, result)
+        settle()
+        assert store.get(sc) == result
+        assert store_mod._read[str(path)][1] == result
+        return sc, result, path
+
+    def test_a_second_load_of_an_unchanged_entry_opens_no_file(
+            self, store, entry, opened):
+        sc, result, _ = entry
+        first = store.get(sc)
+        assert first == result
+        assert store.get(sc) is first
+        assert opened == []
+
+    def test_a_file_changed_just_before_its_read_is_not_kept(
+            self, store, opened, monkeypatch):
+        monkeypatch.setattr(store_mod, "SETTLED_NS", 10 ** 18)
+        sc = fast_point()
+        path = store.put(sc, run_scenario(sc))
+        assert store.get(sc) == store.get(sc) is not None
+        assert opened == [str(path)] * 2
+        assert str(path) not in store_mod._read
+
+    @pytest.mark.parametrize("mangle", MANGLERS.values(), ids=MANGLERS)
+    def test_a_file_mangled_after_a_hit_is_a_miss(self, store, entry,
+                                                  mangle):
+        sc, _, path = entry
+        path.write_text(mangle(path.read_text()))
+        assert store.get(sc) is None
+
+    def test_a_put_after_a_hit_is_read(self, store, entry):
+        sc, result, _ = entry
+        other = dataclasses.replace(result, throughput_gib_s=1.5)
+        store.put(sc, other)
+        assert store.get(sc) == other
+
+    def test_another_process_wiping_or_putting_is_seen(self, store, entry):
+        sc, result, path = entry
+        in_another_process("-m", "repro", "cache", "gc", "--wipe",
+                           "--store", str(store.root))
+        assert not path.exists()
+        assert store.get(sc) is None
+        in_another_process("-c", PUT, str(store.root), json.dumps(
+            [sc.to_dict(), result.to_dict()]))
+        assert store.get(sc) == result
+
+    def test_eight_readers_racing_a_rewrite_never_miss(self, store, entry,
+                                                       monkeypatch):
+        """Every put writes the same bytes, so here a fresh file may be
+        kept too: reads hit the table, re-read and re-keep at once."""
+        sc, result, _ = entry
+        monkeypatch.setattr(store_mod, "SETTLED_NS", 0)
+        readers_race_a_rewrite(store, sc, result, readers=8)
+
+    def test_the_table_never_exceeds_its_bound(self, store, monkeypatch):
+        monkeypatch.setattr(store_mod, "HIT_TABLE_SIZE", 3)
+        result = run_scenario(fast_point())
+        points = [fast_point(seed=seed) for seed in range(1, 6)]
+        paths = [str(store.put(sc, result)) for sc in points]
+        settle()
+        for sc in points:
+            assert store.get(sc) == result
+            assert len(store_mod._read) <= 3
+        assert list(store_mod._read) == paths[2:]
 
 
 class TestMaintenance:
