@@ -43,6 +43,9 @@ from repro.sim.stats import CounterSet
 
 #: Egress sentinel for "no route: terminate with DECERR".
 ERROR_PORT = -1
+#: Error responses one ingress may owe per direction before a further
+#: request is terminated.
+ERR_DEPTH = 4
 
 
 RouteFn = Callable[[AddrBeat, int], int | None]
@@ -161,7 +164,7 @@ class AxiCrossbar(Component):
     def __init__(self, name: str, n_in: int, n_out: int, route: RouteFn, *,
                  id_width: int, connectivity: Iterable[tuple[int, int]] | None = None,
                  w_order_depth: int = 8, max_outstanding: int | None = None,
-                 err_depth: int = 4, counters: CounterSet | None = None):
+                 counters: CounterSet | None = None):
         if n_in < 1 or n_out < 1:
             raise ValueError(f"crossbar needs >=1 port per side, got {n_in}x{n_out}")
         self.name = name
@@ -170,7 +173,6 @@ class AxiCrossbar(Component):
         self.route = route
         self.w_order_depth = w_order_depth
         self.max_outstanding = max_outstanding
-        self.err_depth = err_depth
         self.counters = counters if counters is not None else CounterSet()
 
         self.in_links: list[AxiLink | None] = [None] * n_in
@@ -673,7 +675,7 @@ class AxiCrossbar(Component):
         dest = d.dest[i].get(beat.id)
         if dest is not None and dest[0] != ERROR_PORT:
             return  # same-ID ordering across destinations
-        if len(d.err[i]) >= self.err_depth:
+        if len(d.err[i]) >= ERR_DEPTH:
             return
         resp = Resp.DECERR if j == ERROR_PORT else Resp.SLVERR
         d.src[i].pop(now)

@@ -7,6 +7,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: Noxim's flit width and packet length in Fig. 4: 4-byte flits,
+#: 8-flit packets (one header flit).
+FLIT_BYTES = 4
+PACKET_FLITS = 8
+
 
 @dataclass(frozen=True)
 class PacketMeshConfig:
@@ -16,15 +21,7 @@ class PacketMeshConfig:
     cols: int = 4
     n_vcs: int = 1
     buf_depth: int = 4
-    flit_bytes: int = 4
-    packet_flits: int = 8
     freq_hz: float = 1e9
-
-    def __post_init__(self) -> None:
-        if self.flit_bytes < 1:
-            raise ValueError("flit_bytes must be >= 1")
-        if self.packet_flits < 1:
-            raise ValueError("packet_flits must be >= 1")
 
     @property
     def n_nodes(self) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from repro.baseline.config import PacketMeshConfig
+from repro.baseline.config import FLIT_BYTES, PACKET_FLITS, PacketMeshConfig
 from repro.baseline.flit import Flit, Packet, make_flits
 from repro.baseline.router import P_E, P_LOCAL, P_N, P_S, P_W, Router
 from repro.faults.runtime import (CorruptionModel, DeadLinks, FaultStats,
@@ -57,7 +57,7 @@ class PacketMesh(Component):
         self.injection_rate = injection_rate
         self._rngs = spawn_rngs(seed, cfg.n_nodes)
         self._next_arrival = [
-            rng.exponential(cfg.packet_flits / injection_rate)
+            rng.exponential(PACKET_FLITS / injection_rate)
             if injection_rate > 0 else float("inf")
             for rng in self._rngs
         ]
@@ -89,7 +89,6 @@ class PacketMesh(Component):
         self._recovery: Recovery | None = None
         self._timeline: FaultTimeline | None = None
         self._dead_links: DeadLinks | None = None
-        self._dead_ports: dict[int, set[int]] = {}
         #: One corruption model per destination node (corrupt_rate > 0).
         self._corruption: list[CorruptionModel] | None = None
         self.packets_dropped = 0
@@ -216,7 +215,7 @@ class PacketMesh(Component):
     # is one component; the AXI side has faults.controller).
     # ------------------------------------------------------------------
     def _apply_fault_events(self, events) -> None:
-        touched: set[tuple[int, int]] = set()
+        links = []
         for event in events:
             kind = event[0]
             if kind == "vc":
@@ -229,25 +228,16 @@ class PacketMesh(Component):
                 self._stuck_entries.get(node, {}).pop(fid, None)
                 self._refresh_stuck(node)
             else:
-                touched.add(self._dead_links.apply(event))
-        for key in sorted(touched):
-            self._refresh_fault_port(key)
+                links.append(event)
+        dead = self._dead_links
+        for node in {node for node, _ in dead.apply(links)}:
+            self.routers[node].fault_dead = dead.ports(node)
 
     def _refresh_stuck(self, node: int) -> None:
         """Recompute one router's stuck-VC slot set from the overlapping
         fault entries (a slot is stuck while any fault pins it)."""
         slots = set((self._stuck_entries.get(node) or {}).values())
         self.routers[node].fault_stuck = frozenset(slots) if slots else None
-
-    def _refresh_fault_port(self, key: tuple[int, int]) -> None:
-        """Install one (node, out_port)'s effective state on its router."""
-        node, port = key
-        dead = self._dead_ports.setdefault(node, set())
-        if self._dead_links.dead(key):
-            dead.add(port)
-        else:
-            dead.discard(port)
-        self.routers[node].fault_dead = frozenset(dead) if dead else None
 
     def fault_report(self) -> dict:
         """The ``faults`` section of a Result (empty when inactive)."""
@@ -322,15 +312,15 @@ class PacketMesh(Component):
                     dst = rng.integers(n_nodes - 1)
                     if dst >= node:
                         dst += 1
-                    packet = Packet(node, dst, cfg.packet_flits, now, self._pid)
+                    packet = Packet(node, dst, PACKET_FLITS, now, self._pid)
                     self._pid += 1
                     if self._corruption is not None:
                         packet.corrupt = self._corruption[dst].corrupt(
-                            node, cfg.packet_flits)
+                            node, PACKET_FLITS)
                     queue.append(packet)
-                    self.flits_offered += cfg.packet_flits
+                    self.flits_offered += PACKET_FLITS
                     arrival += rng.exponential(
-                        cfg.packet_flits / self.injection_rate)
+                        PACKET_FLITS / self.injection_rate)
                 self._next_arrival[node] = arrival
                 if arrival <= now:
                     continue  # held back by the cap: _start_packet re-arms
@@ -384,7 +374,7 @@ class PacketMesh(Component):
     def throughput_gib_s_node(self, now: int | None = None) -> float:
         """Per-node average throughput — the paper's plotted convention."""
         return (self.throughput_flits_per_cycle_node(now)
-                * self.cfg.flit_bytes * self.cfg.freq_hz / GIB)
+                * FLIT_BYTES * self.cfg.freq_hz / GIB)
 
     def throughput_gib_s_aggregate(self, now: int | None = None) -> float:
         """16-node aggregate (for transparency; not what Fig. 4 plots)."""

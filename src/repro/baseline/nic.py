@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.axi.transaction import Transfer
+from repro.baseline.config import FLIT_BYTES, PACKET_FLITS
 from repro.baseline.flit import make_flits, Packet
 from repro.baseline.router import P_LOCAL
 from repro.sim.kernel import Component
@@ -27,7 +28,7 @@ from repro.sim.stats import ThroughputMeter
 class PacketNic(Component):
     """Translates DMA transfers into packets at one node of a PacketMesh.
 
-    Each packet carries ``(packet_flits − 1 header flit) × flit_bytes``
+    Each packet carries ``(PACKET_FLITS − 1 header flit) × FLIT_BYTES``
     payload bytes.  The NIC has no recovery: a packet lost or corrupted
     in the mesh is counted there and never resent.
 
@@ -52,8 +53,7 @@ class PacketNic(Component):
         self.translation_overhead = translation_overhead
         self.meter = meter if meter is not None else ThroughputMeter()
         self.name = f"nic{node}"
-        cfg = mesh.cfg
-        self.payload_per_packet = (cfg.packet_flits - 1) * cfg.flit_bytes
+        self.payload_per_packet = (PACKET_FLITS - 1) * FLIT_BYTES
         self._pending: deque[tuple[int, int]] = deque()  # (dst, nbytes)
         self._flits: deque = deque()
         self._idle_until = 0
@@ -75,7 +75,7 @@ class PacketNic(Component):
         if self._pending and not self._flits and now >= self._idle_until:
             dst, nbytes = self._pending[0]
             chunk = min(nbytes, self.payload_per_packet)
-            packet = Packet(self.node, dst, self.mesh.cfg.packet_flits,
+            packet = Packet(self.node, dst, PACKET_FLITS,
                             now, self._pid)
             self._pid += 1
             # Packet payload accounting rides on the packet object: the

@@ -47,7 +47,6 @@ class FaultController(Component):
         self._link_by_key = {key: links[i]
                              for i, key in enumerate(link_ports)}
         self._dead = DeadLinks(link_ports, stats)
-        self._blocked: dict[int, set[int]] = {}
         #: Response-path fault loop (DESIGN.md §10): while armed, B/R
         #: beats on dead mesh links are dropped — the issuing DMA's
         #: txn_timeout watchdog owns recovery.
@@ -184,8 +183,15 @@ class FaultController(Component):
 
     # -- event application ---------------------------------------------
     def _apply(self, events: list[tuple]) -> None:
-        for key in sorted({self._dead.apply(ev) for ev in events}):
-            self._refresh(key)
+        dead = self._dead
+        flipped = dead.apply(events)
+        for node in sorted({node for node, _ in flipped}):
+            self._xps[node].set_fault_blocked(dead.ports(node))
+        if self._response:
+            resp_dead = self._resp_dead
+            for key in flipped:
+                if resp_dead.pop(key, None) is None:
+                    resp_dead[key] = self._link_by_key[key]
         if self._routers is not None:
             self._retable()
 
@@ -213,20 +219,3 @@ class FaultController(Component):
         # asleep behind a full egress wake to do it).
         for xp in self._xps:
             xp.routes_changed()
-
-    def _refresh(self, key: tuple[int, int]) -> None:
-        node, port = key
-        dead = self._dead.dead(key)
-        blocked = self._blocked.setdefault(node, set())
-        if dead != (port in blocked):
-            if dead:
-                blocked.add(port)
-            else:
-                blocked.discard(port)
-            self._xps[node].set_fault_blocked(
-                frozenset(blocked) if blocked else None)
-        if self._response:
-            if dead:
-                self._resp_dead[key] = self._link_by_key[key]
-            else:
-                self._resp_dead.pop(key, None)

@@ -188,22 +188,35 @@ class DeadLinks:
         self._stats = stats
         #: egress -> ids of the faults in force on it.
         self._entries: dict[tuple[int, int], set[int]] = {}
+        #: node -> its dead egress ports; absent while all are alive.
+        self._ports: dict[int, frozenset[int]] = {}
 
-    def apply(self, event: tuple) -> tuple[int, int]:
-        """Fold one ``link`` / ``link_clear`` event into the table (fault
-        starts are counted); returns the egress it names."""
-        kind, index, fid = event
-        key = self._link_ports[index]
-        if kind == "link":
-            self._entries.setdefault(key, set()).add(fid)
-            self._stats.link_faults += 1
-        else:
-            self._entries.get(key, set()).discard(fid)
-        return key
+    def apply(self, events) -> list[tuple[int, int]]:
+        """Fold ``link`` / ``link_clear`` events into the table (fault
+        starts are counted); returns, sorted, the egresses the batch
+        killed or revived: each one's node has new :meth:`ports`."""
+        entries = self._entries
+        was: dict[tuple[int, int], bool] = {}
+        for kind, index, fid in events:
+            key = self._link_ports[index]
+            faults = entries.setdefault(key, set())
+            was.setdefault(key, bool(faults))
+            if kind == "link":
+                faults.add(fid)
+                self._stats.link_faults += 1
+            else:
+                faults.discard(fid)
+        flipped = sorted(key for key, dead in was.items()
+                         if bool(entries[key]) != dead)
+        for node, port in flipped:
+            ports = self._ports.pop(node, frozenset()) ^ {port}
+            if ports:
+                self._ports[node] = ports
+        return flipped
 
-    def dead(self, key: tuple[int, int]) -> bool:
-        """True while any fault on the egress is in force."""
-        return bool(self._entries.get(key))
+    def ports(self, node: int) -> frozenset[int] | None:
+        """The node's dead egress ports (None while all are alive)."""
+        return self._ports.get(node)
 
     def unhealthy(self) -> Iterator[tuple[int, int]]:
         """Every egress with a fault in force."""
@@ -226,18 +239,21 @@ class Recovery:
     is a burst's retry number (0 on first issue), ``first_issue`` the
     cycle of that first issue."""
 
-    __slots__ = ("retransmit", "max_retries", "timeout", "stats")
+    #: Cycles after its first issue beyond which a unit is dropped
+    #: instead of retried.
+    MAX_AGE = 100_000
+
+    __slots__ = ("retransmit", "max_retries", "stats")
 
     def __init__(self, spec, stats: FaultStats):
         self.retransmit = spec.recovery == "retransmit"
         self.max_retries = spec.max_retries
-        self.timeout = spec.retry_timeout
         self.stats = stats
 
     def retry(self, attempt: int, first_issue: int, now: int) -> bool:
         """Send the unit again (``retransmissions``) or drop it."""
         if (self.retransmit and attempt < self.max_retries
-                and now - first_issue <= self.timeout):
+                and now - first_issue <= self.MAX_AGE):
             self.stats.retransmissions += 1
             return True
         self.drop()

@@ -26,8 +26,7 @@ RECOVERY_POLICIES = ("none", "retransmit", "reroute")
 #: value of.  The packet baseline has no endpoint that retries, waits
 #: for a response or checks one; the AXI mesh has no router VCs to pin.
 _UNREAD_FIELDS = {
-    "baseline": ("max_retries", "retry_timeout", "response_faults",
-                 "txn_timeout"),
+    "baseline": ("max_retries", "response_faults", "txn_timeout"),
     "patronoc": ("stuck_vcs",),
 }
 
@@ -147,10 +146,9 @@ class FaultSpec:
         ``"none"`` on the baseline).
     max_retries:
         Retransmission budget (``recovery == "retransmit"``) per burst.
-        AXI only, as are the next three.
-    retry_timeout:
-        Cycles after a burst's first issue beyond which it is dropped
-        instead of retried.
+        AXI only, as are the next two.  A burst older than
+        :attr:`~repro.faults.runtime.Recovery.MAX_AGE` cycles since its
+        first issue is dropped instead of retried.
     response_faults:
         Close the response-path fault loop: B/R beats are lost on dead
         links just like requests, orphaning the issuing transaction
@@ -171,7 +169,6 @@ class FaultSpec:
     corrupt_rate: float = 0.0
     recovery: str = "none"
     max_retries: int = 3
-    retry_timeout: int = 100_000
     response_faults: bool = False
     txn_timeout: int | None = None
     stuck_vcs: tuple[StuckVcFault, ...] = ()
@@ -203,9 +200,6 @@ class FaultSpec:
         if self.max_retries < 0:
             raise ValueError(
                 f"max_retries must be >= 0, got {self.max_retries}")
-        if self.retry_timeout < 1:
-            raise ValueError(
-                f"retry_timeout must be >= 1, got {self.retry_timeout}")
         if self.txn_timeout is not None and self.txn_timeout < 1:
             raise ValueError(
                 f"txn_timeout must be >= 1 (or None), got "

@@ -49,14 +49,13 @@ class NocConfig:
         DESIGN.md §6).
     memory_latency:
         AXI memory access latency in cycles.
-    memory_outstanding:
-        Outstanding transactions an AXI memory accepts per direction.
-    w_order_depth:
-        Per-egress write grant-order queue depth inside each XP.
     hop_latency:
         Cycles per XP-to-XP link per channel (switch traversal plus the
         register slice; 2 matches the RTL's cut-on-every-channel timing
         closure at 1 GHz).
+
+    The memories' MOT (16) and each XP's W grant-order depth (8) are
+    the ``MemorySlave`` and ``AxiCrossbar`` defaults.
     """
 
     rows: int = 4
@@ -69,8 +68,6 @@ class NocConfig:
     freq_hz: float = 1e9
     dma_issue_overhead: int = 20
     memory_latency: int = 5
-    memory_outstanding: int = 16
-    w_order_depth: int = 8
     hop_latency: int = 2
 
     def __post_init__(self) -> None:
@@ -87,10 +84,6 @@ class NocConfig:
             raise ValueError("dma_issue_overhead must be >= 0")
         if self.memory_latency < 0:
             raise ValueError("memory_latency must be >= 0")
-        if self.memory_outstanding < 1:
-            raise ValueError("memory_outstanding must be >= 1")
-        if self.w_order_depth < 1:
-            raise ValueError("w_order_depth must be >= 1")
         if self.hop_latency < 1:
             raise ValueError("hop_latency must be >= 1")
 

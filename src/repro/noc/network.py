@@ -229,7 +229,6 @@ class NocNetwork:
                 built.memory = MemorySlave(
                     f"{name}.mem", index, link,
                     beat_bytes=cfg.beat_bytes, latency=cfg.memory_latency,
-                    max_outstanding=cfg.memory_outstanding,
                     write_meter=ThroughputMeter(name=f"{name}.wr"),
                     scoreboard=scoreboard)
                 built.links.append(link)

@@ -90,7 +90,6 @@ def build_crosspoint(
         route=route,
         id_width=cfg.id_width,
         connectivity=connectivity,
-        w_order_depth=cfg.w_order_depth,
         max_outstanding=cfg.max_outstanding,
         counters=counters,
     )

@@ -68,8 +68,8 @@ class TopologySpec:
 
     ``backend="patronoc"`` uses the AXI mesh (all
     :class:`~repro.noc.config.NocConfig` fields apply, with the same
-    defaults); ``backend="baseline"`` uses the packet mesh (``n_vcs``,
-    ``buf_depth``, ``flit_bytes``, ``packet_flits`` apply).  Shared:
+    defaults); ``backend="baseline"`` uses the packet mesh (``n_vcs``
+    and ``buf_depth`` apply).  Shared:
     ``rows``, ``cols``, ``freq_hz``.  A field the backend's config does
     not take must keep its default (DESIGN.md §9).
     """
@@ -86,14 +86,10 @@ class TopologySpec:
     full_connectivity: bool = False
     dma_issue_overhead: int = 20
     memory_latency: int = 5
-    memory_outstanding: int = 16
-    w_order_depth: int = 8
     hop_latency: int = 2
     # -- baseline (PacketMeshConfig) knobs ----------------------------
     n_vcs: int = 1
     buf_depth: int = 4
-    flit_bytes: int = 4
-    packet_flits: int = 8
 
     def __post_init__(self) -> None:
         refuse_mistyped(self)

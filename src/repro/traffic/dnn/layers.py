@@ -1,8 +1,8 @@
-"""DNN layer shapes and their data/compute footprints.
+"""DNN layer shapes and their data footprints.
 
-The DNN traffic generator needs, per layer: weight bytes, input/output
-activation bytes, and MAC counts — enough to derive the DMA transfer
-sizes and compute times that shape NoC traffic.  All tensors are int8
+The DNN traffic generator needs, per layer: weight bytes and
+input/output activation bytes — enough to derive the DMA transfer
+sizes that shape NoC traffic.  All tensors are int8
 (1 byte/element), the deployment datatype of the edge platforms the
 paper targets.
 """
@@ -54,11 +54,6 @@ class ConvLayer:
     def out_act_bytes(self) -> int:
         return self.out_ch * self.out_h * self.out_w * BYTES_PER_ELEM
 
-    @property
-    def macs(self) -> int:
-        return (self.out_h * self.out_w * self.out_ch * self.in_ch
-                * self.kernel * self.kernel)
-
 
 @dataclass(frozen=True)
 class FcLayer:
@@ -75,10 +70,6 @@ class FcLayer:
     @property
     def weight_bytes(self) -> int:
         return self.in_features * self.out_features * BYTES_PER_ELEM
-
-    @property
-    def macs(self) -> int:
-        return self.in_features * self.out_features
 
 
 Layer = ConvLayer | FcLayer

@@ -19,10 +19,9 @@ c) **Pipelined convolution** — depth-first inference: consecutive layer
    activation tiles flow core-to-core (L1→L1), only the first/last cores
    touch L2.
 
-Compute time is optional (``macs_per_cycle=None`` replays pure
-communication, which matches the paper's trace-driven RTL evaluation —
-their reported throughputs are NoC-bound).  Scripts loop, so workloads
-are measured in steady state over a fixed window.
+The scripts replay pure communication, as the paper's trace-driven RTL
+evaluation does (its reported throughputs are NoC-bound).  Scripts
+loop, so workloads are measured in steady state over a fixed window.
 """
 
 from __future__ import annotations
@@ -69,13 +68,6 @@ def _dnn_tiles(cfg: NocConfig) -> tuple[list[TileSpec], int]:
     return tiles, cfg.n_nodes
 
 
-def _compute_cycles(macs: int, macs_per_cycle: int | None,
-                    share: int = 1) -> int:
-    if macs_per_cycle is None:
-        return 0
-    return max(1, macs // (macs_per_cycle * share))
-
-
 def _snake_order(topo: Mesh2D) -> list[int]:
     """Boustrophedon node order so consecutive cores are mesh neighbours
     (the Fig. 7c arrangement: 0..3 / 7..4 / 8..11 / 15..12)."""
@@ -90,8 +82,7 @@ def _snake_order(topo: Mesh2D) -> list[int]:
 # a) distributed training
 # ----------------------------------------------------------------------
 def distributed_training(cfg: NocConfig, *, shrink: float = 0.9,
-                         input_hw: int = 224,
-                         macs_per_cycle: int | None = None) -> DnnWorkload:
+                         input_hw: int = 224) -> DnnWorkload:
     """Data-parallel ResNet-34 training on all cores (Fig. 7a).
 
     The model is replicated across cores ("Model Replication") with
@@ -128,14 +119,8 @@ def distributed_training(cfg: NocConfig, *, shrink: float = 0.9,
     for core in range(n_cores):
         pos = snake_pos[core]
         ops: list[tuple] = []
-        # Minibatch shard in, forward + backward compute local.
+        # Minibatch shard in; forward and backward stay in L1.
         ops.append(("read", l2, input_off, input_bytes))
-        for layer in layers:
-            ops.append(("compute",
-                        _compute_cycles(layer.macs, macs_per_cycle)))
-        for layer in reversed(layers):
-            ops.append(("compute",
-                        2 * _compute_cycles(layer.macs, macs_per_cycle)))
         # Hierarchical reduction along the snake: in round r, positions
         # with bit r set send their (partially reduced) gradients to the
         # position 2**r below and drop out; receivers wait, reduce, and
@@ -150,8 +135,6 @@ def distributed_training(cfg: NocConfig, *, shrink: float = 0.9,
                 break  # sent up the tree; wait for the new model below
             if pos % (2 * stride) == 0 and pos + stride < n_cores:
                 ops.append(("await_next", events[f"red{pos}_{r}"], 1))
-                ops.append(("compute",
-                            _compute_cycles(weight_bytes, macs_per_cycle)))
         if pos == 0:
             # Root: write the updated model to L2 and publish it.
             ops.append(("write", l2, weights_off, weight_bytes))
@@ -171,8 +154,7 @@ def distributed_training(cfg: NocConfig, *, shrink: float = 0.9,
 # b) parallelized convolution
 # ----------------------------------------------------------------------
 def parallel_conv(cfg: NocConfig, *, shrink: float = 0.9,
-                  input_hw: int = 224,
-                  macs_per_cycle: int | None = None) -> DnnWorkload:
+                  input_hw: int = 224) -> DnnWorkload:
     """Layer-parallel CNN inference: every layer tiled over all cores
     (Fig. 7b) — pure L2↔L1 traffic, a barrier between layers."""
     tiles, l2 = _dnn_tiles(cfg)
@@ -189,8 +171,6 @@ def parallel_conv(cfg: NocConfig, *, shrink: float = 0.9,
             ops.append(("read", l2, l2_offsets[layer.name], in_tile))
             ops.append(("read", l2, l2_offsets[layer.name],
                         layer.weight_bytes))
-            ops.append(("compute",
-                        _compute_cycles(layer.macs, macs_per_cycle, n_cores)))
             ops.append(("write", l2, l2_offsets[layer.name], out_tile))
             ops.append(("signal", barrier))
             ops.append(("await_next", barrier, n_cores))
@@ -206,8 +186,7 @@ def parallel_conv(cfg: NocConfig, *, shrink: float = 0.9,
 # ----------------------------------------------------------------------
 def pipelined_conv(cfg: NocConfig, *, shrink: float = 0.9,
                    input_hw: int = 224, tiles_per_image: int = 8,
-                   buffers: int = 4,
-                   macs_per_cycle: int | None = None) -> DnnWorkload:
+                   buffers: int = 4) -> DnnWorkload:
     """Depth-first CNN inference: layer groups chained along a mesh snake
     (Fig. 7c) — predominantly L1→L1 neighbour traffic.
 
@@ -219,19 +198,11 @@ def pipelined_conv(cfg: NocConfig, *, shrink: float = 0.9,
     topo = Mesh2D(cfg.rows, cfg.cols)
     chain = _snake_order(topo)
     n_stages = len(chain)
-    # In communication-replay mode (no compute model) balance the stages
-    # by the bytes they emit — that is what equalises link load along the
-    # pipeline; with a compute model, balance MACs like a real mapper.
-    if macs_per_cycle is None:
-        weight = lambda l: l.out_act_bytes  # noqa: E731
-    else:
-        weight = lambda l: l.macs  # noqa: E731
-    groups = _balance_layers(layers, n_stages, weight)
+    groups = _balance_layers(layers, n_stages)
     events = {f"in{k}": Event(f"in{k}") for k in range(n_stages)}
     scripts: dict[int, list[tuple]] = {}
     for stage, core in enumerate(chain):
         group = groups[stage]
-        group_macs = sum(l.macs for l in group)
         out_bytes = group[-1].out_act_bytes if group else 1
         in_bytes = group[0].in_act_bytes if group else 1
         tile_out = max(1, out_bytes // tiles_per_image)
@@ -241,9 +212,6 @@ def pipelined_conv(cfg: NocConfig, *, shrink: float = 0.9,
             ops.append(("read_async", l2, 0, tile_in, None))
         else:
             ops.append(("await_next", events[f"in{stage}"], 1))
-        ops.append(("compute",
-                    _compute_cycles(group_macs // tiles_per_image,
-                                    macs_per_cycle)))
         if stage == n_stages - 1:
             ops.append(("write_async", l2, 0, tile_out, None))
         else:
@@ -285,17 +253,17 @@ def _round_up(x: int, quantum: int) -> int:
     return (x + quantum - 1) // quantum * quantum
 
 
-def _balance_layers(layers: list[ConvLayer], n_stages: int,
-                    weight=None) -> list[list[ConvLayer]]:
-    """Greedy contiguous partition of layers into weight-balanced groups."""
+def _balance_layers(layers: list[ConvLayer],
+                    n_stages: int) -> list[list[ConvLayer]]:
+    """Greedy contiguous partition of layers into groups balanced by
+    the activation bytes they emit: that equalises link load along the
+    pipeline."""
     if n_stages < 1:
         raise ValueError("need at least one stage")
-    if weight is None:
-        weight = lambda l: l.macs  # noqa: E731
     if len(layers) < n_stages:
         raise ValueError(
             f"cannot spread {len(layers)} layers over {n_stages} stages")
-    total = sum(weight(l) for l in layers)
+    total = sum(l.out_act_bytes for l in layers)
     target = total / n_stages
     groups: list[list[ConvLayer]] = [[] for _ in range(n_stages)]
     stage = 0
@@ -307,11 +275,11 @@ def _balance_layers(layers: list[ConvLayer], n_stages: int,
             # Must advance when later stages need one layer each; may
             # advance when the current stage is full enough.
             must = remaining == stages_after
-            may = (acc + weight(layer) / 2 > target
+            may = (acc + layer.out_act_bytes / 2 > target
                    and remaining > stages_after)
             if must or may:
                 stage += 1
                 acc = 0
         groups[stage].append(layer)
-        acc += weight(layer)
+        acc += layer.out_act_bytes
     return groups

@@ -58,9 +58,11 @@ CEILING = re.compile(r"at most (\d+)\s+functions\s+unreached")
 #: that sets an AXI-only field, a fault link that carries the removed
 #: ``width_factor``, fault specs that carry the removed dead-port and
 #: byzantine-beat keys, a measure that carries the removed per-link
-#: capture, a topology that carries the removed ``register_slices``, a
-#: stuck VC on the AXI mesh, a DNN point with a burst cap, ``axes`` that
-#: is not an object and a seed that is not an int.
+#: capture, topologies that carry the removed ``register_slices``,
+#: memory MOT, W-order depth, flit width and packet length, a fault
+#: spec that carries the removed ``retry_timeout``, a stuck VC on the
+#: AXI mesh, a DNN point with a burst cap, ``axes`` that is not an
+#: object and a seed that is not an int.
 REFUSED_SPECS = {
     "data_width": {
         "base": {"topology": {"backend": "baseline", "rows": 2, "cols": 2,
@@ -98,6 +100,37 @@ REFUSED_SPECS = {
         "base": {"topology": {"backend": "patronoc", "rows": 2, "cols": 2,
                               "register_slices": "all"},
                  "traffic": {"kind": "uniform", "load": 0.1}},
+        "axes": {"seed": [1]},
+    },
+    "memory_outstanding": {
+        "base": {"topology": {"backend": "patronoc", "rows": 2, "cols": 2,
+                              "memory_outstanding": 8},
+                 "traffic": {"kind": "uniform", "load": 0.1}},
+        "axes": {"seed": [1]},
+    },
+    "w_order_depth": {
+        "base": {"topology": {"backend": "patronoc", "rows": 2, "cols": 2,
+                              "w_order_depth": 4},
+                 "traffic": {"kind": "uniform", "load": 0.1}},
+        "axes": {"seed": [1]},
+    },
+    "flit_bytes": {
+        "base": {"topology": {"backend": "baseline", "rows": 2, "cols": 2,
+                              "flit_bytes": 8},
+                 "traffic": {"kind": "uniform", "load": 0.1}},
+        "axes": {"seed": [1]},
+    },
+    "packet_flits": {
+        "base": {"topology": {"backend": "baseline", "rows": 2, "cols": 2,
+                              "packet_flits": 4},
+                 "traffic": {"kind": "uniform", "load": 0.1}},
+        "axes": {"seed": [1]},
+    },
+    "retry_timeout": {
+        "base": {"topology": {"backend": "patronoc", "rows": 2, "cols": 2},
+                 "traffic": {"kind": "uniform", "load": 0.1},
+                 "faults": {"links": [{"src": 0, "dst": 1}],
+                            "retry_timeout": 500}},
         "axes": {"seed": [1]},
     },
     "stuck_vcs": {

@@ -25,8 +25,6 @@ class TestValidation:
         ("freq_hz", 0.0),
         ("dma_issue_overhead", -1),
         ("memory_latency", -1),
-        ("memory_outstanding", 0),
-        ("w_order_depth", 0),
         ("hop_latency", 0),
     ])
     def test_rejects_out_of_range(self, field, value):

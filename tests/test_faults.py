@@ -19,6 +19,7 @@ from itertools import permutations
 import pytest
 
 from repro.axi.transaction import Transfer
+from repro.baseline.config import PACKET_FLITS
 from repro.baseline.network import PacketMesh, PacketMeshConfig
 from repro.faults import (
     FaultSpec,
@@ -95,7 +96,6 @@ class TestFaultSpec:
         dict(corrupt_rate=2.0),
         dict(recovery="pray"),
         dict(max_retries=-1),
-        dict(retry_timeout=0),
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
@@ -110,11 +110,13 @@ class TestFaultSpec:
     @pytest.mark.parametrize("key, value", [
         ("ports", [{"node": 0, "port": 1}]),
         ("byzantine_rate", 1e-3),
+        ("retry_timeout", 500),
     ])
     def test_a_removed_fault_kind_is_refused_by_name(self, key, value):
-        """Dead ports and byzantine response beats are not modelled: a
-        spec that carries either fails naming the key, from a dict (the
-        JSON form) or as a keyword."""
+        """Dead ports and byzantine response beats are not modelled, and
+        a retry's age limit is ``Recovery.MAX_AGE``: a spec that carries
+        any of these fails naming the key, from a dict (the JSON form)
+        or as a keyword."""
         with pytest.raises(ValueError, match=key):
             FaultSpec.from_dict({key: value})
         with pytest.raises(TypeError, match=key):
@@ -165,25 +167,35 @@ class TestScenarioIntegration:
 def test_overlapping_faults_compose_in_any_order():
     """One table for both fabrics (``DeadLinks``): an egress is dead
     while any fault on it is in force, and healthy once the last one
-    clears — whatever order the faults start and clear in.  Link 0 is
-    egress (2, 1)."""
+    clears — whatever order the faults start and clear in.  ``apply``
+    reports an egress only when it dies or revives, and ``ports`` is the
+    node's set both fabrics install.  Links 0, 1 and 2 are egresses
+    (2, 1), (2, 3) and (0, 0)."""
     starts = {fid: ("link", 0, fid) for fid in (1, 2, 3)}
     clears = {fid: ("link_clear", 0, fid) for fid in (1, 2, 3)}
     for begin in permutations(starts):
         for end in permutations(clears):
             stats = FaultStats()
-            table = DeadLinks([(2, 1), (0, 0)], stats)
-            for fid in begin:
-                assert table.apply(starts[fid]) == (2, 1)
-                assert table.dead((2, 1))
+            table = DeadLinks([(2, 1), (2, 3), (0, 0)], stats)
+            for n, fid in enumerate(begin):
+                assert table.apply([starts[fid]]) == ([(2, 1)] if n == 0
+                                                      else [])
+                assert table.ports(2) == {1}
             assert stats.link_faults == 3
+            assert table.apply([("link", 1, 4), ("link_clear", 1, 4)]) == []
             live = set(clears)
             for fid in end:
-                assert table.apply(clears[fid]) == (2, 1)
                 live.discard(fid)
-                assert table.dead((2, 1)) == bool(live)
+                assert table.apply([clears[fid]]) == ([] if live
+                                                      else [(2, 1)])
+                assert table.ports(2) == ({1} if live else None)
                 assert list(table.unhealthy()) == ([(2, 1)] if live else [])
-            assert not table.dead((0, 0))
+            assert table.ports(0) is None
+    assert table.apply([("link", 0, 5), ("link", 1, 6)]) == [(2, 1), (2, 3)]
+    assert table.ports(2) == {1, 3}
+    assert table.apply([("link_clear", 0, 5), ("link", 2, 7)]) == [
+        (0, 0), (2, 1)]
+    assert (table.ports(0), table.ports(2)) == ({0}, {3})
 
 
 # ----------------------------------------------------------------------
@@ -546,7 +558,7 @@ class TestBaselineFaults:
         # Wormhole drop semantics: the body flits of a dropped head are
         # drained too, never left to corrupt a later allocation.
         assert report["flits_dropped"] == (
-            mesh.packets_dropped * mesh.cfg.packet_flits)
+            mesh.packets_dropped * PACKET_FLITS)
 
     def test_reroute_reduces_drops(self):
         """Escape-VC adaptive routing needs >= 2 VCs (VC 0 stays the

@@ -98,16 +98,16 @@ class TestBackendValidation:
                             "max_burst_bytes": 1},
                 "faults": {"byzantine_rate": 1e-4}})
 
-    @pytest.mark.parametrize("field", ["max_retries", "retry_timeout",
-                                       "response_faults", "txn_timeout"])
+    @pytest.mark.parametrize("field", ["max_retries", "response_faults",
+                                       "txn_timeout"])
     def test_baseline_refuses(self, field):
         """No baseline endpoint retries or waits for a reply, so these
         knobs would change nothing there: refused, by name, by the
         mesh and by a baseline Scenario when it is built."""
         from repro.scenarios import Scenario, TopologySpec, TrafficSpec
 
-        value = {"max_retries": 8, "retry_timeout": 500,
-                 "response_faults": True, "txn_timeout": 400}[field]
+        value = {"max_retries": 8, "response_faults": True,
+                 "txn_timeout": 400}[field]
         faults = FaultSpec(links=[LinkFault(0, 1)], **{field: value})
         with pytest.raises(ValueError, match=field):
             PacketMesh(PacketMeshConfig(), faults=faults, fault_seed=1)

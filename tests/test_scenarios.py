@@ -40,9 +40,11 @@ FAST = MeasureSpec(300, 900)
 NON_DEFAULT = dict(
     rows=3, cols=3, freq_hz=5e8, data_width=64, addr_width=64, id_width=3,
     max_outstanding=4, full_connectivity=True,
-    dma_issue_overhead=4, memory_latency=3, memory_outstanding=8,
-    w_order_depth=4, hop_latency=1, n_vcs=2, buf_depth=8, flit_bytes=8,
-    packet_flits=4)
+    dma_issue_overhead=4, memory_latency=3, hop_latency=1, n_vcs=2,
+    buf_depth=8)
+#: Former TopologySpec fields, now constants: a spec naming one fails.
+REMOVED_TOPOLOGY = dict(memory_outstanding=8, w_order_depth=4, flit_bytes=8,
+                        packet_flits=4)
 
 #: A valid value other than the default for every TrafficSpec field but
 #: ``kind``, and the name each kind needs.
@@ -93,13 +95,20 @@ class TestTopologySpec:
     @pytest.mark.parametrize("backend", ["patronoc", "baseline"])
     @pytest.mark.parametrize("field", [
         f.name for f in dataclasses.fields(TopologySpec)
-        if f.name != "backend"])
+        if f.name != "backend"] + list(REMOVED_TOPOLOGY))
     def test_ignored_field_is_refused(self, field, backend):
         """A non-default value of a field the backend's config does not
         take is refused by name; one it takes is accepted.  A field no
-        config takes, or one missing from ``NON_DEFAULT``, fails here."""
+        config takes, or one missing from ``NON_DEFAULT``, fails here.
+        A removed field is an unexpected keyword, named."""
         from repro.baseline.network import PacketMeshConfig
         from repro.noc.config import NocConfig
+
+        if field in REMOVED_TOPOLOGY:
+            with pytest.raises(TypeError, match=f"'{field}'"):
+                TopologySpec(backend=backend,
+                             **{field: REMOVED_TOPOLOGY[field]})
+            return
 
         noc = {f.name for f in dataclasses.fields(NocConfig)}
         mesh = set(inspect.signature(PacketMeshConfig).parameters)

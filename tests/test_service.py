@@ -522,8 +522,9 @@ class TestHttpService:
         carries the removed ``width_factor``, fault specs that carry the
         removed ``ports`` / ``byzantine_rate``, a measure that carries
         the removed ``per_link``, a topology that carries the removed
-        ``register_slices``, a stuck VC on the AXI mesh and a DNN point
-        with a burst cap: 400, naming the field."""
+        ``register_slices``, the removed topology constants and
+        ``retry_timeout``, a stuck VC on the AXI mesh and a DNN point with
+        a burst cap: 400, naming the field."""
         baseline = {"topology": {"backend": "baseline", "rows": 2,
                                  "cols": 2, "data_width": 64},
                     "traffic": {"kind": "uniform", "load": 0.1,
@@ -542,6 +543,15 @@ class TestHttpService:
         removed["register_slices"] = {
             "topology": {**degraded["topology"], "register_slices": "all"},
             "traffic": degraded["traffic"]}
+        mesh = {"backend": "baseline", "rows": 2, "cols": 2}
+        for key, value, topology in (
+                ("memory_outstanding", 8, degraded["topology"]),
+                ("w_order_depth", 4, degraded["topology"]),
+                ("flit_bytes", 8, mesh), ("packet_flits", 4, mesh)):
+            removed[key] = {"topology": {**topology, key: value},
+                            "traffic": degraded["traffic"]}
+        removed["retry_timeout"] = {**degraded, "faults": {
+            "links": [{"src": 0, "dst": 1}], "retry_timeout": 500}}
         removed["stuck_vcs"] = {**degraded, "faults": {
             "stuck_vcs": [{"node": 0, "port": 1}]}}
         removed["max_burst_bytes"] = {

@@ -140,8 +140,10 @@ class TestKeys:
         orphan every store entry ever written.  ``replay``'s was the one
         recorded at commit 3124678 (``0b5f767e…``) until ``MeasureSpec``
         lost ``per_link`` (``136b2a9c…``), then ``TopologySpec`` lost
-        ``register_slices``; each time every canonical JSON lost the
-        key.  ``every_fault_kind``'s literal moved four times, twice
+        ``register_slices`` (``75c6bc93…``), then four constant fields
+        and ``FaultSpec`` ``retry_timeout`` (``7e3a2f7a…`` with faults);
+        each time every canonical JSON lost the key.
+        ``every_fault_kind``'s literal moved five times, twice
         because ``FaultSpec`` lost a fault kind and its canonical JSON
         lost the key: its link was width-degraded at 3124678
         (``aa7a705f…``), then dead beside a dead port and with a
@@ -155,14 +157,14 @@ class TestKeys:
             topology=TopologySpec.baseline(1, 4, rows=2, cols=2),
             traffic=TrafficSpec.uniform(0.6, 1),
             measure=MeasureSpec(warmup=25, window=100), seed=7)
-        assert spec_hash(replay) == ("75c6bc93d973b049a27b7456a6123d45"
-                                     "5bbb8919300721f3b94df29ef035b6e1")
+        assert spec_hash(replay) == ("9ade05ff87f4b1820af4a31e5d88f1ea"
+                                     "a46dc431d6c5aa67ace81c44298bfd53")
         every_fault_kind = FaultSpec(
             links=(LinkFault(0, 1, start=10, duration=50),),
             stuck_vcs=(StuckVcFault(2, 1, vc=0, start=5),),
             corrupt_rate=1e-4, recovery="retransmit")
         assert spec_hash(replay.with_(faults=every_fault_kind)) == (
-            "7e3a2f7a420def1275faef4f548a168bca9fd703bab9ec51b7fa2af1b0cc2aca")
+            "7a83df86ba598f7a851b36c9698b75229d592a0259b8695b8cd2ca6f5ac4da3f")
 
     def test_key_separates_seeds_and_code_versions(self, store, monkeypatch):
         a = store.key_for(fast_point(seed=1)).relpath
@@ -229,24 +231,28 @@ class TestEntryFormatCompatibility:
     #: point (one dead link, corruption, retransmission), so every
     #: nested container is present.  ``tests/golden/repin.py`` rewrites
     #: it.
-    GOLDEN = Path(__file__).parent / "golden" / "store_entry_pr37.json"
+    GOLDEN = Path(__file__).parent / "golden" / "store_entry_pr49.json"
     #: Entries ``put`` wrote before the schema dropped a field they
-    #: carry, under the path each was written to: at commit 3124678 the
-    #: same point with its link width-degraded, at 133480c the same point
-    #: with the ``ports`` and ``byzantine_rate`` keys ``FaultSpec`` no
-    #: longer has, at a5762eb the same point with the ``per_link`` key
-    #: ``MeasureSpec`` no longer has, at 01bff79 the same point with the
-    #: ``register_slices`` key ``TopologySpec`` no longer has.  All four
-    #: carry ``register_slices``, the first key a load reaches.
+    #: carry, under the path each was written to, with the first such
+    #: key a load reaches: at commit 3124678 the same point with its
+    #: link width-degraded, at 133480c the same point with the ``ports``
+    #: and ``byzantine_rate`` keys ``FaultSpec`` no longer has, at
+    #: a5762eb the same point with the ``per_link`` key ``MeasureSpec``
+    #: no longer has, at 01bff79 the same point with the
+    #: ``register_slices`` key ``TopologySpec`` no longer has, at 3c52896
+    #: the same point with the five keys that became constants.
     PRE_SCHEMA = {
         "pr15": ("git-3124678d79adb1f4/16/847323bf07de226470b2f152851a25a9"
-                 "851944b31e687b4b4006cb5057dc0c-s3.json"),
+                 "851944b31e687b4b4006cb5057dc0c-s3.json", "register_slices"),
         "pr34": ("src-a0a1940467741827/7e/2a31cbc1f865f605871a0844b605e367"
-                 "13647b835379b3f0a8cc4f249db51c-s3.json"),
+                 "13647b835379b3f0a8cc4f249db51c-s3.json", "register_slices"),
         "pr35": ("src-a0a1940467741827/45/e4c72423e7cbe8b9cc1214d7f2fbf622"
-                 "ceb50ea80fe7e4e5c56aa3cda60a65-s3.json"),
+                 "ceb50ea80fe7e4e5c56aa3cda60a65-s3.json", "register_slices"),
         "pr36": ("src-a0a1940467741827/93/bd0f8b3880e3c12e153090f9a49f2ac8"
-                 "3c0be24bfd36c6ea63be21970145a5-s3.json"),
+                 "3c0be24bfd36c6ea63be21970145a5-s3.json", "register_slices"),
+        "pr37": ("src-a0a1940467741827/4c/9f5258b8768f65ebea8e7d9d7d9a920c"
+                 "8324243688ecb514028a8a5a5e67c0-s3.json",
+                 "memory_outstanding"),
     }
 
     def test_parent_commit_entry_hits_and_verifies(self, store, monkeypatch):
@@ -266,19 +272,19 @@ class TestEntryFormatCompatibility:
         monkeypatch.setenv("REPRO_CODE_FINGERPRINT", data["code_fingerprint"])
         path = store.put(Scenario.from_dict(data["scenario"]),
                          Result.from_dict(data["result"]))
-        assert path == store.root / ("src-a0a1940467741827/4c/9f5258b8768f65eb"
-                                     "ea8e7d9d7d9a920c8324243688ecb514028a8a5a"
-                                     "5e67c0-s3.json")
+        assert path == store.root / ("src-a0a1940467741827/ff/38c075bb81a735e0"
+                                     "9f3ac407b6999fe120d9ac36bfd32ecc2a2116c1"
+                                     "4949a7-s3.json")
         assert path.read_bytes() == self.GOLDEN.read_bytes()
 
     @pytest.mark.parametrize("entry", sorted(PRE_SCHEMA))
     def test_an_entry_the_schema_cannot_load_is_corrupt(self, store, entry):
-        rel = self.PRE_SCHEMA[entry]
+        rel, key = self.PRE_SCHEMA[entry]
         path = store.root / rel
         path.parent.mkdir(parents=True)
         shutil.copyfile(Path(__file__).parent / "golden"
                         / f"store_entry_{entry}.json", path)
-        with pytest.raises(TypeError, match=r"'register_slices'"):
+        with pytest.raises(TypeError, match=f"'{key}'"):
             Scenario.from_dict(json.loads(path.read_text())["scenario"])
         assert store.verify() == {"checked": 1, "ok": 0, "corrupt": [rel],
                                   "mismatched": []}
