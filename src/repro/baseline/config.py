@@ -23,6 +23,14 @@ class PacketMeshConfig:
     buf_depth: int = 4
     freq_hz: float = 1e9
 
+    def __post_init__(self) -> None:
+        for name in ("rows", "cols", "n_vcs", "buf_depth"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.freq_hz <= 0:
+            raise ValueError(f"freq_hz must be > 0, got {self.freq_hz}")
+
     @property
     def n_nodes(self) -> int:
         return self.rows * self.cols

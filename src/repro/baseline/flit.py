@@ -17,13 +17,9 @@ class FlitKind(IntEnum):
 
 
 class Packet:
-    """One serialised network packet (the baseline's unit of transfer).
+    """One serialised network packet (the baseline's unit of transfer)."""
 
-    ``corrupt`` is fault-injection state (DESIGN.md §10): in-flight
-    payload corruption, detected at ejection.
-    """
-
-    __slots__ = ("src", "dst", "length", "created", "pid", "corrupt")
+    __slots__ = ("src", "dst", "length", "created", "pid")
 
     def __init__(self, src: int, dst: int, length: int, created: int,
                  pid: int):
@@ -34,7 +30,6 @@ class Packet:
         self.length = length
         self.created = created
         self.pid = pid
-        self.corrupt = False
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"Packet(pid={self.pid}, {self.src}->{self.dst}, "

@@ -19,8 +19,8 @@ from collections import deque
 from repro.baseline.config import FLIT_BYTES, PACKET_FLITS, PacketMeshConfig
 from repro.baseline.flit import Flit, Packet, make_flits
 from repro.baseline.router import P_E, P_LOCAL, P_N, P_S, P_W, Router
-from repro.faults.runtime import (CorruptionModel, DeadLinks, FaultStats,
-                                  FaultTimeline, Recovery, fault_rngs)
+from repro.faults.runtime import (DeadLinks, FaultStats, FaultTimeline,
+                                  Recovery, fault_rngs)
 from repro.noc.topology import Mesh2D
 from repro.sim.kernel import Component, Simulator
 from repro.sim.rng import spawn_rngs
@@ -89,8 +89,6 @@ class PacketMesh(Component):
         self._recovery: Recovery | None = None
         self._timeline: FaultTimeline | None = None
         self._dead_links: DeadLinks | None = None
-        #: One corruption model per destination node (corrupt_rate > 0).
-        self._corruption: list[CorruptionModel] | None = None
         self.packets_dropped = 0
         #: Stuck-VC faults: node -> {fault_id: (in_port, vc)}.
         self._stuck_entries: dict[int, dict[int, tuple[int, int]]] = {}
@@ -100,17 +98,9 @@ class PacketMesh(Component):
             stats = FaultStats()
             self._recovery = Recovery(spec, stats)
             self._dead_links = DeadLinks(self._link_ports, stats)
-            rngs = fault_rngs(seed if fault_seed is None else fault_seed, 2)
+            rng = fault_rngs(seed if fault_seed is None else fault_seed, 1)[0]
             self._timeline = FaultTimeline(spec, len(self._link_ports),
-                                           rng=rngs[0],
-                                           link_index=link_index)
-            if spec.corrupt_rate > 0.0:
-                # XY hops plus ejection; one stream, packet-creation order.
-                n = cfg.n_nodes
-                self._corruption = [CorruptionModel(
-                    rngs[1], spec.corrupt_rate,
-                    {src: self.topology.hop_distance(src, dst) + 1
-                     for src in range(n)}, stats) for dst in range(n)]
+                                           rng=rng, link_index=link_index)
         self.sim.add(self)
         self._source_cap = 64  # packets queued per node before pausing
         #: The production stepper; None under ``always_step=True``, where
@@ -173,10 +163,6 @@ class PacketMesh(Component):
         """Deliver a flit into ``node``'s local input port (NIC-driven
         mode).  Keeps the in-network flit count exact and wakes the mesh
         if the activity kernel had put it to sleep."""
-        if flit.seq == 0 and self._corruption is not None:
-            packet = flit.packet
-            packet.corrupt = self._corruption[packet.dst].corrupt(
-                packet.src, packet.length)
         router = self.routers[node]
         router.accept(P_LOCAL, vc, flit, now)
         if self._stepper is not None and len(router.buffers[P_LOCAL][vc]) == 1:
@@ -187,19 +173,13 @@ class PacketMesh(Component):
     def _eject(self, flit: Flit, now: int) -> None:
         self._flits_in_network -= 1
         self.flits_received += 1
-        packet = flit.packet
-        if now >= self.warmup and not packet.corrupt:
+        if now >= self.warmup:
             self.flits_received_measured += 1
         if flit.last:
+            packet = flit.packet
             self.packets_received += 1
             self.latency.add(now - packet.created)
-            nbytes = self._payloads.pop(packet.pid, 0)
-            if packet.corrupt:
-                # Detected at the receiving endpoint: the payload is
-                # never credited and nothing resends it.
-                self._recovery.drop()
-                return
-            self.bytes_received += nbytes
+            self.bytes_received += self._payloads.pop(packet.pid, 0)
 
     def _drop(self, flit: Flit, now: int) -> None:
         """Router drop callback (dead-link losses): keep the in-network
@@ -314,9 +294,6 @@ class PacketMesh(Component):
                         dst += 1
                     packet = Packet(node, dst, PACKET_FLITS, now, self._pid)
                     self._pid += 1
-                    if self._corruption is not None:
-                        packet.corrupt = self._corruption[dst].corrupt(
-                            node, PACKET_FLITS)
                     queue.append(packet)
                     self.flits_offered += PACKET_FLITS
                     arrival += rng.exponential(

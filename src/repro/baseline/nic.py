@@ -29,8 +29,8 @@ class PacketNic(Component):
     """Translates DMA transfers into packets at one node of a PacketMesh.
 
     Each packet carries ``(PACKET_FLITS − 1 header flit) × FLIT_BYTES``
-    payload bytes.  The NIC has no recovery: a packet lost or corrupted
-    in the mesh is counted there and never resent.
+    payload bytes.  The NIC has no recovery: a packet lost in the mesh
+    is counted there and never resent.
 
     Parameters
     ----------

@@ -75,7 +75,6 @@ class DmaEngine(Component):
                  issue_overhead: int, memory_map: MemoryMap,
                  read_meter: ThroughputMeter | None = None,
                  latency_stats: LatencyStats | None = None,
-                 max_burst_beats: int = 256,
                  counters: CounterSet | None = None):
         self.name = name
         self.tile = tile
@@ -89,7 +88,6 @@ class DmaEngine(Component):
         self.max_outstanding = max_outstanding
         self.issue_overhead = issue_overhead
         self.memory_map = memory_map
-        self.max_burst_beats = max_burst_beats
         self.read_meter = read_meter if read_meter is not None else ThroughputMeter()
         self.latency_stats = latency_stats if latency_stats is not None else LatencyStats(name)
         self.counters = counters if counters is not None else CounterSet()
@@ -435,8 +433,7 @@ class DmaEngine(Component):
             transfer._start_cycle = now
             self._cur = transfer
             self._burst_iter = split_transfer(
-                transfer.addr, transfer.nbytes, self.beat_bytes,
-                self.max_burst_beats)
+                transfer.addr, transfer.nbytes, self.beat_bytes)
             self._next_burst = next(self._burst_iter)
             return False
         burst = self._next_burst

@@ -17,13 +17,8 @@ costs zero simulations.
 from __future__ import annotations
 
 from importlib import import_module
-from typing import TYPE_CHECKING
 
 from repro.eval.report import ExperimentResult
-
-if TYPE_CHECKING:
-    from repro.scenarios import MeasureSpec
-
 
 #: id → description.  A figure module is imported when it is run:
 #: listing the registry (``repro list``, argument parsing) must not
@@ -42,14 +37,13 @@ EXPERIMENTS: dict[str, str] = {
 }
 
 
-def run_experiment(exp_id: str, quick: bool = False, *,
-                   measure: MeasureSpec | None = None, seed: int = 1,
+def run_experiment(exp_id: str, quick: bool = False, *, seed: int = 1,
                    cache: str = "off", store=None) -> ExperimentResult:
     """Regenerate one experiment.
 
-    ``measure`` overrides the preset; without it, ``quick`` picks
-    between :meth:`MeasureSpec.quick` and :meth:`MeasureSpec.full`.
-    ``cache`` / ``store`` go to ``run_sweep``.  A figure's layout needs
+    ``quick`` picks between :meth:`MeasureSpec.quick` and
+    :meth:`MeasureSpec.full`.  ``cache`` / ``store`` go to
+    ``run_sweep``.  A figure's layout needs
     every point, so one that failed its retry raises (``run_sweep`` has
     already named it on stderr).
     """
@@ -58,8 +52,7 @@ def run_experiment(exp_id: str, quick: bool = False, *,
             f"unknown experiment {exp_id!r}; choose from {sorted(EXPERIMENTS)}")
     from repro.scenarios import MeasureSpec, run_sweep
 
-    if measure is None:
-        measure = MeasureSpec.quick() if quick else MeasureSpec.full()
+    measure = MeasureSpec.quick() if quick else MeasureSpec.full()
     module = import_module(f"repro.eval.{exp_id}")
     points = getattr(module, "points", None)
     if points is None:

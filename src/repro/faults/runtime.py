@@ -41,7 +41,7 @@ class FaultStats:
     def __init__(self) -> None:
         self.link_faults = 0        # link fault events applied
         self.vc_faults = 0          # stuck-VC fault events applied
-        self.corrupted = 0          # bursts/packets corrupted in flight
+        self.corrupted = 0          # bursts corrupted in flight (AXI)
         self.retransmissions = 0    # DMA-initiated burst retries (AXI)
         self.recovered = 0          # bursts clean after a retry
         self.dropped = 0            # bursts/packets abandoned (budget or
@@ -282,12 +282,12 @@ class Recovery:
 
 
 class CorruptionModel:
-    """Corruption draw per burst (AXI) or packet (baseline) at one endpoint.
+    """Corruption draw per burst at one AXI memory endpoint.
 
-    A unit of B beats crossing H hops has B*H chances to be hit; the
-    endpoint draws once per unit with the aggregate probability
-    ``1 - (1 - rate)**(B*H)``.  Draws happen in arrival or creation
-    order, which both kernel modes produce identically.
+    A burst of B beats crossing H hops has B*H chances to be hit; the
+    endpoint draws once per burst with the aggregate probability
+    ``1 - (1 - rate)**(B*H)``.  Draws happen in arrival order, which
+    both kernel modes produce identically.
     """
 
     __slots__ = ("_rng", "_rate", "_hops_by_src", "stats")

@@ -24,9 +24,11 @@ RECOVERY_POLICIES = ("none", "retransmit", "reroute")
 
 #: Per backend, the fields ``FaultSpec.check`` refuses a non-default
 #: value of.  The packet baseline has no endpoint that retries, waits
-#: for a response or checks one; the AXI mesh has no router VCs to pin.
+#: for a response or checks one, and no figure corrupts its payload;
+#: the AXI mesh has no router VCs to pin.
 _UNREAD_FIELDS = {
-    "baseline": ("max_retries", "response_faults", "txn_timeout"),
+    "baseline": ("corrupt_rate", "max_retries", "response_faults",
+                 "txn_timeout"),
     "patronoc": ("stuck_vcs",),
 }
 
@@ -140,7 +142,7 @@ class FaultSpec:
         Per-beat, per-hop probability that a burst's payload is
         corrupted in flight.  Corruption is detected at the receiving
         endpoint and surfaces as an SLVERR response; corrupted payload
-        is never credited to throughput.
+        is never credited to throughput.  AXI only.
     recovery:
         One of :data:`RECOVERY_POLICIES` (``"retransmit"`` behaves as
         ``"none"`` on the baseline).

@@ -29,7 +29,8 @@ class NocConfig:
     data_width:
         DW in bits, 8..1024 (power of two).
     addr_width:
-        AW in bits, 32 or 64.
+        AW in bits, 32 or 64.  Only the area model reads it; a simulated
+        point (``TopologySpec``) takes 32.
     id_width:
         IW in bits, 1..16; sets the per-egress remap pool to ``2**IW``.
     max_outstanding:

@@ -21,7 +21,7 @@ Scenario instantiations; sweeps over arbitrary grids are built with
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from repro.baseline.config import PacketMeshConfig
 from repro.faults.spec import (
@@ -40,9 +40,11 @@ QUICK_WARMUP = 2_000
 QUICK_WINDOW = 8_000
 
 BACKENDS = ("patronoc", "baseline")
-#: The fields each backend's config takes, read once from the configs.
+#: The fields each backend's config takes, read once from the configs;
+#: not ``NocConfig.addr_width``, which only the area model reads.
 _CONFIG_FIELDS = {
-    "patronoc": tuple(f.name for f in fields(NocConfig)),
+    "patronoc": tuple(f.name for f in fields(NocConfig)
+                      if f.name != "addr_width"),
     "baseline": tuple(f.name for f in fields(PacketMeshConfig)),
 }
 TRAFFIC_KINDS = ("uniform", "synthetic", "dnn")
@@ -66,10 +68,10 @@ FIDELITIES = ("full", "quick")
 class TopologySpec:
     """Which fabric to build.
 
-    ``backend="patronoc"`` uses the AXI mesh (all
-    :class:`~repro.noc.config.NocConfig` fields apply, with the same
-    defaults); ``backend="baseline"`` uses the packet mesh (``n_vcs``
-    and ``buf_depth`` apply).  Shared:
+    ``backend="patronoc"`` uses the AXI mesh (the
+    :class:`~repro.noc.config.NocConfig` fields but ``addr_width``
+    apply, with the same defaults); ``backend="baseline"`` uses the
+    packet mesh (``n_vcs`` and ``buf_depth`` apply).  Shared:
     ``rows``, ``cols``, ``freq_hz``.  A field the backend's config does
     not take must keep its default (DESIGN.md §9).
     """
@@ -80,7 +82,6 @@ class TopologySpec:
     freq_hz: float = 1e9
     # -- PATRONoC (NocConfig) knobs -----------------------------------
     data_width: int = 32
-    addr_width: int = 32
     id_width: int = 4
     max_outstanding: int = 8
     full_connectivity: bool = False
@@ -124,7 +125,7 @@ class TopologySpec:
     @property
     def label(self) -> str:
         if self.backend == "patronoc":
-            return (f"AXI_{self.addr_width}_{self.data_width}_"
+            return (f"AXI_{NocConfig.addr_width}_{self.data_width}_"
                     f"{self.id_width}@{self.rows}x{self.cols}")
         return (f"mesh{self.rows}x{self.cols}/"
                 f"VC={self.n_vcs},Buf={self.buf_depth}")
@@ -149,8 +150,12 @@ class TopologySpec:
 
     @classmethod
     def from_noc_config(cls, cfg: NocConfig) -> "TopologySpec":
-        """Lossless capture of an existing :class:`NocConfig`."""
-        return cls(backend="patronoc", **asdict(cfg))
+        """Lossless capture of an existing :class:`NocConfig`; one whose
+        AW is not 32 is refused, as nothing simulated reads AW."""
+        refuse_unread(cfg, ("addr_width",), "in a simulated point")
+        return cls(backend="patronoc",
+                   **{name: getattr(cfg, name)
+                      for name in _CONFIG_FIELDS["patronoc"]})
 
     @classmethod
     def baseline(cls, n_vcs: int = 1, buf_depth: int = 4, *,

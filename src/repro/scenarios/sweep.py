@@ -47,20 +47,14 @@ from repro.scenarios.spec import (
 FABRICS = {"patronoc": "repro.noc.network",
            "baseline": "repro.baseline.network"}
 
-#: Short axis names → dotted spec paths.
+#: Short axis names → dotted spec paths: the ones the benchmark and
+#: the examples write.  Any other axis is named by its path.
 AXIS_ALIASES = {
     "loads": "traffic.load",
-    "rates": "traffic.load",
     "burst_caps": "traffic.max_burst_bytes",
-    "read_fractions": "traffic.read_fraction",
-    "patterns": "traffic.pattern",
-    "workloads": "traffic.workload",
     "configs": "topology",
-    "topologies": "topology",
-    "measures": "measure",
     "seeds": "seed",
     "fault_rates": "faults.link_rate",
-    "corrupt_rates": "faults.corrupt_rate",
     "recoveries": "faults.recovery",
 }
 

@@ -56,12 +56,9 @@ class Job:
     Every hit is known at submit, its event already in ``lines``; the
     worker's events follow them."""
 
-    def __init__(self, job_id: str, total: int, hit_lines: list[str], *,
-                 jobs: int, cache: str):
+    def __init__(self, job_id: str, total: int, hit_lines: list[str]):
         self.id = job_id
         self.total = total
-        self.jobs = jobs
-        self.cache = cache
         self.status = "queued"
         self.done = self.hits = len(hit_lines)
         self.misses = 0
@@ -80,8 +77,7 @@ class Job:
         return {"job": self.id, "status": self.status,
                 "total": self.total, "done": self.done,
                 "hits": self.hits, "misses": self.misses,
-                "errors": self.errors, "jobs": self.jobs,
-                "cache": self.cache, "error": self.error}
+                "errors": self.errors, "error": self.error}
 
     def finish(self, body: bytes) -> None:
         """Publish ``done`` (caller holds the manager lock): body,
@@ -117,31 +113,22 @@ class JobManager:
         self._worker.start()
 
     # -- client surface ------------------------------------------------
-    def submit(self, points: list[Scenario], *, jobs: int | None = None,
-               cache: str | None = None) -> Job:
+    def submit(self, points: list[Scenario]) -> Job:
         """Plan a sweep in the calling thread — its store hits are
         answered here — and queue the plan if it has misses; returns
-        the Job, already ``done`` when the store held every point."""
+        the Job, already ``done`` when the store held every point.  It
+        runs with the manager's ``jobs`` and ``cache``."""
         if not points:
             raise ValueError("a job needs at least one scenario point")
-        jobs = check_jobs(self.jobs if jobs is None else jobs)
-        cache = self.cache if cache is None else cache
-        check_cache_mode(cache)
-        if cache != "off" and self.store is None:
-            raise ValueError(
-                "service was started with cache='off' (no store); "
-                "submit with cache=off or restart with a store")
         # The reads, and an all-hit job's encode, run outside the lock.
         # ``put`` replaces an entry atomically, so a read racing the
         # worker's write-back sees the old entry, the new one or a miss.
         hit_lines: list[str] = []
-        plan = SweepPlan(points, cache=cache,
-                         store=self.store if cache != "off" else None,
+        plan = SweepPlan(points, cache=self.cache, store=self.store,
                          on_point=lambda ev: hit_lines.append(_point_line(ev)))
         body = _encode(points, plan.results) if not plan.pending else None
         with self._wake:
-            job = Job(f"j{next(self._ids)}", len(points), hit_lines,
-                      jobs=jobs, cache=cache)
+            job = Job(f"j{next(self._ids)}", len(points), hit_lines)
             self._by_id[job.id] = job
             if body is not None:  # never queued
                 job.finish(body)
@@ -211,7 +198,7 @@ class JobManager:
                     job.lines.append(line)
 
             try:
-                results = plan.run(job.jobs, on_point)
+                results = plan.run(self.jobs, on_point)
             except Exception as exc:
                 del plan
                 with self._lock:

@@ -9,9 +9,11 @@ and serves completed Results back as JSON.
 Endpoints::
 
     GET  /healthz                    liveness + store/cache config
-    POST /jobs[?jobs=N&cache=MODE]   body = sweep / scenario / list JSON
+    POST /jobs                       body = sweep / scenario / list JSON
                                      (exactly the shapes `load_spec`
-                                     accepts from a .json file)
+                                     accepts from a .json file), run
+                                     with the server's --jobs/--cache;
+                                     a query string is a 400, named
     GET  /jobs                       all job status snapshots
     GET  /jobs/<id>                  one job's status snapshot
     GET  /jobs/<id>/progress?since=K NDJSON: one line per finalized
@@ -133,10 +135,15 @@ class ServiceHandler(BaseHTTPRequestHandler):
             # request on a kept-alive connection: close, as below.
             self.close_connection = True
             return self._error(404, f"no such endpoint: POST {url.path}")
-        query = parse_qs(url.query)
         declared = self.headers.get("Content-Length", "0").strip()
         refusal = None
-        if not (declared.isascii() and declared.isdigit()):
+        if url.query:
+            name = next(iter(parse_qs(url.query, keep_blank_values=True)),
+                        url.query)
+            refusal = 400, (f"POST /jobs takes no query parameter, got "
+                            f"{name!r}: a job runs with the server's "
+                            f"--jobs and --cache")
+        elif not (declared.isascii() and declared.isdigit()):
             refusal = 400, "Content-Length must be a non-negative integer"
         # The digit count first: int() itself refuses a 4300-digit string.
         elif len(declared) > 12 or int(declared) > MAX_BODY_BYTES:
@@ -146,10 +153,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             return self._error(*refusal)
         try:
             data = json.loads(self.rfile.read(int(declared)) or b"null")
-            points = points_from_data(data)
-            jobs = int(query["jobs"][0]) if "jobs" in query else None
-            cache = query["cache"][0] if "cache" in query else None
-            job = self.server.manager.submit(points, jobs=jobs, cache=cache)
+            job = self.server.manager.submit(points_from_data(data))
         except (ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
             return self._error(400, f"bad submission: {exc}")
         # The status at acceptance, not a read of ``job.status``: the

@@ -25,6 +25,9 @@ from repro.noc.network import NocNetwork
 from repro.sim.kernel import Component
 from repro.sim.rng import spawn_rngs
 
+#: Backlog bound per master before the arrival clock pauses.
+QUEUE_CAP = 64
+
 
 class RandomTraffic(Component):
     """Poisson random traffic over per-master destination candidate sets.
@@ -44,14 +47,12 @@ class RandomTraffic(Component):
         max_burst_bytes)`` — the paper's "burst size < N" notation.
     read_fraction:
         Probability a transfer is a read (data flows slave→master).
-    queue_cap:
-        Backlog bound per master before the arrival clock pauses.
     """
 
     def __init__(self, net: NocNetwork, candidates: dict[int, list[int]],
                  load: float, max_burst_bytes: int, *,
                  min_burst_bytes: int = 1, read_fraction: float = 0.5,
-                 seed: int | None = None, queue_cap: int = 64):
+                 seed: int | None = None):
         if load <= 0:
             raise ValueError(f"load must be positive, got {load}")
         if max_burst_bytes <= min_burst_bytes - 1 or min_burst_bytes < 1:
@@ -65,7 +66,6 @@ class RandomTraffic(Component):
         self.min_burst = min_burst_bytes
         self.max_burst = max_burst_bytes
         self.read_fraction = read_fraction
-        self.queue_cap = queue_cap
         self.name = f"traffic(load={load})"
         #: Open-loop source: future arrivals never block a drain.
         self.drain_transparent = True
@@ -115,7 +115,7 @@ class RandomTraffic(Component):
 
     def step(self, now: int) -> bool:
         arrival = self._arrival
-        cap = self.queue_cap
+        cap = QUEUE_CAP
         masters = self._masters
         for k, dma in enumerate(self._hot_dmas):
             # Pause the arrival clock while the backlog is at the cap.

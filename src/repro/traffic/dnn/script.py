@@ -195,12 +195,12 @@ class CoreScript(Component):
                 raise ValueError(f"{self.name}: unknown op {kind!r}")
 
 
-def install_scripts(net: NocNetwork, scripts: dict[int, list[tuple]], *,
-                    loop: bool = True) -> list[CoreScript]:
-    """Create and register a :class:`CoreScript` per core."""
+def install_scripts(net: NocNetwork,
+                    scripts: dict[int, list[tuple]]) -> list[CoreScript]:
+    """Create and register a looping :class:`CoreScript` per core."""
     runners = []
     for core, ops in scripts.items():
-        runner = CoreScript(net, core, ops, loop=loop)
+        runner = CoreScript(net, core, ops)
         net.sim.add(runner)
         runners.append(runner)
     return runners

@@ -26,7 +26,7 @@ loop, so workloads are measured in steady state over a fixed window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.noc.config import NocConfig
 from repro.noc.network import NocNetwork, TileSpec
@@ -37,6 +37,11 @@ from repro.traffic.dnn.script import CoreScript, Event, install_scripts
 
 #: Grid position of the shared L2 tile (matches the synthetic hot spot).
 L2_COORDS = (2, 1)
+#: Pipelined convolution: the tiles each image's activations are cut
+#: into, and the tiles in flight per stage (multi-buffering, the
+#: standard depth-first pipelining that keeps every link streaming).
+PIPE_TILES_PER_IMAGE = 8
+PIPE_BUFFERS = 4
 
 
 @dataclass
@@ -44,18 +49,15 @@ class DnnWorkload:
     """A ready-to-install workload: tile placement plus per-core scripts."""
 
     key: str
-    title: str
     tiles: list[TileSpec]
     scripts: dict[int, list[tuple]]
     l2_endpoint: int
-    events: dict[str, Event] = field(default_factory=dict)
-    loop: bool = True
 
     def build_network(self, cfg: NocConfig, **net_kwargs) -> NocNetwork:
         return NocNetwork(cfg, tiles=self.tiles, **net_kwargs)
 
     def install(self, net: NocNetwork) -> list[CoreScript]:
-        return install_scripts(net, self.scripts, loop=self.loop)
+        return install_scripts(net, self.scripts)
 
 
 def _dnn_tiles(cfg: NocConfig) -> tuple[list[TileSpec], int]:
@@ -143,11 +145,8 @@ def distributed_training(cfg: NocConfig, *, shrink: float = 0.9,
         ops.append(("await_next", ev_weights, 1))
         ops.append(("read", l2, weights_off, weight_bytes))
         scripts[core] = ops
-    wl = DnnWorkload(key="train", title="Distributed Training",
-                     tiles=tiles, scripts=scripts, l2_endpoint=l2)
-    wl.events.update(events)
-    wl.events["weights_ready"] = ev_weights
-    return wl
+    return DnnWorkload(key="train", tiles=tiles, scripts=scripts,
+                       l2_endpoint=l2)
 
 
 # ----------------------------------------------------------------------
@@ -175,24 +174,18 @@ def parallel_conv(cfg: NocConfig, *, shrink: float = 0.9,
             ops.append(("signal", barrier))
             ops.append(("await_next", barrier, n_cores))
         scripts[core] = ops
-    wl = DnnWorkload(key="par", title="Parallelized Convolution",
-                     tiles=tiles, scripts=scripts, l2_endpoint=l2)
-    wl.events["barrier"] = barrier
-    return wl
+    return DnnWorkload(key="par", tiles=tiles, scripts=scripts,
+                       l2_endpoint=l2)
 
 
 # ----------------------------------------------------------------------
 # c) pipelined convolution
 # ----------------------------------------------------------------------
 def pipelined_conv(cfg: NocConfig, *, shrink: float = 0.9,
-                   input_hw: int = 224, tiles_per_image: int = 8,
-                   buffers: int = 4) -> DnnWorkload:
+                   input_hw: int = 224) -> DnnWorkload:
     """Depth-first CNN inference: layer groups chained along a mesh snake
-    (Fig. 7c) — predominantly L1→L1 neighbour traffic.
-
-    ``buffers`` tiles may be in flight per stage (multi-buffering), the
-    standard depth-first pipelining that keeps every link streaming.
-    """
+    (Fig. 7c) — predominantly L1→L1 neighbour traffic, with
+    :data:`PIPE_BUFFERS` tiles in flight per stage."""
     tiles, l2 = _dnn_tiles(cfg)
     layers = conv_layers(shrink=shrink, input_hw=input_hw)
     topo = Mesh2D(cfg.rows, cfg.cols)
@@ -205,8 +198,8 @@ def pipelined_conv(cfg: NocConfig, *, shrink: float = 0.9,
         group = groups[stage]
         out_bytes = group[-1].out_act_bytes if group else 1
         in_bytes = group[0].in_act_bytes if group else 1
-        tile_out = max(1, out_bytes // tiles_per_image)
-        tile_in = max(1, in_bytes // tiles_per_image)
+        tile_out = max(1, out_bytes // PIPE_TILES_PER_IMAGE)
+        tile_in = max(1, in_bytes // PIPE_TILES_PER_IMAGE)
         ops: list[tuple] = []
         if stage == 0:
             ops.append(("read_async", l2, 0, tile_in, None))
@@ -218,12 +211,10 @@ def pipelined_conv(cfg: NocConfig, *, shrink: float = 0.9,
             next_core = chain[stage + 1]
             ops.append(("write_async", next_core, 0, tile_out,
                         events[f"in{stage + 1}"]))
-        ops.append(("throttle", buffers))
+        ops.append(("throttle", PIPE_BUFFERS))
         scripts[core] = ops
-    wl = DnnWorkload(key="pipe", title="Pipelined Convolution",
-                     tiles=tiles, scripts=scripts, l2_endpoint=l2)
-    wl.events.update(events)
-    return wl
+    return DnnWorkload(key="pipe", tiles=tiles, scripts=scripts,
+                       l2_endpoint=l2)
 
 
 WORKLOADS = {

@@ -19,7 +19,7 @@ The goldens, all under ``tests/golden/``, and the tests that read them:
 * ``address_path_pr16.json`` (``tests/test_address_path.py``) and
   ``stall_intervals_pr19.json`` (``tests/test_stall_intervals.py``):
   what each point's ``observe`` reads under the production scheduler;
-* ``store_entry_pr49.json``: one armed point as ``store.put`` writes
+* ``store_entry_pr50.json``: one armed point as ``store.put`` writes
   it, under the fingerprint the file already carries
   (``tests/test_store.py``).
 
@@ -53,7 +53,7 @@ SNAPSHOT_WORKLOADS = ("axi_write", "axi_rw", "dnn_fig8", "faulted",
 SNAPSHOT_SEEDS = (1, 2)
 FIGURES = ("table1", "fig2", "fig3", "fig4", "fig6", "fig8", "table2",
            "power", "resilience")
-STORE_ENTRY = GOLDEN / "store_entry_pr49.json"
+STORE_ENTRY = GOLDEN / "store_entry_pr50.json"
 
 ABSENT = "(absent)"
 

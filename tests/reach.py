@@ -60,9 +60,10 @@ CEILING = re.compile(r"at most (\d+)\s+functions\s+unreached")
 #: byzantine-beat keys, a measure that carries the removed per-link
 #: capture, topologies that carry the removed ``register_slices``,
 #: memory MOT, W-order depth, flit width and packet length, a fault
-#: spec that carries the removed ``retry_timeout``, a stuck VC on the
-#: AXI mesh, a DNN point with a burst cap, ``axes`` that is not an
-#: object and a seed that is not an int.
+#: spec that carries the removed ``retry_timeout``, a topology that
+#: carries the removed ``addr_width``, corruption and no VC on the
+#: packet mesh, a stuck VC on the AXI mesh, a DNN point with a burst
+#: cap, ``axes`` that is not an object and a seed that is not an int.
 REFUSED_SPECS = {
     "data_width": {
         "base": {"topology": {"backend": "baseline", "rows": 2, "cols": 2,
@@ -131,6 +132,24 @@ REFUSED_SPECS = {
                  "traffic": {"kind": "uniform", "load": 0.1},
                  "faults": {"links": [{"src": 0, "dst": 1}],
                             "retry_timeout": 500}},
+        "axes": {"seed": [1]},
+    },
+    "addr_width": {
+        "base": {"topology": {"backend": "patronoc", "rows": 2, "cols": 2,
+                              "addr_width": 64},
+                 "traffic": {"kind": "uniform", "load": 0.1}},
+        "axes": {"seed": [1]},
+    },
+    "corrupt_rate": {
+        "base": {"topology": {"backend": "baseline", "rows": 2, "cols": 2},
+                 "traffic": {"kind": "uniform", "load": 0.1},
+                 "faults": {"corrupt_rate": 1e-4}},
+        "axes": {"seed": [1]},
+    },
+    "n_vcs": {
+        "base": {"topology": {"backend": "baseline", "rows": 2, "cols": 2,
+                              "n_vcs": 0},
+                 "traffic": {"kind": "uniform", "load": 0.1}},
         "axes": {"seed": [1]},
     },
     "stuck_vcs": {

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baseline.config import PacketMeshConfig
 from repro.noc.config import NocConfig
 
 
@@ -30,6 +31,19 @@ class TestValidation:
     def test_rejects_out_of_range(self, field, value):
         with pytest.raises(ValueError):
             NocConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("rows", 0),
+        ("cols", 0),
+        ("n_vcs", 0),
+        ("buf_depth", 0),
+        ("freq_hz", 0.0),
+    ])
+    def test_packet_mesh_rejects_out_of_range(self, field, value):
+        """The baseline's config is checked when a spec is built, not
+        when a router or the simulator is, and names the field."""
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            PacketMeshConfig(**{field: value})
 
     def test_table1_extremes_accepted(self):
         NocConfig(data_width=8, id_width=1, max_outstanding=1)

@@ -1,6 +1,5 @@
 """Reproducibility: identical seeds give byte-identical simulations."""
 
-from repro.axi.transaction import Transfer
 from repro.noc.config import NocConfig
 from repro.noc.network import NocNetwork
 from repro.traffic.synthetic import MAX_TWO_HOP, build_synthetic_network, synthetic_traffic
@@ -56,17 +55,3 @@ def test_seed_changes_results():
         nets.append(net.total_bytes())
     assert nets[0] != nets[1]
 
-
-def test_dma_max_burst_beats_configurable():
-    """A DMA configured with a shorter max burst issues more bursts."""
-    cfg = NocConfig(rows=2, cols=2)
-    counts = {}
-    for max_beats in (16, 256):
-        net = NocNetwork(cfg)
-        net.dmas[0].max_burst_beats = max_beats
-        net.dmas[0].submit(Transfer(src=0, addr=net.addr_of(3, 0),
-                                    nbytes=4096, is_read=False))
-        net.drain(max_cycles=60_000)
-        counts[max_beats] = net.memories[3].bursts_written
-    assert counts[16] == 64   # 1024 beats / 16
-    assert counts[256] == 4   # 1024 beats / 256 (4 KiB pages)

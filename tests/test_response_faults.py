@@ -99,15 +99,16 @@ class TestBackendValidation:
                 "faults": {"byzantine_rate": 1e-4}})
 
     @pytest.mark.parametrize("field", ["max_retries", "response_faults",
-                                       "txn_timeout"])
+                                       "txn_timeout", "corrupt_rate"])
     def test_baseline_refuses(self, field):
-        """No baseline endpoint retries or waits for a reply, so these
-        knobs would change nothing there: refused, by name, by the
-        mesh and by a baseline Scenario when it is built."""
+        """No baseline endpoint retries or waits for a reply, and no
+        figure corrupts a packet, so these knobs would change nothing
+        there: refused, by name, by the mesh and by a baseline Scenario
+        when it is built."""
         from repro.scenarios import Scenario, TopologySpec, TrafficSpec
 
         value = {"max_retries": 8, "response_faults": True,
-                 "txn_timeout": 400}[field]
+                 "txn_timeout": 400, "corrupt_rate": 1e-3}[field]
         faults = FaultSpec(links=[LinkFault(0, 1)], **{field: value})
         with pytest.raises(ValueError, match=field):
             PacketMesh(PacketMeshConfig(), faults=faults, fault_seed=1)

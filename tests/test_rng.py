@@ -287,8 +287,7 @@ NO_NUMPY_POINTS = [
      "measure": {"warmup": 200, "window": 1500},
      "faults": {"stuck_vcs": [{"node": 5, "port": 1, "vc": 0,
                                "start": 300, "duration": 600}],
-                "corrupt_rate": 1e-3, "link_rate": 2e-3,
-                "link_duration": 300},
+                "link_rate": 2e-3, "link_duration": 300},
      "seed": 1},
     {"topology": {"backend": "patronoc", "rows": 4, "cols": 4},
      "traffic": {"kind": "dnn", "workload": "par"},
@@ -305,8 +304,9 @@ def test_a_run_imports_no_numpy():
         env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
     axi, mesh, dnn = json.loads(proc.stdout)
+    assert axi["faults"]["corrupted"] > 0
     for faults in (axi["faults"], mesh["faults"]):
-        assert faults["link_faults"] > 0 and faults["corrupted"] > 0
+        assert faults["link_faults"] > 0
     assert axi["faults"]["retransmissions"] > 0
     assert mesh["faults"]["vc_faults"] == 1
     assert dnn["throughput_gib_s"] > 0

@@ -38,13 +38,14 @@ FAST = MeasureSpec(300, 900)
 
 #: A valid value other than the default for every TopologySpec field.
 NON_DEFAULT = dict(
-    rows=3, cols=3, freq_hz=5e8, data_width=64, addr_width=64, id_width=3,
+    rows=3, cols=3, freq_hz=5e8, data_width=64, id_width=3,
     max_outstanding=4, full_connectivity=True,
     dma_issue_overhead=4, memory_latency=3, hop_latency=1, n_vcs=2,
     buf_depth=8)
-#: Former TopologySpec fields, now constants: a spec naming one fails.
+#: Former TopologySpec fields, now constants (``addr_width`` only sizes
+#: the area model): a spec naming one fails.
 REMOVED_TOPOLOGY = dict(memory_outstanding=8, w_order_depth=4, flit_bytes=8,
-                        packet_flits=4)
+                        packet_flits=4, addr_width=64)
 
 #: A valid value other than the default for every TrafficSpec field but
 #: ``kind``, and the name each kind needs.
@@ -86,6 +87,21 @@ class TestTopologySpec:
         assert TopologySpec.coerce("slim").data_width == 32
         assert TopologySpec.coerce("wide").data_width == 512
         assert TopologySpec.coerce("AXI_32_64_4").data_width == 64
+
+    def test_an_address_width_other_than_32_is_refused(self):
+        """No simulated component reads AW: a config or label that sets
+        another is refused by name, and the label still prints 32."""
+        from repro.noc.config import NocConfig
+
+        for build in (
+                lambda: TopologySpec.from_noc_config(
+                    NocConfig(addr_width=64)),
+                lambda: TopologySpec.from_label("AXI_64_64_4"),
+                lambda: TopologySpec.coerce("AXI_64_64_4")):
+            with pytest.raises(ValueError,
+                               match="addr_width=64 does nothing"):
+                build()
+        assert TopologySpec.coerce("AXI_32_64_4").label == "AXI_32_64_4@4x4"
 
     def test_baseline_label(self):
         spec = TopologySpec.baseline(4, 32)

@@ -114,8 +114,10 @@ class TestOps:
     def test_install_scripts(self):
         net = make_net()
         runners = install_scripts(net, {0: [("compute", 1)],
-                                        1: [("compute", 2)]}, loop=False)
-        assert len(runners) == 2
+                                        1: [("compute", 2)]})
+        assert len(runners) == 2 and all(r.loop for r in runners)
+        for r in runners:
+            r.loop = False
         net.run(10)
         assert all(r.done for r in runners)
 

@@ -218,7 +218,7 @@ class TestJobManager:
 
         def read_while_encoding():
             reads["snap"] = manager.snapshot(job.id)
-            again = manager.submit([self.point(0.1)], cache="ro")
+            again = manager.submit([self.point(0.1)])
             reads["again"] = manager.snapshot(again.id)
             reads["events"] = manager.events_since(job.id, 0)
             reads["listing"] = manager.snapshots()
@@ -283,26 +283,24 @@ class TestJobManager:
         assert [ref() for ref in submitted + returned] == [None] * 4
         assert len(json.loads(manager.results_payload(job.id))) == 2
 
-    def test_jobs_below_one_is_refused_by_name(self, manager):
+    def test_jobs_below_one_is_refused_by_name(self):
         with pytest.raises(ValueError, match="jobs must be >= 1, got 0"):
             JobManager(cache="off", jobs=0)
-        with pytest.raises(ValueError, match="jobs must be >= 1, got -1"):
-            manager.submit([self.point()], jobs=-1)
-        assert manager.snapshots() == []
 
     def test_empty_submission_rejected(self, manager):
         with pytest.raises(ValueError):
             manager.submit([])
 
-    def test_cache_off_manager_rejects_cached_jobs(self, tmp_path):
+    def test_cache_off_manager_simulates_without_a_store(self):
+        """A job runs with its manager's cache mode: with ``off`` there
+        is no store, and every point is simulated."""
         mgr = JobManager(cache="off")
         try:
             assert mgr.store is None
-            with pytest.raises(ValueError):
-                mgr.submit([self.point()], cache="rw")
-            job = mgr.submit([self.point()])  # uncached still works
-            snap = wait_finished(lambda: mgr.snapshot(job.id))
-            assert snap["status"] == "done" and snap["misses"] == 1
+            for _ in range(2):
+                job = mgr.submit([self.point()])
+                snap = wait_finished(lambda: mgr.snapshot(job.id))
+                assert snap["status"] == "done" and snap["misses"] == 1
         finally:
             mgr.shutdown()
 
@@ -436,11 +434,20 @@ class TestHttpService:
         accepted = self.submit(service, payload=[one, one])
         assert accepted["points"] == 2
 
-    def test_cache_override_query(self, service):
-        job = self.submit(service, query="?cache=off&jobs=1")["job"]
-        snap = wait_finished(lambda: self.get(f"{service}/jobs/{job}"))
-        assert snap["cache"] == "off" and snap["status"] == "done"
-        assert self.get(f"{service}/store/stats")["entries"] == 0
+    @pytest.mark.parametrize("query, name", [
+        ("?jobs=1", "jobs"), ("?cache=off&jobs=1", "cache"),
+        ("?dry", "dry")])
+    def test_a_query_parameter_is_refused_by_name(self, service, query,
+                                                  name):
+        """A job runs with the server's ``--jobs`` and ``--cache``: a
+        query string on ``POST /jobs`` is refused, never ignored."""
+        req = urllib.request.Request(f"{service}/jobs{query}",
+                                     data=json.dumps(SWEEP_SPEC).encode())
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(req)
+        assert err.value.code == 400
+        assert f"parameter, got '{name}'" in json.load(err.value)["error"]
+        assert self.get(f"{service}/jobs") == {"jobs": []}
 
     @pytest.mark.parametrize("body, code", [
         (b"{not json", 400),
@@ -489,7 +496,8 @@ class TestHttpService:
             urllib.request.urlopen(req)
         assert err.value.code == 400
         assert json.load(err.value) == {
-            "error": "bad submission: jobs must be >= 1, got 0"}
+            "error": "POST /jobs takes no query parameter, got 'jobs': "
+                     "a job runs with the server's --jobs and --cache"}
         assert self.get(f"{service}/jobs") == {"jobs": []}
 
     def test_results_are_the_bytes_a_direct_sweep_encodes(self, service):
@@ -522,9 +530,10 @@ class TestHttpService:
         carries the removed ``width_factor``, fault specs that carry the
         removed ``ports`` / ``byzantine_rate``, a measure that carries
         the removed ``per_link``, a topology that carries the removed
-        ``register_slices``, the removed topology constants and
-        ``retry_timeout``, a stuck VC on the AXI mesh and a DNN point with
-        a burst cap: 400, naming the field."""
+        ``register_slices``, the removed topology constants,
+        ``addr_width`` and ``retry_timeout``, a stuck VC on the AXI mesh,
+        corruption or no VC on the packet mesh and a DNN point with a
+        burst cap: 400, naming the field."""
         baseline = {"topology": {"backend": "baseline", "rows": 2,
                                  "cols": 2, "data_width": 64},
                     "traffic": {"kind": "uniform", "load": 0.1,
@@ -547,13 +556,18 @@ class TestHttpService:
         for key, value, topology in (
                 ("memory_outstanding", 8, degraded["topology"]),
                 ("w_order_depth", 4, degraded["topology"]),
-                ("flit_bytes", 8, mesh), ("packet_flits", 4, mesh)):
+                ("addr_width", 64, degraded["topology"]),
+                ("flit_bytes", 8, mesh), ("packet_flits", 4, mesh),
+                ("n_vcs", 0, mesh)):
             removed[key] = {"topology": {**topology, key: value},
                             "traffic": degraded["traffic"]}
         removed["retry_timeout"] = {**degraded, "faults": {
             "links": [{"src": 0, "dst": 1}], "retry_timeout": 500}}
         removed["stuck_vcs"] = {**degraded, "faults": {
             "stuck_vcs": [{"node": 0, "port": 1}]}}
+        removed["corrupt_rate"] = {"topology": mesh,
+                                   "traffic": degraded["traffic"],
+                                   "faults": {"corrupt_rate": 1e-4}}
         removed["max_burst_bytes"] = {
             "topology": degraded["topology"],
             "traffic": {"kind": "dnn", "workload": "par",
@@ -637,8 +651,7 @@ class TestHttpService:
         snap = wait_finished(lambda: self.get(f"{service}/jobs/j1"))
         assert fetch("/jobs/j1") == (200, snap) == (200, {
             "job": "j1", "status": "done", "total": 1, "done": 1, "hits": 0,
-            "misses": 1, "errors": 0, "jobs": 1, "cache": "rw",
-            "error": None})
+            "misses": 1, "errors": 0, "error": None})
         assert fetch("/jobs") == (200, {"jobs": [snap]})
         status, results = fetch("/jobs/j1/results")
         assert status == 200 and len(results) == 1

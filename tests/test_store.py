@@ -141,9 +141,10 @@ class TestKeys:
         recorded at commit 3124678 (``0b5f767e…``) until ``MeasureSpec``
         lost ``per_link`` (``136b2a9c…``), then ``TopologySpec`` lost
         ``register_slices`` (``75c6bc93…``), then four constant fields
-        and ``FaultSpec`` ``retry_timeout`` (``7e3a2f7a…`` with faults);
-        each time every canonical JSON lost the key.
-        ``every_fault_kind``'s literal moved five times, twice
+        and ``FaultSpec`` ``retry_timeout`` (``7e3a2f7a…`` with faults),
+        then ``addr_width`` (``9ade05ff…``); each time every canonical
+        JSON lost the key.
+        ``every_fault_kind``'s literal moved six times, twice
         because ``FaultSpec`` lost a fault kind and its canonical JSON
         lost the key: its link was width-degraded at 3124678
         (``aa7a705f…``), then dead beside a dead port and with a
@@ -151,20 +152,22 @@ class TestKeys:
         ``per_link`` (``0cdfc589…``), then ``register_slices`` and the
         ``txn_timeout=900`` it carried (``5ac8ff44…``): the baseline
         has no endpoint watchdog, so a baseline Scenario now refuses
-        the field when it is built.  It holds every fault kind there
-        is: a dead link, a stuck VC and corruption."""
+        the field when it is built, then ``addr_width`` and the
+        corruption the baseline now refuses likewise (``7a83df86…``).
+        It holds every fault kind the baseline models: a dead link and
+        a stuck VC."""
         replay = Scenario(  # the benchmark's 256 store_replay points
             topology=TopologySpec.baseline(1, 4, rows=2, cols=2),
             traffic=TrafficSpec.uniform(0.6, 1),
             measure=MeasureSpec(warmup=25, window=100), seed=7)
-        assert spec_hash(replay) == ("9ade05ff87f4b1820af4a31e5d88f1ea"
-                                     "a46dc431d6c5aa67ace81c44298bfd53")
+        assert spec_hash(replay) == ("65a4739baad06ee3beb1c8d507c6b61e"
+                                     "afff708d1ae2314a007dacb6a9c4ef4f")
         every_fault_kind = FaultSpec(
             links=(LinkFault(0, 1, start=10, duration=50),),
             stuck_vcs=(StuckVcFault(2, 1, vc=0, start=5),),
-            corrupt_rate=1e-4, recovery="retransmit")
+            recovery="retransmit")
         assert spec_hash(replay.with_(faults=every_fault_kind)) == (
-            "7a83df86ba598f7a851b36c9698b75229d592a0259b8695b8cd2ca6f5ac4da3f")
+            "accf551d94c492dfa07a486b9621461d616554f46e07374521761eb5c9197b95")
 
     def test_key_separates_seeds_and_code_versions(self, store, monkeypatch):
         a = store.key_for(fast_point(seed=1)).relpath
@@ -231,7 +234,7 @@ class TestEntryFormatCompatibility:
     #: point (one dead link, corruption, retransmission), so every
     #: nested container is present.  ``tests/golden/repin.py`` rewrites
     #: it.
-    GOLDEN = Path(__file__).parent / "golden" / "store_entry_pr49.json"
+    GOLDEN = Path(__file__).parent / "golden" / "store_entry_pr50.json"
     #: Entries ``put`` wrote before the schema dropped a field they
     #: carry, under the path each was written to, with the first such
     #: key a load reaches: at commit 3124678 the same point with its
@@ -240,19 +243,22 @@ class TestEntryFormatCompatibility:
     #: a5762eb the same point with the ``per_link`` key ``MeasureSpec``
     #: no longer has, at 01bff79 the same point with the
     #: ``register_slices`` key ``TopologySpec`` no longer has, at 3c52896
-    #: the same point with the five keys that became constants.
+    #: the same point with the five keys that became constants, at
+    #: 0e54e45 the same point with the ``addr_width`` key.  Every one
+    #: carries ``addr_width``, which a load reaches first.
     PRE_SCHEMA = {
         "pr15": ("git-3124678d79adb1f4/16/847323bf07de226470b2f152851a25a9"
-                 "851944b31e687b4b4006cb5057dc0c-s3.json", "register_slices"),
+                 "851944b31e687b4b4006cb5057dc0c-s3.json", "addr_width"),
         "pr34": ("src-a0a1940467741827/7e/2a31cbc1f865f605871a0844b605e367"
-                 "13647b835379b3f0a8cc4f249db51c-s3.json", "register_slices"),
+                 "13647b835379b3f0a8cc4f249db51c-s3.json", "addr_width"),
         "pr35": ("src-a0a1940467741827/45/e4c72423e7cbe8b9cc1214d7f2fbf622"
-                 "ceb50ea80fe7e4e5c56aa3cda60a65-s3.json", "register_slices"),
+                 "ceb50ea80fe7e4e5c56aa3cda60a65-s3.json", "addr_width"),
         "pr36": ("src-a0a1940467741827/93/bd0f8b3880e3c12e153090f9a49f2ac8"
-                 "3c0be24bfd36c6ea63be21970145a5-s3.json", "register_slices"),
+                 "3c0be24bfd36c6ea63be21970145a5-s3.json", "addr_width"),
         "pr37": ("src-a0a1940467741827/4c/9f5258b8768f65ebea8e7d9d7d9a920c"
-                 "8324243688ecb514028a8a5a5e67c0-s3.json",
-                 "memory_outstanding"),
+                 "8324243688ecb514028a8a5a5e67c0-s3.json", "addr_width"),
+        "pr49": ("src-a0a1940467741827/ff/38c075bb81a735e09f3ac407b6999fe1"
+                 "20d9ac36bfd32ecc2a2116c14949a7-s3.json", "addr_width"),
     }
 
     def test_parent_commit_entry_hits_and_verifies(self, store, monkeypatch):
@@ -272,9 +278,9 @@ class TestEntryFormatCompatibility:
         monkeypatch.setenv("REPRO_CODE_FINGERPRINT", data["code_fingerprint"])
         path = store.put(Scenario.from_dict(data["scenario"]),
                          Result.from_dict(data["result"]))
-        assert path == store.root / ("src-a0a1940467741827/ff/38c075bb81a735e0"
-                                     "9f3ac407b6999fe120d9ac36bfd32ecc2a2116c1"
-                                     "4949a7-s3.json")
+        assert path == store.root / ("src-a0a1940467741827/28/5d2dc6d0fd435bc1"
+                                     "904a8d85922c859452a20b73c24d1a5441eb9814"
+                                     "44868a-s3.json")
         assert path.read_bytes() == self.GOLDEN.read_bytes()
 
     @pytest.mark.parametrize("entry", sorted(PRE_SCHEMA))

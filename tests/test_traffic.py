@@ -23,18 +23,12 @@ class TestUniformRandom:
         for master, cands in traffic._candidates.items():
             assert master not in cands
 
-    def test_include_self_option(self):
-        net = NocNetwork(NocConfig(rows=2, cols=2))
-        traffic = uniform_random(net, load=0.5, max_burst_bytes=100,
-                                 include_self=True, seed=0)
-        assert all(len(c) == 4 for c in traffic._candidates.values())
-
     def test_offered_load_tracks_request(self):
         """Measured offered bytes/cycle/master ≈ load × beat_bytes."""
         cfg = NocConfig(rows=2, cols=2)
         net = NocNetwork(cfg)
         traffic = uniform_random(net, load=0.25, max_burst_bytes=1000,
-                                 seed=1, queue_cap=100_000).install()
+                                 seed=1).install()
         net.run(60_000)
         offered_rate = traffic.offered_bytes / 60_000 / 4  # per master
         assert offered_rate == pytest.approx(0.25 * cfg.beat_bytes, rel=0.2)
@@ -130,7 +124,7 @@ class TestSyntheticPatterns:
 
 
 class TestSleepsAtTheBacklogCap:
-    """At saturation every DMA queue sits at ``queue_cap`` and the source
+    """At saturation every DMA queue sits at ``QUEUE_CAP`` and the source
     sleeps until a queue pops (DESIGN.md §2): the wake has to reach the
     object that was *installed* — the façade class builds a throw-away
     source first — and every source on the network, not the last one."""
