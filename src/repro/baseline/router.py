@@ -68,10 +68,6 @@ class Router:
     """One 5-port VC wormhole router."""
 
     def __init__(self, node: int, n_vcs: int, buf_depth: int):
-        if n_vcs < 1:
-            raise ValueError(f"need >= 1 VC, got {n_vcs}")
-        if buf_depth < 1:
-            raise ValueError(f"need >= 1 flit of buffering, got {buf_depth}")
         self.node = node
         self.n_vcs = n_vcs
         self.buf_depth = buf_depth

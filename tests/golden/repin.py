@@ -18,10 +18,7 @@ The goldens, all under ``tests/golden/``, and the tests that read them:
   ``resilience``, which only this script checks);
 * ``address_path_pr16.json`` (``tests/test_address_path.py``) and
   ``stall_intervals_pr19.json`` (``tests/test_stall_intervals.py``):
-  what each point's ``observe`` reads under the production scheduler;
-* ``store_entry_pr50.json``: one armed point as ``store.put`` writes
-  it, under the fingerprint the file already carries
-  (``tests/test_store.py``).
+  what each point's ``observe`` reads under the production scheduler.
 
 The table has one row per point and field that moved: old -> new, and
 the relative change of a number.  A change that means to move a
@@ -33,10 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -53,7 +47,6 @@ SNAPSHOT_WORKLOADS = ("axi_write", "axi_rw", "dnn_fig8", "faulted",
 SNAPSHOT_SEEDS = (1, 2)
 FIGURES = ("table1", "fig2", "fig3", "fig4", "fig6", "fig8", "table2",
            "power", "resilience")
-STORE_ENTRY = GOLDEN / "store_entry_pr50.json"
 
 ABSENT = "(absent)"
 
@@ -118,50 +111,6 @@ def stall_intervals_text() -> str:
     return observed_text(sorted(POINTS), observe)
 
 
-def store_entry_point():
-    """A faulted point (one dead link, corruption, retransmission), so
-    every nested container of an entry is present."""
-    from repro.faults import FaultSpec, LinkFault
-    from repro.scenarios import (MeasureSpec, Scenario, TopologySpec,
-                                 TrafficSpec)
-
-    return Scenario(
-        topology=TopologySpec(rows=2, cols=2),
-        traffic=TrafficSpec.uniform(1.0, 64, read_fraction=0.5),
-        measure=MeasureSpec(warmup=50, window=200, fidelity="full"),
-        faults=FaultSpec(links=(LinkFault(0, 1, start=10, duration=50),),
-                         corrupt_rate=1e-3, recovery="retransmit"),
-        seed=3, name="golden")
-
-
-@contextmanager
-def fixed_fingerprint(fingerprint: str):
-    saved = os.environ.get("REPRO_CODE_FINGERPRINT")
-    os.environ["REPRO_CODE_FINGERPRINT"] = fingerprint
-    try:
-        yield
-    finally:
-        if saved is None:
-            del os.environ["REPRO_CODE_FINGERPRINT"]
-        else:
-            os.environ["REPRO_CODE_FINGERPRINT"] = saved
-
-
-def store_entry_text() -> str:
-    """The entry ``store.put`` writes for :func:`store_entry_point`,
-    under the fingerprint the golden already carries (a fixed one, so
-    its path and bytes do not follow every source edit)."""
-    from repro.scenarios import run_scenario
-    from repro.store import ResultStore, code_fingerprint
-
-    fingerprint = (json.loads(STORE_ENTRY.read_text())["code_fingerprint"]
-                   if STORE_ENTRY.exists() else code_fingerprint())
-    sc = store_entry_point()
-    with fixed_fingerprint(fingerprint), \
-            tempfile.TemporaryDirectory() as tmp:
-        return ResultStore(tmp).put(sc, run_scenario(sc)).read_text()
-
-
 @dataclass
 class Golden:
     path: Path
@@ -185,9 +134,7 @@ def goldens() -> list[Golden]:
     out += [Golden(GOLDEN / "address_path_pr16.json", address_path_text,
                    json.loads),
             Golden(GOLDEN / "stall_intervals_pr19.json",
-                   stall_intervals_text, json.loads),
-            Golden(STORE_ENTRY, store_entry_text,
-                   lambda text: {"entry": json.loads(text)})]
+                   stall_intervals_text, json.loads)]
     return out
 
 

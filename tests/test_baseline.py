@@ -29,12 +29,6 @@ class TestFlits:
 
 
 class TestRouter:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Router(0, n_vcs=0, buf_depth=4)
-        with pytest.raises(ValueError):
-            Router(0, n_vcs=1, buf_depth=0)
-
     def test_buffer_overrun_raises(self):
         router = Router(0, n_vcs=1, buf_depth=1)
         packet = Packet(0, 1, 2, 0, 0)

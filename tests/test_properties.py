@@ -664,3 +664,63 @@ def test_spec_hash_does_not_depend_on_how_the_scenario_was_built(sc):
     assert (spec_hash(sc) == spec_hash(Scenario.from_dict(sc.to_dict()))
             == spec_hash(there_and_back)
             == spec_hash(replace(sc, seed=sc.seed + 1)))
+
+
+def _nudged(value) -> list:
+    """Another value of ``value``'s type, where one is obvious."""
+    if isinstance(value, bool):
+        return [not value]
+    if isinstance(value, str):
+        return [value + "x"]
+    if isinstance(value, int):
+        return [value + 1]
+    if isinstance(value, float):  # the second keeps a rate in [0, 1)
+        return [value + 1, value / 2 + 0.25]
+    return []
+
+
+def _one_field_changes(sc, other):
+    """Every Scenario that differs from ``sc`` in one field, a sub-spec
+    whole or one of its leaves: ``other``'s value there or a nudge of
+    ``sc``'s.  A change the Scenario refuses is left out."""
+    import copy
+
+    from repro.scenarios import Scenario
+
+    data, theirs = sc.to_dict(), other.to_dict()
+    paths = [(key,) for key in data] + [
+        (key, leaf) for key, value in data.items()
+        if isinstance(value, dict) for leaf in value]
+    for path in paths:
+        old, new = data, theirs
+        for key in path:
+            old = old[key]
+            new = new.get(key) if isinstance(new, dict) else None
+        for value in [new, *_nudged(old)]:
+            if value == old:
+                continue
+            changed = copy.deepcopy(data)
+            target = changed
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+            try:
+                yield Scenario.from_dict(changed)
+            except (TypeError, ValueError):
+                pass
+
+
+@budget(100)
+@given(sc=scenario_cases(), other=scenario_cases())
+def test_distinct_scenarios_hash_apart(sc, other):
+    """For every one-field change of a drawn Scenario: the two are
+    unequal, the seed aside, if and only if their spec hashes differ.
+    A field the canonical JSON drops, or a value it adds that is not
+    the spec's, breaks it."""
+    from dataclasses import replace
+
+    from repro.store import spec_hash
+
+    for changed in _one_field_changes(sc, other):
+        assert ((replace(sc, seed=0) != replace(changed, seed=0))
+                == (spec_hash(sc) != spec_hash(changed))), changed

@@ -8,7 +8,6 @@ import dataclasses
 import importlib
 import json
 import os
-import shutil
 import subprocess
 import sys
 import threading
@@ -23,7 +22,7 @@ import repro
 # name, so attribute import would grab the function; go via importlib.
 sweep_mod = importlib.import_module("repro.scenarios.sweep")
 store_mod = importlib.import_module("repro.store.store")
-from repro.faults import FaultSpec, LinkFault, StuckVcFault
+from repro.faults import FaultSpec, LinkFault
 from repro.scenarios import (
     MeasureSpec,
     Result,
@@ -106,6 +105,17 @@ def readers_race_a_rewrite(store, sc, result, readers: int) -> None:
     assert all(r == result for out in reads for r in out)
 
 
+def in_another_process(*argv: str, **env: str) -> str:
+    """``python *argv`` in a fresh interpreter, ``env`` added to its
+    environment; it must exit 0.  Returns its stdout."""
+    src = Path(repro.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src), **env})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestFingerprint:
     def test_stable_and_prefixed(self):
         fp = code_fingerprint()
@@ -134,40 +144,6 @@ class TestKeys:
                             traffic=TrafficSpec.uniform(0.2, cap))
 
         assert spec_hash(point(1)) == spec_hash(point(1000))
-
-    def test_spec_hash_is_the_one_pr15_computed(self):
-        """Literals pinning the canonical JSON: a changed one would
-        orphan every store entry ever written.  ``replay``'s was the one
-        recorded at commit 3124678 (``0b5f767e…``) until ``MeasureSpec``
-        lost ``per_link`` (``136b2a9c…``), then ``TopologySpec`` lost
-        ``register_slices`` (``75c6bc93…``), then four constant fields
-        and ``FaultSpec`` ``retry_timeout`` (``7e3a2f7a…`` with faults),
-        then ``addr_width`` (``9ade05ff…``); each time every canonical
-        JSON lost the key.
-        ``every_fault_kind``'s literal moved six times, twice
-        because ``FaultSpec`` lost a fault kind and its canonical JSON
-        lost the key: its link was width-degraded at 3124678
-        (``aa7a705f…``), then dead beside a dead port and with a
-        ``byzantine_rate`` key (``10334be2…``), then it lost
-        ``per_link`` (``0cdfc589…``), then ``register_slices`` and the
-        ``txn_timeout=900`` it carried (``5ac8ff44…``): the baseline
-        has no endpoint watchdog, so a baseline Scenario now refuses
-        the field when it is built, then ``addr_width`` and the
-        corruption the baseline now refuses likewise (``7a83df86…``).
-        It holds every fault kind the baseline models: a dead link and
-        a stuck VC."""
-        replay = Scenario(  # the benchmark's 256 store_replay points
-            topology=TopologySpec.baseline(1, 4, rows=2, cols=2),
-            traffic=TrafficSpec.uniform(0.6, 1),
-            measure=MeasureSpec(warmup=25, window=100), seed=7)
-        assert spec_hash(replay) == ("65a4739baad06ee3beb1c8d507c6b61e"
-                                     "afff708d1ae2314a007dacb6a9c4ef4f")
-        every_fault_kind = FaultSpec(
-            links=(LinkFault(0, 1, start=10, duration=50),),
-            stuck_vcs=(StuckVcFault(2, 1, vc=0, start=5),),
-            recovery="retransmit")
-        assert spec_hash(replay.with_(faults=every_fault_kind)) == (
-            "accf551d94c492dfa07a486b9621461d616554f46e07374521761eb5c9197b95")
 
     def test_key_separates_seeds_and_code_versions(self, store, monkeypatch):
         a = store.key_for(fast_point(seed=1)).relpath
@@ -226,74 +202,104 @@ class TestGetPut:
         assert not list(store.root.rglob(".tmp-*"))
 
 
-class TestEntryFormatCompatibility:
-    """Entries written by earlier commits keep hitting — or, when the
-    schema dropped a field they carry, read as corrupt without raising."""
+def faulted_point() -> Scenario:
+    """One dead link, corruption and retransmission: every nested
+    container of an entry is present."""
+    return Scenario(
+        topology=TopologySpec(rows=2, cols=2),
+        traffic=TrafficSpec.uniform(1.0, 64, read_fraction=0.5),
+        measure=MeasureSpec(warmup=50, window=200, fidelity="full"),
+        faults=FaultSpec(links=(LinkFault(0, 1, start=10, duration=50),),
+                         corrupt_rate=1e-3, recovery="retransmit"),
+        seed=3, name="entry")
 
-    #: Written by ``store.put`` under a fixed fingerprint: a faulted
-    #: point (one dead link, corruption, retransmission), so every
-    #: nested container is present.  ``tests/golden/repin.py`` rewrites
-    #: it.
-    GOLDEN = Path(__file__).parent / "golden" / "store_entry_pr50.json"
-    #: Entries ``put`` wrote before the schema dropped a field they
-    #: carry, under the path each was written to, with the first such
-    #: key a load reaches: at commit 3124678 the same point with its
-    #: link width-degraded, at 133480c the same point with the ``ports``
-    #: and ``byzantine_rate`` keys ``FaultSpec`` no longer has, at
-    #: a5762eb the same point with the ``per_link`` key ``MeasureSpec``
-    #: no longer has, at 01bff79 the same point with the
-    #: ``register_slices`` key ``TopologySpec`` no longer has, at 3c52896
-    #: the same point with the five keys that became constants, at
-    #: 0e54e45 the same point with the ``addr_width`` key.  Every one
-    #: carries ``addr_width``, which a load reaches first.
-    PRE_SCHEMA = {
-        "pr15": ("git-3124678d79adb1f4/16/847323bf07de226470b2f152851a25a9"
-                 "851944b31e687b4b4006cb5057dc0c-s3.json", "addr_width"),
-        "pr34": ("src-a0a1940467741827/7e/2a31cbc1f865f605871a0844b605e367"
-                 "13647b835379b3f0a8cc4f249db51c-s3.json", "addr_width"),
-        "pr35": ("src-a0a1940467741827/45/e4c72423e7cbe8b9cc1214d7f2fbf622"
-                 "ceb50ea80fe7e4e5c56aa3cda60a65-s3.json", "addr_width"),
-        "pr36": ("src-a0a1940467741827/93/bd0f8b3880e3c12e153090f9a49f2ac8"
-                 "3c0be24bfd36c6ea63be21970145a5-s3.json", "addr_width"),
-        "pr37": ("src-a0a1940467741827/4c/9f5258b8768f65ebea8e7d9d7d9a920c"
-                 "8324243688ecb514028a8a5a5e67c0-s3.json", "addr_width"),
-        "pr49": ("src-a0a1940467741827/ff/38c075bb81a735e09f3ac407b6999fe1"
-                 "20d9ac36bfd32ecc2a2116c14949a7-s3.json", "addr_width"),
+
+#: ``put`` the point given as JSON into a fresh store; print its spec
+#: hash, the entry's path in the store and the entry's text.
+PUT_FRESH = """
+import json, sys, tempfile
+from repro.scenarios import Scenario, run_scenario
+from repro.store import ResultStore, spec_hash
+sc = Scenario.from_dict(json.loads(sys.argv[1]))
+with tempfile.TemporaryDirectory() as root:
+    path = ResultStore(root).put(sc, run_scenario(sc))
+    print(json.dumps([spec_hash(sc), path.relative_to(root).as_posix(),
+                      path.read_text()]))
+"""
+
+
+class TestEntryFormat:
+    """An entry is a function of its Scenario, its Result and the code
+    fingerprint (DESIGN.md §12)."""
+
+    def test_hash_path_and_bytes_are_the_same_in_any_process(
+            self, store, monkeypatch):
+        monkeypatch.setenv("REPRO_CODE_FINGERPRINT", "test:fixed")
+        sc = faulted_point()
+        path = store.put(sc, run_scenario(sc))
+        here = [spec_hash(sc), path.relative_to(store.root).as_posix(),
+                path.read_text()]
+        for hash_seed in ("1", "2"):
+            out = in_another_process(
+                "-c", PUT_FRESH, json.dumps(sc.to_dict()),
+                PYTHONHASHSEED=hash_seed)
+            assert json.loads(out) == here
+
+
+class TestEntryFormatCompatibility:
+    """An entry hits under the code that wrote it and loads only under
+    the schema that wrote it.  No entry from an earlier commit is kept:
+    its fingerprint differs, so it is never read (DESIGN.md §12).  The
+    parent commit's entry is therefore the one ``put`` writes here."""
+
+    #: One field per change that dropped spec fields: where it sat in
+    #: an entry's ``scenario``, its name, a value it held and the error
+    #: its loader refuses it by name with.
+    DROPPED = {
+        "pr15": (("faults", "links", 0), "width_factor", 0.5, TypeError),
+        "pr34": (("faults",), "byzantine_rate", 0.0, ValueError),
+        "pr35": (("measure",), "per_link", True, TypeError),
+        "pr36": (("topology",), "register_slices", "all", TypeError),
+        "pr37": (("faults",), "retry_timeout", 100000, ValueError),
+        "pr49": (("topology",), "addr_width", 32, TypeError),
     }
 
-    def test_parent_commit_entry_hits_and_verifies(self, store, monkeypatch):
-        data = json.loads(self.GOLDEN.read_text())
-        monkeypatch.setenv("REPRO_CODE_FINGERPRINT", data["code_fingerprint"])
-        sc = Scenario.from_dict(data["scenario"])
-        path = store.root / store.key_for(sc).relpath
-        path.parent.mkdir(parents=True)
-        shutil.copyfile(self.GOLDEN, path)
-        assert store.get(sc) == Result.from_dict(data["result"])
+    def test_parent_commit_entry_hits_and_verifies(self, store):
+        sc = faulted_point()
+        result = run_scenario(sc)
+        store.put(sc, result)
+        assert store.get(sc) == result
         assert store.verify() == {"checked": 1, "ok": 1, "corrupt": [],
                                   "mismatched": []}
 
     def test_put_rewrites_the_parent_commit_entry_byte_for_byte(
-            self, store, monkeypatch):
-        data = json.loads(self.GOLDEN.read_text())
-        monkeypatch.setenv("REPRO_CODE_FINGERPRINT", data["code_fingerprint"])
-        path = store.put(Scenario.from_dict(data["scenario"]),
-                         Result.from_dict(data["result"]))
-        assert path == store.root / ("src-a0a1940467741827/28/5d2dc6d0fd435bc1"
-                                     "904a8d85922c859452a20b73c24d1a5441eb9814"
-                                     "44868a-s3.json")
-        assert path.read_bytes() == self.GOLDEN.read_bytes()
+            self, store, tmp_path):
+        sc = faulted_point()
+        path = store.put(sc, run_scenario(sc))
+        data = json.loads(path.read_text())
+        fresh = ResultStore(tmp_path / "fresh")
+        again = fresh.put(Scenario.from_dict(data["scenario"]),
+                          Result.from_dict(data["result"]))
+        assert again.relative_to(fresh.root) == path.relative_to(store.root)
+        assert again.read_bytes() == path.read_bytes()
 
-    @pytest.mark.parametrize("entry", sorted(PRE_SCHEMA))
+    @pytest.mark.parametrize("entry", sorted(DROPPED))
     def test_an_entry_the_schema_cannot_load_is_corrupt(self, store, entry):
-        rel, key = self.PRE_SCHEMA[entry]
-        path = store.root / rel
-        path.parent.mkdir(parents=True)
-        shutil.copyfile(Path(__file__).parent / "golden"
-                        / f"store_entry_{entry}.json", path)
-        with pytest.raises(TypeError, match=f"'{key}'"):
-            Scenario.from_dict(json.loads(path.read_text())["scenario"])
-        assert store.verify() == {"checked": 1, "ok": 0, "corrupt": [rel],
-                                  "mismatched": []}
+        """``verify`` reports the entry corrupt instead of raising."""
+        where, key, value, error = self.DROPPED[entry]
+        sc = faulted_point()
+        path = store.put(sc, run_scenario(sc))
+        data = json.loads(path.read_text())
+        container = data["scenario"]
+        for step in where:
+            container = container[step]
+        container[key] = value
+        path.write_text(json.dumps(data, indent=2))
+        with pytest.raises(error, match=f"'{key}'"):
+            Scenario.from_dict(data["scenario"])
+        assert store.verify() == {
+            "checked": 1, "ok": 0, "mismatched": [],
+            "corrupt": [path.relative_to(store.root).as_posix()]}
 
 
 class TestCorruptionTolerance:
@@ -318,15 +324,6 @@ class TestCorruptionTolerance:
 def settle() -> None:
     """Let the last write age past ``SETTLED_NS``: a read keeps it."""
     time.sleep(2 * store_mod.SETTLED_NS / 1e9)
-
-
-def in_another_process(*argv: str) -> None:
-    """``python *argv`` in a fresh interpreter; it must exit 0."""
-    src = Path(repro.__file__).resolve().parents[1]
-    proc = subprocess.run([sys.executable, *argv],
-                          capture_output=True, text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": str(src)})
-    assert proc.returncode == 0, proc.stderr
 
 
 #: ``put`` one (scenario, result) pair, given as JSON, into a store.
